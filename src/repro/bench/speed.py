@@ -703,9 +703,9 @@ def _print_plan_appendix() -> None:
         print("charge plans disabled (--plans off / REPRO_CHARGE_PLANS)")
         return
     print("| profile | compiled | applied | task_confirms "
-          "| patched | invalidated | fallbacks |")
+          "| invalidated | fallbacks |")
     print("|---------|----------|---------|---------------"
-          "|---------|-------------|-----------|")
+          "|-------------|-----------|")
     for profile in PROFILES:
         kernel, task, bind = _setup_trace_replay(profile)
         op = bind(kernel, task)
@@ -717,7 +717,7 @@ def _print_plan_appendix() -> None:
         for key, value in mt_kernel.costs.plans.telemetry().items():
             tel[key] = tel.get(key, 0) + value
         print(f"| {profile} | {tel['compiled']} | {tel['applied']} "
-              f"| {tel['task_confirms']} | {tel['patched']} "
+              f"| {tel['task_confirms']} "
               f"| {tel['invalidated']} | {tel['fallbacks']} |")
 
 

@@ -172,38 +172,18 @@ class Coherence:
     def _invalidate_bulk(self, frontier: List[Dentry]) -> None:
         """Apply :meth:`_invalidate_one` to a collected frontier in bulk.
 
-        Charges accumulate in locals and store once; the float-add
-        sequence on the clock and the per-primitive/per-scope tables is
-        exactly the one N scalar charges would produce (same additions,
-        same order — the intermediate attribute stores carry no rounding),
-        recorder events are appended per dentry as before, and the Stats
-        counters merge through one :meth:`~repro.sim.stats.Stats.bump_many`
-        (integer, associative).  Seq bumps go through the arena column,
-        bound once per arena rather than once per dentry.
+        One charge and one Stats bump cover the whole frontier (both are
+        integer sums, so this is what N scalar calls would add up to);
+        seq bumps go through the arena column, bound once per arena
+        rather than once per dentry.
         """
-        costs = self.costs
-        ns = costs._rates["inval_per_dentry"][0]
-        clock = costs.clock
-        stack = costs._scope_stack
-        scope = stack[-1] if stack else None
-        rec = costs.recorder
-        events = rec.events if rec is not None else None
-        by_primitive = costs.by_primitive
-        now = clock._now_ns
-        vp = by_primitive.get("inval_per_dentry", 0.0)
-        if scope is not None:
-            by_scope = costs.by_scope
-            vs = by_scope.get(scope, 0.0)
+        n = len(frontier)
+        self.costs.charge("inval_per_dentry", times=n)
+        self.stats.bump_many((("inval_dentry", n),))
         arena = None
         seqarr = None
         wraps = 0
         for dentry in frontier:
-            now += ns
-            vp += ns
-            if scope is not None:
-                vs += ns
-            if events is not None:
-                events.append((scope, "inval_per_dentry", 1, 0))
             h = dentry.h
             if h >= 0:
                 if dentry.arena is not arena:
@@ -221,16 +201,8 @@ class Coherence:
                 fast.invalidate()
                 if fast.dlht is not None:
                     fast.dlht.remove(dentry)
-        clock._now_ns = now
-        by_primitive["inval_per_dentry"] = vp
-        if scope is not None:
-            by_scope[scope] = vs
-        n = len(frontier)
-        counts = costs.counts
-        counts["inval_per_dentry"] = counts.get("inval_per_dentry", 0) + n
-        self.stats.bump_many((("inval_dentry", n),))
         # Wraparound (32-bit seq space) is once-in-a-blue-moon; the flush
-        # itself charges nothing, so deferring it past the bulk stores is
+        # itself charges nothing, so deferring it past the loop is
         # observationally identical to the scalar walk firing it inline.
         for _ in range(wraps):
             self.wraparound_flush()

@@ -40,7 +40,7 @@ class DirectLookupHashTable:
     """One namespace's signature -> dentry index."""
 
     __slots__ = ("costs", "stats", "multi_key", "extra_key_count",
-                 "owner_ns", "_table", "__weakref__")
+                 "owner_ns", "memo", "_table", "__weakref__")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  multi_key: bool = False):
@@ -53,6 +53,9 @@ class DirectLookupHashTable:
         #: Weakref to the owning namespace (set by the kernel); the lazy
         #: sweep needs it to re-derive canonical paths.
         self.owner_ns = None
+        #: The kernel's resolution memo (or None): told of every insert,
+        #: because a recorded probe miss is a conclusion too.
+        self.memo = None
         self._table: Dict[Tuple[int, int], Dentry] = {}
 
     @staticmethod
@@ -67,12 +70,17 @@ class DirectLookupHashTable:
         # plain ``(index, bits)`` tuple ``_key`` produces — probe with it
         # directly and skip one tuple allocation on the hottest probe.
         dentry = self._table.get(signature)
-        if dentry is not None and not dentry.dead:
-            rec = costs.recorder
-            if rec is not None:
+        rec = costs.recorder
+        if rec is not None:
+            if dentry is not None and not dentry.dead:
                 # Every fastpath conclusion rests on its probe hits; the
                 # resolution memo pins them (seq + inode identity).
                 rec.deps.append(dentry)
+            else:
+                # ... and on its probe misses: registering this
+                # signature later must invalidate the recording
+                # (ResolutionMemo.kill_miss, from insert()).
+                rec.misses.append((self, self._key(signature)))
         return dentry
 
     def peek(self, key: Tuple[int, int]) -> Optional[Dentry]:
@@ -116,6 +124,8 @@ class DirectLookupHashTable:
                 fast.dlht.remove(dentry)
         self.costs.charge("dlht_insert")
         self._table[key] = dentry
+        if self.memo is not None:
+            self.memo.kill_miss(self, key)
         fast.dlht = self
         fast.dlht_key = key
         fast.signature = signature

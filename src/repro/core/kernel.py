@@ -158,6 +158,7 @@ class Kernel:
                                   config, lsm=self.lsm)
         self.hasher: Optional[PathHasher] = None
         self.fast: Optional[FastLookup] = None
+        self.memo = None
         if config.fastpath:
             self.hasher = make_hasher(config.signature_scheme,
                                       config.boot_seed,
@@ -169,7 +170,6 @@ class Kernel:
             self._install_dlht(self.root_ns)
             self._boot_fast_root()
         self.resolver = self.fast if self.fast is not None else self.slow_walk
-        self.memo = None
         if config.resolution_memo:
             from repro.core.resmemo import ResolutionMemo
             self.memo = ResolutionMemo(
@@ -179,6 +179,8 @@ class Kernel:
             # counter bumps bulk-invalidate the memo.
             self.dcache.memo = self.memo
             self.coherence.memo = self.memo
+            if self.root_ns.dlht is not None:
+                self.root_ns.dlht.memo = self.memo
         self.sweeper = None
         if config.fastpath and config.lazy_invalidation:
             from repro.core.coherence import LazySweeper
@@ -199,6 +201,7 @@ class Kernel:
             self.costs, self.stats,
             multi_key=self.config.lazy_invalidation)
         ns.dlht.owner_ns = weakref.ref(ns)
+        ns.dlht.memo = self.memo
         self.coherence.track_dlht(ns.dlht)
 
     def _boot_fast_root(self) -> None:

@@ -13,8 +13,8 @@ A memo entry is keyed per namespace by
        interned path, follow_last, intent_create, create_dir)``
 
 and stores the terminal :class:`~repro.vfs.dentry.PathPos` (or the
-raised :class:`~repro.errors.FsError`), the exact sequence of
-:class:`~repro.sim.costs.CostModel` charge events, the
+raised :class:`~repro.errors.FsError`), the
+:class:`~repro.sim.costs.ChargeVector` the resolution charged, the
 :class:`~repro.sim.stats.Stats` counter deltas, and the dcache-LRU /
 PCC touches the resolution performed.  A hit is accepted only after a
 validity check over the entry's recorded *dependencies*:
@@ -44,12 +44,11 @@ parent resolution for mutation syscalls (an ``unlink`` or ``O_CREAT``
 open re-resolves its path from the memo; the mutation invalidates
 *after* resolution, so the read is legal).
 
-On acceptance the memo *replays* the recorded charges and counter
-deltas through :meth:`CostModel.replay_events`, re-deriving every
-nanosecond figure from the current rate table in the same
-floating-point operation order as the original charges, so virtual
-costs and stats stay bit-identical on all three kernel profiles while
-the Python resolve machinery is skipped entirely.
+On acceptance the memo *replays* the recording: one
+:meth:`CostModel.apply` of the vector and one bulk merge of the counter
+deltas.  Charging is integer and order-independent, so virtual costs
+and stats are exactly those of running the resolver again, on all three
+kernel profiles, while the Python resolve machinery is skipped entirely.
 
 Correctness protocol — confirm on second identical execution
 ------------------------------------------------------------
@@ -60,7 +59,7 @@ such a recording would skip those side effects.  Instead of trying to
 enumerate every populating side effect, the memo stores the first
 recording as *provisional* and only promotes it to *confirmed* —
 eligible for replay — after a second execution under a still-valid
-snapshot reproduces the identical event sequence, stat deltas, touch
+snapshot reproduces the identical charge vector, stat deltas, touch
 lists, and outcome.  Any cache-populating work makes two consecutive
 executions differ (the second run hits what the first one filled), so
 confirmed recordings are structurally steady-state: their only side
@@ -73,7 +72,7 @@ the newest of the two identical executions.
 The steady classification is the cycle-spanning complement of that
 protocol: within one quiescent phase, consecutive identical runs prove
 the absence of population; across a mutation cycle, the recording's
-own charge stream proves it (population charges ``dentry_alloc`` /
+own charge vector proves it (population charges ``dentry_alloc`` /
 ``dlht_insert`` / ``pcc_insert`` / ... — any of which forces the
 strict counter comparison, under which today's flush semantics are
 preserved).
@@ -89,7 +88,9 @@ Invalidation is *scoped*: the dcache's structural mutation points call
 every entry that depends on the dentry) and
 :meth:`ResolutionMemo.kill_miss` (``d_alloc``/``d_move``: drop every
 entry whose walk concluded from the *absence* of the name now being
-instantiated), both O(affected) through reverse indexes.  Bulk
+instantiated; ``DirectLookupHashTable.insert`` calls it likewise for a
+signature a recorded fastpath probe missed), both O(affected) through
+reverse indexes.  Bulk
 :meth:`flush` remains for the coarse hazards — chmod/chown/label
 changes (permission bits feed memoized prefix checks), mount table
 edits, PCC capacity evictions, and seqcount wraparound (which breaks
@@ -104,9 +105,10 @@ so a restored kernel re-records from its own executions (see
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro import errors
+from repro.sim.costs import Recording
 from repro.vfs.mount import PathPos
 
 __all__ = ["ResolutionMemo"]
@@ -149,6 +151,12 @@ _DIR = "d"
 _FILE = "f"
 
 
+def _charges_any(vector, primitives: frozenset) -> bool:
+    """Does ``vector`` hold a charge (or raw hint) named in ``primitives``?"""
+    return any(name in primitives for _scope, name in vector.charges) \
+        or any(hint in primitives for _scope, hint in vector.raw)
+
+
 def _dentry_sig(dentry) -> tuple:
     """State signature of a terminal dentry.
 
@@ -182,34 +190,13 @@ def _dentry_sig(dentry) -> tuple:
     return (kind, dentry.neg_kind, dentry.stub, dentry.alias_target, fsig)
 
 
-class _Recording:
-    """Side-channel filled while a resolution runs with recording on.
-
-    ``events`` is appended to by :class:`~repro.sim.costs.CostModel`
-    (every ``charge``/``charge_in``/``charge_ns``), ``lru`` by
-    ``Dcache.d_lookup`` hits, ``pcc`` by PCC probe hits, ``deps`` by
-    the fastpath's DLHT probe hits and negativity conclusions, and
-    ``misses`` by ``Dcache.d_lookup`` misses (the (parent, name) pairs
-    whose *absence* the walk observed).
-    """
-
-    __slots__ = ("events", "lru", "pcc", "deps", "misses")
-
-    def __init__(self) -> None:
-        self.events: List[tuple] = []
-        self.lru: list = []
-        self.pcc: List[tuple] = []
-        self.deps: list = []
-        self.misses: List[tuple] = []
-
-
 class _Entry:
     """One memoized resolution plus its validity snapshot."""
 
     __slots__ = (
         "outcome_pos",      # terminal PathPos, or None if the walk raised
         "outcome_exc",      # stored FsError instance, or None
-        "events",           # tuple of CostModel charge events
+        "vector",           # ChargeVector the resolution charged
         "stat_deltas",      # sorted tuple of (counter name, int delta)
         "lru_touches",      # dentries whose dcache-LRU slot was refreshed
         "pcc_touches",      # (pcc, dentry) pairs moved to PCC MRU
@@ -221,12 +208,11 @@ class _Entry:
         "term_seq",
         "term_sig",         # _dentry_sig of the terminal at record time
         "deps",             # tuple of (dentry, seq, inode) pins
-        "miss_deps",        # tuple of ((id(parent), name), parent) pins
+        "miss_deps",        # ((id(container), key), container) pins:
+                            # (parent dentry, name) or (DLHT, signature)
         "steady",           # no mutation-adjacent charges: skip counter
         "refs",             # strong refs pinning every id() in the key
         "confirmed",        # replayable only after a second identical run
-        "compiled",         # lazy (rates_version, rows, counts, lru, pcc, fn)
-        "replays",          # replay count (gates exec-compilation)
     )
 
 
@@ -261,10 +247,6 @@ class ResolutionMemo:
     #: once per ``_RECORD_AFTER << _MAX_BURN`` misses.
     _MAX_BURN = 6
 
-    #: Interpreted replays before an entry's charge sequence is
-    #: exec-compiled into straight-line code (see ``_replay``).
-    _EXEC_AFTER = 3
-
     def __init__(self, costs, stats, coherence, dcache, resolver,
                  capacity: int = 4096) -> None:
         self.costs = costs
@@ -286,8 +268,10 @@ class ResolutionMemo:
         #: :meth:`kill` in O(affected entries).
         self._by_dep: dict = {}
         #: Reverse index: (id(parent), name) -> {key: entry} for every
-        #: entry whose walk observed that name absent under that
-        #: parent.  Drives :meth:`kill_miss` from ``d_alloc``/``d_move``.
+        #: entry whose walk observed that name absent under that parent
+        #: (and (id(dlht), signature) for a missed fastpath probe).
+        #: Drives :meth:`kill_miss` from ``d_alloc``/``d_move`` and
+        #: ``DirectLookupHashTable.insert``.
         self._by_miss: dict = {}
         #: Per-key miss streaks surviving flushes (see :meth:`resolve`).
         self._miss_score: dict = {}
@@ -399,62 +383,25 @@ class ResolutionMemo:
 
     def _replay(self, entry: _Entry) -> PathPos:
         """Re-apply a confirmed recording without running the resolver."""
-        compiled = entry.compiled
-        costs = self.costs
-        if compiled is None or compiled[0] != costs.rates_version:
-            compiled = self._compile(entry)
-        fn = compiled[5]
-        if fn is not None:
-            fn(costs.clock, costs.by_primitive, costs.by_scope,
-               costs.counts, self.stats._counters)
-        else:
-            replays = entry.replays + 1
-            entry.replays = replays
-            if replays >= self._EXEC_AFTER:
-                # This entry is hot: exec-compile the charge sequence
-                # into straight-line code for every replay after this.
-                fn = costs.compile_replay_fn(compiled[1], compiled[2],
-                                             entry.stat_deltas)
-                entry.compiled = compiled[:5] + (fn,)
-                fn(costs.clock, costs.by_primitive, costs.by_scope,
-                   costs.counts, self.stats._counters)
-            else:
-                costs.replay_compiled(compiled[1], compiled[2])
-                self.stats.bump_many(entry.stat_deltas)
+        self.costs.apply(entry.vector)
+        self.stats.bump_many(entry.stat_deltas)
+        # The entry's strong refs keep every touched object alive, so
+        # the id() keys below are the ones the live tables use.
         lru = self.dcache._lru
-        for dkey, dentry in compiled[3]:
+        for dentry in entry.lru_touches:
+            dkey = id(dentry)
             lru[dkey] = dentry
             lru.move_to_end(dkey)
             dentry.in_lru = True
-        for pcc_entries, move_to_end, dkey in compiled[4]:
+        for pcc, dentry in entry.pcc_touches:
+            pcc_entries = pcc._entries
+            dkey = id(dentry)
             if dkey in pcc_entries:
-                move_to_end(dkey)
+                pcc_entries.move_to_end(dkey)
         exc = entry.outcome_exc
         if exc is not None:
             raise exc
         return entry.outcome_pos
-
-    def _compile(self, entry: _Entry) -> tuple:
-        """Precompute the replay-side representation of a recording.
-
-        The charge rows come from :meth:`CostModel.compile_events`
-        (exact per-event ns against the current rate table; invalidated
-        by ``rates_version``).  LRU touches are pre-keyed by ``id()``
-        (the entry holds strong refs, so ids are stable), and PCC
-        touches pre-bind the entry dict and its ``move_to_end``.
-        """
-        version, rows, count_deltas = self.costs.compile_events(entry.events)
-        lru_rows = tuple((id(d), d) for d in entry.lru_touches)
-        pcc_rows = tuple((pcc._entries, pcc._entries.move_to_end, id(d))
-                         for pcc, d in entry.pcc_touches)
-        # The exec-compiled straight-line replayer (slot 5) is deferred
-        # until the entry proves hot (_EXEC_AFTER interpreted replays):
-        # churny workloads invalidate entries after a few replays, and
-        # an ``exec`` per short-lived entry costs more than it saves.
-        compiled = (version, rows, count_deltas, lru_rows, pcc_rows, None)
-        entry.compiled = compiled
-        entry.replays = 0
-        return compiled
 
     # ------------------------------------------------------------------
     # record / confirm
@@ -462,42 +409,27 @@ class ResolutionMemo:
     def _run_recorded(self, task, path, follow_last, intent_create,
                       create_dir):
         """Run the real resolver with the charge recorder attached."""
-        costs = self.costs
-        stats = self.stats
-        before = dict(stats._counters)
-        rec = _Recording()
-        costs.recorder = rec
         pos = None
         exc = None
-        try:
-            pos = self.resolver.resolve(
-                task, path, follow_last=follow_last,
-                intent_create=intent_create, create_dir=create_dir)
-        except errors.FsError as caught:
-            exc = caught
-        finally:
-            costs.recorder = None
-        deltas = []
-        after = stats._counters
-        for name, value in after.items():
-            delta = value - before.get(name, 0)
-            if delta:
-                deltas.append((name, delta))
-        deltas.sort()
-        return pos, exc, rec, tuple(deltas)
+        with Recording(self.costs, self.stats) as rec:
+            try:
+                pos = self.resolver.resolve(
+                    task, path, follow_last=follow_last,
+                    intent_create=intent_create, create_dir=create_dir)
+            except errors.FsError as caught:
+                exc = caught
+        return pos, exc, rec, rec.stat_deltas
 
-    def _memoizable(self, rec: _Recording, pos: Optional[PathPos]) -> bool:
-        unmemoizable = _UNMEMOIZABLE_PRIMITIVES
-        for event in rec.events:
-            if event[1] in unmemoizable:
-                return False
+    def _memoizable(self, rec: Recording, pos: Optional[PathPos]) -> bool:
+        if _charges_any(rec.vector, _UNMEMOIZABLE_PRIMITIVES):
+            return False
         if pos is not None and pos.dentry.inode is not None:
             if pos.dentry.inode.fs.requires_revalidation:
                 return False
         return True
 
     def _snapshot(self, key, entry: _Entry, task, path,
-                  rec: _Recording) -> None:
+                  rec: Recording) -> None:
         """(Re)capture ``entry``'s validity snapshot from ``rec`` and
         register it in the reverse indexes."""
         coh = self.coherence
@@ -550,13 +482,8 @@ class ResolutionMemo:
             mseen.add(mkey)
             miss_deps.append((mkey, parent))
         entry.miss_deps = tuple(miss_deps)
-        unsafe = _STEADY_UNSAFE_PRIMITIVES
-        steady = True
-        for event in entry.events:
-            if event[1] in unsafe:
-                steady = False
-                break
-        entry.steady = steady
+        entry.steady = not _charges_any(entry.vector,
+                                        _STEADY_UNSAFE_PRIMITIVES)
         by_dep = self._by_dep
         for d, _seq, _inode in entry.deps:
             i = id(d)
@@ -614,7 +541,7 @@ class ResolutionMemo:
             # whole lifetime; each replay re-raise installs a fresh one.
             exc.__traceback__ = None
         entry.outcome_exc = exc
-        entry.events = tuple(rec.events)
+        entry.vector = rec.vector
         entry.stat_deltas = deltas
         entry.lru_touches = rec.lru
         entry.pcc_touches = rec.pcc
@@ -623,8 +550,6 @@ class ResolutionMemo:
         # the entry can still match.
         entry.refs = (task.ns, task.root, task.cwd, task.cred)
         entry.confirmed = False
-        entry.compiled = None
-        entry.replays = 0
         self._snapshot(key, entry, task, path, rec)
         entries = self._entries
         entries[key] = entry
@@ -673,8 +598,8 @@ class ResolutionMemo:
         return pos
 
     @staticmethod
-    def _matches(entry: _Entry, pos, exc, rec: _Recording, deltas) -> bool:
-        if tuple(rec.events) != entry.events:
+    def _matches(entry: _Entry, pos, exc, rec: Recording, deltas) -> bool:
+        if rec.vector != entry.vector:
             return False
         if deltas != entry.stat_deltas:
             return False
@@ -738,10 +663,11 @@ class ResolutionMemo:
         if removed:
             self.flushes += 1
 
-    def kill_miss(self, parent, name: str) -> None:
+    def kill_miss(self, parent, name) -> None:
         """Scoped invalidation for a name being instantiated: drop every
         entry whose walk concluded from ``name`` being absent under
-        ``parent`` (``d_alloc`` and the destination of ``d_move``)."""
+        ``parent`` (``d_alloc`` and the destination of ``d_move``; for a
+        DLHT ``insert``, the table and the signature)."""
         bucket = self._by_miss.pop((id(parent), name), None)
         if not bucket:
             return
@@ -759,8 +685,8 @@ class ResolutionMemo:
         return len(self._entries)
 
     def event_count(self) -> int:
-        """Total recorded charge events (for memory accounting)."""
-        return sum(len(e.events) for e in self._entries.values())
+        """Total stored charge-vector keys (for memory accounting)."""
+        return sum(len(e.vector) for e in self._entries.values())
 
     def __deepcopy__(self, memo) -> "ResolutionMemo":
         """Snapshots drop the memo: a clone starts with an empty one.

@@ -1,52 +1,66 @@
-"""Virtual nanosecond clock.
+"""Virtual clock, kept in integer ticks and read in nanoseconds.
 
 All latency in the simulator is virtual time accumulated on a
 :class:`Clock`.  The clock is monotonic and deterministic: the same
 sequence of operations always produces the same elapsed time, which is what
 lets the benchmark harness reproduce the *shape* of the paper's latency
 figures without real hardware.
+
+Time is stored as Python ``int`` *ticks* of 10 ps
+(:data:`TICKS_PER_NS` per nanosecond), so accumulation is exact and
+order-independent.  Ticks are private to :mod:`repro.sim`: everything
+outside reads nanoseconds (``ticks / TICKS_PER_NS``) and hands
+nanoseconds in, which are rounded to the nearest tick.
 """
 
 from __future__ import annotations
+
+#: Ticks per virtual nanosecond (one tick = 10 ps).
+TICKS_PER_NS = 100
+
+
+def to_ticks(ns: float) -> int:
+    """``ns`` rounded to the nearest tick."""
+    return round(ns * TICKS_PER_NS)
 
 
 class Clock:
     """Monotonic virtual clock measured in nanoseconds."""
 
-    __slots__ = ("_now_ns",)
+    __slots__ = ("_ticks",)
 
     def __init__(self) -> None:
-        self._now_ns = 0
+        self._ticks = 0
 
     @property
-    def now_ns(self) -> int:
+    def now_ns(self) -> float:
         """Current virtual time in nanoseconds."""
-        return self._now_ns
+        return self._ticks / TICKS_PER_NS
 
     def advance(self, ns: float) -> None:
         """Advance the clock by ``ns`` nanoseconds (must be >= 0)."""
         if ns < 0:
             raise ValueError(f"clock cannot run backwards ({ns} ns)")
-        self._now_ns += ns
+        self._ticks += to_ticks(ns)
 
     def elapsed_since(self, start_ns: float) -> float:
         """Nanoseconds elapsed since ``start_ns`` (a prior ``now_ns``)."""
-        return self._now_ns - start_ns
+        return (self._ticks - to_ticks(start_ns)) / TICKS_PER_NS
 
     # -- state capture (snapshot support) --------------------------------
 
-    def capture_state(self) -> float:
-        """Opaque state token for :meth:`restore_state`."""
-        return self._now_ns
+    def capture_state(self) -> int:
+        """Opaque, exactly comparable state token for :meth:`restore_state`."""
+        return self._ticks
 
-    def restore_state(self, state: float) -> None:
+    def restore_state(self, state: int) -> None:
         """Restore a previously captured state verbatim.
 
         Unlike :meth:`advance` this may move the clock backwards — it
         exists for the snapshot layer, which rewinds a restored kernel
         to its capture point, not for simulation code.
         """
-        self._now_ns = state
+        self._ticks = state
 
 
 class Ticker:
@@ -58,14 +72,14 @@ class Ticker:
     (e.g. syscall entry) and run one batch when the interval elapsed.
     """
 
-    __slots__ = ("clock", "interval_ns", "_next_ns", "suspended")
+    __slots__ = ("clock", "_interval", "_next", "suspended")
 
     def __init__(self, clock: Clock, interval_ns: float):
         if interval_ns <= 0:
             raise ValueError(f"ticker interval must be > 0 ({interval_ns})")
         self.clock = clock
-        self.interval_ns = interval_ns
-        self._next_ns = clock.now_ns + interval_ns
+        self._interval = to_ticks(interval_ns)
+        self._next = clock._ticks + self._interval
         # While suspended, due()/fires_within() report False so polled
         # work is deferred; the deadline itself keeps aging.  Used by
         # the lazy-sweep quantization mode (DcacheConfig
@@ -77,7 +91,7 @@ class Ticker:
         """True when at least one interval elapsed since the last fire."""
         if self.suspended:
             return False
-        return self.clock._now_ns >= self._next_ns
+        return self.clock._ticks >= self._next
 
     def fire(self) -> None:
         """Consume the deadline: schedule the next fire one interval out.
@@ -85,31 +99,32 @@ class Ticker:
         Re-arms relative to *now* (not the missed deadline) so a long
         quiet period does not cause a burst of catch-up fires.
         """
-        self._next_ns = self.clock._now_ns + self.interval_ns
+        self._next = self.clock._ticks + self._interval
 
-    def fires_within(self, ns: float) -> bool:
-        """True if advancing the clock by ``ns`` would reach the deadline.
+    def fires_within(self, ticks: int) -> bool:
+        """True if advancing the clock by ``ticks`` would reach the deadline.
 
+        ``ticks`` is a :attr:`repro.sim.costs.ChargeVector.ticks` total.
         Used by the charge-plan applier: a plan that covers a run of
         syscalls may only be applied when none of the covered sweeper
         polls would fire, i.e. when the whole covered advance stays
         strictly short of the deadline.  Conservative by construction:
         every poll inside the covered run happens at a time strictly
-        below ``now + ns``.
+        below ``now + ticks``.
         """
         if self.suspended:
             return False
-        return self.clock._now_ns + ns >= self._next_ns
+        return self.clock._ticks + ticks >= self._next
 
     # -- state capture (snapshot support) --------------------------------
 
-    def capture_state(self) -> float:
+    def capture_state(self) -> int:
         """Opaque state token for :meth:`restore_state`."""
-        return self._next_ns
+        return self._next
 
-    def restore_state(self, state: float) -> None:
+    def restore_state(self, state: int) -> None:
         """Restore a previously captured deadline verbatim."""
-        self._next_ns = state
+        self._next = state
 
 
 class Stopwatch:
@@ -119,12 +134,12 @@ class Stopwatch:
 
     def __init__(self, clock: Clock):
         self._clock = clock
-        self._start = 0.0
+        self._start = 0
         self.elapsed_ns = 0.0
 
     def __enter__(self) -> "Stopwatch":
-        self._start = self._clock.now_ns
+        self._start = self._clock._ticks
         return self
 
     def __exit__(self, *exc) -> None:
-        self.elapsed_ns = self._clock.elapsed_since(self._start)
+        self.elapsed_ns = (self._clock._ticks - self._start) / TICKS_PER_NS

@@ -21,17 +21,21 @@ Two presets ship with the library:
 Attribution scopes (:meth:`CostModel.scope`) label charges with the current
 phase of a lookup ("init", "perm_check", "hash", ...), which is how the
 Figure 3 breakdown and Figure 1 time-fraction experiments are produced.
+
+Time is accumulated in integer ticks (see :mod:`repro.sim.clock`): a rate
+table is converted once at construction and every rate must be a whole
+number of ticks.  Integer addition is associative, so the clock and the
+attribution tables depend only on *what* was charged, never on the order
+— which is what lets a recorded run be kept as a :class:`ChargeVector`
+and re-applied with one addition per distinct key
+(:meth:`CostModel.apply`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.sim.clock import Clock
-
-#: Sentinel marking a recorded :meth:`CostModel.charge_ns` event; the
-#: other event tuples carry a scope label (or ``None``) in that slot.
-_RAW_NS = object()
+from repro.sim.clock import TICKS_PER_NS, Clock, to_ticks
 
 #: Charges (virtual ns) calibrated against the paper's baseline numbers.
 #: Per-byte entries are suffixed ``_per_byte``; everything else is per call.
@@ -137,90 +141,176 @@ class _ScopeGuard:
         self._stack.pop()
 
 
-class PlanRecording:
-    """Side-channel for a charge-plan capture run.
+class ChargeVector:
+    """What a run of charges adds to a :class:`CostModel`, as a sum.
 
-    Mirrors the shape the :class:`CostModel` recorder protocol expects
-    (see :mod:`repro.core.resmemo`): ``events`` receives every
-    ``charge``/``charge_in``/``charge_ns`` tuple, ``lru`` dcache-LRU
-    touches, ``pcc`` PCC probe hits, ``deps`` fastpath probe/negativity
-    conclusions, ``misses`` primary-table lookup misses.  A capture
-    whose ``lru``/``pcc`` lists are non-empty touched resolution-side
-    state and is rejected (charge plans cover only fd-table syscalls);
-    ``deps``/``misses`` exist only to satisfy the recorder protocol.
-
-    ``boundary``/``fired`` are stamped by the quantized-sweep wrapper in
-    ``workloads/traces.py`` when a recorded replay pass crosses a
-    lazy-sweep pass boundary: ``boundary`` is the event index where the
-    boundary catch-up sweep's charges begin and ``fired`` whether the
-    sweeper's deadline had elapsed there.  Whole-pass/whole-drain plan
-    captures split their compiled replay at that index so apply can
-    emulate the ticker exactly (see ``_program_plan_pass``).
+    ``charges`` maps ``(scope, primitive)`` to the ``(times, nbytes)``
+    totals charged under that attribution scope (``None``: no scope);
+    ``raw`` maps ``(scope, hint)`` to the ticks :meth:`CostModel.charge_ns`
+    added; ``ticks`` is the total clock advance.  Charging is
+    order-independent, so this is everything a recorded run needs to
+    keep: the resolution memo and every charge plan store one, compare
+    two with ``==`` to confirm a recording, and replay through
+    :meth:`CostModel.apply`.  ``a + b`` is the vector of running both,
+    ``total - part`` what remains of a run after ``part`` of it.
     """
 
-    __slots__ = ("events", "lru", "pcc", "deps", "misses", "boundary",
-                 "fired")
+    __slots__ = ("charges", "raw", "ticks")
 
-    def __init__(self) -> None:
-        self.events: list = []
+    def __init__(self, charges: Optional[dict] = None,
+                 raw: Optional[dict] = None, ticks: int = 0) -> None:
+        self.charges: Dict[tuple, Tuple[int, int]] = charges or {}
+        self.raw: Dict[tuple, int] = raw or {}
+        self.ticks = ticks
+
+    def add(self, scope, primitive: str, times: int, nbytes: int,
+            ticks: int) -> None:
+        """Record one :meth:`CostModel.charge` / ``charge_in``."""
+        key = (scope, primitive)
+        old = self.charges.get(key)
+        if old is not None:
+            times += old[0]
+            nbytes += old[1]
+        self.charges[key] = (times, nbytes)
+        self.ticks += ticks
+
+    def add_raw(self, scope, hint: str, ticks: int) -> None:
+        """Record one :meth:`CostModel.charge_ns`."""
+        key = (scope, hint)
+        self.raw[key] = self.raw.get(key, 0) + ticks
+        self.ticks += ticks
+
+    def copy(self) -> "ChargeVector":
+        return ChargeVector(dict(self.charges), dict(self.raw), self.ticks)
+
+    def _combined(self, other: "ChargeVector", sign: int) -> "ChargeVector":
+        """``self + sign * other``; a key subtracted down to nothing goes,
+        so ``(a + b) - b == a``."""
+        charges = dict(self.charges)
+        for key, (times, nbytes) in other.charges.items():
+            old = charges.get(key, (0, 0))
+            charges[key] = (old[0] + sign * times, old[1] + sign * nbytes)
+            if sign < 0 and charges[key] == (0, 0):
+                del charges[key]
+        raw = dict(self.raw)
+        for key, ticks in other.raw.items():
+            raw[key] = raw.get(key, 0) + sign * ticks
+            if sign < 0 and not raw[key]:
+                del raw[key]
+        return ChargeVector(charges, raw, self.ticks + sign * other.ticks)
+
+    def __add__(self, other: "ChargeVector") -> "ChargeVector":
+        return self._combined(other, 1)
+
+    def __sub__(self, other: "ChargeVector") -> "ChargeVector":
+        return self._combined(other, -1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChargeVector):
+            return NotImplemented
+        return self.charges == other.charges and self.raw == other.raw
+
+    def __len__(self) -> int:
+        """Distinct keys held (the memory a stored vector costs)."""
+        return len(self.charges) + len(self.raw)
+
+    def __repr__(self) -> str:
+        return (f"ChargeVector({self.charges!r}, {self.raw!r}, "
+                f"ticks={self.ticks})")
+
+
+class Recording:
+    """What a run charges and touches, collected while it executes.
+
+    A context manager: ``with Recording(costs, stats) as rec: run()``
+    attaches itself as ``costs.recorder`` for the block and leaves the
+    run's sorted ``(counter, delta)`` Stats changes in ``stat_deltas``.
+    ``vector`` receives every ``charge``/``charge_in``/``charge_ns``;
+    ``lru`` dcache-LRU touches (``Dcache.d_lookup`` hits), ``pcc`` PCC
+    probe hits, ``deps`` the dentries a fastpath conclusion rested on
+    (DLHT probe hits, negativity checks), ``misses`` the
+    ``(container, key)`` pairs whose *absence* the run observed
+    (``Dcache.d_lookup`` and DLHT probe misses).  The resolution memo
+    mirrors ``lru``/``pcc`` on replay and pins ``deps``/``misses``; a
+    charge-plan capture that touched ``lru`` or ``pcc`` is rejected
+    (plans cover only fd-table syscalls).
+
+    ``body`` is stamped by the quantized-sweep wrapper in
+    ``workloads/traces.py`` when a recorded replay pass reaches its
+    lazy-sweep boundary: a copy of ``vector`` as it stood there, so the
+    boundary sweep's own charges are ``vector - body``.
+    """
+
+    __slots__ = ("vector", "lru", "pcc", "deps", "misses", "body",
+                 "stat_deltas", "_costs", "_stats", "_before")
+
+    def __init__(self, costs: "CostModel", stats) -> None:
+        self.vector = ChargeVector()
         self.lru: list = []
         self.pcc: list = []
         self.deps: list = []
         self.misses: list = []
-        self.boundary = None
-        self.fired = None
+        self.body: Optional[ChargeVector] = None
+        self.stat_deltas: tuple = ()
+        self._costs = costs
+        self._stats = stats
+
+    def __enter__(self) -> "Recording":
+        self._before = self._stats.snapshot()
+        self._costs.recorder = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._costs.recorder = None
+        before = self._before
+        self.stat_deltas = tuple(sorted(
+            (name, value - before.get(name, 0))
+            for name, value in self._stats._counters.items()
+            if value != before.get(name, 0)))
 
 
 class ChargePlan:
-    """An immutable captured charge vector for one compiled-trace segment.
+    """A confirmed capture of one replay unit, applied as vector adds.
 
-    ``fn`` is a :meth:`CostModel.compile_replay_fn` straight-line
-    replayer for the segment's exact charge-event stream — applying it
-    is bit-identical to re-running the interpreted charges.
-    ``total_ns`` is the exact virtual time the plan advances (the
-    left-to-right float fold of its event nanoseconds), used for the
-    sweeper-deadline guard.  ``gen``/``rates_version`` snapshot the
-    validity epoch the plan was captured under.
-
-    ``capture`` retains the raw ``(events, stat_deltas)`` tuple the plan
-    was compiled from, so task-generic segment plans can *confirm* a new
-    task against it (the task's first encounter runs interpreted and
-    recorded; an identical stream admits the task to the shared plan —
-    see ``workloads/traces.py``).
-
-    ``fn2``/``q_fired``/``body_ns`` exist only on quantized whole-pass /
-    whole-drain plans (``DcacheConfig.lazy_sweep_quantize``): ``fn`` then
-    replays the pass *body*, ``fn2`` the boundary catch-up sweep's
-    charges (``None`` when the sweep charged nothing), ``q_fired``
-    whether the sweeper deadline elapsed at the boundary, and
-    ``body_ns`` the body's float-fold total for the boundary-decision
-    guard.  Non-quantized plans carry ``q_fired is None`` and
-    ``body_ns == total_ns``.
+    ``vector`` is everything the unit charges and ``stat_deltas`` its
+    Stats counter deltas; ``gen`` snapshots the registry generation the
+    plan was captured under.  Quantized whole-pass / whole-drain plans
+    (``DcacheConfig.lazy_sweep_quantize``) also carry ``body``, the part
+    charged before the boundary catch-up sweep, and ``sweep``, the rest;
+    apply re-arms the ticker between the two.  Other plans have
+    ``body is None``.
     """
 
-    __slots__ = ("fn", "stat_deltas", "total_ns", "gen", "rates_version",
-                 "capture", "fn2", "q_fired", "body_ns")
+    __slots__ = ("vector", "stat_deltas", "gen", "body", "sweep")
+
+    def __init__(self, vector: ChargeVector, stat_deltas: tuple, gen: int,
+                 body: Optional[ChargeVector] = None) -> None:
+        self.vector = vector
+        self.stat_deltas = stat_deltas
+        self.gen = gen
+        self.body = body
+        self.sweep = None if body is None else vector - body
 
 
 class PlanCell:
-    """Per-segment capture state machine (see ``workloads/traces.py``).
+    """Per-unit capture state machine (see ``workloads/traces.py``).
 
     Lifecycle: ``execs`` warm executions run interpreted, then two
-    recorded executions must produce identical event streams and Stats
-    deltas before a :class:`ChargePlan` is compiled (the same
+    recorded executions must produce equal charge vectors and Stats
+    deltas before a :class:`ChargePlan` is stored (the same
     confirm-on-second-identical-run protocol the resolution memo uses).
     ``retries`` counts rejected/mismatched captures; too many marks the
     cell ``dead`` (permanently interpreted).  ``fail_streak`` counts
     consecutive guard failures at apply time; too many invalidates the
-    plan for re-capture.  ``armed_now`` is used by whole-pass program
-    plans only: the exact clock value the kernel must be at for the plan
-    to apply (any interleaving syscall moves the clock off it).
+    plan for re-capture.  ``armed_now`` is used by whole-pass and
+    whole-drain plans only: the clock state the kernel must be in for
+    the plan to apply (any interleaving syscall moves the clock off it).
 
     ``tasks`` (task-generic segment cells, shared across every program
     with the same segment shape) maps ``id(task) -> task`` for tasks
-    whose recorded execution matched the plan's capture — only confirmed
-    tasks may apply the shared plan; the strong task refs pin the ids
-    against reuse.
+    whose recorded execution matched the plan — only confirmed tasks
+    may apply the shared plan; the strong task refs pin the ids against
+    reuse.
     """
 
     __slots__ = ("execs", "pending", "plan", "dead", "retries",
@@ -262,7 +352,7 @@ class ChargePlanRegistry:
 
     Snapshots drop the registry: like the resolution memo, a clone
     starts empty and re-captures from its own executions, which is
-    bit-identical by the plans-on/off differential invariant.
+    identical by the plans-on/off differential invariant.
     """
 
     #: Interpreted executions of a segment before capture starts.
@@ -276,7 +366,7 @@ class ChargePlanRegistry:
     PASS_FAIL_STREAK = 2
 
     __slots__ = ("gen", "compiled", "applied", "invalidated", "fallbacks",
-                 "task_confirms", "patched", "_tables", "_pass_tables",
+                 "task_confirms", "_tables", "_pass_tables",
                  "_shape_tables", "_drain_tables")
 
     def __init__(self) -> None:
@@ -288,9 +378,6 @@ class ChargePlanRegistry:
         #: Tasks admitted to a shared task-generic plan after their
         #: recorded run matched the plan's capture.
         self.task_confirms = 0
-        #: Plans rebuilt in place from a shape-local fresh capture
-        #: (:meth:`patch`) instead of dying through invalidate+recapture.
-        self.patched = 0
         #: id(program) -> (program, [PlanCell per segment]).  The
         #: strong program ref pins the id against reuse; the identity
         #: check in :meth:`cells` catches deepcopied tables.  Cell
@@ -302,7 +389,7 @@ class ChargePlanRegistry:
         self._pass_tables: Dict[tuple, tuple] = {}
         #: segment shape -> PlanCell: the task-generic cells.  A shape
         #: (per-row ``(op, compute_ns)``, see ``PlanSegment.shape``)
-        #: fully determines a plannable segment's charge stream, so one
+        #: fully determines a plannable segment's charge vector, so one
         #: captured plan serves every program/tenant with that shape
         #: (after per-task confirmation recorded in ``PlanCell.tasks``).
         self._shape_tables: Dict[tuple, "PlanCell"] = {}
@@ -347,7 +434,7 @@ class ChargePlanRegistry:
         """The whole-drain plan cell for an interleaved stream set.
 
         Keyed by the scheduler seed and the exact ``(task, program)``
-        identity sequence: the drain's charge stream is a deterministic
+        identity sequence: the drain's charges are a deterministic
         function of those plus kernel state, which the armed-clock guard
         covers.
         """
@@ -372,75 +459,18 @@ class ChargePlanRegistry:
         self._pass_tables[key] = (program, task, cell)
         return cell
 
-    @staticmethod
-    def shape_local(events, base) -> bool:
-        """True when ``events`` differs from ``base`` only in charge vectors.
-
-        Two clean captures are *shape-local* when they charge the same
-        ``(scope, primitive)`` rows in the same order and differ only in
-        the per-row numbers — ``times``/``nbytes`` for primitive charges,
-        raw nanoseconds for app-compute rows.  That is the signature of a
-        mutation moving a charge vector without restructuring the stream
-        (a rename changing component byte counts, a compute knob turning)
-        — the one mismatch class where rebuilding the plan from the fresh
-        capture (:meth:`patch`) is cheaper than a full
-        invalidate+recapture cycle and just as sound, because the replay
-        function is recompiled from the new stream wholesale.
-        """
-        if len(events) != len(base):
-            return False
-        for e, b in zip(events, base):
-            if e[0] is not b[0] and e[0] != b[0]:
-                return False
-            if e[1] != b[1]:
-                return False
-            # Raw-ns rows carry (sentinel, hint, ns, scope-at-charge):
-            # the attribution scope is part of the shape, the ns is not.
-            if e[0] is _RAW_NS and e[3] != b[3]:
-                return False
-        return True
-
-    def patch(self, cell: "PlanCell", fn, total_ns: float, capture,
-              rates_version: int, task) -> None:
-        """Rebuild a segment cell's plan in place from a fresh capture.
-
-        Delta-patch arm of the task-confirm protocol (see
-        ``workloads/traces.py``): a clean, twice-seen, shape-local
-        capture replaces the stored plan without tearing the cell down —
-        no warmup restart, no ghost-recapture cycle.  Only ``task`` (the
-        one whose recorded runs produced the capture) stays admitted;
-        every other task must re-confirm against the new capture on its
-        next encounter, exactly as if the plan had just compiled.
-        """
-        plan = ChargePlan()
-        plan.fn = fn
-        plan.stat_deltas = capture[1]
-        plan.total_ns = total_ns
-        plan.gen = self.gen
-        plan.rates_version = rates_version
-        plan.capture = capture
-        plan.fn2 = None
-        plan.q_fired = None
-        plan.body_ns = total_ns
-        cell.plan = plan
-        cell.pending = None
-        cell.fail_streak = 0
-        cell.tasks = {id(task): task}
-        self.patched += 1
-
     def telemetry(self) -> Dict[str, int]:
         return {"compiled": self.compiled, "applied": self.applied,
                 "invalidated": self.invalidated,
                 "fallbacks": self.fallbacks,
-                "task_confirms": self.task_confirms,
-                "patched": self.patched}
+                "task_confirms": self.task_confirms}
 
     def __deepcopy__(self, memo) -> "ChargePlanRegistry":
         """Snapshots drop captured plans: a clone starts empty.
 
         Plans are pure host-side wall-clock state (exactly like
         resolution-memo entries): an empty registry re-captures from
-        the restored kernel's own executions with bit-identical virtual
+        the restored kernel's own executions with identical virtual
         costs, so dropping is the provably faithful choice.
         """
         new = ChargePlanRegistry()
@@ -448,56 +478,60 @@ class ChargePlanRegistry:
         return new
 
 
+def _rate_ticks(name: str, ns: float) -> int:
+    """``ns`` as ticks; a rate between two ticks is a table error."""
+    ticks = ns * TICKS_PER_NS
+    whole = round(ticks)
+    if abs(ticks - whole) > 1e-6:
+        raise ValueError(f"rate {name!r} = {ns} ns is not a whole number "
+                         f"of ticks ({TICKS_PER_NS} per ns)")
+    return whole
+
+
 class CostModel:
     """Charges virtual time for primitives and attributes it to scopes.
 
     Args:
         charges: primitive-name -> nanoseconds table; defaults to a copy
-            of :data:`CALIBRATED`.  The table is read once at
-            construction (per-call and per-byte rates are precomputed);
-            mutate it only via :meth:`recalibrate`.
+            of :data:`CALIBRATED`.  The table is converted to ticks once
+            at construction (:class:`ValueError` for a rate that is not
+            a whole number of ticks) and is immutable afterwards.
         clock: the clock to advance; a private one is created if omitted.
+
+    ``by_primitive`` and ``by_scope`` read in nanoseconds, like
+    ``now_ns``; the integer tables behind them are private.  A
+    primitive's time is linear in what ``counts`` and the per-primitive
+    byte totals hold, so only those are accumulated per charge and
+    ``by_primitive`` is worked out when read.
     """
 
-    __slots__ = ("charges", "clock", "_scope_stack", "by_scope",
-                 "by_primitive", "counts", "_rates", "_guards", "recorder",
-                 "rates_version", "plans")
+    __slots__ = ("charges", "clock", "_scope_stack", "_by_scope", "_nbytes",
+                 "_raw", "counts", "_rates", "_guards", "recorder", "plans")
 
     def __init__(self, charges: Optional[Dict[str, float]] = None,
                  clock: Optional[Clock] = None):
         self.charges = dict(CALIBRATED if charges is None else charges)
         self.clock = clock or Clock()
         self._scope_stack: list = []
-        self.by_scope: Dict[str, float] = {}
-        self.by_primitive: Dict[str, float] = {}
+        self._by_scope: Dict[str, int] = {}
         self.counts: Dict[str, int] = {}
+        #: primitive -> bytes charged at its per-byte rate.
+        self._nbytes: Dict[str, int] = {}
+        #: ``charge_ns`` hint -> ticks.
+        self._raw: Dict[str, int] = {}
         self._guards: Dict[str, _ScopeGuard] = {}
-        self._rates: Dict[str, Tuple[float, float]] = {}
-        #: When non-None, every charge appends an event tuple to
-        #: ``recorder.events`` (see :mod:`repro.core.resmemo`).
-        self.recorder = None
-        #: Bumped by every rate rebuild; event sequences compiled by
-        #: :meth:`compile_events` are tagged with it so a
-        #: :meth:`recalibrate` invalidates them.
-        self.rates_version = 0
+        #: primitive -> (per-call ticks, per-byte ticks).
+        self._rates: Dict[str, Tuple[int, int]] = {
+            name: (_rate_ticks(name, value),
+                   _rate_ticks(name + "_per_byte",
+                               self.charges.get(name + "_per_byte", 0.0)))
+            for name, value in self.charges.items()}
+        #: When non-None, a :class:`Recording` every charge is added to
+        #: (see :mod:`repro.core.resmemo`, ``workloads/traces.py``).
+        self.recorder: Optional[Recording] = None
         #: Captured charge plans for compiled-trace segments (see
         #: :class:`ChargePlanRegistry` and ``workloads/traces.py``).
         self.plans = ChargePlanRegistry()
-        self._rebuild_rates()
-
-    def _rebuild_rates(self) -> None:
-        """Precompute (per-call, per-byte) pairs for the charge fast path."""
-        charges = self.charges
-        self._rates = {
-            name: (value, charges.get(name + "_per_byte", 0.0))
-            for name, value in charges.items()
-        }
-        self.rates_version += 1
-
-    def recalibrate(self, **changes: float) -> None:
-        """Adjust charge rates after construction (tests, sweeps)."""
-        self.charges.update(changes)
-        self._rebuild_rates()
 
     # -- charging ---------------------------------------------------------
 
@@ -511,38 +545,32 @@ class CostModel:
             per_call, per_byte = self._rates[primitive]
         except KeyError:
             raise KeyError(f"unknown cost primitive: {primitive!r}") from None
-        ns = per_call * times
+        ticks = per_call * times
         if nbytes:
-            ns += per_byte * nbytes
+            ticks += per_byte * nbytes
+            totals = self._nbytes
+            totals[primitive] = totals.get(primitive, 0) + nbytes
         # Charge rates are nonnegative, so the clock's monotonicity check
         # is skipped on this fast path (Clock.advance validates for
-        # everyone else; charge_ns still goes through it).
-        clock = self.clock
-        clock._now_ns = clock._now_ns + ns
-        by_primitive = self.by_primitive
+        # everyone else).
+        self.clock._ticks += ticks
         counts = self.counts
         try:
-            # counts-first: a counts key implies a by_primitive key (the
-            # reverse is false — charge_ns seeds by_primitive alone), so
-            # a KeyError here means neither dict was touched yet.
             counts[primitive] += times
-            by_primitive[primitive] += ns
         except KeyError:
-            counts[primitive] = counts.get(primitive, 0) + times
-            by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
+            counts[primitive] = times
         stack = self._scope_stack
         if stack:
-            scope = stack[-1]
-            by_scope = self.by_scope
+            by_scope = self._by_scope
             try:
-                by_scope[scope] += ns
+                by_scope[stack[-1]] += ticks
             except KeyError:
-                by_scope[scope] = ns
+                by_scope[stack[-1]] = ticks
         rec = self.recorder
         if rec is not None:
-            rec.events.append(
-                (stack[-1] if stack else None, primitive, times, nbytes))
-        return ns
+            rec.vector.add(stack[-1] if stack else None, primitive, times,
+                           nbytes, ticks)
+        return ticks / TICKS_PER_NS
 
     def charge_in(self, scope: str, primitive: str, times: int = 1,
                   nbytes: int = 0) -> float:
@@ -555,276 +583,105 @@ class CostModel:
             per_call, per_byte = self._rates[primitive]
         except KeyError:
             raise KeyError(f"unknown cost primitive: {primitive!r}") from None
-        ns = per_call * times
+        ticks = per_call * times
         if nbytes:
-            ns += per_byte * nbytes
-        clock = self.clock
-        clock._now_ns = clock._now_ns + ns
-        by_primitive = self.by_primitive
+            ticks += per_byte * nbytes
+            totals = self._nbytes
+            totals[primitive] = totals.get(primitive, 0) + nbytes
+        self.clock._ticks += ticks
         counts = self.counts
         try:
             counts[primitive] += times
-            by_primitive[primitive] += ns
         except KeyError:
-            counts[primitive] = counts.get(primitive, 0) + times
-            by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
-        by_scope = self.by_scope
+            counts[primitive] = times
+        by_scope = self._by_scope
         try:
-            by_scope[scope] += ns
+            by_scope[scope] += ticks
         except KeyError:
-            by_scope[scope] = ns
+            by_scope[scope] = ticks
         rec = self.recorder
         if rec is not None:
-            rec.events.append((scope, primitive, times, nbytes))
-        return ns
+            rec.vector.add(scope, primitive, times, nbytes, ticks)
+        return ticks / TICKS_PER_NS
 
     def charge_many(self, primitives) -> None:
         """Charge a fixed sequence of single-count primitives.
 
-        Exactly equivalent to calling :meth:`charge` once per primitive
-        (same float additions in the same order, same recorder events,
-        same scope attribution) with the per-call dispatch paid once —
-        for hot sites that always charge the same short primitive run.
+        Equivalent to calling :meth:`charge` once per primitive, with
+        the per-call dispatch paid once — for hot sites that always
+        charge the same short primitive run.
         """
-        rates = self._rates
-        clock = self.clock
-        by_primitive = self.by_primitive
-        counts = self.counts
         stack = self._scope_stack
-        scope = stack[-1] if stack else None
-        by_scope = self.by_scope
-        rec = self.recorder
-        for primitive in primitives:
-            try:
-                per_call, _per_byte = rates[primitive]
-            except KeyError:
-                raise KeyError(
-                    f"unknown cost primitive: {primitive!r}") from None
-            ns = per_call * 1
-            clock._now_ns = clock._now_ns + ns
-            try:
-                counts[primitive] += 1
-                by_primitive[primitive] += ns
-            except KeyError:
-                counts[primitive] = counts.get(primitive, 0) + 1
-                by_primitive[primitive] = by_primitive.get(primitive,
-                                                           0.0) + ns
-            if scope is not None:
-                try:
-                    by_scope[scope] += ns
-                except KeyError:
-                    by_scope[scope] = ns
-            if rec is not None:
-                rec.events.append((scope, primitive, 1, 0))
+        self.charge_in_many(stack[-1] if stack else None, primitives)
 
-    def charge_in_many(self, scope: str, primitives) -> None:
-        """:meth:`charge_in` over a fixed primitive sequence, one call.
-
-        Bit-identical to per-primitive ``charge_in(scope, p)`` calls in
-        the same order.
-        """
+    def charge_in_many(self, scope: Optional[str], primitives) -> None:
+        """:meth:`charge_in` over a fixed primitive sequence, one call."""
         rates = self._rates
-        clock = self.clock
-        by_primitive = self.by_primitive
         counts = self.counts
-        by_scope = self.by_scope
         rec = self.recorder
+        total = 0
         for primitive in primitives:
             try:
-                per_call, _per_byte = rates[primitive]
+                ticks = rates[primitive][0]
             except KeyError:
                 raise KeyError(
                     f"unknown cost primitive: {primitive!r}") from None
-            ns = per_call * 1
-            clock._now_ns = clock._now_ns + ns
+            total += ticks
             try:
                 counts[primitive] += 1
-                by_primitive[primitive] += ns
             except KeyError:
-                counts[primitive] = counts.get(primitive, 0) + 1
-                by_primitive[primitive] = by_primitive.get(primitive,
-                                                           0.0) + ns
-            try:
-                by_scope[scope] += ns
-            except KeyError:
-                by_scope[scope] = ns
+                counts[primitive] = 1
             if rec is not None:
-                rec.events.append((scope, primitive, 1, 0))
+                rec.vector.add(scope, primitive, 1, 0, ticks)
+        self.clock._ticks += total
+        if scope is not None:
+            by_scope = self._by_scope
+            by_scope[scope] = by_scope.get(scope, 0) + total
 
     def charge_ns(self, scope_hint: str, ns: float) -> None:
-        """Charge raw nanoseconds (used for app 'compute' phases)."""
-        self.clock.advance(ns)
-        self.by_primitive[scope_hint] = self.by_primitive.get(scope_hint, 0.0) + ns
+        """Charge raw nanoseconds (used for app 'compute' phases).
+
+        ``ns`` is an arbitrary caller float; it is rounded to the
+        nearest tick.
+        """
+        if ns < 0:
+            raise ValueError(f"clock cannot run backwards ({ns} ns)")
+        ticks = to_ticks(ns)
+        self.clock._ticks += ticks
+        self._raw[scope_hint] = self._raw.get(scope_hint, 0) + ticks
         stack = self._scope_stack
-        if stack:
-            scope = stack[-1]
-            self.by_scope[scope] = self.by_scope.get(scope, 0.0) + ns
+        scope = stack[-1] if stack else None
+        if scope is not None:
+            self._by_scope[scope] = self._by_scope.get(scope, 0) + ticks
         rec = self.recorder
         if rec is not None:
-            rec.events.append(
-                (_RAW_NS, scope_hint, ns, stack[-1] if stack else None))
+            rec.vector.add_raw(scope, scope_hint, ticks)
 
-    def replay_events(self, events) -> None:
-        """Re-apply a recorded event sequence (see :mod:`repro.core.resmemo`).
+    def apply(self, vector: ChargeVector) -> None:
+        """Charge a recorded :class:`ChargeVector` in one step.
 
-        Nanoseconds are re-derived from the *current* rate table using the
-        exact floating-point operation order of :meth:`charge` /
-        :meth:`charge_in`, so replaying is bit-identical to re-running the
-        original charges — including after a :meth:`recalibrate`.
+        Leaves the clock, ``by_primitive``, ``by_scope`` and ``counts``
+        exactly as charging the recorded run again would: one addition
+        per distinct key, in any order.
         """
         rates = self._rates
-        clock = self.clock
-        by_primitive = self.by_primitive
-        by_scope = self.by_scope
+        by_scope = self._by_scope
         counts = self.counts
-        for scope, primitive, times, nbytes in events:
-            if scope is _RAW_NS:
-                # (sentinel, scope_hint, ns, scope at charge time)
-                ns = times
-                clock.advance(ns)
-                by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
-                if nbytes is not None:
-                    by_scope[nbytes] = by_scope.get(nbytes, 0.0) + ns
-                continue
-            per_call, per_byte = rates[primitive]
-            ns = per_call * times
+        totals = self._nbytes
+        raw = self._raw
+        for (scope, primitive), (times, nbytes) in vector.charges.items():
+            counts[primitive] = counts.get(primitive, 0) + times
             if nbytes:
-                ns += per_byte * nbytes
-            clock._now_ns = clock._now_ns + ns
-            try:
-                counts[primitive] += times
-                by_primitive[primitive] += ns
-            except KeyError:
-                counts[primitive] = counts.get(primitive, 0) + times
-                by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
+                totals[primitive] = totals.get(primitive, 0) + nbytes
             if scope is not None:
-                try:
-                    by_scope[scope] += ns
-                except KeyError:
-                    by_scope[scope] = ns
-
-    def compile_events(self, events) -> tuple:
-        """Pre-derive an event sequence against the current rate table.
-
-        Returns ``(rates_version, rows, count_deltas)``.  Each row is
-        ``(scope, primitive, times, ns)`` with ``ns`` the exact float
-        :meth:`charge` would compute (``per_call * times`` then
-        ``+ per_byte * nbytes``), so :meth:`replay_compiled` can skip
-        the rate lookup and multiplications per event while keeping the
-        identical floating-point accumulation order.  Raw
-        :meth:`charge_ns` events are marked with ``times is None``.
-        ``count_deltas`` aggregates the integer ``counts`` updates —
-        integer addition is associative, so folding them per primitive
-        is exact (the float ``by_primitive``/``by_scope``/clock updates
-        are not, and stay per-event).
-        """
-        rates = self._rates
-        rows = []
-        count_deltas: Dict[str, int] = {}
-        for scope, primitive, times, nbytes in events:
-            if scope is _RAW_NS:
-                # (sentinel, scope_hint, ns, scope at charge time)
-                rows.append((nbytes, primitive, None, times))
-                continue
-            per_call, per_byte = rates[primitive]
-            ns = per_call * times
-            if nbytes:
-                ns += per_byte * nbytes
-            rows.append((scope, primitive, times, ns))
-            count_deltas[primitive] = count_deltas.get(primitive, 0) + times
-        return (self.rates_version, tuple(rows), tuple(count_deltas.items()))
-
-    def replay_compiled(self, rows, count_deltas) -> None:
-        """Re-apply a :meth:`compile_events` sequence (hot replay path).
-
-        Bit-identical to :meth:`replay_events` on the same events: the
-        clock and the float attribution dicts receive the same additions
-        in the same order (the clock value is carried in a local between
-        events — pure hoisting), and the integer counters receive the
-        same totals.
-        """
-        clock = self.clock
-        by_primitive = self.by_primitive
-        by_scope = self.by_scope
-        now = clock._now_ns
-        for scope, primitive, times, ns in rows:
-            if times is None:
-                # Raw charge_ns event: scope holds the scope at charge
-                # time, primitive the scope hint.  Route through the
-                # clock's monotonicity check like the original did.
-                clock._now_ns = now
-                clock.advance(ns)
-                now = clock._now_ns
-                by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
-                if scope is not None:
-                    by_scope[scope] = by_scope.get(scope, 0.0) + ns
-                continue
-            now = now + ns
-            try:
-                by_primitive[primitive] += ns
-            except KeyError:
-                by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
+                per_call, per_byte = rates[primitive]
+                by_scope[scope] = by_scope.get(scope, 0) \
+                    + per_call * times + per_byte * nbytes
+        for (scope, hint), ticks in vector.raw.items():
+            raw[hint] = raw.get(hint, 0) + ticks
             if scope is not None:
-                try:
-                    by_scope[scope] += ns
-                except KeyError:
-                    by_scope[scope] = ns
-        clock._now_ns = now
-        counts = self.counts
-        for primitive, times in count_deltas:
-            try:
-                counts[primitive] += times
-            except KeyError:
-                counts[primitive] = times
-
-    @staticmethod
-    def compile_replay_fn(rows, count_deltas, extra_deltas=()):
-        """exec-compile a replay sequence into a straight-line function.
-
-        Returns ``fn(clock, by_primitive, by_scope, counts, extra)``
-        applying exactly what :meth:`replay_compiled` would: same
-        statements, same order, same floats — but with every row's
-        constants baked into generated bytecode (``repr`` of a float
-        round-trips exactly), so a hot memo entry replayed thousands of
-        times pays no per-row tuple unpacking or loop dispatch.
-
-        ``extra_deltas`` is a second integer-delta section applied to the
-        ``extra`` dict argument (the resolution memo passes its stats
-        counters there); pass ``()`` and ``None`` when unused.
-        """
-        src = ["def _replay_fn(clock, bp, bs, counts, extra):",
-               " now = clock._now_ns"]
-        app = src.append
-        for scope, primitive, times, ns in rows:
-            r = repr(ns)
-            if times is None:
-                # Raw charge_ns event: route through the clock's
-                # monotonicity check like the original charge did.
-                app(" clock._now_ns = now")
-                app(f" clock.advance({r})")
-                app(" now = clock._now_ns")
-                app(f" bp[{primitive!r}] = bp.get({primitive!r}, 0.0) + {r}")
-                if scope is not None:
-                    app(f" bs[{scope!r}] = bs.get({scope!r}, 0.0) + {r}")
-                continue
-            app(f" now = now + {r}")
-            # 0.0 + ns == ns exactly for the nonnegative charges the
-            # model produces, so the miss arm may store the constant.
-            app(f" try: bp[{primitive!r}] += {r}")
-            app(f" except KeyError: bp[{primitive!r}] = {r}")
-            if scope is not None:
-                app(f" try: bs[{scope!r}] += {r}")
-                app(f" except KeyError: bs[{scope!r}] = {r}")
-        app(" clock._now_ns = now")
-        for primitive, times in count_deltas:
-            app(f" try: counts[{primitive!r}] += {times}")
-            app(f" except KeyError: counts[{primitive!r}] = {times}")
-        for name, delta in extra_deltas:
-            app(f" try: extra[{name!r}] += {delta}")
-            app(f" except KeyError: extra[{name!r}] = {delta}")
-        namespace: Dict[str, object] = {}
-        exec("\n".join(src), namespace)  # noqa: S102 - self-generated code
-        return namespace["_replay_fn"]
+                by_scope[scope] = by_scope.get(scope, 0) + ticks
+        self.clock._ticks += vector.ticks
 
     # -- attribution --------------------------------------------------------
 
@@ -842,18 +699,37 @@ class CostModel:
 
     def reset_attribution(self) -> None:
         """Clear scope/primitive attribution without touching the clock."""
-        self.by_scope.clear()
-        self.by_primitive.clear()
+        self._by_scope.clear()
+        self._nbytes.clear()
+        self._raw.clear()
         self.counts.clear()
 
     # -- reading ------------------------------------------------------------
 
     @property
-    def now_ns(self) -> int:
+    def now_ns(self) -> float:
         return self.clock.now_ns
 
+    @property
+    def by_primitive(self) -> Dict[str, float]:
+        """Nanoseconds charged per primitive (and per ``charge_ns`` hint)."""
+        rates = self._rates
+        totals = self._nbytes
+        ticks = {name: rates[name][0] * times
+                 + rates[name][1] * totals.get(name, 0)
+                 for name, times in self.counts.items()}
+        for hint, raw in self._raw.items():
+            ticks[hint] = ticks.get(hint, 0) + raw
+        return {name: value / TICKS_PER_NS for name, value in ticks.items()}
+
+    @property
+    def by_scope(self) -> Dict[str, float]:
+        """Nanoseconds charged per attribution scope."""
+        return {name: ticks / TICKS_PER_NS
+                for name, ticks in self._by_scope.items()}
+
     def scope_ns(self, label: str) -> float:
-        return self.by_scope.get(label, 0.0)
+        return self._by_scope.get(label, 0) / TICKS_PER_NS
 
     def count(self, primitive: str) -> int:
         return self.counts.get(primitive, 0)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import errors
 from repro.core.kernel import Kernel
-from repro.sim.costs import ChargePlan, PlanRecording, _RAW_NS
+from repro.sim.costs import ChargePlan, Recording
 from repro.vfs.task import Task
 
 #: Syscalls that perform a path lookup (the §1 statistic).
@@ -57,42 +57,16 @@ def _plans_enabled() -> bool:
 _PLAN_SAFE_PRIMITIVES = frozenset(["syscall_fixed", "stat_fill"])
 
 
-def _capture_clean(events) -> bool:
-    for event in events:
-        scope = event[0]
-        if scope is _RAW_NS:
-            if event[1] != "app_compute":
-                return False
-        elif scope is not None or event[1] not in _PLAN_SAFE_PRIMITIVES:
-            return False
-    return True
-
-
-#: Compiled plan replay functions keyed by (rate table, event stream).
-#: Shared across CostModel instances on purpose: benchmark repetitions
-#: restore snapshots whose captures produce byte-identical streams, so
-#: the exec-compile cost of a large whole-pass plan is paid once per
-#: distinct stream, not once per restored kernel.  The key includes the
-#: full rate table (not ``rates_version``, which is per-instance), so
-#: two models with different calibrations can never share a function.
-_FN_CACHE: Dict[Any, Tuple[Any, float]] = {}
-_FN_CACHE_MAX = 64
-
-
-def _plan_fn(costs, events: tuple) -> Tuple[Any, float]:
-    """(straight-line replay fn, exact total ns) for an event stream."""
-    key = (tuple(sorted(costs.charges.items())), events)
-    hit = _FN_CACHE.get(key)
-    if hit is None:
-        _version, crows, count_deltas = costs.compile_events(events)
-        fn = costs.compile_replay_fn(crows, count_deltas)
-        total = 0.0
-        for crow in crows:
-            total += crow[3]
-        if len(_FN_CACHE) >= _FN_CACHE_MAX:
-            _FN_CACHE.clear()
-        hit = _FN_CACHE[key] = (fn, total)
-    return hit
+def _capture_clean(rec: Recording) -> bool:
+    """May this segment recording become (or confirm) a plan?  Only
+    unscoped whitelisted primitives and app compute, and no
+    resolution-side (LRU/PCC) touches."""
+    if rec.lru or rec.pcc:
+        return False
+    vector = rec.vector
+    return all(scope is None and primitive in _PLAN_SAFE_PRIMITIVES
+               for scope, primitive in vector.charges) \
+        and all(hint == "app_compute" for _scope, hint in vector.raw)
 
 
 def _normalize(value: Any) -> Any:
@@ -375,10 +349,10 @@ def _quantized(kernel: Kernel, body) -> None:
     per-syscall polls between passes stay quiet.
 
     No-op (straight call) when there is no sweeper, when the mode is
-    off, or when already inside an outer quantized region.  When a plan
-    recorder is attached, the boundary position and fired-ness are
-    stamped on it so captures can compile split body/sweep replay
-    functions (:func:`_compile_pass_plan`).
+    off, or when already inside an outer quantized region.  When a
+    recorder is attached, the vector charged up to the boundary is
+    stamped on it (``Recording.body``) so a plan can re-arm the ticker
+    between the body's charges and the sweep's (:func:`_apply_plan`).
     """
     sweeper = kernel.sweeper
     if sweeper is None or not kernel.config.lazy_sweep_quantize:
@@ -395,61 +369,33 @@ def _quantized(kernel: Kernel, body) -> None:
         ticker.suspended = False
     rec = kernel.costs.recorder
     if rec is not None:
-        rec.boundary = len(rec.events)
-        rec.fired = True
+        rec.body = rec.vector.copy()
     ticker.fire()
     sweeper.sweep_all()
 
 
-def _new_plan(fn, stat_deltas, total_ns, gen, rates_version, capture=None,
-              fn2=None, q_fired=None, body_ns=None) -> ChargePlan:
-    plan = ChargePlan()
-    plan.fn = fn
-    plan.stat_deltas = stat_deltas
-    plan.total_ns = total_ns
-    plan.gen = gen
-    plan.rates_version = rates_version
-    plan.capture = capture
-    plan.fn2 = fn2
-    plan.q_fired = q_fired
-    plan.body_ns = total_ns if body_ns is None else body_ns
-    return plan
+def _reject(registry, cell) -> None:
+    """Burn one of ``cell``'s capture retries; the last kills it."""
+    cell.pending = None
+    cell.retries += 1
+    if cell.retries > registry.MAX_RETRIES:
+        cell.dead = True
 
 
-def _stat_deltas(stats, before) -> tuple:
-    deltas = []
-    for name, value in stats._counters.items():
-        delta = value - before.get(name, 0)
-        if delta:
-            deltas.append((name, delta))
-    deltas.sort()
-    return tuple(deltas)
-
-
-def _compile_pass_plan(costs, registry, capture) -> ChargePlan:
-    """Compile a confirmed whole-pass/whole-drain capture into a plan.
-
-    Non-quantized captures (``boundary is None``) compile to a single
-    straight-line function.  Quantized captures split at the stamped
-    boundary: ``fn`` replays the body's charges, ``fn2`` (when the
-    boundary sweep fired and charged anything) replays the catch-up
-    sweep's charges, and apply emulates the ticker in between
-    (:func:`_apply_plan`).
-    """
-    events, deltas, boundary, fired = capture
-    if boundary is None:
-        fn, total = _plan_fn(costs, events)
-        return _new_plan(fn, deltas, total, registry.gen,
-                         costs.rates_version, capture=capture)
-    body_fn, body_ns = _plan_fn(costs, events[:boundary])
-    fn2 = None
-    total = body_ns
-    if boundary < len(events):
-        fn2, sweep_ns = _plan_fn(costs, events[boundary:])
-        total = body_ns + sweep_ns
-    return _new_plan(body_fn, deltas, total, registry.gen,
-                     costs.rates_version, capture=capture, fn2=fn2,
-                     q_fired=fired, body_ns=body_ns)
+def _confirmed(registry, cell, capture: tuple) -> bool:
+    """The confirm-on-second-identical-run step every plan kind shares:
+    True when ``capture`` equals the one staged by the previous recorded
+    run, else it is staged in turn (a mismatch burns a retry)."""
+    if cell.pending == capture:
+        cell.pending = None
+        cell.fail_streak = 0
+        registry.compiled += 1
+        return True
+    if cell.pending is not None:
+        _reject(registry, cell)
+    if not cell.dead:
+        cell.pending = capture
+    return False
 
 
 #: Static unit tables keyed by (id(program), fine) with identity check.
@@ -523,7 +469,7 @@ class _StreamState:
 
     __slots__ = ("kernel", "task", "program", "methods", "slot_fds",
                  "units", "cursor", "cells", "segments", "registry",
-                 "costs", "stats", "clock", "ticker", "files", "rows",
+                 "costs", "stats", "ticker", "files", "rows",
                  "op_table")
 
     def __init__(self, kernel: Kernel, task: Task, program, registry,
@@ -538,7 +484,6 @@ class _StreamState:
         self.cursor = 0
         self.costs = kernel.costs
         self.stats = kernel.stats
-        self.clock = kernel.costs.clock
         sweeper = kernel.sweeper
         self.ticker = sweeper.ticker if sweeper is not None else None
         self.files = task.fds._files
@@ -610,8 +555,7 @@ class _StreamState:
         costs = self.costs
         plan = cell.plan
         if plan is not None:
-            if plan.gen == registry.gen \
-                    and plan.rates_version == costs.rates_version:
+            if plan.gen == registry.gen:
                 task_key = id(self.task)
                 if task_key not in cell.tasks:
                     self._confirm_task(plan, cell, lo, hi, task_key)
@@ -633,11 +577,10 @@ class _StreamState:
                                 break
                 ticker = self.ticker
                 if ok and ticker is not None \
-                        and ticker.fires_within(plan.total_ns + 1.0):
+                        and ticker.fires_within(plan.vector.ticks):
                     ok = False
                 if ok:
-                    plan.fn(self.clock, costs.by_primitive,
-                            costs.by_scope, costs.counts, None)
+                    costs.apply(plan.vector)
                     if plan.stat_deltas:
                         self.stats.bump_many(plan.stat_deltas)
                     for slot, offset in seg.seeks:
@@ -663,38 +606,13 @@ class _StreamState:
         if n < registry.WARMUP:
             self.run_rows(lo, hi)
             return
-        rec = PlanRecording()
-        before = dict(self.stats._counters)
-        costs.recorder = rec
-        try:
+        with Recording(costs, self.stats) as rec:
             self.run_rows(lo, hi)
-        finally:
-            costs.recorder = None
-        events = tuple(rec.events)
-        if rec.lru or rec.pcc or not _capture_clean(events):
-            cell.pending = None
-            cell.retries += 1
-            if cell.retries > registry.MAX_RETRIES:
-                cell.dead = True
-            return
-        capture = (events, _stat_deltas(self.stats, before))
-        pending = cell.pending
-        if pending is None:
-            cell.pending = capture
-        elif pending == capture:
-            fn, total = _plan_fn(costs, events)
-            cell.plan = _new_plan(fn, capture[1], total, registry.gen,
-                                  costs.rates_version, capture=capture)
-            cell.pending = None
-            cell.fail_streak = 0
+        if not _capture_clean(rec):
+            _reject(registry, cell)
+        elif _confirmed(registry, cell, (rec.vector, rec.stat_deltas)):
+            cell.plan = ChargePlan(rec.vector, rec.stat_deltas, registry.gen)
             cell.tasks = {id(self.task): self.task}
-            registry.compiled += 1
-        else:
-            cell.pending = capture
-            cell.retries += 1
-            if cell.retries > registry.MAX_RETRIES:
-                cell.dead = True
-                cell.pending = None
 
     def _confirm_task(self, plan, cell, lo: int, hi: int,
                       task_key: int) -> None:
@@ -703,52 +621,23 @@ class _StreamState:
         Segment cells are shared across tasks by charge shape
         (:meth:`~repro.sim.costs.ChargePlanRegistry.cells`), so the
         first execution on each *new* task runs interpreted under a
-        recorder and is compared byte-for-byte against the plan's
-        confirmed capture.  A match admits the task — subsequent
+        recorder and its charge vector and Stats deltas are compared
+        with the plan's.  A match admits the task — subsequent
         executions apply the shared plan under the usual guards.  An
         unclean recording (a sweep batch fired mid-run, an LRU/PCC
         touch) gives no verdict either way; a *clean* mismatch means
-        the shape key failed to predict this task's charges.
-
-        Clean mismatches split two ways.  When the fresh capture is
-        *shape-local* to the stored one — same ``(scope, primitive)``
-        rows, only the charge vectors moved (a rename changed component
-        byte counts, say) — the plan is *delta-patched* in place: the
-        capture stages on ``cell.pending``, and a second identical
-        recorded run rebuilds the plan from it
-        (:meth:`~repro.sim.costs.ChargePlanRegistry.patch`) without
-        tearing the cell down through warmup.  The same
-        confirm-on-second-identical-run bar as compilation, at a third
-        of the interpreted executions.  A structural mismatch — or a
-        cell that has burned its retry budget staging patches — falls
-        back to the full invalidate+recapture cycle.
+        the shape key failed to predict this task's charges, and the
+        cell goes back through the full capture cycle.
         """
         registry = self.registry
-        costs = self.costs
-        rec = PlanRecording()
-        before = dict(self.stats._counters)
-        costs.recorder = rec
-        try:
+        with Recording(self.costs, self.stats) as rec:
             self.run_rows(lo, hi)
-        finally:
-            costs.recorder = None
-        events = tuple(rec.events)
-        capture = (events, _stat_deltas(self.stats, before))
-        if capture == plan.capture:
+        if rec.vector == plan.vector \
+                and rec.stat_deltas == plan.stat_deltas:
             cell.tasks[task_key] = self.task
             registry.task_confirms += 1
-        elif rec.lru or rec.pcc or not _capture_clean(events):
+        elif not _capture_clean(rec):
             registry.fallbacks += 1
-        elif cell.retries <= registry.MAX_RETRIES \
-                and registry.shape_local(events, plan.capture[0]):
-            if cell.pending == capture:
-                fn, total = _plan_fn(costs, events)
-                registry.patch(cell, fn, total, capture,
-                               costs.rates_version, self.task)
-            else:
-                cell.pending = capture
-                cell.retries += 1
-                registry.fallbacks += 1
         else:
             registry.invalidated += 1
             cell.reset()
@@ -766,7 +655,7 @@ def replay_compiled(kernel: Kernel, task: Task, program,
     """Execute a :class:`~repro.workloads.compile.CompiledTrace`.
 
     Semantically identical to :func:`replay` of the source trace —
-    same syscalls, same order, same compute charges, hence bit-identical
+    same syscalls, same order, same compute charges, hence identical
     virtual costs and Stats (``tests/test_compiled_replay.py`` is the
     differential gate) — but the per-event interpretation work is gone:
     op dispatch is an index into a prebound method table (built once per
@@ -775,25 +664,25 @@ def replay_compiled(kernel: Kernel, task: Task, program,
     and the errno check is branch-on-None.
 
     On strict replays the charge-plan layer additionally captures and
-    applies charge plans at two granularities — bit-identical virtual
+    applies charge plans at two granularities — identical virtual
     costs either way (``tests/test_charge_plans.py`` is the
     differential gate), pure wall-clock win.  ``plans`` forces the
     layer on or off; ``None`` reads the ``REPRO_CHARGE_PLANS``
     environment switch (default on).
 
-    1. *Whole-pass plans* (:func:`_program_plan_pass`): for a
-       self-undoing trace replayed back to back on one quiescent kernel
-       — the benchmark loop shape — the entire pass's charge stream is
+    1. *Whole-pass plans* (:func:`_plan_unit`): for a self-undoing
+       trace replayed back to back on one quiescent kernel — the
+       benchmark loop shape — the entire pass's charge vector is
        captured once (confirmed on a second identical recorded run) and
-       later passes apply one straight-line charge replay plus a bulk
-       Stats merge, guarded by the registry generation, the rate-table
-       version and *exact clock equality* with the previous pass's end.
-       Under a live lazy sweeper a pass's stream is never stable (fixed
-       virtual deadlines drift modulo pass length), so whole-pass plans
-       require either no sweeper or the quantized-sweep mode
+       later passes apply it with one :meth:`CostModel.apply` plus a
+       bulk Stats merge, guarded by the registry generation and *clock
+       equality* with the previous pass's end.
+       Under a live lazy sweeper a pass's charges are never stable
+       (fixed virtual deadlines drift modulo pass length), so whole-pass
+       plans require either no sweeper or the quantized-sweep mode
        (``DcacheConfig.lazy_sweep_quantize``), where the boundary
-       catch-up sweep is part of the captured stream and apply emulates
-       the ticker exactly (:func:`_apply_plan`).
+       catch-up sweep is part of the capture and apply emulates the
+       ticker exactly (:func:`_apply_plan`).
 
     2. *Per-segment plans*, task-generic and shared by charge shape
        (:meth:`~repro.sim.costs.ChargePlanRegistry.cells`), for
@@ -804,7 +693,7 @@ def replay_compiled(kernel: Kernel, task: Task, program,
 
     Strict replays on a quantized-lazy kernel run under
     :func:`_quantized` regardless of the plans switch, so plans-on and
-    plans-off streams stay bit-identical within the mode.
+    plans-off runs stay identical within the mode.
 
     ``program`` is duck-typed (``op_table``, ``rows``, ``slot_count``)
     so this module need not import the compiler; programs without
@@ -819,8 +708,11 @@ def replay_compiled(kernel: Kernel, task: Task, program,
             quantize = (sweeper is not None
                         and kernel.config.lazy_sweep_quantize
                         and not sweeper.ticker.suspended)
-            if (sweeper is None or quantize) and _program_plan_pass(
-                    kernel, task, program, registry, quantize):
+            if (sweeper is None or quantize) and _plan_unit(
+                    kernel, registry, registry.pass_cell(program, task),
+                    (task,),
+                    lambda: replay_compiled(kernel, task, program,
+                                            strict=True, plans=False)):
                 return
             if program.plan_segments:
                 _quantized(kernel, lambda: _run_stream(kernel, task,
@@ -853,7 +745,7 @@ def replay_compiled(kernel: Kernel, task: Task, program,
             slot_fds[store] = result[0] if pair else result
 
 
-def _apply_plan(kernel: Kernel, registry, cell, quantize: bool) -> bool:
+def _apply_plan(kernel: Kernel, registry, cell) -> bool:
     """Guard and apply an armed whole-pass/whole-drain plan.
 
     True means the plan applied: virtual costs and Stats advanced
@@ -861,169 +753,84 @@ def _apply_plan(kernel: Kernel, registry, cell, quantize: bool) -> bool:
     means a guard failed and the caller must run interpreted (the
     streak/invalidation bookkeeping has already happened).
 
-    The clock guard is *exact equality* with the clock value at which
-    the plan was armed — any interleaving syscall moves the clock off
-    it.  Under quantization the boundary sweep fires unconditionally
-    (see :func:`_quantized`), so no deadline guard is needed: apply
-    replays the body charges, fires the ticker (reading the clock at
-    the exact body-end time, bit-identical to interpreted execution)
-    and replays the captured sweep charges — the real sweep is
-    *skipped*, deliberately: applied passes leave cache state frozen,
-    and a live sweep would examine that frozen state instead of the
-    states the interpreted run would produce.
+    The clock guard is equality with the clock state at which the plan
+    was armed — any interleaving syscall moves the clock off it.  Under
+    quantization the boundary sweep fires unconditionally (see
+    :func:`_quantized`), so no deadline guard is needed: apply charges
+    the body, fires the ticker (reading the clock at the body-end time,
+    as interpreted execution does) and charges the captured sweep — the
+    real sweep is *skipped*, deliberately: applied passes leave cache
+    state frozen, and a live sweep would examine that frozen state
+    instead of the states the interpreted run would produce.
     """
     costs = kernel.costs
     clock = costs.clock
     plan = cell.plan
-    if plan.gen != registry.gen \
-            or plan.rates_version != costs.rates_version:
+    if plan.gen != registry.gen:
         registry.invalidated += 1
         cell.reset()
         return False
-    if clock._now_ns != cell.armed_now:
+    if clock.capture_state() != cell.armed_now:
         registry.fallbacks += 1
         cell.fail_streak += 1
         if cell.fail_streak >= registry.PASS_FAIL_STREAK:
             registry.invalidated += 1
             cell.reset()
         return False
-    plan.fn(clock, costs.by_primitive, costs.by_scope, costs.counts,
-            None)
-    if quantize and plan.q_fired:
+    if plan.body is None:
+        costs.apply(plan.vector)
+    else:
+        costs.apply(plan.body)
         kernel.sweeper.ticker.fire()
-        if plan.fn2 is not None:
-            plan.fn2(clock, costs.by_primitive, costs.by_scope,
-                     costs.counts, None)
+        costs.apply(plan.sweep)
     if plan.stat_deltas:
         kernel.stats.bump_many(plan.stat_deltas)
-    cell.armed_now = clock._now_ns
+    cell.armed_now = clock.capture_state()
     cell.fail_streak = 0
     registry.applied += 1
     return True
 
 
-def _program_plan_pass(kernel: Kernel, task: Task, program, registry,
-                       quantize: bool) -> bool:
-    """Whole-pass charge-plan protocol.  True iff this pass was handled.
+def _plan_unit(kernel: Kernel, registry, cell, tasks,
+               run: Callable[[], None]) -> bool:
+    """Whole-pass / whole-drain plan protocol.  True iff the unit was
+    handled here.
 
-    Lifecycle per (program, task) cell: one warmup pass, then two
-    recorded interpreted passes whose captures must match
-    byte-for-byte, then the capture compiles to a straight-line charge
-    replay applied on every subsequent pass that starts at *exactly*
-    the clock value the previous pass ended on (:func:`_apply_plan`).
+    ``cell`` is the unit's :class:`~repro.sim.costs.PlanCell`
+    (``pass_cell`` for one program on one task, ``drain_cell`` for an
+    interleaved drain), ``tasks`` the tasks whose fd tables the unit
+    must leave as it found them, and ``run`` executes the unit
+    interpreted with segment plans off.  Lifecycle: one warmup
+    execution, then two recorded ones whose captures must be equal,
+    then the capture is applied on every later execution that starts at
+    the clock state the previous one ended on (:func:`_apply_plan`).
     Any rejection — scope stack active, fd table changed across the
-    pass, capture mismatch — burns a retry; ``MAX_RETRIES`` rejections
-    kill the cell and the program falls back to segment planning
-    forever.  Returns False only when the caller should run the pass
-    itself (warmup, dead cell, guard failure); recorded passes return
-    True because the recording ran the pass.
+    unit, capture mismatch — burns a retry; ``MAX_RETRIES`` rejections
+    kill the cell and the unit falls back to segment planning forever.
+    Returns False only when the caller should run the unit itself
+    (warmup, dead cell, guard failure); a recorded execution returns
+    True because the recording ran it.
     """
     costs = kernel.costs
-    if costs._scope_stack:
-        return False
-    cell = registry.pass_cell(program, task)
-    if cell.dead:
+    if costs._scope_stack or cell.dead:
         return False
     if cell.plan is not None:
-        return _apply_plan(kernel, registry, cell, quantize)
+        return _apply_plan(kernel, registry, cell)
     n = cell.execs
     cell.execs = n + 1
     if n < registry.WARMUP:
         return False
-    rec = PlanRecording()
-    stats = kernel.stats
-    before = dict(stats._counters)
-    fds_before = frozenset(task.fds._files)
-    costs.recorder = rec
-    try:
-        replay_compiled(kernel, task, program, strict=True, plans=False)
-    finally:
-        costs.recorder = None
-    if costs._scope_stack or frozenset(task.fds._files) != fds_before:
-        cell.pending = None
-        cell.retries += 1
-        if cell.retries > registry.MAX_RETRIES:
-            cell.dead = True
-        return True
-    capture = (tuple(rec.events), _stat_deltas(stats, before),
-               rec.boundary, rec.fired)
-    pending = cell.pending
-    if pending is None:
-        cell.pending = capture
-    elif pending == capture:
-        cell.plan = _compile_pass_plan(costs, registry, capture)
-        cell.pending = None
-        cell.fail_streak = 0
-        cell.armed_now = costs.clock._now_ns
-        registry.compiled += 1
-    else:
-        cell.pending = capture
-        cell.retries += 1
-        if cell.retries > registry.MAX_RETRIES:
-            cell.dead = True
-            cell.pending = None
-    return True
-
-
-def _drain_plan(kernel: Kernel, streams, seed: int, registry,
-                quantize: bool) -> bool:
-    """Whole-drain charge-plan protocol.  True iff this drain was handled.
-
-    The interleaved analogue of :func:`_program_plan_pass`: the cell
-    covers one entire :func:`replay_interleaved` drain, keyed by the
-    seed and the identities of every (task, program) pair
-    (:meth:`~repro.sim.costs.ChargePlanRegistry.drain_cell`).  The
-    capture records the drain interpreted with segment plans *off*, and
-    the fd-table check covers every participating task.  Everything
-    else — confirm-twice, exact-clock arming, quantized boundary
-    emulation — is shared with the pass protocol.
-    """
-    costs = kernel.costs
-    if costs._scope_stack:
-        return False
-    cell = registry.drain_cell(streams, seed)
-    if cell.dead:
-        return False
-    if cell.plan is not None:
-        return _apply_plan(kernel, registry, cell, quantize)
-    n = cell.execs
-    cell.execs = n + 1
-    if n < registry.WARMUP:
-        return False
-    rec = PlanRecording()
-    stats = kernel.stats
-    before = dict(stats._counters)
-    fds_before = [frozenset(task.fds._files) for task, _prog in streams]
-    costs.recorder = rec
-    try:
-        _quantized(kernel, lambda: _drain_interleaved(kernel, streams,
-                                                      seed, None))
-    finally:
-        costs.recorder = None
-    fds_after = [frozenset(task.fds._files) for task, _prog in streams]
-    if costs._scope_stack or fds_after != fds_before:
-        cell.pending = None
-        cell.retries += 1
-        if cell.retries > registry.MAX_RETRIES:
-            cell.dead = True
-        return True
-    capture = (tuple(rec.events), _stat_deltas(stats, before),
-               rec.boundary, rec.fired)
-    pending = cell.pending
-    if pending is None:
-        cell.pending = capture
-    elif pending == capture:
-        cell.plan = _compile_pass_plan(costs, registry, capture)
-        cell.pending = None
-        cell.fail_streak = 0
-        cell.armed_now = costs.clock._now_ns
-        registry.compiled += 1
-    else:
-        cell.pending = capture
-        cell.retries += 1
-        if cell.retries > registry.MAX_RETRIES:
-            cell.dead = True
-            cell.pending = None
+    fds_before = [frozenset(task.fds._files) for task in tasks]
+    with Recording(costs, kernel.stats) as rec:
+        run()
+    if costs._scope_stack \
+            or [frozenset(task.fds._files) for task in tasks] != fds_before:
+        _reject(registry, cell)
+    elif _confirmed(registry, cell,
+                    (rec.vector, rec.stat_deltas, rec.body)):
+        cell.plan = ChargePlan(rec.vector, rec.stat_deltas, registry.gen,
+                               rec.body)
+        cell.armed_now = costs.clock.capture_state()
     return True
 
 
@@ -1069,10 +876,11 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     (shape-shared across tenants) capture and apply inside the drain
     exactly as in :func:`replay_compiled`.  When the whole drain is
     replayed back to back on a quiescent kernel — the benchmark shape —
-    a *whole-drain* plan (:func:`_drain_plan`) captures the entire
-    drain's charge stream once and replays it straight-line, guarded by
-    exact clock equality; like whole-pass plans this needs either no
-    sweeper or ``DcacheConfig.lazy_sweep_quantize``.  Bit-identical
+    a *whole-drain* plan (:func:`_plan_unit`, keyed by the seed and the
+    identities of every (task, program) pair) captures the entire
+    drain's charge vector once and applies it in one step, guarded by
+    clock equality; like whole-pass plans this needs either no
+    sweeper or ``DcacheConfig.lazy_sweep_quantize``.  Identical
     virtual output with ``plans`` on or off either way
     (``tests/test_server_fleet.py`` is the differential gate).
     """
@@ -1090,8 +898,11 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
         quantize = (sweeper is not None
                     and kernel.config.lazy_sweep_quantize
                     and not sweeper.ticker.suspended)
-        if (sweeper is None or quantize) and _drain_plan(
-                kernel, streams, seed, registry, quantize):
+        if (sweeper is None or quantize) and _plan_unit(
+                kernel, registry, registry.drain_cell(streams, seed),
+                [task for task, _prog in streams],
+                lambda: _quantized(kernel, lambda: _drain_interleaved(
+                    kernel, streams, seed, None))):
             return
     _quantized(kernel, lambda: _drain_interleaved(kernel, streams, seed,
                                                   registry))

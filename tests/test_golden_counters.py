@@ -115,7 +115,7 @@ GOLDEN_BASELINE_COUNTS = {
     'symlink_resolve': 10,
     'syscall_fixed': 80,
 }
-GOLDEN_BASELINE_NOW_NS = 2882191.31999999
+GOLDEN_BASELINE_NOW_NS = 2882191.32
 GOLDEN_OPTIMIZED_COUNTS = {
     'cached_readdir_entry': 18,
     'chain_compare': 88,
@@ -160,7 +160,7 @@ GOLDEN_OPTIMIZED_COUNTS = {
     'symlink_resolve': 2,
     'syscall_fixed': 80,
 }
-GOLDEN_OPTIMIZED_NOW_NS = 2876089.5199999968
+GOLDEN_OPTIMIZED_NOW_NS = 2876089.52
 
 
 def test_golden_counts_and_clock():

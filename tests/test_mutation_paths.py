@@ -1,5 +1,5 @@
 """Mutation-path overhaul differentials (batched shootdowns, memoized
-mutation resolves, delta-patched charge plans).
+mutation resolves, stale charge plans).
 
 Three wall-clock optimizations share one contract: virtual costs must be
 bit-identical with the optimization on or off, against a reference
@@ -12,9 +12,8 @@ implementation, on every profile.  This module pins each:
   shapes including bind mounts, symlinks, and negative dentries;
 * the scoped-invalidation resolution memo on mutation-heavy
   create/stat/rename/unlink churn, memo on vs. off;
-* charge-plan delta patching
-  (:meth:`repro.sim.costs.ChargePlanRegistry.patch`) vs. the
-  invalidate+recapture fallback, plans on vs. off;
+* a shared segment plan gone stale: the task-confirm protocol
+  invalidates and recaptures it, plans on vs. off;
 * the lazy sweeper's ``sweep_all`` as a pure function of cache state
   (the half-consumed-worklist double-scan regression).
 """
@@ -27,7 +26,7 @@ from repro import O_CREAT, O_RDWR, make_kernel
 from repro.core.coherence import SEQ_WRAP
 from repro.errors import FsError
 from repro.workloads.compile import build_loop_trace, compile_trace
-from repro.workloads.traces import _plan_fn, replay_compiled
+from repro.workloads.traces import replay_compiled
 
 PROFILES = ("baseline", "optimized", "optimized-lazy")
 
@@ -259,89 +258,34 @@ class TestMemoMutationChurn:
             assert hits > 0
 
 
-# -- charge-plan delta patching --------------------------------------------
+# -- stale charge plans ------------------------------------------------------
 
-def _forge_stale_capture(kernel, program, shape_local):
-    """Make a live segment plan's capture stale without touching virtual
-    state — the situation delta patching exists for (the stored charge
-    vector no longer matches what the segment really charges).
-
-    ``shape_local=True`` perturbs one event's count vector (same rows,
-    different numbers — patchable); ``False`` drops an event (different
-    structure — must fall back to invalidate+recapture).
-    """
+def _forge_stale_plan(kernel, program):
+    """Make a live segment plan stale without touching virtual state:
+    its stored charge vector no longer matches what the segment really
+    charges (one count moved), and no task is admitted to it."""
     registry = kernel.costs.plans
     cell = registry.cells(program, program.plan_segments)[0]
     assert cell.plan is not None, "segment plan did not compile"
-    events, deltas = cell.plan.capture
-    if shape_local:
-        ev = list(events)
-        i = next(i for i, e in enumerate(ev) if e[0] is None)
-        ev[i] = (ev[i][0], ev[i][1], ev[i][2] + 1, ev[i][3])
-        forged = (tuple(ev), deltas)
-        assert registry.shape_local(events, forged[0])
-    else:
-        forged = (events[:-1], deltas)
-        assert not registry.shape_local(forged[0], events)
-    fn, total = _plan_fn(kernel.costs, forged[0])
-    registry.patch(cell, fn, total, forged, kernel.costs.rates_version,
-                   object())
-    registry.patched = 0  # the forge itself went through patch()
+    vector = cell.plan.vector.copy()
+    key = next(iter(vector.charges))
+    times, nbytes = vector.charges[key]
+    vector.charges[key] = (times + 1, nbytes)
+    cell.plan.vector = vector
+    cell.tasks = {}
     return cell
 
 
 class TestPlanDeltaPatch:
-    def test_shape_local_classifier(self):
-        from repro.sim.costs import ChargePlanRegistry, _RAW_NS
-        sl = ChargePlanRegistry.shape_local
-        base = ((None, "syscall_fixed", 1, 0),
-                (_RAW_NS, "app_compute", 5.0, None))
-        assert sl(base, base)
-        # Vector moves (times/nbytes/raw-ns) stay shape-local.
-        assert sl(((None, "syscall_fixed", 3, 8),
-                   (_RAW_NS, "app_compute", 9.5, None)), base)
-        # Structural moves do not: primitive, length, raw-row scope.
-        assert not sl(((None, "stat_fill", 1, 0),
-                       (_RAW_NS, "app_compute", 5.0, None)), base)
-        assert not sl(base[:1], base)
-        assert not sl(((None, "syscall_fixed", 1, 0),
-                       (_RAW_NS, "app_compute", 5.0, "hash")), base)
-
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_delta_patch_bit_identity(self, profile):
-        """A shape-locally stale plan is patched back in place from the
-        fresh capture — two interpreted runs instead of a warmup+capture
-        cycle — and virtual costs match a plans-off kernel exactly."""
-        prints = {}
-        telemetry = None
-        for plans in (False, True):
-            kernel = make_kernel(profile)
-            task = kernel.spawn_task(uid=0, gid=0)
-            program = compile_trace(build_loop_trace(profile=profile))
-            for _ in range(4):
-                replay_compiled(kernel, task, program, plans=plans)
-            if plans:
-                cell = _forge_stale_capture(kernel, program,
-                                            shape_local=True)
-                true_capture = None
-            task2 = kernel.spawn_task(uid=0, gid=0)
-            for _ in range(3):
-                replay_compiled(kernel, task2, program, plans=plans)
-            prints[plans] = _fingerprint(kernel)
-            if plans:
-                telemetry = kernel.costs.plans.telemetry()
-                true_capture = cell.plan.capture
-        assert prints[True] == prints[False]
-        assert telemetry["patched"] >= 1
-        assert telemetry["invalidated"] == 0
-        # The patched plan carries the *recorded* stream, not the forgery.
-        assert true_capture is not None
+    """What happens to a segment plan that a fresh recording of the
+    same segment contradicts (a *delta* between plan and reality)."""
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_structural_mismatch_falls_back(self, profile):
-        """A structurally different capture cannot be patched: the cell
-        resets through the full invalidate+recapture cycle — and stays
-        bit-identical to plans-off throughout."""
+        """A plan whose vector a task's clean recorded run contradicts
+        is never applied: the cell resets through the full
+        invalidate+recapture cycle — and stays identical to plans-off
+        throughout."""
         prints = {}
         telemetry = None
         for plans in (False, True):
@@ -351,7 +295,7 @@ class TestPlanDeltaPatch:
             for _ in range(4):
                 replay_compiled(kernel, task, program, plans=plans)
             if plans:
-                _forge_stale_capture(kernel, program, shape_local=False)
+                _forge_stale_plan(kernel, program)
             task2 = kernel.spawn_task(uid=0, gid=0)
             for _ in range(4):
                 replay_compiled(kernel, task2, program, plans=plans)
@@ -360,7 +304,6 @@ class TestPlanDeltaPatch:
                 telemetry = kernel.costs.plans.telemetry()
         assert prints[True] == prints[False]
         assert telemetry["invalidated"] >= 1
-        assert telemetry["patched"] == 0
 
 
 # -- lazy sweeper: sweep_all purity ----------------------------------------

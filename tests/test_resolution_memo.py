@@ -22,10 +22,14 @@ Coverage:
   interleavings, differential against a memo-off twin;
 * snapshot-restore fidelity with a warm memo (the memo is dropped on
   clone; restored kernels re-record with identical virtual charges);
+* a recorded DLHT probe *miss* as a dependency, in a minimal case and
+  on the benchmark's own ``warm_lookup`` inputs (all ramp passes);
 * the ``DcacheConfig.resolution_memo`` switch and capacity bound.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
@@ -123,40 +127,6 @@ class TestGoldenDifferential:
         # The equality above is vacuous unless replays actually ran.
         assert on.memo.hits > 0
         assert on.memo.flushes > 0
-
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_exec_compiled_replay_bit_identical(self, profile):
-        """The exec-generated replay function (installed once an entry
-        has replayed ``_EXEC_AFTER`` times) charges bit-identically to
-        the interpreted replay path it specializes."""
-        from repro.core.resmemo import ResolutionMemo
-
-        def workload(kernel, task):
-            kernel.sys.mkdir(task, "/d")
-            _mkfile(kernel, task, "/d/f")
-            out = []
-            for _ in range(12):  # far past _EXEC_AFTER
-                out.append(kernel.sys.stat(task, "/d/f"))
-                out.append(_try_stat(kernel, task, "/d/missing"))
-            return out
-
-        interp = make_kernel(profile)
-        execed = make_kernel(profile)
-        orig = ResolutionMemo._EXEC_AFTER
-        ResolutionMemo._EXEC_AFTER = 1 << 30  # interpreted forever
-        try:
-            out_i = workload(interp, interp.spawn_task(uid=0, gid=0))
-        finally:
-            ResolutionMemo._EXEC_AFTER = orig
-        out_e = workload(execed, execed.spawn_task(uid=0, gid=0))
-        assert out_i == out_e
-        assert _fingerprint(interp) == _fingerprint(execed)
-        # Vacuous unless the exec path actually engaged on the candidate
-        # (and stayed off on the reference).
-        assert any(e.compiled is not None and e.compiled[5] is not None
-                   for e in execed.memo._entries.values())
-        assert all(e.compiled is None or e.compiled[5] is None
-                   for e in interp.memo._entries.values())
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_flush_midstream_changes_nothing_virtual(self, profile):
@@ -336,6 +306,68 @@ class TestSnapshotFidelity:
         run(kernel, task)  # warm memo: replays
         assert _fingerprint(k1) == _fingerprint(k2)
         assert _fingerprint(k1) == _fingerprint(kernel)
+
+
+# -- a probe miss is a conclusion too ---------------------------------------
+
+class TestDlhtProbeMiss:
+    def test_entry_dies_when_the_missed_signature_registers(self):
+        """A confirmed EACCES resolution was recorded while its
+        full-path signature missed the DLHT (the denied walk populates
+        nothing).  Once another credential's walk registers that
+        signature, a live fastpath hits, probes the PCC, misses and
+        falls back — the memo must re-run the resolver, not replay the
+        recording that lacks the ``pcc_probe``."""
+        prints = {}
+        for memo_on in (True, False):
+            kernel = make_kernel("optimized", resolution_memo=memo_on)
+            sys = kernel.sys
+            root = kernel.spawn_task(uid=0, gid=0)
+            owner = kernel.spawn_task(uid=1, gid=1)
+            other = kernel.spawn_task(uid=2, gid=2)
+            sys.mkdir(root, "/p")
+            sys.mkdir(root, "/p/q")
+            _mkfile(kernel, root, "/p/q/f")
+            sys.chown(root, "/p", 1, 1)
+            sys.chmod(root, "/p", 0o700)
+            kernel.drop_caches()
+            for _ in range(5):  # record, confirm, replay
+                with pytest.raises(errors.EACCES):
+                    sys.stat(other, "/p/q")
+            if memo_on:
+                assert kernel.memo.hits > 0
+            sys.stat(owner, "/p/q/f")  # registers /p/q in the DLHT
+            with pytest.raises(errors.EACCES):
+                sys.stat(other, "/p/q")
+            prints[memo_on] = _fingerprint(kernel)
+        assert prints[True] == prints[False]
+
+    @pytest.mark.parametrize("seed", (2, 3, 7))
+    def test_benchmark_inputs_all_ramp_passes(self, seed, monkeypatch):
+        """``warm_lookup`` as the end-to-end benchmark generates it, run
+        through all 16 ramp passes (8 hot + 8 fill) and both windows:
+        memo on and off end exactly equal on ``optimized``."""
+        e2e = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+        monkeypatch.syspath_prepend(str(e2e))
+        import adapters
+        import gen
+        from spans import NULL
+        inputs = gen.make_inputs("warm_lookup", seed, gen.CHECK_SCALE,
+                                 windows=2)
+        assert len(inputs["ramp"]) == 16
+        prints = {}
+        for config in ("default", "memo_off"):
+            adapter = adapters.StepAdapter(inputs, "optimized",
+                                           adapters.CONFIGS[config])
+            adapter.build(NULL)
+            for index in range(len(inputs["ramp"])):
+                adapter.ramp(index)
+            for index in range(len(inputs["windows"])):
+                adapter.window(index, NULL)
+            prints[config] = _fingerprint(adapter.kernel)
+            if config == "default":
+                assert adapter.kernel.memo.hits > 0
+        assert prints["default"] == prints["memo_off"]
 
 
 # -- switch, capacity, counters --------------------------------------------

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro import make_kernel
+from repro.sim.costs import ChargeVector
 from repro.testing.scheduler import StreamScheduler
 from repro.workloads import server_fleet
 from repro.workloads.compile import build_loop_trace, compile_trace
@@ -214,7 +215,7 @@ class TestCrossTaskPlans:
         for cell in cells:
             # Corrupt the capture and forget the admitted tasks: every
             # task now re-confirms against a capture nothing matches.
-            cell.plan.capture = (("__tampered__",), ())
+            cell.plan.vector = ChargeVector()
             cell.tasks.clear()
         before = registry.invalidated
         replay_interleaved(kernel, streams, seed=1)

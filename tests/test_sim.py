@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sim.clock import Clock, Stopwatch
 from repro.sim.concurrency import (ScalingParams, read_latency_curve,
                                    writer_latency_curve)
-from repro.sim.costs import CALIBRATED, UNIT, CostModel
+from repro.sim.costs import CALIBRATED, UNIT, CostModel, Recording
 from repro.sim.stats import Stats
 
 
@@ -89,6 +90,96 @@ class TestCostModel:
         for name in CALIBRATED:
             if name.endswith("_per_byte"):
                 assert name[:-len("_per_byte")] in CALIBRATED
+
+
+# -- integer time: charging is order-independent ---------------------------
+
+_SCOPES = st.sampled_from([None, "init", "hash", "htlookup"])
+_PRIMITIVES = st.sampled_from(["sig_hash", "ht_probe", "lru_touch",
+                               "read_write_base", "disk_seek"])
+_EVENT = st.one_of(
+    st.tuples(st.just("charge"), _SCOPES, _PRIMITIVES,
+              st.integers(1, 5), st.integers(0, 40)),
+    st.tuples(st.just("charge_in"), _SCOPES.filter(bool), _PRIMITIVES,
+              st.integers(1, 5), st.integers(0, 40)),
+    # At least one tick: a key charged only zeros cannot survive
+    # ``(a + b) - b`` when ``b`` charged the same key.
+    st.tuples(st.just("charge_ns"), _SCOPES,
+              st.sampled_from(["app_compute", "net_rpc"]),
+              st.floats(0.01, 1e7, allow_nan=False), st.just(0)))
+_EVENTS = st.lists(_EVENT, max_size=30)
+
+
+def _charge(costs: CostModel, events) -> None:
+    """Charge ``events`` one by one, each under its own scope."""
+    for kind, scope, name, amount, nbytes in events:
+        if kind == "charge_in":
+            costs.charge_in(scope, name, times=amount, nbytes=nbytes)
+        elif scope is None:
+            (costs.charge(name, times=amount, nbytes=nbytes)
+             if kind == "charge" else costs.charge_ns(name, amount))
+        else:
+            with costs.scope(scope):
+                (costs.charge(name, times=amount, nbytes=nbytes)
+                 if kind == "charge" else costs.charge_ns(name, amount))
+
+
+def _state(costs: CostModel):
+    return (costs.now_ns, costs.by_primitive, costs.by_scope,
+            dict(costs.counts))
+
+
+def vector_of(events):
+    """The ChargeVector a recorder collects while ``events`` are charged."""
+    costs = CostModel()
+    with Recording(costs, Stats()) as rec:
+        _charge(costs, events)
+    return rec.vector
+
+
+class TestIntegerTime:
+    @given(st.data())
+    def test_any_permutation_charges_the_same(self, data):
+        events = data.draw(_EVENTS)
+        shuffled = data.draw(st.permutations(events))
+        one, other = CostModel(), CostModel()
+        _charge(one, events)
+        _charge(other, shuffled)
+        assert _state(one) == _state(other)
+
+    @given(_EVENTS)
+    def test_apply_equals_charging_one_by_one(self, events):
+        charged, applied = CostModel(), CostModel()
+        _charge(charged, events)
+        applied.apply(vector_of(events))
+        assert _state(applied) == _state(charged)
+
+    @given(_EVENTS, _EVENTS)
+    def test_vectors_add_and_subtract(self, a, b):
+        assert vector_of(a + b) == vector_of(a) + vector_of(b)
+        total = vector_of(a) + vector_of(b)
+        assert total.ticks == vector_of(a).ticks + vector_of(b).ticks
+        assert total - vector_of(b) == vector_of(a)
+        assert (total - vector_of(b)).ticks == vector_of(a).ticks
+
+    def test_rate_between_two_ticks_is_rejected(self):
+        with pytest.raises(ValueError):
+            CostModel({"ht_probe": 0.015})
+        with pytest.raises(ValueError):
+            CostModel({"sig_hash": 1.0, "sig_hash_per_byte": 0.015})
+        assert CostModel({"ht_probe": 0.01}).charge("ht_probe") == 0.01
+
+    def test_charge_ns_rounds_to_the_tick(self):
+        costs = CostModel(dict(UNIT))
+        costs.charge_ns("compute", 0.014)
+        assert costs.now_ns == 0.01
+        costs.charge_ns("compute", 0.016)
+        assert costs.now_ns == 0.03
+        assert costs.by_primitive == {"compute": 0.03}
+
+    def test_every_shipped_rate_is_whole_ticks(self):
+        CostModel(dict(CALIBRATED))
+        CostModel(dict(UNIT))
 
 
 class TestStats:
