@@ -5,36 +5,27 @@ traces (setup and run phases both recorded — see
 :mod:`repro.workloads.compile`) and replays each on all three kernel
 profiles, reporting *virtual* nanoseconds per event.
 
-The replay **engine** is selected by the ``REPRO_REPLAY_MODE``
-environment variable — ``compiled`` (default: AOT-lower the trace to a
-flat opcode program and run it through the batched dispatch table) or
-``interpreted`` (the per-event :func:`~repro.workloads.traces.replay`
-loop).  Every number in the emitted rows is virtual and therefore
-engine-independent: CI runs this experiment under both modes and
-``cmp``-asserts the markdown is byte-identical, which is the end-to-end
-proof that compilation changes wall-clock only, never costs.
+The traces run through the compiled engine (AOT-lowered to a flat
+opcode program, batched dispatch table, charge plans).  Every number in
+the emitted rows is virtual and therefore engine-independent:
+``tests/test_compiled_replay.py`` replays these same quick traces
+compiled with plans on, compiled with plans off and through the
+per-event :func:`~repro.workloads.traces.replay` loop and asserts
+equal virtual output — compilation changes wall-clock only, never
+costs.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Tuple
 
 from repro import make_kernel
 from repro.bench.harness import Report, gain_pct
 from repro.workloads.compile import (compile_trace, lower_lmbench,
                                      lower_maildir, lower_webserver)
-from repro.workloads.traces import Trace, replay, replay_compiled
+from repro.workloads.traces import Trace, replay_compiled
 
 PROFILES = ("baseline", "optimized", "optimized-lazy")
-
-
-def _engine() -> str:
-    mode = os.environ.get("REPRO_REPLAY_MODE", "compiled")
-    if mode not in ("compiled", "interpreted"):
-        raise ValueError(f"REPRO_REPLAY_MODE must be 'compiled' or "
-                         f"'interpreted', not {mode!r}")
-    return mode
 
 
 def _lower_all(quick: bool) -> Dict[str, Trace]:
@@ -52,21 +43,17 @@ def _lower_all(quick: bool) -> Dict[str, Trace]:
     }
 
 
-def _replay_ns(trace: Trace, profile: str, mode: str) -> Tuple[int, int]:
+def _replay_ns(trace: Trace, profile: str) -> Tuple[int, int]:
     """(virtual ns, stat-path steps) for one replay on a fresh kernel."""
     kernel = make_kernel(profile)
     task = kernel.spawn_task(uid=0, gid=0)
     start = kernel.costs.now_ns
-    if mode == "compiled":
-        replay_compiled(kernel, task, compile_trace(trace))
-    else:
-        replay(kernel, task, trace)
+    replay_compiled(kernel, task, compile_trace(trace))
     return kernel.costs.now_ns - start, len(trace.events)
 
 
 def run(quick: bool = False) -> Report:
     """Run the experiment; ``quick`` shrinks workload scale."""
-    mode = _engine()
     report = Report(
         exp_id="replay",
         title="recorded-trace replay across profiles (engine-independent)",
@@ -83,7 +70,7 @@ def run(quick: bool = False) -> Report:
     for name, trace in traces.items():
         per_event[name] = {}
         for profile in PROFILES:
-            total_ns, events = _replay_ns(trace, profile, mode)
+            total_ns, events = _replay_ns(trace, profile)
             per_event[name][profile] = total_ns / events
         row = per_event[name]
         report.add_row(name, len(trace.events),
@@ -100,7 +87,8 @@ def run(quick: bool = False) -> Report:
                  True, f"{sum(len(t.events) for t in traces.values())} "
                        f"events x {len(PROFILES)} profiles")
     report.notes = ("rows are virtual time only, so they are identical "
-                    "under REPRO_REPLAY_MODE=compiled and =interpreted; "
-                    "CI cmp-asserts that byte-for-byte (the compiled "
-                    "engine may only move host wall-clock).")
+                    "whether the compiled or the interpreted engine "
+                    "replays the trace; tests/test_compiled_replay.py "
+                    "asserts that on these traces (the compiled engine "
+                    "may only move host wall-clock).")
     return report

@@ -7,10 +7,11 @@ rename pairs — the §5.1 subtree-invalidation shape) and the number of
 tenants sharing the cache.  For each cell a fresh fleet is provisioned
 per profile (:mod:`repro.workloads.server_fleet`) and drained with
 interleaved per-tenant streams; throughput is requests per *virtual*
-second, so the table is deterministic and engine-independent — CI
-re-runs it with ``REPRO_CHARGE_PLANS=0`` and ``cmp``-asserts the
-markdown is byte-identical, the end-to-end proof that the multi-tenant
-charge-plan machinery changes wall-clock only.
+second, so the table is deterministic and engine-independent —
+``tests/test_server_fleet.py`` drains this sweep's quick cells with the
+resolution memo and charge plans off and asserts equal virtual output,
+the proof that the multi-tenant charge-plan machinery changes
+wall-clock only.
 
 The expected shape: read-dominated fleets favour ``optimized`` (eager
 shootdowns are off the hot path and lookups skip revalidation), while
@@ -23,7 +24,6 @@ tenant count flips.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Tuple
 
 from repro import make_kernel
@@ -38,21 +38,9 @@ MUTATION_RATES: Tuple[float, ...] = (0.0, 0.1, 0.3, 0.6)
 MUTATION_RATES_QUICK: Tuple[float, ...] = (0.0, 0.6)
 
 
-def _memo_enabled() -> bool:
-    """Honour ``REPRO_RESOLUTION_MEMO=off`` like the speed suite does.
-
-    The memo is a wall-clock cache, so the throughput table must be
-    byte-identical either way — CI reruns this experiment with the memo
-    (and charge plans) off and ``cmp``-asserts exactly that over the
-    mutation-heavy fleet cells.
-    """
-    return os.environ.get("REPRO_RESOLUTION_MEMO", "on").lower() \
-        not in ("off", "0", "false")
-
-
 def _throughput(profile: str, tenants: int, total_requests: int,
                 mutation_rate: float) -> float:
-    kernel = make_kernel(profile, resolution_memo=_memo_enabled())
+    kernel = make_kernel(profile)
     return server_fleet.run_benchmark(
         kernel, tenants, total_requests=total_requests,
         mutation_rate=mutation_rate, drains=3, seed=11)
@@ -99,8 +87,8 @@ def run(quick: bool = False) -> Report:
         all(dict(winners[tenants])[0.0] == "eager"
             for tenants, _ in fleets))
     report.notes = ("throughput is virtual-time only: identical with "
-                    "charge plans on or off (CI cmp-asserts the "
-                    "REPRO_CHARGE_PLANS=0 rerun byte-for-byte) and "
+                    "charge plans on or off (tests/test_server_fleet.py "
+                    "asserts it on the quick cells of this sweep) and "
                     "under any interleaving engine; the fleet engine "
                     "behind this table is documented in "
                     "docs/benchmarking.md#the-multi-tenant-fleet-engine")

@@ -1,9 +1,8 @@
 """Process-parallel benchmark scheduler.
 
-The experiment suite (``repro.bench.report``) and the wall-clock speed
-suite (``repro.bench.speed``) are both embarrassingly parallel: every
-task builds its own kernels from scratch and shares nothing with its
-siblings.  This module fans a task list out across a
+The experiment suite (``repro.bench.report``) is embarrassingly
+parallel: every task builds its own kernels from scratch and shares
+nothing with its siblings.  This module fans a task list out across a
 :mod:`multiprocessing` worker pool and merges the results back in
 submission order, so the rendered output of a parallel run is
 byte-identical to a serial one — parallelism changes wall-clock time and

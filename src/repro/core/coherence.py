@@ -374,31 +374,6 @@ class LazySweeper:
         self._sweep_dlhts()
         self._sweep_pccs()
 
-    def sweep_all(self) -> None:
-        """Deterministic full sweep: drain fresh worklists to empty.
-
-        The quantized mode (``DcacheConfig.lazy_sweep_quantize``) defers
-        mid-pass sweeps to replay-pass boundaries and runs one complete
-        catch-up sweep there.  Unlike :meth:`sweep_once`, the result is
-        a pure function of current cache state — any half-consumed
-        incremental worklist is discarded and rebuilt, and the budget is
-        unbounded — which is what lets whole-pass charge plans treat the
-        boundary sweep as part of the pass's reproducible charge stream.
-        """
-        self._dlht_work = []
-        self._pcc_work = []
-        saved = self.batch
-        # Unbounded budget: one refill pass drains everything because
-        # the worklists are complete snapshots taken just now.
-        self.batch = 1 << 60
-        try:
-            self._sweep_dlhts()
-            self._sweep_pccs()
-        finally:
-            self.batch = saved
-            self._dlht_work = []
-            self._pcc_work = []
-
     def _sweep_dlhts(self) -> None:
         if not self._dlht_work:
             self.pass_gen += 1

@@ -68,27 +68,6 @@ class DcacheConfig:
             costs and stats are bit-identical either way (see
             :mod:`repro.core.resmemo`).
         resolution_memo_capacity: memo entries before LRU eviction.
-        lazy_sweep_quantize: quantize the :class:`LazySweeper`'s virtual
-            deadlines to replay-pass boundaries.  During a compiled
-            replay pass the sweeper's ticker is suspended (per-syscall
-            polls see no deadline) and one *full* catch-up sweep runs at
-            every pass boundary, unconditionally — a deadline-gated
-            boundary fire would alternate between fired and unfired
-            passes as the deadline drifts mod pass length, and no
-            charge plan could confirm against that.  This
-            is a deliberate semantic tradeoff, not a free optimization:
-            the lazy profile's virtual numbers change (sweep work moves
-            from mid-pass batches to boundary full drains), so lazy
-            results with quantization on are **not** comparable to lazy
-            results with it off.  What it buys: the per-pass charge
-            stream becomes a pure function of the pass-entry state, so
-            whole-pass and whole-drain charge plans can arm under the
-            lazy profile (the trace_replay[optimized-lazy] outlier —
-            ~5.9x slower than optimized — comes precisely from fixed
-            1 ms virtual deadlines drifting mod pass length).  Plans-on
-            vs plans-off output remains bit-identical *within* the mode,
-            which the differential tests assert.  Default off; see
-            docs/coherence.md.
     """
 
     name: str = "custom"
@@ -109,7 +88,6 @@ class DcacheConfig:
     boot_seed: int = 0x5EED
     resolution_memo: bool = True
     resolution_memo_capacity: int = 4096
-    lazy_sweep_quantize: bool = False
 
     def variant(self, **changes) -> "DcacheConfig":
         return replace(self, **changes)

@@ -58,8 +58,7 @@ class PrefixCheckCache:
         self.costs.charge("pcc_probe")
         entry = self._entries.get(id(dentry))
         if entry is None:
-            self.stats.bump("pcc_miss")
-            return False
+            return self._miss("pcc_miss", dentry)
         cached_dentry, cached_seq, cached_epoch = entry
         # A retired handle (h < 0) <=> a dead dentry; a live dentry's seq
         # is read straight off its arena column (no property dispatch on
@@ -67,12 +66,10 @@ class PrefixCheckCache:
         h = dentry.h
         if (cached_dentry is not dentry or h < 0
                 or cached_seq != dentry.arena.seq[h]):
-            self.stats.bump("pcc_stale")
             del self._entries[id(dentry)]
-            return False
+            return self._miss("pcc_stale", dentry)
         if cached_epoch < min_epoch:
-            self.stats.bump("pcc_epoch_stale")
-            return False
+            return self._miss("pcc_epoch_stale", dentry)
         self._entries.move_to_end(id(dentry))
         self.stats.bump("pcc_hit")
         rec = self.costs.recorder
@@ -80,13 +77,25 @@ class PrefixCheckCache:
             rec.pcc.append((self, dentry))
         return True
 
+    def _miss(self, counter: str, dentry: Dentry) -> bool:
+        """Count a failed probe.  A recorded resolution rests on it as
+        much as on a hit: a later :meth:`insert` of ``dentry`` must kill
+        the recording (``ResolutionMemo.kill_miss``)."""
+        self.stats.bump(counter)
+        rec = self.costs.recorder
+        if rec is not None:
+            rec.misses.append((self, dentry))
+        return False
+
     def insert(self, dentry: Dentry, epoch: int = 0) -> None:
         """Memoize that this cred passed the prefix check to ``dentry``."""
         self.costs.charge("pcc_insert")
         self._entries[id(dentry)] = (dentry, dentry.seq, epoch)
         self._entries.move_to_end(id(dentry))
+        memo = self.memo
+        if memo is not None:
+            memo.kill_miss(self, dentry)
         if len(self._entries) > self.capacity:
-            memo = self.memo
             if memo is not None:
                 memo.flush()
             while len(self._entries) > self.capacity:

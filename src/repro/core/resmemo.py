@@ -88,9 +88,10 @@ Invalidation is *scoped*: the dcache's structural mutation points call
 every entry that depends on the dentry) and
 :meth:`ResolutionMemo.kill_miss` (``d_alloc``/``d_move``: drop every
 entry whose walk concluded from the *absence* of the name now being
-instantiated; ``DirectLookupHashTable.insert`` calls it likewise for a
-signature a recorded fastpath probe missed), both O(affected) through
-reverse indexes.  Bulk
+instantiated; ``DirectLookupHashTable.insert`` and
+``PrefixCheckCache.insert`` call it likewise for a signature or a prefix
+check a recorded probe missed), both O(affected) through reverse
+indexes.  Bulk
 :meth:`flush` remains for the coarse hazards — chmod/chown/label
 changes (permission bits feed memoized prefix checks), mount table
 edits, PCC capacity evictions, and seqcount wraparound (which breaks
@@ -225,11 +226,11 @@ class ResolutionMemo:
     (including the ``Syscalls.batch`` fast entries, whose path ops are
     bound methods of the same facade).
 
-    ``hits``/``misses``/``stale``/``flushes`` are host-side telemetry
-    (surfaced by ``repro-speed --timing``); they deliberately live
-    outside :class:`~repro.sim.stats.Stats` so the memo never perturbs
-    golden counters.  ``flushes`` counts invalidation events — bulk
-    flushes and scoped kills that removed at least one entry.
+    ``hits``/``misses``/``stale``/``flushes`` are host-side telemetry;
+    they deliberately live outside :class:`~repro.sim.stats.Stats` so
+    the memo never perturbs golden counters.  ``flushes`` counts
+    invalidation events — bulk flushes and scoped kills that removed at
+    least one entry.
     """
 
     __slots__ = (
@@ -269,9 +270,9 @@ class ResolutionMemo:
         self._by_dep: dict = {}
         #: Reverse index: (id(parent), name) -> {key: entry} for every
         #: entry whose walk observed that name absent under that parent
-        #: (and (id(dlht), signature) for a missed fastpath probe).
-        #: Drives :meth:`kill_miss` from ``d_alloc``/``d_move`` and
-        #: ``DirectLookupHashTable.insert``.
+        #: (and (id(dlht), signature) or (id(pcc), dentry) for a missed
+        #: fastpath probe).  Drives :meth:`kill_miss` from
+        #: ``d_alloc``/``d_move`` and the DLHT and PCC ``insert``.
         self._by_miss: dict = {}
         #: Per-key miss streaks surviving flushes (see :meth:`resolve`).
         self._miss_score: dict = {}
@@ -667,7 +668,8 @@ class ResolutionMemo:
         """Scoped invalidation for a name being instantiated: drop every
         entry whose walk concluded from ``name`` being absent under
         ``parent`` (``d_alloc`` and the destination of ``d_move``; for a
-        DLHT ``insert``, the table and the signature)."""
+        DLHT ``insert``, the table and the signature; for a PCC
+        ``insert``, the cache and the dentry)."""
         bucket = self._by_miss.pop((id(parent), name), None)
         if not bucket:
             return

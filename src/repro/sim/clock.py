@@ -72,7 +72,7 @@ class Ticker:
     (e.g. syscall entry) and run one batch when the interval elapsed.
     """
 
-    __slots__ = ("clock", "_interval", "_next", "suspended")
+    __slots__ = ("clock", "_interval", "_next")
 
     def __init__(self, clock: Clock, interval_ns: float):
         if interval_ns <= 0:
@@ -80,17 +80,9 @@ class Ticker:
         self.clock = clock
         self._interval = to_ticks(interval_ns)
         self._next = clock._ticks + self._interval
-        # While suspended, due()/fires_within() report False so polled
-        # work is deferred; the deadline itself keeps aging.  Used by
-        # the lazy-sweep quantization mode (DcacheConfig
-        # lazy_sweep_quantize), which holds sweeps until a replay-pass
-        # boundary and runs one full catch-up sweep there.
-        self.suspended = False
 
     def due(self) -> bool:
         """True when at least one interval elapsed since the last fire."""
-        if self.suspended:
-            return False
         return self.clock._ticks >= self._next
 
     def fire(self) -> None:
@@ -112,8 +104,6 @@ class Ticker:
         every poll inside the covered run happens at a time strictly
         below ``now + ticks``.
         """
-        if self.suspended:
-            return False
         return self.clock._ticks + ticks >= self._next
 
     # -- state capture (snapshot support) --------------------------------

@@ -33,6 +33,7 @@ and re-applied with one addition per distinct key
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Optional, Tuple
 
 from repro.sim.clock import TICKS_PER_NS, Clock, to_ticks
@@ -230,18 +231,13 @@ class Recording:
     probe hits, ``deps`` the dentries a fastpath conclusion rested on
     (DLHT probe hits, negativity checks), ``misses`` the
     ``(container, key)`` pairs whose *absence* the run observed
-    (``Dcache.d_lookup`` and DLHT probe misses).  The resolution memo
+    (``Dcache.d_lookup``, DLHT and PCC probe misses).  The resolution memo
     mirrors ``lru``/``pcc`` on replay and pins ``deps``/``misses``; a
     charge-plan capture that touched ``lru`` or ``pcc`` is rejected
     (plans cover only fd-table syscalls).
-
-    ``body`` is stamped by the quantized-sweep wrapper in
-    ``workloads/traces.py`` when a recorded replay pass reaches its
-    lazy-sweep boundary: a copy of ``vector`` as it stood there, so the
-    boundary sweep's own charges are ``vector - body``.
     """
 
-    __slots__ = ("vector", "lru", "pcc", "deps", "misses", "body",
+    __slots__ = ("vector", "lru", "pcc", "deps", "misses",
                  "stat_deltas", "_costs", "_stats", "_before")
 
     def __init__(self, costs: "CostModel", stats) -> None:
@@ -250,7 +246,6 @@ class Recording:
         self.pcc: list = []
         self.deps: list = []
         self.misses: list = []
-        self.body: Optional[ChargeVector] = None
         self.stat_deltas: tuple = ()
         self._costs = costs
         self._stats = stats
@@ -274,22 +269,16 @@ class ChargePlan:
 
     ``vector`` is everything the unit charges and ``stat_deltas`` its
     Stats counter deltas; ``gen`` snapshots the registry generation the
-    plan was captured under.  Quantized whole-pass / whole-drain plans
-    (``DcacheConfig.lazy_sweep_quantize``) also carry ``body``, the part
-    charged before the boundary catch-up sweep, and ``sweep``, the rest;
-    apply re-arms the ticker between the two.  Other plans have
-    ``body is None``.
+    plan was captured under.
     """
 
-    __slots__ = ("vector", "stat_deltas", "gen", "body", "sweep")
+    __slots__ = ("vector", "stat_deltas", "gen")
 
-    def __init__(self, vector: ChargeVector, stat_deltas: tuple, gen: int,
-                 body: Optional[ChargeVector] = None) -> None:
+    def __init__(self, vector: ChargeVector, stat_deltas: tuple,
+                 gen: int) -> None:
         self.vector = vector
         self.stat_deltas = stat_deltas
         self.gen = gen
-        self.body = body
-        self.sweep = None if body is None else vector - body
 
 
 class PlanCell:
@@ -344,9 +333,9 @@ class ChargePlanRegistry:
     :class:`PlanCell` list per compiled program, a generation counter
     bumped by out-of-band bulk invalidations (``chmod``-class memo
     flushes, ``drop_caches``, seq wraparound — every live plan dies on
-    a bump), and host-side telemetry surfaced by ``repro-speed
-    --timing`` (``compiled``/``applied``/``invalidated``/``fallbacks``
-    — like the resolution memo's counters these live outside
+    a bump), and host-side telemetry
+    (``compiled``/``applied``/``invalidated``/``fallbacks`` — like the
+    resolution memo's counters these live outside
     :class:`~repro.sim.stats.Stats` so plans never perturb golden
     counters).
 
@@ -366,8 +355,8 @@ class ChargePlanRegistry:
     PASS_FAIL_STREAK = 2
 
     __slots__ = ("gen", "compiled", "applied", "invalidated", "fallbacks",
-                 "task_confirms", "_tables", "_pass_tables",
-                 "_shape_tables", "_drain_tables")
+                 "task_confirms", "_tables", "_shape_tables",
+                 "_unit_tables")
 
     def __init__(self) -> None:
         self.gen = 0
@@ -384,19 +373,16 @@ class ChargePlanRegistry:
         #: objects are resolved through ``_shape_tables`` so programs
         #: with equal segment shapes share them.
         self._tables: Dict[int, tuple] = {}
-        #: (id(program), id(task)) -> (program, task, PlanCell) for
-        #: whole-pass program plans; same pinning/identity discipline.
-        self._pass_tables: Dict[tuple, tuple] = {}
         #: segment shape -> PlanCell: the task-generic cells.  A shape
         #: (per-row ``(op, compute_ns)``, see ``PlanSegment.shape``)
         #: fully determines a plannable segment's charge vector, so one
         #: captured plan serves every program/tenant with that shape
         #: (after per-task confirmation recorded in ``PlanCell.tasks``).
         self._shape_tables: Dict[tuple, "PlanCell"] = {}
-        #: (seed, ((id(task), id(program)), ...)) -> (pins, PlanCell)
-        #: for whole-drain interleaved plans; ``pins`` holds strong
-        #: (task, program) refs against id reuse.
-        self._drain_tables: Dict[tuple, tuple] = {}
+        #: (seed, id(task), id(program), ...) -> (pins, PlanCell) for
+        #: whole-pass and whole-drain plans; ``pins`` holds strong refs
+        #: to the tasks and programs against id reuse.
+        self._unit_tables: Dict[tuple, tuple] = {}
 
     def bump_gen(self) -> None:
         """Invalidate every live plan (out-of-band world change)."""
@@ -430,34 +416,24 @@ class ChargePlanRegistry:
         self._tables[key] = (program, cells)
         return cells
 
-    def drain_cell(self, streams, seed: int) -> "PlanCell":
-        """The whole-drain plan cell for an interleaved stream set.
+    def unit_cell(self, seed: Optional[int], streams) -> "PlanCell":
+        """The whole-unit plan cell for draining ``streams`` under
+        ``seed`` (created lazily).
 
         Keyed by the scheduler seed and the exact ``(task, program)``
-        identity sequence: the drain's charges are a deterministic
+        identity sequence: the unit's charges are a deterministic
         function of those plus kernel state, which the armed-clock guard
-        covers.
+        covers.  One program replayed on one task — a whole pass — is
+        the one-stream drain with no seed (``None``).
         """
-        key = (seed, tuple((id(task), id(prog)) for task, prog in streams))
-        entry = self._drain_tables.get(key)
-        if entry is not None:
-            pins, cell = entry
-            if all(pin_t is task and pin_p is prog
-                   for (pin_t, pin_p), (task, prog) in zip(pins, streams)):
-                return cell
-        cell = PlanCell()
-        self._drain_tables[key] = (tuple((t, p) for t, p in streams), cell)
-        return cell
-
-    def pass_cell(self, program, task) -> "PlanCell":
-        """The whole-pass plan cell for ``(program, task)`` (lazy)."""
-        key = (id(program), id(task))
-        entry = self._pass_tables.get(key)
-        if entry is not None and entry[0] is program and entry[1] is task:
-            return entry[2]
-        cell = PlanCell()
-        self._pass_tables[key] = (program, task, cell)
-        return cell
+        pins = tuple(chain.from_iterable(streams))
+        key = (seed, *map(id, pins))
+        entry = self._unit_tables.get(key)
+        if entry is None:
+            # The entry keeps ``pins`` alive, so no other object can
+            # take one of the ids in ``key`` while it exists.
+            entry = self._unit_tables[key] = (pins, PlanCell())
+        return entry[1]
 
     def telemetry(self) -> Dict[str, int]:
         return {"compiled": self.compiled, "applied": self.applied,

@@ -35,8 +35,8 @@ class StreamScheduler:
     which of the currently live streams advances by one unit.  Picks are
     uniform over live streams from a seeded RNG, so a given
     ``(seed, stream count)`` pair always produces the identical
-    schedule — the determinism the ``multi_task_replay`` speed cell and
-    the cross-task invalidation tests rely on.
+    schedule — the determinism whole-drain charge plans and the
+    cross-task invalidation tests rely on.
 
     When every stream's unit count is statically known (compiled
     programs — unit boundaries are a pure function of the program),

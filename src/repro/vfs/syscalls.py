@@ -197,7 +197,7 @@ class SyscallBatch:
     argument, and (for the hot fd ops) the fd-table/cost-model/sweeper
     loads — and hands out per-op fast entries (``batch.stat(path)``
     instead of ``kernel.sys.stat(task, path)``), so hot loops that drive
-    millions of syscalls (the compiled trace replayer, the speed-suite
+    millions of syscalls (the compiled trace replayer, benchmark
     repetition loops) pay the dispatch setup per batch instead of per
     event.  fd-based ops get hand-specialized closures (see
     ``_FAST_ENTRIES``); every other op is a C-level ``partial`` over the

@@ -257,8 +257,8 @@ class CompiledTrace:
     op_table: Tuple[str, ...]
     rows: List[Tuple]
     slot_count: int
-    #: Host seconds spent compiling (reported by ``repro-speed
-    #: --timing`` so compilation overhead cannot hide in op/s numbers).
+    #: Host seconds spent compiling, kept apart from replay time so
+    #: compilation overhead cannot hide in op/s numbers.
     compile_wall_s: float
     #: Statically derived charge-plannable runs (see
     #: :class:`PlanSegment`); empty when nothing qualifies.  Duck-typed
@@ -484,8 +484,8 @@ def build_loop_trace(files: int = 16, io_rounds: int = 40,
     everything it created.  Because the final filesystem state equals
     the initial state (and every fd is closed, keeping fd numbering
     deterministic), the same trace can be replayed any number of times
-    on one kernel: exactly what the ``trace_replay`` speed benchmark and
-    pytest-benchmark rounds need.
+    on one kernel: exactly what back-to-back replay passes (and
+    whole-pass charge plans) need.
     """
     kernel = make_kernel(profile)
     task = kernel.spawn_task(uid=0, gid=0)

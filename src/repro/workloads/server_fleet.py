@@ -24,9 +24,8 @@ Every recorded stream is **self-undoing**: autoindex requests are
 read-only, and every mutating operation restores the exact names it
 renamed.  A full drain therefore returns the filesystem (and fd
 numbering) to its start state, so the same fleet can be drained any
-number of times on one kernel — the property the ``server_fleet`` and
-``multi_task_replay`` speed benchmarks and the whole-drain charge plans
-depend on.
+number of times on one kernel — the property repeated drains and the
+whole-drain charge plans depend on.
 """
 
 from __future__ import annotations

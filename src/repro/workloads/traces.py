@@ -15,7 +15,6 @@ for storage and diffing.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -36,16 +35,6 @@ PATH_LOOKUP_OPS = frozenset([
 _FD_ARG_OPS = frozenset(["close", "read", "write", "lseek", "ftruncate",
                          "getdents", "fstat", "fchdir", "readdir",
                          "openat"])
-
-#: Environment switch for the charge-plan layer (CI differential gates
-#: set it to ``0``); explicit ``plans=`` arguments override it.
-_PLANS_ENV = "REPRO_CHARGE_PLANS"
-
-
-def _plans_enabled() -> bool:
-    return os.environ.get(_PLANS_ENV, "1").strip().lower() \
-        not in ("0", "off", "false", "no")
-
 
 #: Primitives a clean charge-plan capture may contain.  This whitelist
 #: is the soundness boundary: the fd fast entries for the plannable ops
@@ -327,51 +316,6 @@ def replay(kernel: Kernel, task: Task, trace: Trace,
 # ---------------------------------------------------------------------------
 # Compiled replay engine
 # ---------------------------------------------------------------------------
-
-
-def _quantized(kernel: Kernel, body) -> None:
-    """Run ``body`` as one quantized replay pass when configured.
-
-    Under ``DcacheConfig.lazy_sweep_quantize`` the lazy sweeper's ticker
-    is suspended for the duration of ``body`` and one full catch-up
-    sweep (:meth:`~repro.core.coherence.LazySweeper.sweep_all`) runs at
-    the boundary — *every* boundary, not only when the deadline elapsed
-    inside the pass.  The unconditional fire is what makes a pass's
-    charge stream a pure function of its start state — the precondition
-    for whole-pass and whole-drain charge plans under a lazy kernel: a
-    deadline-conditioned fire would make consecutive passes alternate
-    between fired and unfired captures (the 1 ms deadline drifts mod
-    pass length), so confirm-twice could never stabilize.  It is a
-    deliberate semantic tradeoff (see ``docs/coherence.md``): lazy
-    numbers under quantization are *not* comparable to non-quantized
-    lazy numbers, but plans-on and plans-off stay bit-identical within
-    the mode.  The ticker re-arms at each boundary, so ambient
-    per-syscall polls between passes stay quiet.
-
-    No-op (straight call) when there is no sweeper, when the mode is
-    off, or when already inside an outer quantized region.  When a
-    recorder is attached, the vector charged up to the boundary is
-    stamped on it (``Recording.body``) so a plan can re-arm the ticker
-    between the body's charges and the sweep's (:func:`_apply_plan`).
-    """
-    sweeper = kernel.sweeper
-    if sweeper is None or not kernel.config.lazy_sweep_quantize:
-        body()
-        return
-    ticker = sweeper.ticker
-    if ticker.suspended:
-        body()
-        return
-    ticker.suspended = True
-    try:
-        body()
-    finally:
-        ticker.suspended = False
-    rec = kernel.costs.recorder
-    if rec is not None:
-        rec.body = rec.vector.copy()
-    ticker.fire()
-    sweeper.sweep_all()
 
 
 def _reject(registry, cell) -> None:
@@ -666,9 +610,9 @@ def replay_compiled(kernel: Kernel, task: Task, program,
     On strict replays the charge-plan layer additionally captures and
     applies charge plans at two granularities — identical virtual
     costs either way (``tests/test_charge_plans.py`` is the
-    differential gate), pure wall-clock win.  ``plans`` forces the
-    layer on or off; ``None`` reads the ``REPRO_CHARGE_PLANS``
-    environment switch (default on).
+    differential gate), pure wall-clock win.  ``plans=False`` turns the
+    layer off (the reference path the differentials compare against);
+    ``None``, the default, means on.
 
     1. *Whole-pass plans* (:func:`_plan_unit`): for a self-undoing
        trace replayed back to back on one quiescent kernel — the
@@ -679,10 +623,7 @@ def replay_compiled(kernel: Kernel, task: Task, program,
        equality* with the previous pass's end.
        Under a live lazy sweeper a pass's charges are never stable
        (fixed virtual deadlines drift modulo pass length), so whole-pass
-       plans require either no sweeper or the quantized-sweep mode
-       (``DcacheConfig.lazy_sweep_quantize``), where the boundary
-       catch-up sweep is part of the capture and apply emulates the
-       ticker exactly (:func:`_apply_plan`).
+       plans require a kernel without one.
 
     2. *Per-segment plans*, task-generic and shared by charge shape
        (:meth:`~repro.sim.costs.ChargePlanRegistry.cells`), for
@@ -691,40 +632,24 @@ def replay_compiled(kernel: Kernel, task: Task, program,
        granularity :func:`replay_interleaved` schedules, and the
        fallback whenever whole-pass planning is unavailable.
 
-    Strict replays on a quantized-lazy kernel run under
-    :func:`_quantized` regardless of the plans switch, so plans-on and
-    plans-off runs stay identical within the mode.
-
     ``program`` is duck-typed (``op_table``, ``rows``, ``slot_count``)
     so this module need not import the compiler; programs without
     ``plan_segments`` replay as plain row streams.
     """
-    if strict and getattr(program, "plan_segments", None) is not None:
-        if plans is None:
-            plans = _plans_enabled()
-        if plans and kernel.costs.recorder is None:
-            registry = kernel.costs.plans
-            sweeper = kernel.sweeper
-            quantize = (sweeper is not None
-                        and kernel.config.lazy_sweep_quantize
-                        and not sweeper.ticker.suspended)
-            if (sweeper is None or quantize) and _plan_unit(
-                    kernel, registry, registry.pass_cell(program, task),
-                    (task,),
-                    lambda: replay_compiled(kernel, task, program,
-                                            strict=True, plans=False)):
-                return
-            if program.plan_segments:
-                _quantized(kernel, lambda: _run_stream(kernel, task,
-                                                       program, registry))
-                return
     if strict:
-        _quantized(kernel, lambda: _run_stream(kernel, task, program,
-                                               None))
+        registry = None
+        if (plans is None or plans) and kernel.costs.recorder is None \
+                and getattr(program, "plan_segments", None) is not None:
+            registry = kernel.costs.plans
+            if kernel.sweeper is None and _plan_unit(
+                    kernel, registry,
+                    registry.unit_cell(None, ((task, program),)), (task,),
+                    lambda: _run_stream(kernel, task, program, None)):
+                return
+        _run_stream(kernel, task, program, registry)
         return
     # Lenient path: mirror replay(strict=False) — unexpected outcomes
-    # are ignored and the stream continues.  No pass semantics here, so
-    # no sweep quantization either.
+    # are ignored and the stream continues.
     batch = kernel.sys.batch(task)
     methods = [getattr(batch, name) for name in program.op_table]
     slot_fds: List[int] = [-1] * program.slot_count
@@ -754,14 +679,7 @@ def _apply_plan(kernel: Kernel, registry, cell) -> bool:
     streak/invalidation bookkeeping has already happened).
 
     The clock guard is equality with the clock state at which the plan
-    was armed — any interleaving syscall moves the clock off it.  Under
-    quantization the boundary sweep fires unconditionally (see
-    :func:`_quantized`), so no deadline guard is needed: apply charges
-    the body, fires the ticker (reading the clock at the body-end time,
-    as interpreted execution does) and charges the captured sweep — the
-    real sweep is *skipped*, deliberately: applied passes leave cache
-    state frozen, and a live sweep would examine that frozen state
-    instead of the states the interpreted run would produce.
+    was armed — any interleaving syscall moves the clock off it.
     """
     costs = kernel.costs
     clock = costs.clock
@@ -777,12 +695,7 @@ def _apply_plan(kernel: Kernel, registry, cell) -> bool:
             registry.invalidated += 1
             cell.reset()
         return False
-    if plan.body is None:
-        costs.apply(plan.vector)
-    else:
-        costs.apply(plan.body)
-        kernel.sweeper.ticker.fire()
-        costs.apply(plan.sweep)
+    costs.apply(plan.vector)
     if plan.stat_deltas:
         kernel.stats.bump_many(plan.stat_deltas)
     cell.armed_now = clock.capture_state()
@@ -797,13 +710,13 @@ def _plan_unit(kernel: Kernel, registry, cell, tasks,
     handled here.
 
     ``cell`` is the unit's :class:`~repro.sim.costs.PlanCell`
-    (``pass_cell`` for one program on one task, ``drain_cell`` for an
-    interleaved drain), ``tasks`` the tasks whose fd tables the unit
-    must leave as it found them, and ``run`` executes the unit
-    interpreted with segment plans off.  Lifecycle: one warmup
-    execution, then two recorded ones whose captures must be equal,
-    then the capture is applied on every later execution that starts at
-    the clock state the previous one ended on (:func:`_apply_plan`).
+    (:meth:`~repro.sim.costs.ChargePlanRegistry.unit_cell`), ``tasks``
+    the tasks whose fd tables the unit must leave as it found them, and
+    ``run`` executes the unit interpreted with segment plans off.
+    Lifecycle: one warmup execution, then two recorded ones whose
+    captures must be equal, then the capture is applied on every later
+    execution that starts at the clock state the previous one ended on
+    (:func:`_apply_plan`).
     Any rejection — scope stack active, fd table changed across the
     unit, capture mismatch — burns a retry; ``MAX_RETRIES`` rejections
     kill the cell and the unit falls back to segment planning forever.
@@ -826,10 +739,8 @@ def _plan_unit(kernel: Kernel, registry, cell, tasks,
     if costs._scope_stack \
             or [frozenset(task.fds._files) for task in tasks] != fds_before:
         _reject(registry, cell)
-    elif _confirmed(registry, cell,
-                    (rec.vector, rec.stat_deltas, rec.body)):
-        cell.plan = ChargePlan(rec.vector, rec.stat_deltas, registry.gen,
-                               rec.body)
+    elif _confirmed(registry, cell, (rec.vector, rec.stat_deltas)):
+        cell.plan = ChargePlan(rec.vector, rec.stat_deltas, registry.gen)
         cell.armed_now = costs.clock.capture_state()
     return True
 
@@ -879,31 +790,22 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     a *whole-drain* plan (:func:`_plan_unit`, keyed by the seed and the
     identities of every (task, program) pair) captures the entire
     drain's charge vector once and applies it in one step, guarded by
-    clock equality; like whole-pass plans this needs either no
-    sweeper or ``DcacheConfig.lazy_sweep_quantize``.  Identical
-    virtual output with ``plans`` on or off either way
-    (``tests/test_server_fleet.py`` is the differential gate).
+    clock equality; like whole-pass plans this needs a kernel without
+    a lazy sweeper.  Identical virtual output with ``plans`` on or off
+    either way (``tests/test_server_fleet.py`` is the differential
+    gate).
     """
     if not strict:
         raise ValueError("replay_interleaved is strict-only: lenient "
                          "replay could desynchronize streams")
     streams = list(streams)
-    if plans is None:
-        plans = _plans_enabled()
     costs = kernel.costs
     registry = costs.plans \
-        if plans and costs.recorder is None else None
-    if registry is not None:
-        sweeper = kernel.sweeper
-        quantize = (sweeper is not None
-                    and kernel.config.lazy_sweep_quantize
-                    and not sweeper.ticker.suspended)
-        if (sweeper is None or quantize) and _plan_unit(
-                kernel, registry, registry.drain_cell(streams, seed),
-                [task for task, _prog in streams],
-                lambda: _quantized(kernel, lambda: _drain_interleaved(
-                    kernel, streams, seed, None))):
-            return
-    _quantized(kernel, lambda: _drain_interleaved(kernel, streams, seed,
-                                                  registry))
+        if (plans is None or plans) and costs.recorder is None else None
+    if registry is not None and kernel.sweeper is None and _plan_unit(
+            kernel, registry, registry.unit_cell(seed, streams),
+            [task for task, _prog in streams],
+            lambda: _drain_interleaved(kernel, streams, seed, None)):
+        return
+    _drain_interleaved(kernel, streams, seed, registry)
 

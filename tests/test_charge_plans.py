@@ -54,14 +54,6 @@ class TestBitIdentity:
         assert telemetry[True]["applied"] > 0
         assert telemetry[False]["applied"] == 0
 
-    def test_env_switch_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHARGE_PLANS", "0")
-        kernel, task, program = _loop_setup("baseline")
-        for _ in range(6):
-            replay_compiled(kernel, task, program)
-        tel = kernel.costs.plans.telemetry()
-        assert tel["compiled"] == 0 and tel["applied"] == 0
-
 
 # -- whole-pass program plans ---------------------------------------------
 

@@ -19,10 +19,10 @@ import pytest
 
 from repro import (O_APPEND, O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR,
                    O_WRONLY, errors, make_kernel)
+from repro.bench import exp_replay
 from repro.workloads.compile import (CompiledTrace, TraceCompileError,
                                      build_loop_trace, compile_trace,
-                                     lower_lmbench, lower_maildir,
-                                     lower_webserver, try_compile)
+                                     try_compile)
 from repro.workloads.traces import (ReplayDivergence, Trace, TraceEvent,
                                     TraceRecorder, replay, replay_compiled)
 
@@ -30,22 +30,27 @@ PROFILES = ("baseline", "optimized", "optimized-lazy")
 
 
 def _fingerprint(kernel):
-    return (kernel.costs.now_ns, dict(kernel.costs.counts),
-            kernel.stats.snapshot())
+    costs = kernel.costs
+    return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
+            dict(costs.by_scope), kernel.stats.snapshot())
 
 
 def _assert_differential(trace, profiles=PROFILES, reps=1):
-    """Interpreted and compiled replay must be virtually identical."""
+    """Interpreted replay, compiled replay and compiled replay without
+    charge plans must be virtually identical."""
     program = compile_trace(trace)
+    engines = (lambda k, t: replay(k, t, trace),
+               lambda k, t: replay_compiled(k, t, program),
+               lambda k, t: replay_compiled(k, t, program, plans=False))
     for profile in profiles:
-        k1 = make_kernel(profile)
-        t1 = k1.spawn_task(uid=0, gid=0)
-        k2 = make_kernel(profile)
-        t2 = k2.spawn_task(uid=0, gid=0)
-        for _ in range(reps):
-            replay(k1, t1, trace)
-            replay_compiled(k2, t2, program)
-        assert _fingerprint(k1) == _fingerprint(k2), profile
+        prints = []
+        for engine in engines:
+            kernel = make_kernel(profile)
+            task = kernel.spawn_task(uid=0, gid=0)
+            for _ in range(reps):
+                engine(kernel, task)
+            prints.append(_fingerprint(kernel))
+        assert prints[0] == prints[1] == prints[2], profile
 
 
 def _record_mixed(kernel):
@@ -159,10 +164,9 @@ class TestDifferential:
                                               subdirs=2), reps=3)
 
     def test_lowered_workloads_identical(self):
-        for trace in (lower_lmbench(rounds=1),
-                      lower_maildir(mailbox_size=8, mailboxes=2,
-                                    operations=8),
-                      lower_webserver(nfiles=12, requests=2)):
+        """The ``replay`` experiment's own quick traces (lmbench,
+        maildir, webserver): its table is engine-independent."""
+        for trace in exp_replay._lower_all(quick=True).values():
             _assert_differential(trace)
 
     def test_serialized_trace_identical(self):
@@ -412,8 +416,7 @@ class TestWallClock:
     def test_compiled_replay_faster_than_interpreted(self):
         """The point of the compiler.  Typical ratio on the fd-heavy
         loop trace is 1.5–1.7x; assert a conservative 1.2x floor so a
-        noisy CI host cannot flake the suite (the acceptance-level 1.5x
-        is measured by the trace_replay benchmark, not gated here)."""
+        noisy CI host cannot flake the suite."""
         trace = build_loop_trace()
         program = compile_trace(trace)
         best = 0.0
@@ -442,6 +445,3 @@ class TestWallClock:
         trace = build_loop_trace(files=4, io_rounds=4, subdirs=2)
         program = compile_trace(trace)
         assert program.compile_wall_s > 0.0
-        # And the speed-suite appendix exposes it (smoke the helper).
-        from repro.bench import speed
-        assert callable(speed.print_timing_appendix)

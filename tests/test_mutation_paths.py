@@ -13,9 +13,7 @@ implementation, on every profile.  This module pins each:
 * the scoped-invalidation resolution memo on mutation-heavy
   create/stat/rename/unlink churn, memo on vs. off;
 * a shared segment plan gone stale: the task-confirm protocol
-  invalidates and recaptures it, plans on vs. off;
-* the lazy sweeper's ``sweep_all`` as a pure function of cache state
-  (the half-consumed-worklist double-scan regression).
+  invalidates and recaptures it, plans on vs. off.
 """
 
 from __future__ import annotations
@@ -304,47 +302,3 @@ class TestPlanDeltaPatch:
                 telemetry = kernel.costs.plans.telemetry()
         assert prints[True] == prints[False]
         assert telemetry["invalidated"] >= 1
-
-
-# -- lazy sweeper: sweep_all purity ----------------------------------------
-
-def _sweep_setup():
-    kernel = make_kernel("optimized-lazy")
-    task = kernel.spawn_task(uid=0, gid=0)
-    sys = kernel.sys
-    sys.mkdir(task, "/z")
-    for i in range(10):
-        fd = sys.open(task, f"/z/f{i}", O_CREAT | O_RDWR)
-        sys.close(task, fd)
-    for i in range(10):
-        sys.stat(task, f"/z/f{i}")
-    return kernel
-
-
-class TestSweepAllPurity:
-    def test_sweep_all_ignores_leftover_worklists(self):
-        """``sweep_all`` must charge as a pure function of cache state —
-        a half-consumed incremental worklist left by ``sweep_once`` is
-        discarded and rebuilt, never drained (the double-scan
-        regression), and each full sweep is exactly one refill pass
-        (``pass_gen`` advances by one)."""
-        contaminated, fresh = _sweep_setup(), _sweep_setup()
-        contaminated.sweeper.batch = 3
-        contaminated.sweeper.sweep_once()  # leaves worklists mid-pass
-        assert contaminated.sweeper._dlht_work \
-            or contaminated.sweeper._pcc_work
-        deltas = []
-        for kernel in (contaminated, fresh):
-            sweeper = kernel.sweeper
-            costs = kernel.costs
-            now0, counts0 = costs.now_ns, dict(costs.counts)
-            gen0 = sweeper.pass_gen
-            sweeper.sweep_all()
-            deltas.append((
-                costs.now_ns - now0,
-                {p: c - counts0.get(p, 0)
-                 for p, c in costs.counts.items()
-                 if c != counts0.get(p, 0)}))
-            assert sweeper.pass_gen == gen0 + 1
-            assert not sweeper._dlht_work and not sweeper._pcc_work
-        assert deltas[0] == deltas[1]

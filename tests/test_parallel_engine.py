@@ -1,21 +1,18 @@
 """The process-parallel benchmark engine and its determinism contract.
 
 Serial and parallel runs must be indistinguishable in everything except
-wall-clock: identical markdown from ``repro.bench.report``, identical
-key order (and, in virtual mode, identical values) from
-``repro.bench.speed``.  Also covers the CLI satellites: comma-separated
-``--only`` with loud unknown-name errors, and the ``--check`` gate
-failing loudly on unmapped baseline keys.
+wall-clock: identical markdown from ``repro.bench.report``.  Also
+covers the CLI satellite: comma-separated ``--only`` with loud
+unknown-name errors.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from repro.bench import parallel, report, speed
+from repro.bench import parallel, report
 
 #: A cheap, fully deterministic experiment subset for equality tests.
 SUBSET = "fig2,table4,space"
@@ -112,110 +109,3 @@ class TestReportEngine:
         rep.worker = results[0].worker
         assert rep.wall_clock_s > 0.0
         assert "harness:" in rep.to_text()
-
-
-class TestSpeedEngine:
-    def test_virtual_results_identical_serial_vs_parallel(self):
-        serial = speed.run_benchmarks(scale=0.01, reps=1, jobs=1,
-                                      virtual=True, verbose=False)
-        fanned = speed.run_benchmarks(scale=0.01, reps=1, jobs=2,
-                                      virtual=True, verbose=False)
-        assert serial == fanned
-        assert list(serial) == list(fanned)  # key order too
-
-    def test_matrix_covers_every_benchmark_and_profile(self):
-        results = speed.run_benchmarks(scale=0.01, reps=1, jobs=1,
-                                       virtual=True, verbose=False)
-        expected = {f"{name}[{profile}]"
-                    for name, _setup, _n in speed.BENCHMARKS
-                    for profile in speed.PROFILES}
-        assert set(results) == expected
-
-
-class TestNameMapAndCheckGate:
-    def test_name_map_covers_committed_baseline(self):
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(here, "BENCH_simspeed.json")) as fh:
-            baseline = json.load(fh)["results"]
-        mapped = set(speed.PYTEST_NAME_MAP.values())
-        uncovered = set(baseline) - mapped
-        assert not uncovered, (
-            f"baseline keys with no pytest mapping: {sorted(uncovered)}")
-
-    def test_name_map_matrix_is_complete(self):
-        # Every (benchmark, profile) cell has a pytest name mapped to it.
-        expected = {f"{name}[{profile}]"
-                    for name, _setup, _n in speed.BENCHMARKS
-                    for profile in speed.PROFILES}
-        assert set(speed.PYTEST_NAME_MAP.values()) == expected
-
-    def _write(self, path, payload):
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        return str(path)
-
-    @pytest.fixture(autouse=True)
-    def _synthetic_baselines(self, monkeypatch):
-        # The coverage/threshold cases below use tiny synthetic
-        # baselines; the write-path required-keys rule has its own test.
-        monkeypatch.setattr(speed, "REQUIRED_BASELINE_KEYS", ())
-
-    def test_check_requires_write_path_cells(self, tmp_path, capsys,
-                                             monkeypatch):
-        monkeypatch.setattr(
-            speed, "REQUIRED_BASELINE_KEYS",
-            tuple(f"{name}[{profile}]"
-                  for name in ("rename_churn", "create_unlink")
-                  for profile in speed.PROFILES))
-        baseline = self._write(tmp_path / "base.json", {
-            "results": {"warm_stat[baseline]": 10.0}})
-        export = self._write(tmp_path / "bench.json", {
-            "benchmarks": [{"name": "test_warm_stat_wallclock[baseline]",
-                            "stats": {"median": 10.0e-6}}]})
-        status = speed.check_regressions(export, baseline, 0.25)
-        err = capsys.readouterr().err
-        assert status == 2
-        assert "rename_churn[optimized]" in err
-        assert "create_unlink[baseline]" in err
-
-    def test_committed_baseline_carries_required_keys(self):
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(here, "BENCH_simspeed.json")) as fh:
-            baseline = json.load(fh)["results"]
-        # The literal, not speed.REQUIRED_BASELINE_KEYS — the autouse
-        # fixture above blanks that attribute for this class.
-        required = tuple(f"{name}[{profile}]"
-                         for name in ("rename_churn", "create_unlink")
-                         for profile in speed.PROFILES)
-        missing = [key for key in required if key not in baseline]
-        assert not missing
-
-    def test_check_fails_loudly_on_uncovered_baseline_key(self, tmp_path,
-                                                          capsys):
-        baseline = self._write(tmp_path / "base.json", {
-            "results": {"warm_stat[baseline]": 10.0,
-                        "warm_stat[optimized]": 5.0}})
-        export = self._write(tmp_path / "bench.json", {
-            "benchmarks": [{"name": "test_warm_stat_wallclock[baseline]",
-                            "stats": {"median": 10.0e-6}}]})
-        status = speed.check_regressions(export, baseline, 0.25)
-        err = capsys.readouterr().err
-        assert status == 2
-        assert "warm_stat[optimized]" in err
-
-    def test_check_passes_when_all_keys_covered(self, tmp_path, capsys):
-        baseline = self._write(tmp_path / "base.json", {
-            "results": {"warm_stat[baseline]": 10.0}})
-        export = self._write(tmp_path / "bench.json", {
-            "benchmarks": [{"name": "test_warm_stat_wallclock[baseline]",
-                            "stats": {"median": 10.0e-6}}]})
-        assert speed.check_regressions(export, baseline, 0.25) == 0
-        assert "all 1 baseline keys covered" in capsys.readouterr().out
-
-    def test_check_still_catches_regressions(self, tmp_path, capsys):
-        baseline = self._write(tmp_path / "base.json", {
-            "results": {"warm_stat[baseline]": 10.0}})
-        export = self._write(tmp_path / "bench.json", {
-            "benchmarks": [{"name": "test_warm_stat_wallclock[baseline]",
-                            "stats": {"median": 20.0e-6}}]})
-        assert speed.check_regressions(export, baseline, 0.25) == 1

@@ -22,14 +22,16 @@ Coverage:
   interleavings, differential against a memo-off twin;
 * snapshot-restore fidelity with a warm memo (the memo is dropped on
   clone; restored kernels re-record with identical virtual charges);
-* a recorded DLHT probe *miss* as a dependency, in a minimal case and
-  on the benchmark's own ``warm_lookup`` inputs (all ramp passes);
+* a recorded DLHT or PCC probe *miss* as a dependency, each in a
+  minimal case and on the benchmark's own ``warm_lookup`` inputs (all
+  ramp passes; respelled with ``..`` for the PCC);
 * the ``DcacheConfig.resolution_memo`` switch and capacity bound.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -310,6 +312,36 @@ class TestSnapshotFidelity:
 
 # -- a probe miss is a conclusion too ---------------------------------------
 
+@pytest.fixture
+def e2e(monkeypatch):
+    """The end-to-end benchmark's modules (``benchmarks/e2e``)."""
+    here = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+    monkeypatch.syspath_prepend(str(here))
+    import adapters
+    import gen
+    import spans
+    return SimpleNamespace(adapters=adapters, gen=gen, spans=spans)
+
+
+def _memo_on_off_prints(e2e, inputs, profile):
+    """Fingerprints after every ramp pass and window of ``inputs``, on
+    a default and on a memo-off kernel."""
+    adapters, null = e2e.adapters, e2e.spans.NULL
+    prints = {}
+    for config in ("default", "memo_off"):
+        adapter = adapters.StepAdapter(inputs, profile,
+                                       adapters.CONFIGS[config])
+        adapter.build(null)
+        for index in range(len(inputs["ramp"])):
+            adapter.ramp(index)
+        for index in range(len(inputs["windows"])):
+            adapter.window(index, null)
+        prints[config] = _fingerprint(adapter.kernel)
+        if config == "default":
+            assert adapter.kernel.memo.hits > 0
+    return prints
+
+
 class TestDlhtProbeMiss:
     def test_entry_dies_when_the_missed_signature_registers(self):
         """A confirmed EACCES resolution was recorded while its
@@ -343,30 +375,69 @@ class TestDlhtProbeMiss:
         assert prints[True] == prints[False]
 
     @pytest.mark.parametrize("seed", (2, 3, 7))
-    def test_benchmark_inputs_all_ramp_passes(self, seed, monkeypatch):
+    def test_benchmark_inputs_all_ramp_passes(self, seed, e2e):
         """``warm_lookup`` as the end-to-end benchmark generates it, run
         through all 16 ramp passes (8 hot + 8 fill) and both windows:
         memo on and off end exactly equal on ``optimized``."""
-        e2e = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
-        monkeypatch.syspath_prepend(str(e2e))
-        import adapters
-        import gen
-        from spans import NULL
-        inputs = gen.make_inputs("warm_lookup", seed, gen.CHECK_SCALE,
-                                 windows=2)
+        inputs = e2e.gen.make_inputs("warm_lookup", seed,
+                                     e2e.gen.CHECK_SCALE, windows=2)
         assert len(inputs["ramp"]) == 16
+        prints = _memo_on_off_prints(e2e, inputs, "optimized")
+        assert prints["default"] == prints["memo_off"]
+
+
+class TestPccProbeMiss:
+    def test_entry_dies_when_the_missed_prefix_check_is_inserted(self):
+        """Under lazy coherence a ``..`` lookup settles into probing the
+        PCC and missing (the anchored reprove serves it without
+        memoizing the prefix check), so the resolution confirms with
+        the misses in it.  Once the plain spelling inserts those PCC
+        entries a live resolver hits them — the memo must re-run the
+        resolver, not replay the ``pcc_miss``."""
         prints = {}
-        for config in ("default", "memo_off"):
-            adapter = adapters.StepAdapter(inputs, "optimized",
-                                           adapters.CONFIGS[config])
-            adapter.build(NULL)
-            for index in range(len(inputs["ramp"])):
-                adapter.ramp(index)
-            for index in range(len(inputs["windows"])):
-                adapter.window(index, NULL)
-            prints[config] = _fingerprint(adapter.kernel)
-            if config == "default":
-                assert adapter.kernel.memo.hits > 0
+        for memo_on in (True, False):
+            kernel = make_kernel("optimized-lazy", resolution_memo=memo_on)
+            sys = kernel.sys
+            root = kernel.spawn_task(uid=0, gid=0)
+            user = kernel.spawn_task(uid=2, gid=2)
+            sys.mkdir(root, "/a")
+            sys.mkdir(root, "/a/b")
+            _mkfile(kernel, root, "/a/b/f")
+            for _ in range(5):  # record, confirm, replay
+                sys.stat(user, "/a/b/../b/f")
+            if memo_on:
+                assert kernel.memo.hits > 0
+            sys.stat(user, "/a/b/f")  # inserts the missed PCC entries
+            sys.stat(user, "/a/b/../b/f")
+            prints[memo_on] = _fingerprint(kernel)
+        assert prints[True] == prints[False]
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_dotdot_benchmark_inputs_all_ramp_passes(self, seed, e2e):
+        """The benchmark's ``warm_lookup`` inputs with every seventh
+        distinct lookup respelled ``a/b/c`` -> ``a/b/../b/c`` (the
+        generator emits no ``..``), all ramp passes and both windows on
+        ``optimized-lazy``: memo on and off end exactly equal."""
+        inputs = e2e.gen.make_inputs("warm_lookup", seed,
+                                     e2e.gen.CHECK_SCALE, windows=2)
+        respelled = {}
+
+        def dotdot(step):
+            kind, cred, op, args = step
+            parts = args[0].split("/") if args else ()
+            if len(parts) < 3 or len(respelled) % 7:
+                return step
+            parts[-1:-1] = ["..", parts[-2]]
+            return (kind, cred, op, ("/".join(parts),) + args[1:])
+
+        for passes in (inputs["ramp"], inputs["windows"]):
+            for steps in passes:
+                for i, step in enumerate(steps):
+                    if step not in respelled:
+                        respelled[step] = dotdot(step)
+                    steps[i] = respelled[step]
+        assert sum(new != old for old, new in respelled.items()) > 10
+        prints = _memo_on_off_prints(e2e, inputs, "optimized-lazy")
         assert prints["default"] == prints["memo_off"]
 
 

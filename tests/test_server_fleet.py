@@ -6,8 +6,7 @@ vectorized interleaved scheduling (``testing/scheduler.py``), and the
 fleet workload itself (``workloads/server_fleet.py``).  The contract
 everywhere is the same: every wall-clock optimization must leave
 virtual output — clock, per-primitive charges, Stats — bit-identical
-to the interpreted path, on every profile, with quantized lazy
-sweeping on or off.
+to the interpreted path, on every profile.
 """
 
 import random
@@ -15,6 +14,7 @@ import random
 import pytest
 
 from repro import make_kernel
+from repro.bench import exp_tenant_crossover
 from repro.sim.costs import ChargeVector
 from repro.testing.scheduler import StreamScheduler
 from repro.workloads import server_fleet
@@ -38,34 +38,52 @@ def _small_fleet(kernel, *, tenants=3, total_requests=15,
         messages_per_box=4, seed=seed)
 
 
-def _drained_fingerprint(profile, *, plans, quantize, drains=5, **fleet_kw):
-    kernel = make_kernel(profile, lazy_sweep_quantize=quantize)
+def _drained_fingerprint(profile, *, plans, memo=True, drains=5,
+                         **fleet_kw):
+    kernel = make_kernel(profile, resolution_memo=memo)
     fleet = _small_fleet(kernel, **fleet_kw)
     for _ in range(drains):
         server_fleet.drain_fleet(kernel, fleet, plans=plans)
     return _fingerprint(kernel)
 
 
+def _crossover_fingerprint(profile, mutation_rate, *, plans, memo=True):
+    """One quick cell of the ``tenant_crossover`` experiment."""
+    (tenants, total_requests), = exp_tenant_crossover.FLEETS_QUICK
+    kernel = make_kernel(profile, resolution_memo=memo)
+    server_fleet.run_benchmark(
+        kernel, tenants, total_requests=total_requests,
+        mutation_rate=mutation_rate, drains=3, seed=11, plans=plans)
+    if memo:  # else the memo axis is vacuous
+        assert kernel.memo.hits > 0
+    return _fingerprint(kernel)
+
+
 class TestFleetBitIdentity:
-    """Plans on vs. off must be invisible in virtual output."""
+    """Plans and memo on vs. off must be invisible in virtual output."""
 
     @pytest.mark.parametrize("profile", PROFILES)
-    @pytest.mark.parametrize("quantize", [False, True])
-    def test_plans_on_off_identical(self, profile, quantize):
-        on = _drained_fingerprint(profile, plans=True, quantize=quantize)
-        off = _drained_fingerprint(profile, plans=False, quantize=quantize)
-        assert on == off
+    @pytest.mark.parametrize("memo_off", [False, True])
+    def test_plans_on_off_identical(self, profile, memo_off):
+        """A default kernel against the reference path — charge plans
+        off and, with ``memo_off``, the resolution memo off too — on a
+        small fleet and on the ``tenant_crossover`` experiment's quick
+        cells."""
+        reference = dict(plans=False, memo=not memo_off)
+        assert _drained_fingerprint(profile, plans=True) \
+            == _drained_fingerprint(profile, **reference)
+        for rate in exp_tenant_crossover.MUTATION_RATES_QUICK:
+            assert _crossover_fingerprint(profile, rate, plans=True) \
+                == _crossover_fingerprint(profile, rate, **reference), rate
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_drains_are_self_undoing(self, profile):
-        """Steady-state drains charge identical virtual time each.
-
-        Quantized lazy sweeping makes the invariant hold on the lazy
-        profile too: without it, sweep deadlines drift mod drain length
-        and successive drains legitimately charge slightly different
-        sweep batches (a no-op on the other profiles).
+        """Drains leave every tenant's fd table as they found it and,
+        without a lazy sweeper, charge identical virtual time each (the
+        sweeper's deadlines drift mod drain length, so successive lazy
+        drains legitimately charge slightly different sweep batches).
         """
-        kernel = make_kernel(profile, lazy_sweep_quantize=True)
+        kernel = make_kernel(profile)
         fleet = _small_fleet(kernel)
         fds_before = [frozenset(site.task.fds._files)
                       for site in fleet.tenants]
@@ -75,7 +93,8 @@ class TestFleetBitIdentity:
             start = kernel.costs.now_ns
             server_fleet.drain_fleet(kernel, fleet)
             durations.append(kernel.costs.now_ns - start)
-        assert durations[0] == durations[1] == durations[2]
+        if kernel.sweeper is None:
+            assert durations[0] == durations[1] == durations[2]
         assert [frozenset(site.task.fds._files)
                 for site in fleet.tenants] == fds_before
 
@@ -89,10 +108,10 @@ class TestFleetBitIdentity:
         def check(seed, rate):
             kw = dict(tenants=2, total_requests=8, mutation_rate=rate,
                       seed=seed)
-            on = _drained_fingerprint("optimized", plans=True,
-                                      quantize=False, drains=4, **kw)
-            off = _drained_fingerprint("optimized", plans=False,
-                                       quantize=False, drains=4, **kw)
+            on = _drained_fingerprint("optimized", plans=True, drains=4,
+                                      **kw)
+            off = _drained_fingerprint("optimized", plans=False, drains=4,
+                                       **kw)
             assert on == off
 
         check()
@@ -190,7 +209,7 @@ class TestCrossTaskPlans:
         registry = kernel.costs.plans
         # Keep the whole-drain plan out of the way so every drain runs
         # the segment path (the machinery under test here).
-        registry.drain_cell(streams, 1).dead = True
+        registry.unit_cell(1, streams).dead = True
         for _ in range(3):
             replay_interleaved(kernel, streams, seed=1)
         tel = registry.telemetry()
@@ -207,7 +226,7 @@ class TestCrossTaskPlans:
         kernel = make_kernel("optimized")
         streams = _loop_streams(kernel)
         registry = kernel.costs.plans
-        registry.drain_cell(streams, 1).dead = True
+        registry.unit_cell(1, streams).dead = True
         replay_interleaved(kernel, streams, seed=1)
         cells = [cell for cell in registry._shape_tables.values()
                  if cell.plan is not None]
@@ -224,7 +243,7 @@ class TestCrossTaskPlans:
         # Differential: the same history on a plans-off kernel.
         ref = make_kernel("optimized")
         ref_streams = _loop_streams(ref)
-        ref.costs.plans.drain_cell(ref_streams, 1).dead = True
+        ref.costs.plans.unit_cell(1, ref_streams).dead = True
         for _ in range(2):
             replay_interleaved(ref, ref_streams, seed=1, plans=False)
         assert _fingerprint(kernel) == _fingerprint(ref)
@@ -235,8 +254,7 @@ class TestCrossTaskPlans:
         for seed in (0, 3, 17):
             fps = []
             for plans in (True, False):
-                kernel = make_kernel("optimized-lazy",
-                                     lazy_sweep_quantize=True)
+                kernel = make_kernel("optimized-lazy")
                 streams = _loop_streams(kernel)
                 for _ in range(4):
                     replay_interleaved(kernel, streams, seed=seed,
