@@ -67,9 +67,9 @@ class Coherence:
         #: descend through mountpoints so a permission change above a
         #: mount invalidates the memoized prefix checks inside it.
         self._mounts_on: dict = {}
-        #: Resolution memo to bulk-flush on invalidation counter bumps
-        #: (set by the kernel when ``DcacheConfig.resolution_memo`` is
-        #: on; see :mod:`repro.core.resmemo`).
+        #: Resolution memo: flushed on seqcount wraparound and handed to
+        #: every tracked PCC (set by the kernel when
+        #: ``DcacheConfig.resolution_memo`` is on).
         self.memo = None
         #: Charge-plan registry to generation-bump on wraparound (set by
         #: the kernel; see :class:`repro.sim.costs.ChargePlanRegistry`).
@@ -83,8 +83,8 @@ class Coherence:
 
     def track_pcc(self, pcc) -> None:
         self._pcc_refs.append(weakref.ref(pcc))
-        # A PCC capacity eviction can remove an entry a confirmed memo
-        # recording expects to re-touch; give the PCC a flush handle.
+        # Memo recordings rest on PCC contents: the PCC reports its
+        # inserts and evictions to the memo.
         pcc.memo = self.memo
 
     def track_dlht(self, dlht) -> None:

@@ -40,9 +40,9 @@ class PrefixCheckCache:
         self.stats = stats
         self.capacity = capacity
         self._entries: "OrderedDict[int, tuple]" = OrderedDict()
-        #: Resolution memo to flush when this PCC sheds entries a
-        #: confirmed recording may expect to re-touch (set by
-        #: ``Coherence.track_pcc``; see :mod:`repro.core.resmemo`).
+        #: Resolution memo whose entries rest on this PCC's contents: told
+        #: of every insert and eviction (set by ``Coherence.track_pcc``;
+        #: see :mod:`repro.core.resmemo`).
         self.memo = None
 
     def probe(self, dentry: Dentry, min_epoch: int = 0) -> bool:
@@ -74,7 +74,7 @@ class PrefixCheckCache:
         self.stats.bump("pcc_hit")
         rec = self.costs.recorder
         if rec is not None:
-            rec.pcc.append((self, dentry))
+            rec.pcc.append((self, dentry, None))
         return True
 
     def _miss(self, counter: str, dentry: Dentry) -> bool:
@@ -89,17 +89,31 @@ class PrefixCheckCache:
 
     def insert(self, dentry: Dentry, epoch: int = 0) -> None:
         """Memoize that this cred passed the prefix check to ``dentry``."""
-        self.costs.charge("pcc_insert")
-        self._entries[id(dentry)] = (dentry, dentry.seq, epoch)
-        self._entries.move_to_end(id(dentry))
+        costs = self.costs
+        costs.charge("pcc_insert")
+        rec = costs.recorder
+        if rec is not None:
+            rec.pcc.append((self, dentry, epoch))
+        self.store(dentry, epoch)
+
+    def store(self, dentry: Dentry, epoch: int) -> None:
+        """The state change of :meth:`insert`, uncharged.
+
+        The resolution memo calls it to repeat a recorded insert: the
+        entry goes to MRU, recordings that rest on its absence die, and
+        so do those that rest on an entry pushed out past capacity.
+        """
+        entries = self._entries
+        key = id(dentry)
+        entries[key] = (dentry, dentry.seq, epoch)
+        entries.move_to_end(key)
         memo = self.memo
         if memo is not None:
             memo.kill_miss(self, dentry)
-        if len(self._entries) > self.capacity:
+        while len(entries) > self.capacity:
+            victim = entries.popitem(last=False)[1][0]
             if memo is not None:
-                memo.flush()
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                memo.kill(victim)
 
     def invalidate_all(self) -> None:
         """Flush (sequence-counter wraparound handling, §3.1)."""

@@ -63,11 +63,12 @@ snapshot reproduces the identical charge vector, stat deltas, touch
 lists, and outcome.  Any cache-populating work makes two consecutive
 executions differ (the second run hits what the first one filled), so
 confirmed recordings are structurally steady-state: their only side
-effects are dcache-LRU reordering and PCC ``move_to_end`` touches,
-both of which are captured and mirrored on replay so eviction victims
-stay identical.  A successful confirmation also refreshes the validity
-snapshot from the confirming run, so the dependencies always describe
-the newest of the two identical executions.
+effects are dcache-LRU reordering, PCC ``move_to_end`` touches and
+re-inserts of PCC entries already there (a lookup that settles into
+the slowpath repeats them), all captured in order and mirrored on
+replay so eviction victims stay identical.  A successful confirmation
+also refreshes the validity snapshot from the confirming run, so the
+dependencies always describe the newest of the two identical executions.
 
 The steady classification is the cycle-spanning complement of that
 protocol: within one quiescent phase, consecutive identical runs prove
@@ -84,19 +85,18 @@ cheaply.  The same applies to terminals on ``requires_revalidation``
 file systems (§4.3 network file systems).
 
 Invalidation is *scoped*: the dcache's structural mutation points call
-:meth:`ResolutionMemo.kill` (``d_drop``/``d_move``/``evict``: drop
-every entry that depends on the dentry) and
-:meth:`ResolutionMemo.kill_miss` (``d_alloc``/``d_move``: drop every
+:meth:`ResolutionMemo.kill` (``d_drop``/``d_move``/``evict``, and a
+PCC's capacity eviction: drop every entry that depends on the dentry)
+and :meth:`ResolutionMemo.kill_miss` (``d_alloc``/``d_move``: drop every
 entry whose walk concluded from the *absence* of the name now being
 instantiated; ``DirectLookupHashTable.insert`` and
 ``PrefixCheckCache.insert`` call it likewise for a signature or a prefix
 check a recorded probe missed), both O(affected) through reverse
-indexes.  Bulk
-:meth:`flush` remains for the coarse hazards — chmod/chown/label
-changes (permission bits feed memoized prefix checks), mount table
-edits, PCC capacity evictions, and seqcount wraparound (which breaks
-every seq pin at once).  Flushing or killing too often costs only
-wall-clock, never fidelity.
+indexes.  Bulk :meth:`flush` remains for the coarse hazards —
+chmod/chown/label changes (permission bits feed memoized prefix
+checks), mount table edits, and seqcount wraparound (which breaks every
+seq pin at once).  Flushing or killing too often costs only wall-clock,
+never fidelity.
 
 Snapshots drop the memo: ``__deepcopy__`` returns a fresh empty memo,
 so a restored kernel re-records from its own executions (see
@@ -200,7 +200,7 @@ class _Entry:
         "vector",           # ChargeVector the resolution charged
         "stat_deltas",      # sorted tuple of (counter name, int delta)
         "lru_touches",      # dentries whose dcache-LRU slot was refreshed
-        "pcc_touches",      # (pcc, dentry) pairs moved to PCC MRU
+        "pcc_touches",      # Recording.pcc: PCC hits and inserts, in order
         "counter",          # Coherence.counter (checked unless steady)
         "epoch",            # Coherence.epoch at record time
         "start_dentry",     # root/cwd dentry the walk started from
@@ -308,7 +308,9 @@ class ResolutionMemo:
             h = d.h
             if h < 0 or seqarr[h] != seq or d.inode is not inode:
                 return False
-        for pcc, d in entry.pcc_touches:
+        for pcc, d, epoch in entry.pcc_touches:
+            if epoch is not None:  # an insert rests on nothing
+                continue
             e = pcc._entries.get(id(d))
             h = d.h
             if e is None or e[0] is not d or h < 0 or e[1] != seqarr[h]:
@@ -394,7 +396,10 @@ class ResolutionMemo:
             lru[dkey] = dentry
             lru.move_to_end(dkey)
             dentry.in_lru = True
-        for pcc, dentry in entry.pcc_touches:
+        for pcc, dentry, epoch in entry.pcc_touches:
+            if epoch is not None:
+                pcc.store(dentry, epoch)
+                continue
             pcc_entries = pcc._entries
             dkey = id(dentry)
             if dkey in pcc_entries:
@@ -450,8 +455,8 @@ class ResolutionMemo:
             entry.term_sig = None
         # Dependency pins: every dentry the walk's conclusion rested on
         # — dcache-LRU hits, fastpath DLHT/negativity conclusions, and
-        # PCC probe targets (the PCC hit condition alone does not see
-        # negativity flips, so the inode pin rides along here).  The
+        # PCC probe and insert targets (the PCC hit condition alone does
+        # not see negativity flips, so the inode pin rides along here).  The
         # terminal is excluded: its cycle-tolerant state signature
         # replaces the inode pin so unlink/create cycles can revalidate.
         deps = []
@@ -465,7 +470,7 @@ class ResolutionMemo:
                     continue
                 seen.add(i)
                 deps.append((d, d.seq, d.inode))
-        for _pcc, d in rec.pcc:
+        for _pcc, d, _epoch in rec.pcc:
             if d is term:
                 continue
             i = id(d)
@@ -635,8 +640,7 @@ class ResolutionMemo:
 
     def flush(self) -> None:
         """Bulk-invalidate every entry (coarse hazards only: permission
-        or label changes, mount table edits, PCC capacity evictions,
-        seqcount wraparound)."""
+        or label changes, mount table edits, seqcount wraparound)."""
         if self._entries:
             self._entries.clear()
             self._by_dep.clear()
@@ -648,8 +652,9 @@ class ResolutionMemo:
 
         Called by the dcache on ``d_drop``/``d_move``/``evict`` (and,
         via eviction, for the parent whose ``dir_complete`` flag the
-        eviction broke).  O(affected entries) through the reverse
-        index; a dentry no entry depends on costs one dict probe.
+        eviction broke) and by a PCC evicting past capacity.  O(affected
+        entries) through the reverse index; a dentry no entry depends
+        on costs one dict probe.
         """
         bucket = self._by_dep.pop(id(dentry), None)
         if not bucket:

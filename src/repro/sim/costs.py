@@ -228,12 +228,13 @@ class Recording:
     run's sorted ``(counter, delta)`` Stats changes in ``stat_deltas``.
     ``vector`` receives every ``charge``/``charge_in``/``charge_ns``;
     ``lru`` dcache-LRU touches (``Dcache.d_lookup`` hits), ``pcc`` PCC
-    probe hits, ``deps`` the dentries a fastpath conclusion rested on
-    (DLHT probe hits, negativity checks), ``misses`` the
+    probe hits ``(pcc, dentry, None)`` and inserts ``(pcc, dentry,
+    epoch)`` in order, ``deps`` the dentries a fastpath conclusion
+    rested on (DLHT probe hits, negativity checks), ``misses`` the
     ``(container, key)`` pairs whose *absence* the run observed
-    (``Dcache.d_lookup``, DLHT and PCC probe misses).  The resolution memo
-    mirrors ``lru``/``pcc`` on replay and pins ``deps``/``misses``; a
-    charge-plan capture that touched ``lru`` or ``pcc`` is rejected
+    (``Dcache.d_lookup``, DLHT and PCC probe misses).  The resolution
+    memo mirrors ``lru``/``pcc`` on replay and pins ``deps``/``misses``;
+    a charge-plan capture that touched ``lru`` or ``pcc`` is rejected
     (plans cover only fd-table syscalls).
     """
 

@@ -19,12 +19,17 @@ Coverage:
   :class:`repro.testing.scheduler.ConcurrentRunner`, with post-run
   agreement between memoized answers and memo-flushed re-resolution;
 * a hypothesis sweep over stat/rename/create/unlink/chmod
-  interleavings, differential against a memo-off twin;
+  interleavings (two credentials, a symlinked directory, a ``..``
+  spelling, a PCC of 2, 4 or 4 096 entries), differential against a
+  memo-off twin down to PCC and dcache-LRU order;
 * snapshot-restore fidelity with a warm memo (the memo is dropped on
   clone; restored kernels re-record with identical virtual charges);
 * a recorded DLHT or PCC probe *miss* as a dependency, each in a
   minimal case and on the benchmark's own ``warm_lookup`` inputs (all
   ramp passes; respelled with ``..`` for the PCC);
+* a full PCC: replay repeats recorded re-inserts, an eviction kills the
+  entries resting on its victim and no others, minimal cases and the
+  ``warm_lookup`` inputs against a 128-entry PCC;
 * the ``DcacheConfig.resolution_memo`` switch and capacity bound.
 """
 
@@ -56,6 +61,16 @@ def _fingerprint(kernel):
     costs = kernel.costs
     return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
             dict(costs.by_scope), kernel.stats.snapshot())
+
+
+def _cache_orders(kernel):
+    """Each credential's PCC key order and the dcache LRU order, oldest
+    first, as dentry paths: what the next eviction victims are picked
+    from, which no counter shows until they are."""
+    return ([[entry[0].path_from_root() for entry in pcc._entries.values()]
+             for pcc in kernel.coherence.pccs],
+            [dentry.path_from_root()
+             for dentry in kernel.dcache._lru.values()])
 
 
 def _try_stat(kernel, task, path):
@@ -206,7 +221,8 @@ class TestConcurrentSchedules:
 
 _H_TOKENS = (
     [("stat", p) for p in
-     ("/h/d/a", "/h/d/b", "/h/d", "/h/e/a", "/h/e", "/h/d/nope")]
+     ("/h/d/a", "/h/d/b", "/h/d", "/h/e/a", "/h/e", "/h/d/nope",
+      "/h/l/nope", "/h/l/a", "/h/d/../d/a")]
     + [("rename", "/h/d", "/h/e"), ("rename", "/h/e", "/h/d"),
        ("create", "/h/d/a"), ("create", "/h/e/c"),
        ("unlink", "/h/d/a"), ("unlink", "/h/e/c"),
@@ -233,32 +249,42 @@ def _h_apply(kernel, task, op):
 
 
 if HAVE_HYPOTHESIS:
-    @given(ops=st.lists(st.sampled_from(_H_TOKENS), min_size=1,
-                        max_size=30),
-           profile=st.sampled_from(PROFILES))
+    @given(ops=st.lists(st.tuples(st.booleans(),
+                                  st.sampled_from(_H_TOKENS)),
+                        min_size=1, max_size=30),
+           profile=st.sampled_from(PROFILES),
+           pcc_capacity=st.sampled_from((2, 4, 4096)))
     @settings(max_examples=25, deadline=None)
-    def test_hypothesis_interleavings(ops, profile):
+    def test_hypothesis_interleavings(ops, profile, pcc_capacity):
         """Random stat/mutation interleavings: memo-on == memo-off.
 
         Each generated sequence runs three times back to back so memo
         entries recorded in pass one are confirmed in pass two and
         replayed in pass three — the differential covers every stage of
-        the entry lifecycle, not just cold recording.
+        the entry lifecycle, not just cold recording.  Each op runs as
+        root or as an unprivileged user (whose mutations fail), through
+        a symlinked directory and a ``..`` spelling too, against a PCC
+        that holds two entries, four, or everything; the caches must
+        end in the same eviction order as well as the same counters.
         """
-        on = make_kernel(profile)
-        off = make_kernel(profile, resolution_memo=False)
         results = []
-        for kernel in (on, off):
+        for memo_on in (True, False):
+            kernel = make_kernel(profile, pcc_capacity=pcc_capacity,
+                                 resolution_memo=memo_on)
             task = kernel.spawn_task(uid=0, gid=0)
+            user = kernel.spawn_task(uid=1000, gid=1000)
             kernel.sys.mkdir(task, "/h")
             kernel.sys.mkdir(task, "/h/d")
             _mkfile(kernel, task, "/h/d/a", b"1")
             _mkfile(kernel, task, "/h/d/b", b"2")
+            kernel.sys.symlink(task, "/h/d", "/h/l")
             out = []
             for _rep in range(3):
-                for op in ops:
-                    out.append(_h_apply(kernel, task, op))
-            results.append((out, _fingerprint(kernel)))
+                for as_user, op in ops:
+                    out.append(_h_apply(kernel, user if as_user else task,
+                                        op))
+            results.append((out, _fingerprint(kernel),
+                            _cache_orders(kernel)))
         assert results[0] == results[1]
 else:  # pragma: no cover - hypothesis is in the image
     @pytest.mark.skip(reason="hypothesis not installed")
@@ -323,14 +349,18 @@ def e2e(monkeypatch):
     return SimpleNamespace(adapters=adapters, gen=gen, spans=spans)
 
 
-def _memo_on_off_prints(e2e, inputs, profile):
+def _memo_on_off_prints(e2e, inputs, profile, kernel_options=None,
+                        min_hits=0):
     """Fingerprints after every ramp pass and window of ``inputs``, on
-    a default and on a memo-off kernel."""
+    a default and on a memo-off kernel (each built with
+    ``kernel_options`` on top of the adapter's own); the default
+    kernel's memo must have hit more than ``min_hits`` times."""
     adapters, null = e2e.adapters, e2e.spans.NULL
     prints = {}
     for config in ("default", "memo_off"):
         adapter = adapters.StepAdapter(inputs, profile,
                                        adapters.CONFIGS[config])
+        adapter.kernel_options.update(kernel_options or {})
         adapter.build(null)
         for index in range(len(inputs["ramp"])):
             adapter.ramp(index)
@@ -338,7 +368,7 @@ def _memo_on_off_prints(e2e, inputs, profile):
             adapter.window(index, null)
         prints[config] = _fingerprint(adapter.kernel)
         if config == "default":
-            assert adapter.kernel.memo.hits > 0
+            assert adapter.kernel.memo.hits > min_hits
     return prints
 
 
@@ -438,6 +468,116 @@ class TestPccProbeMiss:
                     steps[i] = respelled[step]
         assert sum(new != old for old, new in respelled.items()) > 10
         prints = _memo_on_off_prints(e2e, inputs, "optimized-lazy")
+        assert prints["default"] == prints["memo_off"]
+
+
+# -- a full PCC: evictions kill by dentry, replay repeats re-inserts --------
+
+#: Most memo hits the bulk-flushing parent commit reached on the
+#: ``test_benchmark_inputs_under_eviction`` inputs (seeds 1-3).
+_FLUSHING_HITS = {"optimized": 321, "optimized-lazy": 448}
+
+
+def _resting_on_evicted(kernel):
+    """Live memo entries with a PCC touch whose target that PCC no
+    longer holds: what an eviction that did not kill leaves behind."""
+    return [key for key, entry in kernel.memo._entries.items()
+            if any(id(dentry) not in pcc._entries
+                   for pcc, dentry, _epoch in entry.pcc_touches)]
+
+
+class TestPccPressure:
+    @pytest.mark.parametrize("profile", PROFILES[1:])
+    def test_replay_repeats_pcc_reinserts(self, profile):
+        """An ENOENT lookup through a symlinked directory slow-walks on
+        every repetition and re-inserts the same PCC entries, so it
+        confirms with the inserts in it.  A replay must refresh them to
+        MRU as the walk does, or the next capacity eviction picks a
+        different victim than on a memo-off kernel."""
+        results = {}
+        for memo_on in (True, False):
+            kernel = make_kernel(profile, pcc_capacity=24,
+                                 resolution_memo=memo_on)
+            sys = kernel.sys
+            root = kernel.spawn_task(uid=0, gid=0)
+            user = kernel.spawn_task(uid=1000, gid=1000)
+            for path in ("/a", "/a/b", "/a/b/c", "/l", "/x"):
+                sys.mkdir(root, path)
+            sys.symlink(root, "/a/b", "/l/d")
+            for i in range(40):
+                _mkfile(kernel, root, f"/x/f{i}")
+
+            def absent(times):
+                for _ in range(times):
+                    with pytest.raises(errors.ENOENT):
+                        sys.stat(user, "/l/d/c/absent")
+
+            absent(4)  # record, confirm, replay
+            for i in range(8):
+                sys.stat(user, f"/x/f{i}")
+                sys.stat(user, f"/x/f{i}")
+            absent(4)
+            for i in range(8, 22):  # evicts some of f0..f7, not all
+                sys.stat(user, f"/x/f{i}")
+            for i in range(8):
+                sys.stat(user, f"/x/f{i}")
+            absent(1)
+            if memo_on:
+                assert kernel.memo.hits > 0
+                assert not _resting_on_evicted(kernel)
+            results[memo_on] = (_fingerprint(kernel), _cache_orders(kernel))
+        assert results[True] == results[False]
+
+    @pytest.mark.parametrize("profile", PROFILES[1:])
+    def test_confirming_run_reinserts_an_evicted_entry(self, profile):
+        """Record -> evict -> confirm: ``/x/t`` is recorded with its PCC
+        entry pushed out (probe miss, slow walk, insert), pushed out
+        again, and re-run.  The eviction kills the recording; had it
+        survived, the confirming run's own insert would have to kill
+        what recorded the miss."""
+        prints = {}
+        for memo_on in (True, False):
+            kernel = make_kernel(profile, pcc_capacity=16,
+                                 resolution_memo=memo_on)
+            sys = kernel.sys
+            root = kernel.spawn_task(uid=0, gid=0)
+            user = kernel.spawn_task(uid=1000, gid=1000)
+            sys.mkdir(root, "/x")
+            _mkfile(kernel, root, "/x/t")
+            for i in range(16):
+                _mkfile(kernel, root, f"/x/f{i}")
+
+            def push_out():
+                for i in range(16):
+                    sys.stat(user, f"/x/f{i}")
+
+            sys.stat(user, "/x/t")
+            push_out()
+            sys.stat(user, "/x/t")  # recorded
+            push_out()
+            if memo_on:
+                assert not _resting_on_evicted(kernel)
+            for _ in range(4):      # confirming run, then three more
+                sys.stat(user, "/x/t")
+            prints[memo_on] = (_fingerprint(kernel), _cache_orders(kernel))
+        assert prints[True] == prints[False]
+
+    @pytest.mark.parametrize("adaptive", (False, True))
+    @pytest.mark.parametrize("profile", PROFILES[1:])
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_benchmark_inputs_under_eviction(self, seed, profile, adaptive,
+                                             e2e):
+        """``warm_lookup`` at ``CHECK_SCALE`` is 1 755 dentries, which
+        the default 4 096-entry PCC never evicts from; against 128
+        entries (fixed, or growing from there) it evicts throughout.
+        Memo on and off end exactly equal, and a capacity eviction no
+        longer empties the memo: it hits more than when it did."""
+        inputs = e2e.gen.make_inputs("warm_lookup", seed,
+                                     e2e.gen.CHECK_SCALE, windows=2)
+        prints = _memo_on_off_prints(
+            e2e, inputs, profile,
+            {"pcc_capacity": 128, "pcc_adaptive": adaptive},
+            min_hits=0 if adaptive else _FLUSHING_HITS[profile])
         assert prints["default"] == prints["memo_off"]
 
 
