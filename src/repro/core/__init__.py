@@ -2,7 +2,6 @@
 
 Subpackages implement each mechanism of the SOSP 2015 design:
 
-* :mod:`repro.core.arena` — struct-of-arrays dentry scalar storage.
 * :mod:`repro.core.signatures` — 240-bit resumable path signatures (§3.3).
 * :mod:`repro.core.dlht` — the Direct Lookup Hash Table (§3.1).
 * :mod:`repro.core.pcc` — the per-credential Prefix Check Cache (§3.1, §4.1).
@@ -14,17 +13,9 @@ Subpackages implement each mechanism of the SOSP 2015 design:
 * :mod:`repro.core.kernel` — the kernel builder and configuration knobs.
 
 The public entry point is :func:`repro.core.kernel.make_kernel`.
-
-The re-exports below resolve lazily (PEP 562): :mod:`repro.core.arena`
-sits *below* :mod:`repro.vfs.dentry` in the layering, so importing it
-must not drag in the kernel builder (which sits above the whole VFS).
 """
 
+from repro.core.kernel import (BASELINE, OPTIMIZED, DcacheConfig, Kernel,
+                               make_kernel)
+
 __all__ = ["Kernel", "DcacheConfig", "BASELINE", "OPTIMIZED", "make_kernel"]
-
-
-def __getattr__(name):
-    if name in __all__:
-        from repro.core import kernel
-        return getattr(kernel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

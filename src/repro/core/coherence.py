@@ -151,16 +151,8 @@ class Coherence:
     def _invalidate_one(self, dentry: Dentry) -> None:
         self.costs.charge("inval_per_dentry")
         self.stats.bump("inval_dentry")
-        # Eager shootdowns touch every cached descendant; bump the seq
-        # on the arena column directly instead of through the property.
-        h = dentry.h
-        if h >= 0:
-            seqarr = dentry.arena.seq
-            seq = seqarr[h] + 1
-            seqarr[h] = seq
-        else:
-            seq = dentry.seq + 1
-            dentry.seq = seq
+        seq = dentry.seq + 1
+        dentry.seq = seq
         if seq >= SEQ_WRAP:
             self.wraparound_flush()
         fast = dentry.fast
@@ -173,27 +165,15 @@ class Coherence:
         """Apply :meth:`_invalidate_one` to a collected frontier in bulk.
 
         One charge and one Stats bump cover the whole frontier (both are
-        integer sums, so this is what N scalar calls would add up to);
-        seq bumps go through the arena column, bound once per arena
-        rather than once per dentry.
+        integer sums, so this is what N scalar calls would add up to).
         """
         n = len(frontier)
         self.costs.charge("inval_per_dentry", times=n)
         self.stats.bump_many((("inval_dentry", n),))
-        arena = None
-        seqarr = None
         wraps = 0
         for dentry in frontier:
-            h = dentry.h
-            if h >= 0:
-                if dentry.arena is not arena:
-                    arena = dentry.arena
-                    seqarr = arena.seq
-                seq = seqarr[h] + 1
-                seqarr[h] = seq
-            else:
-                seq = dentry.seq + 1
-                dentry.seq = seq
+            seq = dentry.seq + 1
+            dentry.seq = seq
             if seq >= SEQ_WRAP:
                 wraps += 1
             fast = dentry.fast
@@ -222,17 +202,9 @@ class Coherence:
         self.stats.bump("lazy_epoch_bump")
         epoch = self.epoch + 1
         self.epoch = epoch
-        h = dentry.h
-        if h >= 0:
-            arena = dentry.arena
-            arena.epoch[h] = epoch
-            seqarr = arena.seq
-            seq = seqarr[h] + 1
-            seqarr[h] = seq
-        else:
-            dentry.epoch = epoch
-            seq = dentry.seq + 1
-            dentry.seq = seq
+        dentry.epoch = epoch
+        seq = dentry.seq + 1
+        dentry.seq = seq
         if seq >= SEQ_WRAP:
             self.wraparound_flush()
 
@@ -424,8 +396,7 @@ class LazySweeper:
                 if entry is None:
                     continue
                 dentry, seq, _epoch = entry
-                h = dentry.h  # retired handle <=> dead dentry
-                if h < 0 or dentry.arena.seq[h] != seq:
+                if dentry.dead or dentry.seq != seq:
                     del pcc._entries[entry_id]
                     self.coherence.stats.bump("sweep_discard")
 

@@ -141,7 +141,7 @@ class DirectLookupHashTable:
             self.extra_key_count -= 1
             if not extras:
                 # Normalize: an emptied shadow list is dead weight for
-                # every later check and for snapshot clones.
+                # every later check.
                 fast.extra_keys = None
         if old_key is not None and old_key != key \
                 and self._table.get(old_key) is self._table.get(key):

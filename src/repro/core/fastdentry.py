@@ -65,33 +65,6 @@ class FastDentry:
         self.hash_state = None
         self.link_target_state = None
 
-    def __deepcopy__(self, memo: dict) -> "FastDentry":
-        """Hand-rolled clone: the snapshot hot loop (one per populated
-        dentry, see :mod:`repro.sim.snapshot`).
-
-        ``hash_state``/``signature``/``link_target_state`` are immutable
-        int-only NamedTuples and ``dlht_key`` an int pair — shared with
-        the copy outright instead of walking them through the generic
-        deepcopy machinery.  ``dlht``/``mount`` stay identity-mapped
-        through ``memo`` so the copied dentry lands in the copied
-        table/mount.  An empty ``extra_keys`` list normalizes to None
-        (nothing shadows nothing).
-        """
-        from copy import deepcopy
-        new = FastDentry.__new__(FastDentry)
-        memo[id(self)] = new
-        new.hash_state = self.hash_state
-        new.signature = self.signature
-        new.dlht = deepcopy(self.dlht, memo) if self.dlht is not None \
-            else None
-        new.dlht_key = self.dlht_key
-        new.mount = deepcopy(self.mount, memo) if self.mount is not None \
-            else None
-        new.link_target_state = self.link_target_state
-        new.epoch_snapshot = self.epoch_snapshot
-        new.extra_keys = list(self.extra_keys) if self.extra_keys else None
-        return new
-
     def __repr__(self) -> str:
         state = "valid" if self.hash_state is not None else "stale"
         return f"FastDentry({state}, in_dlht={self.dlht is not None})"

@@ -67,7 +67,6 @@ from typing import List, Optional, Tuple
 from repro import errors
 from repro.core.coherence import Coherence
 from repro.core.fastdentry import fast_of
-from repro.core.arena import FLAG_MOUNTPOINT
 from repro.core.negative import extend_negative_chain
 from repro.core.pcc import PrefixCheckCache
 from repro.core.signatures import PathHasher, SigState
@@ -134,12 +133,6 @@ class FastLookup(WalkHooks):
         self.coherence = coherence
         self.slow = slow
         self.lazy = bool(config.lazy_invalidation)
-        # Every dentry this kernel walks lives in the dcache's arena (a
-        # child is allocated from its parent's arena, roots from the
-        # cache's), so the lazy chain walks below bind these columns once
-        # and index them by dentry handle — no per-hop property calls.
-        self._epochs = dcache.arena.epoch
-        self._flagsarr = dcache.arena.flags
         slow.hooks = self
         # Hashing already charged by a failed fastpath attempt is reusable
         # by the population hooks of the fallback slowpath (the hash state
@@ -477,15 +470,13 @@ class FastLookup(WalkHooks):
         high = 0
         hops = 0
         cur = pos
-        epochs = self._epochs
         root_mount = ns.root_mount
         root_dentry = root_mount.root_dentry
         for _ in range(vfspath.PATH_MAX):
             d = cur.dentry
-            h = d.h
-            if h < 0:  # retired handle <=> dead dentry
+            if d.dead:
                 return None, 0
-            e = epochs[h]
+            e = d.epoch
             if e > high:
                 high = e
             if cur.mount is root_mount and d is root_dentry:
@@ -544,16 +535,13 @@ class FastLookup(WalkHooks):
         hops = 0
         reverify_ok = True
         skip_perm = False  # set when we just hopped onto a mountpoint
-        epochs = self._epochs
-        flagsarr = self._flagsarr
         mount_at = ns.mount_at
         root_mount = ns.root_mount
         root_dentry = root_mount.root_dentry
         for _ in range(vfspath.PATH_MAX):
-            h = cur.h
-            if h < 0:  # retired handle <=> dead dentry
+            if cur.dead:
                 return None
-            e = epochs[h]
+            e = cur.epoch
             if e > high:
                 high = e
             if cur_mount is root_mount and cur is root_dentry:
@@ -582,7 +570,7 @@ class FastLookup(WalkHooks):
                 if skip_perm:
                     skip_perm = False
                 else:
-                    if (flagsarr[h] & FLAG_MOUNTPOINT) \
+                    if cur.is_mountpoint \
                             and mount_at(cur_mount, cur) is not None:
                         return None  # a mount now shadows this prefix
                     # Plain cached directory <=> a dir inode with no
@@ -624,19 +612,15 @@ class FastLookup(WalkHooks):
         perm_nodes: List[Dentry] = []
         reverify_ok = True
         cur = dentry
-        epochs = self._epochs
-        flagsarr = self._flagsarr
         mount_at = ns.mount_at
         for idx in range(len(names) - 1, -1, -1):
-            h = cur.h
-            # A retired handle (h < 0) <=> a dead dentry.
-            if h < 0 or cur.name != names[idx]:
+            if cur.dead or cur.name != names[idx]:
                 return False
-            e = epochs[h]
+            e = cur.epoch
             if e > high:
                 high = e
             if cur is not dentry:
-                if (flagsarr[h] & FLAG_MOUNTPOINT) \
+                if cur.is_mountpoint \
                         and mount_at(anchor_mount, cur) is not None:
                     return False  # a mount now shadows this prefix
                 # Plain cached directory <=> a dir inode with no
@@ -652,8 +636,7 @@ class FastLookup(WalkHooks):
                 return None  # crossed an fs boundary: full walk needed
         if cur is not anchor:
             return False
-        ah = cur.h
-        e = epochs[ah] if ah >= 0 else cur.epoch
+        e = cur.epoch
         if e > high:
             high = e
         # The walk search-checks the anchor (start directory) too.
@@ -756,9 +739,7 @@ class FastLookup(WalkHooks):
                 dlht.insert(dentry, fsig)  # promotes the key to primary
                 self.stats.bump("lazy_refresh")
         fast.epoch_snapshot = gepoch
-        dh = dentry.h
-        if (self._flagsarr[dh] & FLAG_MOUNTPOINT if dh >= 0
-                else dentry.is_mountpoint) \
+        if dentry.is_mountpoint \
                 and ns.mount_at(fast.mount, dentry) is not None:
             # The path is right but now resolves into a mounted fs; the
             # slowpath will repopulate the key with the mounted root.
@@ -803,7 +784,7 @@ class FastLookup(WalkHooks):
         result = found
         target = found.alias_target
         if target is not None:  # alias hit
-            if target.h < 0:  # retired handle <=> dead dentry
+            if target.dead:
                 return None
             verdict = self._validate_hit(task, ns, pcc, found, sig,
                                          anchor=anchor)

@@ -230,25 +230,6 @@ class Kernel:
             new.security = security
         task.set_cred(commit_creds(task.cred, new))
 
-    # -- snapshots -----------------------------------------------------------
-
-    def snapshot(self, *extras):
-        """Capture this kernel (and ``extras``, e.g. warm tasks) for reuse.
-
-        Returns a :class:`~repro.sim.snapshot.KernelSnapshot` whose
-        ``restore()`` yields independent ``(kernel, *extras)`` copies
-        with bit-identical virtual-cost behaviour — the benchmark
-        engine's warm-start primitive (see docs/benchmarking.md).
-        """
-        from repro.sim.snapshot import KernelSnapshot
-        return KernelSnapshot(self, *extras)
-
-    def clone(self, *extras):
-        """One-shot deep copy: ``snapshot(*extras).restore()`` without
-        keeping the intermediate frozen image."""
-        from repro.sim.snapshot import clone_kernel
-        return clone_kernel(self, *extras)
-
     # -- time/statistics convenience -------------------------------------------------
 
     @property

@@ -60,12 +60,8 @@ class PrefixCheckCache:
         if entry is None:
             return self._miss("pcc_miss", dentry)
         cached_dentry, cached_seq, cached_epoch = entry
-        # A retired handle (h < 0) <=> a dead dentry; a live dentry's seq
-        # is read straight off its arena column (no property dispatch on
-        # this, the hottest validation in the simulator).
-        h = dentry.h
-        if (cached_dentry is not dentry or h < 0
-                or cached_seq != dentry.arena.seq[h]):
+        if (cached_dentry is not dentry or dentry.dead
+                or cached_seq != dentry.seq):
             del self._entries[id(dentry)]
             return self._miss("pcc_stale", dentry)
         if cached_epoch < min_epoch:

@@ -82,7 +82,8 @@ Resolutions that call into the low-level file system (buffer-cache or
 device charges, pseudo-file generation, network RPCs) are never
 memoized: their charges depend on state the memo cannot validate
 cheaply.  The same applies to terminals on ``requires_revalidation``
-file systems (§4.3 network file systems).
+file systems (§4.3 network file systems) and to resolutions that missed
+a probe of an adaptive PCC (the miss moves its resize counter).
 
 Invalidation is *scoped*: the dcache's structural mutation points call
 :meth:`ResolutionMemo.kill` (``d_drop``/``d_move``/``evict``, and a
@@ -97,10 +98,6 @@ chmod/chown/label changes (permission bits feed memoized prefix
 checks), mount table edits, and seqcount wraparound (which breaks every
 seq pin at once).  Flushing or killing too often costs only wall-clock,
 never fidelity.
-
-Snapshots drop the memo: ``__deepcopy__`` returns a fresh empty memo,
-so a restored kernel re-records from its own executions (see
-:mod:`repro.sim.snapshot`).
 """
 
 from __future__ import annotations
@@ -109,6 +106,7 @@ from collections import OrderedDict
 from typing import Optional
 
 from repro import errors
+from repro.core.pcc import AdaptivePrefixCheckCache
 from repro.sim.costs import Recording
 from repro.vfs.mount import PathPos
 
@@ -235,8 +233,8 @@ class ResolutionMemo:
 
     __slots__ = (
         "costs", "stats", "coherence", "dcache", "resolver", "capacity",
-        "_entries", "_seqarr", "_by_dep", "_by_miss", "_miss_score",
-        "_burn", "hits", "misses", "stale", "flushes",
+        "_entries", "_by_dep", "_by_miss", "_miss_score", "_burn",
+        "hits", "misses", "stale", "flushes",
     )
 
     #: Consecutive misses of one key before its resolutions are worth
@@ -257,13 +255,6 @@ class ResolutionMemo:
         self.resolver = resolver
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        #: The dcache arena's seq column, bound once: entry validation
-        #: indexes it by dentry handle instead of chasing attributes
-        #: (every dentry a resolution can touch is allocated from the
-        #: kernel dcache's single arena, and arena columns are mutated
-        #: only in place, so the binding stays valid for this kernel's
-        #: lifetime).
-        self._seqarr = dcache.arena.seq
         #: Reverse index: id(dentry) -> {key: entry} for every entry
         #: that depends on the dentry (term or deps).  Drives
         #: :meth:`kill` in O(affected entries).
@@ -293,27 +284,22 @@ class ResolutionMemo:
             return False
         if not entry.steady and entry.counter != coh.counter:
             return False
-        seqarr = self._seqarr
-        sh = start.h
-        if (start is not entry.start_dentry or sh < 0
-                or seqarr[sh] != entry.start_seq):
+        if (start is not entry.start_dentry or start.dead
+                or start.seq != entry.start_seq):
             return False
         term = entry.term_dentry
         if term is not None:
-            th = term.h
-            if (th < 0 or seqarr[th] != entry.term_seq
+            if (term.dead or term.seq != entry.term_seq
                     or _dentry_sig(term) != entry.term_sig):
                 return False
         for d, seq, inode in entry.deps:
-            h = d.h
-            if h < 0 or seqarr[h] != seq or d.inode is not inode:
+            if d.dead or d.seq != seq or d.inode is not inode:
                 return False
         for pcc, d, epoch in entry.pcc_touches:
             if epoch is not None:  # an insert rests on nothing
                 continue
             e = pcc._entries.get(id(d))
-            h = d.h
-            if e is None or e[0] is not d or h < 0 or e[1] != seqarr[h]:
+            if e is None or e[0] is not d or d.dead or e[1] != d.seq:
                 return False
         return True
 
@@ -428,6 +414,11 @@ class ResolutionMemo:
 
     def _memoizable(self, rec: Recording, pos: Optional[PathPos]) -> bool:
         if _charges_any(rec.vector, _UNMEMOIZABLE_PRIMITIVES):
+            return False
+        # A missed probe of an adaptive PCC advanced its resize counter,
+        # which no replay repeats and no validity check can see.
+        if any(isinstance(container, AdaptivePrefixCheckCache)
+               for container, _key in rec.misses):
             return False
         if pos is not None and pos.dentry.inode is not None:
             if pos.dentry.inode.fs.requires_revalidation:
@@ -694,31 +685,3 @@ class ResolutionMemo:
     def event_count(self) -> int:
         """Total stored charge-vector keys (for memory accounting)."""
         return sum(len(e.vector) for e in self._entries.values())
-
-    def __deepcopy__(self, memo) -> "ResolutionMemo":
-        """Snapshots drop the memo: a clone starts with an empty one.
-
-        Registered in ``memo`` before the constituent references are
-        copied so the dcache→memo and coherence→memo back-edges inside
-        a kernel deepcopy resolve to the fresh instance.
-        """
-        import copy
-        new = ResolutionMemo.__new__(ResolutionMemo)
-        memo[id(self)] = new
-        new.costs = copy.deepcopy(self.costs, memo)
-        new.stats = copy.deepcopy(self.stats, memo)
-        new.coherence = copy.deepcopy(self.coherence, memo)
-        new.dcache = copy.deepcopy(self.dcache, memo)
-        new.resolver = copy.deepcopy(self.resolver, memo)
-        new.capacity = self.capacity
-        new._entries = OrderedDict()
-        new._seqarr = new.dcache.arena.seq
-        new._by_dep = {}
-        new._by_miss = {}
-        new._miss_score = {}
-        new._burn = {}
-        new.hits = 0
-        new.misses = 0
-        new.stale = 0
-        new.flushes = 0
-        return new

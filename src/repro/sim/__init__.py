@@ -11,8 +11,6 @@ once against the paper's baseline numbers (see ``costs.CALIBRATED``).
 
 from repro.sim.clock import Clock
 from repro.sim.costs import CostModel, CALIBRATED, UNIT
-from repro.sim.snapshot import KernelSnapshot, clone_kernel
 from repro.sim.stats import Stats
 
-__all__ = ["Clock", "CostModel", "CALIBRATED", "UNIT", "Stats",
-           "KernelSnapshot", "clone_kernel"]
+__all__ = ["Clock", "CostModel", "CALIBRATED", "UNIT", "Stats"]

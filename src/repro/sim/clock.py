@@ -47,20 +47,10 @@ class Clock:
         """Nanoseconds elapsed since ``start_ns`` (a prior ``now_ns``)."""
         return (self._ticks - to_ticks(start_ns)) / TICKS_PER_NS
 
-    # -- state capture (snapshot support) --------------------------------
-
     def capture_state(self) -> int:
-        """Opaque, exactly comparable state token for :meth:`restore_state`."""
+        """Opaque, exactly comparable token for the current time (charge
+        plans arm on it: same token, same clock)."""
         return self._ticks
-
-    def restore_state(self, state: int) -> None:
-        """Restore a previously captured state verbatim.
-
-        Unlike :meth:`advance` this may move the clock backwards — it
-        exists for the snapshot layer, which rewinds a restored kernel
-        to its capture point, not for simulation code.
-        """
-        self._ticks = state
 
 
 class Ticker:
@@ -105,16 +95,6 @@ class Ticker:
         below ``now + ticks``.
         """
         return self.clock._ticks + ticks >= self._next
-
-    # -- state capture (snapshot support) --------------------------------
-
-    def capture_state(self) -> int:
-        """Opaque state token for :meth:`restore_state`."""
-        return self._next
-
-    def restore_state(self, state: int) -> None:
-        """Restore a previously captured deadline verbatim."""
-        self._next = state
 
 
 class Stopwatch:

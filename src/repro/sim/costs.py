@@ -339,10 +339,6 @@ class ChargePlanRegistry:
     resolution memo's counters these live outside
     :class:`~repro.sim.stats.Stats` so plans never perturb golden
     counters).
-
-    Snapshots drop the registry: like the resolution memo, a clone
-    starts empty and re-captures from its own executions, which is
-    identical by the plans-on/off differential invariant.
     """
 
     #: Interpreted executions of a segment before capture starts.
@@ -369,10 +365,9 @@ class ChargePlanRegistry:
         #: recorded run matched the plan's capture.
         self.task_confirms = 0
         #: id(program) -> (program, [PlanCell per segment]).  The
-        #: strong program ref pins the id against reuse; the identity
-        #: check in :meth:`cells` catches deepcopied tables.  Cell
-        #: objects are resolved through ``_shape_tables`` so programs
-        #: with equal segment shapes share them.
+        #: strong program ref pins the id against reuse.  Cell objects
+        #: are resolved through ``_shape_tables`` so programs with equal
+        #: segment shapes share them.
         self._tables: Dict[int, tuple] = {}
         #: segment shape -> PlanCell: the task-generic cells.  A shape
         #: (per-row ``(op, compute_ns)``, see ``PlanSegment.shape``)
@@ -441,18 +436,6 @@ class ChargePlanRegistry:
                 "invalidated": self.invalidated,
                 "fallbacks": self.fallbacks,
                 "task_confirms": self.task_confirms}
-
-    def __deepcopy__(self, memo) -> "ChargePlanRegistry":
-        """Snapshots drop captured plans: a clone starts empty.
-
-        Plans are pure host-side wall-clock state (exactly like
-        resolution-memo entries): an empty registry re-captures from
-        the restored kernel's own executions with identical virtual
-        costs, so dropping is the provably faithful choice.
-        """
-        new = ChargePlanRegistry()
-        memo[id(self)] = new
-        return new
 
 
 def _rate_ticks(name: str, ns: float) -> int:

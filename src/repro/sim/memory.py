@@ -52,14 +52,6 @@ class MemoryReport:
     #: cache state — virtual behaviour is identical with it off.
     resmemo_entries: int = 0
     resmemo_bytes: int = 0
-    #: Host-side struct-of-arrays dentry store (repro.core.arena): slot
-    #: capacity (live + free-list), live handles, and the *measured*
-    #: byte footprint off ``array.buffer_info()`` — real simulator
-    #: memory, not a paper-model estimate, so also excluded from
-    #: ``total_bytes``.
-    arena_slots: int = 0
-    arena_live: int = 0
-    arena_bytes: int = 0
 
     @property
     def baseline_equivalent_bytes(self) -> int:
@@ -108,7 +100,6 @@ def measure_kernel(kernel) -> MemoryReport:
     if memo is not None:
         resmemo_bytes = (resmemo_entries * RESMEMO_ENTRY_BYTES
                          + memo.event_count() * RESMEMO_EVENT_BYTES)
-    arena = kernel.dcache.arena
     return MemoryReport(
         dentries=dentries,
         dentry_bytes=dentries * BASE_DENTRY_BYTES,
@@ -122,7 +113,4 @@ def measure_kernel(kernel) -> MemoryReport:
         dlht_extra_key_bytes=extra_keys * DLHT_EXTRA_KEY_BYTES,
         resmemo_entries=resmemo_entries,
         resmemo_bytes=resmemo_bytes,
-        arena_slots=len(arena),
-        arena_live=arena.live,
-        arena_bytes=arena.footprint_bytes(),
     )

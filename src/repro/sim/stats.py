@@ -62,15 +62,6 @@ class Stats:
     def snapshot(self) -> Dict[str, int]:
         return dict(self._counters)
 
-    def restore(self, counters: Dict[str, int]) -> None:
-        """Replace all counters with a previously taken :meth:`snapshot`.
-
-        Snapshot support: rewinds a restored kernel's statistics to its
-        capture point so post-restore deltas are directly comparable to
-        a freshly warmed kernel's.
-        """
-        self._counters = dict(counters)
-
     def reset(self) -> None:
         self._counters.clear()
 

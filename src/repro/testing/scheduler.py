@@ -57,21 +57,10 @@ class StreamScheduler:
         """Index (``0 <= i < alive``) of the stream to advance next."""
         return self._rng.randrange(alive)
 
-    # -- RNG state capture (mid-drain kernel clones) ---------------------
-
     def snapshot(self):
-        """Opaque RNG state token for :meth:`restore`.
-
-        A kernel snapshot taken mid-schedule can capture the scheduler
-        alongside (``sim/snapshot.py`` extras); restoring both replays
-        the identical remaining pick sequence, so a cloned drain cannot
-        diverge from the original.
-        """
+        """Opaque, comparable RNG state token: two schedulers with equal
+        tokens produce the identical remaining pick sequence."""
         return self._rng.getstate()
-
-    def restore(self, state) -> None:
-        """Restore a previously captured RNG state verbatim."""
-        self._rng.setstate(state)
 
     # -- static schedule planning ----------------------------------------
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.core.arena import DentryArena
 from repro.fs.base import FileSystem
 from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
@@ -62,20 +61,16 @@ class Dcache:
         hooks: optimized-kernel coherence callbacks.
     """
 
-    __slots__ = ("costs", "stats", "capacity", "hooks", "arena", "_hash",
-                 "_lru", "_roots", "_inode_tables", "count", "memo")
+    __slots__ = ("costs", "stats", "capacity", "hooks", "_hash", "_lru",
+                 "_roots", "_inode_tables", "count", "memo")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  capacity: int = 1_000_000,
-                 hooks: Optional[DcacheHooks] = None,
-                 arena: Optional[DentryArena] = None):
+                 hooks: Optional[DcacheHooks] = None):
         self.costs = costs
         self.stats = stats
         self.capacity = capacity
         self.hooks = hooks or DcacheHooks()
-        #: Struct-of-arrays store for every dentry this cache allocates;
-        #: hot loops bind its columns and index them by dentry handle.
-        self.arena = arena if arena is not None else DentryArena()
         self._hash: Dict[Tuple[int, str], Dentry] = {}
         self._lru: "OrderedDict[int, Dentry]" = OrderedDict()
         self._roots: Dict[int, Dentry] = {}
@@ -108,7 +103,7 @@ class Dcache:
         if root is None:
             info = fs.getattr(fs.root_ino)
             inode = self.inode_table(fs).obtain(info)
-            root = Dentry("", None, inode, arena=self.arena)
+            root = Dentry("", None, inode)
             root.pin()
             self._roots[id(fs)] = root
             self.count += 1
@@ -224,7 +219,6 @@ class Dcache:
         if memo is not None:
             memo.kill(dentry)
         self.hooks.on_unhash(dentry)
-        dentry.retire()
         self.costs.charge("dentry_free")
 
     # -- negativity transitions ---------------------------------------------------
@@ -267,19 +261,14 @@ class Dcache:
             self.d_drop(existing)
         dentry.parent = new_parent
         dentry.name = new_name
-        h = dentry.h
-        if h >= 0:
-            arena = self.arena
-            arena.name_id[h] = arena.intern_name(new_name)
-            arena.parent[h] = new_parent.h
         self._hash[self._key(new_parent, new_name)] = dentry
         new_parent.children[new_name] = dentry
         memo = self.memo
         if memo is not None:
-            # A move does not bump the dentry's seqcount (only the arena
-            # name/parent columns change), so entries that resolved
-            # through it must be killed explicitly; and the destination
-            # name just came into existence for absence-based walks.
+            # A move does not bump the dentry's seqcount (only its name
+            # and parent change), so entries that resolved through it
+            # must be killed explicitly; and the destination name just
+            # came into existence for absence-based walks.
             memo.kill(dentry)
             memo.kill_miss(new_parent, new_name)
         self.hooks.on_move(dentry, old_parent, old_name)
@@ -341,7 +330,6 @@ class Dcache:
             # entries that walked through the parent go too.
             memo.kill(parent)
         self.hooks.on_unhash(dentry)
-        dentry.retire()
         self.costs.charge("dentry_free")
 
     def drop_all(self) -> None:

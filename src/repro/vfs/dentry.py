@@ -10,34 +10,12 @@ The baseline kernel uses only positive/negative dentries; the other kinds
 are reachable only when the corresponding :class:`DcacheConfig` features
 are enabled, and are invisible to the slow component walk except where the
 paper's design says otherwise.
-
-Storage layout
---------------
-
-A :class:`Dentry` is a *view* over one slot of a
-:class:`~repro.core.arena.DentryArena`: its hot scalars — sequence
-counter, lazy epoch stamp, pin count, child-eviction counter, the
-completeness/mountpoint flag bits, interned-name index, and parent
-handle — live in the arena's parallel ``array('q')`` columns, indexed by
-the view's integer handle ``h``.  Cold state (the inode, the children
-dict, negative kind, stub info, fast state) stays on the view.  Cold
-paths and tests read the scalars through the properties below; hot loops
-bind a column once and index it by handle directly.
-
-When a dentry leaves the cache (``d_drop``/``evict``) the view
-*materializes* the scalars into its own fallback slots and retires the
-handle (``h`` becomes ``-1``), so late readers — PCC entries, open files
-holding an unlinked path — still see frozen, mutable values while the
-arena slot is recycled.  ``in_lru`` and ``dead`` are view-local
-bookkeeping bits (never needed by bulk array operations).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.arena import (FLAG_DIR_COMPLETE, FLAG_MOUNTPOINT,
-                              DentryArena, default_arena)
 from repro.fs.base import DT_DIR
 from repro.vfs.inode import Inode
 
@@ -47,21 +25,16 @@ NEG_ENOTDIR = "enotdir"
 
 
 class Dentry:
-    """One node of the cached directory tree (arena-slot view)."""
+    """One node of the cached directory tree."""
 
     __slots__ = (
-        "arena", "h", "name", "parent", "inode", "neg_kind", "stub",
-        "children", "fast", "alias_target", "in_lru", "dead",
-        "_seq", "_epoch", "_pin", "_childev", "_flags",
+        "name", "parent", "inode", "neg_kind", "stub", "children",
+        "pin_count", "dir_complete", "child_evictions", "seq", "epoch",
+        "fast", "alias_target", "is_mountpoint", "in_lru", "dead",
     )
 
     def __init__(self, name: str, parent: Optional["Dentry"],
-                 inode: Optional[Inode],
-                 arena: Optional[DentryArena] = None):
-        if arena is None:
-            arena = parent.arena if parent is not None else default_arena()
-        self.arena = arena
-        self.h = arena.alloc(name, parent.h if parent is not None else -1)
+                 inode: Optional[Inode]):
         self.name = name
         self.parent = parent
         self.inode = inode
@@ -70,145 +43,28 @@ class Dentry:
         #: (ino, dtype) when created from readdir without an inode (§5.1).
         self.stub: Optional[Tuple[int, str]] = None
         self.children: Dict[str, "Dentry"] = {}
+        #: References that forbid eviction (open files, cwd, mounts).
+        self.pin_count = 0
+        #: §5.1 completeness flag: all children of this directory cached.
+        self.dir_complete = False
+        #: Bumped when a child is evicted to reclaim space (breaks any
+        #: in-progress readdir completeness detection).
+        self.child_evictions = 0
+        #: Version counter read by PCC entries; bumped by coherence events
+        #: and by reallocation so stale prefix checks never validate.
+        self.seq = 0
+        #: Lazy-coherence mutation stamp: the global epoch at which this
+        #: dentry was last the root of a (lazy) shootdown.  Always 0 in
+        #: the baseline and eager-optimized kernels.
+        self.epoch = 0
         #: Optimized-kernel per-dentry state (repro.core.fastdentry).
         self.fast = None
         #: For alias dentries: the real dentry this path translates to.
         self.alias_target: Optional["Dentry"] = None
+        self.is_mountpoint = False
         self.in_lru = False
         #: Set when freed; PCC entries referencing it must not validate.
         self.dead = False
-
-    # -- arena-backed scalars ------------------------------------------------
-
-    @property
-    def seq(self) -> int:
-        """Version counter read by PCC entries; bumped by coherence events
-        and by reallocation so stale prefix checks never validate."""
-        h = self.h
-        if h >= 0:
-            return self.arena.seq[h]
-        return self._seq
-
-    @seq.setter
-    def seq(self, value: int) -> None:
-        h = self.h
-        if h >= 0:
-            self.arena.seq[h] = value
-        else:
-            self._seq = value
-
-    @property
-    def epoch(self) -> int:
-        """Lazy-coherence mutation stamp: the global epoch at which this
-        dentry was last the root of a (lazy) shootdown.  Always 0 in
-        the baseline and eager-optimized kernels."""
-        h = self.h
-        if h >= 0:
-            return self.arena.epoch[h]
-        return self._epoch
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        h = self.h
-        if h >= 0:
-            self.arena.epoch[h] = value
-        else:
-            self._epoch = value
-
-    @property
-    def pin_count(self) -> int:
-        """References that forbid eviction (open files, cwd, mounts)."""
-        h = self.h
-        if h >= 0:
-            return self.arena.pin[h]
-        return self._pin
-
-    @pin_count.setter
-    def pin_count(self, value: int) -> None:
-        h = self.h
-        if h >= 0:
-            self.arena.pin[h] = value
-        else:
-            self._pin = value
-
-    @property
-    def child_evictions(self) -> int:
-        """Bumped when a child is evicted to reclaim space (breaks any
-        in-progress readdir completeness detection)."""
-        h = self.h
-        if h >= 0:
-            return self.arena.childev[h]
-        return self._childev
-
-    @child_evictions.setter
-    def child_evictions(self, value: int) -> None:
-        h = self.h
-        if h >= 0:
-            self.arena.childev[h] = value
-        else:
-            self._childev = value
-
-    @property
-    def dir_complete(self) -> bool:
-        """§5.1 completeness flag: all children of this directory cached."""
-        h = self.h
-        flags = self.arena.flags[h] if h >= 0 else self._flags
-        return (flags & FLAG_DIR_COMPLETE) != 0
-
-    @dir_complete.setter
-    def dir_complete(self, value: bool) -> None:
-        h = self.h
-        if h >= 0:
-            flags = self.arena.flags
-            if value:
-                flags[h] |= FLAG_DIR_COMPLETE
-            else:
-                flags[h] &= ~FLAG_DIR_COMPLETE
-        else:
-            if value:
-                self._flags |= FLAG_DIR_COMPLETE
-            else:
-                self._flags &= ~FLAG_DIR_COMPLETE
-
-    @property
-    def is_mountpoint(self) -> bool:
-        h = self.h
-        flags = self.arena.flags[h] if h >= 0 else self._flags
-        return (flags & FLAG_MOUNTPOINT) != 0
-
-    @is_mountpoint.setter
-    def is_mountpoint(self, value: bool) -> None:
-        h = self.h
-        if h >= 0:
-            flags = self.arena.flags
-            if value:
-                flags[h] |= FLAG_MOUNTPOINT
-            else:
-                flags[h] &= ~FLAG_MOUNTPOINT
-        else:
-            if value:
-                self._flags |= FLAG_MOUNTPOINT
-            else:
-                self._flags &= ~FLAG_MOUNTPOINT
-
-    def retire(self) -> None:
-        """Materialize the scalars and return the arena slot.
-
-        Called by the dcache when this dentry leaves the cache; the view
-        keeps answering scalar reads (and accepts writes — e.g. ``unpin``
-        from a file closed after unlink) from its fallback slots.
-        """
-        h = self.h
-        if h < 0:
-            return
-        arena = self.arena
-        self._seq = arena.seq[h]
-        self._epoch = arena.epoch[h]
-        self._pin = arena.pin[h]
-        self._childev = arena.childev[h]
-        self._flags = arena.flags[h]
-        self.h = -1
-        arena.retire(h)
 
     # -- state predicates ------------------------------------------------------
 
@@ -245,23 +101,12 @@ class Dentry:
     # -- pinning -----------------------------------------------------------------
 
     def pin(self) -> None:
-        h = self.h
-        if h >= 0:
-            self.arena.pin[h] += 1
-        else:
-            self._pin += 1
+        self.pin_count += 1
 
     def unpin(self) -> None:
-        h = self.h
-        if h >= 0:
-            pin = self.arena.pin[h]
-            if pin <= 0:
-                raise RuntimeError(f"unbalanced unpin of {self!r}")
-            self.arena.pin[h] = pin - 1
-        else:
-            if self._pin <= 0:
-                raise RuntimeError(f"unbalanced unpin of {self!r}")
-            self._pin -= 1
+        if self.pin_count <= 0:
+            raise RuntimeError(f"unbalanced unpin of {self!r}")
+        self.pin_count -= 1
 
     # -- tree helpers ----------------------------------------------------------------
 

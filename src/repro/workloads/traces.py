@@ -406,8 +406,7 @@ class _StreamState:
     batch method table, the fd slot table, the static unit table and the
     (possibly shape-shared) per-segment plan cells — so advancing is
     attribute-local work with no per-unit rebinding.  The interleaved
-    drain keeps per-stream state in parallel arrays (struct-of-arrays,
-    the same layout argument as ``core/arena.py``) and dispatches one
+    drain keeps per-stream state in parallel arrays and dispatches one
     :meth:`advance` per scheduled run.
     """
 

@@ -1,4 +1,4 @@
-"""Charge-plan layer: bit-identity, guards, invalidation, snapshots.
+"""Charge-plan layer: bit-identity, guards, invalidation.
 
 The charge-plan compiler (:class:`repro.sim.costs.ChargePlanRegistry` +
 the capture/apply protocol in :mod:`repro.workloads.traces`) is a pure
@@ -199,28 +199,3 @@ class TestInterleaved:
 
         sweep()
 
-
-# -- snapshot fidelity -----------------------------------------------------
-
-class TestSnapshotFidelity:
-    def test_clone_mid_plan_drops_and_recaptures(self):
-        """A kernel cloned with live confirmed plans restores with an
-        empty registry (plans are host-side wall-clock state, like the
-        memo) and its future virtual costs match an uninterrupted
-        plans-off run exactly."""
-        kernel, task, program = _loop_setup("baseline")
-        for _ in range(4):  # confirmed + applying
-            replay_compiled(kernel, task, program)
-        assert kernel.costs.plans.telemetry()["applied"] >= 1
-        restored_kernel, restored_task = kernel.snapshot(task).restore()
-        tel = restored_kernel.costs.plans.telemetry()
-        assert all(v == 0 for v in tel.values())
-
-        reference, ref_task, ref_program = _loop_setup("baseline")
-        for _ in range(10):
-            replay_compiled(reference, ref_task, ref_program, plans=False)
-        for _ in range(6):
-            replay_compiled(restored_kernel, restored_task, program)
-        assert _fingerprint(restored_kernel) == _fingerprint(reference)
-        # The restored kernel re-warmed and is applying plans again.
-        assert restored_kernel.costs.plans.telemetry()["applied"] >= 1

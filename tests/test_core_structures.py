@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import O_CREAT, O_RDWR, make_kernel
+from repro import O_CREAT, O_RDWR, errors, make_kernel
+from repro.core.coherence import SEQ_WRAP
 from repro.core.dlht import DirectLookupHashTable
 from repro.core.pcc import PrefixCheckCache
 from repro.core.signatures import PathHasher
@@ -141,10 +142,7 @@ class TestPcc:
         pcc = PrefixCheckCache(costs, stats, capacity=4)
         dentry = _dentry()
         pcc.insert(dentry)
-        # Death in the dcache is always dead-flag + handle retirement
-        # (d_drop/evict); the PCC keys staleness off the retired handle.
         dentry.dead = True
-        dentry.retire()
         assert not pcc.probe(dentry)
 
     def test_lru_bound(self, costs, stats):
@@ -241,7 +239,6 @@ class TestCoherence:
         assert kernel.stats.get("inval_dentry") - before >= 11
 
     def test_seq_wraparound_flushes(self):
-        from repro.core import coherence as coh
         kernel = make_kernel("optimized")
         task = kernel.spawn_task(uid=0, gid=0)
         sys = kernel.sys
@@ -250,10 +247,71 @@ class TestCoherence:
         dentry = kernel.dcache.root_dentry(kernel.root_fs).children["d"]
         pcc = task.cred.pcc
         assert len(pcc) > 0
-        dentry.seq = coh.SEQ_WRAP - 1
+        dentry.seq = SEQ_WRAP - 1
         kernel.coherence.shootdown_single(dentry)
         assert kernel.stats.get("seq_wraparound_flush") == 1
         assert len(pcc) == 0
+
+    @pytest.mark.parametrize("profile", ("optimized", "optimized-lazy"))
+    def test_seq_wraparound_from_a_directory_chmod(self, profile):
+        """The bulk eager shootdown and the lazy stamp detect it too."""
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        sys = kernel.sys
+        sys.mkdir(task, "/d")
+        fd = sys.open(task, "/d/f", O_CREAT | O_RDWR)
+        sys.close(task, fd)
+        sys.stat(task, "/d/f")
+        assert len(task.cred.pcc) > 0
+        d = kernel.dcache.root_dentry(kernel.root_fs).children["d"]
+        d.seq = SEQ_WRAP - 1
+        sys.chmod(task, "/d", 0o700)  # bumps /d's seq to SEQ_WRAP
+        assert kernel.stats.get("seq_wraparound_flush") >= 1
+        assert len(task.cred.pcc) == 0
+        sys.stat(task, "/d/f")  # the kernel keeps working after the flush
+
+    def test_seq_wraparound_on_a_dropped_dentry(self):
+        """An unlinked file held open is out of the cache, yet a bump
+        that wraps its counter must still flush."""
+        kernel = make_kernel("optimized")
+        task = kernel.spawn_task(uid=0, gid=0)
+        sys = kernel.sys
+        fd = sys.open(task, "/f", O_CREAT | O_RDWR)
+        sys.stat(task, "/f")
+        f = kernel.dcache.root_dentry(kernel.root_fs).children["f"]
+        sys.unlink(task, "/f")
+        assert f.dead
+        f.seq = SEQ_WRAP - 1
+        before = kernel.stats.get("seq_wraparound_flush")
+        kernel.coherence.shootdown_single(f)
+        assert kernel.stats.get("seq_wraparound_flush") == before + 1
+        sys.close(task, fd)
+
+    @pytest.mark.parametrize("profile",
+                             ("baseline", "optimized", "optimized-lazy"))
+    def test_evicted_dentry_never_validates_again(self, profile):
+        """A prefix check memoized for a dentry that ``drop_all`` evicted
+        must not validate once the name is gone and another is created
+        beside it."""
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        sys = kernel.sys
+        sys.mkdir(task, "/w")
+        fd = sys.open(task, "/w/victim", O_CREAT | O_RDWR)
+        sys.close(task, fd)
+        sys.stat(task, "/w/victim")
+        victim = kernel.dcache.root_dentry(kernel.root_fs) \
+            .children["w"].children["victim"]
+        sys.unlink(task, "/w/victim")
+        kernel.dcache.drop_all()
+        assert victim.dead
+        fd = sys.open(task, "/w/other", O_CREAT | O_RDWR)
+        sys.close(task, fd)
+        pcc = task.cred.pcc
+        if pcc is not None:  # baseline has no PCC
+            assert not pcc.probe(victim)
+        with pytest.raises(errors.FsError):
+            sys.stat(task, "/w/victim")
 
     def test_baseline_pays_no_invalidation(self):
         kernel = make_kernel("baseline")

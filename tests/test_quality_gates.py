@@ -2,7 +2,8 @@
 
 These tests keep the library honest as it grows: every cost primitive is
 actually charged by some code path, every public item carries a
-docstring, and the packaging metadata stays importable.
+docstring, the substrate does not import the optimized design, and the
+packaging metadata stays importable.
 """
 
 from __future__ import annotations
@@ -160,6 +161,39 @@ class TestDocumentation:
                         f"{node.name}")
         assert not missing, \
             "public items without docstrings:\n" + "\n".join(missing)
+
+
+def _module_level_imports(tree: ast.Module):
+    """Dotted names imported anywhere outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+        stack.extend(ast.iter_child_nodes(node))
+
+
+class TestLayering:
+    def test_substrate_does_not_import_the_optimized_design(self):
+        """Table 4's claim: ``repro.core`` hooks into an unchanged
+        VFS / file-system / simulation substrate, never the reverse.  A
+        function-local import (``vfs/syscalls.py`` reaching
+        ``negative_after_removal``) is the one allowed form."""
+        offenders = []
+        for package in ("vfs", "fs", "sim"):
+            for path in sorted((SRC / package).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                for name in _module_level_imports(tree):
+                    if (name + ".").startswith("repro.core."):
+                        offenders.append(f"{path.relative_to(SRC)}: {name}")
+        assert not offenders, \
+            "substrate modules importing repro.core:\n" + "\n".join(offenders)
 
 
 class TestPackaging:

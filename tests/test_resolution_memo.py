@@ -20,10 +20,8 @@ Coverage:
   agreement between memoized answers and memo-flushed re-resolution;
 * a hypothesis sweep over stat/rename/create/unlink/chmod
   interleavings (two credentials, a symlinked directory, a ``..``
-  spelling, a PCC of 2, 4 or 4 096 entries), differential against a
-  memo-off twin down to PCC and dcache-LRU order;
-* snapshot-restore fidelity with a warm memo (the memo is dropped on
-  clone; restored kernels re-record with identical virtual charges);
+  spelling, a PCC of 2, 4 or 4 096 entries, fixed or adaptive),
+  differential against a memo-off twin down to PCC and dcache-LRU order;
 * a recorded DLHT or PCC probe *miss* as a dependency, each in a
   minimal case and on the benchmark's own ``warm_lookup`` inputs (all
   ramp passes; respelled with ``..`` for the PCC);
@@ -41,11 +39,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro import O_CREAT, O_RDWR, errors, make_kernel
-from repro.sim.snapshot import KernelSnapshot
 from repro.testing.dual import _check_kernel_invariants
 from repro.testing.races import assert_fastpath_consistent
 from repro.testing.scheduler import ConcurrentRunner, normalize_stat
-from repro.workloads import lmbench
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -253,9 +249,11 @@ if HAVE_HYPOTHESIS:
                                   st.sampled_from(_H_TOKENS)),
                         min_size=1, max_size=30),
            profile=st.sampled_from(PROFILES),
-           pcc_capacity=st.sampled_from((2, 4, 4096)))
+           pcc_capacity=st.sampled_from((2, 4, 4096)),
+           pcc_adaptive=st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_hypothesis_interleavings(ops, profile, pcc_capacity):
+    def test_hypothesis_interleavings(ops, profile, pcc_capacity,
+                                      pcc_adaptive):
         """Random stat/mutation interleavings: memo-on == memo-off.
 
         Each generated sequence runs three times back to back so memo
@@ -264,12 +262,14 @@ if HAVE_HYPOTHESIS:
         the entry lifecycle, not just cold recording.  Each op runs as
         root or as an unprivileged user (whose mutations fail), through
         a symlinked directory and a ``..`` spelling too, against a PCC
-        that holds two entries, four, or everything; the caches must
-        end in the same eviction order as well as the same counters.
+        that holds two entries, four, or everything, fixed or growing
+        from there; the caches must end in the same eviction order as
+        well as the same counters.
         """
         results = []
         for memo_on in (True, False):
             kernel = make_kernel(profile, pcc_capacity=pcc_capacity,
+                                 pcc_adaptive=pcc_adaptive,
                                  resolution_memo=memo_on)
             task = kernel.spawn_task(uid=0, gid=0)
             user = kernel.spawn_task(uid=1000, gid=1000)
@@ -290,50 +290,6 @@ else:  # pragma: no cover - hypothesis is in the image
     @pytest.mark.skip(reason="hypothesis not installed")
     def test_hypothesis_interleavings():
         pass
-
-
-# -- snapshot fidelity -----------------------------------------------------
-
-class TestSnapshotFidelity:
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_warm_memo_dropped_and_refilled_identically(self, profile):
-        """Snapshot/restore with a warm memo: dropped, then re-recorded.
-
-        ``ResolutionMemo.__deepcopy__`` drops all entries on clone, so a
-        restored kernel starts with an empty memo wired to the *copied*
-        caches — and must charge exactly what the original (continuing
-        with its warm, confirmed entries) charges for the same ops.
-        """
-        kernel = make_kernel(profile)
-        task = lmbench.prepare_lookup_tree(kernel)
-        for _ in range(4):
-            kernel.sys.stat(task, lmbench.LONG_PATH)
-        assert len(kernel.memo) > 0
-        assert kernel.memo.hits > 0
-
-        snap = KernelSnapshot(kernel, task)
-        k1, t1 = snap.restore()
-        assert k1.memo is not None
-        assert k1.memo is not kernel.memo
-        assert len(k1.memo) == 0
-        assert k1.memo.hits == 0 and k1.memo.flushes == 0
-        assert k1.dcache.memo is k1.memo
-        assert k1.coherence.memo is k1.memo
-
-        def run(k, t):
-            for _ in range(4):
-                k.sys.stat(t, lmbench.LONG_PATH)
-            k.sys.mkdir(t, "/fresh")
-            k.sys.stat(t, "/fresh")
-            k.sys.rmdir(t, "/fresh")
-            _try_stat(k, t, "/fresh")
-
-        k2, t2 = snap.restore()
-        run(k1, t1)        # cold memo: records + confirms
-        run(k2, t2)        # cold memo, independent copy
-        run(kernel, task)  # warm memo: replays
-        assert _fingerprint(k1) == _fingerprint(k2)
-        assert _fingerprint(k1) == _fingerprint(kernel)
 
 
 # -- a probe miss is a conclusion too ---------------------------------------
@@ -561,6 +517,36 @@ class TestPccPressure:
                 sys.stat(user, "/x/t")
             prints[memo_on] = (_fingerprint(kernel), _cache_orders(kernel))
         assert prints[True] == prints[False]
+
+    @pytest.mark.parametrize("profile", PROFILES[1:])
+    def test_adaptive_pcc_counts_every_miss(self, profile):
+        """The ``..`` spelling slow-walks on every repetition on
+        ``optimized-lazy`` and misses a PCC probe each time, so it
+        confirms with the miss in it.  An adaptive PCC counts misses to
+        decide when to grow; a replay would skip the count and the cache
+        would grow later than on a memo-off kernel.  ``optimized`` hits
+        its PCC here and is the control."""
+        results = {}
+        for memo_on in (True, False):
+            kernel = make_kernel(profile, pcc_capacity=4, pcc_adaptive=True,
+                                 resolution_memo=memo_on)
+            sys = kernel.sys
+            root = kernel.spawn_task(uid=0, gid=0)
+            user = kernel.spawn_task(uid=2, gid=2)
+            sys.mkdir(root, "/a")
+            sys.mkdir(root, "/a/b")
+            _mkfile(kernel, root, "/a/b/f")
+            for i in range(24):
+                _mkfile(kernel, root, f"/a/g{i}")
+            dotdot = "/a/b/../b/f"
+            for path in ("/a/g4", "/a/g2", "/a/g15", dotdot, dotdot, dotdot,
+                         "/a/g17", "/a/g20", "/a/g7", "/a/g16", dotdot):
+                sys.stat(user, path)
+            assert kernel.stats.get("pcc_grow") > 0
+            results[memo_on] = (_fingerprint(kernel),
+                                [pcc.capacity
+                                 for pcc in kernel.coherence.pccs])
+        assert results[True] == results[False]
 
     @pytest.mark.parametrize("adaptive", (False, True))
     @pytest.mark.parametrize("profile", PROFILES[1:])

@@ -161,21 +161,6 @@ class TestScheduler:
 
         check()
 
-    def test_snapshot_restore_mid_schedule(self):
-        """A cloned mid-drain scheduler replays the identical tail."""
-        sched = StreamScheduler(seed=9)
-        for _ in range(7):
-            sched.pick(5)
-        state = sched.snapshot()
-        tail = [sched.pick(4) for _ in range(20)]
-        sched.restore(state)
-        assert [sched.pick(4) for _ in range(20)] == tail
-        # plan_schedule from a restored state is reproducible too.
-        sched.restore(state)
-        planned = sched.plan_schedule([3, 1, 4, 1, 5])
-        sched.restore(state)
-        assert sched.plan_schedule([3, 1, 4, 1, 5]) == planned
-
 
 class TestZipf:
     def test_zipf_counts_shape(self):
