@@ -86,6 +86,19 @@ class NodeInfo:
         return self.filetype == DT_LNK
 
 
+def nodes_digest(nodes) -> int:
+    """Digest of everything a syscall can observe of ``nodes`` (inode
+    objects of :class:`~repro.fs.simext.SimExtFs` or
+    :class:`~repro.fs.tmpfs.TmpFs`) except timestamps: numbers, kinds,
+    modes, owners, link counts, sizes, data, symlink targets, xattrs,
+    and directory entries in readdir order.
+    """
+    return hash(tuple(
+        (n.ino, n.mode, n.uid, n.gid, n.nlink, n.size, n.symlink_target,
+         n.data, tuple(n.entries.items()), tuple(sorted(n.xattrs.items())))
+        for n in nodes))
+
+
 class FileSystem:
     """Abstract low-level file system.
 
@@ -231,3 +244,13 @@ class FileSystem:
 
     def drop_caches(self) -> None:
         """Forget any in-memory state (for cold-cache experiments)."""
+
+    def state_digest(self) -> Optional[int]:
+        """Digest of the contents syscalls can observe, timestamps
+        aside: equal digests, equal contents.  ``None`` — this default —
+        means the file system cannot vouch for its contents (a server or
+        a provider changes them), and a kernel that mounts it never
+        skips a replay unit on the strength of an earlier run
+        (``workloads/traces.py``).
+        """
+        return None

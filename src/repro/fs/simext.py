@@ -452,3 +452,6 @@ class SimExtFs(FileSystem):
 
     def drop_caches(self) -> None:
         self.pagecache.drop_caches()
+
+    def state_digest(self) -> int:
+        return base.nodes_digest(self._inodes.values())

@@ -250,6 +250,9 @@ class TmpFs(FileSystem):
                             used_blocks=used,
                             inode_count=len(self._nodes))
 
+    def state_digest(self) -> int:
+        return base.nodes_digest(self._nodes.values())
+
     # -- extended attributes -----------------------------------------------------
 
     def getxattr(self, ino: int, name: str) -> bytes:

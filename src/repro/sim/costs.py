@@ -33,7 +33,6 @@ and re-applied with one addition per distinct key
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, Optional, Tuple
 
 from repro.sim.clock import TICKS_PER_NS, Clock, to_ticks
@@ -152,8 +151,7 @@ class ChargeVector:
     order-independent, so this is everything a recorded run needs to
     keep: the resolution memo and every charge plan store one, compare
     two with ``==`` to confirm a recording, and replay through
-    :meth:`CostModel.apply`.  ``a + b`` is the vector of running both,
-    ``total - part`` what remains of a run after ``part`` of it.
+    :meth:`CostModel.apply`.
     """
 
     __slots__ = ("charges", "raw", "ticks")
@@ -180,31 +178,6 @@ class ChargeVector:
         key = (scope, hint)
         self.raw[key] = self.raw.get(key, 0) + ticks
         self.ticks += ticks
-
-    def copy(self) -> "ChargeVector":
-        return ChargeVector(dict(self.charges), dict(self.raw), self.ticks)
-
-    def _combined(self, other: "ChargeVector", sign: int) -> "ChargeVector":
-        """``self + sign * other``; a key subtracted down to nothing goes,
-        so ``(a + b) - b == a``."""
-        charges = dict(self.charges)
-        for key, (times, nbytes) in other.charges.items():
-            old = charges.get(key, (0, 0))
-            charges[key] = (old[0] + sign * times, old[1] + sign * nbytes)
-            if sign < 0 and charges[key] == (0, 0):
-                del charges[key]
-        raw = dict(self.raw)
-        for key, ticks in other.raw.items():
-            raw[key] = raw.get(key, 0) + sign * ticks
-            if sign < 0 and not raw[key]:
-                del raw[key]
-        return ChargeVector(charges, raw, self.ticks + sign * other.ticks)
-
-    def __add__(self, other: "ChargeVector") -> "ChargeVector":
-        return self._combined(other, 1)
-
-    def __sub__(self, other: "ChargeVector") -> "ChargeVector":
-        return self._combined(other, -1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChargeVector):
@@ -283,28 +256,23 @@ class ChargePlan:
 
 
 class PlanCell:
-    """Per-unit capture state machine (see ``workloads/traces.py``).
+    """Capture state of one replay unit (``workloads/traces.py`` runs
+    the protocol; a unit is a plannable segment or a whole drain).
 
     Lifecycle: ``execs`` warm executions run interpreted, then two
-    recorded executions must produce equal charge vectors and Stats
-    deltas before a :class:`ChargePlan` is stored (the same
-    confirm-on-second-identical-run protocol the resolution memo uses).
-    ``retries`` counts rejected/mismatched captures; too many marks the
-    cell ``dead`` (permanently interpreted).  ``fail_streak`` counts
-    consecutive guard failures at apply time; too many invalidates the
-    plan for re-capture.  ``armed_now`` is used by whole-pass and
-    whole-drain plans only: the clock state the kernel must be in for
+    recorded executions must produce equal captures (kept in
+    ``pending`` in between) before a :class:`ChargePlan` is stored — the
+    same confirm-on-second-identical-run protocol the resolution memo
+    uses.  ``retries`` counts rejected/mismatched captures; too many
+    marks the cell ``dead`` (permanently interpreted).  ``fail_streak``
+    counts consecutive guard failures at apply time; too many
+    invalidates the plan for re-capture.  ``armed_now`` is used by
+    whole-drain cells only: the clock state the kernel must be in for
     the plan to apply (any interleaving syscall moves the clock off it).
-
-    ``tasks`` (task-generic segment cells, shared across every program
-    with the same segment shape) maps ``id(task) -> task`` for tasks
-    whose recorded execution matched the plan — only confirmed tasks
-    may apply the shared plan; the strong task refs pin the ids against
-    reuse.
     """
 
     __slots__ = ("execs", "pending", "plan", "dead", "retries",
-                 "fail_streak", "armed_now", "tasks")
+                 "fail_streak", "armed_now")
 
     def __init__(self) -> None:
         self.execs = 0
@@ -314,7 +282,6 @@ class PlanCell:
         self.retries = 0
         self.fail_streak = 0
         self.armed_now = None
-        self.tasks: Dict[int, object] = {}
 
     def reset(self) -> None:
         """Drop any captured state and restart the capture protocol."""
@@ -323,37 +290,38 @@ class PlanCell:
         self.plan = None
         self.fail_streak = 0
         self.armed_now = None
-        self.tasks = {}
 
 
 class ChargePlanRegistry:
     """Per-:class:`CostModel` store of captured charge plans.
 
-    The replay engine (:func:`repro.workloads.traces.replay_compiled`)
+    The replay engine (:func:`repro.workloads.traces.replay_interleaved`)
     owns the capture/apply protocol; this registry owns the state: one
-    :class:`PlanCell` list per compiled program, a generation counter
-    bumped by out-of-band bulk invalidations (``chmod``-class memo
-    flushes, ``drop_caches``, seq wraparound — every live plan dies on
-    a bump), and host-side telemetry
+    table of :class:`PlanCell`, a generation counter bumped by
+    out-of-band bulk invalidations (``chmod``-class memo flushes,
+    ``drop_caches``, seq wraparound — every live plan dies on a bump),
+    and host-side telemetry
     (``compiled``/``applied``/``invalidated``/``fallbacks`` — like the
     resolution memo's counters these live outside
     :class:`~repro.sim.stats.Stats` so plans never perturb golden
     counters).
     """
 
-    #: Interpreted executions of a segment before capture starts.
+    #: Interpreted executions of a unit before capture starts.
     WARMUP = 1
     #: Rejected/mismatched captures before a cell goes dead.
     MAX_RETRIES = 3
-    #: Consecutive apply-time guard failures before re-capture.
-    MAX_FAIL_STREAK = 8
-    #: Whole-pass plans re-capture after this many consecutive clock
-    #: guard failures (interference means unknown state: re-validate).
-    PASS_FAIL_STREAK = 2
+    #: Consecutive apply-time guard failures before re-capture.  A
+    #: whole drain's clock guard, once failed, fails until then, so
+    #: every fallback past the first is wasted; a segment's guards fail
+    #: in passing (a sweep deadline) and build no streak.
+    MAX_FAIL_STREAK = 2
+    #: Cells kept; a full table is cleared whole (dropping a cell costs
+    #: a re-capture, never fidelity).
+    MAX_CELLS = 256
 
     __slots__ = ("gen", "compiled", "applied", "invalidated", "fallbacks",
-                 "task_confirms", "_tables", "_shape_tables",
-                 "_unit_tables")
+                 "_cells")
 
     def __init__(self) -> None:
         self.gen = 0
@@ -361,81 +329,38 @@ class ChargePlanRegistry:
         self.applied = 0
         self.invalidated = 0
         self.fallbacks = 0
-        #: Tasks admitted to a shared task-generic plan after their
-        #: recorded run matched the plan's capture.
-        self.task_confirms = 0
-        #: id(program) -> (program, [PlanCell per segment]).  The
-        #: strong program ref pins the id against reuse.  Cell objects
-        #: are resolved through ``_shape_tables`` so programs with equal
-        #: segment shapes share them.
-        self._tables: Dict[int, tuple] = {}
-        #: segment shape -> PlanCell: the task-generic cells.  A shape
-        #: (per-row ``(op, compute_ns)``, see ``PlanSegment.shape``)
-        #: fully determines a plannable segment's charge vector, so one
-        #: captured plan serves every program/tenant with that shape
-        #: (after per-task confirmation recorded in ``PlanCell.tasks``).
-        self._shape_tables: Dict[tuple, "PlanCell"] = {}
-        #: (seed, id(task), id(program), ...) -> (pins, PlanCell) for
-        #: whole-pass and whole-drain plans; ``pins`` holds strong refs
-        #: to the tasks and programs against id reuse.
-        self._unit_tables: Dict[tuple, tuple] = {}
+        #: (tag, id(pin), ...) -> (pins, PlanCell).
+        self._cells: Dict[tuple, tuple] = {}
 
     def bump_gen(self) -> None:
         """Invalidate every live plan (out-of-band world change)."""
         self.gen += 1
 
-    def cells(self, program, segments) -> list:
-        """The per-segment cell list for ``program`` (created lazily).
+    def cell(self, tag, *pins) -> "PlanCell":
+        """The cell of unit ``tag`` over ``pins`` (created lazily).
 
-        Each entry is the *shared* task-generic cell for that segment's
-        shape — two programs whose segments have equal shapes resolve to
-        the same :class:`PlanCell` objects, which is what lets N tenants
-        replaying the same program shape capture one plan between them.
-        Segments without a shape (older duck-typed programs) fall back
-        to a private cell.
+        ``pins`` are the tasks and programs whose executions feed the
+        cell, in stream order, keyed by identity: a unit's charges are a
+        deterministic function of those plus kernel state, which the
+        apply-time guards cover, and no plan crosses tasks.  ``tag``
+        tells the units over one pin sequence apart — the scheduler seed
+        for a whole drain; a segment's is ``"segment"``, with its shape
+        as the last pin.
         """
-        key = id(program)
-        entry = self._tables.get(key)
-        if entry is not None and entry[0] is program:
-            return entry[1]
-        shape_tables = self._shape_tables
-        cells: list = []
-        for seg in segments:
-            shape = getattr(seg, "shape", None)
-            if shape:
-                cell = shape_tables.get(shape)
-                if cell is None:
-                    cell = shape_tables[shape] = PlanCell()
-            else:
-                cell = PlanCell()
-            cells.append(cell)
-        self._tables[key] = (program, cells)
-        return cells
-
-    def unit_cell(self, seed: Optional[int], streams) -> "PlanCell":
-        """The whole-unit plan cell for draining ``streams`` under
-        ``seed`` (created lazily).
-
-        Keyed by the scheduler seed and the exact ``(task, program)``
-        identity sequence: the unit's charges are a deterministic
-        function of those plus kernel state, which the armed-clock guard
-        covers.  One program replayed on one task — a whole pass — is
-        the one-stream drain with no seed (``None``).
-        """
-        pins = tuple(chain.from_iterable(streams))
-        key = (seed, *map(id, pins))
-        entry = self._unit_tables.get(key)
+        key = (tag, *map(id, pins))
+        entry = self._cells.get(key)
         if entry is None:
+            if len(self._cells) >= self.MAX_CELLS:
+                self._cells.clear()
             # The entry keeps ``pins`` alive, so no other object can
             # take one of the ids in ``key`` while it exists.
-            entry = self._unit_tables[key] = (pins, PlanCell())
+            entry = self._cells[key] = (pins, PlanCell())
         return entry[1]
 
     def telemetry(self) -> Dict[str, int]:
         return {"compiled": self.compiled, "applied": self.applied,
                 "invalidated": self.invalidated,
-                "fallbacks": self.fallbacks,
-                "task_confirms": self.task_confirms}
+                "fallbacks": self.fallbacks}
 
 
 def _rate_ticks(name: str, ns: float) -> int:

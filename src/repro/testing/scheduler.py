@@ -31,21 +31,19 @@ class StreamScheduler:
 
     Where :class:`ConcurrentRunner` interleaves *within* syscalls (walk
     hooks, real threads), this scheduler interleaves *between* them: at
-    every step :func:`repro.workloads.traces.replay_interleaved` asks it
-    which of the currently live streams advances by one unit.  Picks are
-    uniform over live streams from a seeded RNG, so a given
-    ``(seed, stream count)`` pair always produces the identical
-    schedule — the determinism whole-drain charge plans and the
-    cross-task invalidation tests rely on.
+    every step one of the currently live streams advances by one unit.
+    Picks are uniform over live streams from a seeded RNG, so a given
+    ``(seed, unit counts)`` pair always produces the identical
+    schedule — the determinism whole-drain charge plans rely on.
 
-    When every stream's unit count is statically known (compiled
-    programs — unit boundaries are a pure function of the program),
-    :meth:`plan_schedule` precomputes the entire pick sequence as flat
-    run-length-coalesced arrays, letting the drain loop advance streams
-    in runs instead of paying one RNG call plus one generator dispatch
-    per unit.  The planned schedule is *pick-for-pick identical* to
-    driving :meth:`pick` dynamically (``tests/test_server_fleet.py``
-    asserts this), so vectorization cannot change any interleaving.
+    A compiled program carries its unit table, so
+    :func:`repro.workloads.traces.replay_interleaved` has
+    :meth:`plan_schedule` precompute the entire pick sequence as flat
+    run-length-coalesced arrays and advances streams in runs instead of
+    paying one RNG call per unit.  The planned schedule is
+    *pick-for-pick identical* to driving :meth:`pick` dynamically
+    (``tests/test_server_fleet.py`` asserts this), so vectorization
+    cannot change any interleaving.
     """
 
     __slots__ = ("_rng",)

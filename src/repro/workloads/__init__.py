@@ -12,7 +12,8 @@
   (Table 3).
 * :mod:`repro.workloads.traces` — record/replay: ``TraceRecorder``, the
   per-event :func:`~repro.workloads.traces.replay` interpreter, and the
-  :func:`~repro.workloads.traces.replay_compiled` opcode loop.
+  compiled engine :func:`~repro.workloads.traces.replay_interleaved`
+  (:func:`~repro.workloads.traces.replay_compiled` for one stream).
 * :mod:`repro.workloads.compile` — the trace compiler: AOT-lowers
   traces (and the generator-driven workloads above) to flat opcode
   programs executed through the batched syscall dispatch table; see

@@ -20,10 +20,10 @@ bit-identical virtual costs (clock, cost counts, Stats) to interpreted
 (``tests/test_compiled_replay.py`` is the differential gate).
 
 The second half of this module lowers the repo's generator-driven
-workloads (``workloads/apps.py``, ``lmbench.py``, ``maildir.py``,
-``webserver.py``) into self-contained traces: a recording proxy kernel
-routes their syscalls through a :class:`TraceRecorder` and their
-``charge_ns`` compute budgets into recorded compute gaps.  Setup phases
+workloads (``workloads/lmbench.py``, ``maildir.py``, ``webserver.py``)
+into self-contained traces: a recording proxy kernel routes their
+syscalls through a :class:`TraceRecorder` and their ``charge_ns``
+compute budgets into recorded compute gaps.  Setup phases
 are recorded too, so a lowered trace replays on a *fresh* kernel of any
 profile.  Note the one attribution fold: workload-specific compute
 scopes (``imap_compute``, ``httpd_compute``, ...) become ``app_compute``
@@ -48,7 +48,7 @@ from repro.workloads.traces import Trace, TraceRecorder
 
 
 class TraceCompileError(ValueError):
-    """The trace cannot be lowered; callers fall back to interpretation.
+    """The trace cannot be lowered.
 
     Raised for events that reference unknown ops, pass kwargs the op's
     signature does not accept, or omit required arguments — anything
@@ -157,10 +157,10 @@ class PlanSegment(NamedTuple):
     ``shape`` is the segment's charge-stream identity: a per-row tuple
     of ``(op_name, compute_ns)``.  Under the apply-time guards, the fast
     fd entries for ``lseek``/``fstat`` charge fixed primitive streams
-    with no Stats bumps, so two segments with equal shapes produce equal
-    charge vectors on *any* task and *any* fd binding — the key that
-    lets tenants running the same program shape share one captured plan
-    (task-generic plan cells in :class:`ChargePlanRegistry`).
+    with no Stats bumps, so segments of one program with equal shapes
+    produce equal charge vectors on any fd binding; they hold the same
+    shape *object*, which their shared plan cell is keyed on (the loop
+    trace's rounds capture one plan between them).
     """
 
     start: int
@@ -200,6 +200,7 @@ def _plan_segments(op_table: Tuple[str, ...],
         return len(args) == 1  # fstat
 
     segments: List[PlanSegment] = []
+    shapes: Dict[tuple, tuple] = {}
     n = len(rows)
     i = 0
     while i < n:
@@ -225,9 +226,27 @@ def _plan_segments(op_table: Tuple[str, ...],
                            for slot, need in sorted(needs.items()))
             seeks = tuple(sorted(finals.items()))
             shape = tuple((op_table[row[0]], row[5]) for row in rows[i:j])
+            shape = shapes.setdefault(shape, shape)
             segments.append(PlanSegment(i, j, guards, seeks, shape))
         i = j
     return tuple(segments)
+
+
+def _plan_units(segments: Tuple[PlanSegment, ...],
+                n_rows: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The units the interleaved scheduler picks between: half-open row
+    ranges ``(lo, hi, segment index)`` tiling ``[0, n_rows)`` in order —
+    one per plan segment, one per other row (segment index -1).  Virtual
+    output depends on this granularity, so it is part of the program.
+    """
+    units: List[Tuple[int, int, int]] = []
+    pos = 0
+    for seg_i, seg in enumerate(segments):
+        units.extend((i, i + 1, -1) for i in range(pos, seg.start))
+        units.append((seg.start, seg.end, seg_i))
+        pos = seg.end
+    units.extend((i, i + 1, -1) for i in range(pos, n_rows))
+    return tuple(units)
 
 
 # -- the compiled program -------------------------------------------------
@@ -261,9 +280,10 @@ class CompiledTrace:
     #: compilation overhead cannot hide in op/s numbers.
     compile_wall_s: float
     #: Statically derived charge-plannable runs (see
-    #: :class:`PlanSegment`); empty when nothing qualifies.  Duck-typed
-    #: programs without this attribute simply never plan.
+    #: :class:`PlanSegment`); empty when nothing qualifies.
     plan_segments: Tuple[PlanSegment, ...] = ()
+    #: Scheduling units over ``rows`` (see :func:`_plan_units`).
+    units: Tuple[Tuple[int, int, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -273,8 +293,7 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     """Lower ``trace`` into a :class:`CompiledTrace`.
 
     Raises :class:`TraceCompileError` when any event cannot be proven to
-    fold exactly; use :func:`try_compile` for a fall-back-to-interpreter
-    policy.
+    fold exactly.
 
     Every string argument is interned, so compiled rows carry the
     resolution-memo key preinterned: all replay passes present the same
@@ -325,20 +344,12 @@ def compile_trace(trace: Trace) -> CompiledTrace:
             event.op == "mkstemp",
         ))
     op_table_t = tuple(op_table)
+    segments = _plan_segments(op_table_t, rows)
     return CompiledTrace(op_table=op_table_t, rows=rows,
                          slot_count=trace.slot_count(),
-                         plan_segments=_plan_segments(op_table_t, rows),
+                         plan_segments=segments,
+                         units=_plan_units(segments, len(rows)),
                          compile_wall_s=time.perf_counter() - t0)
-
-
-def try_compile(trace: Trace) -> Optional[CompiledTrace]:
-    """:func:`compile_trace`, or ``None`` when the trace is not
-    compilable (the caller should fall back to interpreted
-    :func:`~repro.workloads.traces.replay`)."""
-    try:
-        return compile_trace(trace)
-    except TraceCompileError:
-        return None
 
 
 # -- workload lowering ----------------------------------------------------
@@ -414,16 +425,6 @@ class RecordingKernel:
 
     def __getattr__(self, name: str):
         return getattr(self._kernel, name)
-
-
-def lower_app(app, *, warm: bool = True,
-              profile: str = "baseline") -> Trace:
-    """Record one :class:`~repro.workloads.apps.AppWorkload` (setup and
-    run phases) into a self-contained trace."""
-    from repro.workloads.apps import run_app
-    rk = RecordingKernel(make_kernel(profile))
-    run_app(rk, app, warm=warm)
-    return rk.trace
 
 
 def lower_webserver(nfiles: int = 64, requests: int = 10,

@@ -37,7 +37,8 @@ from typing import List, Tuple
 from repro.core.kernel import Kernel
 from repro.vfs.task import Task
 from repro.workloads import maildir, webserver
-from repro.workloads.compile import RecordingKernel, compile_trace
+from repro.workloads.compile import (CompiledTrace, RecordingKernel,
+                                     compile_trace)
 from repro.workloads.traces import replay_interleaved
 
 FLEET_ROOT = "/srv"
@@ -80,7 +81,7 @@ class TenantSite:
     listing: str
     mail: maildir.MaildirSetup
     requests: int
-    program: object  # CompiledTrace; duck-typed to avoid a hard import
+    program: CompiledTrace
 
 
 @dataclass
@@ -100,7 +101,7 @@ class FleetSetup:
     admin: Task
 
     @property
-    def streams(self) -> List[Tuple[Task, object]]:
+    def streams(self) -> List[Tuple[Task, CompiledTrace]]:
         """The ``(task, program)`` pairs ``replay_interleaved`` takes."""
         return [(site.task, site.program) for site in self.tenants]
 

@@ -10,12 +10,18 @@ File descriptors are kernel-local, so traces store *fd slots*: the
 recorder maps each returned fd to a dense slot id, and replay remaps
 slots to the fds its own kernel returns.  Traces serialize to JSON lines
 for storage and diffing.
+
+Two engines replay: :func:`replay` interprets a trace event by event,
+and :func:`replay_interleaved` drains any number of compiled streams
+(:mod:`repro.workloads.compile`) through one row loop and one
+charge-plan protocol; :func:`replay_compiled` is its one-stream call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import errors
@@ -264,20 +270,15 @@ class ReplayDivergence(AssertionError):
                                                 else ""))
 
 
-#: Backwards-compatible alias (pre-compiler name).
-ReplayMismatch = ReplayDivergence
-
-
-def replay(kernel: Kernel, task: Task, trace: Trace,
-           strict: bool = True) -> None:
+def replay(kernel: Kernel, task: Task, trace: Trace) -> None:
     """Replay a trace against a kernel, checking outcomes.
 
-    With ``strict``, a call that succeeded at record time must succeed at
-    replay time and vice versa (matching errno, else
-    :class:`ReplayDivergence`).  Per-event application compute is charged
-    *before* the call, unconditionally — error events carry their
-    preceding compute gap too, so the virtual clock advances identically
-    whether an event succeeds or fails.
+    A call that succeeded at record time must succeed at replay time and
+    vice versa (matching errno, else :class:`ReplayDivergence`).
+    Per-event application compute is charged *before* the call,
+    unconditionally — error events carry their preceding compute gap
+    too, so the virtual clock advances identically whether an event
+    succeeds or fails.
     """
     slot_fds: List[int] = [-1] * trace.slot_count()
     charge_ns = kernel.costs.charge_ns
@@ -301,11 +302,11 @@ def replay(kernel: Kernel, task: Task, trace: Trace,
         try:
             result = method(task, *args, **kwargs)
         except errors.FsError as exc:
-            if strict and exc.errno != event.errno:
+            if exc.errno != event.errno:
                 raise ReplayDivergence(index, event.op, event.errno,
                                        exc.errno, f"args={args!r}")
             continue
-        if strict and event.errno is not None:
+        if event.errno is not None:
             raise ReplayDivergence(index, event.op, event.errno, None,
                                    f"args={args!r}")
         if event.returns_fd_slot is not None:
@@ -318,66 +319,87 @@ def replay(kernel: Kernel, task: Task, trace: Trace,
 # ---------------------------------------------------------------------------
 
 
-def _reject(registry, cell) -> None:
-    """Burn one of ``cell``'s capture retries; the last kills it."""
-    cell.pending = None
-    cell.retries += 1
-    if cell.retries > registry.MAX_RETRIES:
-        cell.dead = True
+def _plan_unit(registry, cell, costs, stats, run: Callable[[], None],
+               guard: Callable[[ChargePlan], bool],
+               vouch: Callable[[Recording], Any],
+               settle: Callable[[bool], None]) -> None:
+    """Execute one replay unit through the charge-plan protocol.
 
+    Never capture into, or apply under, someone else's recording or
+    attribution scope: :meth:`CostModel.apply` bypasses the recorder, so
+    a plan applied inside a recording would vanish from it — a
+    segment's from the recording of the drain around it.
 
-def _confirmed(registry, cell, capture: tuple) -> bool:
-    """The confirm-on-second-identical-run step every plan kind shares:
-    True when ``capture`` equals the one staged by the previous recorded
-    run, else it is staged in turn (a mismatch burns a retry)."""
-    if cell.pending == capture:
-        cell.pending = None
-        cell.fail_streak = 0
-        registry.compiled += 1
-        return True
-    if cell.pending is not None:
-        _reject(registry, cell)
-    if not cell.dead:
-        cell.pending = capture
-    return False
-
-
-#: Static unit tables keyed by (id(program), fine) with identity check.
-#: A unit is a half-open row range plus the index of the plan segment it
-#: covers (-1 for gap rows).  ``fine=True`` splits gaps into single-row
-#: units — the granularity the interleaved scheduler picks at — while
-#: ``fine=False`` keeps gaps as one unit each for single-stream replay.
-_UNIT_CACHE: Dict[Tuple[int, bool], Tuple[Any, tuple]] = {}
-_UNIT_CACHE_MAX = 256
-
-
-def _unit_table(program, fine: bool) -> tuple:
-    key = (id(program), fine)
-    entry = _UNIT_CACHE.get(key)
-    if entry is not None and entry[0] is program:
-        return entry[1]
-    segments = getattr(program, "plan_segments", ()) or ()
-    units: List[Tuple[int, int, int]] = []
-    pos = 0
-    for seg_i, seg in enumerate(segments):
-        start = seg.start
-        if pos < start:
-            if fine:
-                units.extend((i, i + 1, -1) for i in range(pos, start))
-            else:
-                units.append((pos, start, -1))
-        units.append((start, seg.end, seg_i))
-        pos = seg.end
-    n = len(program.rows)
-    if pos < n:
-        if fine:
-            units.extend((i, i + 1, -1) for i in range(pos, n))
+    ``cell`` (:class:`~repro.sim.costs.PlanCell`) goes warm → record →
+    confirm on the second identical capture → apply while ``guard(plan)``
+    holds; a generation bump or ``MAX_FAIL_STREAK`` guard failures in a
+    row send it back to warm, ``MAX_RETRIES`` bad captures kill it.
+    ``run`` executes the unit interpreted.  ``vouch(rec)`` is what a
+    recorded run joins to its ``(vector, stat_deltas)`` capture, falsy
+    when the recording may not become a plan.  ``settle(applied)``
+    follows an apply and a vouched capture — never a fallback run,
+    which leaves the kernel in a state no capture has seen.
+    """
+    if costs.recorder is not None or costs._scope_stack or cell.dead:
+        run()
+        return
+    plan = cell.plan
+    if plan is not None:
+        if plan.gen != registry.gen:
+            registry.invalidated += 1
+            cell.reset()
+        elif guard(plan):
+            costs.apply(plan.vector)
+            if plan.stat_deltas:
+                stats.bump_many(plan.stat_deltas)
+            cell.fail_streak = 0
+            registry.applied += 1
+            settle(True)
+            return
         else:
-            units.append((pos, n, -1))
-    if len(_UNIT_CACHE) >= _UNIT_CACHE_MAX:
-        _UNIT_CACHE.clear()
-    _UNIT_CACHE[key] = (program, tuple(units))
-    return _UNIT_CACHE[key][1]
+            registry.fallbacks += 1
+            cell.fail_streak += 1
+            if cell.fail_streak >= registry.MAX_FAIL_STREAK:
+                registry.invalidated += 1
+                cell.reset()
+        run()
+        return
+    n = cell.execs
+    cell.execs = n + 1
+    if n < registry.WARMUP:
+        run()
+        return
+    with Recording(costs, stats) as rec:
+        run()
+    state = vouch(rec)
+    capture = (rec.vector, rec.stat_deltas, state)
+    if state and cell.pending == capture:
+        cell.pending = None
+        cell.plan = ChargePlan(rec.vector, rec.stat_deltas, registry.gen)
+        registry.compiled += 1
+    else:
+        # An unvouched or mismatched capture burns a retry.
+        if not state or cell.pending is not None:
+            cell.retries += 1
+            cell.dead = cell.retries > registry.MAX_RETRIES
+        cell.pending = capture if state and not cell.dead else None
+    if state:
+        settle(False)
+
+
+def _drain_state(streams) -> Optional[tuple]:
+    """What a whole drain must leave as it found it for its plan to be
+    sound: every task's fd table and the contents of every file system
+    the tasks can reach.  ``None`` when one of those cannot vouch for
+    its contents (:meth:`~repro.fs.base.FileSystem.state_digest`).
+    """
+    tasks = [task for task, _program in streams]
+    filesystems = {id(mount.fs): mount.fs
+                   for task in tasks for mount in task.ns.mounts}
+    digests = [fs.state_digest() for fs in filesystems.values()]
+    if None in digests:
+        return None
+    return [tuple(task.fds._files) for task in tasks], digests
 
 
 #: Precomputed interleaving schedules keyed by (seed, unit counts).  The
@@ -403,27 +425,20 @@ class _StreamState:
     """One stream's bound replay state, advanced a run of units at a time.
 
     Construction binds everything the drain loop needs — the prebound
-    batch method table, the fd slot table, the static unit table and the
-    (possibly shape-shared) per-segment plan cells — so advancing is
-    attribute-local work with no per-unit rebinding.  The interleaved
-    drain keeps per-stream state in parallel arrays and dispatches one
-    :meth:`advance` per scheduled run.
+    batch method table, the fd slot table, the program's unit table and
+    this ``(task, program)``'s per-segment plan cells — so advancing is
+    attribute-local work with no per-unit rebinding.
     """
 
-    __slots__ = ("kernel", "task", "program", "methods", "slot_fds",
-                 "units", "cursor", "cells", "segments", "registry",
-                 "costs", "stats", "ticker", "files", "rows",
-                 "op_table")
+    __slots__ = ("methods", "slot_fds", "units", "cursor", "cells",
+                 "segments", "registry", "costs", "stats", "ticker",
+                 "files", "rows", "op_table")
 
-    def __init__(self, kernel: Kernel, task: Task, program, registry,
-                 fine: bool):
-        self.kernel = kernel
-        self.task = task
-        self.program = program
+    def __init__(self, kernel: Kernel, task: Task, program, registry):
         batch = kernel.sys.batch(task)
         self.methods = [getattr(batch, name) for name in program.op_table]
         self.slot_fds: List[int] = [-1] * program.slot_count
-        self.units = _unit_table(program, fine)
+        self.units = program.units
         self.cursor = 0
         self.costs = kernel.costs
         self.stats = kernel.stats
@@ -432,9 +447,10 @@ class _StreamState:
         self.files = task.fds._files
         self.rows = program.rows
         self.op_table = program.op_table
-        self.segments = getattr(program, "plan_segments", ()) or ()
+        self.segments = program.plan_segments
         self.registry = registry
-        self.cells = (registry.cells(program, self.segments)
+        self.cells = ([registry.cell("segment", task, program, seg.shape)
+                       for seg in self.segments]
                       if registry is not None and self.segments else None)
 
     def run_rows(self, lo: int, hi: int) -> None:
@@ -479,123 +495,65 @@ class _StreamState:
                                    exc.errno) from exc
 
     def advance(self, n: int) -> None:
-        """Execute the next ``n`` units of this stream."""
+        """Execute the next ``n`` units of this stream: each plannable
+        segment through the plan protocol, every run of rows between
+        them as one :meth:`run_rows`.
+        """
         units = self.units
         cursor = self.cursor
         self.cursor = end = cursor + n
-        cells = self.cells
-        for u in range(cursor, end):
-            lo, hi, seg_i = units[u]
-            if seg_i >= 0 and cells is not None:
-                self._segment_unit(self.segments[seg_i], cells[seg_i],
-                                   lo, hi)
-            else:
-                self.run_rows(lo, hi)
+        lo = units[cursor][0]
+        if self.cells is not None:
+            for u in range(cursor, end):
+                start, stop, seg_i = units[u]
+                if seg_i >= 0:
+                    if lo < start:
+                        self.run_rows(lo, start)
+                    self._segment(seg_i, start, stop)
+                    lo = stop
+        hi = units[end - 1][1]
+        if lo < hi:
+            self.run_rows(lo, hi)
 
-    def _segment_unit(self, seg, cell, lo: int, hi: int) -> None:
-        """Run one plannable segment through the charge-plan protocol."""
-        registry = self.registry
-        costs = self.costs
-        plan = cell.plan
-        if plan is not None:
-            if plan.gen == registry.gen:
-                task_key = id(self.task)
-                if task_key not in cell.tasks:
-                    self._confirm_task(plan, cell, lo, hi, task_key)
-                    return
-                ok = not costs._scope_stack
-                files = self.files
-                slot_fds = self.slot_fds
-                if ok:
-                    for slot, need_inode, need_not_dir in seg.guards:
-                        f = files.get(slot_fds[slot])
-                        if f is None or f.closed:
-                            ok = False
-                            break
-                        if need_inode:
-                            inode = f.pos.dentry.inode
-                            if inode is None or (need_not_dir
-                                                 and inode.is_dir):
-                                ok = False
-                                break
-                ticker = self.ticker
-                if ok and ticker is not None \
-                        and ticker.fires_within(plan.vector.ticks):
-                    ok = False
-                if ok:
-                    costs.apply(plan.vector)
-                    if plan.stat_deltas:
-                        self.stats.bump_many(plan.stat_deltas)
-                    for slot, offset in seg.seeks:
-                        files[slot_fds[slot]].offset = offset
-                    registry.applied += 1
-                    cell.fail_streak = 0
-                    return
-                registry.fallbacks += 1
-                cell.fail_streak += 1
-                if cell.fail_streak >= registry.MAX_FAIL_STREAK:
-                    registry.invalidated += 1
-                    cell.reset()
-            else:
-                registry.invalidated += 1
-                cell.reset()
-            self.run_rows(lo, hi)
-            return
-        if cell.dead or costs.recorder is not None:
-            self.run_rows(lo, hi)
-            return
-        n = cell.execs
-        cell.execs = n + 1
-        if n < registry.WARMUP:
-            self.run_rows(lo, hi)
-            return
-        with Recording(costs, self.stats) as rec:
-            self.run_rows(lo, hi)
-        if not _capture_clean(rec):
-            _reject(registry, cell)
-        elif _confirmed(registry, cell, (rec.vector, rec.stat_deltas)):
-            cell.plan = ChargePlan(rec.vector, rec.stat_deltas, registry.gen)
-            cell.tasks = {id(self.task): self.task}
-
-    def _confirm_task(self, plan, cell, lo: int, hi: int,
-                      task_key: int) -> None:
-        """Admit this task to a shape-shared plan iff its run matches.
-
-        Segment cells are shared across tasks by charge shape
-        (:meth:`~repro.sim.costs.ChargePlanRegistry.cells`), so the
-        first execution on each *new* task runs interpreted under a
-        recorder and its charge vector and Stats deltas are compared
-        with the plan's.  A match admits the task — subsequent
-        executions apply the shared plan under the usual guards.  An
-        unclean recording (a sweep batch fired mid-run, an LRU/PCC
-        touch) gives no verdict either way; a *clean* mismatch means
-        the shape key failed to predict this task's charges, and the
-        cell goes back through the full capture cycle.
+    def _segment(self, seg_i: int, lo: int, hi: int) -> None:
+        """One plannable segment as a plan unit.  Its plan applies with
+        every guarded fd open, a live inode where ``fstat`` needs one and
+        no directory where ``lseek`` must not find one, and no sweeper
+        deadline inside the plan's ticks; the final seeks follow.
         """
-        registry = self.registry
-        with Recording(self.costs, self.stats) as rec:
-            self.run_rows(lo, hi)
-        if rec.vector == plan.vector \
-                and rec.stat_deltas == plan.stat_deltas:
-            cell.tasks[task_key] = self.task
-            registry.task_confirms += 1
-        elif not _capture_clean(rec):
-            registry.fallbacks += 1
-        else:
-            registry.invalidated += 1
-            cell.reset()
+        seg = self.segments[seg_i]
+        files = self.files
+        slot_fds = self.slot_fds
+        ticker = self.ticker
 
+        def guard(plan: ChargePlan) -> bool:
+            for slot, need_inode, need_not_dir in seg.guards:
+                f = files.get(slot_fds[slot])
+                if f is None or f.closed:
+                    return False
+                inode = f.pos.dentry.inode
+                if inode is None:
+                    if need_inode:
+                        return False
+                elif need_not_dir and inode.is_dir:
+                    return False
+            return ticker is None \
+                or not ticker.fires_within(plan.vector.ticks)
 
-def _run_stream(kernel: Kernel, task: Task, program, registry) -> None:
-    """Replay one full program as a single stream (coarse gap units)."""
-    state = _StreamState(kernel, task, program, registry, fine=False)
-    state.advance(len(state.units))
+        def settle(applied: bool) -> None:
+            if applied:
+                for slot, offset in seg.seeks:
+                    files[slot_fds[slot]].offset = offset
+
+        _plan_unit(self.registry, self.cells[seg_i], self.costs, self.stats,
+                   lambda: self.run_rows(lo, hi), guard, _capture_clean,
+                   settle)
 
 
 def replay_compiled(kernel: Kernel, task: Task, program,
-                    strict: bool = True,
                     plans: Optional[bool] = None) -> None:
-    """Execute a :class:`~repro.workloads.compile.CompiledTrace`.
+    """Execute a :class:`~repro.workloads.compile.CompiledTrace`: the
+    one-stream :func:`replay_interleaved`.
 
     Semantically identical to :func:`replay` of the source trace —
     same syscalls, same order, same compute charges, hence identical
@@ -605,169 +563,11 @@ def replay_compiled(kernel: Kernel, task: Task, program,
     replay from a :meth:`~repro.vfs.syscalls.Syscalls.batch` prologue),
     args are prefolded tuples, fd remaps are precomputed patch sites,
     and the errno check is branch-on-None.
-
-    On strict replays the charge-plan layer additionally captures and
-    applies charge plans at two granularities — identical virtual
-    costs either way (``tests/test_charge_plans.py`` is the
-    differential gate), pure wall-clock win.  ``plans=False`` turns the
-    layer off (the reference path the differentials compare against);
-    ``None``, the default, means on.
-
-    1. *Whole-pass plans* (:func:`_plan_unit`): for a self-undoing
-       trace replayed back to back on one quiescent kernel — the
-       benchmark loop shape — the entire pass's charge vector is
-       captured once (confirmed on a second identical recorded run) and
-       later passes apply it with one :meth:`CostModel.apply` plus a
-       bulk Stats merge, guarded by the registry generation and *clock
-       equality* with the previous pass's end.
-       Under a live lazy sweeper a pass's charges are never stable
-       (fixed virtual deadlines drift modulo pass length), so whole-pass
-       plans require a kernel without one.
-
-    2. *Per-segment plans*, task-generic and shared by charge shape
-       (:meth:`~repro.sim.costs.ChargePlanRegistry.cells`), for
-       programs carrying ``plan_segments``: runs of fd-table syscalls
-       captured once and applied under per-fd guards.  This is the
-       granularity :func:`replay_interleaved` schedules, and the
-       fallback whenever whole-pass planning is unavailable.
-
-    ``program`` is duck-typed (``op_table``, ``rows``, ``slot_count``)
-    so this module need not import the compiler; programs without
-    ``plan_segments`` replay as plain row streams.
     """
-    if strict:
-        registry = None
-        if (plans is None or plans) and kernel.costs.recorder is None \
-                and getattr(program, "plan_segments", None) is not None:
-            registry = kernel.costs.plans
-            if kernel.sweeper is None and _plan_unit(
-                    kernel, registry,
-                    registry.unit_cell(None, ((task, program),)), (task,),
-                    lambda: _run_stream(kernel, task, program, None)):
-                return
-        _run_stream(kernel, task, program, registry)
-        return
-    # Lenient path: mirror replay(strict=False) — unexpected outcomes
-    # are ignored and the stream continues.
-    batch = kernel.sys.batch(task)
-    methods = [getattr(batch, name) for name in program.op_table]
-    slot_fds: List[int] = [-1] * program.slot_count
-    charge_ns = kernel.costs.charge_ns
-    fs_error = errors.FsError
-    for op_idx, args, patches, store, errno_exp, compute, pair \
-            in program.rows:
-        if compute:
-            charge_ns("app_compute", compute)
-        if patches is not None:
-            for arg_idx, slot in patches:
-                args[arg_idx] = slot_fds[slot]
-        try:
-            result = methods[op_idx](*args)
-        except fs_error:
-            continue
-        if store >= 0 and errno_exp is None:
-            slot_fds[store] = result[0] if pair else result
-
-
-def _apply_plan(kernel: Kernel, registry, cell) -> bool:
-    """Guard and apply an armed whole-pass/whole-drain plan.
-
-    True means the plan applied: virtual costs and Stats advanced
-    exactly as an interpreted run would, kernel state untouched.  False
-    means a guard failed and the caller must run interpreted (the
-    streak/invalidation bookkeeping has already happened).
-
-    The clock guard is equality with the clock state at which the plan
-    was armed — any interleaving syscall moves the clock off it.
-    """
-    costs = kernel.costs
-    clock = costs.clock
-    plan = cell.plan
-    if plan.gen != registry.gen:
-        registry.invalidated += 1
-        cell.reset()
-        return False
-    if clock.capture_state() != cell.armed_now:
-        registry.fallbacks += 1
-        cell.fail_streak += 1
-        if cell.fail_streak >= registry.PASS_FAIL_STREAK:
-            registry.invalidated += 1
-            cell.reset()
-        return False
-    costs.apply(plan.vector)
-    if plan.stat_deltas:
-        kernel.stats.bump_many(plan.stat_deltas)
-    cell.armed_now = clock.capture_state()
-    cell.fail_streak = 0
-    registry.applied += 1
-    return True
-
-
-def _plan_unit(kernel: Kernel, registry, cell, tasks,
-               run: Callable[[], None]) -> bool:
-    """Whole-pass / whole-drain plan protocol.  True iff the unit was
-    handled here.
-
-    ``cell`` is the unit's :class:`~repro.sim.costs.PlanCell`
-    (:meth:`~repro.sim.costs.ChargePlanRegistry.unit_cell`), ``tasks``
-    the tasks whose fd tables the unit must leave as it found them, and
-    ``run`` executes the unit interpreted with segment plans off.
-    Lifecycle: one warmup execution, then two recorded ones whose
-    captures must be equal, then the capture is applied on every later
-    execution that starts at the clock state the previous one ended on
-    (:func:`_apply_plan`).
-    Any rejection — scope stack active, fd table changed across the
-    unit, capture mismatch — burns a retry; ``MAX_RETRIES`` rejections
-    kill the cell and the unit falls back to segment planning forever.
-    Returns False only when the caller should run the unit itself
-    (warmup, dead cell, guard failure); a recorded execution returns
-    True because the recording ran it.
-    """
-    costs = kernel.costs
-    if costs._scope_stack or cell.dead:
-        return False
-    if cell.plan is not None:
-        return _apply_plan(kernel, registry, cell)
-    n = cell.execs
-    cell.execs = n + 1
-    if n < registry.WARMUP:
-        return False
-    fds_before = [frozenset(task.fds._files) for task in tasks]
-    with Recording(costs, kernel.stats) as rec:
-        run()
-    if costs._scope_stack \
-            or [frozenset(task.fds._files) for task in tasks] != fds_before:
-        _reject(registry, cell)
-    elif _confirmed(registry, cell, (rec.vector, rec.stat_deltas)):
-        cell.plan = ChargePlan(rec.vector, rec.stat_deltas, registry.gen)
-        cell.armed_now = costs.clock.capture_state()
-    return True
-
-
-def _drain_interleaved(kernel: Kernel, streams, seed: int,
-                       registry) -> None:
-    """Vectorized interpreted drain of interleaved streams.
-
-    The schedule — which stream advances at each step — is precomputed
-    as flat (stream, run-length) arrays by
-    :meth:`~repro.testing.scheduler.StreamScheduler.plan_schedule`,
-    pick-for-pick identical to draining with per-unit RNG calls
-    (asserted by ``tests/test_server_fleet.py``), then run-length
-    coalesced so consecutive picks of one stream cost a single
-    dispatch.  Per-stream state lives in :class:`_StreamState`; the
-    loop body is one bound-method call per run.
-    """
-    states = [_StreamState(kernel, task, prog, registry, fine=True)
-              for task, prog in streams]
-    order, runs = _drain_schedule(
-        seed, tuple(len(state.units) for state in states))
-    advances = [state.advance for state in states]
-    for i, s in enumerate(order):
-        advances[s](runs[i])
+    replay_interleaved(kernel, ((task, program),), plans=plans)
 
 
 def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
-                       strict: bool = True,
                        plans: Optional[bool] = None) -> None:
     """Replay multiple compiled programs interleaved on one kernel.
 
@@ -778,33 +578,46 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     the multi-tenant server shape: per-tenant request streams sharing
     one directory cache.  Deterministic: the same (streams, seed)
     always produces the same interleaving, virtual costs and Stats.
+    The schedule is precomputed as flat (stream, run-length) arrays by
+    :meth:`~repro.testing.scheduler.StreamScheduler.plan_schedule`, so
+    consecutive picks of one stream cost a single dispatch.
 
-    Strict-only: lenient replay swallows errors *within* a stream,
-    which would let streams desynchronize silently.
-
-    The charge-plan layer applies at two levels.  Per-segment plans
-    (shape-shared across tenants) capture and apply inside the drain
-    exactly as in :func:`replay_compiled`.  When the whole drain is
-    replayed back to back on a quiescent kernel — the benchmark shape —
-    a *whole-drain* plan (:func:`_plan_unit`, keyed by the seed and the
-    identities of every (task, program) pair) captures the entire
-    drain's charge vector once and applies it in one step, guarded by
-    clock equality; like whole-pass plans this needs a kernel without
-    a lazy sweeper.  Identical virtual output with ``plans`` on or off
-    either way (``tests/test_server_fleet.py`` is the differential
-    gate).
+    The charge-plan layer (:func:`_plan_unit`; ``plans=False`` turns it
+    off, ``None``, the default, means on) never changes virtual output
+    — ``tests/test_charge_plans.py`` and ``tests/test_server_fleet.py``
+    are the differential gates — and plans two kinds of unit.  The
+    *whole drain*, replayed back to back on a quiescent kernel (the
+    benchmark shape), applies while the clock equals the state its last
+    capture or apply ended on — any interleaving syscall moves it off —
+    and its capture carries :func:`_drain_state`, so two equal captures
+    prove the drain leaves the state it found.  Under a lazy sweeper a
+    drain's charges never repeat (fixed virtual deadlines drift modulo
+    drain length), so this needs a kernel without one.  A *plannable
+    segment* (``program.plan_segments``) applies under per-fd guards
+    inside any drain that runs interpreted.
     """
-    if not strict:
-        raise ValueError("replay_interleaved is strict-only: lenient "
-                         "replay could desynchronize streams")
     streams = list(streams)
     costs = kernel.costs
-    registry = costs.plans \
-        if (plans is None or plans) and costs.recorder is None else None
-    if registry is not None and kernel.sweeper is None and _plan_unit(
-            kernel, registry, registry.unit_cell(seed, streams),
-            [task for task, _prog in streams],
-            lambda: _drain_interleaved(kernel, streams, seed, None)):
-        return
-    _drain_interleaved(kernel, streams, seed, registry)
+    registry = costs.plans if plans is None or plans else None
 
+    def drain() -> None:
+        states = [_StreamState(kernel, task, prog, registry)
+                  for task, prog in streams]
+        order, runs = _drain_schedule(
+            seed, tuple(len(prog.units) for _task, prog in streams))
+        advances = [state.advance for state in states]
+        for i, s in enumerate(order):
+            advances[s](runs[i])
+
+    if registry is None or kernel.sweeper is not None:
+        drain()
+        return
+    cell = registry.cell(seed, *chain.from_iterable(streams))
+    clock = costs.clock
+
+    def settle(_applied: bool) -> None:
+        cell.armed_now = clock.capture_state()
+
+    _plan_unit(registry, cell, costs, kernel.stats, drain,
+               lambda _plan: clock.capture_state() == cell.armed_now,
+               lambda _rec: _drain_state(streams), settle)

@@ -20,9 +20,9 @@ import pytest
 from repro import (O_APPEND, O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR,
                    O_WRONLY, errors, make_kernel)
 from repro.bench import exp_replay
+from repro.workloads import server_fleet
 from repro.workloads.compile import (CompiledTrace, TraceCompileError,
-                                     build_loop_trace, compile_trace,
-                                     try_compile)
+                                     build_loop_trace, compile_trace)
 from repro.workloads.traces import (ReplayDivergence, Trace, TraceEvent,
                                     TraceRecorder, replay, replay_compiled)
 
@@ -132,23 +132,43 @@ class TestCompile:
         bogus = Trace([TraceEvent(op="frobnicate", args=())])
         with pytest.raises(TraceCompileError):
             compile_trace(bogus)
-        assert try_compile(bogus) is None
 
     def test_unknown_kwarg_raises(self):
         bogus = Trace([TraceEvent(op="stat", args=("/x",),
                                   kwargs={"nope": 1})])
         with pytest.raises(TraceCompileError):
             compile_trace(bogus)
-        assert try_compile(bogus) is None
 
     def test_missing_required_arg_raises(self):
         bogus = Trace([TraceEvent(op="rename", args=("/only-src",))])
         with pytest.raises(TraceCompileError):
             compile_trace(bogus)
 
-    def test_try_compile_passes_through_good_traces(self):
-        trace = _record_mixed(make_kernel("baseline"))
-        assert try_compile(trace) is not None
+    def test_unit_table_pins_scheduling_granularity(self):
+        """Units are what the interleaved scheduler picks between, so
+        virtual output depends on them: one per plan segment, one per
+        other row, tiling the rows in order."""
+        fleet = server_fleet.build_fleet(
+            make_kernel("baseline"), 2, total_requests=8,
+            mutation_rate=0.3, files_per_site=8, messages_per_box=4)
+        tenant = fleet.tenants[0].program
+        assert not tenant.plan_segments
+        assert len(tenant.units) == len(tenant.rows) > 0
+        small = compile_trace(build_loop_trace(files=8, io_rounds=10))
+        default = compile_trace(build_loop_trace())
+        for program, shape in ((small, (345, 10, 105)),
+                               (default, (2170, 40, 250))):
+            assert (len(program.rows), len(program.plan_segments),
+                    len(program.units)) == shape
+        for program in (tenant, small, default):
+            bounds = [(lo, hi) for lo, hi, _seg in program.units]
+            assert bounds[0][0] == 0 and bounds[-1][1] == len(program.rows)
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            assert [(seg.start, seg.end, i) for i, seg
+                    in enumerate(program.plan_segments)] \
+                == [unit for unit in program.units if unit[2] >= 0]
+            assert all(hi == lo + 1 for lo, hi, seg in program.units
+                       if seg < 0)
 
 
 # -- engine differential --------------------------------------------------
@@ -309,19 +329,6 @@ class TestCompiledDivergence:
         assert excinfo.value.op == "mkdir"
         assert excinfo.value.expected_errno is None
         assert excinfo.value.actual_errno is not None
-
-    def test_lenient_mode_continues_like_interpreter(self):
-        trace = self._trace_expecting_enoent()
-        program = compile_trace(trace)
-        for engine in ("interpreted", "compiled"):
-            kernel = make_kernel("baseline")
-            task = kernel.spawn_task(uid=0, gid=0)
-            kernel.sys.mkdir(task, "/made")
-            if engine == "compiled":
-                replay_compiled(kernel, task, program, strict=False)
-            else:
-                replay(kernel, task, trace, strict=False)
-            assert kernel.sys.exists(task, "/made")
 
 
 # -- batch fast entries ---------------------------------------------------

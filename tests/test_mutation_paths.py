@@ -1,7 +1,7 @@
 """Mutation-path overhaul differentials (batched shootdowns, memoized
-mutation resolves, stale charge plans).
+mutation resolves).
 
-Three wall-clock optimizations share one contract: virtual costs must be
+Two wall-clock optimizations share one contract: virtual costs must be
 bit-identical with the optimization on or off, against a reference
 implementation, on every profile.  This module pins each:
 
@@ -11,9 +11,7 @@ implementation, on every profile.  This module pins each:
   fixed-tree golden check plus a hypothesis sweep over random subtree
   shapes including bind mounts, symlinks, and negative dentries;
 * the scoped-invalidation resolution memo on mutation-heavy
-  create/stat/rename/unlink churn, memo on vs. off;
-* a shared segment plan gone stale: the task-confirm protocol
-  invalidates and recaptures it, plans on vs. off.
+  create/stat/rename/unlink churn, memo on vs. off.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import pytest
 from repro import O_CREAT, O_RDWR, make_kernel
 from repro.core.coherence import SEQ_WRAP
 from repro.errors import FsError
-from repro.workloads.compile import build_loop_trace, compile_trace
-from repro.workloads.traces import replay_compiled
 
 PROFILES = ("baseline", "optimized", "optimized-lazy")
 
@@ -254,51 +250,3 @@ class TestMemoMutationChurn:
             assert misses > 0
         else:
             assert hits > 0
-
-
-# -- stale charge plans ------------------------------------------------------
-
-def _forge_stale_plan(kernel, program):
-    """Make a live segment plan stale without touching virtual state:
-    its stored charge vector no longer matches what the segment really
-    charges (one count moved), and no task is admitted to it."""
-    registry = kernel.costs.plans
-    cell = registry.cells(program, program.plan_segments)[0]
-    assert cell.plan is not None, "segment plan did not compile"
-    vector = cell.plan.vector.copy()
-    key = next(iter(vector.charges))
-    times, nbytes = vector.charges[key]
-    vector.charges[key] = (times + 1, nbytes)
-    cell.plan.vector = vector
-    cell.tasks = {}
-    return cell
-
-
-class TestPlanDeltaPatch:
-    """What happens to a segment plan that a fresh recording of the
-    same segment contradicts (a *delta* between plan and reality)."""
-
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_structural_mismatch_falls_back(self, profile):
-        """A plan whose vector a task's clean recorded run contradicts
-        is never applied: the cell resets through the full
-        invalidate+recapture cycle — and stays identical to plans-off
-        throughout."""
-        prints = {}
-        telemetry = None
-        for plans in (False, True):
-            kernel = make_kernel(profile)
-            task = kernel.spawn_task(uid=0, gid=0)
-            program = compile_trace(build_loop_trace(profile=profile))
-            for _ in range(4):
-                replay_compiled(kernel, task, program, plans=plans)
-            if plans:
-                _forge_stale_plan(kernel, program)
-            task2 = kernel.spawn_task(uid=0, gid=0)
-            for _ in range(4):
-                replay_compiled(kernel, task2, program, plans=plans)
-            prints[plans] = _fingerprint(kernel)
-            if plans:
-                telemetry = kernel.costs.plans.telemetry()
-        assert prints[True] == prints[False]
-        assert telemetry["invalidated"] >= 1

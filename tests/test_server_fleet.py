@@ -1,12 +1,12 @@
 """Differential tests for the multi-tenant server-fleet engine.
 
-The engine stack under test: task-generic shape-keyed charge plans and
-whole-drain plans (``sim/costs.py`` + ``workloads/traces.py``),
-vectorized interleaved scheduling (``testing/scheduler.py``), and the
-fleet workload itself (``workloads/server_fleet.py``).  The contract
-everywhere is the same: every wall-clock optimization must leave
-virtual output — clock, per-primitive charges, Stats — bit-identical
-to the interpreted path, on every profile.
+The engine stack under test: segment and whole-drain charge plans
+(``sim/costs.py`` + ``workloads/traces.py``), vectorized interleaved
+scheduling (``testing/scheduler.py``), and the fleet workload itself
+(``workloads/server_fleet.py``).  The contract everywhere is the same:
+every wall-clock optimization must leave virtual output — clock,
+per-primitive charges, Stats — bit-identical to the interpreted path,
+on every profile.
 """
 
 import random
@@ -15,7 +15,6 @@ import pytest
 
 from repro import make_kernel
 from repro.bench import exp_tenant_crossover
-from repro.sim.costs import ChargeVector
 from repro.testing.scheduler import StreamScheduler
 from repro.workloads import server_fleet
 from repro.workloads.compile import build_loop_trace, compile_trace
@@ -186,52 +185,8 @@ def _loop_streams(kernel, n=4):
 
 
 class TestCrossTaskPlans:
-    """Shape-shared segment plans across tenants."""
-
-    def test_shared_plan_confirms_across_tasks(self):
-        kernel = make_kernel("optimized")
-        streams = _loop_streams(kernel)
-        registry = kernel.costs.plans
-        # Keep the whole-drain plan out of the way so every drain runs
-        # the segment path (the machinery under test here).
-        registry.unit_cell(1, streams).dead = True
-        for _ in range(3):
-            replay_interleaved(kernel, streams, seed=1)
-        tel = registry.telemetry()
-        # One task's executions compile the shared plan; the other
-        # three are admitted by recorded confirmation runs.
-        assert tel["task_confirms"] >= 3
-        assert tel["applied"] > 0
-        assert tel["invalidated"] == 0
-
-    def test_clean_mismatch_invalidates_shared_plan(self):
-        """A confirmation run that cleanly disagrees with the shared
-        capture must invalidate the cell — and the drain's virtual
-        output must still match a plans-off run."""
-        kernel = make_kernel("optimized")
-        streams = _loop_streams(kernel)
-        registry = kernel.costs.plans
-        registry.unit_cell(1, streams).dead = True
-        replay_interleaved(kernel, streams, seed=1)
-        cells = [cell for cell in registry._shape_tables.values()
-                 if cell.plan is not None]
-        assert cells, "no shared segment plan compiled"
-        for cell in cells:
-            # Corrupt the capture and forget the admitted tasks: every
-            # task now re-confirms against a capture nothing matches.
-            cell.plan.vector = ChargeVector()
-            cell.tasks.clear()
-        before = registry.invalidated
-        replay_interleaved(kernel, streams, seed=1)
-        assert registry.invalidated > before
-
-        # Differential: the same history on a plans-off kernel.
-        ref = make_kernel("optimized")
-        ref_streams = _loop_streams(ref)
-        ref.costs.plans.unit_cell(1, ref_streams).dead = True
-        for _ in range(2):
-            replay_interleaved(ref, ref_streams, seed=1, plans=False)
-        assert _fingerprint(kernel) == _fingerprint(ref)
+    """Same-shape segment streams on distinct tasks: each task's plans
+    are its own."""
 
     def test_interleaving_matches_any_seed(self):
         """Different seeds interleave differently but plans stay

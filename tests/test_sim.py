@@ -102,8 +102,6 @@ _EVENT = st.one_of(
               st.integers(1, 5), st.integers(0, 40)),
     st.tuples(st.just("charge_in"), _SCOPES.filter(bool), _PRIMITIVES,
               st.integers(1, 5), st.integers(0, 40)),
-    # At least one tick: a key charged only zeros cannot survive
-    # ``(a + b) - b`` when ``b`` charged the same key.
     st.tuples(st.just("charge_ns"), _SCOPES,
               st.sampled_from(["app_compute", "net_rpc"]),
               st.floats(0.01, 1e7, allow_nan=False), st.just(0)))
@@ -153,14 +151,6 @@ class TestIntegerTime:
         _charge(charged, events)
         applied.apply(vector_of(events))
         assert _state(applied) == _state(charged)
-
-    @given(_EVENTS, _EVENTS)
-    def test_vectors_add_and_subtract(self, a, b):
-        assert vector_of(a + b) == vector_of(a) + vector_of(b)
-        total = vector_of(a) + vector_of(b)
-        assert total.ticks == vector_of(a).ticks + vector_of(b).ticks
-        assert total - vector_of(b) == vector_of(a)
-        assert (total - vector_of(b)).ticks == vector_of(a).ticks
 
     def test_rate_between_two_ticks_is_rejected(self):
         with pytest.raises(ValueError):

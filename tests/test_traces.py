@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR, errors, make_kernel
-from repro.workloads.traces import (PATH_LOOKUP_OPS, ReplayMismatch, Trace,
-                                    TraceEvent, TraceRecorder, replay)
+from repro.workloads.traces import (PATH_LOOKUP_OPS, ReplayDivergence,
+                                    Trace, TraceEvent, TraceRecorder, replay)
 
 
 def _record_sample(kernel):
@@ -163,7 +163,7 @@ class TestReplay:
         fd = kernel.sys.open(task, "/proj/missing.h", O_CREAT | O_RDWR)
         kernel.sys.close(task, fd)
         # mkdir /proj will now fail where the recording succeeded.
-        with pytest.raises(ReplayMismatch):
+        with pytest.raises(ReplayDivergence):
             replay(kernel, task, trace)
 
     def test_replay_gain_matches_direct_run(self):
@@ -191,7 +191,6 @@ class TestReplay:
     def test_divergence_carries_structure(self):
         """ReplayDivergence is typed: index/op/errnos, not a bare
         AssertionError message to parse."""
-        from repro.workloads.traces import ReplayDivergence
         trace = _record_sample(make_kernel("baseline"))
         kernel = make_kernel("baseline")
         task = kernel.spawn_task(uid=0, gid=0)
@@ -205,7 +204,6 @@ class TestReplay:
         assert exc.expected_errno is None
         assert exc.actual_errno is not None
         assert isinstance(exc, AssertionError)  # old except clauses work
-        assert ReplayMismatch is ReplayDivergence  # legacy alias
 
     def test_compute_charged_before_erroring_event(self):
         """A compute gap attached to an event that errors is charged
