@@ -78,6 +78,27 @@ own charge vector proves it (population charges ``dentry_alloc`` /
 strict counter comparison, under which today's flush semantics are
 preserved).
 
+Admission — record only while recordings pay
+--------------------------------------------
+
+Recording costs wall-clock (the attached recorder, the ``Stats`` diff,
+the snapshot and its reverse-index registration, all of it twice before
+the first replay), so two host-side rules decide *when to try*.  Neither
+can move virtual output: every check above still guards every replay.
+A *doorkeeper* — one set of ``hash(key)`` ints, cleared whole at
+``_DOOR_MAX`` — has a key resolved plainly on first sight and recorded
+on its second.  A *governor* counts resolves in windows of ``_WINDOW``
+(integers, never wall-clock) and compares what a window *earned*
+(replays) with what it *wasted*: recordings ``_memoizable`` refused or
+a confirming run contradicted, and entries lost to ``kill`` /
+``kill_miss`` / ``flush``, staleness or capacity.  ``wasted > earned``
+shuts recording for 1, 2, 4 ... ``_MAX_SHUT`` windows, then one probe
+window reopens it; a window that pays resets the backoff.  A warm-up
+records much and loses nothing, so it never shuts.  While shut,
+confirmed entries still validate and replay, provisional ones wait, and
+an empty memo costs a resolve one countdown step (``kill`` and
+``kill_miss`` return at their empty index).
+
 Resolutions that call into the low-level file system (buffer-cache or
 device charges, pseudo-file generation, network RPCs) are never
 memoized: their charges depend on state the memo cannot validate
@@ -233,18 +254,18 @@ class ResolutionMemo:
 
     __slots__ = (
         "costs", "stats", "coherence", "dcache", "resolver", "capacity",
-        "_entries", "_by_dep", "_by_miss", "_miss_score", "_burn",
+        "_entries", "_by_dep", "_by_miss", "_door",
+        "_open", "_left", "_shut_for", "_mark", "_wasted",
         "hits", "misses", "stale", "flushes",
     )
 
-    #: Consecutive misses of one key before its resolutions are worth
-    #: recording (see :meth:`resolve`).
-    _RECORD_AFTER = 1
+    #: Resolves per governor window (see *Admission* in the module
+    #: docstring), and the longest shut spell in windows.
+    _WINDOW = 512
+    _MAX_SHUT = 64
 
-    #: Cap on the per-key recording backoff shift (see :meth:`resolve`):
-    #: a key whose recordings never confirm ends up recording at most
-    #: once per ``_RECORD_AFTER << _MAX_BURN`` misses.
-    _MAX_BURN = 6
+    #: Doorkeeper size at which it is cleared whole.
+    _DOOR_MAX = 1 << 14
 
     def __init__(self, costs, stats, coherence, dcache, resolver,
                  capacity: int = 4096) -> None:
@@ -265,10 +286,16 @@ class ResolutionMemo:
         #: fastpath probe).  Drives :meth:`kill_miss` from
         #: ``d_alloc``/``d_move`` and the DLHT and PCC ``insert``.
         self._by_miss: dict = {}
-        #: Per-key miss streaks surviving flushes (see :meth:`resolve`).
-        self._miss_score: dict = {}
-        #: Per-key recording backoff: recordings that never confirmed.
-        self._burn: dict = {}
+        #: Doorkeeper: ``hash(key)`` of every key resolved while open.
+        self._door: set = set()
+        #: Governor: is recording open, resolves left in this window or
+        #: shut spell, windows the next shut lasts, ``hits`` when the
+        #: window began, and entries and recordings it has lost since.
+        self._open = True
+        self._left = self._WINDOW
+        self._shut_for = 1
+        self._mark = 0
+        self._wasted = 0
         self.hits = 0
         self.misses = 0
         self.stale = 0
@@ -311,64 +338,69 @@ class ResolutionMemo:
         Mirrors the resolver's contract exactly: returns the terminal
         :class:`PathPos` or raises the recorded :class:`FsError`.
         """
-        costs = self.costs
-        if costs.recorder is not None:
-            # Re-entrant resolve while another recording is active:
-            # never nest recordings, and never replay into one.
-            return self.resolver.resolve(
-                task, path, follow_last=follow_last,
-                intent_create=intent_create, create_dir=create_dir)
-        root_dentry = task.root.dentry
-        cwd_dentry = task.cwd.dentry
-        key = (id(task.ns), id(root_dentry), id(cwd_dentry),
-               id(task.cred), path, follow_last, intent_create, create_dir)
+        left = self._left - 1
+        if left:
+            self._left = left
+        else:
+            self._turn()
         entries = self._entries
-        entry = entries.get(key)
-        if entry is not None:
-            start = root_dentry if path.startswith("/") else cwd_dentry
-            if self._valid(entry, start):
-                if entry.confirmed:
+        recording = self._open
+        # Shut and empty is free: no key, no probe.  A re-entrant
+        # resolve while another recording is active is resolved plainly
+        # too: never nest recordings, and never replay into one.
+        if (entries or recording) and self.costs.recorder is None:
+            root_dentry = task.root.dentry
+            cwd_dentry = task.cwd.dentry
+            key = (id(task.ns), id(root_dentry), id(cwd_dentry),
+                   id(task.cred), path, follow_last, intent_create,
+                   create_dir)
+            entry = entries.get(key)
+            if entry is not None:
+                start = root_dentry if path.startswith("/") else cwd_dentry
+                if not self._valid(entry, start):
+                    self.stale += 1
+                    self._wasted += 1
+                    del entries[key]
+                    self._unregister(key, entry)
+                elif entry.confirmed:
                     self.hits += 1
                     entries.move_to_end(key)
                     return self._replay(entry)
-                return self._confirm(key, entry, task, path, follow_last,
-                                     intent_create, create_dir)
-            self.stale += 1
-            if entries.get(key) is entry:
-                del entries[key]
-                self._unregister(key, entry)
+                elif recording:
+                    return self._confirm(key, entry, task, path, follow_last,
+                                         intent_create, create_dir)
+                # else provisional while shut: resolved plainly, it waits
+            if recording:
+                # Doorkeeper: a key is recorded on its second sight.
+                door = self._door
+                seen = hash(key)
+                if seen in door:
+                    self.misses += 1
+                    return self._record(key, task, path, follow_last,
+                                        intent_create, create_dir)
+                if len(door) >= self._DOOR_MAX:
+                    door.clear()
+                door.add(seen)
         self.misses += 1
-        # Record-worthiness gate: recording costs real wall-clock (the
-        # attached recorder, the stats diff, the store+match machinery),
-        # and in mutation-heavy phases every recording is invalidated
-        # before it can confirm — pure waste.  A key must miss
-        # _RECORD_AFTER times before its resolutions are recorded; the
-        # streak counter survives flushes (it carries no validity
-        # state), and recording resets it.  On top of the flat gate
-        # sits an exponential backoff: every recording that never
-        # confirms doubles the key's effective threshold (capped at
-        # ``<< _MAX_BURN``), and a successful confirm resets it — so
-        # keys whose recordings can never stabilize asymptotically stop
-        # being recorded, while steady hot paths stay eager.  Virtual
-        # charges are identical either way — the gate only defers when
-        # the memo starts trying to capture a path.
-        score = self._miss_score
-        streak = score.get(key, 0)
-        if streak < self._RECORD_AFTER << min(self._burn.get(key, 0),
-                                              self._MAX_BURN):
-            if len(score) > (self.capacity << 2):
-                score.clear()
-            score[key] = streak + 1
-            return self.resolver.resolve(
-                task, path, follow_last=follow_last,
-                intent_create=intent_create, create_dir=create_dir)
-        score[key] = 0
-        burn = self._burn
-        if len(burn) > (self.capacity << 2):
-            burn.clear()
-        burn[key] = burn.get(key, 0) + 1
-        return self._record(key, task, path, follow_last, intent_create,
-                            create_dir)
+        return self.resolver.resolve(
+            task, path, follow_last=follow_last,
+            intent_create=intent_create, create_dir=create_dir)
+
+    def _turn(self) -> None:
+        """A governor window or shut spell ended: a spell is followed by
+        one probe window; a window that lost more entries and recordings
+        than it replayed by a spell twice as long as the last."""
+        self._left = self._WINDOW
+        if not self._open:
+            self._open = True
+        elif self._wasted > self.hits - self._mark:
+            self._open = False
+            self._left *= self._shut_for
+            self._shut_for = min(self._shut_for << 1, self._MAX_SHUT)
+        else:
+            self._shut_for = 1  # the window paid
+        self._mark = self.hits
+        self._wasted = 0
 
     def _replay(self, entry: _Entry) -> PathPos:
         """Re-apply a confirmed recording without running the resolver."""
@@ -529,6 +561,7 @@ class ResolutionMemo:
 
     def _store(self, key, task, path, pos, exc, rec, deltas) -> None:
         if not self._memoizable(rec, pos):
+            self._wasted += 1
             return
         entry = _Entry()
         entry.outcome_pos = pos
@@ -554,6 +587,7 @@ class ResolutionMemo:
         if len(entries) > self.capacity:
             old_key, old_entry = entries.popitem(last=False)
             self._unregister(old_key, old_entry)
+            self._wasted += 1
 
     def _record(self, key, task, path, follow_last, intent_create,
                 create_dir) -> PathPos:
@@ -582,10 +616,8 @@ class ResolutionMemo:
             self._unregister(key, entry)
             self._snapshot(key, entry, task, path, rec)
             self._entries.move_to_end(key)
-            # The capture paid off: drop the recording backoff so the
-            # key stays eager after future invalidations.
-            self._burn.pop(key, None)
         else:
+            self._wasted += 1
             if self._entries.get(key) is entry:
                 del self._entries[key]
                 self._unregister(key, entry)
@@ -633,6 +665,7 @@ class ResolutionMemo:
         """Bulk-invalidate every entry (coarse hazards only: permission
         or label changes, mount table edits, seqcount wraparound)."""
         if self._entries:
+            self._wasted += len(self._entries)
             self._entries.clear()
             self._by_dep.clear()
             self._by_miss.clear()
@@ -645,20 +678,12 @@ class ResolutionMemo:
         via eviction, for the parent whose ``dir_complete`` flag the
         eviction broke) and by a PCC evicting past capacity.  O(affected
         entries) through the reverse index; a dentry no entry depends
-        on costs one dict probe.
+        on costs one dict probe, an empty index not even the key.
         """
-        bucket = self._by_dep.pop(id(dentry), None)
-        if not bucket:
-            return
-        entries = self._entries
-        removed = False
-        for key, entry in bucket.items():
-            if entries.get(key) is entry:
-                del entries[key]
-                removed = True
-            self._unregister(key, entry)
-        if removed:
-            self.flushes += 1
+        if self._by_dep:
+            bucket = self._by_dep.pop(id(dentry), None)
+            if bucket:
+                self._drop(bucket)
 
     def kill_miss(self, parent, name) -> None:
         """Scoped invalidation for a name being instantiated: drop every
@@ -666,17 +691,22 @@ class ResolutionMemo:
         ``parent`` (``d_alloc`` and the destination of ``d_move``; for a
         DLHT ``insert``, the table and the signature; for a PCC
         ``insert``, the cache and the dentry)."""
-        bucket = self._by_miss.pop((id(parent), name), None)
-        if not bucket:
-            return
+        if self._by_miss:
+            bucket = self._by_miss.pop((id(parent), name), None)
+            if bucket:
+                self._drop(bucket)
+
+    def _drop(self, bucket: dict) -> None:
+        """Drop the entries of one popped reverse-index bucket."""
         entries = self._entries
-        removed = False
+        removed = 0
         for key, entry in bucket.items():
             if entries.get(key) is entry:
                 del entries[key]
-                removed = True
+                removed += 1
             self._unregister(key, entry)
         if removed:
+            self._wasted += removed
             self.flushes += 1
 
     def __len__(self) -> int:

@@ -232,9 +232,11 @@ class Recording:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._costs.recorder = None
         before = self._before
+        # The items-view difference picks the moved counters in C; a
+        # counter born at zero is in it and is no change.
         self.stat_deltas = tuple(sorted(
             (name, value - before.get(name, 0))
-            for name, value in self._stats._counters.items()
+            for name, value in self._stats._counters.items() - before.items()
             if value != before.get(name, 0)))
 
 

@@ -28,17 +28,29 @@ Coverage:
 * a full PCC: replay repeats recorded re-inserts, an eviction kills the
   entries resting on its victim and no others, minimal cases and the
   ``warm_lookup`` inputs against a 128-entry PCC;
+* admission: the doorkeeper and the governor (deterministic, never shut
+  by a read-only loop, shut by a mutating one and reopened by quiet,
+  free while shut and empty), and the benchmark's ``churn`` inputs run
+  memo on and off while the governor cycles shut -> probe -> open -> shut;
+* the whole quick experiment report, byte for byte, with every kernel
+  built memo-off;
 * the ``DcacheConfig.resolution_memo`` switch and capacity bound.
 """
 
 from __future__ import annotations
 
+import random
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro import O_CREAT, O_RDWR, errors, make_kernel
+from repro.bench import report as report_cli
+from repro.core import resmemo
+from repro.core.kernel import Kernel
+from repro.core.resmemo import ResolutionMemo
 from repro.testing.dual import _check_kernel_invariants
 from repro.testing.races import assert_fastpath_consistent
 from repro.testing.scheduler import ConcurrentRunner, normalize_stat
@@ -565,6 +577,160 @@ class TestPccPressure:
             {"pcc_capacity": 128, "pcc_adaptive": adaptive},
             min_hits=0 if adaptive else _FLUSHING_HITS[profile])
         assert prints["default"] == prints["memo_off"]
+
+
+# -- admission: doorkeeper and governor ---------------------------------------
+
+def _governed_kernel(files=8):
+    """A kernel with ``/g/d/f0..`` and the task that made them."""
+    kernel = make_kernel("optimized")
+    task = kernel.spawn_task(uid=0, gid=0)
+    kernel.sys.mkdir(task, "/g")
+    kernel.sys.mkdir(task, "/g/d")
+    for i in range(files):
+        _mkfile(kernel, task, f"/g/d/f{i}")
+    return kernel, task
+
+
+def _flips(kernel, task, ops):
+    """Run ``ops``; the indices of those that left the governor in
+    another state (open or shut) than they found it."""
+    memo, flips = kernel.memo, []
+    for index, op in enumerate(ops):
+        was_open = memo._open
+        _h_apply(kernel, task, op)
+        if memo._open != was_open:
+            flips.append(index)
+    return flips
+
+
+def _mutating_loop(rounds):
+    """Two stats, then a rename of their directory, over and over: every
+    recording is killed before it can confirm."""
+    ops, here, there = [], "/g/d", "/g/e"
+    for i in range(rounds):
+        ops += [("stat", f"{here}/f{i % 8}"), ("stat", f"{there}/f{i % 8}"),
+                ("rename", here, there)]
+        here, there = there, here
+    return ops
+
+
+class TestAdmission:
+    def test_governor_is_deterministic_and_clockless(self):
+        ops = (_mutating_loop(2 * ResolutionMemo._WINDOW)
+               + [("stat", f"/g/d/f{i % 8}")
+                  for i in range(4 * ResolutionMemo._WINDOW)])
+        first, second = (_flips(*_governed_kernel(), ops) for _ in range(2))
+        assert first == second
+        assert len(first) >= 3  # shut, probe, ... : not vacuous
+        source = Path(resmemo.__file__).read_text()
+        assert "import time" not in source
+        assert "perf_counter" not in source
+
+    def test_read_only_zipf_loop_never_shuts(self):
+        """Nothing is killed, so nothing is wasted: every key is resolved
+        plainly once, recorded, confirmed, and replayed from then on."""
+        rng = random.Random(7)
+        kernel, task = _governed_kernel(files=64)
+        weights = [1 / (rank + 1) ** 1.1 for rank in range(64)]
+        paths = rng.choices([f"/g/d/f{i}" for i in range(64)], weights,
+                            k=6 * ResolutionMemo._WINDOW)
+        memo = kernel.memo
+        for path in paths:
+            kernel.sys.stat(task, path)
+            assert memo._open
+        expected = sum(max(0, paths.count(p) - 3) for p in set(paths))
+        assert memo.hits == expected
+        assert memo._shut_for == 1
+
+    def test_mutating_loop_shuts_and_quiet_reopens(self):
+        kernel, task = _governed_kernel()
+        memo, window = kernel.memo, ResolutionMemo._WINDOW
+        # Every op resolves at least once, so 2 * window ops span at
+        # least two verdicts.
+        for op in _mutating_loop(window)[:2 * window]:
+            _h_apply(kernel, task, op)
+            if not memo._open:
+                break
+        assert not memo._open
+        hits = memo.hits
+        here = "/g/d" if _try_stat(kernel, task, "/g/d")[0] != "err" else "/g/e"
+        quiet = 0
+        while not memo._open:
+            kernel.sys.stat(task, f"{here}/f{quiet % 8}")
+            quiet += 1
+            assert quiet <= window * ResolutionMemo._MAX_SHUT
+        for i in range(4 * 8):
+            kernel.sys.stat(task, f"{here}/f{i % 8}")
+        assert memo.hits > hits
+
+    def test_shut_and_empty_touches_no_table(self):
+        kernel, task = _governed_kernel()
+        memo = kernel.memo
+        memo.flush()
+        memo._door.clear()
+        memo._open, memo._left = False, 10 ** 6
+        misses = memo.misses
+        for i in range(1000):
+            kernel.sys.stat(task, f"/g/d/f{i % 8}")
+            kernel.sys.rename(task, f"/g/d/f{i % 8}", "/g/d/moved")
+            kernel.sys.rename(task, "/g/d/moved", f"/g/d/f{i % 8}")
+        assert len(memo._door) == len(memo._entries) == 0
+        assert not memo._by_dep and not memo._by_miss
+        assert memo._left == 10 ** 6 - (memo.misses - misses)
+        assert memo.misses - misses >= 1000 and memo.hits == 0
+
+    @pytest.mark.parametrize("options", (
+        {}, {"pcc_capacity": 4}, {"resolution_memo_capacity": 1}), ids=str)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_churn_inputs_while_the_governor_cycles(self, profile, options,
+                                                    e2e, monkeypatch):
+        """The benchmark's ``churn`` pass, then its read steps alone
+        (each six times running, so even a one-entry memo replays), then
+        the pass again, under a 32-resolve governor window: recording
+        shuts, probes, stays open through the quiet phase and shuts
+        again, and memo on and off end exactly equal."""
+        gen = e2e.gen
+        inputs = gen.make_inputs("churn", 1, gen.CHECK_SCALE, windows=1)
+        churn = inputs["windows"][0]
+        reads = [step for step in churn if step[0] == gen.CALL
+                 and step[2] in ("stat", "lstat", "access_r", "readlink")]
+        quiet = [step for step in reads for _ in range(6)]
+        inputs["ramp"] = []
+        inputs["windows"] = [churn, churn, quiet, quiet, churn, churn]
+        monkeypatch.setattr(ResolutionMemo, "_WINDOW", 32)
+        monkeypatch.setattr(ResolutionMemo, "_MAX_SHUT", 4)
+        verdicts = []
+        turn = ResolutionMemo._turn
+
+        def logged_turn(memo):
+            turn(memo)
+            verdicts.append("O" if memo._open else "S")
+
+        monkeypatch.setattr(ResolutionMemo, "_turn", logged_turn)
+        prints = _memo_on_off_prints(e2e, inputs, profile, options)
+        assert prints["default"] == prints["memo_off"]
+        assert re.search("SOO+S", "".join(verdicts))
+
+
+# -- the whole report, memo off ------------------------------------------------
+
+def test_quick_report_is_byte_identical_with_the_memo_off(monkeypatch):
+    """``python -m repro.bench.report --quick --jobs 1``, all experiments,
+    once as it is and once with every kernel built memo-off."""
+    default, ok = report_cli.generate(quick=True, jobs=1)
+    assert ok
+    built = []
+    init = Kernel.__init__
+
+    def memo_off_init(self, config, *args, **kwargs):
+        init(self, config.variant(resolution_memo=False), *args, **kwargs)
+        built.append(self.memo)
+
+    monkeypatch.setattr(Kernel, "__init__", memo_off_init)
+    memo_off, ok = report_cli.generate(quick=True, jobs=1)
+    assert ok and built and all(memo is None for memo in built)
+    assert memo_off == default
 
 
 # -- switch, capacity, counters --------------------------------------------
