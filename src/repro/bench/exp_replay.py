@@ -21,11 +21,10 @@ from typing import Dict, Tuple
 
 from repro import make_kernel
 from repro.bench.harness import Report, gain_pct
+from repro.core.kernel import PROFILES
 from repro.workloads.compile import (compile_trace, lower_lmbench,
                                      lower_maildir, lower_webserver)
 from repro.workloads.traces import Trace, replay_compiled
-
-PROFILES = ("baseline", "optimized", "optimized-lazy")
 
 
 def _lower_all(quick: bool) -> Dict[str, Trace]:

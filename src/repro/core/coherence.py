@@ -1,26 +1,38 @@
 """Coherence with permission and path changes (§3.2).
 
-The optimized kernel trades slower mutations for faster lookups: before a
-directory's permissions or position change, every cached descendant gets
-its sequence counter bumped (invalidating all PCC entries that reference
-it, without touching any PCC directly) and is evicted from its direct
-lookup hash table.  A global *invalidation counter* is read before a
-slowpath walk and checked before its results repopulate the caches, so a
-walk that raced a mutation can never re-cache stale state.
+The DLHT and the PCC memoize one map — (namespace, credential, path) to
+an outcome — and a *coherence policy* is the rule for when a memoized
+answer may still be served.  The kernel constructs exactly one policy
+and the fastpath (:mod:`repro.core.fastpath`) talks to it through one
+narrow interface:
 
-Mutation cost therefore becomes linear in the cached subtree size — the
-Figure 7 trade-off — charged here as ``inval_per_dentry``.
+* ``shootdown_single(dentry)`` / ``shootdown_subtree(dentry)`` — what a
+  mutation does before a dentry's (or a directory subtree's)
+  permissions or position change;
+* ``pos_state(task, pos, rebuild=None) -> (state, floor)`` — the hash
+  state of a *trusted* position (start directory, ``..`` hop, walk
+  anchor) and the epoch floor a PCC entry for it must carry;
+* ``accept(task, ns, pcc, dentry, sig=None, anchor=None)`` — whether a
+  DLHT probe hit may be served: its epoch floor, ``None`` (take the
+  slowpath) or :data:`RETRY` (the probed key was discarded);
+* ``on_miss(task, ns, pcc, start, comps, parent_state, floor)`` —
+  whether a full-path probe miss may be completed from its cached parent
+  instead of re-walking the prefix;
+* ``epoch`` stamps what population inserts, and ``sweeper`` (or None) is
+  polled from syscall entry.
 
-The ``optimized-lazy`` kernel keeps the lookup side but flips the
-mutation side to *epoch-based lazy invalidation* (cf. Stage Lookup,
-arXiv:2010.08741): a mutation bumps one global epoch and stamps the
-mutated dentry with it — O(1), no subtree walk — and fastpath hits pay
-for it instead, by checking that no dentry on their cached path carries
-a stamp newer than the epoch snapshot captured when the entry was
-populated.  Stale entries are revalidated or evicted on touch
-(:mod:`repro.core.fastpath`), and :class:`LazySweeper` amortizes the
-reclamation of never-touched stale entries so memory accounting stays
-honest.  See ``docs/coherence.md`` for the staleness argument.
+:class:`EagerCoherence` is the paper's rule: a mutation bumps the
+sequence counter of every cached descendant (invalidating all PCC
+entries that reference it, without touching any PCC directly) and evicts
+it from its DLHT, so mutation cost is linear in the cached subtree — the
+Figure 7 trade-off, charged as ``inval_per_dentry`` — and whatever a
+probe still finds is current.  :class:`~repro.core.epoch.EpochCoherence`
+flips the trade (cf. Stage Lookup, arXiv:2010.08741): O(1) mutations,
+and hits earn their answer on touch.  Under either, a global
+*invalidation counter* is read before a slowpath walk and checked before
+its results repopulate the caches, so a walk that raced a mutation can
+never re-cache stale state.  See ``docs/coherence.md`` for the staleness
+argument.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from typing import List
 
 from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
+from repro.vfs import path as vfspath
 from repro.vfs.dcache import DcacheHooks
 from repro.vfs.dentry import Dentry
 
@@ -37,26 +50,59 @@ from repro.vfs.dentry import Dentry
 #: flushes every PCC and DLHT (§3.1).  Kept small enough to test.
 SEQ_WRAP = 1 << 32
 
+#: ``accept`` verdict: validation discarded the probed key.  The slot is
+#: free now, so the caller may retry trailing-component completion
+#: before giving up and taking the slowpath.
+RETRY = object()
+
+
+def rootward(ns, mount, dentry):
+    """Yield ``(dentry, mount)`` from a position up to the namespace root.
+
+    Crosses mount boundaries: a mounted root is followed by its
+    mountpoint in the parent mount (which contributes the name; the
+    mounted root itself has none).  The last pair is the namespace root
+    exactly when the position still has a canonical path — the walk
+    stops short at a detached mount or an unparented dentry.
+    """
+    root_mount = ns.root_mount
+    for _ in range(vfspath.PATH_MAX):
+        yield dentry, mount
+        if dentry is mount.root_dentry:
+            if mount is root_mount:
+                return
+            mount, dentry = mount.parent, mount.mountpoint
+            if mount is None:
+                return
+        else:
+            dentry = dentry.parent
+            if dentry is None:
+                return
+
 
 class Coherence:
-    """Invalidation engine shared by all optimized-kernel components."""
+    """What both policies share: cache and mount registries, the
+    invalidation counter, and seqcount wraparound."""
 
-    def __init__(self, costs: CostModel, stats: Stats, lazy: bool = False):
+    #: Whether DLHTs keep a dentry's old-path keys beside its primary
+    #: registration (mutations that do not evict leave them behind).
+    multi_key = False
+    #: Background reclamation, polled from syscall entry (None: nothing
+    #: stale is ever left behind to reclaim).
+    sweeper = None
+
+    def __init__(self, costs: CostModel, stats: Stats):
         self.costs = costs
         self.stats = stats
-        #: Lazy mode: shootdowns stamp epochs instead of walking subtrees.
-        self.lazy = lazy
         #: Global invalidation counter guarding slowpath repopulation.
         self.counter = 0
-        #: Lazy mode's global epoch: bumped by every mutation that would
-        #: have been an eager shootdown; per-dentry stamps come from it.
+        #: Global epoch: what population stamps on the entries it
+        #: inserts.  Only :mod:`repro.core.epoch` ever advances it.
         self.epoch = 0
         #: Slowpath walks currently in flight (between a walk's ``begin``
         #: hook and its ``_apply``/``abandon``).  Mutations may only skip
         #: the global counter bump when nothing is mid-walk.
         self.walks_active = 0
-        #: Monotonic dentry version source (reallocation staleness, §3.1).
-        self._version_source = 0
         #: Weak references to every live PCC / DLHT (wraparound flush and
         #: the lazy sweep must reach them all, but must not keep caches of
         #: discarded namespaces or dead credentials alive forever).
@@ -78,6 +124,10 @@ class Coherence:
         #: structural mutations need no plan invalidation; the gen
         #: covers only out-of-band bulk flushes.
         self.plans = None
+
+    def bind(self, hasher, slow) -> None:
+        """Meet the lookup engine's path hasher and slowpath walker
+        (called once, by ``FastLookup.__init__``)."""
 
     # -- cache registry --------------------------------------------------------
 
@@ -135,9 +185,6 @@ class Coherence:
 
     # -- counter ---------------------------------------------------------------
 
-    def read_counter(self) -> int:
-        return self.counter
-
     def bump_counter(self) -> None:
         self.costs.charge("inval_counter_bump")
         self.counter += 1
@@ -146,23 +193,37 @@ class Coherence:
         # are covered by the dcache's scoped kills plus their per-dentry
         # seq / inode / signature pins.
 
+    # -- wraparound ------------------------------------------------------------------
+
+    def wraparound_flush(self) -> None:
+        """Version wraparound: invalidate every active PCC and DLHT."""
+        self.stats.bump("seq_wraparound_flush")
+        for pcc in self.pccs:
+            pcc.invalidate_all()
+        for dlht in self.dlhts:
+            dlht.flush()
+        memo = self.memo
+        if memo is not None:
+            # A seq wrap breaks every memo entry's seqcount pins at once;
+            # scoped kills cannot see it, so flush explicitly (even when
+            # no PCC exists to do it as a side effect).
+            memo.flush()
+        if self.plans is not None:
+            self.plans.bump_gen()
+
+
+class EagerCoherence(Coherence):
+    """The paper's policy: recursive shootdown at mutation time.
+
+    Nothing stale survives a mutation, so a position's state is simply
+    its stored hash state and a probe hit is accepted by one PCC probe.
+    """
+
     # -- shootdowns ----------------------------------------------------------------
 
-    def _invalidate_one(self, dentry: Dentry) -> None:
-        self.costs.charge("inval_per_dentry")
-        self.stats.bump("inval_dentry")
-        seq = dentry.seq + 1
-        dentry.seq = seq
-        if seq >= SEQ_WRAP:
-            self.wraparound_flush()
-        fast = dentry.fast
-        if fast is not None:
-            fast.invalidate()
-            if fast.dlht is not None:
-                fast.dlht.remove(dentry)
-
     def _invalidate_bulk(self, frontier: List[Dentry]) -> None:
-        """Apply :meth:`_invalidate_one` to a collected frontier in bulk.
+        """Invalidate a collected frontier: bump each dentry's seq, drop
+        its fast state and its DLHT registration.
 
         One charge and one Stats bump cover the whole frontier (both are
         integer sums, so this is what N scalar calls would add up to).
@@ -187,67 +248,23 @@ class Coherence:
         for _ in range(wraps):
             self.wraparound_flush()
 
-    def _lazy_stamp(self, dentry: Dentry) -> None:
-        """O(1) lazy shootdown: advance the epoch, stamp the dentry.
-
-        Descendants are untouched; their next fastpath hit observes the
-        stamp on its ancestor chain and revalidates (or dies) then.  The
-        dentry's own seq is bumped too so PCC entries *for this dentry*
-        (whose memoized prefix runs through the mutated node's parent,
-        not the node itself) still obey the eager staleness rule when the
-        mutation moved or re-permissioned the node's parent directory —
-        and, symmetrically, so reallocation staleness keeps working.
-        """
-        self.costs.charge("epoch_bump")
-        self.stats.bump("lazy_epoch_bump")
-        epoch = self.epoch + 1
-        self.epoch = epoch
-        dentry.epoch = epoch
-        seq = dentry.seq + 1
-        dentry.seq = seq
-        if seq >= SEQ_WRAP:
-            self.wraparound_flush()
-
     def shootdown_single(self, dentry: Dentry) -> None:
         """Invalidate one dentry (file chmod/chown, unlink, ...)."""
-        if self.lazy:
-            self._lazy_stamp(dentry)
-        else:
-            self._invalidate_one(dentry)
+        self._invalidate_bulk([dentry])
         self.bump_counter()
 
-    def shootdown_subtree(self, dentry: Dentry,
-                          include_self: bool = True) -> None:
+    def shootdown_subtree(self, dentry: Dentry) -> None:
         """Invalidate a dentry and all cached descendants.
 
-        Eager mode walks the cached subtree — cost linear in its size
-        (§3.2), descending through mountpoints so a prefix check memoized
-        for a path that crosses a mount below the changed directory dies
-        too.  Lazy mode stamps the one mutated dentry instead; descendant
-        state (on either side of a mount boundary) stays in the tables
-        and is revalidated on touch.
+        Walks the cached subtree — cost linear in its size (§3.2) —
+        descending through mountpoints so a prefix check memoized for a
+        path that crosses a mount below the changed directory dies too.
 
-        The global counter bump is skipped when the eager walk found no
-        cached fastpath state to invalidate *and* no slowpath walk is in
-        flight — the bump exists to fence racing repopulation, and with
-        nothing cached and nobody mid-walk there is nothing to fence.
+        The global counter bump is skipped when the walk found no cached
+        fastpath state to invalidate *and* no slowpath walk is in flight
+        — the bump exists to fence racing repopulation, and with nothing
+        cached and nobody mid-walk there is nothing to fence.
         """
-        if self.lazy:
-            root = dentry if include_self else None
-            if root is None:
-                # Lexical include_self=False callers stamp the parent's
-                # children; the paper's syscall layer always passes the
-                # mutated dentry itself, but stay correct regardless.
-                self.epoch += 1
-                self.costs.charge("epoch_bump")
-                self.stats.bump("lazy_epoch_bump")
-                for child in dentry.children.values():
-                    child.epoch = self.epoch
-                    child.seq += 1
-            else:
-                self._lazy_stamp(root)
-            self.bump_counter()
-            return
         # Collect the frontier first (flat list, exact DFS order of the
         # old per-dentry recursive walk — invalidation mutates no tree
         # edges, so collect-then-apply visits the same dentries in the
@@ -255,9 +272,7 @@ class Coherence:
         found_fast = 0
         visited = set()
         mounts = self._mounts_on
-        stack = [dentry] if include_self else \
-            list(dentry.children.values()) + \
-            list(mounts.get(id(dentry), ()))
+        stack = [dentry]
         frontier: List[Dentry] = []
         append = frontier.append
         while stack:
@@ -273,132 +288,35 @@ class Coherence:
             roots = mounts.get(ident)
             if roots:
                 stack.extend(roots)
-        if frontier:
-            self._invalidate_bulk(frontier)
+        self._invalidate_bulk(frontier)
         if found_fast == 0 and self.walks_active == 0:
             self.stats.bump("counter_bump_elided")
             return
         self.bump_counter()
 
-    # -- wraparound ------------------------------------------------------------------
+    # -- the lookup side -----------------------------------------------------------
 
-    def wraparound_flush(self) -> None:
-        """Version wraparound: invalidate every active PCC and DLHT."""
-        self.stats.bump("seq_wraparound_flush")
-        for pcc in self.pccs:
-            pcc.invalidate_all()
-        for dlht in self.dlhts:
-            dlht.flush()
-        memo = self.memo
-        if memo is not None:
-            # A seq wrap breaks every memo entry's seqcount pins at once;
-            # scoped kills cannot see it, so flush explicitly (even when
-            # no PCC exists to do it as a side effect).
-            memo.flush()
-        if self.plans is not None:
-            self.plans.bump_gen()
+    def pos_state(self, task, pos, rebuild=None):
+        """The position's stored hash state (floor 0: epochs never move).
 
+        A shot-down position has none; ``rebuild`` — the engine's
+        from-the-tree recompute, passed by a slowpath walk about to
+        anchor its population here — restores it.
+        """
+        fast = pos.dentry.fast
+        state = fast.hash_state if fast is not None else None
+        if state is None and rebuild is not None:
+            state = rebuild(task, pos)
+        return state, 0
 
-class LazySweeper:
-    """Amortized reclamation of never-touched stale lazy entries.
+    def accept(self, task, ns, pcc, dentry, sig=None, anchor=None):
+        """A hit is current by construction; it needs its prefix check."""
+        with self.costs.scope("perm"):
+            return 0 if pcc.probe(dentry) else None
 
-    Touch-time revalidation only reaches entries that get probed again;
-    an entry for a path nobody looks up anymore would sit in its DLHT
-    (and its PCC) forever, which both leaks memory and makes
-    ``sim/memory.py`` overstate live cache state.  The sweeper is polled
-    from syscall entry (virtual time has no preemption) and, each time
-    its :class:`~repro.sim.clock.Ticker` fires, examines one small batch
-    of DLHT keys and PCC entries — discarding the stale, at a bounded
-    per-syscall cost.
-    """
-
-    #: Virtual pause between sweep batches (1 ms of simulated time).
-    INTERVAL_NS = 1_000_000.0
-    #: Keys / entries examined per fire.
-    BATCH = 64
-
-    __slots__ = ("coherence", "fast", "ticker", "batch",
-                 "_dlht_work", "_pcc_work", "pass_gen")
-
-    def __init__(self, coherence: Coherence, fast, ticker,
-                 batch: int = BATCH):
-        self.coherence = coherence
-        #: The kernel's FastLookup: owns the key-revalidation logic.
-        self.fast = fast
-        self.ticker = ticker
-        self.batch = batch
-        self._dlht_work: List = []  # (dlht_ref, [(key, dentry)...]) snapshots
-        self._pcc_work: List = []   # (pcc_ref, [entry ids...]) snapshots
-        #: Pass generation: bumped each time the DLHT worklist refills.
-        #: A pass examines exactly the (key, dentry) entries that existed
-        #: at refill time; a key reclaimed mid-pass by a shootdown and
-        #: re-registered to a different dentry is *not* re-scanned (it
-        #: was never part of this pass — see the identity guard below).
-        self.pass_gen = 0
-
-    def poll(self) -> None:
-        if not self.ticker.due():
-            return
-        self.ticker.fire()
-        self.sweep_once()
-
-    def sweep_once(self) -> None:
-        self._sweep_dlhts()
-        self._sweep_pccs()
-
-    def _sweep_dlhts(self) -> None:
-        if not self._dlht_work:
-            self.pass_gen += 1
-            self._dlht_work = [(weakref.ref(dlht), list(dlht.items()))
-                               for dlht in self.coherence.dlhts]
-            if not self._dlht_work:
-                return
-        budget = self.batch
-        while budget > 0 and self._dlht_work:
-            dlht_ref, entries = self._dlht_work[-1]
-            dlht = dlht_ref()
-            if dlht is None or not entries:
-                self._dlht_work.pop()
-                continue
-            while entries and budget > 0:
-                key, dentry = entries.pop()
-                budget -= 1
-                # Identity guard: a shootdown landing mid-pass reclaims
-                # entries whose keys are still in this snapshot; if the
-                # slot was re-registered to a different dentry since the
-                # refill, the snapshotted entry is gone and the fresh one
-                # belongs to the next pass — re-scanning it here would
-                # double-charge its validation.
-                if dlht.peek(key) is not dentry:
-                    continue
-                if self.fast.sweep_key(dlht, key):
-                    self.coherence.stats.bump("sweep_discard")
-
-    def _sweep_pccs(self) -> None:
-        if not self._pcc_work:
-            self._pcc_work = [(weakref.ref(pcc), list(pcc._entries.keys()))
-                              for pcc in self.coherence.pccs]
-            if not self._pcc_work:
-                return
-        costs = self.coherence.costs
-        budget = self.batch
-        while budget > 0 and self._pcc_work:
-            pcc_ref, ids = self._pcc_work[-1]
-            pcc = pcc_ref()
-            if pcc is None or not ids:
-                self._pcc_work.pop()
-                continue
-            while ids and budget > 0:
-                entry_id = ids.pop()
-                budget -= 1
-                costs.charge("lazy_validate")
-                entry = pcc._entries.get(entry_id)
-                if entry is None:
-                    continue
-                dentry, seq, _epoch = entry
-                if dentry.dead or dentry.seq != seq:
-                    del pcc._entries[entry_id]
-                    self.coherence.stats.bump("sweep_discard")
+    def on_miss(self, task, ns, pcc, start, comps, parent_state, floor):
+        """A miss means not cached: the slowpath walk populates it."""
+        return None
 
 
 class FastDcacheHooks(DcacheHooks):
@@ -408,10 +326,9 @@ class FastDcacheHooks(DcacheHooks):
     (the two reference each other).
     """
 
-    __slots__ = ("coherence", "dcache")
+    __slots__ = ("dcache",)
 
-    def __init__(self, coherence: Coherence):
-        self.coherence = coherence
+    def __init__(self):
         self.dcache = None
 
     def _drop_children(self, dentry: Dentry) -> None:
@@ -426,19 +343,14 @@ class FastDcacheHooks(DcacheHooks):
             _name, child = children.popitem()
             d_drop(child)
 
-    def on_evict(self, dentry: Dentry) -> None:
-        self._remove_fast(dentry)
-
     def on_unhash(self, dentry: Dentry) -> None:
-        self._remove_fast(dentry)
-
-    @staticmethod
-    def _remove_fast(dentry: Dentry) -> None:
         fast = dentry.fast
         if fast is not None:
             fast.invalidate()
             if fast.dlht is not None:
                 fast.dlht.remove(dentry)
+
+    on_evict = on_unhash
 
     def on_make_negative(self, dentry: Dentry) -> None:
         # A positive dentry turning negative keeps its DLHT entry (the

@@ -1,7 +1,7 @@
 """Kernel builder: wire the VFS, a dcache configuration, and a root FS.
 
-:func:`make_kernel` produces a :class:`Kernel` in one of two canonical
-profiles —
+:func:`make_kernel` produces a :class:`Kernel` in one of the three
+canonical profiles of :data:`PROFILES` —
 
 * ``baseline``: the unmodified-Linux-style dcache (component-at-a-time
   walk, primary hash table, plain negative dentries);
@@ -21,9 +21,11 @@ import weakref
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.coherence import Coherence, FastDcacheHooks
+from repro.core.coherence import EagerCoherence, FastDcacheHooks
 from repro.core.completeness import ReaddirEngine
 from repro.core.dlht import DirectLookupHashTable
+from repro.core.epoch import EpochCoherence
+from repro.core.fastdentry import fast_of
 from repro.core.fastpath import FastLookup
 from repro.core.pcc import DEFAULT_CAPACITY
 from repro.core.signatures import PathHasher, make_hasher
@@ -105,6 +107,11 @@ OPTIMIZED = DcacheConfig(name="optimized", fastpath=True, dir_complete=True,
 OPTIMIZED_LAZY = OPTIMIZED.variant(name="optimized-lazy",
                                    lazy_invalidation=True)
 
+#: The canonical profiles by name — the one table :func:`make_kernel`,
+#: the benchmarks and the tests read.
+PROFILES = {config.name: config
+            for config in (BASELINE, OPTIMIZED, OPTIMIZED_LAZY)}
+
 
 class Kernel:
     """One simulated kernel instance: caches, resolver, syscalls, time."""
@@ -118,13 +125,15 @@ class Kernel:
         self.stats = Stats()
         self.lsm = lsm or NullLsm()
         self.root_fs = root_fs or SimExtFs(self.costs)
-        self.coherence = Coherence(
-            self.costs, self.stats,
-            lazy=config.fastpath and config.lazy_invalidation)
+        # The coherence policy (§3.2), chosen here and nowhere else.
+        policy = (EpochCoherence
+                  if config.fastpath and config.lazy_invalidation
+                  else EagerCoherence)
+        self.coherence = policy(self.costs, self.stats)
         # Epoch wraparound renumbers the world; captured charge plans
         # (like the resolution memo) cannot outlive it.
         self.coherence.plans = self.costs.plans
-        hooks = FastDcacheHooks(self.coherence) if config.fastpath else None
+        hooks = FastDcacheHooks() if config.fastpath else None
         self.dcache = Dcache(self.costs, self.stats,
                              capacity=config.dcache_capacity, hooks=hooks)
         if hooks is not None:
@@ -146,7 +155,6 @@ class Kernel:
                                    self.dcache, self.hasher,
                                    self.coherence, self.slow_walk)
             self._install_dlht(self.root_ns)
-            self._boot_fast_root()
         self.resolver = self.fast if self.fast is not None else self.slow_walk
         if config.resolution_memo:
             from repro.core.resmemo import ResolutionMemo
@@ -159,13 +167,8 @@ class Kernel:
             self.coherence.memo = self.memo
             if self.root_ns.dlht is not None:
                 self.root_ns.dlht.memo = self.memo
-        self.sweeper = None
-        if config.fastpath and config.lazy_invalidation:
-            from repro.core.coherence import LazySweeper
-            from repro.sim.clock import Ticker
-            self.sweeper = LazySweeper(
-                self.coherence, self.fast,
-                Ticker(self.costs.clock, LazySweeper.INTERVAL_NS))
+        #: Polled from syscall entry (None: the policy leaves no work).
+        self.sweeper = self.coherence.sweeper
         self.readdir_engine = ReaddirEngine(self.costs, self.stats,
                                             self.dcache, config)
         # The syscall facade (late import avoids a module cycle).
@@ -175,18 +178,18 @@ class Kernel:
     # -- namespace / fast bootstrap ------------------------------------------
 
     def _install_dlht(self, ns: MountNamespace) -> None:
+        """Give ``ns`` its DLHT and anchor its root at the empty path."""
         ns.dlht = DirectLookupHashTable(
-            self.costs, self.stats,
-            multi_key=self.config.lazy_invalidation)
+            self.costs, self.stats, multi_key=self.coherence.multi_key)
         ns.dlht.owner_ns = weakref.ref(ns)
         ns.dlht.memo = self.memo
         self.coherence.track_dlht(ns.dlht)
-
-    def _boot_fast_root(self) -> None:
-        from repro.core.fastdentry import fast_of
-        fast = fast_of(self.root_mount.root_dentry)
-        fast.hash_state = self.hasher.EMPTY
-        fast.mount = self.root_mount
+        # A cloned root mount reuses the same root dentry; its hash state
+        # (the empty path) is valid in the new namespace too.
+        fast = fast_of(ns.root_mount.root_dentry)
+        if fast.hash_state is None:
+            fast.hash_state = self.hasher.EMPTY
+        fast.mount = ns.root_mount
 
     def new_namespace_for(self, task: Task) -> MountNamespace:
         """Clone the task's namespace (unshare), with its own DLHT."""
@@ -197,13 +200,6 @@ class Kernel:
                                               mount.root_dentry)
         if self.config.fastpath:
             self._install_dlht(ns)
-            from repro.core.fastdentry import fast_of
-            # The cloned root mount reuses the same root dentry; its hash
-            # state (the empty path) is valid in the new namespace too.
-            fast = fast_of(ns.root_mount.root_dentry)
-            if fast.hash_state is None:
-                fast.hash_state = self.hasher.EMPTY
-            fast.mount = ns.root_mount
         return ns
 
     # -- task management ----------------------------------------------------------
@@ -269,7 +265,8 @@ def make_kernel(profile: str = "optimized",
     """Build a kernel.
 
     Args:
-        profile: ``"baseline"`` or ``"optimized"`` (ignored when an
+        profile: a :data:`PROFILES` name — ``"baseline"``,
+            ``"optimized"`` or ``"optimized-lazy"`` (ignored when an
             explicit ``config`` is given).
         root_fs: root file system; a fresh :class:`SimExtFs` by default.
         costs: cost model (a fresh calibrated one by default).
@@ -278,14 +275,9 @@ def make_kernel(profile: str = "optimized",
         **overrides: field overrides applied to the selected config.
     """
     if config is None:
-        if profile == "baseline":
-            config = BASELINE
-        elif profile == "optimized":
-            config = OPTIMIZED
-        elif profile == "optimized-lazy":
-            config = OPTIMIZED_LAZY
-        else:
+        if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}")
+        config = PROFILES[profile]
     if overrides:
         config = config.variant(**overrides)
     return Kernel(config, root_fs=root_fs, costs=costs, lsm=lsm)

@@ -17,11 +17,9 @@ when the tree outgrows the PCC) sweeps this knob.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
-from repro.vfs.cred import Cred
 from repro.vfs.dentry import Dentry
 
 #: Paper's configuration: 64 KB of 16-byte entries.
@@ -156,16 +154,3 @@ class AdaptivePrefixCheckCache(PrefixCheckCache):
             self.capacity = min(self.capacity * 2, self.max_capacity)
             self._misses_since_resize = 0
             self.stats.bump("pcc_grow")
-
-
-def pcc_of(cred: Cred, costs: CostModel, stats: Stats,
-           capacity: int = DEFAULT_CAPACITY) -> PrefixCheckCache:
-    """Get (allocating on first use) the PCC attached to a credential."""
-    if cred.pcc is None:
-        cred.pcc = PrefixCheckCache(costs, stats, capacity)
-    return cred.pcc
-
-
-def peek_pcc(cred: Cred) -> Optional[PrefixCheckCache]:
-    """The cred's PCC if one has been allocated (no allocation)."""
-    return cred.pcc

@@ -17,13 +17,12 @@ from itertools import chain
 import pytest
 
 from repro import O_APPEND, O_CREAT, O_RDONLY, O_WRONLY, make_kernel
+from repro.core.kernel import PROFILES
 from repro.workloads import traces
 from repro.workloads.compile import build_loop_trace, compile_trace
 from repro.workloads.traces import (Trace, TraceEvent, TraceRecorder,
                                     replay, replay_compiled,
                                     replay_interleaved)
-
-PROFILES = ("baseline", "optimized", "optimized-lazy")
 
 
 def _fingerprint(kernel):
@@ -253,7 +252,6 @@ class TestInterleaved:
             assert results[True] == results[False]
 
         sweep()
-
 
 
 # -- one protocol, two call sites -----------------------------------------

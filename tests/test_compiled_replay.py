@@ -20,13 +20,12 @@ import pytest
 from repro import (O_APPEND, O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR,
                    O_WRONLY, errors, make_kernel)
 from repro.bench import exp_replay
+from repro.core.kernel import PROFILES
 from repro.workloads import server_fleet
 from repro.workloads.compile import (CompiledTrace, TraceCompileError,
                                      build_loop_trace, compile_trace)
 from repro.workloads.traces import (ReplayDivergence, Trace, TraceEvent,
                                     TraceRecorder, replay, replay_compiled)
-
-PROFILES = ("baseline", "optimized", "optimized-lazy")
 
 
 def _fingerprint(kernel):

@@ -7,6 +7,7 @@ import pytest
 from repro import O_CREAT, O_RDWR, errors, make_kernel
 from repro.core.coherence import SEQ_WRAP
 from repro.core.dlht import DirectLookupHashTable
+from repro.core.kernel import PROFILES
 from repro.core.pcc import PrefixCheckCache
 from repro.core.signatures import PathHasher
 from repro.sim.costs import CostModel, UNIT
@@ -287,8 +288,7 @@ class TestCoherence:
         assert kernel.stats.get("seq_wraparound_flush") == before + 1
         sys.close(task, fd)
 
-    @pytest.mark.parametrize("profile",
-                             ("baseline", "optimized", "optimized-lazy"))
+    @pytest.mark.parametrize("profile", PROFILES)
     def test_evicted_dentry_never_validates_again(self, profile):
         """A prefix check memoized for a dentry that ``drop_all`` evicted
         must not validate once the name is gone and another is created

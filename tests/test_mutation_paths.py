@@ -19,10 +19,9 @@ from __future__ import annotations
 import pytest
 
 from repro import O_CREAT, O_RDWR, make_kernel
-from repro.core.coherence import SEQ_WRAP
+from repro.core.coherence import SEQ_WRAP, EagerCoherence
+from repro.core.kernel import PROFILES
 from repro.errors import FsError
-
-PROFILES = ("baseline", "optimized", "optimized-lazy")
 
 
 def _fingerprint(kernel):
@@ -34,7 +33,7 @@ def _fingerprint(kernel):
 
 # -- batched vs. recursive shootdown ---------------------------------------
 
-def _reference_shootdown_subtree(coh, dentry, include_self=True):
+def _reference_shootdown_subtree(coh, dentry):
     """The pre-batching eager arm: one recursive per-dentry invalidation.
 
     Semantically what ``shootdown_subtree`` compiled to before the
@@ -46,7 +45,7 @@ def _reference_shootdown_subtree(coh, dentry, include_self=True):
     batched walk touches receives the same additions (visit order is
     immaterial: each accumulator folds N copies of the same float).
     """
-    assert not coh.lazy
+    assert isinstance(coh, EagerCoherence)
     visited = set()
     found_fast = 0
     mounts = coh._mounts_on
@@ -77,13 +76,7 @@ def _reference_shootdown_subtree(coh, dentry, include_self=True):
         for root in mounts.get(id(d), ()):
             walk(root)
 
-    if include_self:
-        walk(dentry)
-    else:
-        for child in list(dentry.children.values()):
-            walk(child)
-        for root in mounts.get(id(dentry), ()):
-            walk(root)
+    walk(dentry)
     if found_fast == 0 and coh.walks_active == 0:
         coh.stats.bump("counter_bump_elided")
         return
@@ -131,7 +124,7 @@ def _grow_tree(kernel, task, spec):
     return dirs
 
 
-def _shootdown_differential(spec, root_pick, include_self):
+def _shootdown_differential(spec, root_pick):
     """Run the real batched walk and the reference walk on twin kernels."""
     state = []
     for reference in (False, True):
@@ -141,10 +134,9 @@ def _shootdown_differential(spec, root_pick, include_self):
         target = dirs[root_pick % len(dirs)]
         dentry = kernel.sys._resolve(task, target, follow_last=True).dentry
         if reference:
-            _reference_shootdown_subtree(kernel.coherence, dentry,
-                                         include_self)
+            _reference_shootdown_subtree(kernel.coherence, dentry)
         else:
-            kernel.coherence.shootdown_subtree(dentry, include_self)
+            kernel.coherence.shootdown_subtree(dentry)
         digest = []
         for path in dirs:
             try:
@@ -168,9 +160,8 @@ class TestBatchedShootdown:
                 ("file", 2, 1), ("symlink", 0, 2), ("neg", 1, 0),
                 ("dir", 0, 3), ("mount", 3, 1), ("file", 3, 2),
                 ("neg", 2, 5)]
-        _shootdown_differential(spec, root_pick=0, include_self=True)
-        _shootdown_differential(spec, root_pick=1, include_self=True)
-        _shootdown_differential(spec, root_pick=0, include_self=False)
+        _shootdown_differential(spec, root_pick=0)
+        _shootdown_differential(spec, root_pick=1)
 
     def test_shootdown_on_cold_subtree_elides_bump(self):
         """No cached fastpath state + nothing mid-walk: both walks skip
@@ -204,11 +195,10 @@ class TestBatchedShootdown:
             st.integers(0, 7), st.integers(0, 7))
 
         @given(spec=st.lists(op, min_size=3, max_size=16),
-               root_pick=st.integers(0, 7),
-               include_self=st.booleans())
+               root_pick=st.integers(0, 7))
         @settings(max_examples=25, deadline=None)
-        def sweep(spec, root_pick, include_self):
-            _shootdown_differential(spec, root_pick, include_self)
+        def sweep(spec, root_pick):
+            _shootdown_differential(spec, root_pick)
 
         sweep()
 

@@ -2,8 +2,9 @@
 
 These tests keep the library honest as it grows: every cost primitive is
 actually charged by some code path, every public item carries a
-docstring, the substrate does not import the optimized design, and the
-packaging metadata stays importable.
+docstring, the substrate does not import the optimized design, the
+coherence policy is chosen in one place, and the packaging metadata
+stays importable.
 """
 
 from __future__ import annotations
@@ -194,6 +195,54 @@ class TestLayering:
                         offenders.append(f"{path.relative_to(SRC)}: {name}")
         assert not offenders, \
             "substrate modules importing repro.core:\n" + "\n".join(offenders)
+
+
+def _attribute_reads(tree: ast.Module, attr: str):
+    """Line numbers of every ``<expr>.attr`` in the module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+class TestCoherenceSeam:
+    def test_the_policy_is_known_in_one_place(self):
+        """The lookup engine never asks which coherence policy runs: it
+        calls the policy object (``pos_state`` / ``accept`` /
+        ``on_miss``), and only the kernel builder reads the config
+        field that picks one."""
+        fastpath = (SRC / "core" / "fastpath.py").read_text()
+        assert "lazy_invalidation" not in fastpath
+        assert not _attribute_reads(ast.parse(fastpath), "lazy")
+        readers = [str(path.relative_to(SRC))
+                   for path in sorted(SRC.rglob("*.py"))
+                   if _attribute_reads(ast.parse(path.read_text()),
+                                       "lazy_invalidation")]
+        assert readers == ["core/kernel.py"]
+
+    def test_eager_kernel_never_leaves_epoch_zero(self):
+        """Population stamps ``coherence.epoch`` unconditionally; under
+        the eager policy nothing advances it, so every stamp is the zero
+        the fields were born with and no DLHT key is ever an extra."""
+        kernel = _exercise_everything()
+        assert kernel.coherence.epoch == 0
+        dentries = {}
+        stack = [mount.root_dentry for mount in kernel.root_ns.mounts]
+        for dlht in kernel.coherence.dlhts:
+            stack.extend(dentry for _key, dentry in dlht.items())
+        for pcc in kernel.coherence.pccs:
+            for dentry, _seq, epoch in pcc._entries.values():
+                assert epoch == 0
+                stack.append(dentry)
+        while stack:
+            dentry = stack.pop()
+            if id(dentry) not in dentries:
+                dentries[id(dentry)] = dentry
+                stack.extend(dentry.children.values())
+        assert len(dentries) > 5
+        for dentry in dentries.values():
+            assert dentry.epoch == 0
+            fast = dentry.fast
+            if fast is not None:
+                assert fast.epoch_snapshot == 0 and fast.extra_keys is None
 
 
 class TestPackaging:

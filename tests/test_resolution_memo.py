@@ -49,7 +49,7 @@ import pytest
 from repro import O_CREAT, O_RDWR, errors, make_kernel
 from repro.bench import report as report_cli
 from repro.core import resmemo
-from repro.core.kernel import Kernel
+from repro.core.kernel import PROFILES, Kernel
 from repro.core.resmemo import ResolutionMemo
 from repro.testing.dual import _check_kernel_invariants
 from repro.testing.races import assert_fastpath_consistent
@@ -61,7 +61,8 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the image
     HAVE_HYPOTHESIS = False
 
-PROFILES = ("baseline", "optimized", "optimized-lazy")
+FAST_PROFILES = [name for name, config in PROFILES.items()
+                 if config.fastpath]
 
 
 def _fingerprint(kernel):
@@ -260,7 +261,7 @@ if HAVE_HYPOTHESIS:
     @given(ops=st.lists(st.tuples(st.booleans(),
                                   st.sampled_from(_H_TOKENS)),
                         min_size=1, max_size=30),
-           profile=st.sampled_from(PROFILES),
+           profile=st.sampled_from(list(PROFILES)),
            pcc_capacity=st.sampled_from((2, 4, 4096)),
            pcc_adaptive=st.booleans())
     @settings(max_examples=25, deadline=None)
@@ -455,7 +456,7 @@ def _resting_on_evicted(kernel):
 
 
 class TestPccPressure:
-    @pytest.mark.parametrize("profile", PROFILES[1:])
+    @pytest.mark.parametrize("profile", FAST_PROFILES)
     def test_replay_repeats_pcc_reinserts(self, profile):
         """An ENOENT lookup through a symlinked directory slow-walks on
         every repetition and re-inserts the same PCC entries, so it
@@ -496,7 +497,7 @@ class TestPccPressure:
             results[memo_on] = (_fingerprint(kernel), _cache_orders(kernel))
         assert results[True] == results[False]
 
-    @pytest.mark.parametrize("profile", PROFILES[1:])
+    @pytest.mark.parametrize("profile", FAST_PROFILES)
     def test_confirming_run_reinserts_an_evicted_entry(self, profile):
         """Record -> evict -> confirm: ``/x/t`` is recorded with its PCC
         entry pushed out (probe miss, slow walk, insert), pushed out
@@ -530,7 +531,7 @@ class TestPccPressure:
             prints[memo_on] = (_fingerprint(kernel), _cache_orders(kernel))
         assert prints[True] == prints[False]
 
-    @pytest.mark.parametrize("profile", PROFILES[1:])
+    @pytest.mark.parametrize("profile", FAST_PROFILES)
     def test_adaptive_pcc_counts_every_miss(self, profile):
         """The ``..`` spelling slow-walks on every repetition on
         ``optimized-lazy`` and misses a PCC probe each time, so it
@@ -561,7 +562,7 @@ class TestPccPressure:
         assert results[True] == results[False]
 
     @pytest.mark.parametrize("adaptive", (False, True))
-    @pytest.mark.parametrize("profile", PROFILES[1:])
+    @pytest.mark.parametrize("profile", FAST_PROFILES)
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_benchmark_inputs_under_eviction(self, seed, profile, adaptive,
                                              e2e):

@@ -15,12 +15,11 @@ import pytest
 
 from repro import make_kernel
 from repro.bench import exp_tenant_crossover
+from repro.core.kernel import PROFILES
 from repro.testing.scheduler import StreamScheduler
 from repro.workloads import server_fleet
 from repro.workloads.compile import build_loop_trace, compile_trace
 from repro.workloads.traces import replay_interleaved
-
-PROFILES = ["baseline", "optimized", "optimized-lazy"]
 
 
 def _fingerprint(kernel):

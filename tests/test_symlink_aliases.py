@@ -143,3 +143,21 @@ class TestLinkTargetSignature:
         kernel.stats.reset()
         assert kernel.sys.stat(task, "/ln").size == 4
         assert kernel.stats.get("fastpath_hit") == 1
+
+
+class _EpochKernel:
+    """Re-run a class on ``optimized-lazy``: the same flows through the
+    alias / link-target arm of ``EpochCoherence.accept``.  (Subclasses,
+    not fixture params, so the ``optimized`` test ids stay as they are.)"""
+
+    @pytest.fixture
+    def kernel(self):
+        return make_kernel("optimized-lazy")
+
+
+class TestAliasCreationLazy(_EpochKernel, TestAliasCreation):
+    pass
+
+
+class TestLinkTargetSignatureLazy(_EpochKernel, TestLinkTargetSignature):
+    pass
