@@ -113,17 +113,6 @@ class Coherence:
         #: descend through mountpoints so a permission change above a
         #: mount invalidates the memoized prefix checks inside it.
         self._mounts_on: dict = {}
-        #: Resolution memo: flushed on seqcount wraparound and handed to
-        #: every tracked PCC (set by the kernel when
-        #: ``DcacheConfig.resolution_memo`` is on).
-        self.memo = None
-        #: Charge-plan registry to generation-bump on wraparound (set by
-        #: the kernel; see :class:`repro.sim.costs.ChargePlanRegistry`).
-        #: Deliberately NOT bumped by :meth:`bump_counter` — plan guards
-        #: re-validate fd-table state at apply time, so per-pass
-        #: structural mutations need no plan invalidation; the gen
-        #: covers only out-of-band bulk flushes.
-        self.plans = None
 
     def bind(self, hasher, slow) -> None:
         """Meet the lookup engine's path hasher and slowpath walker
@@ -133,9 +122,6 @@ class Coherence:
 
     def track_pcc(self, pcc) -> None:
         self._pcc_refs.append(weakref.ref(pcc))
-        # Memo recordings rest on PCC contents: the PCC reports its
-        # inserts and evictions to the memo.
-        pcc.memo = self.memo
 
     def track_dlht(self, dlht) -> None:
         self._dlht_refs.append(weakref.ref(dlht))
@@ -188,10 +174,11 @@ class Coherence:
     def bump_counter(self) -> None:
         self.costs.charge("inval_counter_bump")
         self.counter += 1
-        # No memo flush here: memoized resolutions snapshot the counter
-        # (so non-steady entries lapse on their own), and steady entries
-        # are covered by the dcache's scoped kills plus their per-dentry
-        # seq / inode / signature pins.
+        # No ``costs.forget()`` here: memoized resolutions snapshot the
+        # counter (so non-steady entries lapse on their own), steady
+        # entries are covered by the dcache's scoped kills plus their
+        # per-dentry seq / inode / signature pins, and plan guards
+        # re-validate fd-table state at apply time.
 
     # -- wraparound ------------------------------------------------------------------
 
@@ -202,14 +189,10 @@ class Coherence:
             pcc.invalidate_all()
         for dlht in self.dlhts:
             dlht.flush()
-        memo = self.memo
-        if memo is not None:
-            # A seq wrap breaks every memo entry's seqcount pins at once;
-            # scoped kills cannot see it, so flush explicitly (even when
-            # no PCC exists to do it as a side effect).
-            memo.flush()
-        if self.plans is not None:
-            self.plans.bump_gen()
+        # A wrap breaks every memo entry's seqcount pins at once and
+        # renumbers the world under every captured plan; no scoped kill
+        # sees it.
+        self.costs.forget()
 
 
 class EagerCoherence(Coherence):

@@ -40,7 +40,7 @@ class DirectLookupHashTable:
     """One namespace's signature -> dentry index."""
 
     __slots__ = ("costs", "stats", "multi_key", "extra_key_count",
-                 "owner_ns", "memo", "_table", "__weakref__")
+                 "owner_ns", "_table", "__weakref__")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  multi_key: bool = False):
@@ -53,9 +53,6 @@ class DirectLookupHashTable:
         #: Weakref to the owning namespace (set by the kernel); the lazy
         #: sweep needs it to re-derive canonical paths.
         self.owner_ns = None
-        #: The kernel's resolution memo (or None): told of every insert,
-        #: because a recorded probe miss is a conclusion too.
-        self.memo = None
         self._table: Dict[Tuple[int, int], Dentry] = {}
 
     @staticmethod
@@ -124,8 +121,8 @@ class DirectLookupHashTable:
                 fast.dlht.remove(dentry)
         self.costs.charge("dlht_insert")
         self._table[key] = dentry
-        if self.memo is not None:
-            self.memo.kill_miss(self, key)
+        # A recorded probe miss is a conclusion too.
+        self.costs.memo.kill_miss(self, key)
         fast.dlht = self
         fast.dlht_key = key
         fast.signature = signature

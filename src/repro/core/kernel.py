@@ -130,9 +130,6 @@ class Kernel:
                   if config.fastpath and config.lazy_invalidation
                   else EagerCoherence)
         self.coherence = policy(self.costs, self.stats)
-        # Epoch wraparound renumbers the world; captured charge plans
-        # (like the resolution memo) cannot outlive it.
-        self.coherence.plans = self.costs.plans
         hooks = FastDcacheHooks() if config.fastpath else None
         self.dcache = Dcache(self.costs, self.stats,
                              capacity=config.dcache_capacity, hooks=hooks)
@@ -158,15 +155,16 @@ class Kernel:
         self.resolver = self.fast if self.fast is not None else self.slow_walk
         if config.resolution_memo:
             from repro.core.resmemo import ResolutionMemo
-            self.memo = ResolutionMemo(
+            if isinstance(self.costs.memo, ResolutionMemo):
+                raise ValueError(
+                    "this CostModel already carries another kernel's "
+                    "resolution memo; pass resolution_memo=False to a "
+                    "kernel that borrows a cost model")
+            # The one attach point: every cache structure reports its
+            # changes through ``costs.memo`` (see ``CostModel.memo``).
+            self.memo = self.costs.memo = ResolutionMemo(
                 self.costs, self.stats, self.coherence, self.dcache,
                 self.resolver, capacity=config.resolution_memo_capacity)
-            # Flush hooks: structural dcache mutations and invalidation
-            # counter bumps bulk-invalidate the memo.
-            self.dcache.memo = self.memo
-            self.coherence.memo = self.memo
-            if self.root_ns.dlht is not None:
-                self.root_ns.dlht.memo = self.memo
         #: Polled from syscall entry (None: the policy leaves no work).
         self.sweeper = self.coherence.sweeper
         self.readdir_engine = ReaddirEngine(self.costs, self.stats,
@@ -182,7 +180,6 @@ class Kernel:
         ns.dlht = DirectLookupHashTable(
             self.costs, self.stats, multi_key=self.coherence.multi_key)
         ns.dlht.owner_ns = weakref.ref(ns)
-        ns.dlht.memo = self.memo
         self.coherence.track_dlht(ns.dlht)
         # A cloned root mount reuses the same root dentry; its hash state
         # (the empty path) is valid in the new namespace too.
@@ -248,12 +245,9 @@ class Kernel:
             mount.fs.drop_caches()
         if dentries:
             self.dcache.drop_all()
-        if self.memo is not None:
-            # Buffer-cache state changed; recorded fs-level charges (if
-            # any slipped through) and future cold costs would diverge.
-            self.memo.flush()
-        # Same reasoning for captured charge plans: drop them all.
-        self.costs.plans.bump_gen()
+        # Buffer-cache state changed; recorded fs-level charges (if any
+        # slipped through) and future cold costs would diverge.
+        self.costs.forget()
 
 
 def make_kernel(profile: str = "optimized",

@@ -29,8 +29,7 @@ DEFAULT_CAPACITY = 64 * 1024 // 16
 class PrefixCheckCache:
     """One credential's memoized prefix checks."""
 
-    __slots__ = ("costs", "stats", "capacity", "_entries", "memo",
-                 "__weakref__")
+    __slots__ = ("costs", "stats", "capacity", "_entries", "__weakref__")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  capacity: int = DEFAULT_CAPACITY):
@@ -38,10 +37,6 @@ class PrefixCheckCache:
         self.stats = stats
         self.capacity = capacity
         self._entries: "OrderedDict[int, tuple]" = OrderedDict()
-        #: Resolution memo whose entries rest on this PCC's contents: told
-        #: of every insert and eviction (set by ``Coherence.track_pcc``;
-        #: see :mod:`repro.core.resmemo`).
-        self.memo = None
 
     def probe(self, dentry: Dentry, min_epoch: int = 0) -> bool:
         """True when a valid (seq-current) prefix check is cached.
@@ -101,20 +96,17 @@ class PrefixCheckCache:
         key = id(dentry)
         entries[key] = (dentry, dentry.seq, epoch)
         entries.move_to_end(key)
-        memo = self.memo
-        if memo is not None:
-            memo.kill_miss(self, dentry)
+        memo = self.costs.memo
+        memo.kill_miss(self, dentry)
         while len(entries) > self.capacity:
-            victim = entries.popitem(last=False)[1][0]
-            if memo is not None:
-                memo.kill(victim)
+            memo.kill(entries.popitem(last=False)[1][0])
 
     def invalidate_all(self) -> None:
-        """Flush (sequence-counter wraparound handling, §3.1)."""
+        """Flush (sequence-counter wraparound handling, §3.1).
+
+        Memo entries rest on PCC contents: the caller ``costs.forget()``s.
+        """
         self._entries.clear()
-        memo = self.memo
-        if memo is not None:
-            memo.flush()
 
     def __len__(self) -> int:
         return len(self._entries)

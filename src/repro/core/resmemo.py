@@ -106,24 +106,26 @@ cheaply.  The same applies to terminals on ``requires_revalidation``
 file systems (§4.3 network file systems) and to resolutions that missed
 a probe of an adaptive PCC (the miss moves its resize counter).
 
-Invalidation is *scoped*: the dcache's structural mutation points call
-:meth:`ResolutionMemo.kill` (``d_drop``/``d_move``/``evict``, and a
-PCC's capacity eviction: drop every entry that depends on the dentry)
-and :meth:`ResolutionMemo.kill_miss` (``d_alloc``/``d_move``: drop every
-entry whose walk concluded from the *absence* of the name now being
-instantiated; ``DirectLookupHashTable.insert`` and
-``PrefixCheckCache.insert`` call it likewise for a signature or a prefix
-check a recorded probe missed), both O(affected) through reverse
-indexes.  Bulk :meth:`flush` remains for the coarse hazards —
-chmod/chown/label changes (permission bits feed memoized prefix
-checks), mount table edits, and seqcount wraparound (which breaks every
-seq pin at once).  Flushing or killing too often costs only wall-clock,
-never fidelity.
+Invalidation is *scoped*, and reaches the memo through one seam: the
+kernel attaches it as ``costs.memo``, and every cache structure reports
+there.  ``Dcache.d_drop``/``d_move``/``evict`` and a PCC's capacity
+eviction call :meth:`ResolutionMemo.kill` (drop every entry that depends
+on the dentry); ``Dcache.d_alloc``/``d_move``,
+``DirectLookupHashTable.insert`` and ``PrefixCheckCache.store`` call
+:meth:`ResolutionMemo.kill_miss` (drop every entry that concluded from
+the *absence* of the name, signature or prefix check now appearing);
+both are O(affected) through one reverse index.  Bulk :meth:`flush` is
+called only by ``CostModel.forget()``, for the coarse hazards —
+chmod/chown/label changes (permission bits feed memoized prefix checks),
+mount table edits, ``drop_caches`` and seqcount wraparound (which breaks
+every seq pin at once).  Flushing or killing too often costs only
+wall-clock, never fidelity.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Optional
 
 from repro import errors
@@ -228,10 +230,10 @@ class _Entry:
         "term_seq",
         "term_sig",         # _dentry_sig of the terminal at record time
         "deps",             # tuple of (dentry, seq, inode) pins
-        "miss_deps",        # ((id(container), key), container) pins:
-                            # (parent dentry, name) or (DLHT, signature)
+        "index_keys",       # where ResolutionMemo._index lists the entry
         "steady",           # no mutation-adjacent charges: skip counter
         "refs",             # strong refs pinning every id() in the key
+                            # and in the absence keys of index_keys
         "confirmed",        # replayable only after a second identical run
     )
 
@@ -241,9 +243,7 @@ class ResolutionMemo:
 
     Constructed by :class:`~repro.core.kernel.Kernel` when
     ``DcacheConfig.resolution_memo`` is on, and consulted by
-    ``Syscalls._resolve`` for every resolve-bearing entry point
-    (including the ``Syscalls.batch`` fast entries, whose path ops are
-    bound methods of the same facade).
+    ``Syscalls._resolve`` for every resolve-bearing entry point.
 
     ``hits``/``misses``/``stale``/``flushes`` are host-side telemetry;
     they deliberately live outside :class:`~repro.sim.stats.Stats` so
@@ -254,7 +254,7 @@ class ResolutionMemo:
 
     __slots__ = (
         "costs", "stats", "coherence", "dcache", "resolver", "capacity",
-        "_entries", "_by_dep", "_by_miss", "_door",
+        "_entries", "_index", "_door",
         "_open", "_left", "_shut_for", "_mark", "_wasted",
         "hits", "misses", "stale", "flushes",
     )
@@ -276,16 +276,13 @@ class ResolutionMemo:
         self.resolver = resolver
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        #: Reverse index: id(dentry) -> {key: entry} for every entry
-        #: that depends on the dentry (term or deps).  Drives
-        #: :meth:`kill` in O(affected entries).
-        self._by_dep: dict = {}
-        #: Reverse index: (id(parent), name) -> {key: entry} for every
-        #: entry whose walk observed that name absent under that parent
-        #: (and (id(dlht), signature) or (id(pcc), dentry) for a missed
-        #: fastpath probe).  Drives :meth:`kill_miss` from
-        #: ``d_alloc``/``d_move`` and the DLHT and PCC ``insert``.
-        self._by_miss: dict = {}
+        #: Reverse index -> {key: entry}.  ``id(dentry)`` lists every
+        #: entry that depends on the dentry (term or deps) and drives
+        #: :meth:`kill`; ``(id(container), key)`` lists every entry
+        #: whose walk observed ``key`` absent from ``container`` —
+        #: (parent dentry, name), (DLHT, signature) or (PCC, dentry) —
+        #: and drives :meth:`kill_miss`.  Both in O(affected entries).
+        self._index: dict = {}
         #: Doorkeeper: ``hash(key)`` of every key resolved while open.
         self._door: set = set()
         #: Governor: is recording open, resolves left in this window or
@@ -460,7 +457,7 @@ class ResolutionMemo:
     def _snapshot(self, key, entry: _Entry, task, path,
                   rec: Recording) -> None:
         """(Re)capture ``entry``'s validity snapshot from ``rec`` and
-        register it in the reverse indexes."""
+        register it in the reverse index."""
         coh = self.coherence
         entry.counter = coh.counter
         entry.epoch = coh.epoch
@@ -482,82 +479,39 @@ class ResolutionMemo:
         # not see negativity flips, so the inode pin rides along here).  The
         # terminal is excluded: its cycle-tolerant state signature
         # replaces the inode pin so unlink/create cycles can revalidate.
-        deps = []
-        seen = set()
-        for source in (rec.lru, rec.deps):
-            for d in source:
-                if d is term:
-                    continue
-                i = id(d)
-                if i in seen:
-                    continue
-                seen.add(i)
-                deps.append((d, d.seq, d.inode))
-        for _pcc, d, _epoch in rec.pcc:
-            if d is term:
-                continue
-            i = id(d)
-            if i in seen:
-                continue
-            seen.add(i)
-            deps.append((d, d.seq, d.inode))
-        entry.deps = tuple(deps)
-        miss_deps = []
-        mseen = set()
-        for parent, name in rec.misses:
-            mkey = (id(parent), name)
-            if mkey in mseen:
-                continue
-            mseen.add(mkey)
-            miss_deps.append((mkey, parent))
-        entry.miss_deps = tuple(miss_deps)
+        deps = {}
+        for d in chain(rec.lru, rec.deps,
+                       [d for _pcc, d, _epoch in rec.pcc]):
+            if d is not term and id(d) not in deps:
+                deps[id(d)] = (d, d.seq, d.inode)
+        entry.deps = tuple(deps.values())
+        absent = {(id(container), name): container
+                  for container, name in rec.misses}
+        # Strong refs keep every object behind an id() in the key and in
+        # the absence keys alive (``deps`` and the touch lists hold the
+        # dentries), so no id can be recycled while the entry can match.
+        entry.refs = (task.ns, task.root, task.cwd, task.cred,
+                      *absent.values())
         entry.steady = not _charges_any(entry.vector,
                                         _STEADY_UNSAFE_PRIMITIVES)
-        by_dep = self._by_dep
-        for d, _seq, _inode in entry.deps:
-            i = id(d)
-            bucket = by_dep.get(i)
+        entry.index_keys = (*deps, *absent) if term is None \
+            else (*deps, id(term), *absent)
+        index = self._index
+        for ikey in entry.index_keys:
+            bucket = index.get(ikey)
             if bucket is None:
-                by_dep[i] = bucket = {}
-            bucket[key] = entry
-        if term is not None:
-            i = id(term)
-            bucket = by_dep.get(i)
-            if bucket is None:
-                by_dep[i] = bucket = {}
-            bucket[key] = entry
-        by_miss = self._by_miss
-        for mkey, _parent in entry.miss_deps:
-            bucket = by_miss.get(mkey)
-            if bucket is None:
-                by_miss[mkey] = bucket = {}
+                index[ikey] = bucket = {}
             bucket[key] = entry
 
     def _unregister(self, key, entry: _Entry) -> None:
         """Remove ``entry``'s reverse-index registrations."""
-        by_dep = self._by_dep
-        for d, _seq, _inode in entry.deps:
-            i = id(d)
-            bucket = by_dep.get(i)
+        index = self._index
+        for ikey in entry.index_keys:
+            bucket = index.get(ikey)
             if bucket is not None:
                 bucket.pop(key, None)
                 if not bucket:
-                    del by_dep[i]
-        term = entry.term_dentry
-        if term is not None:
-            i = id(term)
-            bucket = by_dep.get(i)
-            if bucket is not None:
-                bucket.pop(key, None)
-                if not bucket:
-                    del by_dep[i]
-        by_miss = self._by_miss
-        for mkey, _parent in entry.miss_deps:
-            bucket = by_miss.get(mkey)
-            if bucket is not None:
-                bucket.pop(key, None)
-                if not bucket:
-                    del by_miss[mkey]
+                    del index[ikey]
 
     def _store(self, key, task, path, pos, exc, rec, deltas) -> None:
         if not self._memoizable(rec, pos):
@@ -575,10 +529,6 @@ class ResolutionMemo:
         entry.stat_deltas = deltas
         entry.lru_touches = rec.lru
         entry.pcc_touches = rec.pcc
-        # Strong refs keep every object behind an id() in the key (and
-        # in the touch lists) alive, so ids can never be recycled while
-        # the entry can still match.
-        entry.refs = (task.ns, task.root, task.cwd, task.cred)
         entry.confirmed = False
         self._snapshot(key, entry, task, path, rec)
         entries = self._entries
@@ -667,8 +617,7 @@ class ResolutionMemo:
         if self._entries:
             self._wasted += len(self._entries)
             self._entries.clear()
-            self._by_dep.clear()
-            self._by_miss.clear()
+            self._index.clear()
             self.flushes += 1
 
     def kill(self, dentry) -> None:
@@ -680,10 +629,8 @@ class ResolutionMemo:
         entries) through the reverse index; a dentry no entry depends
         on costs one dict probe, an empty index not even the key.
         """
-        if self._by_dep:
-            bucket = self._by_dep.pop(id(dentry), None)
-            if bucket:
-                self._drop(bucket)
+        if self._index:
+            self._drop(id(dentry))
 
     def kill_miss(self, parent, name) -> None:
         """Scoped invalidation for a name being instantiated: drop every
@@ -691,13 +638,14 @@ class ResolutionMemo:
         ``parent`` (``d_alloc`` and the destination of ``d_move``; for a
         DLHT ``insert``, the table and the signature; for a PCC
         ``insert``, the cache and the dentry)."""
-        if self._by_miss:
-            bucket = self._by_miss.pop((id(parent), name), None)
-            if bucket:
-                self._drop(bucket)
+        if self._index:
+            self._drop((id(parent), name))
 
-    def _drop(self, bucket: dict) -> None:
-        """Drop the entries of one popped reverse-index bucket."""
+    def _drop(self, ikey) -> None:
+        """Pop one reverse-index bucket and drop its entries."""
+        bucket = self._index.pop(ikey, None)
+        if not bucket:
+            return
         entries = self._entries
         removed = 0
         for key, entry in bucket.items():

@@ -300,9 +300,8 @@ class ChargePlanRegistry:
     The replay engine (:func:`repro.workloads.traces.replay_interleaved`)
     owns the capture/apply protocol; this registry owns the state: one
     table of :class:`PlanCell`, a generation counter bumped by
-    out-of-band bulk invalidations (``chmod``-class memo flushes,
-    ``drop_caches``, seq wraparound — every live plan dies on a bump),
-    and host-side telemetry
+    :meth:`CostModel.forget` (every live plan dies on a bump), and
+    host-side telemetry
     (``compiled``/``applied``/``invalidated``/``fallbacks`` — like the
     resolution memo's counters these live outside
     :class:`~repro.sim.stats.Stats` so plans never perturb golden
@@ -365,6 +364,24 @@ class ChargePlanRegistry:
                 "fallbacks": self.fallbacks}
 
 
+class _NoMemo:
+    """What ``CostModel.memo`` is until a kernel attaches its resolution
+    memo (``DcacheConfig.resolution_memo`` off, or no kernel at all):
+    there is nothing to invalidate, so every report is dropped.
+    """
+
+    __slots__ = ()
+
+    def kill(self, dentry) -> None:
+        """No entry can depend on ``dentry``."""
+
+    def kill_miss(self, container, key) -> None:
+        """No entry can rest on ``key``'s absence from ``container``."""
+
+    def flush(self) -> None:
+        """Nothing to flush."""
+
+
 def _rate_ticks(name: str, ns: float) -> int:
     """``ns`` as ticks; a rate between two ticks is a table error."""
     ticks = ns * TICKS_PER_NS
@@ -393,7 +410,8 @@ class CostModel:
     """
 
     __slots__ = ("charges", "clock", "_scope_stack", "_by_scope", "_nbytes",
-                 "_raw", "counts", "_rates", "_guards", "recorder", "plans")
+                 "_raw", "counts", "_rates", "_guards", "recorder", "plans",
+                 "memo")
 
     def __init__(self, charges: Optional[Dict[str, float]] = None,
                  clock: Optional[Clock] = None):
@@ -419,6 +437,28 @@ class CostModel:
         #: Captured charge plans for compiled-trace segments (see
         #: :class:`ChargePlanRegistry` and ``workloads/traces.py``).
         self.plans = ChargePlanRegistry()
+        #: The one place the cache structures report changes to:
+        #: ``Dcache.d_alloc/d_drop/d_move/evict``, ``DLHT.insert`` and
+        #: ``PCC.store`` call ``memo.kill`` / ``memo.kill_miss``.  A
+        #: :class:`~repro.core.resmemo.ResolutionMemo` once a kernel
+        #: attaches one (at most one per cost model), else a no-op.
+        self.memo = _NoMemo()
+
+    def forget(self) -> None:
+        """Bulk-invalidate every host-side layer: flush the resolution
+        memo and kill every captured charge plan.
+
+        For the changes no scoped report covers: chmod/chown/relabel
+        (the eager profile elides the invalidation-counter bump when no
+        fast-side state was hit and no walk is active, the baseline
+        profile has no counter at all, and chmod of a regular file
+        mutates no dentry), mount-table edits, ``drop_caches`` and
+        seqcount wraparound.  Plan guards cannot see mode, label or
+        mount-table state either.  Forgetting too often costs
+        wall-clock only.
+        """
+        self.memo.flush()
+        self.plans.bump_gen()
 
     # -- charging ---------------------------------------------------------
 

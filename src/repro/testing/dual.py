@@ -133,6 +133,19 @@ class DualKernel:
             _check_kernel_invariants(kernel)
 
 
+def fingerprint(kernel: Kernel) -> tuple:
+    """Everything virtual about ``kernel``: the clock, every cost
+    accumulator and every Stats counter.
+
+    Integer time makes ``==`` exact: two kernels that host-side layers
+    alone tell apart (memo, plans, compiled replay on or off) must have
+    equal fingerprints.
+    """
+    costs = kernel.costs
+    return (costs.now_ns, dict(costs.counts), costs.by_primitive,
+            costs.by_scope, kernel.stats.snapshot())
+
+
 def _check_kernel_invariants(kernel: Kernel) -> None:
     """Cache-structure invariants from the paper's design.
 

@@ -62,7 +62,7 @@ class Dcache:
     """
 
     __slots__ = ("costs", "stats", "capacity", "hooks", "_hash", "_lru",
-                 "_roots", "_inode_tables", "count", "memo")
+                 "_roots", "_inode_tables", "count")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  capacity: int = 1_000_000,
@@ -76,13 +76,6 @@ class Dcache:
         self._roots: Dict[int, Dentry] = {}
         self._inode_tables: Dict[int, InodeTable] = {}
         self.count = 0
-        #: Resolution memo to invalidate on structural mutations (set by
-        #: the kernel).  Mutation points issue *scoped* kills — by
-        #: dependent dentry (``kill``) or by instantiated name
-        #: (``kill_miss``) — so unrelated memo entries survive; these
-        #: hooks are what keep the memo safe on the baseline profile,
-        #: which has no invalidation counter.
-        self.memo = None
 
     # -- superblock roots ---------------------------------------------------
 
@@ -167,10 +160,8 @@ class Dcache:
         self._hash[key] = dentry
         parent.children[name] = dentry
         self.count += 1
-        memo = self.memo
-        if memo is not None:
-            # Only walks that concluded from this name's absence care.
-            memo.kill_miss(parent, name)
+        # Only walks that concluded from this name's absence care.
+        self.costs.memo.kill_miss(parent, name)
         self._touch_lru(dentry)
         # The caller holds a reference to the new dentry (it is about to
         # be returned); the shrink pass must not reclaim it.
@@ -215,9 +206,7 @@ class Dcache:
         dentry.dead = True
         dentry.seq += 1
         self.count -= 1
-        memo = self.memo
-        if memo is not None:
-            memo.kill(dentry)
+        self.costs.memo.kill(dentry)
         self.hooks.on_unhash(dentry)
         self.costs.charge("dentry_free")
 
@@ -263,14 +252,13 @@ class Dcache:
         dentry.name = new_name
         self._hash[self._key(new_parent, new_name)] = dentry
         new_parent.children[new_name] = dentry
-        memo = self.memo
-        if memo is not None:
-            # A move does not bump the dentry's seqcount (only its name
-            # and parent change), so entries that resolved through it
-            # must be killed explicitly; and the destination name just
-            # came into existence for absence-based walks.
-            memo.kill(dentry)
-            memo.kill_miss(new_parent, new_name)
+        # A move does not bump the dentry's seqcount (only its name and
+        # parent change), so memo entries that resolved through it must
+        # be killed explicitly; and the destination name just came into
+        # existence for absence-based walks.
+        memo = self.costs.memo
+        memo.kill(dentry)
+        memo.kill_miss(new_parent, new_name)
         self.hooks.on_move(dentry, old_parent, old_name)
 
     # -- LRU / shrinking ------------------------------------------------------------
@@ -322,13 +310,12 @@ class Dcache:
         dentry.dead = True
         dentry.seq += 1
         self.count -= 1
-        memo = self.memo
-        if memo is not None:
-            memo.kill(dentry)
-            # The parent's broken dir_complete flag is invisible to the
-            # memo's validity check (no seq/epoch/counter changes), so
-            # entries that walked through the parent go too.
-            memo.kill(parent)
+        memo = self.costs.memo
+        memo.kill(dentry)
+        # The parent's broken dir_complete flag is invisible to the
+        # memo's validity check (no seq/epoch/counter changes), so
+        # entries that walked through the parent go too.
+        memo.kill(parent)
         self.hooks.on_unhash(dentry)
         self.costs.charge("dentry_free")
 

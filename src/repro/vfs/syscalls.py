@@ -55,164 +55,20 @@ class StatResult(NamedTuple):
     mtime_ns: int = 0
 
 
-# -- batched dispatch -----------------------------------------------------
-#
-# The fast entries below are hand-specialized clones of the fd-based
-# syscall bodies with every per-call prologue load — task, fd table,
-# cost-model charge entry, sweeper, readdir engine — pinned in the
-# closure at batch-creation time.  They MUST stay semantically identical
-# to the facade methods they mirror (same charges in the same order,
-# same error types and messages); tests/test_compiled_replay.py drives
-# the same op streams through both surfaces and asserts bit-identical
-# virtual costs, Stats, and outcomes.  Only fd ops are specialized:
-# path-based ops are dominated by resolution, where a pinned prologue
-# buys nothing.
-
-def _fast_close(sys_: "Syscalls", task: Task):
-    charge, sweeper = sys_._charge, sys_._sweeper
-    files = task.fds._files
-
-    def close(fd: int) -> None:
-        charge("syscall_fixed")
-        if sweeper is not None:
-            sweeper.poll()
-        charge("close_fd")
-        file = files.pop(fd, None)
-        if file is None:
-            raise errors.EBADF(message=f"fd {fd}")
-        file.release()
-
-    return close
-
-
-def _fast_lseek(sys_: "Syscalls", task: Task):
-    charge, sweeper = sys_._charge, sys_._sweeper
-    files = task.fds._files
-    readdir_engine = sys_.kernel.readdir_engine
-
-    def lseek(fd: int, offset: int) -> int:
-        charge("syscall_fixed")
-        if sweeper is not None:
-            sweeper.poll()
-        file = files.get(fd)
-        if file is None or file.closed:
-            raise errors.EBADF(message=f"fd {fd}")
-        # Open files are positive, so dir-ness is the inode's cached
-        # flag (Dentry.is_dir's stub arm can't apply) — skip the
-        # property dispatch on this, the most replayed trace opcode.
-        inode = file.pos.dentry.inode
-        if inode is not None and inode.is_dir:
-            readdir_engine.seek(file, offset)
-        file.offset = offset
-        return offset
-
-    return lseek
-
-
-def _fast_fstat(sys_: "Syscalls", task: Task):
-    charge, sweeper = sys_._charge, sys_._sweeper
-    files = task.fds._files
-
-    def fstat(fd: int) -> StatResult:
-        charge("syscall_fixed")
-        if sweeper is not None:
-            sweeper.poll()
-        file = files.get(fd)
-        if file is None or file.closed:
-            raise errors.EBADF(message=f"fd {fd}")
-        inode = file.pos.dentry.inode
-        if inode is None:
-            raise errors.ENOENT(message="file removed during stat")
-        charge("stat_fill")
-        return StatResult(inode.ino, inode.mode, inode.uid, inode.gid,
-                          inode.nlink, inode.size, inode.filetype,
-                          inode.fs.fstype, inode.mtime_ns)
-
-    return fstat
-
-
-def _fast_read(sys_: "Syscalls", task: Task):
-    charge, sweeper = sys_._charge, sys_._sweeper
-    files = task.fds._files
-
-    def read(fd: int, length: int) -> bytes:
-        charge("syscall_fixed")
-        if sweeper is not None:
-            sweeper.poll()
-        file = files.get(fd)
-        if file is None or file.closed:
-            raise errors.EBADF(message=f"fd {fd}")
-        if file.flags & O_ACCMODE not in (O_RDONLY, O_RDWR):
-            raise errors.EBADF(message=f"fd {fd} not readable")
-        inode = file.pos.dentry.inode
-        if inode.is_dir:
-            raise errors.EISDIR(message="read on a directory fd")
-        data = inode.fs.read(inode.ino, file.offset, length)
-        file.offset += len(data)
-        return data
-
-    return read
-
-
-def _fast_write(sys_: "Syscalls", task: Task):
-    charge, sweeper = sys_._charge, sys_._sweeper
-    files = task.fds._files
-    sync_inode = sys_._sync_inode
-
-    def write(fd: int, data: bytes) -> int:
-        charge("syscall_fixed")
-        if sweeper is not None:
-            sweeper.poll()
-        file = files.get(fd)
-        if file is None or file.closed:
-            raise errors.EBADF(message=f"fd {fd}")
-        if file.flags & O_ACCMODE not in (O_WRONLY, O_RDWR):
-            raise errors.EBADF(message=f"fd {fd} not writable")
-        inode = file.pos.dentry.inode
-        if file.flags & O_APPEND:
-            file.offset = inode.size
-        written = inode.fs.write(inode.ino, file.offset, data)
-        file.offset += written
-        sync_inode(inode)
-        return written
-
-    return write
-
-
-#: op name -> specialized fast-entry builder.
-_FAST_ENTRIES = {
-    "close": _fast_close,
-    "lseek": _fast_lseek,
-    "fstat": _fast_fstat,
-    "read": _fast_read,
-    "write": _fast_write,
-}
-
-
 class SyscallBatch:
     """Pinned-task dispatch table: prebound per-op syscall entries.
 
-    Obtained from :meth:`Syscalls.batch`.  A batch resolves the per-call
-    *Python-level* prologue once — the bound-method fetch, the task
-    argument, and (for the hot fd ops) the fd-table/cost-model/sweeper
-    loads — and hands out per-op fast entries (``batch.stat(path)``
-    instead of ``kernel.sys.stat(task, path)``), so hot loops that drive
-    millions of syscalls (the compiled trace replayer, benchmark
-    repetition loops) pay the dispatch setup per batch instead of per
-    event.  fd-based ops get hand-specialized closures (see
-    ``_FAST_ENTRIES``); every other op is a C-level ``partial`` over the
-    facade method.
+    Obtained from :meth:`Syscalls.batch`.  ``batch.stat(path)`` is a
+    C-level ``partial`` of ``kernel.sys.stat`` over the task, so hot
+    loops that drive millions of syscalls (the compiled trace replayer,
+    benchmark repetition loops) pay the bound-method fetch and the task
+    argument per batch instead of per event.  Nothing else: every entry
+    *is* the facade method, so virtual clocks, counts, Stats, error
+    types and messages cannot differ from unbatched calls.
 
-    Cost-attribution rule: batching changes **zero virtual charges**.
-    Every entry still runs the full syscall — ``syscall_fixed``, sweeper
-    polls, permission checks — so virtual clocks, counts, and Stats are
-    bit-identical to unbatched calls (``tests/test_compiled_replay``
-    pins this).  Only host wall-clock moves.
-
-    A batch pins per-task state (the fd table) at creation: create one
-    batch per (kernel, task) hot loop and drop it with the task.
-    Entries are cached on first attribute access; a batch is also a
-    (stateless) context manager so callers can scope its lifetime.
+    Create one batch per (kernel, task) hot loop and drop it with the
+    task.  Entries are cached on first attribute access; a batch is also
+    a (stateless) context manager so callers can scope its lifetime.
     """
 
     def __init__(self, syscalls: "Syscalls", task: Task):
@@ -228,11 +84,7 @@ class SyscallBatch:
     def __getattr__(self, op: str):
         if op.startswith("_"):
             raise AttributeError(op)
-        builder = _FAST_ENTRIES.get(op)
-        if builder is not None:
-            entry = builder(self._syscalls, self._task)
-        else:
-            entry = partial(getattr(self._syscalls, op), self._task)
+        entry = partial(getattr(self._syscalls, op), self._task)
         # Cache on the instance: subsequent lookups bypass __getattr__.
         self.__dict__[op] = entry
         return entry
@@ -254,7 +106,7 @@ class Syscalls:
         self.lsm = kernel.lsm
         # Prologue state pinned once per kernel: the charge fast path and
         # the sweeper reference never change after construction, so
-        # _enter need not chase kernel attributes per call.
+        # entry points need not chase kernel attributes per call.
         self._charge = self.costs.charge
         self._sweeper = kernel.sweeper
         # Resolution memo (None when DcacheConfig.resolution_memo is
@@ -295,23 +147,6 @@ class Syscalls:
             task, path, follow_last=follow_last,
             intent_create=intent_create, create_dir=create_dir,
             dirfd_pos=dirfd_pos)
-
-    def _flush_memo(self) -> None:
-        """Bulk-invalidate the resolution memo.
-
-        Called by the few mutating entry points whose resolution-visible
-        effect can bypass both the invalidation counter (the eager
-        profile elides the bump when no fast-side state was hit and no
-        walk is active; the baseline profile has no counter at all) and
-        the dcache structural-mutation hooks (chmod of a regular file
-        mutates no dentry).  Over-flushing costs wall-clock only.
-        """
-        memo = self._memo
-        if memo is not None:
-            memo.flush()
-        # The same out-of-band mutations invalidate captured charge
-        # plans: their guards cannot see mode/label/mount-table state.
-        self.costs.plans.bump_gen()
 
     def _dirfd_pos(self, task: Task, dirfd: Optional[int]) -> Optional[PathPos]:
         if dirfd is None:
@@ -430,8 +265,21 @@ class Syscalls:
         return self._stat_of(pos)
 
     def fstat(self, task: Task, fd: int) -> StatResult:
-        self._enter()
-        return self._stat_of(task.fds.get(fd).pos)
+        charge = self._charge
+        charge("syscall_fixed")
+        sweeper = self._sweeper
+        if sweeper is not None:
+            sweeper.poll()
+        file = task.fds._files.get(fd)
+        if file is None or file.closed:
+            raise errors.EBADF(message=f"fd {fd}")
+        inode = file.pos.dentry.inode
+        if inode is None:
+            raise errors.ENOENT(message="file removed during stat")
+        charge("stat_fill")
+        return StatResult(inode.ino, inode.mode, inode.uid, inode.gid,
+                          inode.nlink, inode.size, inode.filetype,
+                          inode.fs.fstype, inode.mtime_ns)
 
     def access(self, task: Task, path: str, mask: int) -> None:
         """access(2): raise EACCES unless ``mask`` permissions hold."""
@@ -514,15 +362,32 @@ class Syscalls:
                flags: int = O_RDONLY, mode: int = 0o644) -> int:
         return self.open(task, path, flags, mode, dirfd=dirfd)
 
+    # ``close``/``read``/``write``/``lseek`` (and ``fstat`` above) are
+    # the most replayed trace opcodes: each inlines ``_enter`` and
+    # ``FdTable.get`` / ``close`` (same charges in the same order, same
+    # errors) instead of paying their frames.
+
     def close(self, task: Task, fd: int) -> None:
-        self._enter()
-        self.costs.charge("close_fd")
-        task.fds.close(fd)
+        charge = self._charge
+        charge("syscall_fixed")
+        sweeper = self._sweeper
+        if sweeper is not None:
+            sweeper.poll()
+        charge("close_fd")
+        file = task.fds._files.pop(fd, None)
+        if file is None:
+            raise errors.EBADF(message=f"fd {fd}")
+        file.release()
 
     def read(self, task: Task, fd: int, length: int) -> bytes:
-        self._enter()
-        file = task.fds.get(fd)
-        if not file.readable:
+        self._charge("syscall_fixed")
+        sweeper = self._sweeper
+        if sweeper is not None:
+            sweeper.poll()
+        file = task.fds._files.get(fd)
+        if file is None or file.closed:
+            raise errors.EBADF(message=f"fd {fd}")
+        if file.flags & O_ACCMODE not in (O_RDONLY, O_RDWR):
             raise errors.EBADF(message=f"fd {fd} not readable")
         inode = file.pos.dentry.inode
         if inode.is_dir:
@@ -532,9 +397,14 @@ class Syscalls:
         return data
 
     def write(self, task: Task, fd: int, data: bytes) -> int:
-        self._enter()
-        file = task.fds.get(fd)
-        if not file.writable:
+        self._charge("syscall_fixed")
+        sweeper = self._sweeper
+        if sweeper is not None:
+            sweeper.poll()
+        file = task.fds._files.get(fd)
+        if file is None or file.closed:
+            raise errors.EBADF(message=f"fd {fd}")
+        if file.flags & O_ACCMODE not in (O_WRONLY, O_RDWR):
             raise errors.EBADF(message=f"fd {fd} not writable")
         inode = file.pos.dentry.inode
         if file.flags & O_APPEND:
@@ -545,9 +415,17 @@ class Syscalls:
         return written
 
     def lseek(self, task: Task, fd: int, offset: int) -> int:
-        self._enter()
-        file = task.fds.get(fd)
-        if file.pos.dentry.is_dir:
+        self._charge("syscall_fixed")
+        sweeper = self._sweeper
+        if sweeper is not None:
+            sweeper.poll()
+        file = task.fds._files.get(fd)
+        if file is None or file.closed:
+            raise errors.EBADF(message=f"fd {fd}")
+        # Open files are positive, so dir-ness is the inode's cached
+        # flag (Dentry.is_dir's stub arm can't apply).
+        inode = file.pos.dentry.inode
+        if inode is not None and inode.is_dir:
             self.kernel.readdir_engine.seek(file, offset)
         file.offset = offset
         return offset
@@ -792,7 +670,7 @@ class Syscalls:
         # Mode bits gate permission checks inside memoized resolutions,
         # and neither a non-directory chmod nor an elided shootdown
         # reaches any other flush hook.
-        self._flush_memo()
+        self.costs.forget()
 
     def chown(self, task: Task, path: str, uid: Optional[int] = None,
               gid: Optional[int] = None) -> None:
@@ -808,7 +686,7 @@ class Syscalls:
             self._shoot_subtree(dentry)
         info = inode.fs.setattr(inode.ino, uid=uid, gid=gid)
         inode.apply(info)
-        self._flush_memo()
+        self.costs.forget()
 
     def relabel(self, task: Task, path: str, label: Optional[str]) -> None:
         """Set the LSM security label on an inode (e.g. SELinux type).
@@ -846,7 +724,7 @@ class Syscalls:
         # Single chokepoint for every label-changing path (relabel,
         # setxattr of security.label): labels feed LSM decisions inside
         # memoized resolutions.
-        self._flush_memo()
+        self.costs.forget()
 
     def utimes(self, task: Task, path: str, mtime_ns: int) -> None:
         """utimes(2)-style explicit mtime update (owner or root)."""
@@ -987,7 +865,7 @@ class Syscalls:
         self.kernel.coherence.register_mount(pos.dentry, root_dentry)
         # Mount table edits redirect memoized resolutions that cross the
         # mountpoint; no dcache hook or counter bump is guaranteed here.
-        self._flush_memo()
+        self.costs.forget()
         return mount
 
     def bind_mount(self, task: Task, src: str, dst: str,
@@ -1005,7 +883,7 @@ class Syscalls:
                       mountpoint=dstpos.dentry, flags=flags)
         task.ns.add_mount(mount)
         self.kernel.coherence.register_mount(dstpos.dentry, srcpos.dentry)
-        self._flush_memo()
+        self.costs.forget()
         return mount
 
     def umount(self, task: Task, path: str) -> None:
@@ -1023,7 +901,7 @@ class Syscalls:
         if mount.mountpoint is not None:
             self.kernel.coherence.unregister_mount(mount.mountpoint,
                                                    mount.root_dentry)
-        self._flush_memo()
+        self.costs.forget()
 
     def unshare_mountns(self, task: Task) -> None:
         """unshare(CLONE_NEWNS): give the task a private mount namespace."""

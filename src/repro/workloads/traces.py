@@ -19,6 +19,7 @@ charge-plan protocol; :func:`replay_compiled` is its one-stream call.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from itertools import chain
@@ -27,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import errors
 from repro.core.kernel import Kernel
 from repro.sim.costs import ChargePlan, Recording
+from repro.testing.scheduler import StreamScheduler
 from repro.vfs.task import Task
 
 #: Syscalls that perform a path lookup (the §1 statistic).
@@ -43,7 +45,7 @@ _FD_ARG_OPS = frozenset(["close", "read", "write", "lseek", "ftruncate",
                          "openat"])
 
 #: Primitives a clean charge-plan capture may contain.  This whitelist
-#: is the soundness boundary: the fd fast entries for the plannable ops
+#: is the soundness boundary: the plannable fd syscalls
 #: (``lseek``/``fstat``, see ``vfs/syscalls.py``) charge only these,
 #: and both are state-independent constants once the apply-time guards
 #: hold.  Any other primitive in a capture — a sweeper batch that fired
@@ -402,23 +404,12 @@ def _drain_state(streams) -> Optional[tuple]:
     return [tuple(task.fds._files) for task in tasks], digests
 
 
-#: Precomputed interleaving schedules keyed by (seed, unit counts).  The
-#: schedule depends on nothing else, and the multi-tenant benchmarks
-#: replay the same stream population thousands of times.
-_SCHEDULE_CACHE: Dict[Any, Tuple[List[int], List[int]]] = {}
-_SCHEDULE_CACHE_MAX = 64
-
-
+@functools.lru_cache(maxsize=64)
 def _drain_schedule(seed: int, unit_counts: tuple):
-    key = (seed, unit_counts)
-    hit = _SCHEDULE_CACHE.get(key)
-    if hit is None:
-        from repro.testing.scheduler import StreamScheduler
-        if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
-            _SCHEDULE_CACHE.clear()
-        hit = StreamScheduler(seed).plan_schedule(unit_counts)
-        _SCHEDULE_CACHE[key] = hit
-    return hit
+    # Module scope is the right scope: a schedule depends on nothing but
+    # ``(seed, unit_counts)``, and the multi-tenant benchmarks replay the
+    # same stream population on a fresh kernel per session.
+    return StreamScheduler(seed).plan_schedule(unit_counts)
 
 
 class _StreamState:

@@ -18,6 +18,7 @@ import pytest
 
 from repro import O_APPEND, O_CREAT, O_RDONLY, O_WRONLY, make_kernel
 from repro.core.kernel import PROFILES
+from repro.testing.dual import fingerprint
 from repro.workloads import traces
 from repro.workloads.compile import build_loop_trace, compile_trace
 from repro.workloads.traces import (Trace, TraceEvent, TraceRecorder,
@@ -29,10 +30,7 @@ def _fingerprint(kernel):
     """Every virtual-cost accumulator, exact floats included, and the
     root file system's contents: a plan must leave both as running the
     unit would."""
-    costs = kernel.costs
-    return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
-            dict(costs.by_scope), kernel.stats.snapshot(),
-            kernel.root_fs.state_digest())
+    return fingerprint(kernel) + (kernel.root_fs.state_digest(),)
 
 
 def _record(script):

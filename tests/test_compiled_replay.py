@@ -21,17 +21,12 @@ from repro import (O_APPEND, O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR,
                    O_WRONLY, errors, make_kernel)
 from repro.bench import exp_replay
 from repro.core.kernel import PROFILES
+from repro.testing.dual import fingerprint
 from repro.workloads import server_fleet
 from repro.workloads.compile import (CompiledTrace, TraceCompileError,
                                      build_loop_trace, compile_trace)
 from repro.workloads.traces import (ReplayDivergence, Trace, TraceEvent,
                                     TraceRecorder, replay, replay_compiled)
-
-
-def _fingerprint(kernel):
-    costs = kernel.costs
-    return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
-            dict(costs.by_scope), kernel.stats.snapshot())
 
 
 def _assert_differential(trace, profiles=PROFILES, reps=1):
@@ -48,7 +43,7 @@ def _assert_differential(trace, profiles=PROFILES, reps=1):
             task = kernel.spawn_task(uid=0, gid=0)
             for _ in range(reps):
                 engine(kernel, task)
-            prints.append(_fingerprint(kernel))
+            prints.append(fingerprint(kernel))
         assert prints[0] == prints[1] == prints[2], profile
 
 
@@ -378,11 +373,11 @@ class TestBatchEntries:
         with pytest.raises(errors.EBADF):
             call["fstat"](fd)
         call["unlink"]("/d/f")
-        return out, _fingerprint(kernel)
+        return out, fingerprint(kernel)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_fast_entries_match_facade(self, profile):
-        """Specialized batch closures (close/lseek/fstat/read/write) are
+        """Batch entries (close/lseek/fstat/read/write among them) are
         observationally identical to the facade: same results, same
         error types *and messages*, same virtual costs and Stats."""
         assert self._drive(True, profile) == self._drive(False, profile)

@@ -22,13 +22,7 @@ from repro import O_CREAT, O_RDWR, make_kernel
 from repro.core.coherence import SEQ_WRAP, EagerCoherence
 from repro.core.kernel import PROFILES
 from repro.errors import FsError
-
-
-def _fingerprint(kernel):
-    """Every virtual-cost accumulator, exact floats included."""
-    costs = kernel.costs
-    return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
-            dict(costs.by_scope), kernel.stats.snapshot())
+from repro.testing.dual import fingerprint
 
 
 # -- batched vs. recursive shootdown ---------------------------------------
@@ -148,7 +142,7 @@ def _shootdown_differential(spec, root_pick):
             stale = d.fast is None or d.fast.hash_state is None
             digest.append((path, d.seq, stale))
         dlht_sizes = sorted(len(t) for t in kernel.coherence.dlhts)
-        state.append((_fingerprint(kernel), digest, dlht_sizes,
+        state.append((fingerprint(kernel), digest, dlht_sizes,
                       kernel.coherence.counter))
     assert state[0] == state[1]
 
@@ -231,7 +225,7 @@ class TestMemoMutationChurn:
                 sys.rename(task, "/w/f", "/w/g")
                 sys.stat(task, "/w/g")
                 sys.unlink(task, "/w/g")
-            prints[memo_on] = _fingerprint(kernel)
+            prints[memo_on] = fingerprint(kernel)
             if memo_on:
                 hits = kernel.memo.hits
                 misses = kernel.memo.misses

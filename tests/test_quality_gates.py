@@ -3,8 +3,8 @@
 These tests keep the library honest as it grows: every cost primitive is
 actually charged by some code path, every public item carries a
 docstring, the substrate does not import the optimized design, the
-coherence policy is chosen in one place, and the packaging metadata
-stays importable.
+coherence policy is chosen in one place, the host-side layers hang off
+one seam, and the packaging metadata stays importable.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro import O_CREAT, O_RDWR, errors, make_kernel
+from repro.core.kernel import PROFILES
 from repro.sim.costs import CALIBRATED
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -81,20 +82,24 @@ def _exercise_everything():
     fd, _name = sys.mkstemp(task, "/d", rng=random.Random(1))
     sys.close(task, fd)
     # PRF kernel to exercise the PRF primitive.
+    # The borrowing kernels below only bump ``counts`` on the shared
+    # cost model; it carries ``kernel``'s memo, so theirs stays off.
     prf = make_kernel("optimized", signature_scheme="prf",
-                      costs=kernel.costs)
+                      costs=kernel.costs, resolution_memo=False)
     prf_task = prf.spawn_task(uid=0, gid=0)
     prf.sys.mkdir(prf_task, "/p")
     prf.sys.stat(prf_task, "/p")
     # A lazy kernel covers the epoch-coherence primitives.
-    lazy = make_kernel("optimized-lazy", costs=kernel.costs)
+    lazy = make_kernel("optimized-lazy", costs=kernel.costs,
+                       resolution_memo=False)
     lazy_task = lazy.spawn_task(uid=0, gid=0)
     lazy.sys.mkdir(lazy_task, "/lz")
     lazy.sys.stat(lazy_task, "/lz")
     lazy.sys.chmod(lazy_task, "/lz", 0o700)
     lazy.sys.stat(lazy_task, "/lz")
     # A baseline kernel covers the classic walk-only primitives.
-    base = make_kernel("baseline", costs=kernel.costs)
+    base = make_kernel("baseline", costs=kernel.costs,
+                       resolution_memo=False)
     base_task = base.spawn_task(uid=0, gid=0)
     base.sys.mkdir(base_task, "/b")
     fd = base.sys.open(base_task, "/b/f", O_CREAT | O_RDWR)
@@ -112,7 +117,8 @@ class TestCostTableCoverage:
                  if not name.endswith("_per_byte")} - charged
         # "dotdot_extra_lookup" fires only on a fastpath dot-dot hit;
         # exercise it explicitly.
-        k2 = make_kernel("optimized", costs=kernel.costs)
+        k2 = make_kernel("optimized", costs=kernel.costs,
+                         resolution_memo=False)
         t2 = k2.spawn_task(uid=0, gid=0)
         k2.sys.mkdir(t2, "/a")
         k2.sys.mkdir(t2, "/a/b")
@@ -243,6 +249,89 @@ class TestCoherenceSeam:
             fast = dentry.fast
             if fast is not None:
                 assert fast.epoch_snapshot == 0 and fast.extra_keys is None
+
+
+class TestHostSeam:
+    """The resolution memo attaches once, as ``costs.memo``; every cache
+    structure reports there and ``costs.forget()`` is the one bulk
+    invalidation."""
+
+    def test_structures_report_through_the_cost_model(self):
+        sources = {str(path.relative_to(SRC)): path.read_text()
+                   for path in sorted(SRC.rglob("*.py"))}
+        # Only the two readers of ``kernel.memo`` (memo or None) ask.
+        askers = {name: text.count("memo is not None")
+                  for name, text in sources.items()
+                  if "memo is not None" in text or "memo is None" in text}
+        assert askers == {"sim/memory.py": 2, "vfs/syscalls.py": 1}
+        assigners = sorted(
+            name for name, text in sources.items()
+            if any(isinstance(target, ast.Attribute) and target.attr == "memo"
+                   for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.Assign)
+                   for target in node.targets))
+        assert assigners == ["core/kernel.py", "sim/costs.py"]
+        for gone in ("_by_dep", "_by_miss", "_FAST_ENTRIES", "_fast_close",
+                     "_fast_lseek", "_fast_fstat", "_fast_read",
+                     "_fast_write", "_flush_memo", "_SCHEDULE_CACHE"):
+            assert not [name for name, text in sources.items()
+                        if gone in text], gone
+        kernel = make_kernel("optimized")
+        task = kernel.spawn_task(uid=0, gid=0)
+        for holder in (kernel.dcache, kernel.root_ns.dlht, task.cred.pcc,
+                       kernel.coherence):
+            assert not hasattr(holder, "memo"), holder
+            assert not hasattr(holder, "plans"), holder
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_forget_is_the_one_bulk_invalidation(self, profile):
+        from repro.workloads.compile import build_loop_trace, compile_trace
+        from repro.workloads.traces import replay_compiled
+
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        kernel.sys.mkdir(task, "/d")
+        for _ in range(4):
+            kernel.sys.stat(task, "/d")
+        assert kernel.memo.hits > 0 and len(kernel.memo) > 0
+        program = compile_trace(build_loop_trace(profile=profile))
+        for _ in range(4):
+            replay_compiled(kernel, task, program)
+        plans = kernel.costs.plans
+        applied, gen = plans.applied, plans.gen
+        assert applied > 0
+        kernel.costs.forget()
+        assert len(kernel.memo) == 0 and plans.gen == gen + 1
+        replay_compiled(kernel, task, program)
+        assert plans.invalidated > 0
+
+        off = make_kernel(profile, resolution_memo=False)
+        gen = off.costs.plans.gen
+        off.costs.forget()  # nothing attached: not an error
+        assert off.memo is None and off.costs.plans.gen == gen + 1
+
+    def test_one_memoizing_kernel_per_cost_model(self):
+        first = make_kernel("optimized")
+        with pytest.raises(ValueError, match="resolution_memo=False"):
+            make_kernel("baseline", costs=first.costs)
+        assert first.costs.memo is first.memo
+        # A memo-off kernel may borrow the cost model: its reports reach
+        # ``first``'s memo, which holds nothing of theirs.
+        task = first.spawn_task(uid=0, gid=0)
+        first.sys.mkdir(task, "/d")
+        for _ in range(4):
+            first.sys.stat(task, "/d")
+        hits = first.memo.hits
+        assert hits > 0
+        borrower = make_kernel("baseline", costs=first.costs,
+                               resolution_memo=False)
+        assert borrower.memo is None and first.costs.memo is first.memo
+        other = borrower.spawn_task(uid=0, gid=0)
+        borrower.sys.mkdir(other, "/d")
+        borrower.sys.rename(other, "/d", "/e")
+        assert borrower.sys.stat(other, "/e").filetype == "dir"
+        first.sys.stat(task, "/d")
+        assert first.memo.hits == hits + 1
 
 
 class TestPackaging:

@@ -51,7 +51,7 @@ from repro.bench import report as report_cli
 from repro.core import resmemo
 from repro.core.kernel import PROFILES, Kernel
 from repro.core.resmemo import ResolutionMemo
-from repro.testing.dual import _check_kernel_invariants
+from repro.testing.dual import _check_kernel_invariants, fingerprint
 from repro.testing.races import assert_fastpath_consistent
 from repro.testing.scheduler import ConcurrentRunner, normalize_stat
 
@@ -63,13 +63,6 @@ except ImportError:  # pragma: no cover - hypothesis is in the image
 
 FAST_PROFILES = [name for name, config in PROFILES.items()
                  if config.fastpath]
-
-
-def _fingerprint(kernel):
-    """Everything virtual: exact equality means bit-identical behaviour."""
-    costs = kernel.costs
-    return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
-            dict(costs.by_scope), kernel.stats.snapshot())
 
 
 def _cache_orders(kernel):
@@ -149,7 +142,7 @@ class TestGoldenDifferential:
         out_on = _mixed_workload(on, on.spawn_task(uid=0, gid=0))
         out_off = _mixed_workload(off, off.spawn_task(uid=0, gid=0))
         assert out_on == out_off
-        assert _fingerprint(on) == _fingerprint(off)
+        assert fingerprint(on) == fingerprint(off)
         # The equality above is vacuous unless replays actually ran.
         assert on.memo.hits > 0
         assert on.memo.flushes > 0
@@ -170,7 +163,7 @@ class TestGoldenDifferential:
         for kernel, task in ((plain, t_plain), (flushed, t_flushed)):
             for _ in range(4):
                 kernel.sys.stat(task, "/d/f")
-        assert _fingerprint(plain) == _fingerprint(flushed)
+        assert fingerprint(plain) == fingerprint(flushed)
 
 
 # -- concurrent schedules --------------------------------------------------
@@ -296,7 +289,7 @@ if HAVE_HYPOTHESIS:
                 for as_user, op in ops:
                     out.append(_h_apply(kernel, user if as_user else task,
                                         op))
-            results.append((out, _fingerprint(kernel),
+            results.append((out, fingerprint(kernel),
                             _cache_orders(kernel)))
         assert results[0] == results[1]
 else:  # pragma: no cover - hypothesis is in the image
@@ -335,7 +328,7 @@ def _memo_on_off_prints(e2e, inputs, profile, kernel_options=None,
             adapter.ramp(index)
         for index in range(len(inputs["windows"])):
             adapter.window(index, null)
-        prints[config] = _fingerprint(adapter.kernel)
+        prints[config] = fingerprint(adapter.kernel)
         if config == "default":
             assert adapter.kernel.memo.hits > min_hits
     return prints
@@ -370,7 +363,7 @@ class TestDlhtProbeMiss:
             sys.stat(owner, "/p/q/f")  # registers /p/q in the DLHT
             with pytest.raises(errors.EACCES):
                 sys.stat(other, "/p/q")
-            prints[memo_on] = _fingerprint(kernel)
+            prints[memo_on] = fingerprint(kernel)
         assert prints[True] == prints[False]
 
     @pytest.mark.parametrize("seed", (2, 3, 7))
@@ -408,7 +401,7 @@ class TestPccProbeMiss:
                 assert kernel.memo.hits > 0
             sys.stat(user, "/a/b/f")  # inserts the missed PCC entries
             sys.stat(user, "/a/b/../b/f")
-            prints[memo_on] = _fingerprint(kernel)
+            prints[memo_on] = fingerprint(kernel)
         assert prints[True] == prints[False]
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -494,7 +487,7 @@ class TestPccPressure:
             if memo_on:
                 assert kernel.memo.hits > 0
                 assert not _resting_on_evicted(kernel)
-            results[memo_on] = (_fingerprint(kernel), _cache_orders(kernel))
+            results[memo_on] = (fingerprint(kernel), _cache_orders(kernel))
         assert results[True] == results[False]
 
     @pytest.mark.parametrize("profile", FAST_PROFILES)
@@ -528,7 +521,7 @@ class TestPccPressure:
                 assert not _resting_on_evicted(kernel)
             for _ in range(4):      # confirming run, then three more
                 sys.stat(user, "/x/t")
-            prints[memo_on] = (_fingerprint(kernel), _cache_orders(kernel))
+            prints[memo_on] = (fingerprint(kernel), _cache_orders(kernel))
         assert prints[True] == prints[False]
 
     @pytest.mark.parametrize("profile", FAST_PROFILES)
@@ -556,7 +549,7 @@ class TestPccPressure:
                          "/a/g17", "/a/g20", "/a/g7", "/a/g16", dotdot):
                 sys.stat(user, path)
             assert kernel.stats.get("pcc_grow") > 0
-            results[memo_on] = (_fingerprint(kernel),
+            results[memo_on] = (fingerprint(kernel),
                                 [pcc.capacity
                                  for pcc in kernel.coherence.pccs])
         assert results[True] == results[False]
@@ -677,7 +670,7 @@ class TestAdmission:
             kernel.sys.rename(task, f"/g/d/f{i % 8}", "/g/d/moved")
             kernel.sys.rename(task, "/g/d/moved", f"/g/d/f{i % 8}")
         assert len(memo._door) == len(memo._entries) == 0
-        assert not memo._by_dep and not memo._by_miss
+        assert not memo._index
         assert memo._left == 10 ** 6 - (memo.misses - misses)
         assert memo.misses - misses >= 1000 and memo.hits == 0
 
@@ -741,12 +734,10 @@ class TestSwitchAndBounds:
     def test_switch_wiring(self, profile):
         on = make_kernel(profile)
         assert on.memo is not None
-        assert on.dcache.memo is on.memo
-        assert on.coherence.memo is on.memo
+        assert on.costs.memo is on.memo
         off = make_kernel(profile, resolution_memo=False)
         assert off.memo is None
-        assert off.dcache.memo is None
-        assert off.coherence.memo is None
+        assert not isinstance(off.costs.memo, ResolutionMemo)
 
     def test_capacity_bound(self):
         kernel = make_kernel("optimized", resolution_memo_capacity=2)

@@ -16,16 +16,11 @@ import pytest
 from repro import make_kernel
 from repro.bench import exp_tenant_crossover
 from repro.core.kernel import PROFILES
+from repro.testing.dual import fingerprint
 from repro.testing.scheduler import StreamScheduler
 from repro.workloads import server_fleet
 from repro.workloads.compile import build_loop_trace, compile_trace
 from repro.workloads.traces import replay_interleaved
-
-
-def _fingerprint(kernel):
-    costs = kernel.costs
-    return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
-            dict(costs.by_scope), kernel.stats.snapshot())
 
 
 def _small_fleet(kernel, *, tenants=3, total_requests=15,
@@ -42,7 +37,7 @@ def _drained_fingerprint(profile, *, plans, memo=True, drains=5,
     fleet = _small_fleet(kernel, **fleet_kw)
     for _ in range(drains):
         server_fleet.drain_fleet(kernel, fleet, plans=plans)
-    return _fingerprint(kernel)
+    return fingerprint(kernel)
 
 
 def _crossover_fingerprint(profile, mutation_rate, *, plans, memo=True):
@@ -54,7 +49,7 @@ def _crossover_fingerprint(profile, mutation_rate, *, plans, memo=True):
         mutation_rate=mutation_rate, drains=3, seed=11, plans=plans)
     if memo:  # else the memo axis is vacuous
         assert kernel.memo.hits > 0
-    return _fingerprint(kernel)
+    return fingerprint(kernel)
 
 
 class TestFleetBitIdentity:
@@ -198,5 +193,5 @@ class TestCrossTaskPlans:
                 for _ in range(4):
                     replay_interleaved(kernel, streams, seed=seed,
                                        plans=plans)
-                fps.append(_fingerprint(kernel))
+                fps.append(fingerprint(kernel))
             assert fps[0] == fps[1]
