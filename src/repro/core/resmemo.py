@@ -12,8 +12,8 @@ A memo entry is keyed per namespace by
     ``(ns id, root dentry id, cwd dentry id, cred id,
        interned path, follow_last, intent_create, create_dir)``
 
-and stores the terminal :class:`~repro.vfs.dentry.PathPos` (or the
-raised :class:`~repro.errors.FsError`), the
+and stores the terminal :class:`~repro.vfs.dentry.PathPos` (or a replica
+of the raised :class:`~repro.errors.FsError`: data, no traceback), the
 :class:`~repro.sim.costs.ChargeVector` the resolution charged, the
 :class:`~repro.sim.stats.Stats` counter deltas, and the dcache-LRU /
 PCC touches the resolution performed.  A hit is accepted only after a
@@ -217,9 +217,10 @@ class _Entry:
 
     __slots__ = (
         "outcome_pos",      # terminal PathPos, or None if the walk raised
-        "outcome_exc",      # stored FsError instance, or None
-        "vector",           # ChargeVector the resolution charged
-        "stat_deltas",      # sorted tuple of (counter name, int delta)
+        "outcome_exc",      # never-raised FsError replica, or None
+        "vector",           # ChargeVector the resolution charged,
+        "stat_deltas",      # sorted (counter name, int delta) tuple:
+                            # both shared with every equal recording
         "lru_touches",      # dentries whose dcache-LRU slot was refreshed
         "pcc_touches",      # Recording.pcc: PCC hits and inserts, in order
         "counter",          # Coherence.counter (checked unless steady)
@@ -254,7 +255,7 @@ class ResolutionMemo:
 
     __slots__ = (
         "costs", "stats", "coherence", "dcache", "resolver", "capacity",
-        "_entries", "_index", "_door",
+        "_entries", "_index", "_door", "_interned",
         "_open", "_left", "_shut_for", "_mark", "_wasted",
         "hits", "misses", "stale", "flushes",
     )
@@ -266,6 +267,9 @@ class ResolutionMemo:
 
     #: Doorkeeper size at which it is cleared whole.
     _DOOR_MAX = 1 << 14
+
+    #: Intern table size at which it is cleared whole.
+    _INTERN_MAX = 1 << 10
 
     def __init__(self, costs, stats, coherence, dcache, resolver,
                  capacity: int = 4096) -> None:
@@ -285,6 +289,9 @@ class ResolutionMemo:
         self._index: dict = {}
         #: Doorkeeper: ``hash(key)`` of every key resolved while open.
         self._door: set = set()
+        #: Content -> the one stored ``ChargeVector`` / ``stat_deltas``
+        #: tuple every entry with an equal recording shares.
+        self._interned: dict = {}
         #: Governor: is recording open, resolves left in this window or
         #: shut spell, windows the next shut lasts, ``hits`` when the
         #: window began, and entries and recordings it has lost since.
@@ -333,7 +340,8 @@ class ResolutionMemo:
         when the validity snapshot still holds.
 
         Mirrors the resolver's contract exactly: returns the terminal
-        :class:`PathPos` or raises the recorded :class:`FsError`.
+        :class:`PathPos` or raises a new instance of the recorded
+        :class:`FsError`.
         """
         left = self._left - 1
         if left:
@@ -421,7 +429,12 @@ class ResolutionMemo:
                 pcc_entries.move_to_end(dkey)
         exc = entry.outcome_exc
         if exc is not None:
-            raise exc
+            # A new instance per failing call, as the resolver raises:
+            # a raised instance keeps its traceback, and raising it
+            # again would only lengthen the chain.  The new one is not
+            # bound to a local, which would tie it into a cycle with
+            # this frame.
+            raise exc.replica()
         return entry.outcome_pos
 
     # ------------------------------------------------------------------
@@ -519,14 +532,19 @@ class ResolutionMemo:
             return
         entry = _Entry()
         entry.outcome_pos = pos
-        if exc is not None:
-            # Drop the traceback so the stored instance does not pin
-            # the resolver's frames (and their locals) for the entry's
-            # whole lifetime; each replay re-raise installs a fresh one.
-            exc.__traceback__ = None
-        entry.outcome_exc = exc
-        entry.vector = rec.vector
-        entry.stat_deltas = deltas
+        # The caught instance carries the resolver's traceback (frames,
+        # locals) and is the caller's to keep; the entry holds data.
+        entry.outcome_exc = None if exc is None else exc.replica()
+        # Stored vectors are never mutated after ``Recording.__exit__``,
+        # so equal recordings (paths of one shape) share one object.
+        vector = rec.vector
+        interned = self._interned
+        if len(interned) + 2 > self._INTERN_MAX:  # room for both
+            interned.clear()
+        entry.vector = interned.setdefault(
+            (frozenset(vector.charges.items()),
+             frozenset(vector.raw.items())), vector)
+        entry.stat_deltas = interned.setdefault(deltas, deltas)
         entry.lru_touches = rec.lru
         entry.pcc_touches = rec.pcc
         entry.confirmed = False
@@ -614,6 +632,7 @@ class ResolutionMemo:
     def flush(self) -> None:
         """Bulk-invalidate every entry (coarse hazards only: permission
         or label changes, mount table edits, seqcount wraparound)."""
+        self._interned.clear()
         if self._entries:
             self._wasted += len(self._entries)
             self._entries.clear()
@@ -661,5 +680,7 @@ class ResolutionMemo:
         return len(self._entries)
 
     def event_count(self) -> int:
-        """Total stored charge-vector keys (for memory accounting)."""
-        return sum(len(e.vector) for e in self._entries.values())
+        """Stored charge-vector keys, a shared vector counted once (for
+        memory accounting)."""
+        distinct = {id(e.vector): e.vector for e in self._entries.values()}
+        return sum(map(len, distinct.values()))

@@ -11,6 +11,14 @@ from __future__ import annotations
 import errno
 
 
+def _rebuild(cls, args, state) -> "FsError":
+    """An instance with the given ``args`` and attributes, built without
+    ``__init__`` (which would format the message a second time)."""
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
 class FsError(Exception):
     """Base class for all simulated file system errors.
 
@@ -25,6 +33,19 @@ class FsError(Exception):
         self.path = path
         detail = message or errno.errorcode.get(self.errno, "E?")
         super().__init__(f"{detail}: {path!r}" if path else detail)
+
+    def replica(self) -> "FsError":
+        """A never-raised copy: same class, ``errno``, ``path`` and
+        message; no ``__traceback__``, ``__context__`` or ``__cause__``.
+        Raising one instance twice grows its traceback chain, so whoever
+        stores an outcome to raise it again raises a replica each time."""
+        return _rebuild(type(self), self.args, self.__dict__)
+
+    def __reduce__(self):
+        """``copy`` / ``pickle`` round-trip class, ``errno``, ``path``
+        and ``str`` (``BaseException``'s default would call ``cls`` with
+        the formatted message as ``path``)."""
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class ENOENT(FsError):

@@ -24,11 +24,22 @@ INODE_BYTES = 592               # struct inode, for context
 #: its own chain node — hlist link (16) + stored signature (32 for 240
 #: bits, rounded) + dentry back pointer (8).
 DLHT_EXTRA_KEY_BYTES = 56
-#: Host-side resolution memo (repro.core.resmemo): per-entry key tuple,
-#: validity snapshot, touch lists, and LRU links.
-RESMEMO_ENTRY_BYTES = 96
-#: One recorded charge event: a 4-tuple of small objects.
-RESMEMO_EVENT_BYTES = 16
+#: Host-side resolution memo (repro.core.resmemo), in bytes of *host*
+#: heap, measured on CPython 3.11 / x86-64 as the ``sys.getsizeof`` sum
+#: over the objects an entry owns alone: its key tuple, the ``_Entry``,
+#: both touch lists, the dependency and index-key tuples with their
+#: elements, the terminal signature, the outcome, and its share of the
+#: reverse index (a one-entry bucket dict per dependency).  1.2-1.4 KB on
+#: three-component paths, 1.3 (fastpath: one pin per lookup) to 1.9 KB
+#: (baseline: one pin per component) on the benchmark's ``warm_lookup``
+#: paths; ``tracemalloc`` reads 1.6-1.9 KB for the former, the difference
+#: being allocator rounding and the doorkeeper's ``int``.
+RESMEMO_ENTRY_BYTES = 1500
+#: One key of a stored charge vector: the ``(scope, primitive)`` and
+#: ``(times, nbytes)`` tuples and the slot in ``ChargeVector.charges``,
+#: with the vector's fixed part spread over its 7-9 keys (165-179 B per
+#: key).  Equal recordings share one vector, so it is counted once.
+RESMEMO_EVENT_BYTES = 176
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ relative gains depend only on the dcache design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, List, Optional
 
 from repro import O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR, errors
@@ -57,17 +58,22 @@ class MeteredSyscalls:
         self.path_count = 0
 
     def __getattr__(self, name: str):
+        # Reached once per syscall name: the wrapper is cached on the
+        # instance, where ordinary attribute lookup finds it next time.
         method = getattr(self._sys, name)
+        kernel = self._kernel
+        counts = self.counts
+        is_path = name in PATH_SYSCALLS
 
         def wrapper(*args, **kwargs):
-            start = self._kernel.now_ns
+            start = kernel.now_ns
             try:
                 return method(*args, **kwargs)
             finally:
-                elapsed = self._kernel.now_ns - start
+                elapsed = kernel.now_ns - start
                 self.syscall_ns += elapsed
-                self.counts[name] = self.counts.get(name, 0) + 1
-                if name in PATH_SYSCALLS:
+                counts[name] = counts.get(name, 0) + 1
+                if is_path:
                     self.path_syscall_ns += elapsed
                     path = self._first_path(args, kwargs)
                     if path:
@@ -76,11 +82,12 @@ class MeteredSyscalls:
                         self.path_components += len(
                             [p for p in path.split("/") if p and p != "."])
 
+        self.__dict__[name] = wrapper
         return wrapper
 
     @staticmethod
     def _first_path(args, kwargs) -> Optional[str]:
-        for value in list(args[1:]) + list(kwargs.values()):
+        for value in chain(args[1:], kwargs.values()):
             if isinstance(value, str):
                 return value
         return None

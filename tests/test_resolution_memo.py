@@ -34,13 +34,20 @@ Coverage:
   memo on and off while the governor cycles shut -> probe -> open -> shut;
 * the whole quick experiment report, byte for byte, with every kernel
   built memo-off;
+* replayed outcomes are data: an error replay raises a fresh instance
+  equal to the resolver's, the memo holds no traceback or context and
+  its heap does not grow with replays; equal recordings share one
+  charge vector through a bounded intern table;
 * the ``DcacheConfig.resolution_memo`` switch and capacity bound.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import re
+import types
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -725,6 +732,148 @@ def test_quick_report_is_byte_identical_with_the_memo_off(monkeypatch):
     memo_off, ok = report_cli.generate(quick=True, jobs=1)
     assert ok and built and all(memo is None for memo in built)
     assert memo_off == default
+
+
+# -- replayed outcomes are data ----------------------------------------------
+
+def _error_probes(profile, **options):
+    """A kernel, and ``(task, path)`` probes failing with ENOENT and
+    EACCES whose entries (given the memo) are confirmed and replaying."""
+    kernel = make_kernel(profile, **options)
+    root = kernel.spawn_task(uid=0, gid=0)
+    user = kernel.spawn_task(uid=1000, gid=1000)
+    kernel.sys.mkdir(root, "/o")
+    kernel.sys.mkdir(root, "/o/locked")
+    _mkfile(kernel, root, "/o/locked/f")
+    kernel.sys.chmod(root, "/o/locked", 0o700)
+    probes = [(root, "/o/missing"), (user, "/o/locked/f")]
+    for _rep in range(5):
+        for task, path in probes:
+            _try_stat(kernel, task, path)
+    return kernel, probes
+
+
+def _caught(kernel, task, path):
+    try:
+        kernel.sys.stat(task, path)
+    except errors.FsError as exc:
+        return exc
+    raise AssertionError(f"stat of {path} did not fail")
+
+
+def _reachable_exceptions(root):
+    """Every exception instance reachable from ``root`` through data
+    (not through code, classes or modules)."""
+    code = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType)
+    seen, stack, found = {id(root)}, [root], []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, BaseException):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, code):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+class _OtherError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+class TestReplayedOutcomesAreData:
+    REPLAYS = 2000
+
+    def test_every_replay_raises_a_fresh_equal_instance(self, profile):
+        kernel, probes = _error_probes(profile)
+        plain, plain_probes = _error_probes(profile, resolution_memo=False)
+        hits = kernel.memo.hits
+        for (task, path), (plain_task, _) in zip(probes, plain_probes):
+            want = _caught(plain, plain_task, path)
+            raised = [_caught(kernel, task, path)
+                      for _ in range(self.REPLAYS)]
+            assert len({id(exc) for exc in raised}) == self.REPLAYS
+            assert {(type(exc), exc.errno, exc.path, str(exc))
+                    for exc in raised} == {
+                (type(want), want.errno, want.path, str(want))}
+        assert [type(_caught(kernel, *probe)) for probe in probes] == [
+            errors.ENOENT, errors.EACCES]
+        assert kernel.memo.hits - hits == len(probes) * (self.REPLAYS + 1)
+
+    def test_memo_holds_no_traceback_and_heap_is_steady(self, profile):
+        kernel, probes = _error_probes(profile)
+        hits = kernel.memo.hits
+        gc.collect()
+        gc.disable()  # a replay must not leave even cyclic garbage
+        try:
+            before = len(gc.get_objects())
+            for _ in range(self.REPLAYS):
+                for task, path in probes:
+                    _try_stat(kernel, task, path)
+            assert len(gc.get_objects()) - before < 100
+        finally:
+            gc.enable()
+        assert kernel.memo.hits - hits == len(probes) * self.REPLAYS
+        held = _reachable_exceptions(kernel.memo)
+        assert len(held) >= len(probes)
+        for exc in held:
+            assert exc.__traceback__ is None and exc.__context__ is None
+
+    def test_replay_does_not_pin_the_handled_exception(self, profile):
+        kernel, probes = _error_probes(profile)
+        hits = kernel.memo.hits
+        try:
+            raise _OtherError()
+        except _OtherError as held:
+            ref = weakref.ref(held)
+            for task, path in probes:
+                _try_stat(kernel, task, path)
+        assert kernel.memo.hits - hits == len(probes)
+        assert ref() is None
+
+
+class TestSharedVectors:
+    @staticmethod
+    def _entry(kernel, path):
+        (entry,) = [entry for key, entry in kernel.memo._entries.items()
+                    if key[4] == path]
+        return entry
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_equal_recordings_share_one_vector(self, profile):
+        kernel, task = _governed_kernel()
+        kernel.sys.mkdir(task, "/g/longer")
+        _mkfile(kernel, task, "/g/longer/f0")
+        for _rep in range(5):
+            for path in ("/g/d/f0", "/g/d/f1", "/g/d/no", "/g/d/on",
+                         "/g/longer/f0"):
+                _try_stat(kernel, task, path)
+        for a, b in (("/g/d/f0", "/g/d/f1"), ("/g/d/no", "/g/d/on")):
+            one, other = self._entry(kernel, a), self._entry(kernel, b)
+            assert one.confirmed and other.confirmed
+            assert one.vector is other.vector
+            assert one.stat_deltas is other.stat_deltas
+        assert (self._entry(kernel, "/g/longer/f0").vector
+                is not self._entry(kernel, "/g/d/f0").vector)
+        assert kernel.memo.event_count() < sum(  # a shared one counts once
+            len(entry.vector) for entry in kernel.memo._entries.values())
+        kernel.memo.flush()
+        assert not kernel.memo._interned
+
+    def test_intern_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(ResolutionMemo, "_INTERN_MAX", 6)
+        kernel, task = _governed_kernel()
+        memo, path, shapes = kernel.memo, "/g", set()
+        for depth in range(12):
+            path += "/" + "n" * (depth + 1)
+            kernel.sys.mkdir(task, path)
+            for _rep in range(4):
+                kernel.sys.stat(task, path)
+                assert len(memo._interned) <= 6
+            shapes.add(id(self._entry(kernel, path).vector))
+        assert len(shapes) == 12
 
 
 # -- switch, capacity, counters --------------------------------------------

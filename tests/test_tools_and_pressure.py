@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro import O_CREAT, O_RDWR, errors, make_kernel
-from repro.core.kernel import BASELINE, OPTIMIZED
+from repro.core.kernel import BASELINE, OPTIMIZED, PROFILES
 from repro.sim.memory import measure_kernel
 from repro.testing import DualKernel
 from repro.tools import (dcache_tree, dlht_summary, kernel_summary,
@@ -68,6 +71,36 @@ class TestInspect:
         assert memory.dentries == len(kernel.dcache)
         assert memory.total_bytes > memory.baseline_equivalent_bytes
         assert 0 < memory.overhead_fraction < 5
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_memo_row_is_within_2x_of_the_measured_heap(self, profile):
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        dirs = ["/m"] + [f"/m/d{d:02d}" for d in range(20)]
+        for path in dirs:
+            kernel.sys.mkdir(task, path)
+        paths = [f"{d}/file{f:02d}" for d in dirs[1:] for f in range(50)]
+        for path in paths:
+            kernel.sys.close(task,
+                             kernel.sys.open(task, path, O_CREAT | O_RDWR))
+        for path in paths:          # caches warm, the doorkeeper's sight
+            kernel.sys.stat(task, path)
+        without = measure_kernel(kernel)
+        assert without.resmemo_entries == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _rep in range(3):   # record, confirm, replay
+                for path in paths:
+                    kernel.sys.stat(task, path)
+            gc.collect()
+            measured = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        memory = measure_kernel(kernel)
+        assert memory.resmemo_entries == len(paths) == 1000
+        assert measured / 2 < memory.resmemo_bytes < measured * 2
+        assert memory.total_bytes == without.total_bytes
 
 
 class TestCachePressureEquivalence:

@@ -35,6 +35,25 @@ class TestErrnoHierarchy:
         assert exc.path == "/a/b"
         assert "/a/b" in str(exc)
 
+    @pytest.mark.parametrize("cls", [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.FsError)],
+        ids=lambda cls: cls.__name__)
+    def test_copy_pickle_and_replica_round_trip(self, cls):
+        import copy
+        import pickle
+        for args in ((), ("/a/b",), ("/a/b", "went wrong")):
+            try:
+                raise cls(*args)
+            except errors.FsError as caught:
+                exc = caught
+            for clone in (copy.copy(exc), copy.deepcopy(exc),
+                          pickle.loads(pickle.dumps(exc)), exc.replica()):
+                assert clone is not exc and type(clone) is cls
+                assert (clone.errno, clone.path, str(clone), clone.args) \
+                    == (exc.errno, exc.path, str(exc), exc.args)
+                assert clone.__traceback__ is None
+
 
 class TestSymlinkLimits:
     def test_chain_at_limit_resolves(self, kernel, task):
