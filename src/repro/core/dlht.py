@@ -31,16 +31,15 @@ from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
 from repro.vfs.dentry import Dentry
 
-#: Fixed charge run for one probe (batched; order is the historical
-#: per-call sequence).
-_PROBE_CHARGES = ("dlht_probe", "sig_compare")
+#: What one probe charges: a bucket fetch and a signature compare.
+_PROBE_CHARGES = (("htlookup", "dlht_probe"), ("htlookup", "sig_compare"))
 
 
 class DirectLookupHashTable:
     """One namespace's signature -> dentry index."""
 
     __slots__ = ("costs", "stats", "multi_key", "extra_key_count",
-                 "owner_ns", "_table", "__weakref__")
+                 "owner_ns", "_table", "_probe", "__weakref__")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  multi_key: bool = False):
@@ -54,15 +53,17 @@ class DirectLookupHashTable:
         #: sweep needs it to re-derive canonical paths.
         self.owner_ns = None
         self._table: Dict[Tuple[int, int], Dentry] = {}
+        self._probe = costs.run(_PROBE_CHARGES)
 
     @staticmethod
     def _key(signature: Signature) -> Tuple[int, int]:
         return (signature.index, signature.bits)
 
     def probe(self, signature: Signature) -> Optional[Dentry]:
-        """Look up a signature: bucket fetch + signature compare."""
+        """Look up a signature: bucket fetch + signature compare, charged
+        to "htlookup"."""
         costs = self.costs
-        costs.charge_many(_PROBE_CHARGES)
+        costs.charge_run(self._probe)
         # A Signature is a NamedTuple, so it hashes and compares as the
         # plain ``(index, bits)`` tuple ``_key`` produces — probe with it
         # directly and skip one tuple allocation on the hottest probe.

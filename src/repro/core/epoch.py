@@ -415,8 +415,7 @@ class EpochCoherence(Coherence):
             with self.costs.scope("perm"):
                 return parent, start.mount, pcc.probe(parent, floor)
         psig = self.hasher.finish(parent_state)
-        with self.costs.scope("htlookup"):
-            parent = ns.dlht.probe(psig)
+        parent = ns.dlht.probe(psig)
         if parent is None or parent.dead:
             return None
         if (parent.is_alias or parent.is_negative or parent.is_stub

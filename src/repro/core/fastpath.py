@@ -35,15 +35,14 @@ Resolution-memo recording (see :mod:`repro.core.resmemo`)
 ---------------------------------------------------------
 
 When the resolution memo records a resolve through this engine, every
-charge flows through ``CostModel.charge``/``charge_in`` and is captured
-by the attached recorder — no explicit hooks here.  The contract this
-module upholds for replayability is that a *steady-state* hit's only
-host-visible side effects are dcache-LRU touches and PCC
-``move_to_end`` reorders (both captured and mirrored on replay);
-anything that populates or rehashes state (DLHT/PCC inserts, stub
-fills, lazy re-arms) makes two consecutive executions observably
-different, which is exactly what keeps such resolutions out of the
-memo's confirmed set.
+charge flows through the ``CostModel`` and is captured by the attached
+recorder — no explicit hooks here.  The contract this module upholds
+for replayability is that a *steady-state* hit's only host-visible
+side effects are dcache-LRU touches and PCC ``move_to_end`` reorders
+(both captured and mirrored on replay); anything that populates or
+rehashes state (DLHT/PCC inserts, stub fills, lazy re-arms) makes two
+consecutive executions observably different, which is exactly what
+keeps such resolutions out of the memo's confirmed set.
 """
 
 from __future__ import annotations
@@ -73,9 +72,8 @@ class _WalkCtx:
 
     __slots__ = ("task", "counter_at_start", "pcc_ok", "anchor_state",
                  "cur_mount", "alias_head", "alias_state", "alias_done",
-                 "saved_link", "pending_dlht", "pending_pcc",
-                 "pending_alias", "pending_linktarget", "pending_deepneg",
-                 "applied")
+                 "saved_link", "pending", "pending_alias",
+                 "pending_linktarget", "pending_deepneg", "applied")
 
     def __init__(self, task: Task, counter: int, pcc_ok: bool,
                  anchor_state: Optional[SigState], cur_mount):
@@ -88,8 +86,9 @@ class _WalkCtx:
         self.alias_state: Optional[SigState] = None
         self.alias_done = False
         self.saved_link: Optional[Tuple[Dentry, SigState]] = None
-        self.pending_dlht: List[Tuple[Dentry, SigState, object]] = []
-        self.pending_pcc: List[Dentry] = []
+        #: Every dentry walked, in order, for the PCC; with its hash
+        #: state and mount for the DLHT, or ``None, None`` (a ``..``).
+        self.pending: List[Tuple[Dentry, Optional[SigState], object]] = []
         self.pending_alias: List[Tuple[str, Dentry, SigState, object]] = []
         self.pending_linktarget: List[Tuple[Dentry, SigState]] = []
         self.pending_deepneg = None
@@ -243,8 +242,7 @@ class FastLookup(WalkHooks):
                 prev_state = seg_state
                 seg_state = extend_probe(seg_state, name)
             sig = finish(seg_state)
-            with self.costs.scope("htlookup"):
-                found = dlht.probe(sig)
+            found = dlht.probe(sig)
             if found is not None and not found.dead:
                 # How the probed signature was derived: a validated
                 # position extended by these components.
@@ -355,8 +353,7 @@ class FastLookup(WalkHooks):
             return None
         dlht = task.ns.dlht
         tsig = self.hasher.finish(fast.link_target_state)
-        with self.costs.scope("htlookup"):
-            target = dlht.probe(tsig)
+        target = dlht.probe(tsig)
         if target is None or target.dead or target.is_alias \
                 or target.is_stub or target.is_symlink:
             return None
@@ -499,8 +496,7 @@ class FastLookup(WalkHooks):
         target = result.dentry
         if ctx.anchor_state is not None:
             ctx.anchor_state = self._extend(ctx.anchor_state, name)
-            ctx.pending_dlht.append((target, ctx.anchor_state, result.mount))
-        ctx.pending_pcc.append(target)
+        ctx.pending.append((target, ctx.anchor_state, result.mount))
         if ctx.alias_head is not None and ctx.alias_state is not None:
             ctx.alias_state = self._extend(ctx.alias_state, name)
             ctx.pending_alias.append((name, target, ctx.alias_state,
@@ -514,7 +510,7 @@ class FastLookup(WalkHooks):
         ctx.alias_head = None
         ctx.alias_state = None
         ctx.cur_mount = result.mount
-        ctx.pending_pcc.append(result.dentry)
+        ctx.pending.append((result.dentry, None, None))
 
     def symlink_begin(self, ctx, link: Dentry, absolute_target: bool) -> None:
         if ctx is None:
@@ -522,8 +518,7 @@ class FastLookup(WalkHooks):
         ctx.saved_link = None
         if not ctx.alias_done and ctx.anchor_state is not None:
             link_state = self._extend(ctx.anchor_state, link.name)
-            ctx.pending_dlht.append((link, link_state, ctx.cur_mount))
-            ctx.pending_pcc.append(link)
+            ctx.pending.append((link, link_state, ctx.cur_mount))
             ctx.saved_link = (link, link_state)
         ctx.alias_done = True
         ctx.alias_head = None
@@ -553,8 +548,7 @@ class FastLookup(WalkHooks):
             return
         if ctx.anchor_state is not None and not neg.dead:
             state = self._extend(ctx.anchor_state, neg.name)
-            ctx.pending_dlht.append((neg, state, ctx.cur_mount))
-            ctx.pending_pcc.append(neg)
+            ctx.pending.append((neg, state, ctx.cur_mount))
             if self.config.deep_negative and remaining:
                 ctx.pending_deepneg = (neg, list(remaining), kind, state)
         self._apply(ctx)
@@ -605,21 +599,29 @@ class FastLookup(WalkHooks):
         epoch = self.coherence.epoch
         dlht = ctx.task.ns.dlht
         on_revalidating_sb = self._on_revalidating_sb
+        direct = [entry for entry in ctx.pending
+                  if not on_revalidating_sb(entry[0])]
         populate = self._populate
-        for dentry, state, mount in ctx.pending_dlht:
-            if not dentry.dead and not on_revalidating_sb(dentry):
+        for dentry, state, mount in direct:
+            if state is not None and not dentry.dead:
                 populate(dlht, None, dentry, state, mount, epoch)
         for link, tstate in ctx.pending_linktarget:
-            if not link.dead and not self._on_revalidating_sb(link):
+            if not link.dead and not on_revalidating_sb(link):
                 fast_of(link).link_target_state = tstate
         pcc = self.pcc_for(ctx.task.cred) if ctx.pcc_ok else None
         self._apply_aliases(ctx, dlht, pcc, epoch)
         self._apply_deep_negatives(ctx, dlht, pcc, epoch)
         if pcc is not None:
-            pcc_insert = pcc.insert
-            for dentry in ctx.pending_pcc:
-                if not dentry.dead and not on_revalidating_sb(dentry):
-                    pcc_insert(dentry, epoch)
+            # The aliases and deep negatives above may evict: liveness
+            # is read here.  One charge, then the inserts in walk order.
+            live = [entry[0] for entry in direct if not entry[0].dead]
+            if live:
+                self.costs.charge("pcc_insert", times=len(live))
+                rec = self.costs.recorder
+                for dentry in live:
+                    if rec is not None:
+                        rec.pcc.append((pcc, dentry, epoch))
+                    pcc.store(dentry, epoch)
 
     def _populate(self, dlht, pcc, dentry: Dentry, state: SigState, mount,
                   epoch: int, sig=None) -> None:

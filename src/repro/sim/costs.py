@@ -193,19 +193,46 @@ class ChargeVector:
                 f"ticks={self.ticks})")
 
 
+class ChargeRun:
+    """A fixed bundle of ``(scope, primitive)`` charges, priced once by
+    :meth:`CostModel.run` (the rate table never changes afterwards).
+
+    ``members`` are ``(scope, primitive, ticks)``, ``scopes`` the
+    ``(scope, ticks)`` totals and ``ticks`` their sum, bytes aside; the
+    member at ``byte_at`` takes the bytes, at ``byte_rate`` ticks each.
+    """
+
+    __slots__ = ("members", "primitives", "scopes", "ticks", "byte_at",
+                 "byte_rate")
+
+    def __init__(self, rates: Dict[str, Tuple[int, int]], charges,
+                 per_byte: Optional[str] = None) -> None:
+        self.members = tuple((scope, primitive, rates[primitive][0])
+                             for scope, primitive in charges)
+        self.primitives = tuple(member[1] for member in self.members)
+        scopes: Dict[str, int] = {}
+        for scope, _primitive, ticks in self.members:
+            scopes[scope] = scopes.get(scope, 0) + ticks
+        self.scopes = tuple(scopes.items())
+        self.ticks = sum(scopes.values())
+        self.byte_at = (None if per_byte is None
+                        else self.primitives.index(per_byte))
+        self.byte_rate = 0 if per_byte is None else rates[per_byte][1]
+
+
 class Recording:
     """What a run charges and touches, collected while it executes.
 
     A context manager: ``with Recording(costs, stats) as rec: run()``
     attaches itself as ``costs.recorder`` for the block and leaves the
     run's sorted ``(counter, delta)`` Stats changes in ``stat_deltas``.
-    ``vector`` receives every ``charge``/``charge_in``/``charge_ns``;
-    ``lru`` dcache-LRU touches (``Dcache.d_lookup`` hits), ``pcc`` PCC
-    probe hits ``(pcc, dentry, None)`` and inserts ``(pcc, dentry,
-    epoch)`` in order, ``deps`` the dentries a fastpath conclusion
+    ``vector`` receives every ``charge``/``charge_in``/``charge_run``/
+    ``charge_ns``; ``lru`` dcache-LRU touches (``Dcache.probe`` hits),
+    ``pcc`` PCC probe hits ``(pcc, dentry, None)`` and inserts ``(pcc,
+    dentry, epoch)`` in order, ``deps`` the dentries a fastpath conclusion
     rested on (DLHT probe hits, negativity checks), ``misses`` the
     ``(container, key)`` pairs whose *absence* the run observed
-    (``Dcache.d_lookup``, DLHT and PCC probe misses).  The resolution
+    (``Dcache.probe``, DLHT and PCC probe misses).  The resolution
     memo mirrors ``lru``/``pcc`` on replay and pins ``deps``/``misses``;
     a charge-plan capture that touched ``lru`` or ``pcc`` is rejected
     (plans cover only fd-table syscalls).
@@ -531,39 +558,47 @@ class CostModel:
             rec.vector.add(scope, primitive, times, nbytes, ticks)
         return ticks / TICKS_PER_NS
 
-    def charge_many(self, primitives) -> None:
-        """Charge a fixed sequence of single-count primitives.
+    def run(self, charges, per_byte: Optional[str] = None) -> ChargeRun:
+        """Price ``((scope, primitive), ...)`` once; the ``per_byte``
+        member takes the bytes :meth:`charge_run` is given."""
+        return ChargeRun(self._rates, charges, per_byte)
 
-        Equivalent to calling :meth:`charge` once per primitive, with
-        the per-call dispatch paid once — for hot sites that always
-        charge the same short primitive run.
+    def charge_run(self, run: ChargeRun, nbytes: int = 0) -> None:
+        """Charge every member of ``run`` once, in one call.
+
+        Leaves the clock, ``counts``, ``by_scope``, the byte totals and
+        the recorder's vector exactly as one :meth:`charge_in` per member
+        (``nbytes`` on the byte member) would: ticks are integers, so
+        the order is irrelevant.
         """
-        stack = self._scope_stack
-        self.charge_in_many(stack[-1] if stack else None, primitives)
-
-    def charge_in_many(self, scope: Optional[str], primitives) -> None:
-        """:meth:`charge_in` over a fixed primitive sequence, one call."""
-        rates = self._rates
-        counts = self.counts
-        rec = self.recorder
-        total = 0
-        for primitive in primitives:
+        ticks = run.ticks
+        by_scope = self._by_scope
+        for scope, scope_ticks in run.scopes:
             try:
-                ticks = rates[primitive][0]
+                by_scope[scope] += scope_ticks
             except KeyError:
-                raise KeyError(
-                    f"unknown cost primitive: {primitive!r}") from None
-            total += ticks
+                by_scope[scope] = scope_ticks
+        if nbytes:
+            extra = run.byte_rate * nbytes
+            ticks += extra
+            byte_scope, byte_primitive, _ticks = run.members[run.byte_at]
+            by_scope[byte_scope] += extra
+            totals = self._nbytes
+            totals[byte_primitive] = totals.get(byte_primitive, 0) + nbytes
+        self.clock._ticks += ticks
+        counts = self.counts
+        for primitive in run.primitives:
             try:
                 counts[primitive] += 1
             except KeyError:
                 counts[primitive] = 1
-            if rec is not None:
-                rec.vector.add(scope, primitive, 1, 0, ticks)
-        self.clock._ticks += total
-        if scope is not None:
-            by_scope = self._by_scope
-            by_scope[scope] = by_scope.get(scope, 0) + total
+        rec = self.recorder
+        if rec is not None:
+            add = rec.vector.add
+            for scope, primitive, member_ticks in run.members:
+                add(scope, primitive, 1, 0, member_ticks)
+            if nbytes:
+                add(byte_scope, byte_primitive, 0, nbytes, extra)
 
     def charge_ns(self, scope_hint: str, ns: float) -> None:
         """Charge raw nanoseconds (used for app 'compute' phases).

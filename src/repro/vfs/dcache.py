@@ -23,10 +23,11 @@ from repro.sim.stats import Stats
 from repro.vfs.dentry import Dentry, NEG_ENOENT
 from repro.vfs.inode import Inode, InodeTable
 
-#: Fixed charge runs for ``d_lookup`` (one batched call per probe; the
-#: primitive order matches the historical per-call sequence exactly).
-_HIT_CHARGES = ("ht_probe", "chain_compare", "lru_touch")
-_MISS_CHARGES = ("ht_probe", "chain_compare")
+#: What one primary-table probe charges on a hit and on a miss (the walk
+#: folds these into its per-component runs, ``vfs/walk.py``).
+HIT_CHARGES = (("htlookup", "ht_probe"), ("htlookup", "chain_compare"),
+               ("htlookup", "lru_touch"))
+MISS_CHARGES = HIT_CHARGES[:2]
 
 
 class DcacheHooks:
@@ -62,7 +63,7 @@ class Dcache:
     """
 
     __slots__ = ("costs", "stats", "capacity", "hooks", "_hash", "_lru",
-                 "_roots", "_inode_tables", "count")
+                 "_roots", "_inode_tables", "count", "_hit", "_miss")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  capacity: int = 1_000_000,
@@ -76,6 +77,8 @@ class Dcache:
         self._roots: Dict[int, Dentry] = {}
         self._inode_tables: Dict[int, InodeTable] = {}
         self.count = 0
+        self._hit = costs.run(HIT_CHARGES)
+        self._miss = costs.run(MISS_CHARGES)
 
     # -- superblock roots ---------------------------------------------------
 
@@ -109,11 +112,15 @@ class Dcache:
         return (id(parent), name)
 
     def d_lookup(self, parent: Dentry, name: str) -> Optional[Dentry]:
-        """Primary-table lookup: one bucket probe + chain compare.
+        """Primary-table lookup: one bucket probe + chain compare, charged
+        to "htlookup"."""
+        dentry = self.probe(parent, name)
+        self.costs.charge_run(self._miss if dentry is None else self._hit)
+        return dentry
 
-        Charges are attributed straight to the walk's "htlookup" scope
-        (the only scope this is called under) via the charge_in fast
-        path.
+    def probe(self, parent: Dentry, name: str) -> Optional[Dentry]:
+        """:meth:`d_lookup` uncharged: the hit's LRU touch and what the
+        recorder must see, for callers that charge the probe themselves.
 
         The probe goes through ``parent.children`` rather than the flat
         ``_hash`` table: the two are kept in exact bijection for hashed
@@ -122,25 +129,20 @@ class Dcache:
         allocating a fresh ``(id(parent), name)`` key tuple on the
         hottest path in the simulator.
         """
-        costs = self.costs
         dentry = parent.children.get(name)
+        rec = self.costs.recorder
         if dentry is not None:
-            costs.charge_in_many("htlookup", _HIT_CHARGES)
             lru = self._lru
             lru[id(dentry)] = dentry
             lru.move_to_end(id(dentry))
             dentry.in_lru = True
-            rec = costs.recorder
             if rec is not None:
                 rec.lru.append(dentry)
-        else:
-            costs.charge_in_many("htlookup", _MISS_CHARGES)
-            rec = costs.recorder
-            if rec is not None:
-                # The walk is about to conclude something from this
-                # name's *absence*; instantiating it later must
-                # invalidate the recording (ResolutionMemo.kill_miss).
-                rec.misses.append((parent, name))
+        elif rec is not None:
+            # The walk is about to conclude something from this name's
+            # *absence*; instantiating it later must invalidate the
+            # recording (ResolutionMemo.kill_miss).
+            rec.misses.append((parent, name))
         return dentry
 
     def d_alloc(self, parent: Dentry, name: str,

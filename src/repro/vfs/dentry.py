@@ -61,7 +61,9 @@ class Dentry:
         self.fast = None
         #: For alias dentries: the real dentry this path translates to.
         self.alias_target: Optional["Dentry"] = None
-        self.is_mountpoint = False
+        #: Mounts stacked on this dentry in every namespace (clones
+        #: share dentries); truthy while any namespace has one.
+        self.is_mountpoint = 0
         self.in_lru = False
         #: Set when freed; PCC entries referencing it must not validate.
         self.dead = False

@@ -49,7 +49,7 @@ class MountNamespace:
         if key in self._mount_at:
             raise errors.EBUSY(message="mountpoint already in use")
         self._mount_at[key] = mount
-        mount.mountpoint.is_mountpoint = True
+        mount.mountpoint.is_mountpoint += 1
         mount.mountpoint.pin()
         mount.root_dentry.pin()
         self.mounts.append(mount)
@@ -63,8 +63,7 @@ class MountNamespace:
         if self._mount_at.get(key) is not mount:
             raise errors.EINVAL(message="mount not in this namespace")
         del self._mount_at[key]
-        mount.mountpoint.is_mountpoint = any(
-            m.mountpoint is mount.mountpoint for m in self._mount_at.values())
+        mount.mountpoint.is_mountpoint -= 1
         mount.mountpoint.unpin()
         mount.root_dentry.unpin()
         self.mounts.remove(mount)

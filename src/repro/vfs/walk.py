@@ -8,20 +8,20 @@ Per component the walk (1) checks search permission on the current
 directory — the prefix check — then (2) hashes the component and probes
 the primary dcache hash table, (3) calls the low-level file system on a
 miss, and (4) handles ``..``, symlinks, and mountpoint crossings.  Costs
-are charged per primitive under the attribution scopes Figure 3 reports
-("init", "perm", "hash", "htlookup", "final", plus "miss").
+are attributed to the scopes Figure 3 reports ("init", "perm", "hash",
+"htlookup", "final", plus "miss"); the per-component bundle of (1) and (2)
+is charged as one precomputed run chosen by the component's outcome —
+denied, ``..``, dcache hit or miss (``CostModel.charge_run``).
 
 The optimized kernel observes the walk through the ``fast`` hook object (a
 :class:`repro.core.fastpath.FastLookup`); the hooks are documented on
 :class:`WalkHooks`.  The baseline kernel passes ``fast=None``.
 
 The resolution memo (:mod:`repro.core.resmemo`) records slowpath
-resolutions transparently via ``CostModel.recorder`` — every per-
-component charge above already goes through ``charge``/``charge_in``,
-and the dcache captures its own LRU touches — so this module needs no
-recording hooks.  Baseline-profile memo safety rests on the dcache
-structural-mutation flushes, since the baseline never bumps the
-invalidation counter.
+resolutions transparently via ``CostModel.recorder``, which sees a run
+like any other charge, and ``Dcache.probe`` records the LRU touches and
+the absences the walk concludes from — so this module needs no recording
+hooks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
 from repro.vfs import path as vfspath
 from repro.vfs import permissions as perms
-from repro.vfs.dcache import Dcache
+from repro.vfs.dcache import HIT_CHARGES, MISS_CHARGES, Dcache
 from repro.vfs.dentry import NEG_ENOTDIR, Dentry
 from repro.vfs.lsm import Lsm, NullLsm
 from repro.vfs.mount import PathPos
@@ -41,6 +41,12 @@ from repro.vfs.task import Task
 
 #: Maximum symlink traversals per resolution (Linux's MAXSYMLINKS).
 MAX_SYMLINKS = 40
+
+#: One component's charges up to the table probe: the search check,
+#: hashing the name (per byte too), the RCU barrier and seqlock read.
+_DENIED = (("perm", "perm_check_dac"),)
+_STEP = _DENIED + (("hash", "component_hash"), ("htlookup", "read_barrier"),
+                   ("htlookup", "seqlock_read"))
 
 
 class WalkHooks:
@@ -99,7 +105,8 @@ class _LinkBudget:
 class SlowWalk:
     """Component-at-a-time resolver over one kernel's caches."""
 
-    __slots__ = ("costs", "stats", "dcache", "config", "lsm", "hooks")
+    __slots__ = ("costs", "stats", "dcache", "config", "lsm", "hooks",
+                 "_runs")
 
     def __init__(self, costs: CostModel, stats: Stats, dcache: Dcache,
                  config, lsm: Optional[Lsm] = None,
@@ -110,6 +117,11 @@ class SlowWalk:
         self.config = config
         self.lsm = lsm or NullLsm()
         self.hooks = hooks or WalkHooks()
+        #: denied, ``..``, dcache hit, dcache miss.
+        self._runs = (costs.run(_DENIED),
+                      costs.run(_STEP, "component_hash"),
+                      costs.run(_STEP + HIT_CHARGES, "component_hash"),
+                      costs.run(_STEP + MISS_CHARGES, "component_hash"))
 
     # -- public entry -----------------------------------------------------------
 
@@ -162,10 +174,14 @@ class SlowWalk:
               create_dir: bool = False) -> PathPos:
         pos = start
         ns = task.ns
+        cred = task.cred
         total = len(comps)
         costs = self.costs
-        charge_in = costs.charge_in
+        charge_run = costs.charge_run
+        probe = self.dcache.probe
         bump = self.stats.bump
+        lsm = None if isinstance(self.lsm, NullLsm) else self.lsm
+        denied, dotdot, hit, miss = self._runs
         for i, name in enumerate(comps):
             last = i == total - 1
             cur = pos.dentry
@@ -173,20 +189,42 @@ class SlowWalk:
                 raise errors.ENOENT(path_hint, "start directory is gone")
             if not cur.is_dir:
                 raise errors.ENOTDIR(path_hint)
-            self._check_search(task, cur, path_hint)
+            # The prefix check, then one run for the component's outcome.
+            inode = cur.inode
+            allowed = perms.may_search(cred, inode)
+            if allowed and lsm is not None:
+                costs.charge_in("perm", "perm_check_lsm")
+                allowed = lsm.inode_permission(cred, inode, perms.MAY_EXEC)
+            if not allowed:
+                charge_run(denied)
+                raise errors.EACCES(path_hint)
             bump("component_step")
-            charge_in("hash", "component_hash", nbytes=len(name))
-            charge_in("htlookup", "read_barrier")
-            charge_in("htlookup", "seqlock_read")
             if name == "..":
+                charge_run(dotdot, len(name))
                 pos = ns.cross_down(ns.parent_pos(pos, task.root))
                 self.hooks.dotdot(ctx, pos)
                 continue
-            child, from_cache = self._lookup_child(pos, cur, name)
+            child = probe(cur, name)
+            from_cache = True
+            if child is not None:
+                charge_run(hit, len(name))
+                bump("dcache_hit")
+                if inode.fs.requires_revalidation:
+                    child = self._revalidate(cur, name, child)
+            else:
+                charge_run(miss, len(name))
+                if cur.dir_complete:  # §5.1: absence proved, no FS call
+                    bump("dir_complete_elide")
+                    child = self.dcache.d_alloc(cur, name, None)
+                else:
+                    child = self._miss(cur, name)
+                    from_cache = False
             if child is None or child.is_negative:
                 if from_cache:
-                    self.stats.bump("negative_hit")
-                kind_err = self._negative_error(child, path_hint)
+                    bump("negative_hit")
+                kind_err = errors.ENOENT(path_hint)
+                if child is not None and child.neg_kind == NEG_ENOTDIR:
+                    kind_err = errors.ENOTDIR(path_hint)
                 if last and intent_create:
                     if not isinstance(kind_err, errors.ENOENT):
                         raise kind_err
@@ -211,8 +249,8 @@ class SlowWalk:
                 target = child.inode.symlink_target or ""
                 if not target:
                     raise errors.ENOENT(path_hint, "empty symlink target")
-                self.costs.charge("symlink_resolve")
-                self.stats.bump("symlink_traverse")
+                costs.charge("symlink_resolve")
+                bump("symlink_traverse")
                 sub_create = intent_create and last
                 tabs, tcomps, tmust = vfspath.split(target)
                 if self.config.lexical_dotdot:
@@ -228,14 +266,17 @@ class SlowWalk:
                 continue
             if (not last and not child.is_dir) or \
                     (last and must_dir and not child.is_dir):
-                self._note_enotdir(ctx, child, comps[i + 1:])
+                # Deep ENOTDIR negatives under a regular file (§5.2).
+                self.hooks.negative_tail(ctx, child, comps[i + 1:],
+                                         NEG_ENOTDIR)
                 raise errors.ENOTDIR(path_hint)
-            result = PathPos(pos.mount, child)
-            crossed = ns.cross_down(result)
-            if not crossed.same_place(result):
-                self.costs.charge("mountpoint_cross")
-                self.stats.bump("mount_cross")
-            pos = crossed
+            pos = PathPos(pos.mount, child)
+            if child.is_mountpoint:
+                crossed = ns.cross_down(pos)
+                if crossed is not pos:
+                    costs.charge("mountpoint_cross")
+                    bump("mount_cross")
+                    pos = crossed
             self.hooks.step(ctx, name, child, pos)
         final = pos.dentry
         if final.is_negative:
@@ -249,40 +290,7 @@ class SlowWalk:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _check_search(self, task: Task, dentry: Dentry,
-                      path_hint: str) -> None:
-        inode = dentry.inode
-        self.costs.charge_in("perm", "perm_check_dac")
-        allowed = perms.may_search(task.cred, inode)
-        if allowed and not isinstance(self.lsm, NullLsm):
-            self.costs.charge_in("perm", "perm_check_lsm")
-            allowed = self.lsm.inode_permission(task.cred, inode,
-                                                perms.MAY_EXEC)
-        if not allowed:
-            raise errors.EACCES(path_hint)
-
-    def _lookup_child(self, pos: PathPos, cur: Dentry, name: str):
-        """Primary-table lookup, falling to the low-level FS on a miss.
-
-        Returns ``(child, from_cache)``; child is ``None`` only when the
-        name does not exist *and* no negative dentry may be cached for it
-        (baseline pseudo-fs rule).
-        """
-        # d_lookup attributes its own charges to "htlookup" (charge_in).
-        child = self.dcache.d_lookup(cur, name)
-        if child is not None:
-            self.stats.bump("dcache_hit")
-            if cur.inode.fs.requires_revalidation:
-                child = self._revalidate(cur, name, child)
-            return child, True
-        if cur.dir_complete:
-            # §5.1: a complete directory proves absence without an FS call.
-            self.stats.bump("dir_complete_elide")
-            return self.dcache.d_alloc(cur, name, None), True
-        return self._miss(pos, cur, name), False
-
-    def _miss(self, pos: PathPos, cur: Dentry,
-              name: str) -> Optional[Dentry]:
+    def _miss(self, cur: Dentry, name: str) -> Optional[Dentry]:
         self.stats.bump("dcache_miss")
         self.stats.bump("fs_lookup")
         fs = cur.inode.fs
@@ -328,15 +336,3 @@ class SlowWalk:
             info = fs.getattr(child.stub[0])
         inode = self.dcache.inode_table(fs).obtain(info)
         self.dcache.make_positive(child, inode)
-
-    @staticmethod
-    def _negative_error(child: Optional[Dentry],
-                        path_hint: str) -> "errors.FsError":
-        if child is not None and child.neg_kind == NEG_ENOTDIR:
-            return errors.ENOTDIR(path_hint)
-        return errors.ENOENT(path_hint)
-
-    def _note_enotdir(self, ctx, file_dentry: Dentry,
-                      remaining: List[str]) -> None:
-        """Hook for deep ENOTDIR negatives under a regular file (§5.2)."""
-        self.hooks.negative_tail(ctx, file_dentry, remaining, NEG_ENOTDIR)

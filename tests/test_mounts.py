@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import O_CREAT, O_RDWR, errors, make_kernel
+from repro.core.kernel import PROFILES
 from repro.fs.pseudofs import PseudoFs
 from repro.fs.tmpfs import TmpFs
 from repro.testing import DualKernel
@@ -213,6 +214,28 @@ class TestMountNamespaces:
         fd = sys.open(task, "relative", O_CREAT | O_RDWR)
         sys.close(task, fd)
         assert sys.stat(task, "/work/relative").filetype == "reg"
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_umount_in_a_clone_keeps_the_original_mounted(self, profile):
+        """A clone shares the mountpoint dentry: unmounting there must
+        leave it a mountpoint for the namespace that still has a mount."""
+        kernel = make_kernel(profile)
+        sys = kernel.sys
+        a = kernel.spawn_task(uid=0, gid=0)
+        sys.mkdir(a, "/mnt")
+        sys.mount_fs(a, TmpFs(kernel.costs), "/mnt")
+        sys.mkdir(a, "/mnt/inner")
+        b = kernel.spawn_task(uid=0, gid=0)
+        sys.unshare_mountns(b)
+        sys.umount(b, "/mnt")
+        assert sys.stat(a, "/mnt").fstype == "tmpfs"
+        assert sys.stat(a, "/mnt/inner").filetype == "dir"
+        with pytest.raises(errors.EBUSY):
+            sys.rmdir(a, "/mnt")
+        with pytest.raises(errors.ENOENT):
+            sys.stat(b, "/mnt/inner")
+        sys.umount(a, "/mnt")
+        sys.rmdir(a, "/mnt")
 
     def test_unshare_requires_root(self, kernel):
         user = kernel.spawn_task(uid=1000, gid=1000)

@@ -172,6 +172,46 @@ class TestIntegerTime:
         CostModel(dict(UNIT))
 
 
+_MEMBERS = st.lists(
+    st.tuples(st.sampled_from(["init", "perm", "hash", "htlookup", "miss"]),
+              st.sampled_from(sorted(CALIBRATED))),
+    min_size=1, max_size=8)
+
+
+class TestChargeRun:
+    @given(st.data())
+    def test_run_equals_one_charge_in_per_member(self, data):
+        members = data.draw(_MEMBERS)
+        per_byte = data.draw(st.one_of(
+            st.none(), st.sampled_from([p for _s, p in members])))
+        nbytes = data.draw(st.integers(0, 60)) if per_byte else 0
+        times = data.draw(st.integers(1, 3))
+        one, other = CostModel(), CostModel()
+        with Recording(one, Stats()) as by_member:
+            for _ in range(times):
+                byte_left = nbytes
+                for scope, primitive in members:
+                    if primitive == per_byte:
+                        one.charge_in(scope, primitive, nbytes=byte_left)
+                        byte_left = 0
+                    else:
+                        one.charge_in(scope, primitive)
+        run = other.run(members, per_byte)
+        with Recording(other, Stats()) as by_run:
+            for _ in range(times):
+                other.charge_run(run, nbytes)
+        assert _state(other) == _state(one)
+        assert by_run.vector == by_member.vector
+        assert by_run.vector.ticks == by_member.vector.ticks
+
+    def test_unknown_member_and_foreign_per_byte_are_errors(self):
+        costs = CostModel()
+        with pytest.raises(KeyError):
+            costs.run((("hash", "not_a_primitive"),))
+        with pytest.raises(ValueError):
+            costs.run((("hash", "ht_probe"),), "component_hash")
+
+
 class TestStats:
     def test_bump_and_get(self):
         stats = Stats()
