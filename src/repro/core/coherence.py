@@ -15,6 +15,8 @@ narrow interface:
 * ``accept(task, ns, pcc, dentry, sig=None, anchor=None)`` — whether a
   DLHT probe hit may be served: its epoch floor, ``None`` (take the
   slowpath) or :data:`RETRY` (the probed key was discarded);
+* ``admit(ns, pcc, dentry, sig=None)`` — ``accept``'s O(1) case alone,
+  uncharged: the floor, or ``None`` with nothing touched;
 * ``on_miss(task, ns, pcc, start, comps, parent_state, floor)`` —
   whether a full-path probe miss may be completed from its cached parent
   instead of re-walking the prefix;
@@ -294,8 +296,11 @@ class EagerCoherence(Coherence):
 
     def accept(self, task, ns, pcc, dentry, sig=None, anchor=None):
         """A hit is current by construction; it needs its prefix check."""
-        with self.costs.scope("perm"):
-            return 0 if pcc.probe(dentry) else None
+        return 0 if pcc.probe(dentry) else None
+
+    def admit(self, ns, pcc, dentry, sig=None):
+        """:meth:`accept` on a cached prefix check, uncharged (else None)."""
+        return 0 if pcc.check(dentry) else None
 
     def on_miss(self, task, ns, pcc, start, comps, parent_state, floor):
         """A miss means not cached: the slowpath walk populates it."""

@@ -32,7 +32,7 @@ from repro.sim.stats import Stats
 from repro.vfs.dentry import Dentry
 
 #: What one probe charges: a bucket fetch and a signature compare.
-_PROBE_CHARGES = (("htlookup", "dlht_probe"), ("htlookup", "sig_compare"))
+PROBE_CHARGES = (("htlookup", "dlht_probe"), ("htlookup", "sig_compare"))
 
 
 class DirectLookupHashTable:
@@ -53,7 +53,7 @@ class DirectLookupHashTable:
         #: sweep needs it to re-derive canonical paths.
         self.owner_ns = None
         self._table: Dict[Tuple[int, int], Dentry] = {}
-        self._probe = costs.run(_PROBE_CHARGES)
+        self._probe = costs.run(PROBE_CHARGES)
 
     @staticmethod
     def _key(signature: Signature) -> Tuple[int, int]:
@@ -62,13 +62,16 @@ class DirectLookupHashTable:
     def probe(self, signature: Signature) -> Optional[Dentry]:
         """Look up a signature: bucket fetch + signature compare, charged
         to "htlookup"."""
-        costs = self.costs
-        costs.charge_run(self._probe)
+        self.costs.charge_run(self._probe)
+        return self.lookup(signature)
+
+    def lookup(self, signature: Signature) -> Optional[Dentry]:
+        """:meth:`probe` uncharged (the caller charges ``PROBE_CHARGES``)."""
         # A Signature is a NamedTuple, so it hashes and compares as the
         # plain ``(index, bits)`` tuple ``_key`` produces — probe with it
         # directly and skip one tuple allocation on the hottest probe.
         dentry = self._table.get(signature)
-        rec = costs.recorder
+        rec = self.costs.recorder
         if rec is not None:
             if dentry is not None and not dentry.dead:
                 # Every fastpath conclusion rests on its probe hits; the

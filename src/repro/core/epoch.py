@@ -318,9 +318,8 @@ class EpochCoherence(Coherence):
                 # other key names a path this dentry no longer lives at:
                 # discard it without walking the chain.
                 return self._evict(dlht, dentry, key)
-            with self.costs.scope("perm"):
-                if pcc.probe(dentry, fast.epoch_snapshot):
-                    return fast.epoch_snapshot
+            if pcc.probe(dentry, fast.epoch_snapshot):
+                return fast.epoch_snapshot
             # Prefix check missing or epoch-stale: fall through to the
             # chain validation, which can re-prove it with DAC checks.
         perm_anchor = None
@@ -363,9 +362,8 @@ class EpochCoherence(Coherence):
             # The path is right but now resolves into a mounted fs; the
             # slowpath will repopulate the key with the mounted root.
             return self._evict(dlht, dentry, key)
-        with self.costs.scope("perm"):
-            if pcc.probe(dentry, high):
-                return high
+        if pcc.probe(dentry, high):
+            return high
         if not reverify_ok:
             return None
         cred = task.cred
@@ -385,13 +383,23 @@ class EpochCoherence(Coherence):
             # the full-root prefix additionally needs the anchor's own
             # entry to be valid (the directory-reference rule).
             a_dentry, floor = perm_anchor
-            if a_dentry is not ns.root_mount.root_dentry:
-                with self.costs.scope("perm"):
-                    if not pcc.probe(a_dentry, floor):
-                        return high  # served, but not memoized
+            if a_dentry is not ns.root_mount.root_dentry \
+                    and not pcc.probe(a_dentry, floor):
+                return high  # served, but not memoized
         pcc.insert(dentry, gepoch)
         self.stats.bump("lazy_pcc_reprove")
         return high
+
+    def admit(self, ns, pcc, dentry, sig=None):
+        """:meth:`accept`'s O(1) accept, uncharged; else None, untouched."""
+        fast = dentry.fast
+        if fast is None or fast.dlht is not ns.dlht or fast.mount is None \
+                or fast.hash_state is None or fast.dlht_key is None \
+                or fast.epoch_snapshot < self.epoch \
+                or (sig is not None and fast.dlht_key != sig):
+            return None
+        floor = fast.epoch_snapshot
+        return floor if pcc.check(dentry, floor) else None
 
     def on_miss(self, task, ns, pcc, start, comps, parent_state, floor):
         """Find the cached, validated parent of a missed full path.
@@ -412,8 +420,7 @@ class EpochCoherence(Coherence):
                 return None
             if parent is ns.root_mount.root_dentry:
                 return parent, start.mount, True
-            with self.costs.scope("perm"):
-                return parent, start.mount, pcc.probe(parent, floor)
+            return parent, start.mount, pcc.probe(parent, floor)
         psig = self.hasher.finish(parent_state)
         parent = ns.dlht.probe(psig)
         if parent is None or parent.dead:

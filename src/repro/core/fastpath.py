@@ -8,6 +8,13 @@ a constant number of hash-table operations regardless of path depth.  Any
 wrinkle (miss, stale sequence, stub, followed symlink without a cached
 target) falls back to the shared slowpath.
 
+Host cost is constant too (``docs/cost-model.md``): each run of
+components between ``..`` hops is charged as one hash charge, and a
+served lookup as one run per outcome (positive, negative or ENOTDIR,
+position) that also carries the terminal probe and ``pcc_probe`` when
+the policy's O(1) ``admit`` took it.  A fallback walk gets the count of
+components hashed; its first that many hash extensions are free.
+
 On the way *out* it implements :class:`repro.vfs.walk.WalkHooks`: it rides
 along slowpath walks, accumulating the state needed to repopulate the
 DLHT, the PCC, symlink aliases, and deep negative dentries — and applies
@@ -25,22 +32,24 @@ Coherence (see :mod:`repro.core.coherence`)
 
 When a memoized answer may still be served is not decided here: the
 kernel's coherence policy says what a trusted position's hash state is
-(``pos_state``), whether a probe hit is current (``accept``), and
-whether a full-path probe miss may be completed from its cached parent
-(``on_miss``); population stamps what it inserts with the policy's
-``epoch``.  Under the paper's eager policy those are one stored state,
-one PCC probe, "no" and zero.
+(``pos_state``), whether a probe hit is current (``accept``, or
+``admit`` for its O(1) case), and whether a full-path probe miss may be
+completed from its cached parent (``on_miss``); population stamps what
+it inserts with the policy's ``epoch``.  Under the paper's eager policy
+those are one stored state, one PCC probe, "no" and zero.
 
 Resolution-memo recording (see :mod:`repro.core.resmemo`)
 ---------------------------------------------------------
 
 When the resolution memo records a resolve through this engine, every
-charge flows through the ``CostModel`` and is captured by the attached
-recorder — no explicit hooks here.  The contract this module upholds
-for replayability is that a *steady-state* hit's only host-visible
-side effects are dcache-LRU touches and PCC ``move_to_end`` reorders
-(both captured and mirrored on replay); anything that populates or
-rehashes state (DLHT/PCC inserts, stub fills, lazy re-arms) makes two
+charge reaches the attached recorder through the ``CostModel``; what a
+conclusion rests on is appended where it is drawn (``dlht.lookup`` and
+``_position_hit`` / ``_negative_hit`` to ``rec.deps`` / ``rec.misses``,
+the PCC to ``rec.pcc``).  The contract this module upholds for
+replayability is that a *steady-state* hit's only host-visible side
+effects are dcache-LRU touches and PCC ``move_to_end`` reorders (both
+captured and mirrored on replay); anything that populates or rehashes
+state (DLHT/PCC inserts, stub fills, lazy re-arms) makes two
 consecutive executions observably different, which is exactly what
 keeps such resolutions out of the memo's confirmed set.
 """
@@ -51,6 +60,7 @@ from typing import List, Optional, Tuple
 
 from repro import errors
 from repro.core.coherence import RETRY, Coherence, rootward
+from repro.core.dlht import PROBE_CHARGES
 from repro.core.fastdentry import fast_of
 from repro.core.negative import extend_negative_chain
 from repro.core.pcc import PrefixCheckCache
@@ -73,10 +83,11 @@ class _WalkCtx:
     __slots__ = ("task", "counter_at_start", "pcc_ok", "anchor_state",
                  "cur_mount", "alias_head", "alias_state", "alias_done",
                  "saved_link", "pending", "pending_alias",
-                 "pending_linktarget", "pending_deepneg", "applied")
+                 "pending_linktarget", "pending_deepneg", "applied",
+                 "prehashed")
 
     def __init__(self, task: Task, counter: int, pcc_ok: bool,
-                 anchor_state: Optional[SigState], cur_mount):
+                 anchor_state: Optional[SigState], cur_mount, prehashed: int):
         self.task = task
         self.counter_at_start = counter
         self.pcc_ok = pcc_ok
@@ -93,6 +104,8 @@ class _WalkCtx:
         self.pending_linktarget: List[Tuple[Dentry, SigState]] = []
         self.pending_deepneg = None
         self.applied = False
+        #: Hash extensions still free: the failed attempt charged them.
+        self.prehashed = prehashed
 
 
 class FastLookup(WalkHooks):
@@ -116,12 +129,24 @@ class FastLookup(WalkHooks):
         coherence.bind(hasher, slow)
         # The policy's lookup side, bound once (one frame per call).
         self._pos_state = coherence.pos_state
+        self._admit = coherence.admit
         self._accept = coherence.accept
         self._on_miss = coherence.on_miss
-        # Hashing already charged by a failed fastpath attempt is reusable
-        # by the population hooks of the fallback slowpath (the hash state
-        # is resumable, §3.1), so those bytes are not charged twice.
-        self._prehashed_components = 0
+        run = costs.run
+        probed = PROBE_CHARGES + (("perm", "pcc_probe"),)
+        self._pair, self._hop = run(PROBE_CHARGES), run(probed)
+
+        def outcome(charges, *deltas):
+            """(run, deltas) as charged, then with an O(1) accept's probe."""
+            charges = (("init", "fastpath_init"),) + charges \
+                + (("final", "lookup_final"),)
+            deltas += (("fastpath_hit", 1),)
+            return ((run(charges), deltas),
+                    (run(charges + probed), (("pcc_hit", 1),) + deltas))
+
+        self._hit = outcome((("final", "mount_flag_check"),))
+        self._neg = outcome((), ("negative_hit", 1))
+        self._pos = outcome(())
 
     # ------------------------------------------------------------------
     # Fastpath resolution
@@ -129,43 +154,28 @@ class FastLookup(WalkHooks):
 
     def resolve(self, task: Task, path: str, *, follow_last: bool = True,
                 intent_create: bool = False, create_dir: bool = False,
-                dirfd_pos: Optional[PathPos] = None,
-                count_stats: bool = True) -> PathPos:
+                dirfd_pos: Optional[PathPos] = None) -> PathPos:
         """Resolve ``path``, trying the fastpath first."""
-        if count_stats:
-            self.stats.bump("lookup")
-        self._prehashed_components = 0
+        self.stats.bump("lookup")
         absolute, comps, must_dir = vfspath.split(path)
         if self.config.lexical_dotdot:
             comps = vfspath.lexical_normalize(comps)
         start = task.root if absolute else (dirfd_pos or task.cwd)
-        # The fastpath sets up less state than a full nameidata; the
-        # difference is charged on fallback, where the slowpath completes
-        # the setup.
-        self.costs.charge_in("init", "fastpath_init")
-        outcome = self._try_fastpath(task, start, comps, path,
-                                     must_dir=must_dir,
-                                     follow_last=follow_last,
-                                     intent_create=intent_create,
-                                     create_dir=create_dir)
-        if outcome is not None:
-            kind, payload = outcome
-            self.stats.bump("fastpath_hit")
-            self.costs.charge_in("final", "lookup_final")
-            if kind == "raise":
-                raise payload
-            return payload
+        served = self._try_fastpath(task, start, comps, path,
+                                    must_dir=must_dir,
+                                    follow_last=follow_last,
+                                    intent_create=intent_create,
+                                    create_dir=create_dir)
+        if type(served) is not int:
+            return served
         self.stats.bump("fastpath_miss")
-        self.costs.charge_in("init", "fastpath_init")  # complete the nameidata
-        try:
-            result = self.slow.resolve(task, path, follow_last=follow_last,
-                                       intent_create=intent_create,
-                                       create_dir=create_dir,
-                                       dirfd_pos=dirfd_pos,
-                                       count_stats=False,
-                                       charge_setup=False)
-        finally:
-            self._prehashed_components = 0
+        # The fastpath's lighter setup, and the rest of a nameidata.
+        self.costs.charge_in("init", "fastpath_init", times=2)
+        result = self.slow.resolve(task, path, follow_last=follow_last,
+                                   intent_create=intent_create,
+                                   create_dir=create_dir,
+                                   dirfd_pos=dirfd_pos, count_stats=False,
+                                   charge_setup=False, prehashed=served)
         self.costs.charge_in("final", "lookup_final")
         return result
 
@@ -183,31 +193,24 @@ class FastLookup(WalkHooks):
             self.coherence.track_pcc(cred.pcc)
         return cred.pcc
 
-    def _extend(self, state: SigState, name: str,
-                prehashed: bool = False) -> SigState:
-        if not prehashed and self._prehashed_components > 0:
-            # This component's hashing was already charged by the failed
-            # fastpath attempt; resume its state for free.
-            self._prehashed_components -= 1
+    def _extend(self, ctx: Optional[_WalkCtx], state: SigState,
+                name: str) -> SigState:
+        if ctx is not None and ctx.prehashed:
+            ctx.prehashed -= 1  # the failed fastpath attempt charged it
         else:
             self.costs.charge_in("hash", self.hasher.cost_primitive,
                                  nbytes=len(name) + (1 if state.length else 0))
         return self.hasher.extend(state, name)
 
-    def _extend_probe(self, state: SigState, name: str) -> SigState:
-        """Hash during a fastpath attempt (reusable on fallback)."""
-        state = self._extend(state, name, prehashed=True)
-        self._prehashed_components += 1
-        return state
-
     def _try_fastpath(self, task: Task, start: PathPos, comps: List[str],
                       path_hint: str, *, must_dir: bool, follow_last: bool,
                       intent_create: bool, create_dir: bool):
-        """Returns ('ok', PathPos), ('raise', FsError), or None (fallback)."""
+        """Returns the served PathPos or raises its error (both charged by
+        :meth:`_serve`); else the number of components it hashed."""
         ns = task.ns
         dlht = ns.dlht
         if dlht is None:
-            return None
+            return 0
         if not comps:
             return self._position_hit(start, path_hint)
         pcc = self.pcc_for(task.cred)
@@ -215,11 +218,11 @@ class FastLookup(WalkHooks):
         cur_pos = start
         state, floor = pos_state(task, start)
         if state is None:
-            return None
+            return 0
         i = 0
+        hashed = 0
         total = len(comps)
-        extend_probe = self._extend_probe
-        finish = self.hasher.finish
+        extend = self.hasher.extend
         while i < total:
             if comps[i] == "..":
                 # Linux dot-dot semantics: one extra fastpath-validated
@@ -228,58 +231,72 @@ class FastLookup(WalkHooks):
                 cur_pos = ns.cross_down(ns.parent_pos(cur_pos, task.root))
                 state, floor = pos_state(task, cur_pos)
                 if state is None:
-                    return None
+                    return hashed
                 i += 1
                 if i == total:
                     return self._position_hit(cur_pos, path_hint)
                 continue
-            j = i
+            j = i if ".." in comps else total
             while j < total and comps[j] != "..":
                 j += 1
-            seg_state = state
-            prev_state = state
-            for name in comps[i:j]:
+            names = comps[i:j]
+            seg_state = prev_state = state
+            for name in names:
                 prev_state = seg_state
-                seg_state = extend_probe(seg_state, name)
-            sig = finish(seg_state)
-            found = dlht.probe(sig)
+                seg_state = extend(seg_state, name)
+            self.costs.charge_in(  # what one ``_extend`` per name charges
+                "hash", self.hasher.cost_primitive, times=j - i,
+                nbytes=sum(map(len, names)) + j - i - (not state.length))
+            hashed += j - i
+            sig = self.hasher.finish(seg_state)
+            found = dlht.lookup(sig)
+            if found is None or found.dead or j < total:
+                self.costs.charge_run(self._pair)  # else in _finish_hit
             if found is not None and not found.dead:
                 # How the probed signature was derived: a validated
                 # position extended by these components.
-                anchor = (cur_pos.dentry, cur_pos.mount, comps[i:j],
-                          seg_state, floor)
+                anchor = (cur_pos.dentry, cur_pos.mount, names, seg_state,
+                          floor)
                 if j < total:
                     # Interior prefix (a ".." follows): must be a plain
                     # cached directory with a valid prefix check.
                     if (found.is_alias or found.is_negative or found.is_stub
                             or found.is_symlink or not found.is_dir):
-                        return None
+                        return hashed
                     verdict = self._accept(task, ns, pcc, found, sig, anchor)
                     if verdict is None or verdict is RETRY:
-                        return None
+                        return hashed
                     fast = found.fast
                     if fast is None or fast.mount is None:
-                        return None
+                        return hashed
                     floor = verdict
                     cur_pos = PathPos(fast.mount, found)
                     state = seg_state
                     i = j
                     continue
-                outcome = self._finish_hit(
+                served = self._finish_hit(
                     task, ns, pcc, found, sig, anchor, path_hint,
                     must_dir=must_dir, follow_last=follow_last,
                     intent_create=intent_create, create_dir=create_dir)
-                if outcome is not RETRY:
-                    return outcome
+                if served is not RETRY:
+                    return hashed if served is None else served
             # The path is not registered (or the policy just discarded
             # its key): a whole-path probe may complete from the parent.
             if i == 0 and j == total:
-                return self._complete(
+                served = self._complete(
                     task, ns, pcc, cur_pos, comps, prev_state, seg_state,
                     sig, floor, path_hint, must_dir=must_dir,
                     intent_create=intent_create, create_dir=create_dir)
-            return None
-        return None  # unreachable
+                return hashed if served is None else served
+            return hashed
+        return hashed  # unreachable
+
+    def _serve(self, outcome, folded: bool, result):
+        """Charge ``outcome``'s run and Stats; hand back ``result``."""
+        run, deltas = outcome[folded]
+        self.costs.charge_run(run)
+        self.stats.bump_many(deltas)
+        return result
 
     def _position_hit(self, pos: PathPos, path_hint: str):
         """A lookup that ends *at* a trusted position (empty path, or a
@@ -291,8 +308,8 @@ class FastLookup(WalkHooks):
         if rec is not None:
             rec.deps.append(dentry)
         if dentry.is_negative:
-            return ("raise", errors.ENOENT(path_hint))
-        return ("ok", pos)
+            raise self._serve(self._pos, False, errors.ENOENT(path_hint))
+        return self._serve(self._pos, False, pos)
 
     def _finish_hit(self, task: Task, ns, pcc: PrefixCheckCache,
                     found: Dentry, sig, anchor, path_hint: str, *,
@@ -300,50 +317,56 @@ class FastLookup(WalkHooks):
                     intent_create: bool, create_dir: bool):
         """Serve a terminal probe hit, once the policy accepts it.
 
-        Returns an outcome, None (slowpath), or :data:`RETRY` when the
-        policy discarded the probed key.
+        Returns the served PathPos (or raises), None (slowpath), or
+        :data:`RETRY` when the policy discarded the probed key.  An O(1)
+        accept (``folded``) leaves the probe and prefix check to the run.
         """
         result = found
         target = found.alias_target
-        if target is not None:
-            if target.dead:
+        usable = not target.dead if target is not None \
+            else found.inode is not None or found.stub is None  # not a stub
+        folded = usable and self._admit(ns, pcc, found, sig) is not None
+        if not folded:
+            self.costs.charge_run(self._pair)
+            if not usable:
                 return None
-        elif found.inode is None and found.stub is not None:  # stub hit
-            return None
-        accept = self._accept
-        verdict = accept(task, ns, pcc, found, sig, anchor)
-        if verdict is None or verdict is RETRY:
-            return verdict
+            verdict = self._accept(task, ns, pcc, found, sig, anchor)
+            if verdict is None or verdict is RETRY:
+                return verdict
         if target is not None:
             # An alias hit needs the target's prefix check too (§4.2).
-            verdict = accept(task, ns, pcc, target)
+            verdict = self._accept(task, ns, pcc, target)
             if verdict is None or verdict is RETRY:
-                return None
+                return self._unfold(folded)
             result = target
         ino = result.inode
         if ino is not None and ino.is_symlink and (follow_last or must_dir):
             resolved = self._follow_cached_link(task, pcc, result)
             if resolved is None:
-                return None
+                return self._unfold(folded)
             result = resolved
             ino = result.inode
         if self.config.force_fastpath_miss:
             # Fig 6 worst case: full fastpath work, forced fallback.
-            return None
+            return self._unfold(folded)
         if ino is None and result.stub is None \
                 and result.alias_target is None:  # negative hit
-            return self._negative_hit(result, path_hint,
+            return self._negative_hit(result, path_hint, folded,
                                       must_dir=must_dir,
                                       intent_create=intent_create,
                                       create_dir=create_dir)
         if must_dir and not result.is_dir:
-            self.stats.bump("negative_hit")
-            return ("raise", errors.ENOTDIR(path_hint))
+            raise self._serve(self._neg, folded, errors.ENOTDIR(path_hint))
         fast = result.fast
         if fast is None or fast.mount is None:
-            return None
-        self.costs.charge_in("final", "mount_flag_check")
-        return ("ok", PathPos(fast.mount, result))
+            return self._unfold(folded)
+        return self._serve(self._hit, folded, PathPos(fast.mount, result))
+
+    def _unfold(self, folded: bool) -> None:
+        """A folded hit falls back: pay what it left to the run."""
+        if folded:
+            self.costs.charge_run(self._hop)
+            self.stats.bump("pcc_hit")
 
     def _follow_cached_link(self, task: Task, pcc: PrefixCheckCache,
                             link: Dentry) -> Optional[Dentry]:
@@ -362,30 +385,31 @@ class FastLookup(WalkHooks):
             return None
         return target
 
-    def _negative_hit(self, result: Dentry, path_hint: str, *,
-                      must_dir: bool, intent_create: bool,
+    def _negative_hit(self, result: Dentry, path_hint: str, folded: bool,
+                      *, must_dir: bool, intent_create: bool,
                       create_dir: bool):
-        self.stats.bump("negative_hit")
         rec = self.costs.recorder
         if rec is not None:
             # The negativity conclusion (and, for intent_create, the
             # parent's viability) must be pinned by the memo.
             rec.deps.append(result)
         if result.neg_kind == NEG_ENOTDIR:
-            return ("raise", errors.ENOTDIR(path_hint))
+            raise self._serve(self._neg, folded, errors.ENOTDIR(path_hint))
         if intent_create:
             parent = result.parent
             if rec is not None and parent is not None:
                 rec.deps.append(parent)
-            if parent is None or parent.is_negative or not parent.is_dir:
-                return ("raise", errors.ENOENT(path_hint))
-            if must_dir and not create_dir:
-                return ("raise", errors.ENOENT(path_hint))
+            if parent is None or parent.is_negative or not parent.is_dir \
+                    or (must_dir and not create_dir):
+                raise self._serve(self._neg, folded,
+                                  errors.ENOENT(path_hint))
             fast = result.fast
             if fast is None or fast.mount is None:
-                return None
-            return ("ok", PathPos(fast.mount, result))
-        return ("raise", errors.ENOENT(path_hint))
+                self.stats.bump("negative_hit")
+                return self._unfold(folded)
+            return self._serve(self._neg, folded,
+                               PathPos(fast.mount, result))
+        raise self._serve(self._neg, folded, errors.ENOENT(path_hint))
 
     def _complete(self, task: Task, ns, pcc: PrefixCheckCache,
                   start: PathPos, comps: List[str], parent_state: SigState,
@@ -462,43 +486,43 @@ class FastLookup(WalkHooks):
                        parent_mount, self.coherence.epoch, sig)
         self.stats.bump("fastpath_complete")
         if child.is_negative:
-            return self._negative_hit(child, path_hint, must_dir=must_dir,
+            return self._negative_hit(child, path_hint, False,
+                                      must_dir=must_dir,
                                       intent_create=intent_create,
                                       create_dir=create_dir)
         if must_dir and not child.is_dir:
-            self.stats.bump("negative_hit")
-            return ("raise", errors.ENOTDIR(path_hint))
-        self.costs.charge_in("final", "mount_flag_check")
-        return ("ok", PathPos(parent_mount, child))
+            raise self._serve(self._neg, False, errors.ENOTDIR(path_hint))
+        return self._serve(self._hit, False, PathPos(parent_mount, child))
 
     # ------------------------------------------------------------------
     # WalkHooks: slowpath population
     # ------------------------------------------------------------------
 
-    def begin(self, task: Task, start: PathPos, absolute: bool):
+    def begin(self, task: Task, start: PathPos, absolute: bool, prehashed=0):
         ns = task.ns
         if ns.dlht is None:
             return None
         self.coherence.walks_active += 1
         anchor, floor = self._pos_state(task, start, self._recompute_state)
         pcc = self.pcc_for(task.cred)
-        if start.dentry is ns.root_mount.root_dentry:
-            pcc_ok = True
-        else:
-            with self.costs.scope("perm"):
-                pcc_ok = pcc.probe(start.dentry, floor)
+        pcc_ok = start.dentry is ns.root_mount.root_dentry \
+            or pcc.probe(start.dentry, floor)
         return _WalkCtx(task, self.coherence.counter, pcc_ok, anchor,
-                        start.mount)
+                        start.mount, prehashed)
 
     def step(self, ctx, name: str, child: Dentry, result: PathPos) -> None:
         if ctx is None:
             return
         target = result.dentry
-        if ctx.anchor_state is not None:
-            ctx.anchor_state = self._extend(ctx.anchor_state, name)
-        ctx.pending.append((target, ctx.anchor_state, result.mount))
+        state = ctx.anchor_state
+        if state is not None and ctx.prehashed:  # _extend, inline when free
+            ctx.prehashed -= 1
+            state = ctx.anchor_state = self.hasher.extend(state, name)
+        elif state is not None:
+            state = ctx.anchor_state = self._extend(ctx, state, name)
+        ctx.pending.append((target, state, result.mount))
         if ctx.alias_head is not None and ctx.alias_state is not None:
-            ctx.alias_state = self._extend(ctx.alias_state, name)
+            ctx.alias_state = self._extend(ctx, ctx.alias_state, name)
             ctx.pending_alias.append((name, target, ctx.alias_state,
                                       result.mount))
         ctx.cur_mount = result.mount
@@ -517,7 +541,7 @@ class FastLookup(WalkHooks):
             return
         ctx.saved_link = None
         if not ctx.alias_done and ctx.anchor_state is not None:
-            link_state = self._extend(ctx.anchor_state, link.name)
+            link_state = self._extend(ctx, ctx.anchor_state, link.name)
             ctx.pending.append((link, link_state, ctx.cur_mount))
             ctx.saved_link = (link, link_state)
         ctx.alias_done = True
@@ -547,7 +571,7 @@ class FastLookup(WalkHooks):
         if ctx is None:
             return
         if ctx.anchor_state is not None and not neg.dead:
-            state = self._extend(ctx.anchor_state, neg.name)
+            state = self._extend(ctx, ctx.anchor_state, neg.name)
             ctx.pending.append((neg, state, ctx.cur_mount))
             if self.config.deep_negative and remaining:
                 ctx.pending_deepneg = (neg, list(remaining), kind, state)
@@ -599,29 +623,36 @@ class FastLookup(WalkHooks):
         epoch = self.coherence.epoch
         dlht = ctx.task.ns.dlht
         on_revalidating_sb = self._on_revalidating_sb
-        direct = [entry for entry in ctx.pending
-                  if not on_revalidating_sb(entry[0])]
-        populate = self._populate
-        for dentry, state, mount in direct:
-            if state is not None and not dentry.dead:
-                populate(dlht, None, dentry, state, mount, epoch)
+        finish = self.hasher.finish
+        direct = []
+        for dentry, state, mount in ctx.pending:
+            inode = dentry.inode
+            if inode.fs.requires_revalidation if inode is not None \
+                    else on_revalidating_sb(dentry):
+                continue
+            direct.append(dentry)
+            fast = dentry.fast
+            if state is None or dentry.dead or fast is not None \
+                    and fast.dlht is dlht and fast.mount is mount \
+                    and fast.epoch_snapshot == epoch \
+                    and fast.hash_state == state \
+                    and fast.dlht_key == finish(state):
+                continue  # dead, or _populate would change nothing
+            self._populate(dlht, None, dentry, state, mount, epoch)
         for link, tstate in ctx.pending_linktarget:
             if not link.dead and not on_revalidating_sb(link):
                 fast_of(link).link_target_state = tstate
         pcc = self.pcc_for(ctx.task.cred) if ctx.pcc_ok else None
-        self._apply_aliases(ctx, dlht, pcc, epoch)
-        self._apply_deep_negatives(ctx, dlht, pcc, epoch)
+        if ctx.alias_head is not None:
+            self._apply_aliases(ctx, dlht, pcc, epoch)
+        if ctx.pending_deepneg is not None:
+            self._apply_deep_negatives(ctx, dlht, pcc, epoch)
         if pcc is not None:
             # The aliases and deep negatives above may evict: liveness
             # is read here.  One charge, then the inserts in walk order.
-            live = [entry[0] for entry in direct if not entry[0].dead]
+            live = [dentry for dentry in direct if not dentry.dead]
             if live:
-                self.costs.charge("pcc_insert", times=len(live))
-                rec = self.costs.recorder
-                for dentry in live:
-                    if rec is not None:
-                        rec.pcc.append((pcc, dentry, epoch))
-                    pcc.store(dentry, epoch)
+                pcc.insert_all(live, epoch)
 
     def _populate(self, dlht, pcc, dentry: Dentry, state: SigState, mount,
                   epoch: int, sig=None) -> None:
@@ -639,7 +670,7 @@ class FastLookup(WalkHooks):
 
     def _apply_aliases(self, ctx, dlht, pcc, epoch: int) -> None:
         cur = ctx.alias_head
-        if cur is None or self._on_revalidating_sb(cur):
+        if self._on_revalidating_sb(cur):
             return
         for name, target, state, mount in ctx.pending_alias:
             if cur.dead or target.dead:
@@ -655,14 +686,12 @@ class FastLookup(WalkHooks):
             cur = child
 
     def _apply_deep_negatives(self, ctx, dlht, pcc, epoch: int) -> None:
-        if ctx.pending_deepneg is None or not self.config.deep_negative:
-            return
         neg, remaining, kind, state = ctx.pending_deepneg
         if neg.dead or self._on_revalidating_sb(neg):
             return
         chain = extend_negative_chain(self.dcache, neg, remaining, kind)
         for child in chain:
-            state = self._extend(state, child.name)
+            state = self._extend(ctx, state, child.name)
             self._populate(dlht, pcc, child, state, ctx.cur_mount, epoch)
         self.stats.bump("deep_negative_chain")
 
@@ -679,7 +708,7 @@ class FastLookup(WalkHooks):
                 names.append(dentry.name)
         state = self.hasher.EMPTY
         for name in reversed(names):
-            state = self._extend(state, name)
+            state = self._extend(None, state, name)
         fast = fast_of(pos.dentry)
         fast.hash_state = state
         fast.mount = pos.mount

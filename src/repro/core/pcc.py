@@ -46,21 +46,28 @@ class PrefixCheckCache:
         dentry's ancestor chain.  An epoch-stale entry is *kept* — the
         caller may pass a conservative floor, and a later revalidation
         with real permission checks will overwrite it (eager mode always
-        passes 0, so epoch never disqualifies there).
+        passes 0, so epoch never disqualifies there).  Charged to "perm".
         """
-        self.costs.charge("pcc_probe")
+        self.costs.charge_in("perm", "pcc_probe")
         entry = self._entries.get(id(dentry))
         if entry is None:
             return self._miss("pcc_miss", dentry)
-        cached_dentry, cached_seq, cached_epoch = entry
-        if (cached_dentry is not dentry or dentry.dead
-                or cached_seq != dentry.seq):
+        if entry[0] is not dentry or dentry.dead or entry[1] != dentry.seq:
             del self._entries[id(dentry)]
             return self._miss("pcc_stale", dentry)
-        if cached_epoch < min_epoch:
+        if not self.check(dentry, min_epoch):
             return self._miss("pcc_epoch_stale", dentry)
-        self._entries.move_to_end(id(dentry))
         self.stats.bump("pcc_hit")
+        return True
+
+    def check(self, dentry: Dentry, min_epoch: int = 0) -> bool:
+        """:meth:`probe`'s hit, uncharged and uncounted (the caller counts
+        it); a miss touches nothing."""
+        entry = self._entries.get(id(dentry))
+        if entry is None or entry[0] is not dentry or dentry.dead \
+                or entry[1] != dentry.seq or entry[2] < min_epoch:
+            return False
+        self._entries.move_to_end(id(dentry))
         rec = self.costs.recorder
         if rec is not None:
             rec.pcc.append((self, dentry, None))
@@ -78,12 +85,16 @@ class PrefixCheckCache:
 
     def insert(self, dentry: Dentry, epoch: int = 0) -> None:
         """Memoize that this cred passed the prefix check to ``dentry``."""
+        self.insert_all((dentry,), epoch)
+
+    def insert_all(self, dentries, epoch: int = 0) -> None:
+        """:meth:`insert` each of ``dentries`` (one or more) in one pass."""
         costs = self.costs
-        costs.charge("pcc_insert")
+        costs.charge("pcc_insert", times=len(dentries))
         rec = costs.recorder
         if rec is not None:
-            rec.pcc.append((self, dentry, epoch))
-        self.store(dentry, epoch)
+            rec.pcc.extend((self, dentry, epoch) for dentry in dentries)
+        self._store_all(dentries, epoch)
 
     def store(self, dentry: Dentry, epoch: int) -> None:
         """The state change of :meth:`insert`, uncharged.
@@ -92,14 +103,19 @@ class PrefixCheckCache:
         entry goes to MRU, recordings that rest on its absence die, and
         so do those that rest on an entry pushed out past capacity.
         """
+        self._store_all((dentry,), epoch)
+
+    def _store_all(self, dentries, epoch: int) -> None:
         entries = self._entries
-        key = id(dentry)
-        entries[key] = (dentry, dentry.seq, epoch)
-        entries.move_to_end(key)
+        capacity = self.capacity
         memo = self.costs.memo
-        memo.kill_miss(self, dentry)
-        while len(entries) > self.capacity:
-            memo.kill(entries.popitem(last=False)[1][0])
+        for dentry in dentries:
+            key = id(dentry)
+            entries[key] = (dentry, dentry.seq, epoch)
+            entries.move_to_end(key)
+            memo.kill_miss(self, dentry)
+            while len(entries) > capacity:
+                memo.kill(entries.popitem(last=False)[1][0])
 
     def invalidate_all(self) -> None:
         """Flush (sequence-counter wraparound handling, §3.1).

@@ -77,9 +77,9 @@ class RaceInjector(WalkHooks):
 
     # -- hook chain -------------------------------------------------------------
 
-    def begin(self, task, start, absolute):
+    def begin(self, task, start, absolute, prehashed=0):
         self._maybe_fire()
-        return self.inner.begin(task, start, absolute)
+        return self.inner.begin(task, start, absolute, prehashed)
 
     def step(self, ctx, name, child, result):
         self._maybe_fire()

@@ -113,9 +113,9 @@ class _YieldingHooks(WalkHooks):
     def _pause(self) -> None:
         self.runner._yield_point()
 
-    def begin(self, task, start, absolute):
+    def begin(self, task, start, absolute, prehashed=0):
         self._pause()
-        return self.inner.begin(task, start, absolute)
+        return self.inner.begin(task, start, absolute, prehashed)
 
     def step(self, ctx, name, child, result):
         self._pause()

@@ -58,7 +58,7 @@ class WalkHooks:
 
     __slots__ = ()
 
-    def begin(self, task: Task, start: PathPos, absolute: bool):
+    def begin(self, task: Task, start: PathPos, absolute: bool, prehashed=0):
         return None
 
     def step(self, ctx, name: str, child: Dentry, result: PathPos) -> None:
@@ -129,7 +129,7 @@ class SlowWalk:
                 intent_create: bool = False, create_dir: bool = False,
                 dirfd_pos: Optional[PathPos] = None,
                 count_stats: bool = True,
-                charge_setup: bool = True) -> PathPos:
+                charge_setup: bool = True, prehashed: int = 0) -> PathPos:
         """Resolve ``path`` to a (mount, dentry) position.
 
         With ``intent_create`` the final dentry may be negative (ENOENT
@@ -138,7 +138,8 @@ class SlowWalk:
         the created name (mkdir).  ``dirfd_pos`` anchors relative paths
         (\\*at() syscalls).  ``charge_setup=False`` skips the init/final
         fixed charges — used when a failed fastpath attempt already set
-        the lookup up (the nameidata is reused on fallback).
+        the lookup up (the nameidata is reused on fallback), and
+        ``prehashed`` hands that attempt's hashing to the hooks.
         """
         if count_stats:
             self.stats.bump("lookup")
@@ -149,7 +150,7 @@ class SlowWalk:
         if charge_setup:
             with self.costs.scope("init"):
                 self.costs.charge("lookup_init")
-        ctx = self.hooks.begin(task, start, absolute)
+        ctx = self.hooks.begin(task, start, absolute, prehashed)
         budget = _LinkBudget()
         try:
             pos = self._walk(task, start, comps, path,

@@ -80,6 +80,35 @@ class TestConstantWorkFastpath:
         counts_deep = _counts_for_stat(kernel, task, deep)
         assert counts_deep.get("sig_hash") > counts_shallow.get("sig_hash")
 
+    @pytest.mark.parametrize("profile", ["optimized", "optimized-lazy"])
+    def test_host_calls_do_not_grow_with_depth(self, profile, monkeypatch):
+        """§3's constant-work claim, for host cost: a plain hit reaches
+        the cost model the same number of times at any depth."""
+        calls = []
+
+        def counted(real):
+            def wrapper(self, *args, **kwargs):
+                calls.append(real.__name__)
+                return real(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("charge", "charge_in", "charge_run"):
+            monkeypatch.setattr(CostModel, name,
+                                counted(getattr(CostModel, name)))
+        per_depth = {}
+        for depth in (2, 6, 12):
+            kernel = _kernel(profile, resolution_memo=False)
+            task = kernel.spawn_task(uid=0, gid=0)
+            leaf = _deep_tree(kernel, task, depth - 1)
+            kernel.sys.stat(task, leaf)
+            kernel.sys.stat(task, leaf)
+            kernel.costs.reset_attribution()
+            del calls[:]
+            kernel.sys.stat(task, leaf)
+            assert kernel.costs.count("dlht_probe") == 1
+            per_depth[depth] = sorted(calls)
+        assert per_depth[2] == per_depth[6] == per_depth[12], per_depth
+
 
 class TestFastpathFallbacks:
     def test_first_lookup_misses_then_hits(self):
@@ -349,3 +378,296 @@ class TestWalkChargesPinned:
     def test_one_walk(self, profile, outcome):
         assert _walk_scopes(profile, outcome) == \
             _WALK_PINS[outcome][profile]
+
+
+# -- one fastpath lookup per outcome: everything it charges and counts -------
+
+_FAST_PROFILES = ("optimized", "optimized-lazy")
+
+
+def _fast_setup(kernel, root):
+    """``/a/b/c/d/e/f``, ``/f``, ``/a/b/g``, a directory link
+    ``/links/d0 -> /a/b/c`` and a file link ``/ln -> /a/b/c/d/e/f``."""
+    sys = kernel.sys
+    for path in ("/a", "/a/b", "/a/b/c", "/a/b/c/d", "/a/b/c/d/e", "/links"):
+        sys.mkdir(root, path)
+    for path in ("/f", "/a/b/g", "/a/b/c/d/e/f"):
+        sys.close(root, sys.open(root, path, O_CREAT | O_RDWR))
+    sys.symlink(root, "/a/b/c", "/links/d0")
+    sys.symlink(root, "/a/b/c/d/e/f", "/ln")
+
+
+def _flat(table):
+    return " ".join(f"{name}={int(value)}"
+                    for name, value in sorted(table.items()) if value)
+
+
+def _fingerprint(kernel, thunk):
+    """``(counts, by_scope, now_ns, Stats deltas)`` of ``thunk`` (UNIT)."""
+    costs, stats = kernel.costs, kernel.stats
+    costs.reset_attribution()
+    now = costs.now_ns
+    before = stats.snapshot()
+    thunk()
+    deltas = {name: value - before.get(name, 0)
+              for name, value in stats.snapshot().items()}
+    return (_flat(costs.counts), _flat(costs.by_scope),
+            int(costs.now_ns - now), _flat(deltas))
+
+
+def _stat(path, error=None, cwd=None):
+    """A lookup thunk factory: ``stat(path)`` by the task, from ``cwd``."""
+    def make(kernel, task):
+        if cwd is not None:
+            kernel.sys.chdir(task, cwd)
+
+        def run():
+            if error is None:
+                kernel.sys.stat(task, path)
+            else:
+                with pytest.raises(error):
+                    kernel.sys.stat(task, path)
+        return run
+    return make
+
+
+def _measure(profile, factory, *, fresh=False, warm=False, disturb=None):
+    """Fingerprint one lookup on a memo-off UNIT kernel: by root or a
+    ``fresh`` credential, after two ``warm`` runs and ``disturb``."""
+    kernel = _kernel(profile, resolution_memo=False)
+    root = kernel.spawn_task(uid=0, gid=0)
+    _fast_setup(kernel, root)
+    task = _user(kernel) if fresh else root
+    run = factory(kernel, task)
+    if warm:
+        run()
+        run()
+    if disturb is not None:
+        disturb(kernel, task)
+    return _fingerprint(kernel, run)
+
+
+def _chmod_ancestor(kernel, task):
+    kernel.sys.chmod(task, "/a/b", 0o755)
+
+
+#: hit outcome -> (lookup thunk factory, ``_measure`` options).
+_HITS = {
+    "depth1": (_stat("/f"), {}),
+    "depth6": (_stat("/a/b/c/d/e/f"), {}),
+    "cwd": (_stat("d/e/f", cwd="/a/b/c"), {}),
+    "dotdot_hop": (_stat("/a/b/c/../g"), {}),
+    "trailing_dotdot": (_stat("/a/b/c/.."), {}),
+    "enoent": (_stat("/a/b/missing", errors.ENOENT), {}),
+    "enotdir": (_stat("/f/x/y", errors.ENOTDIR), {}),
+    "link": (_stat("/ln"), {}),
+    "alias": (_stat("/links/d0/d/e/f"), {}),
+    "reprove": (_stat("/a/b/c/d/e/f"), {"disturb": _chmod_ancestor}),
+}
+
+
+def _both(*pin):
+    """The same pin on both optimized profiles."""
+    return dict.fromkeys(_FAST_PROFILES, pin)
+
+
+def _hit_fingerprint(profile, outcome):
+    factory, options = _HITS[outcome]
+    return _measure(profile, factory, warm=True, **options)
+
+
+#: Taken before a fastpath hit was charged as one run per outcome.
+_HIT_PINS = {
+    "depth1": _both(
+        'dlht_probe=1 fastpath_init=1 lookup_final=1 mount_flag_check=1 '
+        'pcc_probe=1 sig_compare=1 sig_hash=1 stat_fill=1 syscall_fixed=1',
+        'final=2 hash=2 htlookup=2 init=1 perm=1',
+        10,
+        'fastpath_hit=1 lookup=1 pcc_hit=1'),
+    "depth6": _both(
+        'dlht_probe=1 fastpath_init=1 lookup_final=1 mount_flag_check=1 '
+        'pcc_probe=1 sig_compare=1 sig_hash=6 stat_fill=1 syscall_fixed=1',
+        'final=2 hash=17 htlookup=2 init=1 perm=1',
+        25,
+        'fastpath_hit=1 lookup=1 pcc_hit=1'),
+    "cwd": _both(
+        'dlht_probe=1 fastpath_init=1 lookup_final=1 mount_flag_check=1 '
+        'pcc_probe=1 sig_compare=1 sig_hash=3 stat_fill=1 syscall_fixed=1',
+        'final=2 hash=9 htlookup=2 init=1 perm=1',
+        17,
+        'fastpath_hit=1 lookup=1 pcc_hit=1'),
+    "dotdot_hop": _both(
+        'dlht_probe=2 dotdot_extra_lookup=1 fastpath_init=1 lookup_final=1 '
+        'mount_flag_check=1 pcc_probe=2 sig_compare=2 sig_hash=4 '
+        'stat_fill=1 syscall_fixed=1',
+        'final=2 hash=11 htlookup=4 init=1 perm=2',
+        23,
+        'fastpath_hit=1 lookup=1 pcc_hit=2'),
+    "trailing_dotdot": _both(
+        'dlht_probe=1 dotdot_extra_lookup=1 fastpath_init=1 lookup_final=1 '
+        'pcc_probe=1 sig_compare=1 sig_hash=3 stat_fill=1 syscall_fixed=1',
+        'final=1 hash=8 htlookup=2 init=1 perm=1',
+        16,
+        'fastpath_hit=1 lookup=1 pcc_hit=1'),
+    "enoent": _both(
+        'dlht_probe=1 fastpath_init=1 lookup_final=1 pcc_probe=1 '
+        'sig_compare=1 sig_hash=3 syscall_fixed=1',
+        'final=1 hash=14 htlookup=2 init=1 perm=1',
+        20,
+        'fastpath_hit=1 lookup=1 negative_hit=1 pcc_hit=1'),
+    "enotdir": _both(
+        'dlht_probe=1 fastpath_init=1 lookup_final=1 pcc_probe=1 '
+        'sig_compare=1 sig_hash=3 syscall_fixed=1',
+        'final=1 hash=8 htlookup=2 init=1 perm=1',
+        14,
+        'fastpath_hit=1 lookup=1 negative_hit=1 pcc_hit=1'),
+    "link": _both(
+        'dlht_probe=2 fastpath_init=1 lookup_final=1 mount_flag_check=1 '
+        'pcc_probe=2 sig_compare=2 sig_hash=1 stat_fill=1 syscall_fixed=1',
+        'final=2 hash=3 htlookup=4 init=1 perm=2',
+        14,
+        'fastpath_hit=1 lookup=1 pcc_hit=2'),
+    "alias": _both(
+        'dlht_probe=1 fastpath_init=1 lookup_final=1 mount_flag_check=1 '
+        'pcc_probe=2 sig_compare=1 sig_hash=5 stat_fill=1 syscall_fixed=1',
+        'final=2 hash=19 htlookup=2 init=1 perm=2',
+        28,
+        'fastpath_hit=1 lookup=1 pcc_hit=2'),
+    "reprove": {
+        "optimized": (
+            'chain_compare=6 component_hash=6 dlht_insert=5 dlht_probe=1 '
+            'fastpath_init=2 ht_probe=6 lookup_final=1 lru_touch=6 '
+            'pcc_insert=6 perm_check_dac=6 read_barrier=6 seqlock_read=6 '
+            'sig_compare=1 sig_hash=6 stat_fill=1 syscall_fixed=1',
+            'final=1 hash=29 htlookup=32 init=2 perm=6',
+            83,
+            'component_step=6 dcache_hit=6 fastpath_miss=1 lookup=1'),
+        "optimized-lazy": (
+            'dlht_probe=1 fastpath_init=1 lazy_validate=7 lookup_final=1 '
+            'mount_flag_check=1 pcc_insert=1 pcc_probe=1 perm_check_dac=6 '
+            'sig_compare=1 sig_hash=6 stat_fill=1 syscall_fixed=1',
+            'final=2 hash=17 htlookup=2 init=1 lazy=7 perm=7',
+            39,
+            'fastpath_hit=1 lazy_pcc_reprove=1 lazy_refresh=1 lookup=1 '
+            'pcc_epoch_stale=1'),
+    },
+}
+
+
+def _evict_pcc(kernel, task):
+    task.cred.pcc.invalidate_all()
+
+
+#: fallback outcome -> (lookup thunk factory, ``_measure`` options).
+#: Each one's fastpath attempt hashes components that the fallback
+#: walk's population hooks then resume for free.
+_FALLBACKS = {
+    "via_dir_link": (_stat("/links/d0/d/e/f"), {}),
+    "deep_negative": (_stat("/a/gone/x/y", errors.ENOENT), {}),
+    "dotdot": (_stat("/a/b/c/../g"), {"fresh": True}),
+    "pcc_evicted": (_stat("/a/b/c/d/e/f"),
+                    {"warm": True, "disturb": _evict_pcc}),
+}
+
+
+def _fallback_fingerprint(profile, outcome):
+    factory, options = _FALLBACKS[outcome]
+    return _measure(profile, factory, **options)
+
+
+#: Taken before the fallback's hashing credit moved onto the walk ctx.
+_FALLBACK_PINS = {
+    "via_dir_link": {
+        "optimized": (
+            'chain_compare=8 component_hash=8 dlht_insert=3 dlht_probe=1 '
+            'fastpath_init=2 ht_probe=8 lookup_final=1 lru_touch=11 '
+            'negative_dentry_alloc=3 pcc_insert=11 perm_check_dac=8 '
+            'read_barrier=8 seqlock_read=8 sig_compare=1 sig_hash=11 '
+            'stat_fill=1 symlink_resolve=1 syscall_fixed=1',
+            'final=1 hash=58 htlookup=42 init=2 perm=8',
+            134,
+            'component_step=8 dcache_hit=8 fastpath_miss=1 lookup=1 '
+            'symlink_traverse=1'),
+        "optimized-lazy": (
+            'chain_compare=8 component_hash=8 dlht_insert=3 dlht_probe=2 '
+            'fastpath_init=2 ht_probe=8 lookup_final=1 lru_touch=11 '
+            'negative_dentry_alloc=3 pcc_insert=11 perm_check_dac=8 '
+            'read_barrier=8 seqlock_read=8 sig_compare=2 sig_hash=11 '
+            'stat_fill=1 symlink_resolve=1 syscall_fixed=1',
+            'final=1 hash=58 htlookup=44 init=2 perm=8',
+            136,
+            'component_step=8 dcache_hit=8 fastpath_miss=1 lookup=1 '
+            'symlink_traverse=1'),
+    },
+    "deep_negative": {
+        "optimized": (
+            'chain_compare=2 component_hash=2 dlht_insert=3 dlht_probe=1 '
+            'fastpath_init=2 ht_probe=2 lru_touch=4 negative_dentry_alloc=3'
+            ' pcc_insert=4 perm_check_dac=2 read_barrier=2 seqlock_read=2 '
+            'sig_compare=1 sig_hash=4 syscall_fixed=1',
+            'hash=21 htlookup=11 init=2 perm=2',
+            50,
+            'component_step=2 dcache_hit=1 deep_negative_chain=1 '
+            'dir_complete_elide=1 fastpath_miss=1 lookup=1 negative_hit=1'),
+        "optimized-lazy": (
+            'chain_compare=2 component_hash=2 dlht_insert=3 dlht_probe=2 '
+            'fastpath_init=2 ht_probe=2 lru_touch=4 negative_dentry_alloc=3'
+            ' pcc_insert=4 perm_check_dac=2 read_barrier=2 seqlock_read=2 '
+            'sig_compare=2 sig_hash=4 syscall_fixed=1',
+            'hash=21 htlookup=13 init=2 perm=2',
+            52,
+            'component_step=2 dcache_hit=1 deep_negative_chain=1 '
+            'dir_complete_elide=1 fastpath_miss=1 lookup=1 negative_hit=1'),
+    },
+    "dotdot": {
+        "optimized": (
+            'chain_compare=4 component_hash=5 dlht_probe=1 fastpath_init=2 '
+            'ht_probe=4 lookup_final=1 lru_touch=4 pcc_insert=5 pcc_probe=1'
+            ' perm_check_dac=5 read_barrier=5 seqlock_read=5 sig_compare=1 '
+            'sig_hash=4 stat_fill=1 syscall_fixed=1',
+            'final=1 hash=22 htlookup=24 init=2 perm=6',
+            62,
+            'component_step=5 dcache_hit=4 fastpath_miss=1 lookup=1 '
+            'pcc_miss=1'),
+        "optimized-lazy": (
+            'dlht_probe=2 dotdot_extra_lookup=1 fastpath_init=1 '
+            'lazy_validate=4 lookup_final=1 mount_flag_check=1 pcc_insert=1'
+            ' pcc_probe=5 perm_check_dac=4 sig_compare=2 sig_hash=4 '
+            'stat_fill=1 syscall_fixed=1',
+            'final=2 hash=11 htlookup=4 init=1 lazy=4 perm=9',
+            35,
+            'fastpath_hit=1 lazy_pcc_reprove=1 lookup=1 pcc_miss=5'),
+    },
+    "pcc_evicted": {
+        "optimized": (
+            'chain_compare=6 component_hash=6 dlht_probe=1 fastpath_init=2 '
+            'ht_probe=6 lookup_final=1 lru_touch=6 pcc_insert=6 pcc_probe=1'
+            ' perm_check_dac=6 read_barrier=6 seqlock_read=6 sig_compare=1 '
+            'sig_hash=6 stat_fill=1 syscall_fixed=1',
+            'final=1 hash=29 htlookup=32 init=2 perm=7',
+            79,
+            'component_step=6 dcache_hit=6 fastpath_miss=1 lookup=1 '
+            'pcc_miss=1'),
+        "optimized-lazy": (
+            'dlht_probe=1 fastpath_init=1 lazy_validate=6 lookup_final=1 '
+            'mount_flag_check=1 pcc_insert=1 pcc_probe=2 perm_check_dac=6 '
+            'sig_compare=1 sig_hash=6 stat_fill=1 syscall_fixed=1',
+            'final=2 hash=17 htlookup=2 init=1 lazy=6 perm=8',
+            39,
+            'fastpath_hit=1 lazy_pcc_reprove=1 lookup=1 pcc_miss=2'),
+    },
+}
+
+
+class TestFastpathChargesPinned:
+    @pytest.mark.parametrize("profile", _FAST_PROFILES)
+    @pytest.mark.parametrize("outcome", _HITS)
+    def test_one_hit(self, profile, outcome):
+        assert _hit_fingerprint(profile, outcome) == \
+            _HIT_PINS[outcome][profile]
+
+    @pytest.mark.parametrize("profile", _FAST_PROFILES)
+    @pytest.mark.parametrize("outcome", _FALLBACKS)
+    def test_one_fallback(self, profile, outcome):
+        assert _fallback_fingerprint(profile, outcome) == \
+            _FALLBACK_PINS[outcome][profile]
