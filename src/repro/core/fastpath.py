@@ -135,6 +135,10 @@ class FastLookup(WalkHooks):
         run = costs.run
         probed = PROBE_CHARGES + (("perm", "pcc_probe"),)
         self._pair, self._hop = run(PROBE_CHARGES), run(probed)
+        # A fallback walk's setup and teardown (``SlowWalk.resolve``): the
+        # fastpath's lighter setup and the rest of a nameidata.
+        init = (("init", "fastpath_init"),) * 2
+        self._fallback = (run(init + (("final", "lookup_final"),)), run(init))
 
         def outcome(charges, *deltas):
             """(run, deltas) as charged, then with an O(1) accept's probe."""
@@ -169,15 +173,11 @@ class FastLookup(WalkHooks):
         if type(served) is not int:
             return served
         self.stats.bump("fastpath_miss")
-        # The fastpath's lighter setup, and the rest of a nameidata.
-        self.costs.charge_in("init", "fastpath_init", times=2)
-        result = self.slow.resolve(task, path, follow_last=follow_last,
-                                   intent_create=intent_create,
-                                   create_dir=create_dir,
-                                   dirfd_pos=dirfd_pos, count_stats=False,
-                                   charge_setup=False, prehashed=served)
-        self.costs.charge_in("final", "lookup_final")
-        return result
+        return self.slow.resolve(task, path, follow_last=follow_last,
+                                 intent_create=intent_create,
+                                 create_dir=create_dir, dirfd_pos=dirfd_pos,
+                                 count_stats=False, setup=self._fallback,
+                                 prehashed=served)
 
     def pcc_for(self, cred) -> PrefixCheckCache:
         """The cred's PCC (created and registered on first use)."""

@@ -197,17 +197,21 @@ class ChargeRun:
     """A fixed bundle of ``(scope, primitive)`` charges, priced once by
     :meth:`CostModel.run` (the rate table never changes afterwards).
 
-    ``members`` are ``(scope, primitive, ticks)``, ``scopes`` the
-    ``(scope, ticks)`` totals and ``ticks`` their sum, bytes aside; the
-    member at ``byte_at`` takes the bytes, at ``byte_rate`` ticks each.
+    Every member is charged ``times`` over: ``members`` are ``(scope,
+    primitive, ticks)``, ``scopes`` the ``(scope, ticks)`` totals and
+    ``ticks`` their sum, bytes aside (``byte_rate`` ticks each, on the
+    member at ``byte_at``).
     """
 
     __slots__ = ("members", "primitives", "scopes", "ticks", "byte_at",
-                 "byte_rate")
+                 "byte_rate", "times", "_spec", "_scaled")
 
     def __init__(self, rates: Dict[str, Tuple[int, int]], charges,
-                 per_byte: Optional[str] = None) -> None:
-        self.members = tuple((scope, primitive, rates[primitive][0])
+                 per_byte: Optional[str] = None, times: int = 1) -> None:
+        self.times = times
+        self._spec = (rates, charges, per_byte)
+        self._scaled: Dict[int, ChargeRun] = {}
+        self.members = tuple((scope, primitive, rates[primitive][0] * times)
                              for scope, primitive in charges)
         self.primitives = tuple(member[1] for member in self.members)
         scopes: Dict[str, int] = {}
@@ -218,6 +222,13 @@ class ChargeRun:
         self.byte_at = (None if per_byte is None
                         else self.primitives.index(per_byte))
         self.byte_rate = 0 if per_byte is None else rates[per_byte][1]
+
+    def scaled(self, k: int) -> "ChargeRun":
+        """This run charged ``k`` times over, as one run, kept per ``k``."""
+        run = self._scaled.get(k)
+        if run is None:
+            run = self._scaled[k] = ChargeRun(*self._spec, self.times * k)
+        return run
 
 
 class Recording:
@@ -564,12 +575,12 @@ class CostModel:
         return ChargeRun(self._rates, charges, per_byte)
 
     def charge_run(self, run: ChargeRun, nbytes: int = 0) -> None:
-        """Charge every member of ``run`` once, in one call.
+        """Charge every member of ``run`` ``run.times`` over, in one call.
 
         Leaves the clock, ``counts``, ``by_scope``, the byte totals and
-        the recorder's vector exactly as one :meth:`charge_in` per member
-        (``nbytes`` on the byte member) would: ticks are integers, so
-        the order is irrelevant.
+        the recorder's vector exactly as ``run.times`` :meth:`charge_in`
+        per member (``nbytes`` in all on the byte member) would: ticks
+        are integers, so the order is irrelevant.
         """
         ticks = run.ticks
         by_scope = self._by_scope
@@ -587,16 +598,17 @@ class CostModel:
             totals[byte_primitive] = totals.get(byte_primitive, 0) + nbytes
         self.clock._ticks += ticks
         counts = self.counts
+        times = run.times
         for primitive in run.primitives:
             try:
-                counts[primitive] += 1
+                counts[primitive] += times
             except KeyError:
-                counts[primitive] = 1
+                counts[primitive] = times
         rec = self.recorder
         if rec is not None:
             add = rec.vector.add
             for scope, primitive, member_ticks in run.members:
-                add(scope, primitive, 1, 0, member_ticks)
+                add(scope, primitive, times, 0, member_ticks)
             if nbytes:
                 add(byte_scope, byte_primitive, 0, nbytes, extra)
 

@@ -30,9 +30,10 @@ _lexnorm_cache: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
 
 def _cache_insert(cache: dict, cap: int, key, value) -> None:
-    """Insert into a bounded memo, evicting the oldest entry when full."""
+    """Insert into a bounded memo, clearing it whole when full (evicting
+    the oldest key would scan the dict's dead slots on every insert)."""
     if len(cache) >= cap:
-        del cache[next(iter(cache))]
+        cache.clear()
     cache[key] = value
 
 
@@ -57,7 +58,7 @@ def split(path: str) -> Tuple[bool, List[str], bool]:
     slash or that end in ``.``/``..``, which constrains the final
     component to resolve to a directory.
 
-    Successful parses are memoized (bounded, oldest-evicted): the parse
+    Successful parses are memoized (bounded, cleared when full): the parse
     is a pure function of the path string, so warm lookups skip the
     validation scan and the split loop entirely.  Failures are not
     cached — they already take the slow exception path.

@@ -9,9 +9,10 @@ directory — the prefix check — then (2) hashes the component and probes
 the primary dcache hash table, (3) calls the low-level file system on a
 miss, and (4) handles ``..``, symlinks, and mountpoint crossings.  Costs
 are attributed to the scopes Figure 3 reports ("init", "perm", "hash",
-"htlookup", "final", plus "miss"); the per-component bundle of (1) and (2)
-is charged as one precomputed run chosen by the component's outcome —
-denied, ``..``, dcache hit or miss (``CostModel.charge_run``).
+"htlookup", "final", plus "miss"); the bundle of (1) and (2) is one run
+per outcome — denied, ``..``, dcache hit or miss — charged when the walk
+exits, scaled by how often the outcome occurred (``ChargeRun.scaled``).
+Only a denial, after which the walk raises, is charged on the spot.
 
 The optimized kernel observes the walk through the ``fast`` hook object (a
 :class:`repro.core.fastpath.FastLookup`); the hooks are documented on
@@ -106,7 +107,7 @@ class SlowWalk:
     """Component-at-a-time resolver over one kernel's caches."""
 
     __slots__ = ("costs", "stats", "dcache", "config", "lsm", "hooks",
-                 "_runs")
+                 "_runs", "_setup")
 
     def __init__(self, costs: CostModel, stats: Stats, dcache: Dcache,
                  config, lsm: Optional[Lsm] = None,
@@ -122,24 +123,30 @@ class SlowWalk:
                       costs.run(_STEP, "component_hash"),
                       costs.run(_STEP + HIT_CHARGES, "component_hash"),
                       costs.run(_STEP + MISS_CHARGES, "component_hash"))
+        #: setup and teardown of a walk that returns, of one that raises.
+        init = (("init", "lookup_init"),)
+        self._setup = (costs.run(init + (("final", "lookup_final"),)),
+                       costs.run(init))
 
     # -- public entry -----------------------------------------------------------
 
     def resolve(self, task: Task, path: str, *, follow_last: bool = True,
                 intent_create: bool = False, create_dir: bool = False,
                 dirfd_pos: Optional[PathPos] = None,
-                count_stats: bool = True,
-                charge_setup: bool = True, prehashed: int = 0) -> PathPos:
+                count_stats: bool = True, setup=None,
+                prehashed: int = 0) -> PathPos:
         """Resolve ``path`` to a (mount, dentry) position.
 
         With ``intent_create`` the final dentry may be negative (ENOENT
         kind) — the caller instantiates it; otherwise a negative final
         raises.  ``create_dir`` additionally allows a trailing slash on
         the created name (mkdir).  ``dirfd_pos`` anchors relative paths
-        (\\*at() syscalls).  ``charge_setup=False`` skips the init/final
-        fixed charges — used when a failed fastpath attempt already set
-        the lookup up (the nameidata is reused on fallback), and
-        ``prehashed`` hands that attempt's hashing to the hooks.
+        (\\*at() syscalls).  Setup and teardown are charged as one run
+        when the walk ends: ``setup`` is the (returned, raised) pair, by
+        default ``lookup_init`` + ``lookup_final`` and ``lookup_init``
+        alone.  A failed fastpath attempt's fallback passes its own (the
+        nameidata is reused), and ``prehashed`` hands that attempt's
+        hashing to the hooks.
         """
         if count_stats:
             self.stats.bump("lookup")
@@ -147,9 +154,7 @@ class SlowWalk:
         if self.config.lexical_dotdot:
             comps = vfspath.lexical_normalize(comps)
         start = task.root if absolute else (dirfd_pos or task.cwd)
-        if charge_setup:
-            with self.costs.scope("init"):
-                self.costs.charge("lookup_init")
+        returned, raised = setup or self._setup
         ctx = self.hooks.begin(task, start, absolute, prehashed)
         budget = _LinkBudget()
         try:
@@ -159,11 +164,10 @@ class SlowWalk:
                              create_dir=create_dir,
                              must_dir=must_dir, budget=budget, ctx=ctx)
         except BaseException:
+            self.costs.charge_run(raised)
             self.hooks.abandon(ctx)
             raise
-        if charge_setup:
-            with self.costs.scope("final"):
-                self.costs.charge("lookup_final")
+        self.costs.charge_run(returned)
         self.hooks.finish(ctx, pos)
         return pos
 
@@ -183,111 +187,134 @@ class SlowWalk:
         bump = self.stats.bump
         lsm = None if isinstance(self.lsm, NullLsm) else self.lsm
         denied, dotdot, hit, miss = self._runs
-        for i, name in enumerate(comps):
-            last = i == total - 1
-            cur = pos.dentry
-            if cur.is_negative:
-                raise errors.ENOENT(path_hint, "start directory is gone")
-            if not cur.is_dir:
-                raise errors.ENOTDIR(path_hint)
-            # The prefix check, then one run for the component's outcome.
-            inode = cur.inode
-            allowed = perms.may_search(cred, inode)
-            if allowed and lsm is not None:
-                costs.charge_in("perm", "perm_check_lsm")
-                allowed = lsm.inode_permission(cred, inode, perms.MAY_EXEC)
-            if not allowed:
-                charge_run(denied)
-                raise errors.EACCES(path_hint)
-            bump("component_step")
-            if name == "..":
-                charge_run(dotdot, len(name))
-                pos = ns.cross_down(ns.parent_pos(pos, task.root))
-                self.hooks.dotdot(ctx, pos)
-                continue
-            child = probe(cur, name)
-            from_cache = True
-            if child is not None:
-                charge_run(hit, len(name))
-                bump("dcache_hit")
-                if inode.fs.requires_revalidation:
-                    child = self._revalidate(cur, name, child)
-            else:
-                charge_run(miss, len(name))
-                if cur.dir_complete:  # §5.1: absence proved, no FS call
-                    bump("dir_complete_elide")
-                    child = self.dcache.d_alloc(cur, name, None)
-                else:
-                    child = self._miss(cur, name)
-                    from_cache = False
-            if child is None or child.is_negative:
-                if from_cache:
-                    bump("negative_hit")
-                kind_err = errors.ENOENT(path_hint)
-                if child is not None and child.neg_kind == NEG_ENOTDIR:
-                    kind_err = errors.ENOTDIR(path_hint)
-                if last and intent_create:
-                    if not isinstance(kind_err, errors.ENOENT):
-                        raise kind_err
-                    if child is None:
-                        # Baseline pseudo-fs: nothing may be cached and
-                        # nothing can be created there either.
-                        raise errors.EPERM(path_hint,
-                                           "create on pseudo file system")
-                    if must_dir and not create_dir:
-                        raise errors.ENOENT(path_hint)
-                    result = PathPos(pos.mount, child)
-                    self.hooks.step(ctx, name, child, result)
-                    return result
+        # Outcome tallies of this frame, charged when it exits.
+        ups = hits = misses = hit_bytes = miss_bytes = lsm_checks = 0
+        try:
+            for i, name in enumerate(comps):
+                last = i == total - 1
+                cur = pos.dentry
+                if cur.is_negative:
+                    raise errors.ENOENT(path_hint,
+                                        "start directory is gone")
+                if not cur.is_dir:
+                    raise errors.ENOTDIR(path_hint)
+                # The prefix check, then a tally of the component's
+                # outcome (a denial raises, so it is charged here).
+                inode = cur.inode
+                allowed = perms.may_search(cred, inode)
+                if allowed and lsm is not None:
+                    lsm_checks += 1
+                    allowed = lsm.inode_permission(cred, inode,
+                                                   perms.MAY_EXEC)
+                if not allowed:
+                    charge_run(denied)
+                    raise errors.EACCES(path_hint)
+                if name == "..":
+                    ups += 1
+                    pos = ns.cross_down(ns.parent_pos(pos, task.root))
+                    self.hooks.dotdot(ctx, pos)
+                    continue
+                child = probe(cur, name)
+                from_cache = True
                 if child is not None:
+                    hits += 1
+                    hit_bytes += len(name)
+                    if inode.fs.requires_revalidation:
+                        child = self._revalidate(cur, name, child)
+                else:
+                    misses += 1
+                    miss_bytes += len(name)
+                    if cur.dir_complete:  # §5.1: absence proved, no FS call
+                        bump("dir_complete_elide")
+                        child = self.dcache.d_alloc(cur, name, None)
+                    else:
+                        child = self._miss(cur, name)
+                        from_cache = False
+                if child is None or child.is_negative:
+                    if from_cache:
+                        bump("negative_hit")
+                    kind_err = errors.ENOENT(path_hint)
+                    if child is not None and child.neg_kind == NEG_ENOTDIR:
+                        kind_err = errors.ENOTDIR(path_hint)
+                    if last and intent_create:
+                        if not isinstance(kind_err, errors.ENOENT):
+                            raise kind_err
+                        if child is None:
+                            # Baseline pseudo-fs: nothing may be cached
+                            # and nothing can be created there either.
+                            raise errors.EPERM(
+                                path_hint, "create on pseudo file system")
+                        if must_dir and not create_dir:
+                            raise errors.ENOENT(path_hint)
+                        result = PathPos(pos.mount, child)
+                        self.hooks.step(ctx, name, child, result)
+                        return result
+                    if child is not None:
+                        self.hooks.negative_tail(ctx, child, comps[i + 1:],
+                                                 child.neg_kind)
+                    raise kind_err
+                if child.is_stub:
+                    self._fill_stub(pos, child)
+                if child.is_symlink and (not last or follow_last or must_dir):
+                    budget.consume(path_hint)
+                    target = child.inode.symlink_target or ""
+                    if not target:
+                        raise errors.ENOENT(path_hint,
+                                            "empty symlink target")
+                    costs.charge("symlink_resolve")
+                    bump("symlink_traverse")
+                    sub_create = intent_create and last
+                    tabs, tcomps, tmust = vfspath.split(target)
+                    if self.config.lexical_dotdot:
+                        tcomps = vfspath.lexical_normalize(tcomps)
+                    sub_start = task.root if tabs else pos
+                    self.hooks.symlink_begin(ctx, child, tabs)
+                    tpos = self._walk(task, sub_start, tcomps, target,
+                                      follow_last=True,
+                                      intent_create=sub_create,
+                                      must_dir=tmust, budget=budget,
+                                      ctx=ctx)
+                    self.hooks.symlink(ctx, child, tpos)
+                    pos = tpos
+                    continue
+                if (not last and not child.is_dir) or \
+                        (last and must_dir and not child.is_dir):
+                    # Deep ENOTDIR negatives under a regular file (§5.2).
                     self.hooks.negative_tail(ctx, child, comps[i + 1:],
-                                             child.neg_kind)
-                raise kind_err
-            if child.is_stub:
-                self._fill_stub(pos, child)
-            if child.is_symlink and (not last or follow_last or must_dir):
-                budget.consume(path_hint)
-                target = child.inode.symlink_target or ""
-                if not target:
-                    raise errors.ENOENT(path_hint, "empty symlink target")
-                costs.charge("symlink_resolve")
-                bump("symlink_traverse")
-                sub_create = intent_create and last
-                tabs, tcomps, tmust = vfspath.split(target)
-                if self.config.lexical_dotdot:
-                    tcomps = vfspath.lexical_normalize(tcomps)
-                sub_start = task.root if tabs else pos
-                self.hooks.symlink_begin(ctx, child, tabs)
-                tpos = self._walk(task, sub_start, tcomps, target,
-                                  follow_last=True,
-                                  intent_create=sub_create,
-                                  must_dir=tmust, budget=budget, ctx=ctx)
-                self.hooks.symlink(ctx, child, tpos)
-                pos = tpos
-                continue
-            if (not last and not child.is_dir) or \
-                    (last and must_dir and not child.is_dir):
-                # Deep ENOTDIR negatives under a regular file (§5.2).
-                self.hooks.negative_tail(ctx, child, comps[i + 1:],
-                                         NEG_ENOTDIR)
+                                             NEG_ENOTDIR)
+                    raise errors.ENOTDIR(path_hint)
+                pos = PathPos(pos.mount, child)
+                if child.is_mountpoint:
+                    crossed = ns.cross_down(pos)
+                    if crossed is not pos:
+                        costs.charge("mountpoint_cross")
+                        bump("mount_cross")
+                        pos = crossed
+                self.hooks.step(ctx, name, child, pos)
+            final = pos.dentry
+            if final.is_negative:
+                if final.neg_kind == NEG_ENOTDIR:
+                    raise errors.ENOTDIR(path_hint)
+                if not intent_create:
+                    raise errors.ENOENT(path_hint)
+            elif must_dir and not final.is_dir:
                 raise errors.ENOTDIR(path_hint)
-            pos = PathPos(pos.mount, child)
-            if child.is_mountpoint:
-                crossed = ns.cross_down(pos)
-                if crossed is not pos:
-                    costs.charge("mountpoint_cross")
-                    bump("mount_cross")
-                    pos = crossed
-            self.hooks.step(ctx, name, child, pos)
-        final = pos.dentry
-        if final.is_negative:
-            if final.neg_kind == NEG_ENOTDIR:
-                raise errors.ENOTDIR(path_hint)
-            if not intent_create:
-                raise errors.ENOENT(path_hint)
-        elif must_dir and not final.is_dir:
-            raise errors.ENOTDIR(path_hint)
-        return pos
+            return pos
+        finally:
+            if hits:
+                charge_run(hit if hits == 1 else hit.scaled(hits),
+                           hit_bytes)
+                bump("dcache_hit", hits)
+            if misses:
+                charge_run(miss if misses == 1 else miss.scaled(misses),
+                           miss_bytes)
+            if ups:  # two name bytes each
+                charge_run(dotdot if ups == 1 else dotdot.scaled(ups),
+                           2 * ups)
+            if lsm_checks:
+                costs.charge_in("perm", "perm_check_lsm", times=lsm_checks)
+            if hits or misses or ups:
+                bump("component_step", hits + misses + ups)
 
     # -- helpers ---------------------------------------------------------------------
 

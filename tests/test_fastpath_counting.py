@@ -15,7 +15,9 @@ from repro.core.kernel import PROFILES
 from repro.fs.netfs import ExportServer, NfsLikeFs
 from repro.fs.tmpfs import TmpFs
 from repro.sim.costs import CostModel, UNIT
+from repro.sim.stats import Stats
 from repro.vfs.lsm import SELinuxLikeLsm
+from repro.vfs.walk import MAX_SYMLINKS
 
 
 def _kernel(profile, **overrides):
@@ -39,6 +41,27 @@ def _counts_for_stat(kernel, task, path):
     kernel.costs.reset_attribution()
     kernel.sys.stat(task, path)
     return dict(kernel.costs.counts)
+
+
+_HOST_CALLS = ("charge", "charge_in", "charge_run", "bump", "bump_many")
+
+
+def _count_host_calls(monkeypatch, *classes):
+    """The list every call to a :data:`_HOST_CALLS` method of
+    ``classes`` appends its name to."""
+    calls = []
+
+    def counted(real):
+        def wrapper(self, *args, **kwargs):
+            calls.append(real.__name__)
+            return real(self, *args, **kwargs)
+        return wrapper
+
+    for cls in classes:
+        for name in _HOST_CALLS:
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    return calls
 
 
 class TestConstantWorkFastpath:
@@ -84,17 +107,7 @@ class TestConstantWorkFastpath:
     def test_host_calls_do_not_grow_with_depth(self, profile, monkeypatch):
         """§3's constant-work claim, for host cost: a plain hit reaches
         the cost model the same number of times at any depth."""
-        calls = []
-
-        def counted(real):
-            def wrapper(self, *args, **kwargs):
-                calls.append(real.__name__)
-                return real(self, *args, **kwargs)
-            return wrapper
-
-        for name in ("charge", "charge_in", "charge_run"):
-            monkeypatch.setattr(CostModel, name,
-                                counted(getattr(CostModel, name)))
+        calls = _count_host_calls(monkeypatch, CostModel)
         per_depth = {}
         for depth in (2, 6, 12):
             kernel = _kernel(profile, resolution_memo=False)
@@ -106,6 +119,30 @@ class TestConstantWorkFastpath:
             del calls[:]
             kernel.sys.stat(task, leaf)
             assert kernel.costs.count("dlht_probe") == 1
+            per_depth[depth] = sorted(calls)
+        assert per_depth[2] == per_depth[6] == per_depth[12], per_depth
+
+    @pytest.mark.parametrize("profile", ["baseline", "optimized"])
+    def test_walk_host_calls_do_not_grow_with_depth(self, profile,
+                                                    monkeypatch):
+        """A slow walk charges each component outcome once per walk: a
+        baseline ``stat``, or an eager fallback after the PCC is
+        emptied, reaches the cost model and Stats the same number of
+        times at any depth."""
+        calls = _count_host_calls(monkeypatch, CostModel, Stats)
+        per_depth = {}
+        for depth in (2, 6, 12):
+            kernel = _kernel(profile, resolution_memo=False)
+            task = kernel.spawn_task(uid=0, gid=0)
+            leaf = _deep_tree(kernel, task, depth - 1)
+            kernel.sys.stat(task, leaf)
+            kernel.sys.stat(task, leaf)
+            if task.cred.pcc is not None:
+                task.cred.pcc.invalidate_all()
+            kernel.costs.reset_attribution()
+            del calls[:]
+            kernel.sys.stat(task, leaf)
+            assert kernel.costs.count("ht_probe") == depth
             per_depth[depth] = sorted(calls)
         assert per_depth[2] == per_depth[6] == per_depth[12], per_depth
 
@@ -265,6 +302,37 @@ def _drop_then_root(kernel, root):
     return root
 
 
+def _reset_stats(kernel, root):
+    """No counters yet: a walk of no components must create none."""
+    kernel.stats.reset()
+    return root
+
+
+def _link_chain(kernel, root):
+    """``/s0 -> /s1 -> … -> /s40 -> /a/b/c/f``: one link more than a
+    resolution may follow."""
+    for i in range(MAX_SYMLINKS + 1):
+        target = f"/s{i + 1}" if i < MAX_SYMLINKS else "/a/b/c/f"
+        kernel.sys.symlink(root, target, f"/s{i}")
+    return _user(kernel)
+
+
+def _failing_lookup(kernel, root):
+    """Cold caches, and a root file system whose lookup of ``c`` fails,
+    so the walk raises after charging ``a`` and ``b``."""
+    fs = kernel.root_fs
+    real = fs.lookup
+
+    def lookup(dir_ino, name):
+        if name == "c":
+            raise errors.FsError(name, "I/O error")
+        return real(dir_ino, name)
+
+    kernel.drop_caches()
+    fs.lookup = lookup
+    return root
+
+
 #: outcome -> (who looks up, path, error expected or None).
 _OUTCOMES = {
     "dcache_hit": (lambda k, r: _user(k), "/a/b/c/f", None),
@@ -279,6 +347,10 @@ _OUTCOMES = {
     "lsm": (lambda k, r: _user(k, "webapp"), "/a/b/c/f", None),
     "lsm_denied": (lambda k, r: _user(k, "jailed"), "/a/b/c/f",
                    errors.EACCES),
+    "enotdir_tail": (lambda k, r: _user(k), "/a/b/c/f/x", errors.ENOTDIR),
+    "eloop": (_link_chain, "/s0", errors.ELOOP),
+    "fs_error": (_failing_lookup, "/a/b/c/f", errors.FsError),
+    "root": (_reset_stats, "/", None),
 }
 
 
@@ -288,7 +360,8 @@ _SCOPES = ("init", "perm", "hash", "htlookup", "miss", "lazy", "final")
 def _walk_scopes(profile, outcome):
     """UNIT nanoseconds (primitive counts plus per-byte parts) of one
     lookup ending in ``outcome``: per scope of :data:`_SCOPES`, then the
-    clock."""
+    clock, ``costs.counts`` and the Stats deltas (a counter created at
+    zero shows as ``name=0``)."""
     lsm = None
     if outcome.startswith("lsm"):
         lsm = SELinuxLikeLsm()
@@ -300,7 +373,8 @@ def _walk_scopes(profile, outcome):
     task = who(kernel, root)
     costs = kernel.costs
     costs.reset_attribution()
-    before = costs.now_ns
+    now = costs.now_ns
+    before = kernel.stats.snapshot()
     if error is None:
         kernel.sys.stat(task, path)
     else:
@@ -308,66 +382,377 @@ def _walk_scopes(profile, outcome):
             kernel.sys.stat(task, path)
     scopes = costs.by_scope
     assert set(scopes) <= set(_SCOPES)
+    deltas = " ".join(f"{name}={value - before.get(name, 0)}"
+                      for name, value in sorted(kernel.stats.snapshot().items())
+                      if before.get(name) != value)
     return tuple(int(scopes.get(name, 0)) for name in _SCOPES) \
-        + (int(costs.now_ns - before),)
+        + (int(costs.now_ns - now), _flat(costs.counts), deltas)
 
 
-#: Taken before the walk charged a component as one run.
+#: Per-scope nanoseconds and the clock taken before the walk charged a
+#: component as one run; ``counts``, the Stats deltas and the last three
+#: outcomes taken before it charged each outcome once per walk.
 _WALK_PINS = {
-    "dcache_hit": {
-        "baseline": (1, 4, 8, 20, 0, 0, 1, 36),
-        "optimized": (2, 5, 19, 22, 0, 0, 1, 55),
-        "optimized-lazy": (1, 6, 11, 2, 0, 4, 2, 29),
+    'dcache_hit': {
+        'baseline': (
+            1, 4, 8, 20, 0, 0, 1, 36,
+            'chain_compare=4 component_hash=4 ht_probe=4 lookup_final=1 '
+            'lookup_init=1 lru_touch=4 perm_check_dac=4 read_barrier=4 '
+            'seqlock_read=4 stat_fill=1 syscall_fixed=1',
+            'component_step=4 dcache_hit=4 lookup=1'),
+        'optimized': (
+            2, 5, 19, 22, 0, 0, 1, 55,
+            'chain_compare=4 component_hash=4 dlht_probe=1 fastpath_init=2 '
+            'ht_probe=4 lookup_final=1 lru_touch=4 pcc_insert=4 pcc_probe=1 '
+            'perm_check_dac=4 read_barrier=4 seqlock_read=4 sig_compare=1 '
+            'sig_hash=4 stat_fill=1 syscall_fixed=1',
+            'component_step=4 dcache_hit=4 fastpath_miss=1 lookup=1 '
+            'pcc_miss=1'),
+        'optimized-lazy': (
+            1, 6, 11, 2, 0, 4, 2, 29,
+            'dlht_probe=1 fastpath_init=1 lazy_validate=4 lookup_final=1 '
+            'mount_flag_check=1 pcc_insert=1 pcc_probe=2 perm_check_dac=4 '
+            'sig_compare=1 sig_hash=4 stat_fill=1 syscall_fixed=1',
+            'fastpath_hit=1 lazy_pcc_reprove=1 lookup=1 pcc_miss=2'),
     },
-    "fs_miss": {
-        "baseline": (1, 4, 8, 16, 52, 0, 1, 92),
-        "optimized": (2, 4, 19, 18, 52, 0, 1, 114),
-        "optimized-lazy": (2, 4, 19, 20, 52, 0, 1, 116),
+    'fs_miss': {
+        'baseline': (
+            1, 4, 8, 16, 52, 0, 1, 92,
+            'chain_compare=4 component_hash=4 dentry_alloc=4 disk_seek=2 '
+            'disk_seq_block=32 fs_dirblock_scan=4 fs_lookup_base=4 '
+            'ht_probe=4 lookup_final=1 lookup_init=1 lru_touch=4 '
+            'pagecache_hit=10 perm_check_dac=4 read_barrier=4 '
+            'seqlock_read=4 stat_fill=1 syscall_fixed=1',
+            'component_step=4 dcache_miss=4 fs_lookup=4 lookup=1'),
+        'optimized': (
+            2, 4, 19, 18, 52, 0, 1, 114,
+            'chain_compare=4 component_hash=4 dentry_alloc=4 disk_seek=2 '
+            'disk_seq_block=32 dlht_insert=4 dlht_probe=1 fastpath_init=2 '
+            'fs_dirblock_scan=4 fs_lookup_base=4 ht_probe=4 lookup_final=1 '
+            'lru_touch=4 pagecache_hit=10 pcc_insert=4 perm_check_dac=4 '
+            'read_barrier=4 seqlock_read=4 sig_compare=1 sig_hash=4 '
+            'stat_fill=1 syscall_fixed=1',
+            'component_step=4 dcache_miss=4 fastpath_miss=1 fs_lookup=4 '
+            'lookup=1'),
+        'optimized-lazy': (
+            2, 4, 19, 20, 52, 0, 1, 116,
+            'chain_compare=4 component_hash=4 dentry_alloc=4 disk_seek=2 '
+            'disk_seq_block=32 dlht_insert=4 dlht_probe=2 fastpath_init=2 '
+            'fs_dirblock_scan=4 fs_lookup_base=4 ht_probe=4 lookup_final=1 '
+            'lru_touch=4 pagecache_hit=10 pcc_insert=4 perm_check_dac=4 '
+            'read_barrier=4 seqlock_read=4 sig_compare=2 sig_hash=4 '
+            'stat_fill=1 syscall_fixed=1',
+            'component_step=4 dcache_miss=4 fastpath_miss=1 fs_lookup=4 '
+            'lookup=1'),
     },
-    "dir_complete": {
-        "baseline": (1, 4, 13, 19, 4, 0, 0, 44),
-        "optimized": (2, 4, 29, 21, 0, 0, 0, 64),
-        "optimized-lazy": (1, 6, 16, 6, 0, 3, 1, 39),
+    'dir_complete': {
+        'baseline': (
+            1, 4, 13, 19, 4, 0, 0, 44,
+            'chain_compare=4 component_hash=4 fs_dirblock_scan=1 '
+            'fs_lookup_base=1 ht_probe=4 lookup_init=1 lru_touch=4 '
+            'negative_dentry_alloc=1 pagecache_hit=2 perm_check_dac=4 '
+            'read_barrier=4 seqlock_read=4 syscall_fixed=1',
+            'component_step=4 dcache_hit=3 dcache_miss=1 fs_lookup=1 '
+            'lookup=1'),
+        'optimized': (
+            2, 4, 29, 21, 0, 0, 0, 64,
+            'chain_compare=4 component_hash=4 dlht_insert=1 dlht_probe=1 '
+            'fastpath_init=2 ht_probe=4 lru_touch=4 negative_dentry_alloc=1 '
+            'pcc_insert=4 perm_check_dac=4 read_barrier=4 seqlock_read=4 '
+            'sig_compare=1 sig_hash=4 syscall_fixed=1',
+            'component_step=4 dcache_hit=3 dir_complete_elide=1 '
+            'fastpath_miss=1 lookup=1 negative_hit=1'),
+        'optimized-lazy': (
+            1, 6, 16, 6, 0, 3, 1, 39,
+            'chain_compare=1 dlht_insert=1 dlht_probe=2 fastpath_init=1 '
+            'ht_probe=1 lazy_validate=3 lookup_final=1 lru_touch=1 '
+            'negative_dentry_alloc=1 pcc_insert=2 pcc_probe=2 '
+            'perm_check_dac=4 sig_compare=2 sig_hash=4 syscall_fixed=1',
+            'dir_complete_elide=1 fastpath_complete=1 fastpath_hit=1 '
+            'lazy_pcc_reprove=1 lookup=1 negative_hit=1 pcc_miss=2'),
     },
-    "eacces": {
-        "baseline": (1, 2, 2, 5, 0, 0, 0, 11),
-        "optimized": (2, 2, 10, 7, 0, 0, 0, 22),
-        "optimized-lazy": (2, 5, 10, 9, 0, 2, 0, 29),
+    'eacces': {
+        'baseline': (
+            1, 2, 2, 5, 0, 0, 0, 11,
+            'chain_compare=1 component_hash=1 ht_probe=1 lookup_init=1 '
+            'lru_touch=1 perm_check_dac=2 read_barrier=1 seqlock_read=1 '
+            'syscall_fixed=1',
+            'component_step=1 dcache_hit=1 lookup=1'),
+        'optimized': (
+            2, 2, 10, 7, 0, 0, 0, 22,
+            'chain_compare=1 component_hash=1 dlht_probe=1 fastpath_init=2 '
+            'ht_probe=1 lru_touch=1 perm_check_dac=2 read_barrier=1 '
+            'seqlock_read=1 sig_compare=1 sig_hash=3 syscall_fixed=1',
+            'component_step=1 dcache_hit=1 fastpath_miss=1 lookup=1'),
+        'optimized-lazy': (
+            2, 5, 10, 9, 0, 2, 0, 29,
+            'chain_compare=1 component_hash=1 dlht_probe=2 fastpath_init=2 '
+            'ht_probe=1 lazy_validate=2 lru_touch=1 pcc_probe=2 '
+            'perm_check_dac=3 read_barrier=1 seqlock_read=1 sig_compare=2 '
+            'sig_hash=3 syscall_fixed=1',
+            'component_step=1 dcache_hit=1 fastpath_miss=1 lookup=1 '
+            'pcc_miss=2'),
     },
-    "dotdot": {
-        "baseline": (1, 6, 13, 27, 0, 0, 1, 50),
-        "optimized": (2, 7, 27, 29, 0, 0, 1, 74),
-        "optimized-lazy": (1, 10, 14, 4, 0, 5, 2, 40),
+    'dotdot': {
+        'baseline': (
+            1, 6, 13, 27, 0, 0, 1, 50,
+            'chain_compare=5 component_hash=6 ht_probe=5 lookup_final=1 '
+            'lookup_init=1 lru_touch=5 perm_check_dac=6 read_barrier=6 '
+            'seqlock_read=6 stat_fill=1 syscall_fixed=1',
+            'component_step=6 dcache_hit=5 lookup=1'),
+        'optimized': (
+            2, 7, 27, 29, 0, 0, 1, 74,
+            'chain_compare=5 component_hash=6 dlht_probe=1 fastpath_init=2 '
+            'ht_probe=5 lookup_final=1 lru_touch=5 pcc_insert=6 pcc_probe=1 '
+            'perm_check_dac=6 read_barrier=6 seqlock_read=6 sig_compare=1 '
+            'sig_hash=5 stat_fill=1 syscall_fixed=1',
+            'component_step=6 dcache_hit=5 fastpath_miss=1 lookup=1 '
+            'pcc_miss=1'),
+        'optimized-lazy': (
+            1, 10, 14, 4, 0, 5, 2, 40,
+            'dlht_probe=2 dotdot_extra_lookup=1 fastpath_init=1 '
+            'lazy_validate=5 lookup_final=1 mount_flag_check=1 pcc_insert=1 '
+            'pcc_probe=5 perm_check_dac=5 sig_compare=2 sig_hash=5 '
+            'stat_fill=1 syscall_fixed=1',
+            'fastpath_hit=1 lazy_pcc_reprove=1 lookup=1 pcc_miss=5'),
     },
-    "abs_symlink": {
-        "baseline": (1, 5, 12, 25, 0, 0, 1, 47),
-        "optimized": (2, 5, 31, 27, 0, 0, 1, 78),
-        "optimized-lazy": (2, 5, 31, 29, 0, 0, 1, 80),
+    'abs_symlink': {
+        'baseline': (
+            1, 5, 12, 25, 0, 0, 1, 47,
+            'chain_compare=5 component_hash=5 ht_probe=5 lookup_final=1 '
+            'lookup_init=1 lru_touch=5 perm_check_dac=5 read_barrier=5 '
+            'seqlock_read=5 stat_fill=1 symlink_resolve=1 syscall_fixed=1',
+            'component_step=5 dcache_hit=5 lookup=1 symlink_traverse=1'),
+        'optimized': (
+            2, 5, 31, 27, 0, 0, 1, 78,
+            'chain_compare=5 component_hash=5 dlht_insert=1 dlht_probe=1 '
+            'fastpath_init=2 ht_probe=5 lookup_final=1 lru_touch=6 '
+            'negative_dentry_alloc=1 pcc_insert=6 perm_check_dac=5 '
+            'read_barrier=5 seqlock_read=5 sig_compare=1 sig_hash=6 '
+            'stat_fill=1 symlink_resolve=1 syscall_fixed=1',
+            'component_step=5 dcache_hit=5 fastpath_miss=1 lookup=1 '
+            'symlink_traverse=1'),
+        'optimized-lazy': (
+            2, 5, 31, 29, 0, 0, 1, 80,
+            'chain_compare=5 component_hash=5 dlht_insert=1 dlht_probe=2 '
+            'fastpath_init=2 ht_probe=5 lookup_final=1 lru_touch=6 '
+            'negative_dentry_alloc=1 pcc_insert=6 perm_check_dac=5 '
+            'read_barrier=5 seqlock_read=5 sig_compare=2 sig_hash=6 '
+            'stat_fill=1 symlink_resolve=1 syscall_fixed=1',
+            'component_step=5 dcache_hit=5 fastpath_miss=1 lookup=1 '
+            'symlink_traverse=1'),
     },
-    "rel_symlink": {
-        "baseline": (1, 5, 12, 25, 0, 0, 1, 47),
-        "optimized": (2, 5, 31, 27, 0, 0, 1, 78),
-        "optimized-lazy": (2, 5, 31, 29, 0, 0, 1, 80),
+    'rel_symlink': {
+        'baseline': (
+            1, 5, 12, 25, 0, 0, 1, 47,
+            'chain_compare=5 component_hash=5 ht_probe=5 lookup_final=1 '
+            'lookup_init=1 lru_touch=5 perm_check_dac=5 read_barrier=5 '
+            'seqlock_read=5 stat_fill=1 symlink_resolve=1 syscall_fixed=1',
+            'component_step=5 dcache_hit=5 lookup=1 symlink_traverse=1'),
+        'optimized': (
+            2, 5, 31, 27, 0, 0, 1, 78,
+            'chain_compare=5 component_hash=5 dlht_insert=1 dlht_probe=1 '
+            'fastpath_init=2 ht_probe=5 lookup_final=1 lru_touch=6 '
+            'negative_dentry_alloc=1 pcc_insert=6 perm_check_dac=5 '
+            'read_barrier=5 seqlock_read=5 sig_compare=1 sig_hash=6 '
+            'stat_fill=1 symlink_resolve=1 syscall_fixed=1',
+            'component_step=5 dcache_hit=5 fastpath_miss=1 lookup=1 '
+            'symlink_traverse=1'),
+        'optimized-lazy': (
+            2, 5, 31, 29, 0, 0, 1, 80,
+            'chain_compare=5 component_hash=5 dlht_insert=1 dlht_probe=2 '
+            'fastpath_init=2 ht_probe=5 lookup_final=1 lru_touch=6 '
+            'negative_dentry_alloc=1 pcc_insert=6 perm_check_dac=5 '
+            'read_barrier=5 seqlock_read=5 sig_compare=2 sig_hash=6 '
+            'stat_fill=1 symlink_resolve=1 syscall_fixed=1',
+            'component_step=5 dcache_hit=5 fastpath_miss=1 lookup=1 '
+            'symlink_traverse=1'),
     },
-    "mount": {
-        "baseline": (1, 3, 8, 15, 0, 0, 1, 31),
-        "optimized": (2, 4, 18, 17, 0, 0, 1, 48),
-        "optimized-lazy": (2, 5, 18, 19, 0, 0, 1, 53),
+    'mount': {
+        'baseline': (
+            1, 3, 8, 15, 0, 0, 1, 31,
+            'chain_compare=3 component_hash=3 ht_probe=3 lookup_final=1 '
+            'lookup_init=1 lru_touch=3 mountpoint_cross=1 perm_check_dac=3 '
+            'read_barrier=3 seqlock_read=3 stat_fill=1 syscall_fixed=1',
+            'component_step=3 dcache_hit=3 lookup=1 mount_cross=1'),
+        'optimized': (
+            2, 4, 18, 17, 0, 0, 1, 48,
+            'chain_compare=3 component_hash=3 dlht_probe=1 fastpath_init=2 '
+            'ht_probe=3 lookup_final=1 lru_touch=3 mountpoint_cross=1 '
+            'pcc_insert=3 pcc_probe=1 perm_check_dac=3 read_barrier=3 '
+            'seqlock_read=3 sig_compare=1 sig_hash=3 stat_fill=1 '
+            'syscall_fixed=1',
+            'component_step=3 dcache_hit=3 fastpath_miss=1 lookup=1 '
+            'mount_cross=1 pcc_miss=1'),
+        'optimized-lazy': (
+            2, 5, 18, 19, 0, 0, 1, 53,
+            'chain_compare=3 component_hash=3 dlht_insert=2 dlht_probe=2 '
+            'fastpath_init=2 ht_probe=3 lookup_final=1 lru_touch=3 '
+            'mountpoint_cross=1 pcc_insert=3 pcc_probe=2 perm_check_dac=3 '
+            'read_barrier=3 seqlock_read=3 sig_compare=2 sig_hash=3 '
+            'stat_fill=1 syscall_fixed=1',
+            'component_step=3 dcache_hit=3 fastpath_miss=1 lazy_evict=2 '
+            'lookup=1 mount_cross=1 pcc_miss=2'),
     },
-    "revalidate": {
-        "baseline": (1, 3, 8, 15, 360004, 0, 1, 360035),
-        "optimized": (2, 3, 18, 17, 360004, 0, 1, 360048),
-        "optimized-lazy": (2, 3, 18, 19, 360004, 0, 1, 360050),
+    'revalidate': {
+        'baseline': (
+            1, 3, 8, 15, 360004, 0, 1, 360035,
+            'chain_compare=3 component_hash=3 fs_lookup_base=4 ht_probe=3 '
+            'lookup_final=1 lookup_init=1 lru_touch=3 mountpoint_cross=1 '
+            'perm_check_dac=3 read_barrier=3 seqlock_read=3 stat_fill=1 '
+            'syscall_fixed=1',
+            'component_step=3 dcache_hit=3 lookup=1 mount_cross=1 '
+            'revalidate=2'),
+        'optimized': (
+            2, 3, 18, 17, 360004, 0, 1, 360048,
+            'chain_compare=3 component_hash=3 dlht_probe=1 fastpath_init=2 '
+            'fs_lookup_base=4 ht_probe=3 lookup_final=1 lru_touch=3 '
+            'mountpoint_cross=1 perm_check_dac=3 read_barrier=3 '
+            'seqlock_read=3 sig_compare=1 sig_hash=3 stat_fill=1 '
+            'syscall_fixed=1',
+            'component_step=3 dcache_hit=3 fastpath_miss=1 lookup=1 '
+            'mount_cross=1 revalidate=2'),
+        'optimized-lazy': (
+            2, 3, 18, 19, 360004, 0, 1, 360050,
+            'chain_compare=3 component_hash=3 dlht_probe=2 fastpath_init=2 '
+            'fs_lookup_base=4 ht_probe=3 lookup_final=1 lru_touch=3 '
+            'mountpoint_cross=1 perm_check_dac=3 read_barrier=3 '
+            'seqlock_read=3 sig_compare=2 sig_hash=3 stat_fill=1 '
+            'syscall_fixed=1',
+            'component_step=3 dcache_hit=3 fastpath_miss=1 lookup=1 '
+            'mount_cross=1 revalidate=2'),
     },
-    "lsm": {
-        "baseline": (1, 8, 8, 20, 0, 0, 1, 40),
-        "optimized": (2, 9, 19, 22, 0, 0, 1, 59),
-        "optimized-lazy": (1, 10, 11, 2, 0, 4, 2, 33),
+    'lsm': {
+        'baseline': (
+            1, 8, 8, 20, 0, 0, 1, 40,
+            'chain_compare=4 component_hash=4 ht_probe=4 lookup_final=1 '
+            'lookup_init=1 lru_touch=4 perm_check_dac=4 perm_check_lsm=4 '
+            'read_barrier=4 seqlock_read=4 stat_fill=1 syscall_fixed=1',
+            'component_step=4 dcache_hit=4 lookup=1'),
+        'optimized': (
+            2, 9, 19, 22, 0, 0, 1, 59,
+            'chain_compare=4 component_hash=4 dlht_probe=1 fastpath_init=2 '
+            'ht_probe=4 lookup_final=1 lru_touch=4 pcc_insert=4 pcc_probe=1 '
+            'perm_check_dac=4 perm_check_lsm=4 read_barrier=4 '
+            'seqlock_read=4 sig_compare=1 sig_hash=4 stat_fill=1 '
+            'syscall_fixed=1',
+            'component_step=4 dcache_hit=4 fastpath_miss=1 lookup=1 '
+            'pcc_miss=1'),
+        'optimized-lazy': (
+            1, 10, 11, 2, 0, 4, 2, 33,
+            'dlht_probe=1 fastpath_init=1 lazy_validate=4 lookup_final=1 '
+            'mount_flag_check=1 pcc_insert=1 pcc_probe=2 perm_check_dac=4 '
+            'perm_check_lsm=4 sig_compare=1 sig_hash=4 stat_fill=1 '
+            'syscall_fixed=1',
+            'fastpath_hit=1 lazy_pcc_reprove=1 lookup=1 pcc_miss=2'),
     },
-    "lsm_denied": {
-        "baseline": (1, 2, 0, 0, 0, 0, 0, 4),
-        "optimized": (2, 3, 11, 2, 0, 0, 0, 19),
-        "optimized-lazy": (2, 6, 11, 2, 0, 4, 0, 26),
+    'lsm_denied': {
+        'baseline': (
+            1, 2, 0, 0, 0, 0, 0, 4,
+            'lookup_init=1 perm_check_dac=1 perm_check_lsm=1 '
+            'syscall_fixed=1',
+            'lookup=1'),
+        'optimized': (
+            2, 3, 11, 2, 0, 0, 0, 19,
+            'dlht_probe=1 fastpath_init=2 pcc_probe=1 perm_check_dac=1 '
+            'perm_check_lsm=1 sig_compare=1 sig_hash=4 syscall_fixed=1',
+            'fastpath_miss=1 lookup=1 pcc_miss=1'),
+        'optimized-lazy': (
+            2, 6, 11, 2, 0, 4, 0, 26,
+            'dlht_probe=1 fastpath_init=2 lazy_validate=4 pcc_probe=2 '
+            'perm_check_dac=2 perm_check_lsm=2 sig_compare=1 sig_hash=4 '
+            'syscall_fixed=1',
+            'fastpath_miss=1 lookup=1 pcc_miss=2'),
+    },
+    'enotdir_tail': {
+        'baseline': (
+            1, 4, 8, 20, 0, 0, 0, 34,
+            'chain_compare=4 component_hash=4 ht_probe=4 lookup_init=1 '
+            'lru_touch=4 perm_check_dac=4 read_barrier=4 seqlock_read=4 '
+            'syscall_fixed=1',
+            'component_step=4 dcache_hit=4 lookup=1'),
+        'optimized': (
+            2, 4, 22, 22, 0, 0, 0, 59,
+            'chain_compare=4 component_hash=4 dlht_insert=1 dlht_probe=1 '
+            'fastpath_init=2 ht_probe=4 lru_touch=5 negative_dentry_alloc=1 '
+            'pcc_insert=5 perm_check_dac=4 read_barrier=4 seqlock_read=4 '
+            'sig_compare=1 sig_hash=5 syscall_fixed=1',
+            'component_step=4 dcache_hit=4 deep_negative_chain=1 '
+            'fastpath_miss=1 lookup=1'),
+        'optimized-lazy': (
+            2, 4, 22, 24, 0, 0, 0, 61,
+            'chain_compare=4 component_hash=4 dlht_insert=1 dlht_probe=2 '
+            'fastpath_init=2 ht_probe=4 lru_touch=5 negative_dentry_alloc=1 '
+            'pcc_insert=5 perm_check_dac=4 read_barrier=4 seqlock_read=4 '
+            'sig_compare=2 sig_hash=5 syscall_fixed=1',
+            'component_step=4 dcache_hit=4 deep_negative_chain=1 '
+            'fastpath_miss=1 lookup=1'),
+    },
+    'eloop': {
+        'baseline': (
+            1, 41, 154, 205, 0, 0, 0, 442,
+            'chain_compare=41 component_hash=41 ht_probe=41 lookup_init=1 '
+            'lru_touch=41 perm_check_dac=41 read_barrier=41 seqlock_read=41 '
+            'symlink_resolve=40 syscall_fixed=1',
+            'component_step=41 dcache_hit=41 lookup=1 symlink_traverse=40'),
+        'optimized': (
+            2, 42, 157, 207, 0, 0, 0, 449,
+            'chain_compare=41 component_hash=41 dlht_probe=1 '
+            'fastpath_init=2 ht_probe=41 lru_touch=41 pcc_probe=1 '
+            'perm_check_dac=41 read_barrier=41 seqlock_read=41 '
+            'sig_compare=1 sig_hash=1 symlink_resolve=40 syscall_fixed=1',
+            'component_step=41 dcache_hit=41 fastpath_miss=1 lookup=1 '
+            'pcc_miss=1 symlink_traverse=40'),
+        'optimized-lazy': (
+            2, 44, 157, 207, 0, 1, 0, 453,
+            'chain_compare=41 component_hash=41 dlht_probe=1 '
+            'fastpath_init=2 ht_probe=41 lazy_validate=1 lru_touch=41 '
+            'pcc_insert=1 pcc_probe=2 perm_check_dac=42 read_barrier=41 '
+            'seqlock_read=41 sig_compare=1 sig_hash=1 symlink_resolve=40 '
+            'syscall_fixed=1',
+            'component_step=41 dcache_hit=41 fastpath_miss=1 '
+            'lazy_pcc_reprove=1 lookup=1 pcc_miss=2 symlink_traverse=40'),
+    },
+    'fs_error': {
+        'baseline': (
+            1, 3, 6, 12, 42, 0, 0, 69,
+            'chain_compare=3 component_hash=3 dentry_alloc=2 disk_seek=2 '
+            'disk_seq_block=32 fs_dirblock_scan=2 fs_lookup_base=2 '
+            'ht_probe=3 lookup_init=1 lru_touch=2 pagecache_hit=4 '
+            'perm_check_dac=3 read_barrier=3 seqlock_read=3 syscall_fixed=1',
+            'component_step=3 dcache_miss=3 fs_lookup=3 lookup=1'),
+        'optimized': (
+            2, 3, 17, 14, 42, 0, 0, 83,
+            'chain_compare=3 component_hash=3 dentry_alloc=2 disk_seek=2 '
+            'disk_seq_block=32 dlht_probe=1 fastpath_init=2 '
+            'fs_dirblock_scan=2 fs_lookup_base=2 ht_probe=3 lru_touch=2 '
+            'pagecache_hit=4 perm_check_dac=3 read_barrier=3 seqlock_read=3 '
+            'sig_compare=1 sig_hash=4 syscall_fixed=1',
+            'component_step=3 dcache_miss=3 fastpath_miss=1 fs_lookup=3 '
+            'lookup=1'),
+        'optimized-lazy': (
+            2, 3, 17, 16, 42, 0, 0, 85,
+            'chain_compare=3 component_hash=3 dentry_alloc=2 disk_seek=2 '
+            'disk_seq_block=32 dlht_probe=2 fastpath_init=2 '
+            'fs_dirblock_scan=2 fs_lookup_base=2 ht_probe=3 lru_touch=2 '
+            'pagecache_hit=4 perm_check_dac=3 read_barrier=3 seqlock_read=3 '
+            'sig_compare=2 sig_hash=4 syscall_fixed=1',
+            'component_step=3 dcache_miss=3 fastpath_miss=1 fs_lookup=3 '
+            'lookup=1'),
+    },
+    'root': {
+        'baseline': (
+            1, 0, 0, 0, 0, 0, 1, 4,
+            'lookup_final=1 lookup_init=1 stat_fill=1 syscall_fixed=1',
+            'lookup=1'),
+        'optimized': (
+            1, 0, 0, 0, 0, 0, 1, 4,
+            'fastpath_init=1 lookup_final=1 stat_fill=1 syscall_fixed=1',
+            'fastpath_hit=1 lookup=1'),
+        'optimized-lazy': (
+            1, 0, 0, 0, 0, 0, 1, 4,
+            'fastpath_init=1 lookup_final=1 stat_fill=1 syscall_fixed=1',
+            'fastpath_hit=1 lookup=1'),
     },
 }
 

@@ -67,6 +67,22 @@ class TestSplit:
         with pytest.raises(errors.EINVAL):
             vfspath.split(bad)
 
+    def test_memo_stays_bounded_and_exact(self, monkeypatch):
+        """After three memos' worth of distinct paths the parse memo
+        holds at most its cap, and a memoized parse equals a fresh one."""
+        cache = {}
+        monkeypatch.setattr(vfspath, "_split_cache", cache)
+        paths = [f"/d{i % 97}/./f{i}/" if i % 2 else f"a//b{i}/.."
+                 for i in range(3 * vfspath._SPLIT_CACHE_CAP)]
+        for path in paths:
+            vfspath.split(path)
+        assert len(cache) <= vfspath._SPLIT_CACHE_CAP
+        sample = paths[:50] + paths[-50:]
+        assert any(path in cache for path in sample)
+        memoized = [vfspath.split(path) for path in sample]
+        monkeypatch.setattr(vfspath, "_split_cache", {})
+        assert [vfspath.split(path) for path in sample] == memoized
+
 
 class TestLexicalNormalize:
     def test_folds_dotdot(self):

@@ -204,6 +204,33 @@ class TestChargeRun:
         assert by_run.vector == by_member.vector
         assert by_run.vector.ticks == by_member.vector.ticks
 
+    @given(st.data())
+    def test_scaled_run_equals_k_charge_ins_per_member(self, data):
+        """``charge_run(run.scaled(k), nbytes)``: ``k`` ``charge_in`` per
+        member, plus the bytes on the byte member — for ``k = 1`` and a
+        drawn ``k``, with or without a per-byte member."""
+        members = data.draw(_MEMBERS)
+        per_byte = data.draw(st.one_of(
+            st.none(), st.sampled_from([p for _s, p in members])))
+        nbytes = data.draw(st.integers(0, 200)) if per_byte else 0
+        for k in (1, data.draw(st.integers(2, 40))):
+            one, other = CostModel(), CostModel()
+            with Recording(one, Stats()) as by_member:
+                for _ in range(k):
+                    for scope, primitive in members:
+                        one.charge_in(scope, primitive)
+                if nbytes:  # on the first member charging ``per_byte``
+                    byte_scope = next(s for s, p in members if p == per_byte)
+                    one.charge_in(byte_scope, per_byte, times=0,
+                                  nbytes=nbytes)
+            run = other.run(members, per_byte)
+            with Recording(other, Stats()) as by_run:
+                other.charge_run(run.scaled(k), nbytes)
+            assert run.scaled(k) is run.scaled(k)
+            assert _state(other) == _state(one)
+            assert by_run.vector == by_member.vector
+            assert by_run.vector.ticks == by_member.vector.ticks
+
     def test_unknown_member_and_foreign_per_byte_are_errors(self):
         costs = CostModel()
         with pytest.raises(KeyError):
