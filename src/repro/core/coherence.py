@@ -338,8 +338,6 @@ class FastDcacheHooks(DcacheHooks):
             if fast.dlht is not None:
                 fast.dlht.remove(dentry)
 
-    on_evict = on_unhash
-
     def on_make_negative(self, dentry: Dentry) -> None:
         # A positive dentry turning negative keeps its DLHT entry (the
         # path now resolves to cached nonexistence) but loses children:

@@ -324,7 +324,7 @@ class FastLookup(WalkHooks):
         result = found
         target = found.alias_target
         usable = not target.dead if target is not None \
-            else found.inode is not None or found.stub is None  # not a stub
+            else not found.is_stub
         folded = usable and self._admit(ns, pcc, found, sig) is not None
         if not folded:
             self.costs.charge_run(self._pair)
@@ -339,18 +339,15 @@ class FastLookup(WalkHooks):
             if verdict is None or verdict is RETRY:
                 return self._unfold(folded)
             result = target
-        ino = result.inode
-        if ino is not None and ino.is_symlink and (follow_last or must_dir):
+        if result.is_symlink and (follow_last or must_dir):
             resolved = self._follow_cached_link(task, pcc, result)
             if resolved is None:
                 return self._unfold(folded)
             result = resolved
-            ino = result.inode
         if self.config.force_fastpath_miss:
             # Fig 6 worst case: full fastpath work, forced fallback.
             return self._unfold(folded)
-        if ino is None and result.stub is None \
-                and result.alias_target is None:  # negative hit
+        if result.is_negative:
             return self._negative_hit(result, path_hint, folded,
                                       must_dir=must_dir,
                                       intent_create=intent_create,
@@ -510,22 +507,18 @@ class FastLookup(WalkHooks):
         return _WalkCtx(task, self.coherence.counter, pcc_ok, anchor,
                         start.mount, prehashed)
 
-    def step(self, ctx, name: str, child: Dentry, result: PathPos) -> None:
-        if ctx is None:
-            return
-        target = result.dentry
+    def step(self, ctx, name: str, dentry: Dentry, mount) -> None:
         state = ctx.anchor_state
         if state is not None and ctx.prehashed:  # _extend, inline when free
             ctx.prehashed -= 1
             state = ctx.anchor_state = self.hasher.extend(state, name)
         elif state is not None:
             state = ctx.anchor_state = self._extend(ctx, state, name)
-        ctx.pending.append((target, state, result.mount))
+        ctx.pending.append((dentry, state, mount))
         if ctx.alias_head is not None and ctx.alias_state is not None:
             ctx.alias_state = self._extend(ctx, ctx.alias_state, name)
-            ctx.pending_alias.append((name, target, ctx.alias_state,
-                                      result.mount))
-        ctx.cur_mount = result.mount
+            ctx.pending_alias.append((name, dentry, ctx.alias_state, mount))
+        ctx.cur_mount = mount
 
     def dotdot(self, ctx, result: PathPos) -> None:
         if ctx is None:
@@ -680,6 +673,7 @@ class FastLookup(WalkHooks):
                 child = self.dcache.d_alloc_alias(cur, name, target)
             elif child.is_alias:
                 child.alias_target = target
+                child.set_kind()
             else:
                 return
             self._populate(dlht, pcc, child, state, mount, epoch)

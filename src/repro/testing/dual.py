@@ -150,6 +150,8 @@ def _check_kernel_invariants(kernel: Kernel) -> None:
     """Cache-structure invariants from the paper's design.
 
     * parent-in-cache: every cached dentry's parent chain is cached;
+    * every cached dentry's kind fields match ``inode`` / ``stub`` /
+      ``alias_target`` (``Dentry.derive_kind``);
     * DLHT entries point at live dentries registered back to the table;
     * a DIR_COMPLETE directory's positive children exactly match the
       low-level file system's listing.
@@ -164,6 +166,9 @@ def _check_kernel_invariants(kernel: Kernel) -> None:
                     f"broken parent link at {name!r}"
                 assert not child.dead, f"dead dentry {name!r} still linked"
                 stack.append(child)
+            assert (dentry.is_negative, dentry.is_stub, dentry.is_alias,
+                    dentry.is_dir, dentry.is_symlink) \
+                == dentry.derive_kind(), f"stale kind fields on {dentry!r}"
             if dentry.dir_complete and dentry.inode is not None:
                 fs_names = {name for name, _ino, _dt
                             in dentry.inode.fs.readdir(dentry.inode.ino)}

@@ -81,9 +81,9 @@ class RaceInjector(WalkHooks):
         self._maybe_fire()
         return self.inner.begin(task, start, absolute, prehashed)
 
-    def step(self, ctx, name, child, result):
+    def step(self, ctx, name, dentry, mount):
         self._maybe_fire()
-        self.inner.step(ctx, name, child, result)
+        self.inner.step(ctx, name, dentry, mount)
 
     def dotdot(self, ctx, result):
         self._maybe_fire()

@@ -117,9 +117,9 @@ class _YieldingHooks(WalkHooks):
         self._pause()
         return self.inner.begin(task, start, absolute, prehashed)
 
-    def step(self, ctx, name, child, result):
+    def step(self, ctx, name, dentry, mount):
         self._pause()
-        self.inner.step(ctx, name, child, result)
+        self.inner.step(ctx, name, dentry, mount)
 
     def dotdot(self, ctx, result):
         self._pause()

@@ -35,11 +35,9 @@ class DcacheHooks:
 
     __slots__ = ()
 
-    def on_evict(self, dentry: Dentry) -> None:
-        """Called just before ``dentry`` is removed to reclaim space."""
-
     def on_unhash(self, dentry: Dentry) -> None:
-        """Called when a dentry leaves the primary hash table."""
+        """Called when a dentry leaves the primary hash table (dropped or
+        evicted)."""
 
     def on_make_negative(self, dentry: Dentry) -> None:
         """Called when a positive dentry becomes negative."""
@@ -132,10 +130,11 @@ class Dcache:
         dentry = parent.children.get(name)
         rec = self.costs.recorder
         if dentry is not None:
-            lru = self._lru
-            lru[id(dentry)] = dentry
-            lru.move_to_end(id(dentry))
-            dentry.in_lru = True
+            if dentry.in_lru:
+                self._lru.move_to_end(id(dentry))
+            else:
+                self._lru[id(dentry)] = dentry
+                dentry.in_lru = True
             if rec is not None:
                 rec.lru.append(dentry)
         elif rec is not None:
@@ -180,6 +179,7 @@ class Dcache:
         dentry = self.d_alloc(parent, name, None)
         dentry.neg_kind = None
         dentry.stub = (ino, dtype)
+        dentry.set_kind()
         return dentry
 
     def d_alloc_alias(self, parent: Dentry, name: str,
@@ -192,6 +192,7 @@ class Dcache:
         dentry = self.d_alloc(parent, name, None)
         dentry.neg_kind = None
         dentry.alias_target = target
+        dentry.set_kind()
         return dentry
 
     def d_drop(self, dentry: Dentry) -> None:
@@ -218,6 +219,7 @@ class Dcache:
         """Turn a positive/stub dentry into a negative one in place."""
         dentry.inode = None
         dentry.stub = None
+        dentry.set_kind()
         dentry.neg_kind = kind
         dentry.dir_complete = False
         # No memo invalidation needed: entries depending on this dentry
@@ -229,6 +231,7 @@ class Dcache:
         """Instantiate an inode on a negative/stub dentry in place."""
         dentry.inode = inode
         dentry.stub = None
+        dentry.set_kind()
         dentry.neg_kind = None
         # Covered by memo inode-identity pins / terminal signatures,
         # exactly as in make_negative above.
@@ -297,7 +300,6 @@ class Dcache:
         """Evict one leaf dentry to reclaim space."""
         parent = dentry.parent
         assert parent is not None
-        self.hooks.on_evict(dentry)
         # Eviction (unlike unlink) breaks the parent's completeness: the
         # cache no longer holds everything the directory contains (§5.1).
         if parent.dir_complete:

@@ -31,6 +31,7 @@ class Dentry:
         "name", "parent", "inode", "neg_kind", "stub", "children",
         "pin_count", "dir_complete", "child_evictions", "seq", "epoch",
         "fast", "alias_target", "is_mountpoint", "in_lru", "dead",
+        "is_negative", "is_stub", "is_alias", "is_dir", "is_symlink",
     )
 
     def __init__(self, name: str, parent: Optional["Dentry"],
@@ -67,38 +68,28 @@ class Dentry:
         self.in_lru = False
         #: Set when freed; PCC entries referencing it must not validate.
         self.dead = False
+        self.set_kind()
 
     # -- state predicates ------------------------------------------------------
 
-    @property
-    def is_negative(self) -> bool:
-        """Caches nonexistence (stubs and aliases are *not* negative)."""
-        return (self.inode is None and self.stub is None
-                and self.alias_target is None)
-
-    @property
-    def is_stub(self) -> bool:
-        return self.inode is None and self.stub is not None
-
-    @property
-    def is_true_negative(self) -> bool:
-        return self.is_negative
-
-    @property
-    def is_alias(self) -> bool:
-        return self.alias_target is not None
-
-    @property
-    def is_dir(self) -> bool:
-        if self.inode is not None:
-            return self.inode.is_dir
+    def derive_kind(self) -> Tuple[bool, bool, bool, bool, bool]:
+        """(is_negative, is_stub, is_alias, is_dir, is_symlink) as they
+        follow from ``inode`` / ``stub`` / ``alias_target``.  Negative
+        caches nonexistence: stubs and aliases are *not* negative."""
+        inode = self.inode
+        is_alias = self.alias_target is not None
+        if inode is not None:
+            return False, False, is_alias, inode.is_dir, inode.is_symlink
         if self.stub is not None:
-            return self.stub[1] == DT_DIR
-        return False
+            return False, True, is_alias, self.stub[1] == DT_DIR, False
+        return not is_alias, False, is_alias, False, False
 
-    @property
-    def is_symlink(self) -> bool:
-        return self.inode is not None and self.inode.is_symlink
+    def set_kind(self) -> None:
+        """Store :meth:`derive_kind` in the kind fields, which the walk
+        reads per component; call after assigning any of its inputs (an
+        inode's type never changes, ``Inode.apply``)."""
+        (self.is_negative, self.is_stub, self.is_alias, self.is_dir,
+         self.is_symlink) = self.derive_kind()
 
     # -- pinning -----------------------------------------------------------------
 

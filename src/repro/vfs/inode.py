@@ -37,12 +37,9 @@ class Inode:
         self.security: Optional[str] = None
         #: Bumped on any permission-relevant change; read by tests.
         self.seq = 0
-        self._refresh_type()
-
-    def _refresh_type(self) -> None:
-        # ``mode`` changes only through __init__/apply, so the derived
-        # type predicates are cached attributes, not per-access
-        # recomputation (is_dir runs several times per walked component).
+        # The type is fixed for the inode's life (``apply``), so the
+        # derived type predicates are cached attributes, not per-access
+        # recomputation (positive dentries copy them, ``Dentry.set_kind``).
         self.filetype = mode_filetype(self.mode)
         self.is_dir = self.filetype == DT_DIR
         self.is_symlink = self.filetype == DT_LNK
@@ -54,7 +51,16 @@ class Inode:
     # -- refresh ----------------------------------------------------------------
 
     def apply(self, info: NodeInfo) -> None:
-        """Refresh cached metadata from the low-level FS."""
+        """Refresh cached metadata from the low-level FS.
+
+        Raises ``RuntimeError`` if the file type would change: dentries
+        cache it, so a file system that reuses an inode number for
+        another type must have the stale inode forgotten first
+        (``InodeTable.forget``).
+        """
+        if mode_filetype(info.mode) != self.filetype:
+            raise RuntimeError(f"{self!r} cannot become "
+                               f"{mode_filetype(info.mode)}")
         self.mode = info.mode
         self.uid = info.uid
         self.gid = info.gid
@@ -63,7 +69,6 @@ class Inode:
         self.symlink_target = info.symlink_target
         self.mtime_ns = info.mtime_ns
         self.seq += 1
-        self._refresh_type()
 
     def __repr__(self) -> str:
         return (f"Inode({self.fs.fstype}:{self.ino} {self.filetype} "

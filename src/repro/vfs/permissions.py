@@ -43,8 +43,19 @@ def dac_permission(cred: Cred, inode: Inode, mask: int) -> bool:
 
 
 def may_search(cred: Cred, inode: Inode) -> bool:
-    """Search permission on a directory (the prefix-check primitive)."""
-    return dac_permission(cred, inode, MAY_EXEC)
+    """Search permission on a directory (the prefix-check primitive):
+    ``dac_permission(cred, inode, MAY_EXEC)`` in one call, since the walk
+    asks it once per component."""
+    mode = inode.mode
+    uid = cred.uid
+    if uid == 0:
+        return inode.is_dir or bool(mode & 0o111)
+    if uid == inode.uid:
+        return bool(mode & 0o100)
+    gid = inode.gid
+    if gid == cred.gid or gid in cred.groups:  # Cred.in_group
+        return bool(mode & 0o010)
+    return bool(mode & 0o001)
 
 
 def owner_or_root(cred: Cred, inode: Inode) -> bool:

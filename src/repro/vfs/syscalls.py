@@ -239,10 +239,9 @@ class Syscalls:
             # concurrent unlink): the call linearizes after the removal.
             raise errors.ENOENT(message="file removed during stat")
         self.costs.charge("stat_fill")
-        return StatResult(ino=inode.ino, mode=inode.mode, uid=inode.uid,
-                          gid=inode.gid, nlink=inode.nlink, size=inode.size,
-                          filetype=inode.filetype, fstype=inode.fs.fstype,
-                          mtime_ns=inode.mtime_ns)
+        return StatResult(inode.ino, inode.mode, inode.uid, inode.gid,
+                          inode.nlink, inode.size, inode.filetype,
+                          inode.fs.fstype, inode.mtime_ns)
 
     def stat(self, task: Task, path: str) -> StatResult:
         """stat(2): resolve (following symlinks) and report metadata."""

@@ -14,6 +14,13 @@ per outcome — denied, ``..``, dcache hit or miss — charged when the walk
 exits, scaled by how often the outcome occurred (``ChargeRun.scaled``).
 Only a denial, after which the walk raises, is charged on the spot.
 
+Host cost per component is two calls, matching the model's search check
+and table probe: ``perms.may_search`` and ``Dcache.probe``.  The
+dentry's kind is read from fields (``Dentry.set_kind``), the position
+stays in ``(mount, cur)`` locals, and a ``PathPos`` is built only where
+one leaves the frame: a ``..`` hop, a relative symlink's start, a
+mountpoint crossing and the return.
+
 The optimized kernel observes the walk through the ``fast`` hook object (a
 :class:`repro.core.fastpath.FastLookup`); the hooks are documented on
 :class:`WalkHooks`.  The baseline kernel passes ``fast=None``.
@@ -62,8 +69,10 @@ class WalkHooks:
     def begin(self, task: Task, start: PathPos, absolute: bool, prehashed=0):
         return None
 
-    def step(self, ctx, name: str, child: Dentry, result: PathPos) -> None:
-        """A component resolved to ``child`` (post mount-crossing)."""
+    def step(self, ctx, name: str, dentry: Dentry, mount) -> None:
+        """A component resolved to ``(mount, dentry)``, after any
+        mountpoint crossing.  Called only when :meth:`begin` returned a
+        ``ctx``, so the baseline walk pays nothing per component."""
 
     def dotdot(self, ctx, result: PathPos) -> None:
         """A ``..`` moved the walk to ``result``."""
@@ -177,14 +186,16 @@ class SlowWalk:
               path_hint: str, *, follow_last: bool, intent_create: bool,
               must_dir: bool, budget: _LinkBudget, ctx,
               create_dir: bool = False) -> PathPos:
-        pos = start
+        mount, cur = start  # a PathPos only where one leaves this frame
         ns = task.ns
         cred = task.cred
         total = len(comps)
         costs = self.costs
         charge_run = costs.charge_run
         probe = self.dcache.probe
+        may_search = perms.may_search
         bump = self.stats.bump
+        hooks = self.hooks
         lsm = None if isinstance(self.lsm, NullLsm) else self.lsm
         denied, dotdot, hit, miss = self._runs
         # Outcome tallies of this frame, charged when it exits.
@@ -192,7 +203,6 @@ class SlowWalk:
         try:
             for i, name in enumerate(comps):
                 last = i == total - 1
-                cur = pos.dentry
                 if cur.is_negative:
                     raise errors.ENOENT(path_hint,
                                         "start directory is gone")
@@ -201,7 +211,7 @@ class SlowWalk:
                 # The prefix check, then a tally of the component's
                 # outcome (a denial raises, so it is charged here).
                 inode = cur.inode
-                allowed = perms.may_search(cred, inode)
+                allowed = may_search(cred, inode)
                 if allowed and lsm is not None:
                     lsm_checks += 1
                     allowed = lsm.inode_permission(cred, inode,
@@ -211,8 +221,10 @@ class SlowWalk:
                     raise errors.EACCES(path_hint)
                 if name == "..":
                     ups += 1
-                    pos = ns.cross_down(ns.parent_pos(pos, task.root))
-                    self.hooks.dotdot(ctx, pos)
+                    pos = ns.cross_down(ns.parent_pos(PathPos(mount, cur),
+                                                      task.root))
+                    mount, cur = pos
+                    hooks.dotdot(ctx, pos)
                     continue
                 child = probe(cur, name)
                 from_cache = True
@@ -246,15 +258,15 @@ class SlowWalk:
                                 path_hint, "create on pseudo file system")
                         if must_dir and not create_dir:
                             raise errors.ENOENT(path_hint)
-                        result = PathPos(pos.mount, child)
-                        self.hooks.step(ctx, name, child, result)
-                        return result
+                        if ctx is not None:
+                            hooks.step(ctx, name, child, mount)
+                        return PathPos(mount, child)
                     if child is not None:
-                        self.hooks.negative_tail(ctx, child, comps[i + 1:],
-                                                 child.neg_kind)
+                        hooks.negative_tail(ctx, child, comps[i + 1:],
+                                            child.neg_kind)
                     raise kind_err
                 if child.is_stub:
-                    self._fill_stub(pos, child)
+                    self._fill_stub(mount, child)
                 if child.is_symlink and (not last or follow_last or must_dir):
                     budget.consume(path_hint)
                     target = child.inode.symlink_target or ""
@@ -267,39 +279,41 @@ class SlowWalk:
                     tabs, tcomps, tmust = vfspath.split(target)
                     if self.config.lexical_dotdot:
                         tcomps = vfspath.lexical_normalize(tcomps)
-                    sub_start = task.root if tabs else pos
-                    self.hooks.symlink_begin(ctx, child, tabs)
+                    sub_start = task.root if tabs else PathPos(mount, cur)
+                    hooks.symlink_begin(ctx, child, tabs)
                     tpos = self._walk(task, sub_start, tcomps, target,
                                       follow_last=True,
                                       intent_create=sub_create,
                                       must_dir=tmust, budget=budget,
                                       ctx=ctx)
-                    self.hooks.symlink(ctx, child, tpos)
-                    pos = tpos
+                    hooks.symlink(ctx, child, tpos)
+                    mount, cur = tpos
                     continue
-                if (not last and not child.is_dir) or \
-                        (last and must_dir and not child.is_dir):
+                if not child.is_dir and (not last or must_dir):
                     # Deep ENOTDIR negatives under a regular file (§5.2).
-                    self.hooks.negative_tail(ctx, child, comps[i + 1:],
-                                             NEG_ENOTDIR)
+                    hooks.negative_tail(ctx, child, comps[i + 1:],
+                                        NEG_ENOTDIR)
                     raise errors.ENOTDIR(path_hint)
-                pos = PathPos(pos.mount, child)
                 if child.is_mountpoint:
-                    crossed = ns.cross_down(pos)
-                    if crossed is not pos:
+                    here = PathPos(mount, child)
+                    crossed = ns.cross_down(here)
+                    if crossed is not here:
                         costs.charge("mountpoint_cross")
                         bump("mount_cross")
-                        pos = crossed
-                self.hooks.step(ctx, name, child, pos)
-            final = pos.dentry
-            if final.is_negative:
-                if final.neg_kind == NEG_ENOTDIR:
+                        mount, child = crossed
+                cur = child
+                if ctx is not None:
+                    hooks.step(ctx, name, cur, mount)
+            if cur.is_negative:
+                if cur.neg_kind == NEG_ENOTDIR:
                     raise errors.ENOTDIR(path_hint)
                 if not intent_create:
                     raise errors.ENOENT(path_hint)
-            elif must_dir and not final.is_dir:
+            elif must_dir and not cur.is_dir:
                 raise errors.ENOTDIR(path_hint)
-            return pos
+            if cur is start.dentry and mount is start.mount:
+                return start
+            return PathPos(mount, cur)
         finally:
             if hits:
                 charge_run(hit if hits == 1 else hit.scaled(hits),
@@ -355,10 +369,10 @@ class SlowWalk:
             inode.apply(info)
         return child
 
-    def _fill_stub(self, pos: PathPos, child: Dentry) -> None:
+    def _fill_stub(self, mount, child: Dentry) -> None:
         """Link a readdir-created stub dentry with its inode (§5.1)."""
         assert child.stub is not None
-        fs = pos.mount.fs
+        fs = mount.fs
         self.stats.bump("stub_fill")
         with self.costs.scope("miss"):
             info = fs.getattr(child.stub[0])

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import errors, make_kernel
+from repro.fs.base import S_IFDIR, S_IFLNK, S_IFREG, NodeInfo
 from repro.fs.tmpfs import TmpFs
 from repro.sim.costs import CostModel, UNIT
 from repro.vfs.cred import Cred, commit_creds, prepare_creds
 from repro.vfs.inode import Inode
 from repro.vfs.lsm import PathPrefixLsm, SELinuxLikeLsm
 from repro.vfs.permissions import (MAY_EXEC, MAY_READ, MAY_WRITE,
-                                   dac_permission, owner_or_root,
-                                   sticky_delete_allowed)
+                                   dac_permission, may_search,
+                                   owner_or_root, sticky_delete_allowed)
+
+_FS = TmpFs(CostModel(dict(UNIT)))
 
 
 def _inode(mode, uid=0, gid=0):
@@ -71,6 +76,24 @@ class TestDacPermission:
         assert dac_permission(Cred(5, 5), inode, MAY_READ | MAY_EXEC)
         assert not dac_permission(Cred(5, 5), inode,
                                   MAY_READ | MAY_WRITE)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ftype=st.sampled_from((S_IFDIR, S_IFREG, S_IFLNK)),
+           perm=st.integers(0, 0o7777),
+           owner=st.integers(1, 3), group=st.integers(1, 3),
+           uid=st.integers(0, 3), gid=st.integers(1, 3),
+           groups=st.frozensets(st.integers(1, 3), max_size=2))
+    def test_may_search_is_dac_exec(self, ftype, perm, owner, group, uid,
+                                    gid, groups):
+        """The walk's one-call search check answers exactly what the
+        general check does for MAY_EXEC: root or not, and owner, group,
+        supplementary-group or other class, on every inode type."""
+        target = "t" if ftype == S_IFLNK else None
+        inode = Inode(_FS, NodeInfo(2, ftype | perm, owner, group, 1, 0,
+                                    target))
+        cred = Cred(uid, gid, groups)
+        assert may_search(cred, inode) \
+            is dac_permission(cred, inode, MAY_EXEC)
 
 
 class TestOwnershipHelpers:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.fs.base import DT_DIR, DT_LNK, DT_REG, S_IFDIR
 from repro.fs.tmpfs import TmpFs
 from repro.sim.costs import CostModel, UNIT
 from repro.sim.stats import Stats
@@ -76,7 +81,7 @@ class TestHashTable:
         _c, _s, fs, dcache = env
         root = dcache.root_dentry(fs)
         neg = dcache.d_alloc(root, "ghost", None)
-        assert neg.is_negative and neg.is_true_negative
+        assert neg.is_negative
         assert neg.neg_kind == NEG_ENOENT
 
     def test_charges_probe_costs(self, env):
@@ -108,7 +113,7 @@ class TestNegativityTransitions:
         _c, _s, fs, dcache = env
         root = dcache.root_dentry(fs)
         stub = dcache.d_alloc_stub(root, "s", 42, "reg")
-        assert stub.is_stub and not stub.is_true_negative
+        assert stub.is_stub and not stub.is_negative
         assert stub.stub == (42, "reg")
 
     def test_enotdir_kind(self, env):
@@ -274,3 +279,71 @@ class TestInodeTable:
         seq = inode.seq
         inode.apply(fs.setattr(info.ino, mode=0o600))
         assert inode.seq == seq + 1 and inode.perm_bits == 0o600
+
+    def test_apply_refuses_a_type_change(self, env):
+        """Positive dentries cache their inode's type, so it is fixed."""
+        _c, _s, fs, dcache = env
+        info = fs.create(fs.root_ino, "f", 0o644, 0, 0)
+        inode = dcache.inode_table(fs).obtain(info)
+        with pytest.raises(RuntimeError):
+            inode.apply(dataclasses.replace(info, mode=S_IFDIR | 0o755))
+        assert inode.filetype == DT_REG and not inode.is_dir
+        assert inode.mode == info.mode and inode.seq == 0
+
+
+def _expected_kind(dentry):
+    """The kind fields, derived from scratch."""
+    inode, stub, target = dentry.inode, dentry.stub, dentry.alias_target
+    return (inode is None and stub is None and target is None,
+            inode is None and stub is not None,
+            target is not None,
+            inode.is_dir if inode is not None
+            else stub is not None and stub[1] == DT_DIR,
+            inode is not None and inode.is_symlink)
+
+
+_NAMES = st.sampled_from("abc")
+_KINDS = st.sampled_from((None, DT_DIR, DT_REG, DT_LNK))
+_KIND_OPS = st.lists(st.one_of(
+    st.tuples(st.just("alloc"), _NAMES, _KINDS),
+    st.tuples(st.just("stub"), _NAMES, st.sampled_from((DT_DIR, DT_REG))),
+    st.tuples(st.just("alias"), _NAMES, _NAMES),
+    st.tuples(st.just("negative"), _NAMES),
+    st.tuples(st.just("positive"), _NAMES, _KINDS.filter(bool)),
+), max_size=25)
+
+
+class TestKindFields:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_KIND_OPS)
+    def test_fields_follow_every_transition(self, ops):
+        """Each dcache operation that assigns ``inode`` / ``stub`` /
+        ``alias_target`` leaves the five kind fields derived from them."""
+        costs = CostModel(dict(UNIT))
+        fs = TmpFs(costs)
+        dcache = Dcache(costs, Stats(), capacity=100)
+        root = dcache.root_dentry(fs)
+        table = dcache.inode_table(fs)
+        inodes = {
+            DT_DIR: table.obtain(fs.mkdir(fs.root_ino, "d", 0o755, 0, 0)),
+            DT_REG: table.obtain(fs.create(fs.root_ino, "f", 0o644, 0, 0)),
+            DT_LNK: table.obtain(fs.symlink(fs.root_ino, "l", "f", 0, 0)),
+        }
+        for op, name, *args in ops:
+            child = root.children.get(name)
+            if op == "alloc" and child is None:
+                dcache.d_alloc(root, name, inodes.get(args[0]))
+            elif op == "stub" and child is None:
+                dcache.d_alloc_stub(root, name, 7, args[0])
+            elif op == "alias" and child is None:
+                dcache.d_alloc_alias(root, name, root.children.get(args[0])
+                                     or root)
+            elif op == "negative" and child is not None:
+                dcache.make_negative(child)
+            elif op == "positive" and child is not None:
+                dcache.make_positive(child, inodes[args[0]])
+            for dentry in (root, *root.descendants()):
+                assert (dentry.is_negative, dentry.is_stub, dentry.is_alias,
+                        dentry.is_dir, dentry.is_symlink) \
+                    == _expected_kind(dentry) == dentry.derive_kind(), \
+                    (op, dentry)

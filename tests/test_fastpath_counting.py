@@ -8,6 +8,8 @@ path depth, while the baseline's grow linearly.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro import O_CREAT, O_RDWR, errors, make_kernel
@@ -145,6 +147,41 @@ class TestConstantWorkFastpath:
             assert kernel.costs.count("ht_probe") == depth
             per_depth[depth] = sorted(calls)
         assert per_depth[2] == per_depth[6] == per_depth[12], per_depth
+
+    @pytest.mark.parametrize("profile, per_component",
+                             [("baseline", 2), ("optimized", 8)])
+    def test_walk_python_calls_per_component(self, profile, per_component):
+        """A walked component costs what the model charges, two calls:
+        the search check and the table probe (``Dcache.probe``).  Kind
+        predicates, ``PathPos`` building and a no-op step hook would
+        each add one.  An eager fallback adds the population hook and
+        its hashing on top."""
+        per_depth = {}
+        for depth in (2, 6, 12):
+            kernel = _kernel(profile, resolution_memo=False)
+            task = kernel.spawn_task(uid=0, gid=0)
+            leaf = _deep_tree(kernel, task, depth - 1)
+            kernel.sys.stat(task, leaf)
+            kernel.sys.stat(task, leaf)
+            if task.cred.pcc is not None:
+                task.cred.pcc.invalidate_all()
+            kernel.costs.reset_attribution()
+            calls = []
+
+            def profiler(frame, event, arg):
+                if event == "call":
+                    calls.append(frame.f_code.co_name)
+            previous = sys.getprofile()
+            sys.setprofile(profiler)
+            try:
+                kernel.sys.stat(task, leaf)
+            finally:
+                sys.setprofile(previous)
+            assert kernel.costs.count("ht_probe") == depth
+            per_depth[depth] = len(calls)
+        for shallow, deep in ((2, 6), (6, 12)):
+            assert per_depth[deep] - per_depth[shallow] \
+                <= per_component * (deep - shallow), per_depth
 
 
 class TestFastpathFallbacks:
