@@ -83,8 +83,8 @@ def rootward(ns, mount, dentry):
 
 
 class Coherence:
-    """What both policies share: cache and mount registries, the
-    invalidation counter, and seqcount wraparound."""
+    """What both policies share: the cache registry, the invalidation
+    counter, and seqcount wraparound."""
 
     #: Whether DLHTs keep a dentry's old-path keys beside its primary
     #: registration (mutations that do not evict leave them behind).
@@ -110,11 +110,6 @@ class Coherence:
         #: discarded namespaces or dead credentials alive forever).
         self._pcc_refs: List = []
         self._dlht_refs: List = []
-        #: id(mountpoint dentry) -> mounted root dentries (a multiset:
-        #: cloned namespaces register the same pair again).  Shootdowns
-        #: descend through mountpoints so a permission change above a
-        #: mount invalidates the memoized prefix checks inside it.
-        self._mounts_on: dict = {}
 
     def bind(self, hasher, slow) -> None:
         """Meet the lookup engine's path hasher and slowpath walker
@@ -151,25 +146,6 @@ class Coherence:
     def dlhts(self) -> List:
         """Every live DLHT (dead ones are pruned as a side effect)."""
         return self._live(self._dlht_refs)
-
-    # -- mount registry ---------------------------------------------------------
-
-    def register_mount(self, mountpoint: Dentry, root: Dentry) -> None:
-        self._mounts_on.setdefault(id(mountpoint), []).append(root)
-
-    def unregister_mount(self, mountpoint: Dentry, root: Dentry) -> None:
-        roots = self._mounts_on.get(id(mountpoint))
-        if not roots:
-            return
-        # Match by identity: dentries are compared as tree nodes, and an
-        # equality scan could drop a different namespace's registration
-        # of the same (mountpoint, root) pair.
-        for i, candidate in enumerate(roots):
-            if candidate is root:
-                del roots[i]
-                break
-        if not roots:
-            del self._mounts_on[id(mountpoint)]
 
     # -- counter ---------------------------------------------------------------
 
@@ -242,8 +218,9 @@ class EagerCoherence(Coherence):
         """Invalidate a dentry and all cached descendants.
 
         Walks the cached subtree — cost linear in its size (§3.2) —
-        descending through mountpoints so a prefix check memoized for a
-        path that crosses a mount below the changed directory dies too.
+        descending through mountpoints (``Dentry.mounted_roots``, every
+        namespace's mounts) so a prefix check memoized for a path that
+        crosses a mount below the changed directory dies too.
 
         The global counter bump is skipped when the walk found no cached
         fastpath state to invalidate *and* no slowpath walk is in flight
@@ -256,7 +233,6 @@ class EagerCoherence(Coherence):
         # same order), then shoot it down in one column-bound bulk pass.
         found_fast = 0
         visited = set()
-        mounts = self._mounts_on
         stack = [dentry]
         frontier: List[Dentry] = []
         append = frontier.append
@@ -270,9 +246,7 @@ class EagerCoherence(Coherence):
                 found_fast += 1
             append(current)
             stack.extend(current.children.values())
-            roots = mounts.get(ident)
-            if roots:
-                stack.extend(roots)
+            stack.extend(current.mounted_roots)
         self._invalidate_bulk(frontier)
         if found_fast == 0 and self.walks_active == 0:
             self.stats.bump("counter_bump_elided")

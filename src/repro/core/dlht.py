@@ -19,11 +19,15 @@ signatures.  The registration recorded on the fast dentry stays the
 *primary* one (matching ``hash_state``); older keys move to
 ``fast.extra_keys`` and are settled — promoted or discarded — by
 touch-time revalidation and the background sweep.
+
+A key is the :class:`Signature` itself: a NamedTuple hashes and compares
+as its ``(index, bits)`` tuple, so one object is both what a probe asks
+for and what a registration stores.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.fastdentry import fast_of
 from repro.core.signatures import Signature
@@ -38,8 +42,8 @@ PROBE_CHARGES = (("htlookup", "dlht_probe"), ("htlookup", "sig_compare"))
 class DirectLookupHashTable:
     """One namespace's signature -> dentry index."""
 
-    __slots__ = ("costs", "stats", "multi_key", "extra_key_count",
-                 "owner_ns", "_table", "_probe", "__weakref__")
+    __slots__ = ("costs", "stats", "multi_key", "owner_ns", "_table",
+                 "_probe", "__weakref__")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  multi_key: bool = False):
@@ -47,17 +51,11 @@ class DirectLookupHashTable:
         self.stats = stats
         #: Lazy mode: keep old-path registrations alongside the primary.
         self.multi_key = multi_key
-        #: Live non-primary keys (for honest memory accounting).
-        self.extra_key_count = 0
         #: Weakref to the owning namespace (set by the kernel); the lazy
         #: sweep needs it to re-derive canonical paths.
         self.owner_ns = None
-        self._table: Dict[Tuple[int, int], Dentry] = {}
+        self._table: Dict[Signature, Dentry] = {}
         self._probe = costs.run(PROBE_CHARGES)
-
-    @staticmethod
-    def _key(signature: Signature) -> Tuple[int, int]:
-        return (signature.index, signature.bits)
 
     def probe(self, signature: Signature) -> Optional[Dentry]:
         """Look up a signature: bucket fetch + signature compare, charged
@@ -67,9 +65,6 @@ class DirectLookupHashTable:
 
     def lookup(self, signature: Signature) -> Optional[Dentry]:
         """:meth:`probe` uncharged (the caller charges ``PROBE_CHARGES``)."""
-        # A Signature is a NamedTuple, so it hashes and compares as the
-        # plain ``(index, bits)`` tuple ``_key`` produces — probe with it
-        # directly and skip one tuple allocation on the hottest probe.
         dentry = self._table.get(signature)
         rec = self.costs.recorder
         if rec is not None:
@@ -81,10 +76,10 @@ class DirectLookupHashTable:
                 # ... and on its probe misses: registering this
                 # signature later must invalidate the recording
                 # (ResolutionMemo.kill_miss, from insert()).
-                rec.misses.append((self, self._key(signature)))
+                rec.misses.append((self, signature))
         return dentry
 
-    def peek(self, key: Tuple[int, int]) -> Optional[Dentry]:
+    def peek(self, key: Signature) -> Optional[Dentry]:
         """Uncharged raw-key access (sweep / introspection only)."""
         return self._table.get(key)
 
@@ -102,13 +97,12 @@ class DirectLookupHashTable:
         registration in *this* table becomes an extra key instead; a
         registration in another namespace's table is still dropped.
         """
-        key = self._key(signature)
-        current = self._table.get(key)
+        current = self._table.get(signature)
         fast = fast_of(dentry)
         if current is dentry:
-            if fast.dlht is self and fast.dlht_key != key:
+            if fast.dlht is self and fast.dlht_key != signature:
                 # Re-registering under an extra key: promote it.
-                self._promote(fast, key, signature)
+                self._promote(fast, signature)
             return True
         if current is not None and not current.dead:
             return False
@@ -120,26 +114,22 @@ class DirectLookupHashTable:
                         fast.extra_keys = [old_key]
                     else:
                         fast.extra_keys.append(old_key)
-                    self.extra_key_count += 1
             else:
                 fast.dlht.remove(dentry)
         self.costs.charge("dlht_insert")
-        self._table[key] = dentry
+        self._table[signature] = dentry
         # A recorded probe miss is a conclusion too.
-        self.costs.memo.kill_miss(self, key)
+        self.costs.memo.kill_miss(self, signature)
         fast.dlht = self
-        fast.dlht_key = key
-        fast.signature = signature
+        fast.dlht_key = signature
         return True
 
-    def _promote(self, fast, key: Tuple[int, int],
-                 signature: Signature) -> None:
+    def _promote(self, fast, key: Signature) -> None:
         """Make an existing extra key the dentry's primary registration."""
         old_key = fast.dlht_key
         extras = fast.extra_keys
         if extras is not None and key in extras:
             extras.remove(key)
-            self.extra_key_count -= 1
             if not extras:
                 # Normalize: an emptied shadow list is dead weight for
                 # every later check.
@@ -150,9 +140,7 @@ class DirectLookupHashTable:
                 fast.extra_keys = [old_key]
             else:
                 fast.extra_keys.append(old_key)
-            self.extra_key_count += 1
         fast.dlht_key = key
-        fast.signature = signature
 
     def remove(self, dentry: Dentry) -> None:
         """Drop a dentry's registration — all of its keys (no-op if absent)."""
@@ -166,12 +154,11 @@ class DirectLookupHashTable:
             for key in fast.extra_keys:
                 if self._table.get(key) is dentry:
                     del self._table[key]
-                self.extra_key_count -= 1
             fast.extra_keys = None
         fast.dlht = None
         fast.dlht_key = None
 
-    def discard_key(self, dentry: Dentry, key: Tuple[int, int]) -> None:
+    def discard_key(self, dentry: Dentry, key: Signature) -> None:
         """Drop one stale key of a dentry (lazy touch-time eviction).
 
         Discarding the primary key leaves the dentry registered only
@@ -187,13 +174,11 @@ class DirectLookupHashTable:
         extras = fast.extra_keys
         if extras is not None and key in extras:
             extras.remove(key)
-            self.extra_key_count -= 1
             if not extras:
                 fast.extra_keys = None
             return
         if fast.dlht_key == key:
             fast.dlht_key = None
-            fast.signature = None
             fast.hash_state = None
             if not fast.extra_keys:
                 fast.dlht = None

@@ -200,7 +200,7 @@ class EpochCoherence(Coherence):
             if cur is not dentry:
                 if skip_perm:
                     skip_perm = False
-                elif cur.is_mountpoint \
+                elif cur.mounted_roots \
                         and mount_at(cur_mount, cur) is not None:
                     return None  # a mount now shadows this prefix
                 elif _plain_dir(cur):
@@ -240,7 +240,7 @@ class EpochCoherence(Coherence):
             if cur.epoch > high:
                 high = cur.epoch
             if cur is not dentry:
-                if cur.is_mountpoint \
+                if cur.mounted_roots \
                         and mount_at(anchor_mount, cur) is not None:
                     return False  # a mount now shadows this prefix
                 if _plain_dir(cur):
@@ -278,7 +278,7 @@ class EpochCoherence(Coherence):
         state = self._hash_names(names)
         self.costs.charge("sig_compare")
         fsig = self.hasher.finish(state)
-        if (fsig.index, fsig.bits) != key:
+        if fsig != key:
             return False
         dentry.fast.hash_state = state
         dlht.insert(dentry, fsig)
@@ -304,11 +304,10 @@ class EpochCoherence(Coherence):
         if fast is None or fast.dlht is not dlht or fast.mount is None:
             return None
         if sig is None:
-            sig = fast.signature
+            sig = fast.dlht_key
             if sig is None:
                 return None
-        key = (sig.index, sig.bits)
-        primary = fast.dlht_key == key
+        primary = fast.dlht_key == sig
         gepoch = self.epoch
         # The O(1) accept/reject is one integer compare on state the
         # probe already loaded; only chain nodes get charged below.
@@ -317,7 +316,7 @@ class EpochCoherence(Coherence):
                 # The primary registration is provably current, so any
                 # other key names a path this dentry no longer lives at:
                 # discard it without walking the chain.
-                return self._evict(dlht, dentry, key)
+                return self._evict(dlht, dentry, sig)
             if pcc.probe(dentry, fast.epoch_snapshot):
                 return fast.epoch_snapshot
             # Prefix check missing or epoch-stale: fall through to the
@@ -330,7 +329,7 @@ class EpochCoherence(Coherence):
             if rev is False:
                 # The hit's tree position provably diverges from the
                 # probed components: the key is stale, no rehash needed.
-                return self._evict(dlht, dentry, key)
+                return self._evict(dlht, dentry, sig)
         if rev is not None:
             # The probed components are exactly the hit's canonical tail
             # below the validated anchor: adopt the probe's hash state
@@ -347,21 +346,21 @@ class EpochCoherence(Coherence):
         else:
             chain = self._chain(ns, dentry)
             if chain is None:
-                return self._evict(dlht, dentry, key)
+                return self._evict(dlht, dentry, sig)
             names, perm_nodes, high, reverify_ok = chain
             if not primary or fast.hash_state is None \
                     or fast.epoch_snapshot < high:
                 # The registration under this key predates a mutation on
                 # the chain: recompute the canonical hash and compare.
-                if not self._rehash(dlht, dentry, key, names):
-                    return self._evict(dlht, dentry, key)
+                if not self._rehash(dlht, dentry, sig, names):
+                    return self._evict(dlht, dentry, sig)
                 self.stats.bump("lazy_refresh")
         fast.epoch_snapshot = gepoch
-        if dentry.is_mountpoint \
+        if dentry.mounted_roots \
                 and ns.mount_at(fast.mount, dentry) is not None:
             # The path is right but now resolves into a mounted fs; the
             # slowpath will repopulate the key with the mounted root.
-            return self._evict(dlht, dentry, key)
+            return self._evict(dlht, dentry, sig)
         if pcc.probe(dentry, high):
             return high
         if not reverify_ok:

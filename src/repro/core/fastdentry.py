@@ -5,9 +5,9 @@ populated on a fastpath structure.  It records:
 
 * the resumable hash state of the dentry's canonical path (so relative
   lookups can resume hashing from here),
-* the finished signature and which DLHT (namespace) the dentry is
-  registered in — a dentry lives in at most one DLHT under one path at a
-  time (§4.3),
+* the finished signature (its DLHT key) and which DLHT (namespace) the
+  dentry is registered in — a dentry lives in at most one DLHT under one
+  path at a time (§4.3),
 * the mount the path was resolved under, so a fastpath hit can perform
   mount-flag checks without a tree walk.
 
@@ -18,7 +18,7 @@ state here.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.signatures import Signature, SigState
 from repro.vfs.dentry import Dentry
@@ -28,18 +28,17 @@ from repro.vfs.mount import Mount
 class FastDentry:
     """Optimized-kernel state attached to a dentry."""
 
-    __slots__ = ("hash_state", "signature", "dlht", "dlht_key", "mount",
+    __slots__ = ("hash_state", "dlht", "dlht_key", "mount",
                  "link_target_state", "epoch_snapshot", "extra_keys")
 
     def __init__(self) -> None:
         #: Resumable hash state of the canonical path, or None when stale.
         self.hash_state: Optional[SigState] = None
-        #: Finished signature under which the dentry sits in a DLHT.
-        self.signature: Optional[Signature] = None
         #: The DLHT instance the dentry is registered in (at most one).
         self.dlht = None
-        #: Exact key in that DLHT (so removal is O(1)).
-        self.dlht_key: Optional[Tuple[int, int]] = None
+        #: The finished signature it is registered under there: the
+        #: primary key (so removal is O(1)).
+        self.dlht_key: Optional[Signature] = None
         #: Mount the cached path resolves under (mount-flag checks, §4.3).
         self.mount: Optional[Mount] = None
         #: For symlink dentries: hash state of the resolved target path,
@@ -61,7 +60,7 @@ class FastDentry:
         self.extra_keys: Optional[list] = None
 
     def invalidate(self) -> None:
-        """Drop path-derived state (signature stays until DLHT removal)."""
+        """Drop path-derived state (the key stays until DLHT removal)."""
         self.hash_state = None
         self.link_target_state = None
 

@@ -185,8 +185,7 @@ class FastLookup(WalkHooks):
             if self.config.pcc_adaptive:
                 from repro.core.pcc import AdaptivePrefixCheckCache
                 cred.pcc = AdaptivePrefixCheckCache(
-                    self.costs, self.stats, self.config.pcc_capacity,
-                    max_capacity=self.config.pcc_max_capacity)
+                    self.costs, self.stats, self.config.pcc_capacity)
             else:
                 cred.pcc = PrefixCheckCache(self.costs, self.stats,
                                             self.config.pcc_capacity)
@@ -430,7 +429,7 @@ class FastLookup(WalkHooks):
             return None
         parent, parent_mount, pcc_ok = vouched
         last = comps[-1]
-        if parent.is_mountpoint \
+        if parent.mounted_roots \
                 and ns.mount_at(parent_mount, parent) is not None:
             return None  # path continues inside the mounted fs
         if parent.inode is None:
@@ -453,7 +452,7 @@ class FastLookup(WalkHooks):
             if child.dead or child.is_stub or child.is_alias \
                     or child.is_symlink:
                 return None
-            if child.is_mountpoint \
+            if child.mounted_roots \
                     and ns.mount_at(parent_mount, child) is not None:
                 return None
             self.stats.bump("dcache_hit")

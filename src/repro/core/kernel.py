@@ -82,7 +82,6 @@ class DcacheConfig:
     force_fastpath_miss: bool = False
     pcc_capacity: int = DEFAULT_CAPACITY
     pcc_adaptive: bool = False
-    pcc_max_capacity: int = 16 * DEFAULT_CAPACITY
     signature_scheme: str = "universal"
     signature_bits: int = 240
     index_bits: int = 16
@@ -191,10 +190,6 @@ class Kernel:
     def new_namespace_for(self, task: Task) -> MountNamespace:
         """Clone the task's namespace (unshare), with its own DLHT."""
         ns = task.ns.clone()
-        for mount in ns.mounts:
-            if mount.mountpoint is not None:
-                self.coherence.register_mount(mount.mountpoint,
-                                              mount.root_dentry)
         if self.config.fastpath:
             self._install_dlht(ns)
         return ns

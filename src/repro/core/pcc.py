@@ -136,7 +136,8 @@ class AdaptivePrefixCheckCache(PrefixCheckCache):
     appropriate policy ... for future work."  The policy here is simple
     and conservative: when the cache is full and has missed more than
     half its capacity since the last resize — the signature of a working
-    set larger than the cache — double the capacity, up to a hard cap.
+    set larger than the cache — double the capacity, up to a hard cap
+    (16 × the default capacity; tests pass a smaller ``max_capacity``).
     """
 
     __slots__ = ("max_capacity", "_misses_since_resize")

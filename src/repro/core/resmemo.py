@@ -418,7 +418,6 @@ class ResolutionMemo:
             dkey = id(dentry)
             lru[dkey] = dentry
             lru.move_to_end(dkey)
-            dentry.in_lru = True
         for pcc, dentry, epoch in entry.pcc_touches:
             if epoch is not None:
                 pcc.store(dentry, epoch)

@@ -180,52 +180,23 @@ class PathHasher:
         return result
 
     def _extend_uncached(self, state: SigState, component: str) -> SigState:
-        entry = self._contrib.get(component)
-        if entry is None:
-            entry = self._contribution(component)
-        c1, c2, s1, s2, m, nchars = entry
+        c1, c2, s1, s2, m, nchars = self._contribution(component)
         h1, h2, length = state
         if length == 0:
-            if m < _POW_TABLE_SIZE:
-                h1 = (h1 * self._pow1[m] + c1) % _P1
-                h2 = (h2 * self._pow2[m] + c2) % _P2
-            else:
-                h1 = (h1 * pow(self.r1, m, _P1) + c1) % _P1
-                h2 = (h2 * pow(self.r2, m, _P2) + c2) % _P2
-            return SigState(h1, h2, nchars)
-        k = m + 1
-        if k < _POW_TABLE_SIZE:
-            h1 = (h1 * self._pow1[k] + s1) % _P1
-            h2 = (h2 * self._pow2[k] + s2) % _P2
+            k, a1, a2, length = m, c1, c2, nchars
         else:
-            h1 = (h1 * pow(self.r1, k, _P1) + s1) % _P1
-            h2 = (h2 * pow(self.r2, k, _P2) + s2) % _P2
-        return SigState(h1, h2, length + nchars + 1)
+            k, a1, a2, length = m + 1, s1, s2, length + nchars + 1
+        if k < _POW_TABLE_SIZE:
+            p1, p2 = self._pow1[k], self._pow2[k]
+        else:
+            p1, p2 = pow(self.r1, k, _P1), pow(self.r2, k, _P2)
+        return SigState((h1 * p1 + a1) % _P1, (h2 * p2 + a2) % _P2, length)
 
     def extend_components(self, state: SigState, components) -> SigState:
-        """Resume ``state`` over many components in O(components) time."""
-        contrib = self._contrib
-        contribution = self._contribution
-        pow1, pow2 = self._pow1, self._pow2
-        h1, h2, length = state
+        """Resume ``state`` over many components, one :meth:`extend` each."""
         for component in components:
-            entry = contrib.get(component)
-            if entry is None:
-                entry = contribution(component)
-            c1, c2, s1, s2, m, nchars = entry
-            if length == 0:
-                k, a1, a2 = m, c1, c2
-                length = nchars
-            else:
-                k, a1, a2 = m + 1, s1, s2
-                length += nchars + 1
-            if k < _POW_TABLE_SIZE:
-                h1 = (h1 * pow1[k] + a1) % _P1
-                h2 = (h2 * pow2[k] + a2) % _P2
-            else:
-                h1 = (h1 * pow(self.r1, k, _P1) + a1) % _P1
-                h2 = (h2 * pow(self.r2, k, _P2) + a2) % _P2
-        return SigState(h1, h2, length)
+            state = self.extend(state, component)
+        return state
 
     def finish(self, state: SigState) -> Signature:
         """Produce the (index, signature) pair for a finished path."""

@@ -104,7 +104,10 @@ def measure_kernel(kernel) -> MemoryReport:
     pccs = kernel.coherence.pccs
     pcc_bytes = sum(pcc.capacity * PCC_ENTRY_BYTES for pcc in pccs)
     dlhts = kernel.coherence.dlhts
-    extra_keys = sum(dlht.extra_key_count for dlht in dlhts)
+    # A table key that is not its dentry's primary registration is an
+    # old-path key the lazy policy has not settled yet.
+    extra_keys = sum(1 for dlht in dlhts for key, dentry in dlht.items()
+                     if dentry.fast.dlht_key != key)
     memo = kernel.memo
     resmemo_entries = len(memo) if memo is not None else 0
     resmemo_bytes = 0

@@ -81,13 +81,6 @@ class Stats:
             return 0.0
         return self.get("negative_hit") / lookups
 
-    def fastpath_rate(self) -> float:
-        """Fraction of lookups completing entirely on the fastpath."""
-        lookups = self.get("lookup")
-        if not lookups:
-            return 0.0
-        return self.get("fastpath_hit") / lookups
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counters.items()))
         return f"Stats({inner})"

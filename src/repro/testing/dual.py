@@ -150,13 +150,21 @@ def _check_kernel_invariants(kernel: Kernel) -> None:
     """Cache-structure invariants from the paper's design.
 
     * parent-in-cache: every cached dentry's parent chain is cached;
+    * the tree and the LRU hold the same dentries: every dentry in a
+      ``children`` map is in the LRU, nothing else is, and
+      ``len(dcache)`` is the LRU plus the superblock roots;
     * every cached dentry's kind fields match ``inode`` / ``stub`` /
       ``alias_target`` (``Dentry.derive_kind``);
-    * DLHT entries point at live dentries registered back to the table;
+    * every mount of the root namespace is listed in its mountpoint's
+      ``mounted_roots``;
+    * DLHT entries point at live dentries registered back to the table,
+      each key being the dentry's primary key or one of its extra keys;
     * a DIR_COMPLETE directory's positive children exactly match the
       low-level file system's listing.
     """
     dcache = kernel.dcache
+    lru = dcache._lru
+    linked = 0
     for root in dcache._roots.values():
         stack = [root]
         while stack:
@@ -165,6 +173,9 @@ def _check_kernel_invariants(kernel: Kernel) -> None:
                 assert child.parent is dentry, \
                     f"broken parent link at {name!r}"
                 assert not child.dead, f"dead dentry {name!r} still linked"
+                assert lru.get(id(child)) is child, \
+                    f"cached dentry {name!r} missing from the LRU"
+                linked += 1
                 stack.append(child)
             assert (dentry.is_negative, dentry.is_stub, dentry.is_alias,
                     dentry.is_dir, dentry.is_symlink) \
@@ -177,6 +188,13 @@ def _check_kernel_invariants(kernel: Kernel) -> None:
                 assert cached == fs_names, (
                     f"DIR_COMPLETE mismatch at {dentry.path_from_root()}: "
                     f"cached={cached} fs={fs_names}")
+    assert linked == len(lru), "LRU holds dentries the tree does not"
+    assert len(dcache) == len(lru) + len(dcache._roots)
+    for mount in kernel.root_ns.mounts:
+        if mount.mountpoint is not None:
+            assert any(root is mount.root_dentry
+                       for root in mount.mountpoint.mounted_roots), \
+                f"mount {mount!r} missing from its mountpoint's roots"
     for ns in (kernel.root_ns,):
         if ns.dlht is None:
             continue

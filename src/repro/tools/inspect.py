@@ -29,7 +29,7 @@ def _flags(dentry: Dentry) -> str:
         flags.append(f"ALIAS->{target.path_from_root() if target else '?'}")
     if dentry.dir_complete:
         flags.append("COMPLETE")
-    if dentry.is_mountpoint:
+    if dentry.mounted_roots:
         flags.append("MOUNTPOINT")
     if dentry.pin_count:
         flags.append(f"pin={dentry.pin_count}")

@@ -1,10 +1,15 @@
 """The baseline directory cache: primary hash table, LRU, eviction.
 
-This is the Linux-style dcache of §2.2: dentries are tracked by (1) the
-hierarchical tree (``Dentry.children``), (2) a hash table keyed by the
-parent dentry's identity and the child name, and (3) an LRU list used to
-shrink the cache.  The invariant that *every cached dentry's parents are
-also cached* is maintained by evicting bottom-up (leaves only).
+This is the Linux-style dcache of §2.2: dentries are tracked by the
+hierarchical tree, by a hash table keyed by (parent, name), and by an LRU
+list used to shrink the cache.  Here the tree *is* the hash table: each
+dentry's ``children`` dict is its (parent, name) bucket set, so the
+primary-table probe is one dict lookup and nothing keeps a second flat
+copy in step.  The LRU (``Dcache._lru``) is the membership record: every
+cached dentry except the superblock roots is in it, so the cache's size
+is ``len(_lru) + len(_roots)``.  The invariant that *every cached
+dentry's parents are also cached* is maintained by evicting bottom-up
+(leaves only).
 
 The optimized kernel (``repro.core``) registers :class:`DcacheHooks` so
 that evictions and negativity transitions keep the DLHT, completeness
@@ -15,7 +20,7 @@ about them.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.fs.base import FileSystem
 from repro.sim.costs import CostModel
@@ -45,10 +50,6 @@ class DcacheHooks:
     def on_make_positive(self, dentry: Dentry) -> None:
         """Called when a negative/stub dentry gains an inode."""
 
-    def on_move(self, dentry: Dentry, old_parent: Dentry,
-                old_name: str) -> None:
-        """Called after a rename moved ``dentry`` in the tree."""
-
 
 class Dcache:
     """Primary dentry cache for one kernel instance.
@@ -60,8 +61,8 @@ class Dcache:
         hooks: optimized-kernel coherence callbacks.
     """
 
-    __slots__ = ("costs", "stats", "capacity", "hooks", "_hash", "_lru",
-                 "_roots", "_inode_tables", "count", "_hit", "_miss")
+    __slots__ = ("costs", "stats", "capacity", "hooks", "_lru",
+                 "_roots", "_inode_tables", "_hit", "_miss")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  capacity: int = 1_000_000,
@@ -70,11 +71,9 @@ class Dcache:
         self.stats = stats
         self.capacity = capacity
         self.hooks = hooks or DcacheHooks()
-        self._hash: Dict[Tuple[int, str], Dentry] = {}
         self._lru: "OrderedDict[int, Dentry]" = OrderedDict()
         self._roots: Dict[int, Dentry] = {}
         self._inode_tables: Dict[int, InodeTable] = {}
-        self.count = 0
         self._hit = costs.run(HIT_CHARGES)
         self._miss = costs.run(MISS_CHARGES)
 
@@ -100,14 +99,9 @@ class Dcache:
             root = Dentry("", None, inode)
             root.pin()
             self._roots[id(fs)] = root
-            self.count += 1
         return root
 
     # -- hash table ------------------------------------------------------------
-
-    @staticmethod
-    def _key(parent: Dentry, name: str) -> Tuple[int, str]:
-        return (id(parent), name)
 
     def d_lookup(self, parent: Dentry, name: str) -> Optional[Dentry]:
         """Primary-table lookup: one bucket probe + chain compare, charged
@@ -120,21 +114,15 @@ class Dcache:
         """:meth:`d_lookup` uncharged: the hit's LRU touch and what the
         recorder must see, for callers that charge the probe themselves.
 
-        The probe goes through ``parent.children`` rather than the flat
-        ``_hash`` table: the two are kept in exact bijection for hashed
-        dentries (``d_alloc`` refuses duplicates; ``d_drop``/``d_move``/
-        ``evict`` maintain both), and the per-parent dict avoids
-        allocating a fresh ``(id(parent), name)`` key tuple on the
-        hottest path in the simulator.
+        ``parent.children`` is the (parent, name) table, and every dentry
+        in it is in the LRU (``d_alloc`` inserts it; only ``d_drop`` and
+        ``evict``, which unlink it, take it out), so a hit is one
+        ``move_to_end``.
         """
         dentry = parent.children.get(name)
         rec = self.costs.recorder
         if dentry is not None:
-            if dentry.in_lru:
-                self._lru.move_to_end(id(dentry))
-            else:
-                self._lru[id(dentry)] = dentry
-                dentry.in_lru = True
+            self._lru.move_to_end(id(dentry))
             if rec is not None:
                 rec.lru.append(dentry)
         elif rec is not None:
@@ -147,8 +135,7 @@ class Dcache:
     def d_alloc(self, parent: Dentry, name: str,
                 inode: Optional[Inode]) -> Dentry:
         """Allocate and hash a new child dentry (positive or negative)."""
-        key = self._key(parent, name)
-        if key in self._hash:
+        if name in parent.children:
             raise RuntimeError(f"dentry {name!r} already cached under "
                                f"{parent.path_from_root()!r}")
         if inode is None:
@@ -158,9 +145,7 @@ class Dcache:
         dentry = Dentry(name, parent, inode)
         if inode is None:
             dentry.neg_kind = NEG_ENOENT
-        self._hash[key] = dentry
         parent.children[name] = dentry
-        self.count += 1
         # Only walks that concluded from this name's absence care.
         self.costs.memo.kill_miss(parent, name)
         self._touch_lru(dentry)
@@ -200,15 +185,12 @@ class Dcache:
         for child in list(dentry.children.values()):
             self.d_drop(child)
         parent = dentry.parent
-        if parent is not None:
-            self._hash.pop(self._key(parent, dentry.name), None)
-            if parent.children.get(dentry.name) is dentry:
-                del parent.children[dentry.name]
+        if parent is not None \
+                and parent.children.get(dentry.name) is dentry:
+            del parent.children[dentry.name]
         self._lru.pop(id(dentry), None)
-        dentry.in_lru = False
         dentry.dead = True
         dentry.seq += 1
-        self.count -= 1
         self.costs.memo.kill(dentry)
         self.hooks.on_unhash(dentry)
         self.costs.charge("dentry_free")
@@ -243,19 +225,16 @@ class Dcache:
                new_name: str) -> None:
         """Move a dentry to a new (parent, name), rehashing it."""
         old_parent = dentry.parent
-        old_name = dentry.name
         assert old_parent is not None, "cannot move a superblock root"
-        self._hash.pop(self._key(old_parent, old_name), None)
-        if old_parent.children.get(old_name) is dentry:
-            del old_parent.children[old_name]
+        if old_parent.children.get(dentry.name) is dentry:
+            del old_parent.children[dentry.name]
         # Any dentry already cached at the destination is dropped: the
         # rename overwrote it (the caller validated emptiness rules).
-        existing = self._hash.get(self._key(new_parent, new_name))
+        existing = new_parent.children.get(new_name)
         if existing is not None and existing is not dentry:
             self.d_drop(existing)
         dentry.parent = new_parent
         dentry.name = new_name
-        self._hash[self._key(new_parent, new_name)] = dentry
         new_parent.children[new_name] = dentry
         # A move does not bump the dentry's seqcount (only its name and
         # parent change), so memo entries that resolved through it must
@@ -264,7 +243,6 @@ class Dcache:
         memo = self.costs.memo
         memo.kill(dentry)
         memo.kill_miss(new_parent, new_name)
-        self.hooks.on_move(dentry, old_parent, old_name)
 
     # -- LRU / shrinking ------------------------------------------------------------
 
@@ -272,29 +250,28 @@ class Dcache:
         self.costs.charge("lru_touch")
         self._lru[id(dentry)] = dentry
         self._lru.move_to_end(id(dentry))
-        dentry.in_lru = True
 
     def _evictable(self, dentry: Dentry) -> bool:
         return (dentry.pin_count == 0 and not dentry.children
-                and not dentry.is_mountpoint and dentry.parent is not None)
+                and not dentry.mounted_roots and dentry.parent is not None)
 
     def _shrink_if_needed(self) -> None:
-        if self.count <= self.capacity:
+        lru = self._lru
+        limit = self.capacity - len(self._roots)
+        if len(lru) <= limit:
             return
         # Walk from the cold end, evicting leaves until under capacity.
         # Non-evictable entries are re-queued at the hot end so the scan
         # terminates.
         scanned = 0
-        max_scan = len(self._lru)
-        while self.count > self.capacity and scanned < max_scan:
+        max_scan = len(lru)
+        while len(lru) > limit and scanned < max_scan:
             scanned += 1
-            _key, dentry = self._lru.popitem(last=False)
-            dentry.in_lru = False
+            _key, dentry = lru.popitem(last=False)
             if self._evictable(dentry):
                 self.evict(dentry)
             else:
-                self._lru[id(dentry)] = dentry
-                dentry.in_lru = True
+                lru[id(dentry)] = dentry
 
     def evict(self, dentry: Dentry) -> None:
         """Evict one leaf dentry to reclaim space."""
@@ -306,14 +283,11 @@ class Dcache:
             parent.dir_complete = False
             self.stats.bump("dir_complete_broken")
         parent.child_evictions += 1
-        self._hash.pop(self._key(parent, dentry.name), None)
         if parent.children.get(dentry.name) is dentry:
             del parent.children[dentry.name]
         self._lru.pop(id(dentry), None)
-        dentry.in_lru = False
         dentry.dead = True
         dentry.seq += 1
-        self.count -= 1
         memo = self.costs.memo
         memo.kill(dentry)
         # The parent's broken dir_complete flag is invisible to the
@@ -340,8 +314,5 @@ class Dcache:
 
     # -- introspection ------------------------------------------------------------------
 
-    def cached_children(self, dentry: Dentry):
-        return dentry.children.values()
-
     def __len__(self) -> int:
-        return self.count
+        return len(self._lru) + len(self._roots)

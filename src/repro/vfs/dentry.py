@@ -30,7 +30,7 @@ class Dentry:
     __slots__ = (
         "name", "parent", "inode", "neg_kind", "stub", "children",
         "pin_count", "dir_complete", "child_evictions", "seq", "epoch",
-        "fast", "alias_target", "is_mountpoint", "in_lru", "dead",
+        "fast", "alias_target", "mounted_roots", "dead",
         "is_negative", "is_stub", "is_alias", "is_dir", "is_symlink",
     )
 
@@ -62,10 +62,12 @@ class Dentry:
         self.fast = None
         #: For alias dentries: the real dentry this path translates to.
         self.alias_target: Optional["Dentry"] = None
-        #: Mounts stacked on this dentry in every namespace (clones
-        #: share dentries); truthy while any namespace has one.
-        self.is_mountpoint = 0
-        self.in_lru = False
+        #: Root dentries of the mounts stacked on this dentry, one per
+        #: mount in every namespace (clones share dentries, so the same
+        #: root can appear once per namespace); empty when nothing is
+        #: mounted here.  ``MountNamespace.add_mount`` / ``remove_mount``
+        #: keep it.
+        self.mounted_roots: Tuple["Dentry", ...] = ()
         #: Set when freed; PCC entries referencing it must not validate.
         self.dead = False
         self.set_kind()

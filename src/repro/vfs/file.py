@@ -95,6 +95,3 @@ class FdTable:
         for file in self._files.values():
             file.release()
         self._files.clear()
-
-    def open_files(self):
-        return list(self._files.values())

@@ -18,7 +18,7 @@ Two concrete LSMs ship for tests/benchmarks:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.vfs.cred import Cred
 from repro.vfs.inode import Inode
@@ -32,10 +32,6 @@ class Lsm:
     def inode_permission(self, cred: Cred, inode: Inode, mask: int) -> bool:
         """Return False to deny an access DAC would allow."""
         return True
-
-    def cred_label_for_exec(self, cred: Cred, inode: Inode) -> Optional[str]:
-        """Domain transition on exec; None keeps the current label."""
-        return None
 
 
 class NullLsm(Lsm):

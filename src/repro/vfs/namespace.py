@@ -49,7 +49,7 @@ class MountNamespace:
         if key in self._mount_at:
             raise errors.EBUSY(message="mountpoint already in use")
         self._mount_at[key] = mount
-        mount.mountpoint.is_mountpoint += 1
+        mount.mountpoint.mounted_roots += (mount.root_dentry,)
         mount.mountpoint.pin()
         mount.root_dentry.pin()
         self.mounts.append(mount)
@@ -63,8 +63,11 @@ class MountNamespace:
         if self._mount_at.get(key) is not mount:
             raise errors.EINVAL(message="mount not in this namespace")
         del self._mount_at[key]
-        mount.mountpoint.is_mountpoint -= 1
-        mount.mountpoint.unpin()
+        mountpoint = mount.mountpoint
+        roots = list(mountpoint.mounted_roots)
+        roots.remove(mount.root_dentry)
+        mountpoint.mounted_roots = tuple(roots)
+        mountpoint.unpin()
         mount.root_dentry.unpin()
         self.mounts.remove(mount)
 

@@ -511,7 +511,7 @@ class Syscalls:
         dentry = pos.dentry
         if not dentry.is_dir:
             raise errors.ENOTDIR(path)
-        if dentry.is_mountpoint or dentry is pos.mount.root_dentry:
+        if dentry.mounted_roots or dentry is pos.mount.root_dentry:
             raise errors.EBUSY(path)
         parent = self._parent_pos(pos, path)
         self._check_dir_write(task, parent, path)
@@ -533,7 +533,7 @@ class Syscalls:
         dentry = pos.dentry
         if dentry.is_dir:
             raise errors.EISDIR(path)
-        if dentry.is_mountpoint or dentry is pos.mount.root_dentry:
+        if dentry.mounted_roots or dentry is pos.mount.root_dentry:
             raise errors.EBUSY(path)
         parent = self._parent_pos(pos, path)
         self._check_dir_write(task, parent, path)
@@ -557,7 +557,7 @@ class Syscalls:
         self.costs.charge("rename_fixed")
         oldpos = self._resolve(task, old, follow_last=False)
         moving = oldpos.dentry
-        if moving.is_mountpoint or moving is oldpos.mount.root_dentry:
+        if moving.mounted_roots or moving is oldpos.mount.root_dentry:
             raise errors.EBUSY(old)
         old_parent = self._parent_pos(oldpos, old)
         # Hold a reference across the destination resolution: its
@@ -580,7 +580,7 @@ class Syscalls:
                               or moving.is_ancestor_of(new_parent.dentry)):
             raise errors.EINVAL(new, "rename into own subtree")
         if not victim.is_negative:
-            if victim.is_mountpoint:
+            if victim.mounted_roots:
                 raise errors.EBUSY(new)
             if moving.is_dir and not victim.is_dir:
                 raise errors.ENOTDIR(new)
@@ -861,7 +861,6 @@ class Syscalls:
         mount = Mount(fs, root_dentry, parent=pos.mount,
                       mountpoint=pos.dentry, flags=flags)
         task.ns.add_mount(mount)
-        self.kernel.coherence.register_mount(pos.dentry, root_dentry)
         # Mount table edits redirect memoized resolutions that cross the
         # mountpoint; no dcache hook or counter bump is guaranteed here.
         self.costs.forget()
@@ -881,7 +880,6 @@ class Syscalls:
         mount = Mount(srcpos.mount.fs, srcpos.dentry, parent=dstpos.mount,
                       mountpoint=dstpos.dentry, flags=flags)
         task.ns.add_mount(mount)
-        self.kernel.coherence.register_mount(dstpos.dentry, srcpos.dentry)
         self.costs.forget()
         return mount
 
@@ -897,9 +895,6 @@ class Syscalls:
         if mount.mountpoint is not None:
             self._shoot_single(mount.mountpoint)
         task.ns.remove_mount(mount)
-        if mount.mountpoint is not None:
-            self.kernel.coherence.unregister_mount(mount.mountpoint,
-                                                   mount.root_dentry)
         self.costs.forget()
 
     def unshare_mountns(self, task: Task) -> None:

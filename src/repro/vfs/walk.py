@@ -294,7 +294,7 @@ class SlowWalk:
                     hooks.negative_tail(ctx, child, comps[i + 1:],
                                         NEG_ENOTDIR)
                     raise errors.ENOTDIR(path_hint)
-                if child.is_mountpoint:
+                if child.mounted_roots:
                     here = PathPos(mount, child)
                     crossed = ns.cross_down(here)
                     if crossed is not here:

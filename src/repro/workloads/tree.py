@@ -51,11 +51,6 @@ class TreeSpec:
     file_bytes: int = 0
     seed: int = 1234
 
-    def approx_files(self) -> int:
-        dirs = sum(self.dirs_per_level ** level
-                   for level in range(self.depth + 1))
-        return dirs * self.files_per_dir
-
 
 @dataclass
 class BuiltTree:

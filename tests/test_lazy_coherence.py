@@ -18,12 +18,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import O_CREAT, O_RDWR, OPTIMIZED, OPTIMIZED_LAZY, errors, \
     make_kernel
 from repro.fs.tmpfs import TmpFs
+from repro.sim.memory import measure_kernel
 from repro.testing import DualKernel
 from repro.testing.dual import _check_kernel_invariants
 from repro.testing.races import assert_fastpath_consistent
@@ -309,6 +310,37 @@ def test_random_programs_lazy_equivalent(program):
         except errors.FsError:
             pass  # both kernels raised identically (oracle-checked)
     dual.check_invariants()
+
+
+_CACHED_TREE = [("mkdir", "/a"), ("mkdir", "/a/x"), ("create", "/a/f"),
+                ("create", "/a/x/f"), ("stat", "/a/f"), ("stat", "/a/x/f")]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(program=st.lists(OPS, min_size=1, max_size=30))
+@example(program=[("rename", "/a", "/b"), ("stat", "/b")])
+def test_extra_key_total_is_counted_from_the_table(program):
+    """The memory report's old-path key total, derived from the DLHT's
+    keys, equals the extra keys the dentries record, after every step."""
+    kernel = make_kernel("optimized-lazy")
+    task = kernel.spawn_task(uid=0, gid=0)
+    dlht = kernel.root_ns.dlht
+    for op, *args in _CACHED_TREE + program:
+        try:
+            if op == "create":
+                _mkfile(kernel, task, args[0])
+            else:
+                getattr(kernel.sys, op)(task, *args)
+        except errors.FsError:
+            pass
+        recorded = 0
+        for root in kernel.dcache._roots.values():
+            for dentry in (root, *root.descendants()):
+                fast = dentry.fast
+                if fast is not None and fast.dlht is dlht:
+                    recorded += len(fast.extra_keys or ())
+        assert measure_kernel(kernel).dlht_extra_keys == recorded
 
 
 class TestLazySchedules:

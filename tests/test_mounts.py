@@ -237,6 +237,34 @@ class TestMountNamespaces:
         sys.umount(a, "/mnt")
         sys.rmdir(a, "/mnt")
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_umount_in_a_clone_leaves_the_original_root_on_the_mountpoint(
+            self, profile):
+        """The mountpoint lists one root per namespace's mount: a clone's
+        umount takes its own, and a chmod above the mountpoint still
+        reaches the original namespace's cached state inside the mount."""
+        kernel = make_kernel(profile)
+        sys = kernel.sys
+        a = kernel.spawn_task(uid=0, gid=0)
+        sys.mkdir(a, "/top", 0o755)
+        sys.mkdir(a, "/top/mnt", 0o755)
+        mount = sys.mount_fs(a, TmpFs(kernel.costs), "/top/mnt")
+        root = mount.root_dentry
+        sys.close(a, sys.open(a, "/top/mnt/f", O_CREAT | O_RDWR))
+        b = kernel.spawn_task(uid=0, gid=0)
+        sys.unshare_mountns(b)
+        assert mount.mountpoint.mounted_roots == (root, root)
+        sys.umount(b, "/top/mnt")
+        assert mount.mountpoint.mounted_roots == (root,)
+        user = kernel.spawn_task(uid=1000, gid=1000)
+        for _ in range(2):  # the second stat is served from the caches
+            assert sys.stat(user, "/top/mnt/f").fstype == "tmpfs"
+        sys.chmod(a, "/top", 0o700)
+        with pytest.raises(errors.EACCES):
+            sys.stat(user, "/top/mnt/f")
+        sys.umount(a, "/top/mnt")
+        assert mount.mountpoint.mounted_roots == ()
+
     def test_unshare_requires_root(self, kernel):
         user = kernel.spawn_task(uid=1000, gid=1000)
         with pytest.raises(errors.EPERM):

@@ -42,7 +42,6 @@ def _reference_shootdown_subtree(coh, dentry):
     assert isinstance(coh, EagerCoherence)
     visited = set()
     found_fast = 0
-    mounts = coh._mounts_on
 
     def invalidate_one(d):
         coh.costs.charge("inval_per_dentry")
@@ -67,7 +66,7 @@ def _reference_shootdown_subtree(coh, dentry):
         invalidate_one(d)
         for child in list(d.children.values()):
             walk(child)
-        for root in mounts.get(id(d), ()):
+        for root in d.mounted_roots:
             walk(root)
 
     walk(dentry)

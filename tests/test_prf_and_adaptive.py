@@ -132,7 +132,7 @@ class TestAdaptivePcc:
 
     def test_kernel_integration(self):
         kernel = make_kernel("optimized", pcc_capacity=8,
-                             pcc_adaptive=True, pcc_max_capacity=1024)
+                             pcc_adaptive=True)
         task = kernel.spawn_task(uid=0, gid=0)
         kernel.sys.mkdir(task, "/d")
         for i in range(64):
