@@ -224,12 +224,6 @@ class Kernel:
     def now_ns(self) -> int:
         return self.costs.now_ns
 
-    def elapsed_ns(self, thunk) -> float:
-        """Run ``thunk`` and return the virtual nanoseconds it took."""
-        start = self.costs.now_ns
-        thunk()
-        return self.costs.now_ns - start
-
     def drop_caches(self, dentries: bool = True) -> None:
         """Cold-cache helper: drop buffer caches and (optionally) dentries.
 

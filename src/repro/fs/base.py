@@ -11,7 +11,7 @@ argument for why full-path caching must live above the FS (§2.3, §7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro import errors
 
@@ -86,12 +86,46 @@ class NodeInfo:
         return self.filetype == DT_LNK
 
 
+class Node:
+    """One in-memory inode: its attributes and the payload of its kind.
+
+    :class:`~repro.fs.tmpfs.TmpFs` and ``dlfs`` keep these; SimExt's
+    subclass adds the blocks the payload lives in.
+    """
+
+    __slots__ = ("ino", "mode", "uid", "gid", "nlink", "size",
+                 "symlink_target", "entries", "data", "xattrs", "mtime_ns")
+
+    def __init__(self, ino: int, mode: int, uid: int, gid: int,
+                 mtime_ns: int = 0):
+        self.ino = ino
+        self.mode = mode
+        self.uid = uid
+        self.gid = gid
+        self.nlink = 2 if (mode & S_IFMT) == S_IFDIR else 1
+        self.size = 0
+        self.symlink_target: Optional[str] = None
+        # Directory payload: insertion-ordered name -> (ino, dtype).
+        self.entries: Dict[str, Tuple[int, str]] = {}
+        # Regular-file payload.
+        self.data = b""
+        self.xattrs: Dict[str, bytes] = {}
+        self.mtime_ns = mtime_ns
+
+    @property
+    def is_dir(self) -> bool:
+        return (self.mode & S_IFMT) == S_IFDIR
+
+    def info(self) -> NodeInfo:
+        return NodeInfo(self.ino, self.mode, self.uid, self.gid, self.nlink,
+                        self.size, self.symlink_target, self.mtime_ns)
+
+
 def nodes_digest(nodes) -> int:
-    """Digest of everything a syscall can observe of ``nodes`` (inode
-    objects of :class:`~repro.fs.simext.SimExtFs` or
-    :class:`~repro.fs.tmpfs.TmpFs`) except timestamps: numbers, kinds,
-    modes, owners, link counts, sizes, data, symlink targets, xattrs,
-    and directory entries in readdir order.
+    """Digest of everything a syscall can observe of ``nodes``
+    (:class:`Node` objects) except timestamps: numbers, kinds, modes,
+    owners, link counts, sizes, data, symlink targets, xattrs, and
+    directory entries in readdir order.
     """
     return hash(tuple(
         (n.ino, n.mode, n.uid, n.gid, n.nlink, n.size, n.symlink_target,

@@ -18,36 +18,13 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro import errors
 from repro.fs import base
-from repro.fs.base import FileSystem, NodeInfo
+from repro.fs.base import FileSystem, Node, NodeInfo
 from repro.sim.costs import CostModel
 
 #: Re-keying one on-disk object during a rename: read + write at new key.
 REKEY_NS = 24_000.0
 #: One hashed-key I/O (the design's selling point: single-I/O lookup).
 KEYED_IO_NS = 9_000.0
-
-
-class _Obj:
-    __slots__ = ("ino", "mode", "uid", "gid", "nlink", "size",
-                 "symlink_target", "data")
-
-    def __init__(self, ino: int, mode: int, uid: int, gid: int):
-        self.ino = ino
-        self.mode = mode
-        self.uid = uid
-        self.gid = gid
-        self.nlink = 2 if (mode & base.S_IFMT) == base.S_IFDIR else 1
-        self.size = 0
-        self.symlink_target: Optional[str] = None
-        self.data = b""
-
-    @property
-    def is_dir(self) -> bool:
-        return (self.mode & base.S_IFMT) == base.S_IFDIR
-
-    def info(self) -> NodeInfo:
-        return NodeInfo(self.ino, self.mode, self.uid, self.gid,
-                        self.nlink, self.size, self.symlink_target)
 
 
 class DlfsLikeFs(FileSystem):
@@ -59,10 +36,10 @@ class DlfsLikeFs(FileSystem):
     def __init__(self, costs: CostModel):
         self.costs = costs
         # The "disk": full path -> object.  "" is the root.
-        self._by_path: Dict[str, _Obj] = {}
+        self._by_path: Dict[str, Node] = {}
         self._paths_by_ino: Dict[int, str] = {}
         self._next_ino = 1
-        root = _Obj(self._alloc_ino(), base.S_IFDIR | 0o755, 0, 0)
+        root = Node(self._alloc_ino(), base.S_IFDIR | 0o755, 0, 0)
         self._by_path[""] = root
         self._paths_by_ino[root.ino] = ""
         self.rekey_count = 0
@@ -78,7 +55,7 @@ class DlfsLikeFs(FileSystem):
         except KeyError:
             raise errors.ENOENT(message=f"stale inode {ino}") from None
 
-    def _get(self, ino: int) -> _Obj:
+    def _get(self, ino: int) -> Node:
         return self._by_path[self._path_of(ino)]
 
     def _child_key(self, dir_ino: int, name: str) -> str:
@@ -121,7 +98,7 @@ class DlfsLikeFs(FileSystem):
 
     # -- mutations -----------------------------------------------------------
 
-    def _insert(self, dir_ino: int, name: str, obj: _Obj) -> NodeInfo:
+    def _insert(self, dir_ino: int, name: str, obj: Node) -> NodeInfo:
         key = self._child_key(dir_ino, name)
         if key in self._by_path:
             raise errors.EEXIST(message=key)
@@ -132,13 +109,13 @@ class DlfsLikeFs(FileSystem):
 
     def create(self, dir_ino, name, mode, uid, gid) -> NodeInfo:
         self.costs.charge("fs_create")
-        obj = _Obj(self._alloc_ino(),
+        obj = Node(self._alloc_ino(),
                    (mode & base.MODE_BITS) | base.S_IFREG, uid, gid)
         return self._insert(dir_ino, name, obj)
 
     def mkdir(self, dir_ino, name, mode, uid, gid) -> NodeInfo:
         self.costs.charge("fs_create")
-        obj = _Obj(self._alloc_ino(),
+        obj = Node(self._alloc_ino(),
                    (mode & base.MODE_BITS) | base.S_IFDIR, uid, gid)
         info = self._insert(dir_ino, name, obj)
         self._get(dir_ino).nlink += 1
@@ -146,7 +123,7 @@ class DlfsLikeFs(FileSystem):
 
     def symlink(self, dir_ino, name, target, uid, gid) -> NodeInfo:
         self.costs.charge("fs_create")
-        obj = _Obj(self._alloc_ino(), base.S_IFLNK | 0o777, uid, gid)
+        obj = Node(self._alloc_ino(), base.S_IFLNK | 0o777, uid, gid)
         obj.symlink_target = target
         obj.size = len(target)
         return self._insert(dir_ino, name, obj)

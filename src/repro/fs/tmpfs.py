@@ -1,9 +1,17 @@
 """TmpFs: a RAM-backed file system (no device, CPU costs only).
 
-Structurally identical to :class:`~repro.fs.simext.SimExtFs` but with no
-block device behind it, so misses cost only the FS-call CPU time.  Used by
-tests that want the dcache algorithms isolated from disk effects, and as
-the substrate for ``/tmp`` in the application workloads.
+TmpFs holds the in-memory inode table and the POSIX directory rules: the
+EEXIST / ENOENT / EISDIR / ENOTDIR / ENOTEMPTY checks, entry insert and
+remove with their size and mtime updates, link counts, rename over a
+victim, ``setattr`` and xattrs.  The rules are written over a few
+primitives — allocate a node, touch its inode, search, insert or remove
+an entry, and "a node lost its last link" — which cost nothing here, so
+a miss costs only the FS-call CPU time.  Tests use it to isolate the
+dcache algorithms from disk effects, and ``netfs``'s export server keeps
+its tree in one.
+
+:class:`~repro.fs.simext.SimExtFs` is TmpFs plus a block map: it
+overrides the primitives to touch the blocks an ext2 would.
 """
 
 from __future__ import annotations
@@ -12,37 +20,8 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro import errors
 from repro.fs import base
-from repro.fs.base import FileSystem, NodeInfo
+from repro.fs.base import FileSystem, Node, NodeInfo
 from repro.sim.costs import CostModel
-
-
-class _Node:
-    __slots__ = ("ino", "mode", "uid", "gid", "nlink", "size",
-                 "symlink_target", "entries", "data", "xattrs",
-                 "mtime_ns")
-
-    def __init__(self, ino: int, mode: int, uid: int, gid: int):
-        self.ino = ino
-        self.mode = mode
-        self.uid = uid
-        self.gid = gid
-        self.nlink = 2 if (mode & base.S_IFMT) == base.S_IFDIR else 1
-        self.size = 0
-        self.symlink_target: Optional[str] = None
-        self.entries: Dict[str, Tuple[int, str]] = {}
-        self.data = b""
-        self.xattrs: Dict[str, bytes] = {}
-        self.mtime_ns = 0
-
-    @property
-    def is_dir(self) -> bool:
-        return (self.mode & base.S_IFMT) == base.S_IFDIR
-
-    def info(self) -> NodeInfo:
-        return NodeInfo(ino=self.ino, mode=self.mode, uid=self.uid,
-                        gid=self.gid, nlink=self.nlink, size=self.size,
-                        symlink_target=self.symlink_target,
-                        mtime_ns=self.mtime_ns)
 
 
 class TmpFs(FileSystem):
@@ -50,32 +29,69 @@ class TmpFs(FileSystem):
 
     fstype = "tmpfs"
     baseline_negative_dentries = True
+    #: Mode of the root directory (world-writable and sticky, as /tmp).
+    root_mode = base.S_IFDIR | 0o1777
 
     def __init__(self, costs: CostModel):
         self.costs = costs
-        self._nodes: Dict[int, _Node] = {}
+        self._nodes: Dict[int, Node] = {}
         self._next_ino = 1
-        root = self._alloc(base.S_IFDIR | 0o1777, 0, 0)
+        root = self._alloc(self.root_mode, 0, 0)
         assert root.ino == self.root_ino
 
-    def _alloc(self, mode: int, uid: int, gid: int) -> _Node:
-        node = _Node(self._next_ino, mode, uid, gid)
-        node.mtime_ns = self.costs.now_ns
-        self._nodes[node.ino] = node
-        self._next_ino += 1
-        return node
-
-    def _get(self, ino: int) -> _Node:
+    def _get(self, ino: int) -> Node:
         try:
             return self._nodes[ino]
         except KeyError:
             raise errors.ENOENT(message=f"stale inode {ino}") from None
 
-    def _get_dir(self, ino: int) -> _Node:
+    def _get_dir(self, ino: int) -> Node:
         node = self._get(ino)
         if not node.is_dir:
             raise errors.ENOTDIR(message=f"inode {ino} is not a directory")
         return node
+
+    def _child(self, directory: Node, name: str) -> Node:
+        found = directory.entries.get(name)
+        if found is None:
+            raise errors.ENOENT(
+                message=f"{name!r} not in inode {directory.ino}")
+        return self._get(found[0])
+
+    # -- primitives (free in RAM; SimExt adds its block touches) -------------
+
+    def _alloc(self, mode: int, uid: int, gid: int) -> Node:
+        """A new node under the next inode number, stamped now."""
+        ino = self._next_ino
+        self._next_ino += 1
+        node = Node(ino, mode, uid, gid, self.costs.now_ns)
+        self._nodes[ino] = node
+        return node
+
+    def _touch(self, ino: int, for_write: bool = False) -> None:
+        """Read (or write back) the inode of ``ino``."""
+
+    def _search(self, dir_ino: int, name: str) -> None:
+        """The name search a create makes before it allocates."""
+
+    def _insert(self, directory: Node, name: str, ino: int,
+                dtype: str) -> None:
+        """Enter ``name`` -> ``ino`` in ``directory``."""
+        directory.entries[name] = (ino, dtype)
+        directory.size = len(directory.entries) * 32
+        directory.mtime_ns = self.costs.now_ns
+
+    def _remove(self, directory: Node, name: str) -> None:
+        """Take ``name`` out of ``directory``."""
+        if directory.entries.pop(name, None) is None:
+            raise errors.ENOENT(
+                message=f"{name!r} not in inode {directory.ino}")
+        directory.size = len(directory.entries) * 32
+        directory.mtime_ns = self.costs.now_ns
+
+    def _last_link_gone(self, node: Node) -> None:
+        """``node``'s link count reached zero.  RAM keeps the orphan:
+        open handles may still read it (Unix unlink-while-open)."""
 
     # -- reads -------------------------------------------------------------
 
@@ -104,27 +120,30 @@ class TmpFs(FileSystem):
 
     # -- mutations -----------------------------------------------------------
 
-    def _add(self, dir_ino: int, name: str, node: _Node, dtype: str) -> None:
+    def _add_entry(self, dir_ino: int, name: str, node: Node,
+                   dtype: str) -> Node:
+        """Link ``node`` into ``dir_ino`` under a new ``name``; returns
+        the directory."""
         directory = self._get_dir(dir_ino)
         if name in directory.entries:
             raise errors.EEXIST(message=f"{name!r} exists in inode {dir_ino}")
-        directory.entries[name] = (node.ino, dtype)
-        directory.size = len(directory.entries) * 32
-        directory.mtime_ns = self.costs.now_ns
+        self._insert(directory, name, node.ino, dtype)
+        return directory
 
     def create(self, dir_ino: int, name: str, mode: int, uid: int,
                gid: int) -> NodeInfo:
         self.costs.charge("fs_create")
+        self._search(dir_ino, name)
         node = self._alloc((mode & base.MODE_BITS) | base.S_IFREG, uid, gid)
-        self._add(dir_ino, name, node, base.DT_REG)
+        self._add_entry(dir_ino, name, node, base.DT_REG)
         return node.info()
 
     def mkdir(self, dir_ino: int, name: str, mode: int, uid: int,
               gid: int) -> NodeInfo:
         self.costs.charge("fs_create")
+        self._search(dir_ino, name)
         node = self._alloc((mode & base.MODE_BITS) | base.S_IFDIR, uid, gid)
-        self._add(dir_ino, name, node, base.DT_DIR)
-        self._get_dir(dir_ino).nlink += 1
+        self._add_entry(dir_ino, name, node, base.DT_DIR).nlink += 1
         return node.info()
 
     def symlink(self, dir_ino: int, name: str, target: str, uid: int,
@@ -133,7 +152,7 @@ class TmpFs(FileSystem):
         node = self._alloc(base.S_IFLNK | 0o777, uid, gid)
         node.symlink_target = target
         node.size = len(target)
-        self._add(dir_ino, name, node, base.DT_LNK)
+        self._add_entry(dir_ino, name, node, base.DT_LNK)
         return node.info()
 
     def link(self, dir_ino: int, name: str, target_ino: int) -> NodeInfo:
@@ -141,40 +160,35 @@ class TmpFs(FileSystem):
         node = self._get(target_ino)
         if node.is_dir:
             raise errors.EPERM(message="hard link to directory")
-        self._add(dir_ino, name, node, base.DT_REG)
+        self._add_entry(dir_ino, name, node, base.DT_REG)
         node.nlink += 1
+        self._touch(target_ino, for_write=True)
         return node.info()
 
     def unlink(self, dir_ino: int, name: str) -> None:
         self.costs.charge("fs_unlink")
         directory = self._get_dir(dir_ino)
-        found = directory.entries.get(name)
-        if found is None:
-            raise errors.ENOENT(message=f"{name!r} not in inode {dir_ino}")
-        node = self._get(found[0])
+        node = self._child(directory, name)
         if node.is_dir:
             raise errors.EISDIR(message=f"unlink of directory {name!r}")
-        del directory.entries[name]
-        directory.size = len(directory.entries) * 32
-        directory.mtime_ns = self.costs.now_ns
+        self._remove(directory, name)
         node.nlink -= 1
-        # Zero-nlink orphans are retained: open handles may still read
-        # them (Unix unlink-while-open semantics).
+        self._touch(node.ino, for_write=True)
+        if not node.nlink:
+            self._last_link_gone(node)
 
     def rmdir(self, dir_ino: int, name: str) -> None:
         self.costs.charge("fs_unlink")
         directory = self._get_dir(dir_ino)
-        found = directory.entries.get(name)
-        if found is None:
-            raise errors.ENOENT(message=f"{name!r} not in inode {dir_ino}")
-        child = self._get(found[0])
+        child = self._child(directory, name)
         if not child.is_dir:
             raise errors.ENOTDIR(message=f"rmdir of non-directory {name!r}")
         if child.entries:
             raise errors.ENOTEMPTY(message=f"directory {name!r} not empty")
-        del directory.entries[name]
-        directory.nlink -= 1
+        self._remove(directory, name)
         child.nlink = 0
+        directory.nlink -= 1
+        self._last_link_gone(child)
 
     def rename(self, old_dir: int, old_name: str, new_dir: int,
                new_name: str) -> None:
@@ -184,32 +198,26 @@ class TmpFs(FileSystem):
         if found is None:
             raise errors.ENOENT(message=f"{old_name!r} not in inode {old_dir}")
         moved_ino, dtype = found
+        moving_dir = dtype == base.DT_DIR
         dst = self._get_dir(new_dir)
         existing = dst.entries.get(new_name)
         if existing is not None:
             target = self._get(existing[0])
-            moved = self._get(moved_ino)
             if target.is_dir:
-                if not moved.is_dir:
+                if not moving_dir:
                     raise errors.EISDIR(message=f"{new_name!r} is a directory")
                 if target.entries:
                     raise errors.ENOTEMPTY(message=f"{new_name!r} not empty")
                 self.rmdir(new_dir, new_name)
             else:
-                if moved.is_dir:
+                if moving_dir:
                     raise errors.ENOTDIR(message=f"{new_name!r} not a directory")
                 self.unlink(new_dir, new_name)
-        del src.entries[old_name]
-        src.size = len(src.entries) * 32
-        src.mtime_ns = self.costs.now_ns
-        destination = self._get_dir(new_dir)
-        destination.entries[new_name] = (moved_ino, dtype)
-        destination.size = len(destination.entries) * 32
-        destination.mtime_ns = self.costs.now_ns
-        moved = self._get(moved_ino)
-        if moved.is_dir and old_dir != new_dir:
-            self._get_dir(old_dir).nlink -= 1
-            self._get_dir(new_dir).nlink += 1
+        self._remove(src, old_name)
+        self._insert(dst, new_name, moved_ino, dtype)
+        if moving_dir and old_dir != new_dir:
+            src.nlink -= 1
+            dst.nlink += 1
 
     def setattr(self, ino: int, mode: Optional[int] = None,
                 uid: Optional[int] = None, gid: Optional[int] = None,
@@ -229,6 +237,7 @@ class TmpFs(FileSystem):
             node.mtime_ns = self.costs.now_ns
         if mtime_ns is not None:
             node.mtime_ns = mtime_ns
+        self._touch(ino, for_write=True)
         return node.info()
 
     def write(self, ino: int, offset: int, data: bytes) -> int:
@@ -257,17 +266,21 @@ class TmpFs(FileSystem):
 
     def getxattr(self, ino: int, name: str) -> bytes:
         self.costs.charge("fs_xattr")
+        node = self._get(ino)
+        self._touch(ino)
         try:
-            return self._get(ino).xattrs[name]
+            return node.xattrs[name]
         except KeyError:
             raise errors.ENOENT(message=f"no xattr {name!r}") from None
 
     def setxattr(self, ino: int, name: str, value: bytes) -> None:
         self.costs.charge("fs_xattr")
         self._get(ino).xattrs[name] = bytes(value)
+        self._touch(ino, for_write=True)
 
     def listxattr(self, ino: int) -> list:
         self.costs.charge("fs_xattr")
+        self._touch(ino)
         return sorted(self._get(ino).xattrs)
 
     def removexattr(self, ino: int, name: str) -> None:
@@ -276,3 +289,4 @@ class TmpFs(FileSystem):
         if name not in node.xattrs:
             raise errors.ENOENT(message=f"no xattr {name!r}")
         del node.xattrs[name]
+        self._touch(ino, for_write=True)

@@ -30,7 +30,54 @@ HOOK_POINTS = ["begin", "step", "dotdot", "symlink_begin", "symlink",
                "negative_tail", "finish"]
 
 
-class RaceInjector(WalkHooks):
+class InterposedHooks(WalkHooks):
+    """Walk hooks that run :meth:`_interpose` ahead of each of the seven
+    :data:`HOOK_POINTS` of an inner hook chain, then forward to it.
+
+    ``abandon`` is forwarded without interposing: the walk is already
+    dead, and the inner hooks must still balance their in-flight
+    accounting (``coherence.walks_active``).
+    """
+
+    def __init__(self, inner: WalkHooks):
+        self.inner = inner
+
+    def _interpose(self) -> None:
+        """What runs at every hook point, before the inner hook."""
+
+    def begin(self, task, start, absolute, prehashed=0):
+        self._interpose()
+        return self.inner.begin(task, start, absolute, prehashed)
+
+    def step(self, ctx, name, dentry, mount):
+        self._interpose()
+        self.inner.step(ctx, name, dentry, mount)
+
+    def dotdot(self, ctx, result):
+        self._interpose()
+        self.inner.dotdot(ctx, result)
+
+    def symlink_begin(self, ctx, link, absolute_target):
+        self._interpose()
+        self.inner.symlink_begin(ctx, link, absolute_target)
+
+    def symlink(self, ctx, link, target):
+        self._interpose()
+        self.inner.symlink(ctx, link, target)
+
+    def negative_tail(self, ctx, neg, remaining, kind):
+        self._interpose()
+        self.inner.negative_tail(ctx, neg, remaining, kind)
+
+    def finish(self, ctx, final):
+        self._interpose()
+        self.inner.finish(ctx, final)
+
+    def abandon(self, ctx):
+        self.inner.abandon(ctx)
+
+
+class RaceInjector(InterposedHooks):
     """Wraps a kernel's walk hooks, firing a mutation mid-walk.
 
     Args:
@@ -44,8 +91,8 @@ class RaceInjector(WalkHooks):
                  fire_at: int):
         if kernel.fast is None:
             raise ValueError("race injection requires an optimized kernel")
+        super().__init__(kernel.fast)
         self.kernel = kernel
-        self.inner = kernel.fast
         self.mutation = mutation
         self.fire_at = fire_at
         self.events = 0
@@ -63,7 +110,7 @@ class RaceInjector(WalkHooks):
         self.kernel.slow_walk.hooks = self.inner
         self.armed = False
 
-    def _maybe_fire(self) -> None:
+    def _interpose(self) -> None:
         if self.armed and not self.fired and self.events == self.fire_at:
             self.fired = True
             # Disarm while the mutation runs (its own lookups must not
@@ -74,36 +121,6 @@ class RaceInjector(WalkHooks):
             finally:
                 self.kernel.slow_walk.hooks = self
         self.events += 1
-
-    # -- hook chain -------------------------------------------------------------
-
-    def begin(self, task, start, absolute, prehashed=0):
-        self._maybe_fire()
-        return self.inner.begin(task, start, absolute, prehashed)
-
-    def step(self, ctx, name, dentry, mount):
-        self._maybe_fire()
-        self.inner.step(ctx, name, dentry, mount)
-
-    def dotdot(self, ctx, result):
-        self._maybe_fire()
-        self.inner.dotdot(ctx, result)
-
-    def symlink_begin(self, ctx, link, absolute_target):
-        self._maybe_fire()
-        self.inner.symlink_begin(ctx, link, absolute_target)
-
-    def symlink(self, ctx, link, target):
-        self._maybe_fire()
-        self.inner.symlink(ctx, link, target)
-
-    def negative_tail(self, ctx, neg, remaining, kind):
-        self._maybe_fire()
-        self.inner.negative_tail(ctx, neg, remaining, kind)
-
-    def finish(self, ctx, final):
-        self._maybe_fire()
-        self.inner.finish(ctx, final)
 
 
 def _outcome(thunk) -> Tuple[str, object]:

@@ -23,128 +23,19 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import errors
 from repro.core.kernel import Kernel
+from repro.testing.races import InterposedHooks
 from repro.vfs.walk import WalkHooks
 
 
-class StreamScheduler:
-    """Seeded unit-granularity scheduler for interleaved compiled replay.
-
-    Where :class:`ConcurrentRunner` interleaves *within* syscalls (walk
-    hooks, real threads), this scheduler interleaves *between* them: at
-    every step one of the currently live streams advances by one unit.
-    Picks are uniform over live streams from a seeded RNG, so a given
-    ``(seed, unit counts)`` pair always produces the identical
-    schedule — the determinism whole-drain charge plans rely on.
-
-    A compiled program carries its unit table, so
-    :func:`repro.workloads.traces.replay_interleaved` has
-    :meth:`plan_schedule` precompute the entire pick sequence as flat
-    run-length-coalesced arrays and advances streams in runs instead of
-    paying one RNG call per unit.  The planned schedule is
-    *pick-for-pick identical* to driving :meth:`pick` dynamically
-    (``tests/test_server_fleet.py`` asserts this), so vectorization
-    cannot change any interleaving.
-    """
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
-
-    def pick(self, alive: int) -> int:
-        """Index (``0 <= i < alive``) of the stream to advance next."""
-        return self._rng.randrange(alive)
-
-    def snapshot(self):
-        """Opaque, comparable RNG state token: two schedulers with equal
-        tokens produce the identical remaining pick sequence."""
-        return self._rng.getstate()
-
-    # -- static schedule planning ----------------------------------------
-
-    def plan_schedule(self, unit_counts) -> "Tuple[List[int], List[int]]":
-        """Precompute the full drain schedule as flat (stream, run) arrays.
-
-        Simulates the exact dynamic algorithm the unit-by-unit drain
-        loop uses — one ``randrange(len(alive))`` per step over a
-        shrinking alive list, where a pick landing on an exhausted
-        stream *consumes an RNG draw* and retires the stream without
-        advancing anything (the dynamic loop discovers exhaustion via
-        ``StopIteration`` on that extra pick).  Because the RNG draws
-        happen in the same order with the same bounds, the resulting
-        advance sequence is identical to the dynamic loop's, and the
-        scheduler's RNG ends in the identical state.
-
-        Consecutive picks of the same stream are coalesced into runs:
-        the return value is ``(streams, runs)`` where stream
-        ``streams[i]`` advances ``runs[i]`` units, in order.
-        """
-        remaining = list(unit_counts)
-        alive = list(range(len(remaining)))
-        streams: List[int] = []
-        runs: List[int] = []
-        randrange = self._rng.randrange
-        last = -1
-        while alive:
-            i = randrange(len(alive))
-            s = alive[i]
-            if remaining[s] == 0:
-                # The dynamic loop's StopIteration pick: retire, no work.
-                alive.pop(i)
-                last = -1  # a retirement breaks any coalescable run
-                continue
-            remaining[s] -= 1
-            if s == last:
-                runs[-1] += 1
-            else:
-                streams.append(s)
-                runs.append(1)
-                last = s
-        return streams, runs
-
-
-class _YieldingHooks(WalkHooks):
+class _YieldingHooks(InterposedHooks):
     """Delegating hooks that park the calling thread at every event."""
 
     def __init__(self, inner: WalkHooks, runner: "ConcurrentRunner"):
-        self.inner = inner
+        super().__init__(inner)
         self.runner = runner
 
-    def _pause(self) -> None:
+    def _interpose(self) -> None:
         self.runner._yield_point()
-
-    def begin(self, task, start, absolute, prehashed=0):
-        self._pause()
-        return self.inner.begin(task, start, absolute, prehashed)
-
-    def step(self, ctx, name, dentry, mount):
-        self._pause()
-        self.inner.step(ctx, name, dentry, mount)
-
-    def dotdot(self, ctx, result):
-        self._pause()
-        self.inner.dotdot(ctx, result)
-
-    def symlink_begin(self, ctx, link, absolute_target):
-        self._pause()
-        self.inner.symlink_begin(ctx, link, absolute_target)
-
-    def symlink(self, ctx, link, target):
-        self._pause()
-        self.inner.symlink(ctx, link, target)
-
-    def negative_tail(self, ctx, neg, remaining, kind):
-        self._pause()
-        self.inner.negative_tail(ctx, neg, remaining, kind)
-
-    def finish(self, ctx, final):
-        self._pause()
-        self.inner.finish(ctx, final)
-
-    def abandon(self, ctx):
-        # No pause: the walk is already dead, and the inner hook must
-        # still balance its in-flight accounting (walks_active).
-        self.inner.abandon(ctx)
 
 
 class _Worker:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import random
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -28,7 +29,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import errors
 from repro.core.kernel import Kernel
 from repro.sim.costs import ChargePlan, Recording
-from repro.testing.scheduler import StreamScheduler
 from repro.vfs.task import Task
 
 #: Syscalls that perform a path lookup (the §1 statistic).
@@ -404,6 +404,83 @@ def _drain_state(streams) -> Optional[tuple]:
     return [tuple(task.fds._files) for task in tasks], digests
 
 
+class StreamScheduler:
+    """Seeded unit-granularity scheduler for interleaved compiled replay.
+
+    Where :class:`~repro.testing.scheduler.ConcurrentRunner` interleaves
+    *within* syscalls (walk hooks, real threads), this scheduler
+    interleaves *between* them: at every step one of the currently live
+    streams advances by one unit.  Picks are uniform over live streams
+    from a seeded RNG, so a given ``(seed, unit counts)`` pair always
+    produces the identical schedule — the determinism whole-drain charge
+    plans rely on.
+
+    A compiled program carries its unit table, so
+    :func:`replay_interleaved` has :meth:`plan_schedule` precompute the
+    entire pick sequence as flat run-length-coalesced arrays and advances
+    streams in runs instead of paying one RNG call per unit.  The planned schedule is
+    *pick-for-pick identical* to driving :meth:`pick` dynamically
+    (``tests/test_server_fleet.py`` asserts this), so vectorization
+    cannot change any interleaving.
+    """
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, seed: int = 0):
+        self._rng = random.Random(seed)
+
+    def pick(self, alive: int) -> int:
+        """Index (``0 <= i < alive``) of the stream to advance next."""
+        return self._rng.randrange(alive)
+
+    def snapshot(self):
+        """Opaque, comparable RNG state token: two schedulers with equal
+        tokens produce the identical remaining pick sequence."""
+        return self._rng.getstate()
+
+    # -- static schedule planning ----------------------------------------
+
+    def plan_schedule(self, unit_counts) -> "Tuple[List[int], List[int]]":
+        """Precompute the full drain schedule as flat (stream, run) arrays.
+
+        Simulates the exact dynamic algorithm the unit-by-unit drain
+        loop uses — one ``randrange(len(alive))`` per step over a
+        shrinking alive list, where a pick landing on an exhausted
+        stream *consumes an RNG draw* and retires the stream without
+        advancing anything (the dynamic loop discovers exhaustion via
+        ``StopIteration`` on that extra pick).  Because the RNG draws
+        happen in the same order with the same bounds, the resulting
+        advance sequence is identical to the dynamic loop's, and the
+        scheduler's RNG ends in the identical state.
+
+        Consecutive picks of the same stream are coalesced into runs:
+        the return value is ``(streams, runs)`` where stream
+        ``streams[i]`` advances ``runs[i]`` units, in order.
+        """
+        remaining = list(unit_counts)
+        alive = list(range(len(remaining)))
+        streams: List[int] = []
+        runs: List[int] = []
+        randrange = self._rng.randrange
+        last = -1
+        while alive:
+            i = randrange(len(alive))
+            s = alive[i]
+            if remaining[s] == 0:
+                # The dynamic loop's StopIteration pick: retire, no work.
+                alive.pop(i)
+                last = -1  # a retirement breaks any coalescable run
+                continue
+            remaining[s] -= 1
+            if s == last:
+                runs[-1] += 1
+            else:
+                streams.append(s)
+                runs.append(1)
+                last = s
+        return streams, runs
+
+
 @functools.lru_cache(maxsize=64)
 def _drain_schedule(seed: int, unit_counts: tuple):
     # Module scope is the right scope: a schedule depends on nothing but
@@ -570,7 +647,7 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     one directory cache.  Deterministic: the same (streams, seed)
     always produces the same interleaving, virtual costs and Stats.
     The schedule is precomputed as flat (stream, run-length) arrays by
-    :meth:`~repro.testing.scheduler.StreamScheduler.plan_schedule`, so
+    :meth:`StreamScheduler.plan_schedule`, so
     consecutive picks of one stream cost a single dispatch.
 
     The charge-plan layer (:func:`_plan_unit`; ``plans=False`` turns it

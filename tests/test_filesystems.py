@@ -86,6 +86,16 @@ class TestCommonSemantics:
         fs.rmdir(fs.root_ino, "d")
         assert fs.lookup(fs.root_ino, "d") is None
 
+    def test_rmdir_updates_parent_size_and_mtime(self, fs):
+        before = fs.getattr(fs.root_ino)
+        fs.mkdir(fs.root_ino, "d", 0o755, 0, 0)
+        made = fs.getattr(fs.root_ino)
+        fs.costs.charge("syscall_fixed")  # the clock moves on
+        fs.rmdir(fs.root_ino, "d")
+        after = fs.getattr(fs.root_ino)
+        assert after.size == before.size
+        assert after.mtime_ns > made.mtime_ns
+
     def test_rmdir_nonempty_rejected(self, fs):
         info = fs.mkdir(fs.root_ino, "d", 0o755, 0, 0)
         fs.create(info.ino, "f", 0o644, 0, 0)
@@ -200,6 +210,385 @@ class TestSimExtCosts:
         fs.lookup(fs.root_ino, "f")
         warm = costs.now_ns - start
         assert cold > 10 * warm
+
+
+def _mkdir(fs, dir_ino, name):
+    return fs.mkdir(dir_ino, name, 0o755, 0, 0).ino
+
+
+def _fill(fs, d, e, f):
+    return fs.create(d, "fill", 0o644, 0, 0).ino
+
+
+def _write_5k(fs, d, e, f):
+    fs.write(f, 0, b"x" * 5000)
+
+
+def _set_xattr(fs, d, e, f):
+    fs.setxattr(f, "user.a", b"1")
+
+
+def _nonempty_sub(fs, d, e, f):
+    sub = _mkdir(fs, d, "sub")
+    fs.create(sub, "x", 0o644, 0, 0)
+    return sub
+
+
+def _two_subs(fs, d, e, f):
+    _mkdir(fs, d, "s1")
+    return _mkdir(fs, d, "s2")
+
+
+#: name -> (setup run before tracing or None, traced call).  Both take
+#: ``(fs, d, e, f)``: the work directory, a second directory and the
+#: inode of ``d/f1``; either may return the inode number whose mtime is
+#: pinned (default ``f``).
+_TRACE_OPS = {
+    "create": (None, lambda fs, d, e, f: fs.create(d, "new", 0o644, 0, 0).ino),
+    "create_new_block": (_fill, lambda fs, d, e, f:
+                         fs.create(d, "new", 0o644, 0, 0).ino),
+    "mkdir": (None, lambda fs, d, e, f: _mkdir(fs, d, "new")),
+    "symlink": (None, lambda fs, d, e, f:
+                fs.symlink(d, "new", "/t", 0, 0).ino),
+    "link": (None, lambda fs, d, e, f: fs.link(d, "new", f).ino),
+    "unlink_last": (None, lambda fs, d, e, f: fs.unlink(d, "f1")),
+    "unlink_open": (lambda fs, d, e, f: fs.iget(f),
+                    lambda fs, d, e, f: fs.unlink(d, "f1")),
+    "rmdir": (lambda fs, d, e, f: _mkdir(fs, d, "sub"),
+              lambda fs, d, e, f: fs.rmdir(d, "sub")),
+    "rename_within": (None, lambda fs, d, e, f: fs.rename(d, "f1", d, "g")),
+    "rename_across": (None, lambda fs, d, e, f: fs.rename(d, "f1", e, "g")),
+    "rename_over_file": (None, lambda fs, d, e, f:
+                         fs.rename(d, "f1", d, "f2")),
+    "rename_over_empty_dir": (_two_subs, lambda fs, d, e, f:
+                              fs.rename(d, "s1", d, "s2")),
+    "setattr_mode": (None, lambda fs, d, e, f: fs.setattr(f, mode=0o600)),
+    "setattr_truncate": (_write_5k, lambda fs, d, e, f:
+                         fs.setattr(f, size=100)),
+    "write": (None, _write_5k),
+    "read": (_write_5k, lambda fs, d, e, f: fs.read(f, 0, 5000)),
+    "lookup_hit": (None, lambda fs, d, e, f: fs.lookup(d, "f1")),
+    "lookup_miss": (None, lambda fs, d, e, f: fs.lookup(d, "ghost")),
+    "readdir": (None, lambda fs, d, e, f: list(fs.readdir(d))),
+    "getattr": (None, lambda fs, d, e, f: fs.getattr(f)),
+    "getxattr": (_set_xattr, lambda fs, d, e, f: fs.getxattr(f, "user.a")),
+    "setxattr": (None, _set_xattr),
+    "listxattr": (_set_xattr, lambda fs, d, e, f: fs.listxattr(f)),
+    "removexattr": (_set_xattr, lambda fs, d, e, f:
+                    fs.removexattr(f, "user.a")),
+    "eexist": (None, lambda fs, d, e, f: fs.create(d, "f2", 0o644, 0, 0)),
+    "enoent": (None, lambda fs, d, e, f: fs.unlink(d, "ghost")),
+    "enotempty": (_nonempty_sub, lambda fs, d, e, f: fs.rmdir(d, "sub")),
+}
+
+#: Files in the work directory: 15 leave one free slot in one entry
+#: block (linear search); 79 fill all but one slot of five blocks, past
+#: ``HTREE_THRESHOLD_BLOCKS`` (hashed search).
+_TRACE_SIZES = {"linear": 15, "htree": 79}
+
+
+def _block_trace(op, size, monkeypatch):
+    """Run ``op`` on a warm SimExt; return what it did to the block
+    layer and the clock."""
+    from repro.fs import simext
+
+    # The htree leaf is picked by ``hash(name)``, which varies per
+    # process for strings; pin it.
+    monkeypatch.setattr(simext, "hash", lambda name: sum(name.encode()),
+                        raising=False)
+    costs = CostModel(dict(UNIT))
+    fs = SimExtFs(costs)
+    d = _mkdir(fs, fs.root_ino, "d")
+    e = _mkdir(fs, fs.root_ino, "e")
+    for i in range(_TRACE_SIZES[size]):
+        fs.create(d, f"f{i}", 0o644, 0, 0)
+    f = fs.lookup(d, "f1").ino
+    setup, call = _TRACE_OPS[op]
+    node = (setup(fs, d, e, f) if setup else None) or f
+    accesses = []
+    access = fs.pagecache.access
+
+    def spy(block, for_write=False):
+        accesses.append((block, for_write))
+        return access(block, for_write)
+
+    fs.pagecache.access = spy
+    before = dict(costs.counts)
+    try:
+        result = call(fs, d, e, f)
+        if isinstance(result, int):
+            node = result
+        outcome = "ok"
+    except errors.FsError as exc:
+        outcome = exc.errno
+    fs.pagecache.access = access
+    charged = {name: n - before.get(name, 0)
+               for name, n in costs.counts.items()
+               if n != before.get(name, 0)}
+
+    def mtime(ino):
+        try:
+            return fs.peek(ino).mtime_ns
+        except errors.ENOENT:
+            return None
+
+    usage = fs.statfs()
+    return (outcome, accesses, charged, mtime(d), mtime(e), mtime(node),
+            usage.used_blocks, usage.inode_count)
+
+
+#: ``_block_trace`` per (operation, directory size): outcome, the
+#: ``(block, for_write)`` accesses in order, the charges, the mtimes of
+#: ``d``, ``e`` and the node, and statfs's used blocks and inodes.
+_TRACE_PINS = {
+    ("create", "htree"): (
+        "ok", [(131075, False), (131078, False), (11, True), (1, True),
+               (131079, True)],
+        {"fs_create": 1, "fs_dirblock_scan": 2, "pagecache_hit": 5},
+        737.0, 13.0, 736.0, 131079, 83),
+    ("create", "linear"): (
+        "ok", [(131075, False), (3, True), (1, True), (131075, True)],
+        {"fs_create": 1, "fs_dirblock_scan": 1, "pagecache_hit": 4},
+        117.0, 13.0, 116.0, 131075, 19),
+    ("create_new_block", "htree"): (
+        "ok", [(131075, False), (131078, False), (11, True), (131080, True),
+               (1, True), (131080, True)],
+        {"disk_seek": 1, "disk_seq_block": 1, "fs_create": 1,
+         "fs_dirblock_scan": 2, "pagecache_hit": 5},
+        747.0, 13.0, 744.0, 131080, 84),
+    ("create_new_block", "linear"): (
+        "ok", [(131075, False), (3, True), (131076, True), (1, True),
+               (131076, True)],
+        {"disk_seek": 1, "disk_seq_block": 1, "fs_create": 1,
+         "fs_dirblock_scan": 1, "pagecache_hit": 4},
+        125.0, 13.0, 122.0, 131076, 20),
+    ("eexist", "htree"): (
+        17, [(131075, False), (131076, False), (11, True)],
+        {"fs_create": 1, "fs_dirblock_scan": 2, "pagecache_hit": 3},
+        722.0, 13.0, 26.0, 131079, 83),
+    ("eexist", "linear"): (
+        17, [(131075, False), (3, True)],
+        {"fs_create": 1, "fs_dirblock_scan": 1, "pagecache_hit": 2},
+        106.0, 13.0, 26.0, 131075, 19),
+    ("enoent", "htree"): (
+        2, [],
+        {"fs_unlink": 1},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("enoent", "linear"): (
+        2, [],
+        {"fs_unlink": 1},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("enotempty", "htree"): (
+        39, [],
+        {"fs_unlink": 1},
+        737.0, 13.0, 745.0, 131080, 84),
+    ("enotempty", "linear"): (
+        39, [],
+        {"fs_unlink": 1},
+        117.0, 13.0, 125.0, 131076, 20),
+    ("getattr", "htree"): (
+        "ok", [(1, False)],
+        {"pagecache_hit": 1},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("getattr", "linear"): (
+        "ok", [(1, False)],
+        {"pagecache_hit": 1},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("getxattr", "htree"): (
+        "ok", [(1, False)],
+        {"fs_xattr": 1, "pagecache_hit": 1},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("getxattr", "linear"): (
+        "ok", [(1, False)],
+        {"fs_xattr": 1, "pagecache_hit": 1},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("link", "htree"): (
+        "ok", [(1, True), (131079, True), (1, True)],
+        {"fs_create": 1, "pagecache_hit": 3},
+        732.0, 13.0, 26.0, 131079, 82),
+    ("link", "linear"): (
+        "ok", [(1, True), (131075, True), (1, True)],
+        {"fs_create": 1, "pagecache_hit": 3},
+        114.0, 13.0, 26.0, 131075, 18),
+    ("listxattr", "htree"): (
+        "ok", [(1, False)],
+        {"fs_xattr": 1, "pagecache_hit": 1},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("listxattr", "linear"): (
+        "ok", [(1, False)],
+        {"fs_xattr": 1, "pagecache_hit": 1},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("lookup_hit", "htree"): (
+        "ok", [(1, False), (131075, False), (131079, False), (1, False)],
+        {"fs_dirblock_scan": 2, "fs_lookup_base": 1, "pagecache_hit": 4},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("lookup_hit", "linear"): (
+        "ok", [(1, False), (131075, False), (1, False)],
+        {"fs_dirblock_scan": 1, "fs_lookup_base": 1, "pagecache_hit": 3},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("lookup_miss", "htree"): (
+        "ok", [(1, False), (131075, False), (131077, False)],
+        {"fs_dirblock_scan": 2, "fs_lookup_base": 1, "pagecache_hit": 3},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("lookup_miss", "linear"): (
+        "ok", [(1, False), (131075, False)],
+        {"fs_dirblock_scan": 1, "fs_lookup_base": 1, "pagecache_hit": 2},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("mkdir", "htree"): (
+        "ok", [(131075, False), (131078, False), (11, True), (1, True),
+               (131079, True)],
+        {"fs_create": 1, "fs_dirblock_scan": 2, "pagecache_hit": 5},
+        737.0, 13.0, 736.0, 131079, 83),
+    ("mkdir", "linear"): (
+        "ok", [(131075, False), (3, True), (1, True), (131075, True)],
+        {"fs_create": 1, "fs_dirblock_scan": 1, "pagecache_hit": 4},
+        117.0, 13.0, 116.0, 131075, 19),
+    ("read", "htree"): (
+        "ok", [(1, False), (131080, False), (131081, False)],
+        {"pagecache_hit": 3, "read_write_base": 1},
+        722.0, 13.0, 734.0, 131081, 82),
+    ("read", "linear"): (
+        "ok", [(1, False), (131076, False), (131077, False)],
+        {"pagecache_hit": 3, "read_write_base": 1},
+        106.0, 13.0, 116.0, 131077, 18),
+    ("readdir", "htree"): (
+        "ok", [(1, False), (131075, False), (131076, False), (131077, False),
+               (131078, False), (131079, False)],
+        {"fs_readdir_entry": 79, "pagecache_hit": 6},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("readdir", "linear"): (
+        "ok", [(1, False), (131075, False)],
+        {"fs_readdir_entry": 15, "pagecache_hit": 2},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("removexattr", "htree"): (
+        "ok", [(1, True)],
+        {"fs_xattr": 1, "pagecache_hit": 1},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("removexattr", "linear"): (
+        "ok", [(1, True)],
+        {"fs_xattr": 1, "pagecache_hit": 1},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("rename_across", "htree"): (
+        "ok", [(131075, False), (131079, False), (1, True), (131080, True),
+               (1, True)],
+        {"disk_seek": 1, "disk_seq_block": 1, "fs_dirblock_scan": 2,
+         "fs_rename": 1, "pagecache_hit": 4},
+        736.0, 739.0, 26.0, 131080, 82),
+    ("rename_across", "linear"): (
+        "ok", [(131075, False), (1, True), (131076, True), (1, True)],
+        {"disk_seek": 1, "disk_seq_block": 1, "fs_dirblock_scan": 1,
+         "fs_rename": 1, "pagecache_hit": 3},
+        116.0, 119.0, 26.0, 131076, 18),
+    ("rename_over_empty_dir", "htree"): (
+        "ok", [(131075, False), (131076, False), (1, True), (131075, False),
+               (131080, False), (1, True), (1, True)],
+        {"fs_dirblock_scan": 4, "fs_rename": 1, "fs_unlink": 1,
+         "pagecache_hit": 7},
+        761.0, 13.0, None, 131080, 83),
+    ("rename_over_empty_dir", "linear"): (
+        "ok", [(131075, False), (131076, False), (1, True), (131075, False),
+               (131076, False), (1, True), (1, True)],
+        {"fs_dirblock_scan": 4, "fs_rename": 1, "fs_unlink": 1,
+         "pagecache_hit": 7},
+        139.0, 13.0, None, 131076, 19),
+    ("rename_over_file", "htree"): (
+        "ok", [(131075, False), (131076, False), (1, True), (1, True),
+               (131075, False), (131079, False), (1, True), (1, True)],
+        {"fs_dirblock_scan": 4, "fs_rename": 1, "fs_unlink": 1,
+         "pagecache_hit": 8},
+        744.0, 13.0, 26.0, 131079, 81),
+    ("rename_over_file", "linear"): (
+        "ok", [(131075, False), (1, True), (1, True), (131075, False),
+               (1, True), (1, True)],
+        {"fs_dirblock_scan": 2, "fs_rename": 1, "fs_unlink": 1,
+         "pagecache_hit": 6},
+        122.0, 13.0, 26.0, 131075, 17),
+    ("rename_within", "htree"): (
+        "ok", [(131075, False), (131079, False), (1, True), (1, True)],
+        {"fs_dirblock_scan": 2, "fs_rename": 1, "pagecache_hit": 4},
+        737.0, 13.0, 26.0, 131079, 82),
+    ("rename_within", "linear"): (
+        "ok", [(131075, False), (1, True), (1, True)],
+        {"fs_dirblock_scan": 1, "fs_rename": 1, "pagecache_hit": 3},
+        117.0, 13.0, 26.0, 131075, 18),
+    ("rmdir", "htree"): (
+        "ok", [(131075, False), (131078, False), (1, True)],
+        {"fs_dirblock_scan": 2, "fs_unlink": 1, "pagecache_hit": 3},
+        744.0, 13.0, None, 131079, 82),
+    ("rmdir", "linear"): (
+        "ok", [(131075, False), (1, True)],
+        {"fs_dirblock_scan": 1, "fs_unlink": 1, "pagecache_hit": 2},
+        122.0, 13.0, None, 131075, 18),
+    ("setattr_mode", "htree"): (
+        "ok", [(1, True)],
+        {"fs_setattr": 1, "pagecache_hit": 1},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("setattr_mode", "linear"): (
+        "ok", [(1, True)],
+        {"fs_setattr": 1, "pagecache_hit": 1},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("setattr_truncate", "htree"): (
+        "ok", [(1, True)],
+        {"fs_setattr": 1, "pagecache_hit": 1},
+        722.0, 13.0, 5737.0, 131081, 82),
+    ("setattr_truncate", "linear"): (
+        "ok", [(1, True)],
+        {"fs_setattr": 1, "pagecache_hit": 1},
+        106.0, 13.0, 5119.0, 131077, 18),
+    ("setxattr", "htree"): (
+        "ok", [(1, True)],
+        {"fs_xattr": 1, "pagecache_hit": 1},
+        722.0, 13.0, 26.0, 131079, 82),
+    ("setxattr", "linear"): (
+        "ok", [(1, True)],
+        {"fs_xattr": 1, "pagecache_hit": 1},
+        106.0, 13.0, 26.0, 131075, 18),
+    ("symlink", "htree"): (
+        "ok", [(11, True), (1, True), (131079, True)],
+        {"fs_create": 1, "pagecache_hit": 3},
+        733.0, 13.0, 732.0, 131079, 83),
+    ("symlink", "linear"): (
+        "ok", [(3, True), (1, True), (131075, True)],
+        {"fs_create": 1, "pagecache_hit": 3},
+        115.0, 13.0, 114.0, 131075, 19),
+    ("unlink_last", "htree"): (
+        "ok", [(131075, False), (131079, False), (1, True), (1, True)],
+        {"fs_dirblock_scan": 2, "fs_unlink": 1, "pagecache_hit": 4},
+        736.0, 13.0, None, 131079, 81),
+    ("unlink_last", "linear"): (
+        "ok", [(131075, False), (1, True), (1, True)],
+        {"fs_dirblock_scan": 1, "fs_unlink": 1, "pagecache_hit": 3},
+        116.0, 13.0, None, 131075, 17),
+    ("unlink_open", "htree"): (
+        "ok", [(131075, False), (131079, False), (1, True), (1, True)],
+        {"fs_dirblock_scan": 2, "fs_unlink": 1, "pagecache_hit": 4},
+        736.0, 13.0, 26.0, 131079, 82),
+    ("unlink_open", "linear"): (
+        "ok", [(131075, False), (1, True), (1, True)],
+        {"fs_dirblock_scan": 1, "fs_unlink": 1, "pagecache_hit": 3},
+        116.0, 13.0, 26.0, 131075, 18),
+    ("write", "htree"): (
+        "ok", [(131080, True), (131081, True), (1, True)],
+        {"disk_seek": 1, "disk_seq_block": 2, "pagecache_hit": 1,
+         "read_write_base": 1},
+        722.0, 13.0, 734.0, 131081, 82),
+    ("write", "linear"): (
+        "ok", [(131076, True), (131077, True), (1, True)],
+        {"disk_seek": 1, "disk_seq_block": 2, "pagecache_hit": 1,
+         "read_write_base": 1},
+        106.0, 13.0, 116.0, 131077, 18),
+}
+
+
+class TestSimExtBlockTrace:
+    """Every block SimExt touches, in order, per operation: the disk
+    model's seeks and the page-cache LRU depend on that order, and so
+    do the clock readings stamped into mtimes."""
+
+    @pytest.mark.parametrize("size", sorted(_TRACE_SIZES))
+    @pytest.mark.parametrize("op", sorted(_TRACE_OPS))
+    def test_trace_is_pinned(self, op, size, monkeypatch):
+        assert _block_trace(op, size, monkeypatch) == _TRACE_PINS[op, size]
 
 
 class TestPseudoFs:

@@ -202,6 +202,20 @@ class TestLayering:
         assert not offenders, \
             "substrate modules importing repro.core:\n" + "\n".join(offenders)
 
+    def test_only_the_test_oracles_import_repro_testing(self):
+        """``repro.testing`` holds test oracles; the simulator and its
+        workloads must run without them."""
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.parent == SRC / "testing":
+                continue
+            tree = ast.parse(path.read_text())
+            for name in _module_level_imports(tree):
+                if (name + ".").startswith("repro.testing."):
+                    offenders.append(f"{path.relative_to(SRC)}: {name}")
+        assert not offenders, \
+            "modules importing repro.testing:\n" + "\n".join(offenders)
+
 
 def _attribute_reads(tree: ast.Module, attr: str):
     """Line numbers of every ``<expr>.attr`` in the module."""

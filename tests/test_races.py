@@ -9,6 +9,8 @@ probe path's fastpath answer against a non-populating slowpath walk.
 
 from __future__ import annotations
 
+import errno
+
 import pytest
 
 from repro import O_CREAT, O_RDWR, make_kernel
@@ -240,6 +242,20 @@ class TestInjectorMechanics:
             kernel, lambda: kernel.sys.stat(task, "/f"),
             lambda: None, fire_at=1000)
         assert kind == "ok" and not fired
+
+    def test_denied_victim_walk_is_abandoned(self):
+        """A victim walk that dies of EACCES still reaches the inner
+        hooks' ``abandon``, so no walk stays counted as in flight."""
+        kernel = make_kernel("optimized")
+        root = kernel.spawn_task(uid=0, gid=0)
+        kernel.sys.mkdir(root, "/a")
+        _mkfile(kernel, root, "/a/f")
+        kernel.sys.chmod(root, "/a", 0o700)
+        user = kernel.spawn_task(uid=1000, gid=1000)
+        outcome = run_race(kernel, lambda: kernel.sys.stat(user, "/a/f"),
+                           lambda: None, fire_at=0)
+        assert outcome == ("err", errno.EACCES, True)
+        assert kernel.coherence.walks_active == 0
 
     def test_requires_optimized_kernel(self):
         from repro.testing.races import RaceInjector

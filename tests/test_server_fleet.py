@@ -2,8 +2,8 @@
 
 The engine stack under test: segment and whole-drain charge plans
 (``sim/costs.py`` + ``workloads/traces.py``), vectorized interleaved
-scheduling (``testing/scheduler.py``), and the fleet workload itself
-(``workloads/server_fleet.py``).  The contract everywhere is the same:
+scheduling (``StreamScheduler``, also in ``workloads/traces.py``), and
+the fleet workload itself (``workloads/server_fleet.py``).  The contract everywhere is the same:
 every wall-clock optimization must leave virtual output — clock,
 per-primitive charges, Stats — bit-identical to the interpreted path,
 on every profile.
@@ -17,10 +17,9 @@ from repro import make_kernel
 from repro.bench import exp_tenant_crossover
 from repro.core.kernel import PROFILES
 from repro.testing.dual import fingerprint
-from repro.testing.scheduler import StreamScheduler
 from repro.workloads import server_fleet
 from repro.workloads.compile import build_loop_trace, compile_trace
-from repro.workloads.traces import replay_interleaved
+from repro.workloads.traces import StreamScheduler, replay_interleaved
 
 
 def _small_fleet(kernel, *, tenants=3, total_requests=15,
