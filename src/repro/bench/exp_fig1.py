@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro import make_kernel
 from repro.bench.harness import Report
 from repro.workloads import apps
+from repro.workloads.traces import PATH_LOOKUP_OPS
 
 
 def run(quick: bool = False) -> Report:
@@ -36,7 +37,7 @@ def run(quick: bool = False) -> Report:
                         for op in ("stat", "lstat", "fstatat", "open",
                                    "openat"))
         path_calls = sum(result.syscall_counts.get(op, 0)
-                         for op in apps.PATH_SYSCALLS)
+                         for op in PATH_LOOKUP_OPS)
         total_calls = sum(result.syscall_counts.values())
         share = 100.0 * stat_open / path_calls if path_calls else 0.0
         # §1's iBench statistic: the fraction of all syscalls that do a

@@ -417,9 +417,9 @@ class FastLookup(WalkHooks):
         (``on_miss``): a policy whose mutations leave the prefix of a
         churned path cached and valid spares the component-by-component
         re-walk.  When the parent directory then passes a real search
-        check, do the one ``d_lookup``/FS lookup the slowpath would do
-        for the last component, populate the caches, and finish the
-        lookup right here.
+        check, do the one ``d_lookup`` and, on a miss, the slowpath's
+        own FS lookup step (``SlowWalk.miss``) for the last component,
+        populate the caches, and finish the lookup right here.
         """
         if self.config.force_fastpath_miss:
             return None
@@ -467,17 +467,9 @@ class FastLookup(WalkHooks):
                 # the whole case to the slowpath rather than risk paying
                 # the FS lookup twice.
                 return None
-            self.stats.bump("dcache_miss")
-            self.stats.bump("fs_lookup")
-            with self.costs.scope("miss"):
-                info = fs.lookup(parent.inode.ino, last)
-            if info is not None:
-                inode = self.dcache.inode_table(fs).obtain(info)
-                child = self.dcache.d_alloc(parent, last, inode)
-                if child.is_symlink:
-                    return None  # symlink tails need the slowpath
-            else:
-                child = self.dcache.d_alloc(parent, last, None)
+            child = self.slow.miss(parent, last)
+            if child.is_symlink:
+                return None  # symlink tails need the slowpath
         self._populate(ns.dlht, pcc if pcc_ok else None, child, seg_state,
                        parent_mount, self.coherence.epoch, sig)
         self.stats.bump("fastpath_complete")

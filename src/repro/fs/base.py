@@ -89,8 +89,8 @@ class NodeInfo:
 class Node:
     """One in-memory inode: its attributes and the payload of its kind.
 
-    :class:`~repro.fs.tmpfs.TmpFs` and ``dlfs`` keep these; SimExt's
-    subclass adds the blocks the payload lives in.
+    :class:`~repro.fs.tmpfs.TmpFs` and its subclasses keep these;
+    SimExt's subclass adds the blocks the payload lives in.
     """
 
     __slots__ = ("ino", "mode", "uid", "gid", "nlink", "size",

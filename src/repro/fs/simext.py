@@ -133,12 +133,11 @@ class SimExtFs(TmpFs):
         super()._insert(directory, name, ino, dtype)
         self._touch(directory.ino, for_write=True)
 
-    def _add_entry(self, dir_ino: int, name: str, node: Node,
-                   dtype: str) -> _Inode:
-        directory = super()._add_entry(dir_ino, name, node, dtype)
+    def _add_entry(self, directory: _Inode, name: str, node: Node,
+                   dtype: str) -> None:
+        super()._add_entry(directory, name, node, dtype)
         if directory.entry_blocks:
             self.pagecache.access(directory.entry_blocks[-1], for_write=True)
-        return directory
 
     def _remove(self, directory: _Inode, name: str) -> None:
         self._search_blocks(directory, name)

@@ -1,17 +1,19 @@
 """TmpFs: a RAM-backed file system (no device, CPU costs only).
 
 TmpFs holds the in-memory inode table and the POSIX directory rules: the
-EEXIST / ENOENT / EISDIR / ENOTDIR / ENOTEMPTY checks, entry insert and
-remove with their size and mtime updates, link counts, rename over a
-victim, ``setattr`` and xattrs.  The rules are written over a few
-primitives — allocate a node, touch its inode, search, insert or remove
-an entry, and "a node lost its last link" — which cost nothing here, so
-a miss costs only the FS-call CPU time.  Tests use it to isolate the
-dcache algorithms from disk effects, and ``netfs``'s export server keeps
-its tree in one.
+EEXIST / ENOENT / EISDIR / ENOTDIR / ENOTEMPTY checks (a new name is
+checked before anything is allocated), entry insert and remove with
+their size and mtime updates, link counts, rename over a victim,
+``setattr`` and xattrs.  The rules are written over a few primitives — allocate a node,
+touch its inode, search, add, insert or remove an entry, and "a node
+lost its last link" — which cost nothing here, so a miss costs only the
+FS-call CPU time.  Tests use it to isolate the dcache algorithms from
+disk effects, and ``netfs``'s export server keeps its tree in one.
 
 :class:`~repro.fs.simext.SimExtFs` is TmpFs plus a block map: it
 overrides the primitives to touch the blocks an ext2 would.
+:class:`~repro.fs.dlfs.DlfsLikeFs` is TmpFs plus a path-keyed store's
+costs: one keyed I/O per operation, one re-key per object a rename moves.
 """
 
 from __future__ import annotations
@@ -120,39 +122,48 @@ class TmpFs(FileSystem):
 
     # -- mutations -----------------------------------------------------------
 
-    def _add_entry(self, dir_ino: int, name: str, node: Node,
-                   dtype: str) -> Node:
-        """Link ``node`` into ``dir_ino`` under a new ``name``; returns
-        the directory."""
+    def _free_name(self, dir_ino: int, name: str) -> Node:
+        """The directory a new ``name`` goes in; EEXIST if it is taken.
+        Checked before anything is allocated, so a failed create leaves
+        nothing behind."""
         directory = self._get_dir(dir_ino)
         if name in directory.entries:
             raise errors.EEXIST(message=f"{name!r} exists in inode {dir_ino}")
-        self._insert(directory, name, node.ino, dtype)
         return directory
+
+    def _add_entry(self, directory: Node, name: str, node: Node,
+                   dtype: str) -> None:
+        """Link ``node`` into ``directory`` under a name
+        :meth:`_free_name` found free."""
+        self._insert(directory, name, node.ino, dtype)
 
     def create(self, dir_ino: int, name: str, mode: int, uid: int,
                gid: int) -> NodeInfo:
         self.costs.charge("fs_create")
         self._search(dir_ino, name)
+        directory = self._free_name(dir_ino, name)
         node = self._alloc((mode & base.MODE_BITS) | base.S_IFREG, uid, gid)
-        self._add_entry(dir_ino, name, node, base.DT_REG)
+        self._add_entry(directory, name, node, base.DT_REG)
         return node.info()
 
     def mkdir(self, dir_ino: int, name: str, mode: int, uid: int,
               gid: int) -> NodeInfo:
         self.costs.charge("fs_create")
         self._search(dir_ino, name)
+        directory = self._free_name(dir_ino, name)
         node = self._alloc((mode & base.MODE_BITS) | base.S_IFDIR, uid, gid)
-        self._add_entry(dir_ino, name, node, base.DT_DIR).nlink += 1
+        self._add_entry(directory, name, node, base.DT_DIR)
+        directory.nlink += 1
         return node.info()
 
     def symlink(self, dir_ino: int, name: str, target: str, uid: int,
                 gid: int) -> NodeInfo:
         self.costs.charge("fs_create")
+        directory = self._free_name(dir_ino, name)
         node = self._alloc(base.S_IFLNK | 0o777, uid, gid)
         node.symlink_target = target
         node.size = len(target)
-        self._add_entry(dir_ino, name, node, base.DT_LNK)
+        self._add_entry(directory, name, node, base.DT_LNK)
         return node.info()
 
     def link(self, dir_ino: int, name: str, target_ino: int) -> NodeInfo:
@@ -160,7 +171,8 @@ class TmpFs(FileSystem):
         node = self._get(target_ino)
         if node.is_dir:
             raise errors.EPERM(message="hard link to directory")
-        self._add_entry(dir_ino, name, node, base.DT_REG)
+        self._add_entry(self._free_name(dir_ino, name), name, node,
+                        base.DT_REG)
         node.nlink += 1
         self._touch(target_ino, for_write=True)
         return node.info()

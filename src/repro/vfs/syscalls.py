@@ -33,6 +33,11 @@ from repro.vfs.task import Task
 _TEMP_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 
+def _is_root(cred, inode) -> bool:
+    """chown's rule: only root gives a file away."""
+    return cred.is_root
+
+
 class StatResult(NamedTuple):
     """What ``stat(2)`` reports.
 
@@ -210,6 +215,57 @@ class Syscalls:
         from repro.core.negative import negative_after_removal
         negative_after_removal(self.dcache, parent, name)
 
+    def _instantiate(self, task: Task, pos: PathPos, path_hint: str,
+                     op: str, *args) -> None:
+        """Give the negative dentry at ``pos`` a new object: the
+        parent's write check, ``fs.<op>(dir_ino, name, *args)``, and the
+        returned inode made positive in place."""
+        dentry = pos.dentry
+        parent = self._parent_pos(pos, path_hint)
+        self._check_dir_write(task, parent, path_hint)
+        dir_inode = parent.dentry.inode
+        fs = dir_inode.fs
+        info = getattr(fs, op)(dir_inode.ino, dentry.name, *args)
+        self.dcache.make_positive(dentry,
+                                  self.dcache.inode_table(fs).obtain(info))
+        self._sync_inode(dir_inode)
+
+    def _remove(self, task: Task, path: str, rmdir: bool) -> None:
+        """unlink(2), or rmdir(2) when ``rmdir``: one body for both."""
+        self._enter()
+        pos = self._resolve(task, path, follow_last=False)
+        dentry = pos.dentry
+        if dentry.is_dir != rmdir:
+            raise (errors.ENOTDIR if rmdir else errors.EISDIR)(path)
+        if dentry.mounted_roots or dentry is pos.mount.root_dentry:
+            raise errors.EBUSY(path)
+        parent = self._parent_pos(pos, path)
+        self._check_dir_write(task, parent, path)
+        self._check_sticky(task, parent, dentry, path)
+        dir_inode = parent.dentry.inode
+        if rmdir:
+            self._shoot_subtree(dentry)
+            dir_inode.fs.rmdir(dir_inode.ino, dentry.name)
+        else:
+            dir_inode.fs.unlink(dir_inode.ino, dentry.name)
+            self._bump_counter()
+        self._sync_inode(dentry.inode)
+        self._sync_inode(dir_inode)
+        if dentry.pin_count > 0:
+            # The dentry stays with its open handles; under aggressive
+            # negative caching a fresh negative takes over the path (§5.2).
+            self.dcache.d_drop(dentry)
+            if self.config.aggressive_negative:
+                self._negative_after_removal(parent.dentry, dentry.name)
+        else:
+            self.dcache.make_negative(dentry)
+
+    @staticmethod
+    def _resize(inode, size: int) -> None:
+        info = inode.fs.setattr(inode.ino, size=size)
+        inode.size = info.size
+        inode.mtime_ns = info.mtime_ns
+
     @staticmethod
     def _sync_inode(inode) -> None:
         """Refresh size/nlink mirrors from the FS after a mutation.
@@ -322,15 +378,8 @@ class Syscalls:
         dentry = pos.dentry
         created = False
         if flags & O_CREAT and dentry.is_negative:
-            parent = self._parent_pos(pos, path)
-            self._check_dir_write(task, parent, path)
-            fs = parent.dentry.inode.fs
-            info = fs.create(parent.dentry.inode.ino, dentry.name,
-                             mode & ~task.umask, task.cred.uid,
-                             task.cred.gid)
-            inode = self.dcache.inode_table(fs).obtain(info)
-            self.dcache.make_positive(dentry, inode)
-            self._sync_inode(parent.dentry.inode)
+            self._instantiate(task, pos, path, "create", mode & ~task.umask,
+                              task.cred.uid, task.cred.gid)
             created = True
         elif flags & O_CREAT and flags & O_EXCL:
             raise errors.EEXIST(path)
@@ -350,9 +399,7 @@ class Syscalls:
         if wants_write:
             self._check_writable_mount(pos, path)
         if flags & O_TRUNC and wants_write and not dentry.is_dir:
-            info = dentry.inode.fs.setattr(dentry.inode.ino, size=0)
-            dentry.inode.size = info.size
-            dentry.inode.mtime_ns = info.mtime_ns
+            self._resize(dentry.inode, 0)
         file = File(pos, flags)
         self.costs.charge("open_install_fd")
         return task.fds.install(file)
@@ -434,10 +481,7 @@ class Syscalls:
         file = task.fds.get(fd)
         if not file.writable:
             raise errors.EBADF(message=f"fd {fd} not writable")
-        inode = file.pos.dentry.inode
-        info = inode.fs.setattr(inode.ino, size=size)
-        inode.size = info.size
-        inode.mtime_ns = info.mtime_ns
+        self._resize(file.pos.dentry.inode, size)
 
     def truncate(self, task: Task, path: str, size: int) -> None:
         self._enter()
@@ -447,9 +491,7 @@ class Syscalls:
             raise errors.EISDIR(path)
         self._check_perm(task, dentry, perms.MAY_WRITE, path)
         self._check_writable_mount(pos, path)
-        info = dentry.inode.fs.setattr(dentry.inode.ino, size=size)
-        dentry.inode.size = info.size
-        dentry.inode.mtime_ns = info.mtime_ns
+        self._resize(dentry.inode, size)
 
     # ------------------------------------------------------------------
     # directory listing
@@ -492,65 +534,17 @@ class Syscalls:
         pos = self._resolve(task, path, follow_last=False,
                             intent_create=True, create_dir=True,
                             dirfd_pos=self._dirfd_pos(task, dirfd))
-        dentry = pos.dentry
-        if not dentry.is_negative:
+        if not pos.dentry.is_negative:
             raise errors.EEXIST(path)
-        parent = self._parent_pos(pos, path)
-        self._check_dir_write(task, parent, path)
-        fs = parent.dentry.inode.fs
-        info = fs.mkdir(parent.dentry.inode.ino, dentry.name,
-                        mode & ~task.umask, task.cred.uid, task.cred.gid)
-        inode = self.dcache.inode_table(fs).obtain(info)
-        self.dcache.make_positive(dentry, inode)
-        self._sync_inode(parent.dentry.inode)
-        self.kernel.readdir_engine.mark_new_directory(dentry)
+        self._instantiate(task, pos, path, "mkdir", mode & ~task.umask,
+                          task.cred.uid, task.cred.gid)
+        self.kernel.readdir_engine.mark_new_directory(pos.dentry)
 
     def rmdir(self, task: Task, path: str) -> None:
-        self._enter()
-        pos = self._resolve(task, path, follow_last=False)
-        dentry = pos.dentry
-        if not dentry.is_dir:
-            raise errors.ENOTDIR(path)
-        if dentry.mounted_roots or dentry is pos.mount.root_dentry:
-            raise errors.EBUSY(path)
-        parent = self._parent_pos(pos, path)
-        self._check_dir_write(task, parent, path)
-        self._check_sticky(task, parent, dentry, path)
-        fs = parent.dentry.inode.fs
-        self._shoot_subtree(dentry)
-        fs.rmdir(parent.dentry.inode.ino, dentry.name)
-        self._sync_inode(parent.dentry.inode)
-        if dentry.pin_count > 0:
-            self.dcache.d_drop(dentry)
-            if self.config.aggressive_negative:
-                self._negative_after_removal(parent.dentry, dentry.name)
-        else:
-            self.dcache.make_negative(dentry)
+        self._remove(task, path, rmdir=True)
 
     def unlink(self, task: Task, path: str) -> None:
-        self._enter()
-        pos = self._resolve(task, path, follow_last=False)
-        dentry = pos.dentry
-        if dentry.is_dir:
-            raise errors.EISDIR(path)
-        if dentry.mounted_roots or dentry is pos.mount.root_dentry:
-            raise errors.EBUSY(path)
-        parent = self._parent_pos(pos, path)
-        self._check_dir_write(task, parent, path)
-        self._check_sticky(task, parent, dentry, path)
-        fs = parent.dentry.inode.fs
-        fs.unlink(parent.dentry.inode.ino, dentry.name)
-        self._sync_inode(dentry.inode)
-        self._sync_inode(parent.dentry.inode)
-        self._bump_counter()
-        if dentry.pin_count > 0:
-            # The dentry stays with its open handles; under aggressive
-            # negative caching a fresh negative takes over the path (§5.2).
-            self.dcache.d_drop(dentry)
-            if self.config.aggressive_negative:
-                self._negative_after_removal(parent.dentry, dentry.name)
-        else:
-            self.dcache.make_negative(dentry)
+        self._remove(task, path, rmdir=False)
 
     def rename(self, task: Task, old: str, new: str) -> None:
         self._enter()
@@ -616,75 +610,53 @@ class Syscalls:
             raise errors.EPERM(existing, "hard link to a directory")
         newpos = self._resolve(task, newpath, follow_last=False,
                                intent_create=True)
-        dentry = newpos.dentry
-        if not dentry.is_negative:
+        if not newpos.dentry.is_negative:
             raise errors.EEXIST(newpath)
-        if oldpos.mount.fs is not newpos.mount.fs:
+        # Two mounts of one file system are two places (do_linkat).
+        if oldpos.mount is not newpos.mount:
             raise errors.EXDEV(newpath)
-        parent = self._parent_pos(newpos, newpath)
-        self._check_dir_write(task, parent, newpath)
-        fs = parent.dentry.inode.fs
-        info = fs.link(parent.dentry.inode.ino, dentry.name,
-                       source.inode.ino)
-        inode = self.dcache.inode_table(fs).obtain(info)
-        inode.nlink = info.nlink
-        self.dcache.make_positive(dentry, inode)
-        self._sync_inode(parent.dentry.inode)
+        self._instantiate(task, newpos, newpath, "link", source.inode.ino)
 
     def symlink(self, task: Task, target: str, linkpath: str) -> None:
         self._enter()
         pos = self._resolve(task, linkpath, follow_last=False,
                             intent_create=True)
-        dentry = pos.dentry
-        if not dentry.is_negative:
+        if not pos.dentry.is_negative:
             raise errors.EEXIST(linkpath)
-        parent = self._parent_pos(pos, linkpath)
-        self._check_dir_write(task, parent, linkpath)
-        fs = parent.dentry.inode.fs
-        info = fs.symlink(parent.dentry.inode.ino, dentry.name, target,
+        self._instantiate(task, pos, linkpath, "symlink", target,
                           task.cred.uid, task.cred.gid)
-        inode = self.dcache.inode_table(fs).obtain(info)
-        self.dcache.make_positive(dentry, inode)
-        self._sync_inode(parent.dentry.inode)
 
     # ------------------------------------------------------------------
     # attribute changes
     # ------------------------------------------------------------------
 
     def chmod(self, task: Task, path: str, mode: int) -> None:
+        self._change_attrs(task, path, perms.owner_or_root, "", mode=mode)
+
+    def chown(self, task: Task, path: str, uid: Optional[int] = None,
+              gid: Optional[int] = None) -> None:
+        self._change_attrs(task, path, _is_root, "chown requires root",
+                           uid=uid, gid=gid)
+
+    def _change_attrs(self, task: Task, path: str, allowed, denial: str,
+                      **attrs) -> None:
+        """chmod(2) / chown(2): ``allowed(cred, inode)`` is the call's
+        own permission rule, ``denial`` its EPERM message."""
         self._enter()
         self.costs.charge("chmod_fixed")
         pos = self._resolve(task, path, follow_last=True)
-        dentry = pos.dentry
-        inode = dentry.inode
-        if not perms.owner_or_root(task.cred, inode):
-            raise errors.EPERM(path)
+        inode = pos.dentry.inode
+        if not allowed(task.cred, inode):
+            raise errors.EPERM(path, denial)
         self._check_writable_mount(pos, path)
         # §3.2: a directory's permission change invalidates every cached
         # descendant's prefix checks before the change lands.
         if inode.is_dir:
-            self._shoot_subtree(dentry)
-        info = inode.fs.setattr(inode.ino, mode=mode)
-        inode.apply(info)
-        # Mode bits gate permission checks inside memoized resolutions,
-        # and neither a non-directory chmod nor an elided shootdown
-        # reaches any other flush hook.
-        self.costs.forget()
-
-    def chown(self, task: Task, path: str, uid: Optional[int] = None,
-              gid: Optional[int] = None) -> None:
-        self._enter()
-        self.costs.charge("chmod_fixed")
-        pos = self._resolve(task, path, follow_last=True)
-        dentry = pos.dentry
-        inode = dentry.inode
-        if not task.cred.is_root:
-            raise errors.EPERM(path, "chown requires root")
-        self._check_writable_mount(pos, path)
-        if inode.is_dir:
-            self._shoot_subtree(dentry)
-        info = inode.fs.setattr(inode.ino, uid=uid, gid=gid)
-        inode.apply(info)
+            self._shoot_subtree(pos.dentry)
+        inode.apply(inode.fs.setattr(inode.ino, **attrs))
+        # Mode bits and owners gate permission checks inside memoized
+        # resolutions, and neither a non-directory change nor an elided
+        # shootdown reaches any other flush hook.
         self.costs.forget()
 
     def relabel(self, task: Task, path: str, label: Optional[str]) -> None:
@@ -751,6 +723,16 @@ class Syscalls:
         """setxattr(2).  ``security.*`` requires root and carries the
         same coherence obligations as a relabel; ``user.*`` requires
         write permission on the file."""
+        self._write_xattr(task, path, name, value)
+
+    def removexattr(self, task: Task, path: str, name: str) -> None:
+        """removexattr(2), under setxattr's namespace rule."""
+        self._write_xattr(task, path, name, None)
+
+    def _write_xattr(self, task: Task, path: str, name: str,
+                     value: Optional[bytes]) -> None:
+        """Set ``name`` to ``value``, or remove it when ``value`` is
+        None."""
         self._enter()
         pos = self._resolve(task, path, follow_last=True)
         inode = pos.dentry.inode
@@ -762,9 +744,13 @@ class Syscalls:
             self._check_perm(task, pos.dentry, perms.MAY_WRITE, path)
         else:
             raise errors.ENOTSUP(path, f"unsupported namespace {name!r}")
-        inode.fs.setxattr(inode.ino, name, value)
+        if value is None:
+            inode.fs.removexattr(inode.ino, name)
+        else:
+            inode.fs.setxattr(inode.ino, name, value)
         if name == "security.label":
-            self._apply_label(pos, value.decode(), path)
+            self._apply_label(pos, None if value is None else value.decode(),
+                              path)
 
     def getxattr(self, task: Task, path: str, name: str) -> bytes:
         self._enter()
@@ -779,22 +765,6 @@ class Syscalls:
         pos = self._resolve(task, path, follow_last=True)
         inode = pos.dentry.inode
         return inode.fs.listxattr(inode.ino)
-
-    def removexattr(self, task: Task, path: str, name: str) -> None:
-        self._enter()
-        pos = self._resolve(task, path, follow_last=True)
-        inode = pos.dentry.inode
-        self._check_writable_mount(pos, path)
-        if name.startswith("security."):
-            if not task.cred.is_root:
-                raise errors.EPERM(path, "security.* xattrs require root")
-        elif name.startswith("user."):
-            self._check_perm(task, pos.dentry, perms.MAY_WRITE, path)
-        else:
-            raise errors.ENOTSUP(path, f"unsupported namespace {name!r}")
-        inode.fs.removexattr(inode.ino, name)
-        if name == "security.label":
-            self._apply_label(pos, None, path)
 
     # ------------------------------------------------------------------
     # process state
@@ -856,15 +826,7 @@ class Syscalls:
         pos = self._resolve(task, path, follow_last=True)
         if not pos.dentry.is_dir:
             raise errors.ENOTDIR(path)
-        self._shoot_subtree(pos.dentry)
-        root_dentry = self.dcache.root_dentry(fs)
-        mount = Mount(fs, root_dentry, parent=pos.mount,
-                      mountpoint=pos.dentry, flags=flags)
-        task.ns.add_mount(mount)
-        # Mount table edits redirect memoized resolutions that cross the
-        # mountpoint; no dcache hook or counter bump is guaranteed here.
-        self.costs.forget()
-        return mount
+        return self._attach(task, pos, fs, None, flags)
 
     def bind_mount(self, task: Task, src: str, dst: str,
                    flags: frozenset = frozenset()) -> Mount:
@@ -876,10 +838,21 @@ class Syscalls:
         dstpos = self._resolve(task, dst, follow_last=True)
         if not srcpos.dentry.is_dir or not dstpos.dentry.is_dir:
             raise errors.ENOTDIR(dst)
-        self._shoot_subtree(dstpos.dentry)
-        mount = Mount(srcpos.mount.fs, srcpos.dentry, parent=dstpos.mount,
-                      mountpoint=dstpos.dentry, flags=flags)
+        return self._attach(task, dstpos, srcpos.mount.fs, srcpos.dentry,
+                            flags)
+
+    def _attach(self, task: Task, pos: PathPos, fs, root: Optional[Dentry],
+                flags: frozenset) -> Mount:
+        """Stack ``fs``, seen from ``root`` (default: its superblock
+        root), over the directory at ``pos``."""
+        self._shoot_subtree(pos.dentry)
+        if root is None:
+            root = self.dcache.root_dentry(fs)
+        mount = Mount(fs, root, parent=pos.mount, mountpoint=pos.dentry,
+                      flags=flags)
         task.ns.add_mount(mount)
+        # Mount table edits redirect memoized resolutions that cross the
+        # mountpoint; no dcache hook or counter bump is guaranteed here.
         self.costs.forget()
         return mount
 

@@ -240,7 +240,7 @@ class SlowWalk:
                         bump("dir_complete_elide")
                         child = self.dcache.d_alloc(cur, name, None)
                     else:
-                        child = self._miss(cur, name)
+                        child = self.miss(cur, name)
                         from_cache = False
                 if child is None or child.is_negative:
                     if from_cache:
@@ -332,7 +332,10 @@ class SlowWalk:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _miss(self, cur: Dentry, name: str) -> Optional[Dentry]:
+    def miss(self, cur: Dentry, name: str) -> Optional[Dentry]:
+        """The FS lookup of ``name`` in ``cur`` after a dcache miss, its
+        result cached as a new dentry (None: a miss that may not be
+        cached as a negative)."""
         self.stats.bump("dcache_miss")
         self.stats.bump("fs_lookup")
         fs = cur.inode.fs

@@ -30,14 +30,8 @@ from typing import Callable, Dict, List, Optional
 from repro import O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR, errors
 from repro.core.kernel import Kernel
 from repro.vfs.task import Task
+from repro.workloads.traces import PATH_LOOKUP_OPS
 from repro.workloads.tree import BuiltTree
-
-#: Path-based syscalls counted for Figure 1's time fraction.
-PATH_SYSCALLS = frozenset([
-    "stat", "lstat", "fstatat", "access", "open", "openat", "mkdir",
-    "rmdir", "unlink", "rename", "chmod", "chown", "symlink", "link",
-    "readlink", "chdir", "truncate",
-])
 
 
 class MeteredSyscalls:
@@ -63,7 +57,7 @@ class MeteredSyscalls:
         method = getattr(self._sys, name)
         kernel = self._kernel
         counts = self.counts
-        is_path = name in PATH_SYSCALLS
+        is_path = name in PATH_LOOKUP_OPS
 
         def wrapper(*args, **kwargs):
             start = kernel.now_ns

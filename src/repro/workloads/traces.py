@@ -31,7 +31,8 @@ from repro.core.kernel import Kernel
 from repro.sim.costs import ChargePlan, Recording
 from repro.vfs.task import Task
 
-#: Syscalls that perform a path lookup (the §1 statistic).
+#: Syscalls that perform a path lookup (the §1 statistic and Figure 1's
+#: time fraction).
 PATH_LOOKUP_OPS = frozenset([
     "stat", "lstat", "fstatat", "access", "open", "openat", "mkdir",
     "rmdir", "unlink", "rename", "chmod", "chown", "symlink", "link",

@@ -6,6 +6,7 @@ import pytest
 
 from repro import errors
 from repro.fs import base
+from repro.fs.dlfs import DlfsLikeFs
 from repro.fs.pseudofs import PseudoFs
 from repro.fs.simext import SimExtFs
 from repro.fs.tmpfs import TmpFs
@@ -176,6 +177,31 @@ class TestCommonSemantics:
     def test_stale_inode(self, fs):
         with pytest.raises(errors.ENOENT):
             fs.getattr(424242)
+
+
+class TestFailedCreateLeavesNothing:
+    """The name checks run before the allocation: a create that fails
+    leaves no orphan node, uses up no inode number and (on SimExt)
+    writes no inode-table block."""
+
+    @pytest.mark.parametrize("op", ["create", "mkdir", "symlink"])
+    @pytest.mark.parametrize("fs_cls", [DlfsLikeFs, SimExtFs, TmpFs],
+                             ids=["dlfs", "simext", "tmpfs"])
+    def test_failed_create_leaves_nothing(self, fs_cls, op):
+        fs = fs_cls(CostModel(dict(UNIT)))
+        make = {
+            "create": lambda d, n: fs.create(d, n, 0o644, 0, 0),
+            "mkdir": lambda d, n: fs.mkdir(d, n, 0o755, 0, 0),
+            "symlink": lambda d, n: fs.symlink(d, n, "/t", 0, 0),
+        }[op]
+        f = fs.create(fs.root_ino, "f", 0o644, 0, 0).ino
+        before = fs.statfs().inode_count, fs.state_digest()
+        with pytest.raises(errors.EEXIST):
+            make(fs.root_ino, "f")
+        with pytest.raises(errors.ENOTDIR):
+            make(f, "x")
+        assert (fs.statfs().inode_count, fs.state_digest()) == before
+        assert make(fs.root_ino, "new").ino == f + 1
 
 
 class TestSimExtCosts:
@@ -363,13 +389,13 @@ _TRACE_PINS = {
          "fs_dirblock_scan": 1, "pagecache_hit": 4},
         125.0, 13.0, 122.0, 131076, 20),
     ("eexist", "htree"): (
-        17, [(131075, False), (131076, False), (11, True)],
-        {"fs_create": 1, "fs_dirblock_scan": 2, "pagecache_hit": 3},
-        722.0, 13.0, 26.0, 131079, 83),
+        17, [(131075, False), (131076, False)],
+        {"fs_create": 1, "fs_dirblock_scan": 2, "pagecache_hit": 2},
+        722.0, 13.0, 26.0, 131079, 82),
     ("eexist", "linear"): (
-        17, [(131075, False), (3, True)],
-        {"fs_create": 1, "fs_dirblock_scan": 1, "pagecache_hit": 2},
-        106.0, 13.0, 26.0, 131075, 19),
+        17, [(131075, False)],
+        {"fs_create": 1, "fs_dirblock_scan": 1, "pagecache_hit": 1},
+        106.0, 13.0, 26.0, 131075, 18),
     ("enoent", "htree"): (
         2, [],
         {"fs_unlink": 1},

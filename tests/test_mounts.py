@@ -170,6 +170,27 @@ class TestBindMounts:
             sys.stat(task, "/data/f")
 
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_link_across_bind_mounts_is_exdev(self, profile):
+        """Like rename, link compares mounts, not file systems (Linux's
+        ``do_linkat``): one file system bound at two places is two
+        mounts."""
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        sys = kernel.sys
+        sys.mkdir(task, "/a")
+        sys.mkdir(task, "/b")
+        sys.close(task, sys.open(task, "/a/f", O_CREAT | O_RDWR))
+        sys.bind_mount(task, "/a", "/b")
+        with pytest.raises(errors.EXDEV):
+            sys.rename(task, "/a/f", "/b/g")
+        with pytest.raises(errors.EXDEV):
+            sys.link(task, "/a/f", "/b/h")
+        assert not sys.exists(task, "/a/h")
+        sys.link(task, "/b/f", "/b/h")
+        assert sys.stat(task, "/a/h").nlink == 2
+
+
 class TestMountNamespaces:
     def test_unshare_isolates_mounts(self, kernel):
         sys = kernel.sys

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import O_CREAT, O_RDWR, errors, make_kernel
+from repro.core.kernel import PROFILES
 from repro.fs.netfs import (AfsLikeFs, ExportServer, NfsLikeFs,
                             attach_callback_invalidation)
 
@@ -158,3 +159,26 @@ class TestAfsLike:
             sys.stat(task, "/net/a/f")
             latencies[fs_cls.fstype] = kernel.now_ns - start
         assert latencies["afs-like"] * 50 < latencies["nfs-like"]
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_server_chmod_reaches_the_client(self, profile):
+        """An attribute callback (empty name) drops the inode's dentries
+        and re-reads it: a file chmod shows on the next stat, and a
+        directory chmod closes the path below it to other users."""
+        kernel = make_kernel(profile)
+        task, server, fs = _mount_net(kernel, AfsLikeFs)
+        attach_callback_invalidation(kernel, fs)
+        sys = kernel.sys
+        sys.mkdir(task, "/net/d")
+        sys.close(task, sys.open(task, "/net/d/f", O_CREAT | O_RDWR))
+        user = kernel.spawn_task(uid=1000, gid=1000)
+        for _ in range(3):
+            assert sys.stat(user, "/net/d/f").mode & 0o777 == 0o644
+        server.server_chmod(sys.stat(task, "/net/d/f").ino, 0o600)
+        assert sys.stat(user, "/net/d/f").mode & 0o777 == 0o600
+        for _ in range(3):
+            sys.stat(user, "/net/d/f")
+        server.server_chmod(sys.stat(task, "/net/d").ino, 0o700)
+        with pytest.raises(errors.EACCES):
+            sys.stat(user, "/net/d/f")
+        assert sys.stat(task, "/net/d/f").mode & 0o777 == 0o600

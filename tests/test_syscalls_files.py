@@ -6,7 +6,8 @@ import pytest
 
 from repro import (MAY_READ, MAY_WRITE, O_APPEND, O_CREAT,
                    O_DIRECTORY, O_EXCL, O_NOFOLLOW, O_RDONLY, O_RDWR,
-                   O_TRUNC, O_WRONLY, errors)
+                   O_TRUNC, O_WRONLY, errors, make_kernel)
+from repro.core.kernel import PROFILES
 
 
 @pytest.fixture
@@ -149,6 +150,26 @@ class TestFdIo:
         st = kernel.sys.fstat(task, fd)
         assert st.size == 5 and st.filetype == "reg"
         kernel.sys.close(task, fd)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_fstat_after_removal_reads_zero_links(self, profile):
+        """rmdir refreshes the removed directory's inode as unlink does
+        the file's: an fd still open on either reads nlink 0."""
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        sys = kernel.sys
+        sys.mkdir(task, "/d")
+        _mkfile(kernel, task, "/f")
+        dfd = sys.open(task, "/d", O_RDONLY | O_DIRECTORY)
+        ffd = sys.open(task, "/f", O_RDONLY)
+        assert (sys.fstat(task, dfd).nlink, sys.fstat(task, ffd).nlink) \
+            == (2, 1)
+        sys.rmdir(task, "/d")
+        sys.unlink(task, "/f")
+        assert (sys.fstat(task, dfd).nlink, sys.fstat(task, ffd).nlink) \
+            == (0, 0)
+        sys.close(task, dfd)
+        sys.close(task, ffd)
 
     def test_ftruncate(self, kernel, task):
         fd = kernel.sys.open(task, "/f", O_CREAT | O_RDWR)
