@@ -19,7 +19,8 @@ narrow interface:
   uncharged: the floor, or ``None`` with nothing touched;
 * ``on_miss(task, ns, pcc, start, comps, parent_state, floor)`` —
   whether a full-path probe miss may be completed from its cached parent
-  instead of re-walking the prefix;
+  instead of re-walking the prefix (``None`` for a policy that never
+  completes one);
 * ``epoch`` stamps what population inserts, and ``sweeper`` (or None) is
   polled from syscall entry.
 
@@ -80,6 +81,34 @@ def rootward(ns, mount, dentry):
             dentry = dentry.parent
             if dentry is None:
                 return
+
+
+def _subtree(dentry: Dentry) -> List[Dentry]:
+    """``dentry`` and its cached descendants, depth first, children
+    before mounted roots.
+
+    A tree needs no visited set: each dentry has one parent.  Only a
+    mount can reach a dentry twice (a bind mount of a directory below
+    itself is a cycle), so the set starts at the first mountpoint, from
+    the dentries collected so far.
+    """
+    frontier: List[Dentry] = []
+    visited = None
+    stack = [dentry]
+    while stack:
+        current = stack.pop()
+        roots = current.mounted_roots
+        if visited is None and roots:
+            visited = set(map(id, frontier))
+        if visited is not None:
+            ident = id(current)
+            if ident in visited:
+                continue
+            visited.add(ident)
+            stack.extend(reversed(roots))
+        frontier.append(current)
+        stack.extend(reversed(current.children.values()))
+    return frontier
 
 
 class Coherence:
@@ -182,9 +211,10 @@ class EagerCoherence(Coherence):
 
     # -- shootdowns ----------------------------------------------------------------
 
-    def _invalidate_bulk(self, frontier: List[Dentry]) -> None:
+    def _invalidate_bulk(self, frontier: List[Dentry]) -> int:
         """Invalidate a collected frontier: bump each dentry's seq, drop
-        its fast state and its DLHT registration.
+        its fast state and its DLHT registration.  Returns how many of
+        the dentries had fast state.
 
         One charge and one Stats bump cover the whole frontier (both are
         integer sums, so this is what N scalar calls would add up to).
@@ -192,7 +222,7 @@ class EagerCoherence(Coherence):
         n = len(frontier)
         self.costs.charge("inval_per_dentry", times=n)
         self.stats.bump_many((("inval_dentry", n),))
-        wraps = 0
+        wraps = found = 0
         for dentry in frontier:
             seq = dentry.seq + 1
             dentry.seq = seq
@@ -200,7 +230,8 @@ class EagerCoherence(Coherence):
                 wraps += 1
             fast = dentry.fast
             if fast is not None:
-                fast.invalidate()
+                found += 1
+                fast.hash_state = fast.link_target_state = None
                 if fast.dlht is not None:
                     fast.dlht.remove(dentry)
         # Wraparound (32-bit seq space) is once-in-a-blue-moon; the flush
@@ -208,6 +239,7 @@ class EagerCoherence(Coherence):
         # observationally identical to the scalar walk firing it inline.
         for _ in range(wraps):
             self.wraparound_flush()
+        return found
 
     def shootdown_single(self, dentry: Dentry) -> None:
         """Invalidate one dentry (file chmod/chown, unlink, ...)."""
@@ -227,27 +259,11 @@ class EagerCoherence(Coherence):
         — the bump exists to fence racing repopulation, and with nothing
         cached and nobody mid-walk there is nothing to fence.
         """
-        # Collect the frontier first (flat list, exact DFS order of the
-        # old per-dentry recursive walk — invalidation mutates no tree
-        # edges, so collect-then-apply visits the same dentries in the
-        # same order), then shoot it down in one column-bound bulk pass.
-        found_fast = 0
-        visited = set()
-        stack = [dentry]
-        frontier: List[Dentry] = []
-        append = frontier.append
-        while stack:
-            current = stack.pop()
-            ident = id(current)
-            if ident in visited:
-                continue
-            visited.add(ident)
-            if current.fast is not None:
-                found_fast += 1
-            append(current)
-            stack.extend(current.children.values())
-            stack.extend(current.mounted_roots)
-        self._invalidate_bulk(frontier)
+        # Collect the frontier first, then shoot it down in one bulk
+        # pass (invalidation mutates no tree edges, so collect-then-apply
+        # visits the same dentries in the same order as a recursive
+        # per-dentry walk: depth first, children before mounted roots).
+        found_fast = self._invalidate_bulk(_subtree(dentry))
         if found_fast == 0 and self.walks_active == 0:
             self.stats.bump("counter_bump_elided")
             return
@@ -276,9 +292,8 @@ class EagerCoherence(Coherence):
         """:meth:`accept` on a cached prefix check, uncharged (else None)."""
         return 0 if pcc.check(dentry) else None
 
-    def on_miss(self, task, ns, pcc, start, comps, parent_state, floor):
-        """A miss means not cached: the slowpath walk populates it."""
-        return None
+    #: A miss means not cached: the slowpath walk populates it.
+    on_miss = None
 
 
 class FastDcacheHooks(DcacheHooks):

@@ -42,7 +42,7 @@ PROBE_CHARGES = (("htlookup", "dlht_probe"), ("htlookup", "sig_compare"))
 class DirectLookupHashTable:
     """One namespace's signature -> dentry index."""
 
-    __slots__ = ("costs", "stats", "multi_key", "owner_ns", "_table",
+    __slots__ = ("costs", "stats", "multi_key", "owner_ns", "table",
                  "_probe", "__weakref__")
 
     def __init__(self, costs: CostModel, stats: Stats,
@@ -54,7 +54,10 @@ class DirectLookupHashTable:
         #: Weakref to the owning namespace (set by the kernel); the lazy
         #: sweep needs it to re-derive canonical paths.
         self.owner_ns = None
-        self._table: Dict[Signature, Dentry] = {}
+        #: Signature -> dentry.  Outside a recording (``costs.recorder``
+        #: None) a reader may probe it in place of :meth:`lookup`, which
+        #: only adds the recorder's notes; only this class writes it.
+        self.table: Dict[Signature, Dentry] = {}
         self._probe = costs.run(PROBE_CHARGES)
 
     def probe(self, signature: Signature) -> Optional[Dentry]:
@@ -65,7 +68,7 @@ class DirectLookupHashTable:
 
     def lookup(self, signature: Signature) -> Optional[Dentry]:
         """:meth:`probe` uncharged (the caller charges ``PROBE_CHARGES``)."""
-        dentry = self._table.get(signature)
+        dentry = self.table.get(signature)
         rec = self.costs.recorder
         if rec is not None:
             if dentry is not None and not dentry.dead:
@@ -81,7 +84,7 @@ class DirectLookupHashTable:
 
     def peek(self, key: Signature) -> Optional[Dentry]:
         """Uncharged raw-key access (sweep / introspection only)."""
-        return self._table.get(key)
+        return self.table.get(key)
 
     def insert(self, dentry: Dentry, signature: Signature) -> bool:
         """Register ``dentry`` under ``signature``.
@@ -97,29 +100,50 @@ class DirectLookupHashTable:
         registration in *this* table becomes an extra key instead; a
         registration in another namespace's table is still dropped.
         """
-        current = self._table.get(signature)
-        fast = fast_of(dentry)
+        placed = self._place(dentry, signature)
+        if placed:
+            self.costs.charge("dlht_insert")
+            # A recorded probe miss is a conclusion too.
+            self.costs.memo.kill_miss(self, signature)
+        return placed is not None
+
+    def insert_all(self, pairs) -> None:
+        """:meth:`insert` each ``(dentry, signature)`` of ``pairs``, in
+        order, with one ``dlht_insert`` charge for all that entered."""
+        placed = []
+        for dentry, signature in pairs:
+            if self._place(dentry, signature):
+                placed.append(signature)
+        if placed:
+            self.costs.charge("dlht_insert", times=len(placed))
+            self.costs.memo.kill_misses(self, placed)
+
+    def _place(self, dentry: Dentry, signature: Signature):
+        """:meth:`insert`'s table change, uncharged: True when the entry
+        is new, False when the dentry already held the key, None when a
+        live dentry owns it."""
+        current = self.table.get(signature)
+        fast = dentry.fast
+        if fast is None:
+            fast = fast_of(dentry)
         if current is dentry:
             if fast.dlht is self and fast.dlht_key != signature:
                 # Re-registering under an extra key: promote it.
                 self._promote(fast, signature)
-            return True
-        if current is not None and not current.dead:
             return False
+        if current is not None and not current.dead:
+            return None
         if fast.dlht is not None:
             if fast.dlht is self and self.multi_key:
                 old_key = fast.dlht_key
-                if old_key is not None and self._table.get(old_key) is dentry:
+                if old_key is not None and self.table.get(old_key) is dentry:
                     if fast.extra_keys is None:
                         fast.extra_keys = [old_key]
                     else:
                         fast.extra_keys.append(old_key)
             else:
                 fast.dlht.remove(dentry)
-        self.costs.charge("dlht_insert")
-        self._table[signature] = dentry
-        # A recorded probe miss is a conclusion too.
-        self.costs.memo.kill_miss(self, signature)
+        self.table[signature] = dentry
         fast.dlht = self
         fast.dlht_key = signature
         return True
@@ -135,7 +159,7 @@ class DirectLookupHashTable:
                 # every later check.
                 fast.extra_keys = None
         if old_key is not None and old_key != key \
-                and self._table.get(old_key) is self._table.get(key):
+                and self.table.get(old_key) is self.table.get(key):
             if fast.extra_keys is None:
                 fast.extra_keys = [old_key]
             else:
@@ -148,12 +172,12 @@ class DirectLookupHashTable:
         if fast is None or fast.dlht is not self:
             return
         if fast.dlht_key is not None \
-                and self._table.get(fast.dlht_key) is dentry:
-            del self._table[fast.dlht_key]
+                and self.table.get(fast.dlht_key) is dentry:
+            del self.table[fast.dlht_key]
         if fast.extra_keys:
             for key in fast.extra_keys:
-                if self._table.get(key) is dentry:
-                    del self._table[key]
+                if self.table.get(key) is dentry:
+                    del self.table[key]
             fast.extra_keys = None
         fast.dlht = None
         fast.dlht_key = None
@@ -166,8 +190,8 @@ class DirectLookupHashTable:
         path, so the primary slot is cleared until a revalidation
         promotes one of the survivors).
         """
-        if self._table.get(key) is dentry:
-            del self._table[key]
+        if self.table.get(key) is dentry:
+            del self.table[key]
         fast = dentry.fast
         if fast is None or fast.dlht is not self:
             return  # orphaned mapping: the table slot above was the leak
@@ -197,13 +221,13 @@ class DirectLookupHashTable:
 
     def flush(self) -> None:
         """Drop every entry (version-counter wraparound handling)."""
-        for dentry in list(self._table.values()):
+        for dentry in list(self.table.values()):
             self.remove(dentry)
-        self._table.clear()
+        self.table.clear()
 
     def items(self):
         """Snapshot of (key, dentry) pairs (sweep / introspection)."""
-        return list(self._table.items())
+        return list(self.table.items())
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.table)

@@ -13,7 +13,10 @@ components between ``..`` hops is charged as one hash charge, and a
 served lookup as one run per outcome (positive, negative or ENOTDIR,
 position) that also carries the terminal probe and ``pcc_probe`` when
 the policy's O(1) ``admit`` took it.  A fallback walk gets the count of
-components hashed; its first that many hash extensions are free.
+components hashed; its first that many hash extensions are free.  When
+the attempt hashed the whole path as one segment it hands over the
+state after each component too, and the walk reads them instead of
+extending while its anchor is the attempt's start state.
 
 On the way *out* it implements :class:`repro.vfs.walk.WalkHooks`: it rides
 along slowpath walks, accumulating the state needed to repopulate the
@@ -61,7 +64,7 @@ from typing import List, Optional, Tuple
 from repro import errors
 from repro.core.coherence import RETRY, Coherence, rootward
 from repro.core.dlht import PROBE_CHARGES
-from repro.core.fastdentry import fast_of
+from repro.core.fastdentry import FastDentry, fast_of
 from repro.core.negative import extend_negative_chain
 from repro.core.pcc import PrefixCheckCache
 from repro.core.signatures import PathHasher, SigState
@@ -84,10 +87,11 @@ class _WalkCtx:
                  "cur_mount", "alias_head", "alias_state", "alias_done",
                  "saved_link", "pending", "pending_alias",
                  "pending_linktarget", "pending_deepneg", "applied",
-                 "prehashed")
+                 "prehashed", "states")
 
     def __init__(self, task: Task, counter: int, pcc_ok: bool,
-                 anchor_state: Optional[SigState], cur_mount, prehashed: int):
+                 anchor_state: Optional[SigState], cur_mount, prehashed: int,
+                 states: Optional[tuple]):
         self.task = task
         self.counter_at_start = counter
         self.pcc_ok = pcc_ok
@@ -106,6 +110,10 @@ class _WalkCtx:
         self.applied = False
         #: Hash extensions still free: the failed attempt charged them.
         self.prehashed = prehashed
+        #: The attempt's state after each component, while the walk's
+        #: anchor follows the attempt's components: the state a free
+        #: extension of the anchor produces is ``states[-prehashed]``.
+        self.states = states
 
 
 class FastLookup(WalkHooks):
@@ -132,6 +140,7 @@ class FastLookup(WalkHooks):
         self._admit = coherence.admit
         self._accept = coherence.accept
         self._on_miss = coherence.on_miss
+        self._segment = hasher.extend_segment
         run = costs.run
         probed = PROBE_CHARGES + (("perm", "pcc_probe"),)
         self._pair, self._hop = run(PROBE_CHARGES), run(probed)
@@ -170,14 +179,16 @@ class FastLookup(WalkHooks):
                                     follow_last=follow_last,
                                     intent_create=intent_create,
                                     create_dir=create_dir)
-        if type(served) is not int:
+        kind = type(served)
+        if kind is not int and kind is not tuple:
             return served
         self.stats.bump("fastpath_miss")
         return self.slow.resolve(task, path, follow_last=follow_last,
                                  intent_create=intent_create,
                                  create_dir=create_dir, dirfd_pos=dirfd_pos,
                                  count_stats=False, setup=self._fallback,
-                                 prehashed=served)
+                                 prehashed=served,
+                                 parsed=(absolute, comps, must_dir))
 
     def pcc_for(self, cred) -> PrefixCheckCache:
         """The cred's PCC (created and registered on first use)."""
@@ -204,29 +215,35 @@ class FastLookup(WalkHooks):
     def _try_fastpath(self, task: Task, start: PathPos, comps: List[str],
                       path_hint: str, *, must_dir: bool, follow_last: bool,
                       intent_create: bool, create_dir: bool):
-        """Returns the served PathPos or raises its error (both charged by
-        :meth:`_serve`); else the number of components it hashed."""
+        """Returns the served PathPos or raises its error (both charged);
+        else what the fallback walk is handed: the number of components
+        hashed or, when the whole path was one segment, ``(start state,
+        state after each component)``."""
         ns = task.ns
         dlht = ns.dlht
         if dlht is None:
             return 0
         if not comps:
             return self._position_hit(start, path_hint)
-        pcc = self.pcc_for(task.cred)
+        pcc = task.cred.pcc
+        if pcc is None:
+            pcc = self.pcc_for(task.cred)
         pos_state = self._pos_state
         cur_pos = start
         state, floor = pos_state(task, start)
         if state is None:
             return 0
+        costs = self.costs
+        table = dlht.table
         i = 0
         hashed = 0
         total = len(comps)
-        extend = self.hasher.extend
+        dotdots = ".." in comps
         while i < total:
             if comps[i] == "..":
                 # Linux dot-dot semantics: one extra fastpath-validated
                 # hop per parent reference (§4.2).
-                self.costs.charge("dotdot_extra_lookup")
+                costs.charge("dotdot_extra_lookup")
                 cur_pos = ns.cross_down(ns.parent_pos(cur_pos, task.root))
                 state, floor = pos_state(task, cur_pos)
                 if state is None:
@@ -235,22 +252,25 @@ class FastLookup(WalkHooks):
                 if i == total:
                     return self._position_hit(cur_pos, path_hint)
                 continue
-            j = i if ".." in comps else total
-            while j < total and comps[j] != "..":
-                j += 1
-            names = comps[i:j]
-            seg_state = prev_state = state
-            for name in names:
-                prev_state = seg_state
-                seg_state = extend(seg_state, name)
-            self.costs.charge_in(  # what one ``_extend`` per name charges
-                "hash", self.hasher.cost_primitive, times=j - i,
-                nbytes=sum(map(len, names)) + j - i - (not state.length))
+            if dotdots:
+                j = i
+                while j < total and comps[j] != "..":
+                    j += 1
+                names = tuple(comps[i:j])
+            else:
+                j = total
+                names = tuple(comps)
+            prev_state, seg_state, sig, nbytes, states = \
+                self._segment(state, names)
+            costs.charge_in("hash", self.hasher.cost_primitive,
+                            times=j - i, nbytes=nbytes)
             hashed += j - i
-            sig = self.hasher.finish(seg_state)
-            found = dlht.lookup(sig)
+            # The probe, in place unless a recording needs its notes.
+            found = table.get(sig) if costs.recorder is None \
+                else dlht.lookup(sig)
             if found is None or found.dead or j < total:
-                self.costs.charge_run(self._pair)  # else in _finish_hit
+                costs.charge_run(self._pair)  # else in _finish_hit
+            whole = i == 0 and j == total
             if found is not None and not found.dead:
                 # How the probed signature was derived: a validated
                 # position extended by these components.
@@ -273,20 +293,39 @@ class FastLookup(WalkHooks):
                     state = seg_state
                     i = j
                     continue
+                # The policy's O(1) accept leaves the probe and the
+                # prefix check to the served outcome's run (``folded``).
+                target = found.alias_target
+                folded = (not target.dead if target is not None
+                          else not found.is_stub) \
+                    and self._admit(ns, pcc, found, sig) is not None
+                if folded and target is None and not (
+                        found.is_symlink or found.is_negative
+                        or must_dir and not found.is_dir
+                        or self.config.force_fastpath_miss):
+                    fast = found.fast
+                    if fast is not None and fast.mount is not None:
+                        # A plain hit: _finish_hit's end, inline.
+                        run, deltas = self._hit[True]
+                        costs.charge_run(run)
+                        self.stats.bump_many(deltas)
+                        return PathPos(fast.mount, found)
                 served = self._finish_hit(
-                    task, ns, pcc, found, sig, anchor, path_hint,
+                    task, ns, pcc, found, sig, anchor, path_hint, folded,
                     must_dir=must_dir, follow_last=follow_last,
                     intent_create=intent_create, create_dir=create_dir)
                 if served is not RETRY:
-                    return hashed if served is None else served
+                    if served is not None:
+                        return served
+                    return (state, states) if whole else hashed
             # The path is not registered (or the policy just discarded
             # its key): a whole-path probe may complete from the parent.
-            if i == 0 and j == total:
+            if whole and self._on_miss is not None:
                 served = self._complete(
                     task, ns, pcc, cur_pos, comps, prev_state, seg_state,
                     sig, floor, path_hint, must_dir=must_dir,
                     intent_create=intent_create, create_dir=create_dir)
-                return hashed if served is None else served
+                return (state, states) if served is None else served
             return hashed
         return hashed  # unreachable
 
@@ -311,24 +350,22 @@ class FastLookup(WalkHooks):
         return self._serve(self._pos, False, pos)
 
     def _finish_hit(self, task: Task, ns, pcc: PrefixCheckCache,
-                    found: Dentry, sig, anchor, path_hint: str, *,
-                    must_dir: bool, follow_last: bool,
+                    found: Dentry, sig, anchor, path_hint: str,
+                    folded: bool, *, must_dir: bool, follow_last: bool,
                     intent_create: bool, create_dir: bool):
         """Serve a terminal probe hit, once the policy accepts it.
 
         Returns the served PathPos (or raises), None (slowpath), or
         :data:`RETRY` when the policy discarded the probed key.  An O(1)
-        accept (``folded``) leaves the probe and prefix check to the run.
+        accept (``folded``, already taken) leaves the probe and prefix
+        check to the run.
         """
         result = found
         target = found.alias_target
-        usable = not target.dead if target is not None \
-            else not found.is_stub
-        folded = usable and self._admit(ns, pcc, found, sig) is not None
         if not folded:
             self.costs.charge_run(self._pair)
-            if not usable:
-                return None
+            if target.dead if target is not None else found.is_stub:
+                return None  # unusable
             verdict = self._accept(task, ns, pcc, found, sig, anchor)
             if verdict is None or verdict is RETRY:
                 return verdict
@@ -492,19 +529,32 @@ class FastLookup(WalkHooks):
             return None
         self.coherence.walks_active += 1
         anchor, floor = self._pos_state(task, start, self._recompute_state)
-        pcc = self.pcc_for(task.cred)
+        pcc = task.cred.pcc
+        if pcc is None:
+            pcc = self.pcc_for(task.cred)
         pcc_ok = start.dentry is ns.root_mount.root_dentry \
             or pcc.probe(start.dentry, floor)
+        states = None
+        if type(prehashed) is tuple:
+            attempt_state, states = prehashed
+            prehashed = len(states)
+            if anchor != attempt_state:
+                states = None  # a mutation moved the anchor since
         return _WalkCtx(task, self.coherence.counter, pcc_ok, anchor,
-                        start.mount, prehashed)
+                        start.mount, prehashed, states)
 
     def step(self, ctx, name: str, dentry: Dentry, mount) -> None:
         state = ctx.anchor_state
-        if state is not None and ctx.prehashed:  # _extend, inline when free
-            ctx.prehashed -= 1
-            state = ctx.anchor_state = self.hasher.extend(state, name)
-        elif state is not None:
-            state = ctx.anchor_state = self._extend(ctx, state, name)
+        if state is not None:
+            left = ctx.prehashed
+            if left:  # _extend, inline when free
+                ctx.prehashed = left - 1
+                states = ctx.states
+                state = states[-left] if states is not None \
+                    else self.hasher.extend(state, name)
+            else:
+                state = self._extend(ctx, state, name)
+            ctx.anchor_state = state
         ctx.pending.append((dentry, state, mount))
         if ctx.alias_head is not None and ctx.alias_state is not None:
             ctx.alias_state = self._extend(ctx, ctx.alias_state, name)
@@ -515,6 +565,7 @@ class FastLookup(WalkHooks):
         if ctx is None:
             return
         ctx.anchor_state, _ = self._pos_state(ctx.task, result)
+        ctx.states = None
         ctx.alias_head = None
         ctx.alias_state = None
         ctx.cur_mount = result.mount
@@ -523,6 +574,7 @@ class FastLookup(WalkHooks):
     def symlink_begin(self, ctx, link: Dentry, absolute_target: bool) -> None:
         if ctx is None:
             return
+        ctx.states = None
         ctx.saved_link = None
         if not ctx.alias_done and ctx.anchor_state is not None:
             link_state = self._extend(ctx, ctx.anchor_state, link.name)
@@ -607,26 +659,41 @@ class FastLookup(WalkHooks):
         epoch = self.coherence.epoch
         dlht = ctx.task.ns.dlht
         on_revalidating_sb = self._on_revalidating_sb
+        signed = self.hasher.signed
         finish = self.hasher.finish
         direct = []
+        inserts = []
         for dentry, state, mount in ctx.pending:
             inode = dentry.inode
             if inode.fs.requires_revalidation if inode is not None \
                     else on_revalidating_sb(dentry):
                 continue
             direct.append(dentry)
+            if state is None or dentry.dead:
+                continue
+            sig = signed.get(state) or finish(state)
             fast = dentry.fast
-            if state is None or dentry.dead or fast is not None \
-                    and fast.dlht is dlht and fast.mount is mount \
+            if fast is None:
+                fast = dentry.fast = FastDentry()
+            elif fast.dlht is dlht and fast.mount is mount \
                     and fast.epoch_snapshot == epoch \
-                    and fast.hash_state == state \
-                    and fast.dlht_key == finish(state):
-                continue  # dead, or _populate would change nothing
-            self._populate(dlht, None, dentry, state, mount, epoch)
+                    and fast.hash_state == state and fast.dlht_key == sig:
+                continue  # _populate would change nothing
+            # What _populate does, with the DLHT inserts batched below.
+            fast.hash_state = state
+            fast.mount = mount
+            fast.epoch_snapshot = epoch
+            inserts.append((dentry, sig))
+        if inserts:
+            dlht.insert_all(inserts)
         for link, tstate in ctx.pending_linktarget:
             if not link.dead and not on_revalidating_sb(link):
                 fast_of(link).link_target_state = tstate
-        pcc = self.pcc_for(ctx.task.cred) if ctx.pcc_ok else None
+        pcc = None
+        if ctx.pcc_ok:
+            pcc = ctx.task.cred.pcc
+            if pcc is None:
+                pcc = self.pcc_for(ctx.task.cred)
         if ctx.alias_head is not None:
             self._apply_aliases(ctx, dlht, pcc, epoch)
         if ctx.pending_deepneg is not None:

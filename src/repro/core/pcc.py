@@ -113,9 +113,9 @@ class PrefixCheckCache:
             key = id(dentry)
             entries[key] = (dentry, dentry.seq, epoch)
             entries.move_to_end(key)
-            memo.kill_miss(self, dentry)
             while len(entries) > capacity:
                 memo.kill(entries.popitem(last=False)[1][0])
+        memo.kill_misses(self, dentries)
 
     def invalidate_all(self) -> None:
         """Flush (sequence-counter wraparound handling, §3.1).

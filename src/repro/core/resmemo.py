@@ -659,6 +659,14 @@ class ResolutionMemo:
         if self._index:
             self._drop((id(parent), name))
 
+    def kill_misses(self, container, keys) -> None:
+        """:meth:`kill_miss` for each of ``keys`` under ``container`` (a
+        batch of DLHT signatures or PCC dentries), in one call."""
+        if self._index:
+            ident = id(container)
+            for key in keys:
+                self._drop((ident, key))
+
     def _drop(self, ikey) -> None:
         """Pop one reverse-index bucket and drop its entries."""
         bucket = self._index.pop(ikey, None)

@@ -43,6 +43,19 @@ _POW_TABLE_SIZE = 258
 #: the hit path.
 _COMPONENT_CACHE_CAP = 1 << 16
 
+#: Segment memo bound (:meth:`PathHasher.extend_segment`).  An entry
+#: holds a tuple of states, so it is kept well below the component
+#: caches: a hot lookup repeats its (start state, names) pair, and a few
+#: hundred entries cover a steady workload's hot set.
+_SEGMENT_CACHE_CAP = 1 << 13
+
+#: A segment enters that memo on its second miss within this many
+#: misses.  A scan of a tree larger than the memo sees each path once a
+#: pass; storing those would only churn it, and each stored entry is
+#: four tuples the garbage collector has to carry into its oldest
+#: generation.
+_SEGMENT_SEEN_CAP = 1 << 10
+
 #: Shared component -> UTF-8 bytes memo (bounded like the above).  Both
 #: hasher classes consult it so a hot component is encoded once per
 #: process, not once per lookup.
@@ -124,10 +137,15 @@ class PathHasher:
         # so caching cannot change any produced value.  Bounded with the
         # same flat-clear policy as ``_contrib``.
         self._ext_cache: Dict[Tuple[SigState, str], SigState] = {}
-        # state -> finished signature (same rationale: ``finish`` splits
-        # a 216-bit combined value with shifts/masks on every DLHT probe
-        # and insert; hot states repeat).
-        self._fin_cache: Dict[SigState, Signature] = {}
+        #: state -> finished signature (same rationale: ``finish`` splits
+        #: a 216-bit combined value with shifts/masks on every DLHT probe
+        #: and insert; hot states repeat).  Callers may read it to skip
+        #: a :meth:`finish` call for a state finished before.
+        self.signed: Dict[SigState, Signature] = {}
+        # (state, names) -> extend_segment's result, and the hashes of
+        # the keys missed once lately (admission to the former).
+        self._seg_cache: Dict[Tuple[SigState, tuple], tuple] = {}
+        self._seg_seen: set = set()
 
     #: The state of the empty path (the namespace root).
     EMPTY = SigState(0, 0, 0)
@@ -198,9 +216,37 @@ class PathHasher:
             state = self.extend(state, component)
         return state
 
+    def extend_segment(self, state: SigState, names: tuple):
+        """Resume ``state`` over the tuple ``names`` and finish, in one call.
+
+        Returns ``(prefix, final, signature, nbytes, states)``: the state
+        before the last name, the state after it, its signature, the
+        bytes one extension per name charges (the name, plus a separator
+        after a non-empty state) and the state after each name.  Equal
+        to folding :meth:`extend` and then :meth:`finish`; memoized by
+        ``(state, names)`` from a pair's second miss on.
+        """
+        cache = self._seg_cache
+        key = (state, names)
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
+        result = _fold_segment(self, state, names)
+        seen = self._seg_seen
+        digest = hash(key)  # a collision only admits a key early
+        if digest in seen:
+            if len(cache) >= _SEGMENT_CACHE_CAP:
+                cache.clear()
+            cache[key] = result
+        else:
+            if len(seen) >= _SEGMENT_SEEN_CAP:
+                seen.clear()
+            seen.add(digest)
+        return result
+
     def finish(self, state: SigState) -> Signature:
         """Produce the (index, signature) pair for a finished path."""
-        cache = self._fin_cache
+        cache = self.signed
         cached = cache.get(state)
         if cached is not None:
             return cached
@@ -216,6 +262,20 @@ class PathHasher:
     def sign_components(self, components) -> Signature:
         """Convenience: hash a whole component list from the root."""
         return self.finish(self.extend_components(self.EMPTY, components))
+
+
+def _fold_segment(hasher, state, names):
+    """:meth:`PathHasher.extend_segment`'s result, computed one
+    :meth:`~PathHasher.extend` per name."""
+    prefix = state
+    nbytes = 0
+    states = []
+    for name in names:
+        nbytes += len(name) + (1 if state.length else 0)
+        prefix = state
+        state = hasher.extend(state, name)
+        states.append(state)
+    return prefix, state, hasher.finish(state), nbytes, tuple(states)
 
 
 class PrfSigState(NamedTuple):
@@ -254,6 +314,9 @@ class PrfPathHasher:
         self.signature_bits = signature_bits
         self.index_bits = index_bits
         self._sig_mask = (1 << signature_bits) - 1
+        #: Interface parity with :attr:`PathHasher.signed`: nothing is
+        #: memoized here, so it stays empty.
+        self.signed: Dict[PrfSigState, Signature] = {}
 
     @property
     def EMPTY(self) -> PrfSigState:  # noqa: N802 - interface parity
@@ -274,6 +337,11 @@ class PrfPathHasher:
         for component in components:
             state = self.extend(state, component)
         return state
+
+    def extend_segment(self, state: PrfSigState, names):
+        """:meth:`PathHasher.extend_segment`, uncached (a digest state
+        is hashed by identity, so a memo would never hit)."""
+        return _fold_segment(self, state, names)
 
     def finish(self, state: PrfSigState) -> Signature:
         combined = int.from_bytes(state.digest.copy().digest(), "big")

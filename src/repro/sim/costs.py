@@ -416,6 +416,9 @@ class _NoMemo:
     def kill_miss(self, container, key) -> None:
         """No entry can rest on ``key``'s absence from ``container``."""
 
+    def kill_misses(self, container, keys) -> None:
+        """No entry can rest on the absence of any of ``keys``."""
+
     def flush(self) -> None:
         """Nothing to flush."""
 

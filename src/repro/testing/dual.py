@@ -198,7 +198,7 @@ def _check_kernel_invariants(kernel: Kernel) -> None:
     for ns in (kernel.root_ns,):
         if ns.dlht is None:
             continue
-        for key, dentry in ns.dlht._table.items():
+        for key, dentry in ns.dlht.table.items():
             fast = dentry.fast
             assert fast is not None and fast.dlht is ns.dlht, \
                 "DLHT entry not registered back"

@@ -74,7 +74,7 @@ def dlht_summary(kernel) -> str:
     lines = []
     for i, dlht in enumerate(kernel.coherence.dlhts):
         kinds = {"positive": 0, "negative": 0, "alias": 0, "symlink": 0}
-        for dentry in dlht._table.values():
+        for dentry in dlht.table.values():
             if dentry.is_alias:
                 kinds["alias"] += 1
             elif dentry.is_negative:

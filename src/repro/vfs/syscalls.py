@@ -118,6 +118,9 @@ class Syscalls:
         # off): whole-path resolutions are served by charge replay when
         # the memo's O(1) validity check passes.
         self._memo = kernel.memo
+        if self._memo is None:
+            # ``_resolve`` would only pass its arguments on.
+            self._resolve = kernel.resolver.resolve
 
     # ------------------------------------------------------------------
     # internal helpers

@@ -67,6 +67,10 @@ class WalkHooks:
     __slots__ = ()
 
     def begin(self, task: Task, start: PathPos, absolute: bool, prehashed=0):
+        """A walk starts at ``start``; returns its ``ctx`` (None: the
+        walk is not observed).  ``prehashed`` is what a failed fastpath
+        attempt hands over: the number of components it hashed, or its
+        start state and the state after each component."""
         return None
 
     def step(self, ctx, name: str, dentry: Dentry, mount) -> None:
@@ -142,8 +146,8 @@ class SlowWalk:
     def resolve(self, task: Task, path: str, *, follow_last: bool = True,
                 intent_create: bool = False, create_dir: bool = False,
                 dirfd_pos: Optional[PathPos] = None,
-                count_stats: bool = True, setup=None,
-                prehashed: int = 0) -> PathPos:
+                count_stats: bool = True, setup=None, prehashed=0,
+                parsed=None) -> PathPos:
         """Resolve ``path`` to a (mount, dentry) position.
 
         With ``intent_create`` the final dentry may be negative (ENOENT
@@ -154,14 +158,18 @@ class SlowWalk:
         when the walk ends: ``setup`` is the (returned, raised) pair, by
         default ``lookup_init`` + ``lookup_final`` and ``lookup_init``
         alone.  A failed fastpath attempt's fallback passes its own (the
-        nameidata is reused), and ``prehashed`` hands that attempt's
-        hashing to the hooks.
+        nameidata is reused), ``prehashed`` hands that attempt's hashing
+        to the hooks, and ``parsed`` its ``(absolute, components,
+        must_dir)`` parse of ``path``.
         """
         if count_stats:
             self.stats.bump("lookup")
-        absolute, comps, must_dir = vfspath.split(path)
-        if self.config.lexical_dotdot:
-            comps = vfspath.lexical_normalize(comps)
+        if parsed is None:
+            absolute, comps, must_dir = vfspath.split(path)
+            if self.config.lexical_dotdot:
+                comps = vfspath.lexical_normalize(comps)
+        else:
+            absolute, comps, must_dir = parsed
         start = task.root if absolute else (dirfd_pos or task.cwd)
         returned, raised = setup or self._setup
         ctx = self.hooks.begin(task, start, absolute, prehashed)

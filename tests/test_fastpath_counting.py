@@ -8,6 +8,7 @@ path depth, while the baseline's grow linearly.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -64,6 +65,29 @@ def _count_host_calls(monkeypatch, *classes):
             if hasattr(cls, name):
                 monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
     return calls
+
+
+def _python_calls(thunk):
+    """The names of the Python frames ``thunk``'s body enters, in order.
+
+    The collector is off meanwhile: a collection would run finalizers
+    the thunk never called."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+    previous = sys.getprofile()
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(previous)
+        if enabled:
+            gc.enable()
+    return calls[1:]
 
 
 class TestConstantWorkFastpath:
@@ -149,13 +173,18 @@ class TestConstantWorkFastpath:
         assert per_depth[2] == per_depth[6] == per_depth[12], per_depth
 
     @pytest.mark.parametrize("profile, per_component",
-                             [("baseline", 2), ("optimized", 8)])
+                             [("baseline", 2), ("optimized", 3),
+                              ("optimized-lazy", 3)])
     def test_walk_python_calls_per_component(self, profile, per_component):
         """A walked component costs what the model charges, two calls:
         the search check and the table probe (``Dcache.probe``).  Kind
         predicates, ``PathPos`` building and a no-op step hook would
-        each add one.  An eager fallback adds the population hook and
-        its hashing on top."""
+        each add one.  An eager fallback adds only the population hook:
+        the failed attempt hands the walk its per-component hash states.
+        On optimized-lazy an emptied PCC sends the hit to its chain
+        re-prove instead of a walk: a name compare and a search check
+        per component.  Before the attempt handed over its states and
+        the hit hashed its path in one call, these read 2 / 7 / 4."""
         per_depth = {}
         for depth in (2, 6, 12):
             kernel = _kernel(profile, resolution_memo=False)
@@ -166,22 +195,38 @@ class TestConstantWorkFastpath:
             if task.cred.pcc is not None:
                 task.cred.pcc.invalidate_all()
             kernel.costs.reset_attribution()
-            calls = []
-
-            def profiler(frame, event, arg):
-                if event == "call":
-                    calls.append(frame.f_code.co_name)
-            previous = sys.getprofile()
-            sys.setprofile(profiler)
-            try:
-                kernel.sys.stat(task, leaf)
-            finally:
-                sys.setprofile(previous)
-            assert kernel.costs.count("ht_probe") == depth
+            reproved = kernel.stats.get("lazy_pcc_reprove")
+            calls = _python_calls(lambda: kernel.sys.stat(task, leaf))
+            if profile == "optimized-lazy":
+                assert kernel.stats.get("lazy_pcc_reprove") == reproved + 1
+            else:
+                assert kernel.costs.count("ht_probe") == depth
             per_depth[depth] = len(calls)
         for shallow, deep in ((2, 6), (6, 12)):
             assert per_depth[deep] - per_depth[shallow] \
                 <= per_component * (deep - shallow), per_depth
+
+    @pytest.mark.parametrize("profile", ["optimized", "optimized-lazy"])
+    def test_hit_python_calls_do_not_grow_with_depth(self, profile):
+        """§3's constant-work claim, for the simulator itself: a plain
+        hit hashes its path in one call and probes the table in place,
+        so one ``stat`` makes the same Python calls at any depth, and at
+        most 20.  With one ``PathHasher.extend`` call per component it
+        made 25 / 29 / 35 calls at depths 2 / 6 / 12 on optimized and
+        27 / 31 / 37 on optimized-lazy."""
+        per_depth = {}
+        for depth in (2, 6, 12):
+            kernel = _kernel(profile, resolution_memo=False)
+            task = kernel.spawn_task(uid=0, gid=0)
+            leaf = _deep_tree(kernel, task, depth - 1)
+            kernel.sys.stat(task, leaf)
+            kernel.sys.stat(task, leaf)
+            hits = kernel.stats.get("fastpath_hit")
+            calls = _python_calls(lambda: kernel.sys.stat(task, leaf))
+            assert kernel.stats.get("fastpath_hit") == hits + 1
+            per_depth[depth] = len(calls)
+        assert per_depth[2] == per_depth[6] == per_depth[12], per_depth
+        assert per_depth[12] <= 20, per_depth
 
 
 class TestFastpathFallbacks:

@@ -27,7 +27,7 @@ from repro.testing.dual import fingerprint
 
 # -- batched vs. recursive shootdown ---------------------------------------
 
-def _reference_shootdown_subtree(coh, dentry):
+def _reference_shootdown_subtree(coh, dentry, order=None):
     """The pre-batching eager arm: one recursive per-dentry invalidation.
 
     Semantically what ``shootdown_subtree`` compiled to before the
@@ -38,12 +38,15 @@ def _reference_shootdown_subtree(coh, dentry):
     state was found and nothing is mid-walk.  Every accumulator the
     batched walk touches receives the same additions (visit order is
     immaterial: each accumulator folds N copies of the same float).
+    ``order``, when given, receives each dentry as it is invalidated.
     """
     assert isinstance(coh, EagerCoherence)
     visited = set()
     found_fast = 0
 
     def invalidate_one(d):
+        if order is not None:
+            order.append(d)
         coh.costs.charge("inval_per_dentry")
         coh.stats.bump("inval_dentry")
         seq = d.seq + 1
@@ -176,6 +179,47 @@ class TestBatchedShootdown:
         kernel.coherence.shootdown_subtree(dentry)
         assert kernel.coherence.counter == before
         assert kernel.stats.snapshot()["counter_bump_elided"] == elided + 1
+
+    def test_bind_mount_cycle(self):
+        """``/a`` bind-mounted onto ``/a/b/m`` makes the subtree a cycle:
+        ``chmod /a`` invalidates each distinct dentry once, in the
+        recursive walk's order."""
+        def build():
+            kernel = make_kernel("optimized")
+            task = kernel.spawn_task(uid=0, gid=0)
+            sys = kernel.sys
+            for path in ("/a", "/a/b", "/a/b/m", "/a/c"):
+                sys.mkdir(task, path)
+            sys.close(task, sys.open(task, "/a/c/f", O_CREAT | O_RDWR))
+            sys.bind_mount(task, "/a", "/a/b/m")
+            for path in ("/a/c/f", "/a/b/m/c/f", "/a/b/m/b/m"):
+                sys.stat(task, path)
+            return kernel, task
+
+        kernel, task = build()
+        coh = kernel.coherence
+        frontiers = []
+        bulk = coh._invalidate_bulk
+
+        def recording_bulk(frontier):
+            frontiers.append(list(frontier))
+            return bulk(frontier)
+        coh._invalidate_bulk = recording_bulk
+        before = kernel.stats.get("inval_dentry")
+        kernel.sys.chmod(task, "/a", 0o700)
+        [frontier] = frontiers
+        assert len({id(d) for d in frontier}) == len(frontier)
+        assert kernel.stats.get("inval_dentry") - before == len(frontier)
+
+        twin, twin_task = build()
+        order = []
+        _reference_shootdown_subtree(
+            twin.coherence,
+            twin.sys._resolve(twin_task, "/a", follow_last=True).dentry,
+            order)
+        assert [d.path_from_root() for d in frontier] \
+            == [d.path_from_root() for d in order]
+        assert {"/a/b/m", "/a/c/f"} <= {d.path_from_root() for d in order}
 
     def test_hypothesis_random_subtrees(self):
         """Property sweep: arbitrary tree shapes (dirs, files, symlinks,

@@ -232,6 +232,57 @@ class TestMountRaces:
         _sweep(make_env, ["/mnt/under", "/mnt"])
 
 
+def _assert_dlht_keys_canonical(kernel, task):
+    """Every live DLHT entry's key is the signature of its dentry's
+    canonical path (the tree has no mounts, so that is the path from
+    the file system root)."""
+    hasher = kernel.hasher
+    for key, dentry in task.ns.dlht.table.items():
+        if dentry.dead:
+            continue
+        names = [name for name in dentry.path_from_root().split("/") if name]
+        assert key == hasher.sign_components(names), dentry.path_from_root()
+
+
+class TestHandedOverStates:
+    def test_rename_at_begin_of_relative_fallback(self, monkeypatch):
+        """A failed attempt that hashed the whole path hands the walk its
+        per-component states; the walk may use them only while its
+        anchor hashes to the attempt's start state.  A rename of a cwd
+        ancestor fired at ``begin`` moves the anchor, so the walk hashes
+        afresh and registers each dentry under its new path."""
+        kernel = make_kernel("optimized")
+        task = kernel.spawn_task(uid=0, gid=0)
+        sys = kernel.sys
+        for path in ("/a", "/a/b", "/a/b/c"):
+            sys.mkdir(task, path)
+        _mkfile(kernel, task, "/a/b/c/f", b"data")
+        sys.chdir(task, "/a/b")
+        sys.stat(task, "c/f")
+        sys.stat(task, "c/f")
+        # Registered, but no prefix check: the attempt hashes "c/f",
+        # hits, and falls back.
+        task.cred.pcc.invalidate_all()
+        handed = []
+        begin = kernel.fast.begin
+
+        def recording_begin(task, start, absolute, prehashed=0):
+            handed.append(prehashed)
+            return begin(task, start, absolute, prehashed)
+        monkeypatch.setattr(kernel.fast, "begin", recording_begin)
+        kind, payload, fired = run_race(
+            kernel, lambda: sys.stat(task, "c/f"),
+            lambda: sys.rename(task, "/a", "/z"), fire_at=0)
+        assert fired and kind == "ok", payload
+        # The victim's walk begins last (the rename's own walks ran
+        # inside its first hook) and was handed two states.
+        assert len(handed[-1][1]) == 2
+        _assert_dlht_keys_canonical(kernel, task)
+        assert_fastpath_consistent(
+            kernel, task, ["c/f", "c", "/z/b/c/f", "/a/b/c/f", "/z/b"])
+        _assert_dlht_keys_canonical(kernel, task)
+
+
 class TestInjectorMechanics:
     def test_unfired_when_point_beyond_walk(self):
         kernel = make_kernel("optimized")

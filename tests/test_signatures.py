@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import make_kernel
 from repro.core.signatures import (INDEX_BITS, PathHasher, SigState,
                                    collision_probability, make_hasher,
                                    queries_for_risk)
@@ -97,6 +98,63 @@ class TestResumeFromStoredPrefix:
             assert hasher.finish(resumed) == full
             state = hasher.extend(state, name)
         assert hasher.finish(state) == full
+
+
+_SEGMENT_KERNELS = {}
+
+
+def _segment_kernel(scheme):
+    """One optimized kernel per signature scheme, on calibrated costs."""
+    if scheme not in _SEGMENT_KERNELS:
+        _SEGMENT_KERNELS[scheme] = make_kernel(
+            "optimized", signature_scheme=scheme, resolution_memo=False)
+    return _SEGMENT_KERNELS[scheme]
+
+
+def _hash_cost(costs, primitive):
+    return costs.count(primitive), costs.by_primitive.get(primitive, 0.0)
+
+
+class TestExtendSegment:
+    """``extend_segment`` hashes a fastpath segment in one call: it must
+    equal folding ``extend`` and then ``finish``, and its byte count
+    must be what one ``FastLookup._extend`` per name charges."""
+
+    @pytest.mark.parametrize("scheme", ["universal", "prf"])
+    @given(start=st.one_of(st.just([]),
+                           st.lists(ANY_NAME, min_size=1, max_size=3)),
+           names=st.lists(ANY_NAME, min_size=1, max_size=6))
+    def test_equals_folding_extend_then_finish(self, scheme, start, names):
+        kernel = _segment_kernel(scheme)
+        hasher = kernel.hasher
+
+        def key(state):  # PRF states compare their digests by identity
+            return hasher.finish(state), state.length
+
+        state = hasher.extend_components(hasher.EMPTY, start)
+        folded = [state]
+        for name in names:
+            folded.append(hasher.extend(folded[-1], name))
+        for _ in range(3):  # missed twice, then (universal) memoized
+            prefix, final, sig, nbytes, states = hasher.extend_segment(
+                state, tuple(names))
+            assert [key(s) for s in states] == [key(s) for s in folded[1:]]
+            assert key(prefix) == key(folded[-2])
+            assert key(final) == key(folded[-1])
+            assert sig == hasher.finish(folded[-1])
+
+        costs = kernel.costs
+        primitive = hasher.cost_primitive
+        count, ns = _hash_cost(costs, primitive)
+        resumed = state
+        for name in names:
+            resumed = kernel.fast._extend(None, resumed, name)
+        per_name = _hash_cost(costs, primitive)
+        costs.charge_in("hash", primitive, times=len(names), nbytes=nbytes)
+        at_once = _hash_cost(costs, primitive)
+        assert key(resumed) == key(final)
+        assert per_name[0] - count == at_once[0] - per_name[0]
+        assert per_name[1] - ns == at_once[1] - per_name[1]
 
 
 class TestDiscrimination:
