@@ -45,16 +45,17 @@ Resolution-memo recording (see :mod:`repro.core.resmemo`)
 ---------------------------------------------------------
 
 When the resolution memo records a resolve through this engine, every
-charge reaches the attached recorder through the ``CostModel``; what a
-conclusion rests on is appended where it is drawn (``dlht.lookup`` and
-``_position_hit`` / ``_negative_hit`` to ``rec.deps`` / ``rec.misses``,
-the PCC to ``rec.pcc``).  The contract this module upholds for
-replayability is that a *steady-state* hit's only host-visible side
-effects are dcache-LRU touches and PCC ``move_to_end`` reorders (both
-captured and mirrored on replay); anything that populates or rehashes
-state (DLHT/PCC inserts, stub fills, lazy re-arms) makes two
-consecutive executions observably different, which is exactly what
-keeps such resolutions out of the memo's confirmed set.
+charge lands in the recording's own tables inside the ``CostModel``;
+what a conclusion rests on is appended where it is drawn
+(``dlht.lookup`` and ``_position_hit`` / ``_negative_hit`` to
+``rec.deps`` / ``rec.misses``, the PCC to ``rec.pcc``).  The contract
+this module upholds for replayability is that a *steady-state* hit's
+only host-visible side effects are dcache-LRU touches and PCC
+``move_to_end`` reorders (both captured and mirrored on replay);
+anything that populates or rehashes state (DLHT/PCC inserts, stub fills,
+lazy re-arms) makes two consecutive executions observably different,
+which is exactly what keeps such resolutions out of the memo's confirmed
+set.
 """
 
 from __future__ import annotations

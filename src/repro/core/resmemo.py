@@ -14,10 +14,10 @@ A memo entry is keyed per namespace by
 
 and stores the terminal :class:`~repro.vfs.dentry.PathPos` (or a replica
 of the raised :class:`~repro.errors.FsError`: data, no traceback), the
-:class:`~repro.sim.costs.ChargeVector` the resolution charged, the
-:class:`~repro.sim.stats.Stats` counter deltas, and the dcache-LRU /
-PCC touches the resolution performed.  A hit is accepted only after a
-validity check over the entry's recorded *dependencies*:
+tables the resolution charged and counted into — its
+:class:`~repro.sim.costs.ChargeVector` and its ``Stats`` deltas — and
+the dcache-LRU / PCC touches it performed.  A hit is accepted only
+after a validity check over the entry's recorded *dependencies*:
 
 * the lazy epoch high-water mark is unchanged (the lazy profile stamps
   epochs instead of shooting down; touch-time revalidation charges
@@ -81,7 +81,7 @@ preserved).
 Admission — record only while recordings pay
 --------------------------------------------
 
-Recording costs wall-clock (the attached recorder, the ``Stats`` diff,
+Recording costs wall-clock (the touch lists, the swapped-in tables,
 the snapshot and its reverse-index registration, all of it twice before
 the first replay), so two host-side rules decide *when to try*.  Neither
 can move virtual output: every check above still guards every replay.
@@ -175,8 +175,8 @@ _FILE = "f"
 
 def _charges_any(vector, primitives: frozenset) -> bool:
     """Does ``vector`` hold a charge (or raw hint) named in ``primitives``?"""
-    return any(name in primitives for _scope, name in vector.charges) \
-        or any(hint in primitives for _scope, hint in vector.raw)
+    return not (primitives.isdisjoint(vector.counts)
+                and primitives.isdisjoint(vector.raw))
 
 
 def _dentry_sig(dentry) -> tuple:
@@ -219,8 +219,8 @@ class _Entry:
         "outcome_pos",      # terminal PathPos, or None if the walk raised
         "outcome_exc",      # never-raised FsError replica, or None
         "vector",           # ChargeVector the resolution charged,
-        "stat_deltas",      # sorted (counter name, int delta) tuple:
-                            # both shared with every equal recording
+        "stat_deltas",      # {counter name: int delta}: both shared
+                            # with every equal recording
         "lru_touches",      # dentries whose dcache-LRU slot was refreshed
         "pcc_touches",      # Recording.pcc: PCC hits and inserts, in order
         "counter",          # Coherence.counter (checked unless steady)
@@ -441,7 +441,7 @@ class ResolutionMemo:
 
     def _run_recorded(self, task, path, follow_last, intent_create,
                       create_dir):
-        """Run the real resolver with the charge recorder attached."""
+        """Run the real resolver under a :class:`Recording`."""
         pos = None
         exc = None
         with Recording(self.costs, self.stats) as rec:
@@ -534,16 +534,19 @@ class ResolutionMemo:
         # The caught instance carries the resolver's traceback (frames,
         # locals) and is the caller's to keep; the entry holds data.
         entry.outcome_exc = None if exc is None else exc.replica()
-        # Stored vectors are never mutated after ``Recording.__exit__``,
+        # Stored tables are never mutated after ``Recording.__exit__``,
         # so equal recordings (paths of one shape) share one object.
         vector = rec.vector
         interned = self._interned
         if len(interned) + 2 > self._INTERN_MAX:  # room for both
             interned.clear()
         entry.vector = interned.setdefault(
-            (frozenset(vector.charges.items()),
+            (frozenset(vector.counts.items()),
+             frozenset(vector.by_scope.items()),
+             frozenset(vector.nbytes.items()),
              frozenset(vector.raw.items())), vector)
-        entry.stat_deltas = interned.setdefault(deltas, deltas)
+        entry.stat_deltas = interned.setdefault(
+            frozenset(deltas.items()), deltas)
         entry.lru_touches = rec.lru
         entry.pcc_touches = rec.pcc
         entry.confirmed = False

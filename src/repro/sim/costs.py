@@ -28,11 +28,14 @@ number of ticks.  Integer addition is associative, so the clock and the
 attribution tables depend only on *what* was charged, never on the order
 — which is what lets a recorded run be kept as a :class:`ChargeVector`
 and re-applied with one addition per distinct key
-(:meth:`CostModel.apply`).
+(:meth:`CostModel.apply`).  A :class:`Recording` gets that vector for
+free: the run charges into fresh tables of its own, which are added
+back when it ends.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Optional, Tuple
 
 from repro.sim.clock import TICKS_PER_NS, Clock, to_ticks
@@ -144,53 +147,46 @@ class _ScopeGuard:
 class ChargeVector:
     """What a run of charges adds to a :class:`CostModel`, as a sum.
 
-    ``charges`` maps ``(scope, primitive)`` to the ``(times, nbytes)``
-    totals charged under that attribution scope (``None``: no scope);
-    ``raw`` maps ``(scope, hint)`` to the ticks :meth:`CostModel.charge_ns`
-    added; ``ticks`` is the total clock advance.  Charging is
-    order-independent, so this is everything a recorded run needs to
-    keep: the resolution memo and every charge plan store one, compare
-    two with ``==`` to confirm a recording, and replay through
-    :meth:`CostModel.apply`.
+    The run's own attribution tables — ``counts`` (primitive -> calls),
+    ``nbytes`` (primitive -> bytes at its per-byte rate), ``raw``
+    (``charge_ns`` hint -> ticks) and ``by_scope`` (scope -> ticks) —
+    and ``ticks``, the clock advance.  Those are exactly what
+    :meth:`CostModel.apply` adds; no joint ``(scope, primitive)`` total
+    is observable anywhere, so ``==`` means "leaves every table and the
+    clock the same".  Charging is order-independent, so this is
+    everything a recorded run needs to keep: the resolution memo and
+    every charge plan store one, compare two with ``==`` to confirm a
+    recording, and replay through :meth:`CostModel.apply`.  A
+    :class:`Recording` charges straight into a fresh vector's tables.
     """
 
-    __slots__ = ("charges", "raw", "ticks")
+    __slots__ = ("counts", "nbytes", "raw", "by_scope", "ticks")
 
-    def __init__(self, charges: Optional[dict] = None,
-                 raw: Optional[dict] = None, ticks: int = 0) -> None:
-        self.charges: Dict[tuple, Tuple[int, int]] = charges or {}
-        self.raw: Dict[tuple, int] = raw or {}
-        self.ticks = ticks
-
-    def add(self, scope, primitive: str, times: int, nbytes: int,
-            ticks: int) -> None:
-        """Record one :meth:`CostModel.charge` / ``charge_in``."""
-        key = (scope, primitive)
-        old = self.charges.get(key)
-        if old is not None:
-            times += old[0]
-            nbytes += old[1]
-        self.charges[key] = (times, nbytes)
-        self.ticks += ticks
-
-    def add_raw(self, scope, hint: str, ticks: int) -> None:
-        """Record one :meth:`CostModel.charge_ns`."""
-        key = (scope, hint)
-        self.raw[key] = self.raw.get(key, 0) + ticks
-        self.ticks += ticks
+    def __init__(self) -> None:
+        # ``charge`` adds by ``+=`` to these two: a default spares a
+        # fresh table its KeyError branch on each new key.
+        self.counts: Dict[str, int] = defaultdict(int)
+        self.nbytes: Dict[str, int] = {}
+        self.raw: Dict[str, int] = {}
+        self.by_scope: Dict[str, int] = defaultdict(int)
+        self.ticks = 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChargeVector):
             return NotImplemented
-        return self.charges == other.charges and self.raw == other.raw
+        return (self.ticks == other.ticks and self.counts == other.counts
+                and self.by_scope == other.by_scope
+                and self.nbytes == other.nbytes and self.raw == other.raw)
 
     def __len__(self) -> int:
         """Distinct keys held (the memory a stored vector costs)."""
-        return len(self.charges) + len(self.raw)
+        return (len(self.counts) + len(self.nbytes) + len(self.raw)
+                + len(self.by_scope))
 
     def __repr__(self) -> str:
-        return (f"ChargeVector({self.charges!r}, {self.raw!r}, "
-                f"ticks={self.ticks})")
+        return (f"ChargeVector(counts={dict(self.counts)!r}, "
+                f"nbytes={self.nbytes!r}, raw={self.raw!r}, "
+                f"by_scope={dict(self.by_scope)!r}, ticks={self.ticks})")
 
 
 class ChargeRun:
@@ -235,47 +231,65 @@ class Recording:
     """What a run charges and touches, collected while it executes.
 
     A context manager: ``with Recording(costs, stats) as rec: run()``
-    attaches itself as ``costs.recorder`` for the block and leaves the
-    run's sorted ``(counter, delta)`` Stats changes in ``stat_deltas``.
-    ``vector`` receives every ``charge``/``charge_in``/``charge_run``/
-    ``charge_ns``; ``lru`` dcache-LRU touches (``Dcache.probe`` hits),
-    ``pcc`` PCC probe hits ``(pcc, dentry, None)`` and inserts ``(pcc,
-    dentry, epoch)`` in order, ``deps`` the dentries a fastpath conclusion
-    rested on (DLHT probe hits, negativity checks), ``misses`` the
-    ``(container, key)`` pairs whose *absence* the run observed
-    (``Dcache.probe``, DLHT and PCC probe misses).  The resolution
-    memo mirrors ``lru``/``pcc`` on replay and pins ``deps``/``misses``;
-    a charge-plan capture that touched ``lru`` or ``pcc`` is rejected
-    (plans cover only fd-table syscalls).
+    swaps fresh attribution tables into ``costs`` (``counts`` and the
+    byte, raw and scope totals) and ``stats`` for the block, so the run
+    charges and counts straight into ``vector`` and ``stat_deltas`` (a
+    ``{counter: delta}`` dict), and folds both back on exit, also when
+    the run raises.  The clock is not swapped: tickers, ``mtime_ns``
+    stamps and plan guards read real time inside the block, and
+    ``vector.ticks`` is the clock's advance over it.  While a recording
+    is open, ``costs.counts``, ``by_scope``, ``by_primitive`` and
+    ``stats.get`` see only its own tables.  A recording opened inside
+    another folds its tables into the outer one on exit; its touch
+    lists stay its own.
+
+    ``costs.recorder`` is the innermost open recording, for the cache
+    structures to note what the run touches: ``lru`` dcache-LRU touches
+    (``Dcache.probe`` hits), ``pcc`` PCC probe hits ``(pcc, dentry,
+    None)`` and inserts ``(pcc, dentry, epoch)`` in order, ``deps`` the
+    dentries a fastpath conclusion rested on (DLHT probe hits,
+    negativity checks), ``misses`` the ``(container, key)`` pairs whose
+    *absence* the run observed (``Dcache.probe``, DLHT and PCC probe
+    misses).  The resolution memo mirrors ``lru``/``pcc`` on replay and
+    pins ``deps``/``misses``; a charge-plan capture that touched ``lru``
+    or ``pcc`` is rejected (plans cover only fd-table syscalls).
     """
 
-    __slots__ = ("vector", "lru", "pcc", "deps", "misses",
-                 "stat_deltas", "_costs", "_stats", "_before")
+    __slots__ = ("vector", "stat_deltas", "lru", "pcc", "deps", "misses",
+                 "_costs", "_stats", "_outer", "_saved", "_start")
 
     def __init__(self, costs: "CostModel", stats) -> None:
         self.vector = ChargeVector()
+        self.stat_deltas: Dict[str, int] = {}
         self.lru: list = []
         self.pcc: list = []
         self.deps: list = []
         self.misses: list = []
-        self.stat_deltas: tuple = ()
         self._costs = costs
         self._stats = stats
 
     def __enter__(self) -> "Recording":
-        self._before = self._stats.snapshot()
-        self._costs.recorder = self
+        costs, stats, vector = self._costs, self._stats, self.vector
+        self._saved = (costs.counts, costs._nbytes, costs._raw,
+                       costs._by_scope, stats._counters)
+        (costs.counts, costs._nbytes, costs._raw, costs._by_scope,
+         stats._counters) = (vector.counts, vector.nbytes, vector.raw,
+                             vector.by_scope, self.stat_deltas)
+        self._outer, costs.recorder = costs.recorder, self
+        self._start = costs.clock._ticks
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._costs.recorder = None
-        before = self._before
-        # The items-view difference picks the moved counters in C; a
-        # counter born at zero is in it and is no change.
-        self.stat_deltas = tuple(sorted(
-            (name, value - before.get(name, 0))
-            for name, value in self._stats._counters.items() - before.items()
-            if value != before.get(name, 0)))
+        costs, stats = self._costs, self._stats
+        (costs.counts, costs._nbytes, costs._raw, costs._by_scope,
+         stats._counters) = self._saved
+        costs.recorder = self._outer
+        vector = self.vector
+        # The clock already ran on through the block, and ``ticks`` is
+        # still 0: this adds the tables only.
+        costs.apply(vector)
+        vector.ticks = costs.clock._ticks - self._start
+        stats.bump_many(self.stat_deltas)
 
 
 class ChargePlan:
@@ -299,11 +313,12 @@ class PlanCell:
     """Capture state of one replay unit (``workloads/traces.py`` runs
     the protocol; a unit is a plannable segment or a whole drain).
 
-    Lifecycle: ``execs`` warm executions run interpreted, then two
-    recorded executions must produce equal captures (kept in
-    ``pending`` in between) before a :class:`ChargePlan` is stored — the
-    same confirm-on-second-identical-run protocol the resolution memo
-    uses.  ``retries`` counts rejected/mismatched captures; too many
+    Lifecycle: from its first execution a unit runs recorded until two
+    executions in a row produce equal captures (kept in ``pending`` in
+    between); then a :class:`ChargePlan` is stored and applies from the
+    next execution on — the memo's confirm-on-second-identical-run
+    protocol, with no warm-up: a first capture that populated caches
+    only becomes the pending one, at the cost of one retry.  ``retries`` counts rejected/mismatched captures; too many
     marks the cell ``dead`` (permanently interpreted).  ``fail_streak``
     counts consecutive guard failures at apply time; too many
     invalidates the plan for re-capture.  ``armed_now`` is used by
@@ -311,11 +326,10 @@ class PlanCell:
     the plan to apply (any interleaving syscall moves the clock off it).
     """
 
-    __slots__ = ("execs", "pending", "plan", "dead", "retries",
-                 "fail_streak", "armed_now")
+    __slots__ = ("pending", "plan", "dead", "retries", "fail_streak",
+                 "armed_now")
 
     def __init__(self) -> None:
-        self.execs = 0
         self.pending = None
         self.plan = None
         self.dead = False
@@ -325,7 +339,6 @@ class PlanCell:
 
     def reset(self) -> None:
         """Drop any captured state and restart the capture protocol."""
-        self.execs = 0
         self.pending = None
         self.plan = None
         self.fail_streak = 0
@@ -346,8 +359,6 @@ class ChargePlanRegistry:
     counters).
     """
 
-    #: Interpreted executions of a unit before capture starts.
-    WARMUP = 1
     #: Rejected/mismatched captures before a cell goes dead.
     MAX_RETRIES = 3
     #: Consecutive apply-time guard failures before re-capture.  A
@@ -472,8 +483,9 @@ class CostModel:
                    _rate_ticks(name + "_per_byte",
                                self.charges.get(name + "_per_byte", 0.0)))
             for name, value in self.charges.items()}
-        #: When non-None, a :class:`Recording` every charge is added to
-        #: (see :mod:`repro.core.resmemo`, ``workloads/traces.py``).
+        #: The innermost open :class:`Recording`, which the cache
+        #: structures note their touches in (see
+        #: :mod:`repro.core.resmemo`, ``workloads/traces.py``).
         self.recorder: Optional[Recording] = None
         #: Captured charge plans for compiled-trace segments (see
         #: :class:`ChargePlanRegistry` and ``workloads/traces.py``).
@@ -534,10 +546,6 @@ class CostModel:
                 by_scope[stack[-1]] += ticks
             except KeyError:
                 by_scope[stack[-1]] = ticks
-        rec = self.recorder
-        if rec is not None:
-            rec.vector.add(stack[-1] if stack else None, primitive, times,
-                           nbytes, ticks)
         return ticks / TICKS_PER_NS
 
     def charge_in(self, scope: str, primitive: str, times: int = 1,
@@ -567,9 +575,6 @@ class CostModel:
             by_scope[scope] += ticks
         except KeyError:
             by_scope[scope] = ticks
-        rec = self.recorder
-        if rec is not None:
-            rec.vector.add(scope, primitive, times, nbytes, ticks)
         return ticks / TICKS_PER_NS
 
     def run(self, charges, per_byte: Optional[str] = None) -> ChargeRun:
@@ -580,10 +585,10 @@ class CostModel:
     def charge_run(self, run: ChargeRun, nbytes: int = 0) -> None:
         """Charge every member of ``run`` ``run.times`` over, in one call.
 
-        Leaves the clock, ``counts``, ``by_scope``, the byte totals and
-        the recorder's vector exactly as ``run.times`` :meth:`charge_in`
-        per member (``nbytes`` in all on the byte member) would: ticks
-        are integers, so the order is irrelevant.
+        Leaves the clock, ``counts``, ``by_scope`` and the byte totals
+        exactly as ``run.times`` :meth:`charge_in` per member
+        (``nbytes`` in all on the byte member) would: ticks are
+        integers, so the order is irrelevant.
         """
         ticks = run.ticks
         by_scope = self._by_scope
@@ -607,13 +612,6 @@ class CostModel:
                 counts[primitive] += times
             except KeyError:
                 counts[primitive] = times
-        rec = self.recorder
-        if rec is not None:
-            add = rec.vector.add
-            for scope, primitive, member_ticks in run.members:
-                add(scope, primitive, times, 0, member_ticks)
-            if nbytes:
-                add(byte_scope, byte_primitive, 0, nbytes, extra)
 
     def charge_ns(self, scope_hint: str, ns: float) -> None:
         """Charge raw nanoseconds (used for app 'compute' phases).
@@ -630,9 +628,6 @@ class CostModel:
         scope = stack[-1] if stack else None
         if scope is not None:
             self._by_scope[scope] = self._by_scope.get(scope, 0) + ticks
-        rec = self.recorder
-        if rec is not None:
-            rec.vector.add_raw(scope, scope_hint, ticks)
 
     def apply(self, vector: ChargeVector) -> None:
         """Charge a recorded :class:`ChargeVector` in one step.
@@ -641,23 +636,14 @@ class CostModel:
         exactly as charging the recorded run again would: one addition
         per distinct key, in any order.
         """
-        rates = self._rates
-        by_scope = self._by_scope
-        counts = self.counts
-        totals = self._nbytes
-        raw = self._raw
-        for (scope, primitive), (times, nbytes) in vector.charges.items():
-            counts[primitive] = counts.get(primitive, 0) + times
-            if nbytes:
-                totals[primitive] = totals.get(primitive, 0) + nbytes
-            if scope is not None:
-                per_call, per_byte = rates[primitive]
-                by_scope[scope] = by_scope.get(scope, 0) \
-                    + per_call * times + per_byte * nbytes
-        for (scope, hint), ticks in vector.raw.items():
-            raw[hint] = raw.get(hint, 0) + ticks
-            if scope is not None:
-                by_scope[scope] = by_scope.get(scope, 0) + ticks
+        for table, delta in ((self.counts, vector.counts),
+                             (self._by_scope, vector.by_scope),
+                             (self._nbytes, vector.nbytes),
+                             (self._raw, vector.raw)):
+            if delta:
+                get = table.get
+                for key, value in delta.items():
+                    table[key] = get(key, 0) + value
         self.clock._ticks += vector.ticks
 
     # -- attribution --------------------------------------------------------

@@ -35,11 +35,12 @@ DLHT_EXTRA_KEY_BYTES = 56
 #: paths; ``tracemalloc`` reads 1.6-1.9 KB for the former, the difference
 #: being allocator rounding and the doorkeeper's ``int``.
 RESMEMO_ENTRY_BYTES = 1500
-#: One key of a stored charge vector: the ``(scope, primitive)`` and
-#: ``(times, nbytes)`` tuples and the slot in ``ChargeVector.charges``,
-#: with the vector's fixed part spread over its 7-9 keys (165-179 B per
-#: key).  Equal recordings share one vector, so it is counted once.
-RESMEMO_EVENT_BYTES = 176
+#: One key of a stored charge vector: its slot in one of the vector's
+#: four tables and its value (an ``int`` object once past the small-int
+#: cache, as tick totals are), with the vector's fixed part — the object
+#: and its four tables — spread over its 12-15 keys (62-78 B per key).
+#: Equal recordings share one vector, so it is counted once.
+RESMEMO_EVENT_BYTES = 72
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,10 @@ The optimized kernel observes the walk through the ``fast`` hook object (a
 :class:`WalkHooks`.  The baseline kernel passes ``fast=None``.
 
 The resolution memo (:mod:`repro.core.resmemo`) records slowpath
-resolutions transparently via ``CostModel.recorder``, which sees a run
-like any other charge, and ``Dcache.probe`` records the LRU touches and
-the absences the walk concludes from — so this module needs no recording
-hooks.
+resolutions transparently: a :class:`~repro.sim.costs.Recording`
+charges a run into tables of its own, and ``Dcache.probe`` records the
+LRU touches and the absences the walk concludes from — so this module
+needs no recording hooks.
 """
 
 from __future__ import annotations

@@ -55,16 +55,16 @@ class MeteredSyscalls:
         # Reached once per syscall name: the wrapper is cached on the
         # instance, where ordinary attribute lookup finds it next time.
         method = getattr(self._sys, name)
-        kernel = self._kernel
+        clock = self._kernel.costs.clock
         counts = self.counts
         is_path = name in PATH_LOOKUP_OPS
 
         def wrapper(*args, **kwargs):
-            start = kernel.now_ns
+            start = clock.now_ns
             try:
                 return method(*args, **kwargs)
             finally:
-                elapsed = kernel.now_ns - start
+                elapsed = clock.now_ns - start
                 self.syscall_ns += elapsed
                 counts[name] = counts.get(name, 0) + 1
                 if is_path:

@@ -62,9 +62,9 @@ def _capture_clean(rec: Recording) -> bool:
     if rec.lru or rec.pcc:
         return False
     vector = rec.vector
-    return all(scope is None and primitive in _PLAN_SAFE_PRIMITIVES
-               for scope, primitive in vector.charges) \
-        and all(hint == "app_compute" for _scope, hint in vector.raw)
+    return not vector.by_scope \
+        and _PLAN_SAFE_PRIMITIVES.issuperset(vector.counts) \
+        and all(hint == "app_compute" for hint in vector.raw)
 
 
 def _normalize(value: Any) -> Any:
@@ -201,6 +201,9 @@ class TraceRecorder:
         self._pending_compute += ns
 
     def __getattr__(self, op: str):
+        # Reached once per syscall name: the wrapper is cached below.
+        if op.startswith("_"):
+            raise AttributeError(op)
         method = getattr(self._kernel.sys, op)
 
         def wrapper(*args, **kwargs):
@@ -221,6 +224,7 @@ class TraceRecorder:
             self.trace.events.append(event)
             return result
 
+        self.__dict__[op] = wrapper
         return wrapper
 
     def _assign_slot(self, fd: int) -> int:
@@ -328,20 +332,23 @@ def _plan_unit(registry, cell, costs, stats, run: Callable[[], None],
                settle: Callable[[bool], None]) -> None:
     """Execute one replay unit through the charge-plan protocol.
 
-    Never capture into, or apply under, someone else's recording or
-    attribution scope: :meth:`CostModel.apply` bypasses the recorder, so
-    a plan applied inside a recording would vanish from it — a
-    segment's from the recording of the drain around it.
+    A unit inside someone else's recording or attribution scope runs
+    interpreted: the recording around it stands for the whole run (a
+    drain's capture covers its segments), and :meth:`CostModel.apply`
+    adds a plan to the scopes it was captured under, never to an open
+    one.
 
-    ``cell`` (:class:`~repro.sim.costs.PlanCell`) goes warm → record →
-    confirm on the second identical capture → apply while ``guard(plan)``
-    holds; a generation bump or ``MAX_FAIL_STREAK`` guard failures in a
-    row send it back to warm, ``MAX_RETRIES`` bad captures kill it.
-    ``run`` executes the unit interpreted.  ``vouch(rec)`` is what a
-    recorded run joins to its ``(vector, stat_deltas)`` capture, falsy
-    when the recording may not become a plan.  ``settle(applied)``
-    follows an apply and a vouched capture — never a fallback run,
-    which leaves the kernel in a state no capture has seen.
+    ``cell`` (:class:`~repro.sim.costs.PlanCell`) records from its first
+    execution, confirms on the second identical capture and applies
+    from the third while ``guard(plan)`` holds; a generation bump or
+    ``MAX_FAIL_STREAK`` guard failures in a row run that execution
+    interpreted and send the cell back to record, ``MAX_RETRIES`` bad
+    captures kill it.  ``run`` executes the unit interpreted.
+    ``vouch(rec)`` is what a recorded run joins to its ``(vector,
+    stat_deltas)`` capture, falsy when the recording may not become a
+    plan.  ``settle(applied)`` follows an apply and a vouched capture —
+    never a fallback run, which leaves the kernel in a state no capture
+    has seen.
     """
     if costs.recorder is not None or costs._scope_stack or cell.dead:
         run()
@@ -365,11 +372,6 @@ def _plan_unit(registry, cell, costs, stats, run: Callable[[], None],
             if cell.fail_streak >= registry.MAX_FAIL_STREAK:
                 registry.invalidated += 1
                 cell.reset()
-        run()
-        return
-    n = cell.execs
-    cell.execs = n + 1
-    if n < registry.WARMUP:
         run()
         return
     with Recording(costs, stats) as rec:

@@ -10,6 +10,7 @@ on every profile.
 """
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -107,6 +108,34 @@ class TestFleetBitIdentity:
             assert on == off
 
         check()
+
+
+class TestFleetDrainLifecycle:
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_drain_plan_compiles_on_drain_2(self, profile):
+        """The whole-drain cell records drains 1 and 2, compiles on the
+        second and applies on drains 3-5; under a lazy sweeper no drain
+        cell exists.  Virtual output equals a plans-off run's."""
+        prints = []
+        for plans in (False, True):
+            kernel = make_kernel(profile)
+            fleet = _small_fleet(kernel)
+            registry = kernel.costs.plans
+            key = (fleet.seed, *map(id, chain.from_iterable(fleet.streams)))
+            history = []
+            for _ in range(5):
+                applied = registry.applied
+                server_fleet.drain_fleet(kernel, fleet, plans=plans)
+                entry = registry._cells.get(key)
+                history.append((entry is not None and entry[1].plan
+                                is not None, registry.applied - applied))
+            if plans and kernel.sweeper is None:
+                assert history == [(False, 0), (True, 0), (True, 1),
+                                   (True, 1), (True, 1)]
+            elif plans:
+                assert key not in registry._cells
+            prints.append(fingerprint(kernel))
+        assert prints[0] == prints[1]
 
 
 class TestScheduler:

@@ -104,7 +104,9 @@ _EVENT = st.one_of(
               st.integers(1, 5), st.integers(0, 40)),
     st.tuples(st.just("charge_ns"), _SCOPES,
               st.sampled_from(["app_compute", "net_rpc"]),
-              st.floats(0.01, 1e7, allow_nan=False), st.just(0)))
+              st.floats(0.01, 1e7, allow_nan=False), st.just(0)),
+    st.tuples(st.just("charge_run"), _SCOPES.filter(bool), _PRIMITIVES,
+              st.integers(1, 5), st.integers(0, 40)))
 _EVENTS = st.lists(_EVENT, max_size=30)
 
 
@@ -113,6 +115,9 @@ def _charge(costs: CostModel, events) -> None:
     for kind, scope, name, amount, nbytes in events:
         if kind == "charge_in":
             costs.charge_in(scope, name, times=amount, nbytes=nbytes)
+        elif kind == "charge_run":  # ``name`` takes the bytes
+            run = costs.run(((scope, name), ("miss", "lru_touch")), name)
+            costs.charge_run(run.scaled(amount), nbytes)
         elif scope is None:
             (costs.charge(name, times=amount, nbytes=nbytes)
              if kind == "charge" else costs.charge_ns(name, amount))
@@ -237,6 +242,79 @@ class TestChargeRun:
             costs.run((("hash", "not_a_primitive"),))
         with pytest.raises(ValueError):
             costs.run((("hash", "ht_probe"),), "component_hash")
+
+
+def _charge_and_count(costs: CostModel, stats: Stats, events) -> None:
+    """:func:`_charge` plus one ``Stats`` bump per event, by kind."""
+    for event in events:
+        _charge(costs, [event])
+        stats.bump(event[0], event[3] if event[0] != "charge_ns" else 1)
+
+
+def _world(seed_events):
+    """A cost model and stats that already hold ``seed_events``."""
+    costs, stats = CostModel(), Stats()
+    _charge_and_count(costs, stats, seed_events)
+    return costs, stats
+
+
+def _everything(costs: CostModel, stats: Stats):
+    return _state(costs) + (stats.snapshot(),)
+
+
+class TestRecordingSwap:
+    """A :class:`Recording` charges into tables of its own and folds
+    them back on exit; the world outside must never tell."""
+
+    @given(_EVENTS, _EVENTS)
+    def test_raise_inside_a_recording_folds_back(self, before, events):
+        plain, recorded = _world(before), _world(before)
+        for (costs, stats), recording in ((plain, False), (recorded, True)):
+            with pytest.raises(RuntimeError):
+                if recording:
+                    with Recording(costs, stats):
+                        _charge_and_count(costs, stats, events)
+                        raise RuntimeError
+                _charge_and_count(costs, stats, events)
+                raise RuntimeError
+            assert costs.recorder is None
+        assert _everything(*recorded) == _everything(*plain)
+
+    @given(_EVENTS, _EVENTS, _EVENTS, _EVENTS)
+    def test_nested_recording_folds_into_the_outer(self, before, first,
+                                                   inner, last):
+        nested, flat, plain = _world(before), _world(before), _world(before)
+        costs, stats = nested
+        with Recording(costs, stats) as outer:
+            _charge_and_count(costs, stats, first)
+            with Recording(costs, stats) as rec:
+                _charge_and_count(costs, stats, inner)
+            assert costs.recorder is outer
+            _charge_and_count(costs, stats, last)
+        costs, stats = flat
+        with Recording(costs, stats) as whole:
+            _charge_and_count(costs, stats, first + inner + last)
+        _charge_and_count(*plain, first + inner + last)
+        assert outer.vector == whole.vector
+        assert outer.stat_deltas == whole.stat_deltas
+        assert rec.vector == vector_of(inner)
+        assert _everything(*nested) == _everything(*plain)
+        assert _everything(*flat) == _everything(*plain)
+
+    def test_recorded_tables_are_the_run_alone(self):
+        costs, stats = _world([("charge", None, "ht_probe", 2, 0)])
+        stats.bump("lookup")
+        start = costs.clock.capture_state()
+        with Recording(costs, stats) as rec:
+            costs.charge_in("hash", "sig_hash", nbytes=3)
+            stats.bump("lookup")
+            assert costs.counts == {"sig_hash": 1}
+            assert stats.get("lookup") == 1
+            assert costs.clock.capture_state() > start  # the real clock
+        assert rec.stat_deltas == {"lookup": 1}
+        assert rec.vector.ticks == costs.clock.capture_state() - start
+        assert costs.counts == {"ht_probe": 2, "sig_hash": 1}
+        assert stats.get("lookup") == 2
 
 
 class TestStats:
