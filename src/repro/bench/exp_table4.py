@@ -11,30 +11,31 @@ systems contain no optimized-kernel logic.
 from __future__ import annotations
 
 import os
+import tokenize
 from typing import Dict
 
 from repro.bench.harness import Report
 
 
+#: Tokens that hold no code of their own (besides comments and NLs).
+_NOT_CODE = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER)
+
+
 def _loc(path: str) -> int:
-    """Source lines (non-blank, non-comment-only), sloccount-style."""
-    count = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        in_doc = False
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith(('"""', "'''")):
-                # Toggle docstring state (handles one-line docstrings).
-                if not (in_doc is False and stripped.endswith(('"""', "'''"))
-                        and len(stripped) > 3):
-                    in_doc = not in_doc
-                continue
-            if in_doc or stripped.startswith("#"):
-                continue
-            count += 1
-    return count
+    """Source lines, sloccount-style: the lines a code token spans, so
+    not blank, comment-only or docstring (string statement) lines."""
+    with open(path, "rb") as handle:
+        tokens = [token for token in tokenize.tokenize(handle.readline)
+                  if token.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines = set()
+    for before, token, after in zip(tokens, tokens[1:], tokens[2:]):
+        if token.type in _NOT_CODE or (
+                token.type == tokenize.STRING and before.type in _NOT_CODE
+                and after.type == tokenize.NEWLINE):
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
 
 
 def _package_loc(root: str) -> Dict[str, int]:

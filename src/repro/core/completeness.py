@@ -44,9 +44,11 @@ class ReaddirEngine:
 
     def _cached_listing(self, dentry: Dentry) -> List[Tuple[str, int, str]]:
         """Serve a complete directory from its child dentries."""
+        children = dentry.children
+        if children:
+            self.costs.charge("cached_readdir_entry", len(children))
         entries = []
-        for child in dentry.children.values():
-            self.costs.charge("cached_readdir_entry")
+        for child in children.values():
             if child.inode is not None:
                 entries.append((child.name, child.inode.ino,
                                 child.inode.filetype))
@@ -61,9 +63,7 @@ class ReaddirEngine:
         fs = dentry.inode.fs
         entries = list(fs.readdir(dentry.inode.ino))
         if self.config.dir_complete and fs.supports_completeness:
-            for name, ino, dtype in entries:
-                if name not in dentry.children:
-                    self.dcache.d_alloc_stub(dentry, name, ino, dtype)
+            self.dcache.d_alloc_stubs(dentry, entries)
         return entries
 
     def begin_sequence(self, file: File) -> None:

@@ -23,6 +23,7 @@ collision search.
 from __future__ import annotations
 
 import random
+from operator import mul
 from typing import Dict, NamedTuple, Tuple
 
 #: Two Mersenne primes; hashing is polynomial evaluation over each field.
@@ -162,18 +163,25 @@ class PathHasher:
         Horner loop computes ``h * r^m + sum(v_i * r^(m-1-i))``; the sum
         is independent of ``h``, so it is computed once per distinct
         component and replayed with one multiply and one add per field.
+        The sum is taken over the power tables with one reduction per
+        field (``pow`` prices the powers of a component longer than the
+        tables).
         """
         entry = self._contrib.get(component)
         if entry is not None:
             return entry
         encoded = encode_component(component)
         m = len(encoded)
-        c1 = c2 = 0
         r1, r2 = self.r1, self.r2
-        for byte in encoded:
-            value = byte + 1
-            c1 = (c1 * r1 + value) % _P1
-            c2 = (c2 * r2 + value) % _P2
+        if m < _POW_TABLE_SIZE:
+            pow1, pow2 = self._pow1, self._pow2
+        else:
+            pow1 = [pow(r1, k, _P1) for k in range(m)]
+            pow2 = [pow(r2, k, _P2) for k in range(m)]
+        # Byte i weighs r^(m-1-i): the last byte pairs with r^0.
+        values = [byte + 1 for byte in reversed(encoded)]
+        c1 = sum(map(mul, values, pow1)) % _P1
+        c2 = sum(map(mul, values, pow2)) % _P2
         # With a leading separator the text is "/" + component: the
         # slash's value (ord('/') + 1 = 48) is scaled past the component.
         s1 = (48 * self._pow(self._pow1, r1, _P1, m) + c1) % _P1

@@ -34,21 +34,24 @@ class PageCache:
         self.hits = 0
         self.misses = 0
 
-    def access(self, block: int, for_write: bool = False) -> bool:
-        """Touch ``block``; returns True on a cache hit.
+    def probe(self, block: int, for_write: bool = False) -> int:
+        """Touch ``block`` without charging a hit: 1 on a hit, 0 on a miss
+        (which charges the device at once).  The cache's one entry
+        point: a file system that touches several blocks in one call
+        charges ``pagecache_hit`` once for all the hits.
 
         Writes are journaled asynchronously (ext4-style): a write to a
         cached block only dirties it; writeback happens off the measured
         path (:meth:`writeback`).  A write miss performs the
         read-modify-write block fetch.
         """
-        if block in self._cached:
-            self._cached.move_to_end(block)
-            self.costs.charge("pagecache_hit")
+        cached = self._cached
+        if block in cached:
+            cached.move_to_end(block)
             self.hits += 1
             if for_write:
                 self._dirty.add(block)
-            return True
+            return 1
         self.misses += 1
         if for_write:
             self.device.read_block(block)
@@ -59,6 +62,13 @@ class PageCache:
             for fetched in range(block, min(block + self.readahead,
                                             self.device.size_blocks)):
                 self._insert(fetched)
+        return 0
+
+    def access(self, block: int, for_write: bool = False) -> bool:
+        """:meth:`probe` ``block`` and charge a hit; True on a hit."""
+        if self.probe(block, for_write):
+            self.costs.charge("pagecache_hit")
+            return True
         return False
 
     def writeback(self) -> int:

@@ -87,21 +87,27 @@ class SimExtFs(TmpFs):
         directory.entry_blocks.append(block)
         self.pagecache.access(block, for_write=True)
 
-    def _search_blocks(self, directory: _Inode, name: str) -> None:
-        """Charge the block accesses a name search in ``directory`` costs."""
-        nblocks = max(1, len(directory.entry_blocks))
-        if nblocks <= HTREE_THRESHOLD_BLOCKS:
+    def _scan(self, directory: _Inode, name: str) -> Tuple[int, int]:
+        """Probe the blocks a name search in ``directory`` reads,
+        uncharged: ``(page-cache hits, blocks scanned)``."""
+        probe = self.pagecache.probe
+        blocks = directory.entry_blocks
+        if not blocks:
+            return probe(self._inode_block(directory.ino)), 1
+        if len(blocks) <= HTREE_THRESHOLD_BLOCKS:
             # Linear scan: on average half the blocks for hits, all for
             # misses; charge the worst case for determinism.
-            for block in directory.entry_blocks or [self._inode_block(directory.ino)]:
-                self.pagecache.access(block)
-                self.costs.charge("fs_dirblock_scan")
-        else:
-            # htree: index block + one leaf block.
-            self.pagecache.access(directory.entry_blocks[0])
-            leaf = directory.entry_blocks[1 + (hash(name) % (nblocks - 1))]
-            self.pagecache.access(leaf)
-            self.costs.charge("fs_dirblock_scan", times=2)
+            return sum(map(probe, blocks)), len(blocks)
+        # htree: index block + one leaf block.
+        leaf = blocks[1 + (hash(name) % (len(blocks) - 1))]
+        return probe(blocks[0]) + probe(leaf), 2
+
+    def _search_blocks(self, directory: _Inode, name: str) -> None:
+        """Charge the block accesses a name search in ``directory`` costs."""
+        hits, scans = self._scan(directory, name)
+        if hits:
+            self.costs.charge("pagecache_hit", hits)
+        self.costs.charge("fs_dirblock_scan", scans)
 
     def _free_blocks(self, blocks: List[int]) -> None:
         for block in blocks:
@@ -159,30 +165,35 @@ class SimExtFs(TmpFs):
         return inode.info()
 
     def lookup(self, dir_ino: int, name: str) -> Optional[NodeInfo]:
-        self.costs.charge("fs_lookup_base")
+        # The directory's inode, its entry blocks, the child's: one tally.
+        costs = self.costs
+        costs.charge("fs_lookup_base")
         directory = self._get_dir(dir_ino)
-        self._touch(dir_ino)
-        self._search_blocks(directory, name)
+        hits = self.pagecache.probe(self._inode_block(dir_ino))
+        searched, scans = self._scan(directory, name)
+        hits += searched
         found = directory.entries.get(name)
+        if found is not None:
+            hits += self.pagecache.probe(self._inode_block(found[0]))
+        if hits:
+            costs.charge("pagecache_hit", hits)
+        costs.charge("fs_dirblock_scan", scans)
         if found is None:
             return None
-        child_ino, _dtype = found
-        self._touch(child_ino)
-        return self._get(child_ino).info()
+        return self._get(found[0]).info()
 
     def readdir(self, dir_ino: int) -> Iterator[Tuple[str, int, str]]:
         directory = self._get_dir(dir_ino)
-        self._touch(dir_ino)
-        block_iter = iter(directory.entry_blocks)
-        emitted_in_block = ENTRIES_PER_BLOCK
-        for name, (ino, dtype) in list(directory.entries.items()):
-            if emitted_in_block >= ENTRIES_PER_BLOCK:
-                block = next(block_iter, None)
-                if block is not None:
-                    self.pagecache.access(block)
-                emitted_in_block = 0
-            self.costs.charge("fs_readdir_entry")
-            emitted_in_block += 1
+        entries = list(directory.entries.items())
+        # The inode, then a block per ENTRIES_PER_BLOCK entries: one tally.
+        probe = self.pagecache.probe
+        used = directory.entry_blocks[:-(-len(entries) // ENTRIES_PER_BLOCK)]
+        hits = probe(self._inode_block(dir_ino)) + sum(map(probe, used))
+        if hits:
+            self.costs.charge("pagecache_hit", hits)
+        if entries:
+            self.costs.charge("fs_readdir_entry", len(entries))
+        for name, (ino, dtype) in entries:
             yield name, ino, dtype
 
     def read(self, ino: int, offset: int, length: int) -> bytes:

@@ -31,6 +31,10 @@ and re-applied with one addition per distinct key
 (:meth:`CostModel.apply`).  A :class:`Recording` gets that vector for
 free: the run charges into fresh tables of its own, which are added
 back when it ends.
+
+The same associativity makes a :class:`ChargeRun` one counter bump:
+:meth:`CostModel.charge_run` advances the clock at once, and the tables
+get the run's members when next read (the clock is never deferred).
 """
 
 from __future__ import annotations
@@ -231,11 +235,12 @@ class Recording:
     """What a run charges and touches, collected while it executes.
 
     A context manager: ``with Recording(costs, stats) as rec: run()``
-    swaps fresh attribution tables into ``costs`` (``counts`` and the
-    byte, raw and scope totals) and ``stats`` for the block, so the run
-    charges and counts straight into ``vector`` and ``stat_deltas`` (a
-    ``{counter: delta}`` dict), and folds both back on exit, also when
-    the run raises.  The clock is not swapped: tickers, ``mtime_ns``
+    swaps fresh attribution tables into ``costs`` (``counts``, the
+    byte, raw and scope totals, the pending runs) and ``stats`` for the
+    block, so the run charges and counts straight into ``vector`` and
+    ``stat_deltas`` (a ``{counter: delta}`` dict), and folds both back
+    on exit (its pending runs into ``vector`` first), also when the run
+    raises.  The clock is not swapped: tickers, ``mtime_ns``
     stamps and plan guards read real time inside the block, and
     ``vector.ticks`` is the clock's advance over it.  While a recording
     is open, ``costs.counts``, ``by_scope``, ``by_primitive`` and
@@ -270,19 +275,22 @@ class Recording:
 
     def __enter__(self) -> "Recording":
         costs, stats, vector = self._costs, self._stats, self.vector
-        self._saved = (costs.counts, costs._nbytes, costs._raw,
-                       costs._by_scope, stats._counters)
-        (costs.counts, costs._nbytes, costs._raw, costs._by_scope,
-         stats._counters) = (vector.counts, vector.nbytes, vector.raw,
-                             vector.by_scope, self.stat_deltas)
+        self._saved = (costs._counts, costs._nbytes, costs._raw,
+                       costs._by_scope, costs._pending, costs._pending_bytes,
+                       stats._counters)
+        (costs._counts, costs._nbytes, costs._raw, costs._by_scope,
+         costs._pending, costs._pending_bytes, stats._counters) = (
+            vector.counts, vector.nbytes, vector.raw, vector.by_scope, {}, {},
+            self.stat_deltas)
         self._outer, costs.recorder = costs.recorder, self
         self._start = costs.clock._ticks
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         costs, stats = self._costs, self._stats
-        (costs.counts, costs._nbytes, costs._raw, costs._by_scope,
-         stats._counters) = self._saved
+        costs._fold()  # the runs charged in here, into the vector
+        (costs._counts, costs._nbytes, costs._raw, costs._by_scope,
+         costs._pending, costs._pending_bytes, stats._counters) = self._saved
         costs.recorder = self._outer
         vector = self.vector
         # The clock already ran on through the block, and ``ticks`` is
@@ -458,12 +466,14 @@ class CostModel:
     ``now_ns``; the integer tables behind them are private.  A
     primitive's time is linear in what ``counts`` and the per-primitive
     byte totals hold, so only those are accumulated per charge and
-    ``by_primitive`` is worked out when read.
+    ``by_primitive`` is worked out when read.  A :meth:`charge_run` only
+    counts its run as pending; every reader of the tables folds the
+    pending runs in first (:meth:`_fold`).
     """
 
     __slots__ = ("charges", "clock", "_scope_stack", "_by_scope", "_nbytes",
-                 "_raw", "counts", "_rates", "_guards", "recorder", "plans",
-                 "memo")
+                 "_raw", "_counts", "_pending", "_pending_bytes", "_rates",
+                 "_guards", "recorder", "plans", "memo")
 
     def __init__(self, charges: Optional[Dict[str, float]] = None,
                  clock: Optional[Clock] = None):
@@ -471,7 +481,10 @@ class CostModel:
         self.clock = clock or Clock()
         self._scope_stack: list = []
         self._by_scope: Dict[str, int] = {}
-        self.counts: Dict[str, int] = {}
+        self._counts: Dict[str, int] = {}
+        #: :class:`ChargeRun` -> times charged / bytes given, unfolded.
+        self._pending: Dict[ChargeRun, int] = {}
+        self._pending_bytes: Dict[ChargeRun, int] = {}
         #: primitive -> bytes charged at its per-byte rate.
         self._nbytes: Dict[str, int] = {}
         #: ``charge_ns`` hint -> ticks.
@@ -534,7 +547,7 @@ class CostModel:
         # is skipped on this fast path (Clock.advance validates for
         # everyone else).
         self.clock._ticks += ticks
-        counts = self.counts
+        counts = self._counts
         try:
             counts[primitive] += times
         except KeyError:
@@ -565,7 +578,7 @@ class CostModel:
             totals = self._nbytes
             totals[primitive] = totals.get(primitive, 0) + nbytes
         self.clock._ticks += ticks
-        counts = self.counts
+        counts = self._counts
         try:
             counts[primitive] += times
         except KeyError:
@@ -585,33 +598,40 @@ class CostModel:
     def charge_run(self, run: ChargeRun, nbytes: int = 0) -> None:
         """Charge every member of ``run`` ``run.times`` over, in one call.
 
-        Leaves the clock, ``counts``, ``by_scope`` and the byte totals
-        exactly as ``run.times`` :meth:`charge_in` per member
-        (``nbytes`` in all on the byte member) would: ticks are
-        integers, so the order is irrelevant.
+        Advances the clock at once, by exactly what ``run.times``
+        :meth:`charge_in` per member (``nbytes`` in all on the byte
+        member) would, but only counts the run as pending: ``counts``,
+        ``by_scope`` and the byte totals get its members when next read
+        (:meth:`_fold`).  Ticks are integers, so the folded tables equal
+        the eager ones; the clock is never deferred, so anything that
+        reads time sees every run charged so far.
         """
-        ticks = run.ticks
-        by_scope = self._by_scope
-        for scope, scope_ticks in run.scopes:
-            try:
-                by_scope[scope] += scope_ticks
-            except KeyError:
-                by_scope[scope] = scope_ticks
         if nbytes:
-            extra = run.byte_rate * nbytes
-            ticks += extra
-            byte_scope, byte_primitive, _ticks = run.members[run.byte_at]
-            by_scope[byte_scope] += extra
-            totals = self._nbytes
-            totals[byte_primitive] = totals.get(byte_primitive, 0) + nbytes
-        self.clock._ticks += ticks
-        counts = self.counts
-        times = run.times
-        for primitive in run.primitives:
-            try:
-                counts[primitive] += times
-            except KeyError:
-                counts[primitive] = times
+            self.clock._ticks += run.ticks + run.byte_rate * nbytes
+            totals = self._pending_bytes
+            totals[run] = totals.get(run, 0) + nbytes
+        else:
+            self.clock._ticks += run.ticks
+        pending = self._pending
+        try:
+            pending[run] += 1
+        except KeyError:
+            pending[run] = 1
+
+    def _fold(self) -> None:
+        """Add the pending runs' members to the attribution tables."""
+        counts, by_scope, totals = self._counts, self._by_scope, self._nbytes
+        for run, n in self._pending.items():
+            for primitive in run.primitives:
+                counts[primitive] = counts.get(primitive, 0) + run.times * n
+            for scope, ticks in run.scopes:
+                by_scope[scope] = by_scope.get(scope, 0) + ticks * n
+        for run, nbytes in self._pending_bytes.items():
+            scope, primitive, _ticks = run.members[run.byte_at]
+            by_scope[scope] = by_scope.get(scope, 0) + run.byte_rate * nbytes
+            totals[primitive] = totals.get(primitive, 0) + nbytes
+        self._pending.clear()
+        self._pending_bytes.clear()
 
     def charge_ns(self, scope_hint: str, ns: float) -> None:
         """Charge raw nanoseconds (used for app 'compute' phases).
@@ -636,7 +656,7 @@ class CostModel:
         exactly as charging the recorded run again would: one addition
         per distinct key, in any order.
         """
-        for table, delta in ((self.counts, vector.counts),
+        for table, delta in ((self._counts, vector.counts),
                              (self._by_scope, vector.by_scope),
                              (self._nbytes, vector.nbytes),
                              (self._raw, vector.raw)):
@@ -665,7 +685,9 @@ class CostModel:
         self._by_scope.clear()
         self._nbytes.clear()
         self._raw.clear()
-        self.counts.clear()
+        self._counts.clear()
+        self._pending.clear()
+        self._pending_bytes.clear()
 
     # -- reading ------------------------------------------------------------
 
@@ -674,13 +696,20 @@ class CostModel:
         return self.clock.now_ns
 
     @property
+    def counts(self) -> Dict[str, int]:
+        """Calls charged per primitive (the live table: read, not kept)."""
+        self._fold()
+        return self._counts
+
+    @property
     def by_primitive(self) -> Dict[str, float]:
         """Nanoseconds charged per primitive (and per ``charge_ns`` hint)."""
+        self._fold()
         rates = self._rates
         totals = self._nbytes
         ticks = {name: rates[name][0] * times
                  + rates[name][1] * totals.get(name, 0)
-                 for name, times in self.counts.items()}
+                 for name, times in self._counts.items()}
         for hint, raw in self._raw.items():
             ticks[hint] = ticks.get(hint, 0) + raw
         return {name: value / TICKS_PER_NS for name, value in ticks.items()}
@@ -688,10 +717,12 @@ class CostModel:
     @property
     def by_scope(self) -> Dict[str, float]:
         """Nanoseconds charged per attribution scope."""
+        self._fold()
         return {name: ticks / TICKS_PER_NS
                 for name, ticks in self._by_scope.items()}
 
     def scope_ns(self, label: str) -> float:
+        self._fold()
         return self._by_scope.get(label, 0) / TICKS_PER_NS
 
     def count(self, primitive: str) -> int:

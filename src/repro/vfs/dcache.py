@@ -138,33 +138,60 @@ class Dcache:
         if name in parent.children:
             raise RuntimeError(f"dentry {name!r} already cached under "
                                f"{parent.path_from_root()!r}")
+        costs = self.costs
         if inode is None:
-            self.costs.charge("negative_dentry_alloc")
+            costs.charge("negative_dentry_alloc")
         else:
-            self.costs.charge("dentry_alloc")
+            costs.charge("dentry_alloc")
         dentry = Dentry(name, parent, inode)
         if inode is None:
             dentry.neg_kind = NEG_ENOENT
+        costs.charge("lru_touch")
+        self._link(parent, name, dentry)
+        return dentry
+
+    def d_alloc_stubs(self, parent: Dentry, entries) -> Optional[Dentry]:
+        """Allocate a stub (§5.1) for each ``(name, ino, dtype)`` readdir
+        result not cached under ``parent``, as :meth:`d_alloc` would, but
+        charging ``negative_dentry_alloc`` and ``lru_touch`` once for
+        all; returns the last stub allocated."""
+        children = parent.children
+        made = 0
+        dentry = None
+        for name, ino, dtype in entries:
+            # Checked per entry: a shrink may have evicted a later name.
+            if name in children:
+                continue
+            dentry = Dentry(name, parent, None)
+            dentry.stub = (ino, dtype)
+            dentry.set_kind()
+            self._link(parent, name, dentry)
+            made += 1
+        if made:
+            self.costs.charge("negative_dentry_alloc", made)
+            self.costs.charge("lru_touch", made)
+        return dentry
+
+    def _link(self, parent: Dentry, name: str, dentry: Dentry) -> None:
+        """Hash a new ``dentry`` under ``parent`` and queue it in the LRU,
+        shrinking if that puts the LRU over its limit; uncharged (each
+        allocator charges its own tally)."""
         parent.children[name] = dentry
         # Only walks that concluded from this name's absence care.
         self.costs.memo.kill_miss(parent, name)
-        self._touch_lru(dentry)
-        # The caller holds a reference to the new dentry (it is about to
-        # be returned); the shrink pass must not reclaim it.
-        dentry.pin()
-        try:
-            self._shrink_if_needed()
-        finally:
-            dentry.unpin()
-        return dentry
+        lru = self._lru
+        lru[id(dentry)] = dentry
+        if len(lru) > self.capacity - len(self._roots):
+            self._shrink(dentry)
 
     def d_alloc_stub(self, parent: Dentry, name: str, ino: int,
                      dtype: str) -> Dentry:
-        """Allocate an inodeless dentry from readdir results (§5.1)."""
-        dentry = self.d_alloc(parent, name, None)
-        dentry.neg_kind = None
-        dentry.stub = (ino, dtype)
-        dentry.set_kind()
+        """Allocate an inodeless dentry from one readdir result (§5.1):
+        :meth:`d_alloc_stubs` of one entry."""
+        dentry = self.d_alloc_stubs(parent, ((name, ino, dtype),))
+        if dentry is None:
+            raise RuntimeError(f"dentry {name!r} already cached under "
+                               f"{parent.path_from_root()!r}")
         return dentry
 
     def d_alloc_alias(self, parent: Dentry, name: str,
@@ -246,32 +273,31 @@ class Dcache:
 
     # -- LRU / shrinking ------------------------------------------------------------
 
-    def _touch_lru(self, dentry: Dentry) -> None:
-        self.costs.charge("lru_touch")
-        self._lru[id(dentry)] = dentry
-        self._lru.move_to_end(id(dentry))
-
     def _evictable(self, dentry: Dentry) -> bool:
         return (dentry.pin_count == 0 and not dentry.children
                 and not dentry.mounted_roots and dentry.parent is not None)
 
-    def _shrink_if_needed(self) -> None:
+    def _shrink(self, keep: Dentry) -> None:
+        """Evict leaves until under capacity, sparing ``keep`` (just
+        allocated: its caller holds a reference)."""
         lru = self._lru
         limit = self.capacity - len(self._roots)
-        if len(lru) <= limit:
-            return
         # Walk from the cold end, evicting leaves until under capacity.
         # Non-evictable entries are re-queued at the hot end so the scan
         # terminates.
         scanned = 0
         max_scan = len(lru)
-        while len(lru) > limit and scanned < max_scan:
-            scanned += 1
-            _key, dentry = lru.popitem(last=False)
-            if self._evictable(dentry):
-                self.evict(dentry)
-            else:
-                lru[id(dentry)] = dentry
+        keep.pin()
+        try:
+            while len(lru) > limit and scanned < max_scan:
+                scanned += 1
+                _key, dentry = lru.popitem(last=False)
+                if self._evictable(dentry):
+                    self.evict(dentry)
+                else:
+                    lru[id(dentry)] = dentry
+        finally:
+            keep.unpin()
 
     def evict(self, dentry: Dentry) -> None:
         """Evict one leaf dentry to reclaim space."""

@@ -13,9 +13,10 @@ import sys
 
 import pytest
 
-from repro import O_CREAT, O_RDWR, errors, make_kernel
+from repro import O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR, errors, make_kernel
 from repro.core.kernel import PROFILES
 from repro.fs.netfs import ExportServer, NfsLikeFs
+from repro.fs.simext import SimExtFs
 from repro.fs.tmpfs import TmpFs
 from repro.sim.costs import CostModel, UNIT
 from repro.sim.stats import Stats
@@ -227,6 +228,61 @@ class TestConstantWorkFastpath:
             per_depth[depth] = len(calls)
         assert per_depth[2] == per_depth[6] == per_depth[12], per_depth
         assert per_depth[12] <= 20, per_depth
+
+
+class TestFileSystemHostCalls:
+    """ROADMAP item 3's bar on the file-system side: an FS call charges
+    its block touches, and a listing its entries, as one tally each."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_readdir_host_calls_do_not_grow_with_size(self, profile,
+                                                      monkeypatch):
+        """A ``readdir`` of 10, 100 or 1 000 entries reaches the cost
+        model and Stats equally often: read from SimExt (which caches a
+        stub per entry), and then served from the complete directory
+        (baseline has no completeness: it reads SimExt again)."""
+        calls = _count_host_calls(monkeypatch, CostModel, Stats)
+        per_size = {}
+        for size in (10, 100, 1000):
+            kernel = _kernel(profile)
+            fs = kernel.root_fs
+            ino = fs.mkdir(fs.root_ino, "d", 0o755, 0, 0).ino
+            for i in range(size):
+                fs.create(ino, f"f{i}", 0o644, 0, 0)
+            task = kernel.spawn_task(uid=0, gid=0)
+            per_size[size] = []
+            complete = kernel.readdir_engine.config.dir_complete
+            for source in ("readdir_fs",
+                           "readdir_cached" if complete else "readdir_fs"):
+                fd = kernel.sys.open(task, "/d", O_RDONLY | O_DIRECTORY)
+                served = kernel.stats.get(source)
+                del calls[:]
+                assert len(kernel.sys.readdir(task, fd)) == size
+                per_size[size].append(sorted(calls))
+                assert kernel.stats.get(source) == served + 1
+                kernel.sys.close(task, fd)
+        assert per_size[10] == per_size[100] == per_size[1000], per_size
+
+    def test_simext_lookup_host_calls_do_not_grow_with_blocks(self,
+                                                             monkeypatch):
+        """A SimExt ``lookup``, found or not, reaches the cost model as
+        often in a directory of 1, 4 (a linear scan of each) or 8 entry
+        blocks (an htree: index and leaf)."""
+        calls = _count_host_calls(monkeypatch, CostModel)
+        per_blocks = {}
+        for blocks in (1, 4, 8):
+            fs = SimExtFs(CostModel(dict(UNIT)))
+            ino = fs.mkdir(fs.root_ino, "d", 0o755, 0, 0).ino
+            for i in range(16 * blocks):
+                fs.create(ino, f"f{i}", 0o644, 0, 0)
+            assert len(fs._nodes[ino].entry_blocks) == blocks
+            missed = fs.pagecache.misses
+            del calls[:]
+            assert fs.lookup(ino, "f1") is not None
+            assert fs.lookup(ino, "nope") is None
+            assert fs.pagecache.misses == missed  # every block is cached
+            per_blocks[blocks] = sorted(calls)
+        assert per_blocks[1] == per_blocks[4] == per_blocks[8], per_blocks
 
 
 class TestFastpathFallbacks:

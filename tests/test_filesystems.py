@@ -332,13 +332,13 @@ def _block_trace(op, size, monkeypatch):
     setup, call = _TRACE_OPS[op]
     node = (setup(fs, d, e, f) if setup else None) or f
     accesses = []
-    access = fs.pagecache.access
+    probe = fs.pagecache.probe
 
     def spy(block, for_write=False):
         accesses.append((block, for_write))
-        return access(block, for_write)
+        return probe(block, for_write)
 
-    fs.pagecache.access = spy
+    fs.pagecache.probe = spy
     before = dict(costs.counts)
     try:
         result = call(fs, d, e, f)
@@ -347,7 +347,7 @@ def _block_trace(op, size, monkeypatch):
         outcome = "ok"
     except errors.FsError as exc:
         outcome = exc.errno
-    fs.pagecache.access = access
+    fs.pagecache.probe = probe
     charged = {name: n - before.get(name, 0)
                for name, n in costs.counts.items()
                if n != before.get(name, 0)}

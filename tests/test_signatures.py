@@ -64,6 +64,33 @@ class TestResumability:
         assert state.length == 5  # "ab/cd"
 
 
+def _horner_contribution(hasher, component):
+    """The per-byte Horner loop ``PathHasher._contribution`` replaces:
+    ``(c1, c2, s1, s2, bytes, chars)``, ``s`` over ``"/" + component``."""
+    encoded = component.encode("utf-8", "surrogateescape")
+    fields = []
+    for text in (encoded, b"/" + encoded):
+        h1 = h2 = 0
+        for byte in text:
+            h1 = (h1 * hasher.r1 + byte + 1) % ((1 << 127) - 1)
+            h2 = (h2 * hasher.r2 + byte + 1) % ((1 << 89) - 1)
+        fields.append((h1, h2))
+    (c1, c2), (s1, s2) = fields
+    return c1, c2, s1, s2, len(encoded), len(component)
+
+
+class TestContribution:
+    @given(seed=st.integers(0, 2**32), name=st.one_of(
+        ANY_NAME, st.text(min_size=250, max_size=300).filter(
+            lambda t: "/" not in t and "\x00" not in t)))
+    def test_power_sum_equals_the_horner_loop(self, seed, name):
+        """Table-driven power sums, and ``pow`` past the tables (over
+        257 bytes), give the Horner loop's fields bit for bit."""
+        hasher = PathHasher(seed)
+        assert hasher._contribution(name) == _horner_contribution(hasher,
+                                                                  name)
+
+
 class TestResumeFromStoredPrefix:
     """Satellite property: any stored prefix SigState resumes exactly.
 

@@ -317,6 +317,133 @@ class TestRecordingSwap:
         assert stats.get("lookup") == 2
 
 
+def _eager_charge_run(self, run, nbytes=0):
+    """``CostModel.charge_run`` as it was before runs were counted as
+    pending: every table updated at once (the reference below)."""
+    ticks = run.ticks
+    by_scope = self._by_scope
+    for scope, scope_ticks in run.scopes:
+        try:
+            by_scope[scope] += scope_ticks
+        except KeyError:
+            by_scope[scope] = scope_ticks
+    if nbytes:
+        extra = run.byte_rate * nbytes
+        ticks += extra
+        byte_scope, byte_primitive, _ticks = run.members[run.byte_at]
+        by_scope[byte_scope] += extra
+        totals = self._nbytes
+        totals[byte_primitive] = totals.get(byte_primitive, 0) + nbytes
+    self.clock._ticks += ticks
+    counts = self._counts
+    times = run.times
+    for primitive in run.primitives:
+        try:
+            counts[primitive] += times
+        except KeyError:
+            counts[primitive] = times
+
+
+class _EagerCostModel(CostModel):
+    charge_run = _eager_charge_run
+
+
+#: A program: charges, reads, and recordings (nested, some raising)
+#: holding programs of their own.
+_STEP = st.recursive(
+    st.one_of(_EVENT, st.just(("read",))),
+    lambda inner: st.tuples(st.just("recording"), st.lists(inner, max_size=8),
+                            st.booleans()),
+    max_leaves=12)
+_PROGRAM = st.lists(_STEP, max_size=25)
+
+
+class _Raised(Exception):
+    pass
+
+
+def _tables(costs: CostModel):
+    """Everything a reader can see; ``counts`` first, which folds."""
+    counts = dict(costs.counts)
+    return (costs.now_ns, counts, costs.by_scope, costs.by_primitive,
+            dict(costs._nbytes))
+
+
+def _run_program(costs: CostModel, program, runs, seen, vectors) -> None:
+    """Execute ``program``, sharing one priced run per ``(scope,
+    primitive)`` so the pending table counts repeats; every read goes
+    to ``seen``, every recording's vector to ``vectors``."""
+    for step in program:
+        if step[0] == "read":
+            seen.append(_tables(costs))
+        elif step[0] == "recording":
+            _kind, inner, raises = step
+            rec = Recording(costs, Stats())
+            try:
+                with rec:
+                    _run_program(costs, inner, runs, seen, vectors)
+                    if raises:
+                        raise _Raised
+            except _Raised:
+                pass
+            vectors.append(rec.vector)
+        elif step[0] == "charge_run":
+            _kind, scope, name, amount, nbytes = step
+            run = runs.get((scope, name))
+            if run is None:
+                run = runs[scope, name] = costs.run(
+                    ((scope, name), ("miss", "lru_touch")), name)
+            costs.charge_run(run if amount == 1 else run.scaled(amount),
+                             nbytes)
+        else:
+            _charge(costs, [step])
+
+
+class TestDeferredAttribution:
+    """``charge_run`` advances the clock at once and counts its run as
+    pending; every reader folds first, a recording swaps pending tables
+    in and folds its own on exit."""
+
+    @given(_PROGRAM)
+    def test_interleaving_equals_the_eager_reference(self, program):
+        deferred, eager = CostModel(), _EagerCostModel()
+        seen, reference = [], []
+        vectors, ref_vectors = [], []
+        _run_program(deferred, program, {}, seen, vectors)
+        _run_program(eager, program, {}, reference, ref_vectors)
+        assert seen == reference
+        assert vectors == ref_vectors
+        assert [v.ticks for v in vectors] == [v.ticks for v in ref_vectors]
+        assert _tables(deferred) == _tables(eager)
+
+    def test_every_reader_sees_the_runs_charged_so_far(self):
+        costs = CostModel(dict(UNIT))
+        run = costs.run((("hash", "sig_hash"), ("miss", "lru_touch")),
+                        "sig_hash")
+        costs.charge_run(run, 2)
+        assert costs.now_ns == 2 + 2 and costs.count("lru_touch") == 1
+        costs.charge_run(run.scaled(3))
+        assert costs.counts == {"sig_hash": 4, "lru_touch": 4}
+        costs.charge_run(run)
+        assert costs.scope_ns("miss") == 5
+        costs.charge_run(run, 1)
+        assert costs.by_scope == {"hash": 6 + 3, "miss": 6}
+        costs.charge_run(run)
+        assert costs.by_primitive == {"sig_hash": 7 + 3, "lru_touch": 7}
+        costs.charge_run(run)
+        with Recording(costs, Stats()) as rec:
+            costs.charge_run(run, 4)
+            assert costs.counts == {"sig_hash": 1, "lru_touch": 1}
+            costs.charge_run(run)  # read first after the recording
+        assert rec.vector.counts == {"sig_hash": 2, "lru_touch": 2}
+        assert rec.vector.nbytes == {"sig_hash": 4}
+        assert costs.counts == {"sig_hash": 10, "lru_touch": 10}
+        costs.charge_run(run)
+        costs.reset_attribution()
+        assert costs.counts == {} and costs.by_scope == {}
+        assert costs.now_ns == 29
+
+
 class TestStats:
     def test_bump_and_get(self):
         stats = Stats()
