@@ -490,7 +490,7 @@ class LazySweeper:
     BATCH = 64
 
     __slots__ = ("coherence", "ticker", "batch",
-                 "_dlht_work", "_pcc_work", "pass_gen")
+                 "_dlht_work", "_pcc_work")
 
     def __init__(self, coherence: EpochCoherence, ticker,
                  batch: int = BATCH):
@@ -500,12 +500,11 @@ class LazySweeper:
         self.batch = batch
         self._dlht_work: List = []  # (dlht_ref, [(key, dentry)...]) snapshots
         self._pcc_work: List = []   # (pcc_ref, [entry ids...]) snapshots
-        #: Pass generation: bumped each time the DLHT worklist refills.
-        #: A pass examines exactly the (key, dentry) entries that existed
-        #: at refill time; a key reclaimed mid-pass by a shootdown and
-        #: re-registered to a different dentry is *not* re-scanned (it
-        #: was never part of this pass — see the identity guard below).
-        self.pass_gen = 0
+        # A DLHT pass examines exactly the (key, dentry) entries that
+        # existed when the worklist refilled; a key reclaimed mid-pass by
+        # a shootdown and re-registered to a different dentry is *not*
+        # re-scanned (it was never part of this pass — see the identity
+        # guard in ``_sweep_dlhts``).
 
     def poll(self) -> None:
         if not self.ticker.due():
@@ -519,7 +518,6 @@ class LazySweeper:
 
     def _sweep_dlhts(self) -> None:
         if not self._dlht_work:
-            self.pass_gen += 1
             self._dlht_work = [(weakref.ref(dlht), list(dlht.items()))
                                for dlht in self.coherence.dlhts]
             if not self._dlht_work:

@@ -57,21 +57,9 @@ _SEGMENT_CACHE_CAP = 1 << 13
 #: generation.
 _SEGMENT_SEEN_CAP = 1 << 10
 
-#: Shared component -> UTF-8 bytes memo (bounded like the above).  Both
-#: hasher classes consult it so a hot component is encoded once per
-#: process, not once per lookup.
-_ENCODE_CACHE: Dict[str, bytes] = {}
-
-
 def encode_component(component: str) -> bytes:
-    """UTF-8 (surrogateescape) encoding of one component, memoized."""
-    cached = _ENCODE_CACHE.get(component)
-    if cached is None:
-        if len(_ENCODE_CACHE) >= _COMPONENT_CACHE_CAP:
-            _ENCODE_CACHE.clear()
-        cached = component.encode("utf-8", "surrogateescape")
-        _ENCODE_CACHE[component] = cached
-    return cached
+    """UTF-8 (surrogateescape) encoding of one component."""
+    return component.encode("utf-8", "surrogateescape")
 
 
 class SigState(NamedTuple):

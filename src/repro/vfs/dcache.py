@@ -184,16 +184,6 @@ class Dcache:
         if len(lru) > self.capacity - len(self._roots):
             self._shrink(dentry)
 
-    def d_alloc_stub(self, parent: Dentry, name: str, ino: int,
-                     dtype: str) -> Dentry:
-        """Allocate an inodeless dentry from one readdir result (§5.1):
-        :meth:`d_alloc_stubs` of one entry."""
-        dentry = self.d_alloc_stubs(parent, ((name, ino, dtype),))
-        if dentry is None:
-            raise RuntimeError(f"dentry {name!r} already cached under "
-                               f"{parent.path_from_root()!r}")
-        return dentry
-
     def d_alloc_alias(self, parent: Dentry, name: str,
                       target: Dentry) -> Dentry:
         """Allocate a symlink-translation alias child (§4.2).

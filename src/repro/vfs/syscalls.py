@@ -32,6 +32,10 @@ from repro.vfs.task import Task
 
 _TEMP_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
+#: A file descriptor an op returns.  Traces read it off the return
+#: annotation: each returned fd gets a slot that later calls refer to.
+Fd = int
+
 
 def _is_root(cred, inode) -> bool:
     """chown's rule: only root gives a file away."""
@@ -109,11 +113,28 @@ class Syscalls:
         self.dcache = kernel.dcache
         self.config = kernel.config
         self.lsm = kernel.lsm
-        # Prologue state pinned once per kernel: the charge fast path and
-        # the sweeper reference never change after construction, so
-        # entry points need not chase kernel attributes per call.
-        self._charge = self.costs.charge
-        self._sweeper = kernel.sweeper
+        # Every syscall's prologue, bound once per kernel: the entry
+        # charge, then under lazy coherence a sweeper poll (its batches
+        # piggyback on syscall entry: virtual time has no preemption).
+        charge = self._charge = self.costs.charge
+        sweeper = kernel.sweeper
+        if sweeper is None:
+            self._enter = partial(charge, "syscall_fixed")
+        else:
+            def enter() -> None:
+                charge("syscall_fixed")
+                sweeper.poll()
+            self._enter = enter
+        # Coherence work after mutations (§3.2); none on the baseline
+        # kernel, which caches no prefix checks.
+        if kernel.fast is None:
+            self._shoot_subtree = self._shoot_single = self._bump_counter \
+                = lambda *_args: None
+        else:
+            coherence = kernel.coherence
+            self._shoot_subtree = coherence.shootdown_subtree
+            self._shoot_single = coherence.shootdown_single
+            self._bump_counter = coherence.bump_counter
         # Resolution memo (None when DcacheConfig.resolution_memo is
         # off): whole-path resolutions are served by charge replay when
         # the memo's O(1) validity check passes.
@@ -125,14 +146,6 @@ class Syscalls:
     # ------------------------------------------------------------------
     # internal helpers
     # ------------------------------------------------------------------
-
-    def _enter(self) -> None:
-        self._charge("syscall_fixed")
-        sweeper = self._sweeper
-        if sweeper is not None:
-            # Lazy coherence: amortized sweep batches piggyback on
-            # syscall entry (virtual time has no preemption).
-            sweeper.poll()
 
     def batch(self, task: Task) -> SyscallBatch:
         """Prebound per-op entries with ``task`` pinned (hot-loop form).
@@ -195,24 +208,6 @@ class Syscalls:
         if not perms.sticky_delete_allowed(task.cred, parent.dentry.inode,
                                            victim.inode):
             raise errors.EPERM(path_hint, "sticky directory")
-
-    # -- coherence helpers (no-ops on the baseline kernel) -------------------
-
-    @property
-    def _fast(self):
-        return self.kernel.fast
-
-    def _shoot_subtree(self, dentry: Dentry) -> None:
-        if self._fast is not None:
-            self.kernel.coherence.shootdown_subtree(dentry)
-
-    def _shoot_single(self, dentry: Dentry) -> None:
-        if self._fast is not None:
-            self.kernel.coherence.shootdown_single(dentry)
-
-    def _bump_counter(self) -> None:
-        if self._fast is not None:
-            self.kernel.coherence.bump_counter()
 
     def _negative_after_removal(self, parent: Dentry, name: str) -> None:
         from repro.core.negative import negative_after_removal
@@ -323,18 +318,14 @@ class Syscalls:
         return self._stat_of(pos)
 
     def fstat(self, task: Task, fd: int) -> StatResult:
-        charge = self._charge
-        charge("syscall_fixed")
-        sweeper = self._sweeper
-        if sweeper is not None:
-            sweeper.poll()
+        self._enter()
         file = task.fds._files.get(fd)
         if file is None or file.closed:
             raise errors.EBADF(message=f"fd {fd}")
         inode = file.pos.dentry.inode
         if inode is None:
             raise errors.ENOENT(message="file removed during stat")
-        charge("stat_fill")
+        self._charge("stat_fill")
         return StatResult(inode.ino, inode.mode, inode.uid, inode.gid,
                           inode.nlink, inode.size, inode.filetype,
                           inode.fs.fstype, inode.mtime_ns)
@@ -367,7 +358,7 @@ class Syscalls:
     # ------------------------------------------------------------------
 
     def open(self, task: Task, path: str, flags: int = O_RDONLY,
-             mode: int = 0o644, dirfd: Optional[int] = None) -> int:
+             mode: int = 0o644, dirfd: Optional[int] = None) -> Fd:
         """open(2)/openat(2): returns a file descriptor."""
         self._enter()
         dirfd_pos = self._dirfd_pos(task, dirfd)
@@ -408,31 +399,24 @@ class Syscalls:
         return task.fds.install(file)
 
     def openat(self, task: Task, dirfd: int, path: str,
-               flags: int = O_RDONLY, mode: int = 0o644) -> int:
+               flags: int = O_RDONLY, mode: int = 0o644) -> Fd:
         return self.open(task, path, flags, mode, dirfd=dirfd)
 
     # ``close``/``read``/``write``/``lseek`` (and ``fstat`` above) are
-    # the most replayed trace opcodes: each inlines ``_enter`` and
-    # ``FdTable.get`` / ``close`` (same charges in the same order, same
-    # errors) instead of paying their frames.
+    # the most replayed trace opcodes: each inlines ``FdTable.get`` /
+    # ``close`` (same charges in the same order, same errors) instead of
+    # paying its frame.
 
     def close(self, task: Task, fd: int) -> None:
-        charge = self._charge
-        charge("syscall_fixed")
-        sweeper = self._sweeper
-        if sweeper is not None:
-            sweeper.poll()
-        charge("close_fd")
+        self._enter()
+        self._charge("close_fd")
         file = task.fds._files.pop(fd, None)
         if file is None:
             raise errors.EBADF(message=f"fd {fd}")
         file.release()
 
     def read(self, task: Task, fd: int, length: int) -> bytes:
-        self._charge("syscall_fixed")
-        sweeper = self._sweeper
-        if sweeper is not None:
-            sweeper.poll()
+        self._enter()
         file = task.fds._files.get(fd)
         if file is None or file.closed:
             raise errors.EBADF(message=f"fd {fd}")
@@ -446,10 +430,7 @@ class Syscalls:
         return data
 
     def write(self, task: Task, fd: int, data: bytes) -> int:
-        self._charge("syscall_fixed")
-        sweeper = self._sweeper
-        if sweeper is not None:
-            sweeper.poll()
+        self._enter()
         file = task.fds._files.get(fd)
         if file is None or file.closed:
             raise errors.EBADF(message=f"fd {fd}")
@@ -464,10 +445,7 @@ class Syscalls:
         return written
 
     def lseek(self, task: Task, fd: int, offset: int) -> int:
-        self._charge("syscall_fixed")
-        sweeper = self._sweeper
-        if sweeper is not None:
-            sweeper.poll()
+        self._enter()
         file = task.fds._files.get(fd)
         if file is None or file.closed:
             raise errors.EBADF(message=f"fd {fd}")
@@ -898,7 +876,7 @@ class Syscalls:
     # ------------------------------------------------------------------
 
     def mkstemp(self, task: Task, dir_path: str, prefix: str = "tmp",
-                rng: Optional[random.Random] = None) -> Tuple[int, str]:
+                rng: Optional[random.Random] = None) -> Tuple[Fd, str]:
         """Securely create a uniquely named temporary file (§5.1).
 
         Repeatedly generates random names and attempts O_CREAT|O_EXCL —

@@ -8,9 +8,9 @@ chasing, fd-slot dict remaps), all of which is knowable ahead of time.
 :func:`compile_trace` lowers a trace once into a :class:`CompiledTrace`
 — parallel row tuples of ``(op_index, args, patches, store_slot,
 expected_errno, compute_ns, unpack_pair)`` with kwargs folded into
-positional tuples against the :class:`~repro.vfs.syscalls.Syscalls`
-signatures, fd-slot markers resolved to patch sites, and path strings
-interned — which :func:`~repro.workloads.traces.replay_compiled`
+positional tuples, fd slots turned into patch sites and text back into
+bytes (both as :func:`~repro.workloads.traces.op_spec` says), and path
+strings interned — which :func:`~repro.workloads.traces.replay_compiled`
 executes in a tight loop over a prebound
 :meth:`~repro.vfs.syscalls.Syscalls.batch` method table.
 
@@ -22,8 +22,9 @@ bit-identical virtual costs (clock, cost counts, Stats) to interpreted
 The second half of this module lowers the repo's generator-driven
 workloads (``workloads/lmbench.py``, ``maildir.py``, ``webserver.py``)
 into self-contained traces: a recording proxy kernel routes their
-syscalls through a :class:`TraceRecorder` and their ``charge_ns``
-compute budgets into recorded compute gaps.  Setup phases
+syscalls through a :class:`TraceRecorder`'s task-first view
+(:attr:`TraceRecorder.sys`) and their ``charge_ns`` compute budgets
+into recorded compute gaps.  Setup phases
 are recorded too, so a lowered trace replays on a *fresh* kernel of any
 profile.  Note the one attribution fold: workload-specific compute
 scopes (``imap_compute``, ``httpd_compute``, ...) become ``app_compute``
@@ -42,70 +43,51 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 from repro import O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR, errors, make_kernel
 from repro.core.kernel import Kernel
 from repro.vfs import path as vfspath
-from repro.vfs.syscalls import Syscalls
 from repro.vfs.task import Task
-from repro.workloads.traces import Trace, TraceRecorder
+from repro.workloads.traces import (OpSpec, Trace, TraceRecorder,
+                                    decode_arg, op_spec)
 
 
 class TraceCompileError(ValueError):
     """The trace cannot be lowered.
 
     Raised for events that reference unknown ops, pass kwargs the op's
-    signature does not accept, or omit required arguments — anything
-    where AOT argument folding cannot prove it will reproduce the
-    interpreter's call exactly.
+    signature does not accept, omit required arguments, or lack an fd
+    slot where the op takes an fd — anything where AOT argument folding
+    cannot prove it will reproduce the interpreter's call exactly.
     """
 
 
 # -- signature folding ----------------------------------------------------
 
-#: op name -> ordered (param_name, default) pairs, ``task`` excluded.
-_SIGNATURE_CACHE: Dict[str, Tuple[Tuple[str, Any], ...]] = {}
-
 _NO_DEFAULT = inspect.Parameter.empty
 
 
-def _op_params(op: str) -> Tuple[Tuple[str, Any], ...]:
-    cached = _SIGNATURE_CACHE.get(op)
-    if cached is not None:
-        return cached
-    method = getattr(Syscalls, op, None)
-    if method is None or not callable(method):
-        raise TraceCompileError(f"unknown syscall op: {op!r}")
-    params = []
-    for name, param in inspect.signature(method).parameters.items():
-        if name in ("self", "task"):
-            continue
-        if param.kind in (inspect.Parameter.VAR_POSITIONAL,
-                          inspect.Parameter.VAR_KEYWORD):
-            raise TraceCompileError(
-                f"op {op!r} has a variadic signature; cannot fold")
-        params.append((name, param.default))
-    result = tuple(params)
-    _SIGNATURE_CACHE[op] = result
-    return result
-
-
 def _fold(op: str, args: Tuple[Any, ...],
-          kwargs: Dict[str, Any]) -> List[Any]:
-    """Fold kwargs into a positional argument list for ``op``.
+          kwargs: Dict[str, Any]) -> Tuple[OpSpec, List[Any]]:
+    """Fold kwargs into a positional argument list for ``op``; returns
+    the op's :class:`~repro.workloads.traces.OpSpec` with it.
 
     The folded call ``method(task, *folded)`` binds identically to the
     interpreter's ``method(task, *args, **kwargs)``.
     """
-    params = _op_params(op)
+    try:
+        spec = op_spec(op)
+    except ValueError as exc:
+        raise TraceCompileError(str(exc)) from None
+    params = spec.params
     if len(args) > len(params):
         raise TraceCompileError(
             f"op {op!r}: {len(args)} positional args, signature takes "
             f"{len(params)}")
-    names = [name for name, _default in params]
+    names = [name for name, _default, _kind in params]
     unknown = set(kwargs) - set(names[len(args):])
     if unknown:
         raise TraceCompileError(
             f"op {op!r}: kwargs {sorted(unknown)} not foldable "
             f"(unknown or already bound positionally)")
     folded = list(args)
-    for name, default in params[len(args):]:
+    for name, default, _kind in params[len(args):]:
         if name in kwargs:
             folded.append(kwargs[name])
         elif default is not _NO_DEFAULT:
@@ -115,16 +97,11 @@ def _fold(op: str, args: Tuple[Any, ...],
                 f"op {op!r}: required argument {name!r} missing")
     # Trim trailing untouched defaults so most rows stay short.
     while folded and len(folded) > len(args):
-        name, default = params[len(folded) - 1]
+        name, default, _kind = params[len(folded) - 1]
         if name in kwargs or folded[-1] is not default:
             break
         folded.pop()
-    return folded
-
-
-def _is_fd_marker(value: Any) -> bool:
-    return (isinstance(value, tuple) and len(value) == 2
-            and value[0] == "fd" and isinstance(value[1], int))
+    return spec, folded
 
 
 # -- charge-plan segmentation ---------------------------------------------
@@ -308,21 +285,25 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     op_table: List[str] = []
     rows: List[Tuple] = []
     for event in trace.events:
-        op_idx = op_indices.get(event.op)
+        op = event.op
+        spec, folded = _fold(op, event.args, event.kwargs)
+        op_idx = op_indices.get(op)
         if op_idx is None:
-            _op_params(event.op)  # validates the op exists
-            op_idx = len(op_table)
-            op_indices[event.op] = op_idx
-            op_table.append(intern(event.op))
-        folded = _fold(event.op, event.args, event.kwargs)
-        if event.op == "write" and len(folded) >= 2 \
-                and isinstance(folded[1], str):
-            # The interpreter re-encodes the latin-1 payload per event;
-            # the compiler pays it once.
-            folded[1] = folded[1].encode("latin-1")
+            op_idx = op_indices[op] = len(op_table)
+            op_table.append(intern(op))
         patches: List[Tuple[int, int]] = []
-        for i, value in enumerate(folded):
-            if _is_fd_marker(value):
+        for i, ((name, _default, kind), value) in enumerate(
+                zip(spec.params, folded)):
+            if kind is not None and value is not None:
+                if kind == "bytes":
+                    # The interpreter re-encodes the latin-1 payload per
+                    # event; the compiler pays it once.
+                    folded[i] = decode_arg(kind, value, None)
+                    continue
+                if not (type(value) is tuple and len(value) == 2
+                        and value[0] == "fd"):
+                    raise TraceCompileError(
+                        f"op {op!r}: {name!r} is no fd slot: {value!r}")
                 patches.append((i, value[1]))
                 folded[i] = None
             elif isinstance(value, str):
@@ -341,7 +322,7 @@ def compile_trace(trace: Trace) -> CompiledTrace:
             store,
             event.errno,
             event.compute_ns,
-            event.op == "mkstemp",
+            spec.pair,
         ))
     op_table_t = tuple(op_table)
     segments = _plan_segments(op_table_t, rows)
@@ -353,30 +334,6 @@ def compile_trace(trace: Trace) -> CompiledTrace:
 
 
 # -- workload lowering ----------------------------------------------------
-
-class RecordingSyscalls:
-    """Task-first adapter over a :class:`TraceRecorder`.
-
-    Workload code calls ``sys.stat(task, path)``; the recorder's own
-    methods are task-less (the recording task is pinned).  This adapter
-    drops the leading task argument so unmodified workload drivers can
-    run against a recorder.
-    """
-
-    def __init__(self, recorder: TraceRecorder):
-        self._recorder = recorder
-
-    def __getattr__(self, op: str):
-        if op.startswith("_"):
-            raise AttributeError(op)
-        record = getattr(self._recorder, op)
-
-        def wrapper(_task, *args, **kwargs):
-            return record(*args, **kwargs)
-
-        self.__dict__[op] = wrapper
-        return wrapper
-
 
 class _RecordingCosts:
     """Cost-model proxy that turns compute charges into trace gaps.
@@ -416,7 +373,7 @@ class RecordingKernel:
         if task is None:
             task = kernel.spawn_task(uid=0, gid=0)
         self.recorder = TraceRecorder(kernel, task)
-        self.sys = RecordingSyscalls(self.recorder)
+        self.sys = self.recorder.sys
         self.costs = _RecordingCosts(self.recorder, kernel.costs)
 
     @property

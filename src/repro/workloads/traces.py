@@ -9,7 +9,8 @@ verbatim against any kernel configuration and compare.
 File descriptors are kernel-local, so traces store *fd slots*: the
 recorder maps each returned fd to a dense slot id, and replay remaps
 slots to the fds its own kernel returns.  Traces serialize to JSON lines
-for storage and diffing.
+for storage and diffing.  The recorder, :func:`replay` and the compiler
+treat each argument as the facade's signature says (:func:`op_spec`).
 
 Two engines replay: :func:`replay` interprets a trace event by event,
 and :func:`replay_interleaved` drains any number of compiled streams
@@ -20,15 +21,17 @@ charge-plan protocol; :func:`replay_compiled` is its one-stream call.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import errors
 from repro.core.kernel import Kernel
 from repro.sim.costs import ChargePlan, Recording
+from repro.vfs.syscalls import SyscallBatch, Syscalls
 from repro.vfs.task import Task
 
 #: Syscalls that perform a path lookup (the §1 statistic and Figure 1's
@@ -39,11 +42,69 @@ PATH_LOOKUP_OPS = frozenset([
     "readlink", "chdir", "truncate",
 ])
 
-#: Argument positions (per op) holding fd slots, for remapping.  The fd
-#: is always args[0] for these ops (for ``openat`` it is the dirfd).
-_FD_ARG_OPS = frozenset(["close", "read", "write", "lseek", "ftruncate",
-                         "getdents", "fstat", "fchdir", "readdir",
-                         "openat"])
+class OpSpec(NamedTuple):
+    """One facade op as a trace sees it: ``(name, default, kind)`` per
+    parameter after the task, where a kind is ``"fd"`` (named ``fd`` or
+    ``dirfd``; stored as the ``("fd", slot)`` marker of the call that
+    returned it) or ``"bytes"`` (annotated ``bytes``; stored as latin-1
+    text); whether the op returns an ``Fd``, and first in a pair."""
+
+    params: Tuple[Tuple[str, Any, Optional[str]], ...]
+    kinds: Dict[str, str]
+    returns_fd: bool
+    pair: bool
+
+
+@functools.lru_cache(maxsize=None)
+def op_spec(op: str) -> OpSpec:
+    """The :class:`OpSpec` of facade op ``op`` (``ValueError`` if none)."""
+    method = None if op.startswith("_") else getattr(Syscalls, op, None)
+    if not callable(method):
+        raise ValueError(f"unknown syscall op: {op!r}")
+    signature = inspect.signature(method)
+    params = tuple(
+        (name, param.default, "fd" if name in ("fd", "dirfd")
+         else "bytes" if param.annotation == "bytes" else None)
+        for name, param in signature.parameters.items()
+        if name not in ("self", "task"))
+    returns = signature.return_annotation
+    return OpSpec(params, {name: kind for name, _d, kind in params if kind},
+                  returns in ("Fd", "Tuple[Fd, str]"),
+                  returns == "Tuple[Fd, str]")
+
+
+def encode_arg(kind: str, value: Any, fd_slots: Dict[int, int]):
+    """``value``, passed for a parameter of ``kind``, as a trace stores
+    it (see :class:`OpSpec`)."""
+    if value is None:
+        return value
+    return ("fd", fd_slots[value]) if kind == "fd" else value.decode("latin-1")
+
+
+def decode_arg(kind: str, value: Any, slot_fds: List[int]):
+    """:func:`encode_arg` undone; ``slot_fds[slot]`` is each slot's fd."""
+    if value is None:
+        return value
+    if kind == "fd":
+        return slot_fds[value[1]]
+    return value.encode("latin-1") if isinstance(value, str) else value
+
+
+def _map_kinds(spec: OpSpec, args: Tuple[Any, ...], kwargs: Dict[str, Any],
+               convert, table) -> Tuple[Tuple[Any, ...], Dict[str, Any]]:
+    """``(args, kwargs)`` with ``convert(kind, value, table)`` applied to
+    each argument for a parameter that has a kind."""
+    kinds = spec.kinds
+    if not kinds:
+        return args, kwargs
+    params = spec.params
+    return (tuple(value if kind is None else convert(kind, value, table)
+                  for (_name, _default, kind), value in zip(params, args))
+            + args[len(params):],
+            {name: value if name not in kinds
+             else convert(kinds[name], value, table)
+             for name, value in kwargs.items()} if kwargs else kwargs)
+
 
 #: Primitives a clean charge-plan capture may contain.  This whitelist
 #: is the soundness boundary: the plannable fd syscalls
@@ -89,7 +150,7 @@ class TraceEvent:
     op: str
     args: Tuple[Any, ...]
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Slot id assigned to a returned fd (open/openat/mkstemp).
+    #: Slot id assigned to a returned fd (see :attr:`OpSpec.returns_fd`).
     returns_fd_slot: Optional[int] = None
     #: errno when the recorded call failed (replay must match).
     errno: Optional[int] = None
@@ -143,11 +204,7 @@ class Trace:
             if event.returns_fd_slot is not None \
                     and event.returns_fd_slot > highest:
                 highest = event.returns_fd_slot
-            for value in event.args:
-                if isinstance(value, tuple) and len(value) == 2 \
-                        and value[0] == "fd" and value[1] > highest:
-                    highest = value[1]
-            for value in event.kwargs.values():
+            for value in chain(event.args, event.kwargs.values()):
                 if isinstance(value, tuple) and len(value) == 2 \
                         and value[0] == "fd" and value[1] > highest:
                     highest = value[1]
@@ -180,16 +237,20 @@ class Trace:
         return len(self.events)
 
 
-class TraceRecorder:
+class TraceRecorder(SyscallBatch):
     """Record syscalls as they execute on a live kernel.
 
-    Use it like the syscall facade; every call is executed *and*
-    recorded.  Compute gaps are recorded with :meth:`compute`.
+    :attr:`sys` holds the recording entries in the facade's task-first
+    form, for workload code written against ``kernel.sys``; the
+    recorder is their batch (``rec.stat(path)``).  Either way each call runs under
+    the recorder's task, is executed *and* recorded.  Compute gaps are
+    recorded with :meth:`compute`.
     """
 
     def __init__(self, kernel: Kernel, task: Task):
+        self.sys = _RecordedSyscalls(self)
+        super().__init__(self.sys, task)
         self._kernel = kernel
-        self._task = task
         self.trace = Trace()
         self._fd_slots: Dict[int, int] = {}
         self._next_slot = 0
@@ -200,59 +261,51 @@ class TraceRecorder:
         self._kernel.costs.charge_ns("app_compute", ns)
         self._pending_compute += ns
 
+
+class _RecordedSyscalls:
+    """:attr:`TraceRecorder.sys`: recording entries that take (and
+    ignore) a task first."""
+
+    def __init__(self, recorder: TraceRecorder):
+        self._recorder = recorder
+
     def __getattr__(self, op: str):
-        # Reached once per syscall name: the wrapper is cached below.
+        # Reached once per syscall name: the entry is cached below.
         if op.startswith("_"):
             raise AttributeError(op)
-        method = getattr(self._kernel.sys, op)
+        rec = self._recorder
+        method = getattr(rec._kernel.sys, op)
+        spec = op_spec(op)
+        fd_slots = rec._fd_slots
 
-        def wrapper(*args, **kwargs):
-            event = TraceEvent(op=op, args=self._encode(op, args),
-                               kwargs=self._encode_kwargs(kwargs),
-                               compute_ns=self._pending_compute)
-            self._pending_compute = 0.0
+        def entry(_task, *args, **kwargs):
+            stored, stored_kw = _map_kinds(spec, args, kwargs, encode_arg,
+                                           fd_slots)
+            if stored_kw:
+                # A keyword a trace cannot store (an rng) is dropped;
+                # replay uses the callee's deterministic default.
+                stored_kw = {name: value
+                             for name, value in stored_kw.items()
+                             if name in spec.kinds or isinstance(
+                                 value, (str, int, float, bool, type(None)))}
+            event = TraceEvent(op, stored, stored_kw,
+                               compute_ns=rec._pending_compute)
+            rec._pending_compute = 0.0
             try:
-                result = method(self._task, *args, **kwargs)
+                result = method(rec._task, *args, **kwargs)
             except errors.FsError as exc:
                 event.errno = exc.errno
-                self.trace.events.append(event)
+                rec.trace.events.append(event)
                 raise
-            if op in ("open", "openat"):
-                event.returns_fd_slot = self._assign_slot(result)
-            elif op == "mkstemp":
-                event.returns_fd_slot = self._assign_slot(result[0])
-            self.trace.events.append(event)
+            if spec.returns_fd:
+                slot = event.returns_fd_slot = rec._next_slot
+                rec._next_slot += 1
+                fd_slots[result[0] if spec.pair else result] = slot
+            rec.trace.events.append(event)
             return result
 
-        self.__dict__[op] = wrapper
-        return wrapper
-
-    def _assign_slot(self, fd: int) -> int:
-        slot = self._next_slot
-        self._next_slot += 1
-        self._fd_slots[fd] = slot
-        return slot
-
-    def _encode(self, op: str, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        """Replace fd arguments with their slots for portability."""
-        if op in _FD_ARG_OPS and args:
-            fd = args[0]
-            return (("fd", self._fd_slots[fd]),) + tuple(
-                a.decode("latin-1") if isinstance(a, bytes) else a
-                for a in args[1:])
-        return tuple(a.decode("latin-1") if isinstance(a, bytes) else a
-                     for a in args)
-
-    def _encode_kwargs(self, kwargs: Dict[str, Any]) -> Dict[str, Any]:
-        out = {}
-        for key, value in kwargs.items():
-            if key == "dirfd" and value is not None:
-                out[key] = ("fd", self._fd_slots[value])
-            elif isinstance(value, (str, int, float, bool, type(None))):
-                out[key] = value
-            # Non-serializable kwargs (e.g. an rng) are dropped; replay
-            # uses the callee's deterministic default.
-        return out
+        self.__dict__[op] = entry
+        return entry
 
 
 class ReplayDivergence(AssertionError):
@@ -291,20 +344,12 @@ def replay(kernel: Kernel, task: Task, trace: Trace) -> None:
     charge_ns = kernel.costs.charge_ns
     sys_facade = kernel.sys
 
-    def decode(value):
-        if isinstance(value, tuple) and len(value) == 2 \
-                and value[0] == "fd":
-            return slot_fds[value[1]]
-        return value
-
     for index, event in enumerate(trace.events):
         if event.compute_ns:
             charge_ns("app_compute", event.compute_ns)
-        args = tuple(decode(a) for a in event.args)
-        if event.op == "write" and len(args) == 2 \
-                and isinstance(args[1], str):
-            args = (args[0], args[1].encode("latin-1"))
-        kwargs = {k: decode(v) for k, v in event.kwargs.items()}
+        spec = op_spec(event.op)
+        args, kwargs = _map_kinds(spec, event.args, event.kwargs, decode_arg,
+                                  slot_fds)
         method = getattr(sys_facade, event.op)
         try:
             result = method(task, *args, **kwargs)
@@ -317,8 +362,8 @@ def replay(kernel: Kernel, task: Task, trace: Trace) -> None:
             raise ReplayDivergence(index, event.op, event.errno, None,
                                    f"args={args!r}")
         if event.returns_fd_slot is not None:
-            fd = result[0] if event.op == "mkstemp" else result
-            slot_fds[event.returns_fd_slot] = fd
+            slot_fds[event.returns_fd_slot] = (result[0] if spec.pair
+                                               else result)
 
 
 # ---------------------------------------------------------------------------
@@ -407,81 +452,38 @@ def _drain_state(streams) -> Optional[tuple]:
     return [tuple(task.fds._files) for task in tasks], digests
 
 
-class StreamScheduler:
-    """Seeded unit-granularity scheduler for interleaved compiled replay.
-
-    Where :class:`~repro.testing.scheduler.ConcurrentRunner` interleaves
-    *within* syscalls (walk hooks, real threads), this scheduler
-    interleaves *between* them: at every step one of the currently live
-    streams advances by one unit.  Picks are uniform over live streams
-    from a seeded RNG, so a given ``(seed, unit counts)`` pair always
-    produces the identical schedule — the determinism whole-drain charge
-    plans rely on.
-
-    A compiled program carries its unit table, so
-    :func:`replay_interleaved` has :meth:`plan_schedule` precompute the
-    entire pick sequence as flat run-length-coalesced arrays and advances
-    streams in runs instead of paying one RNG call per unit.  The planned schedule is
-    *pick-for-pick identical* to driving :meth:`pick` dynamically
-    (``tests/test_server_fleet.py`` asserts this), so vectorization
-    cannot change any interleaving.
+def plan_schedule(rng: random.Random,
+                  unit_counts) -> Tuple[List[int], List[int]]:
+    """The seeded interleaving, between syscalls, of streams of
+    ``unit_counts`` units: stream ``streams[i]`` advances ``runs[i]``
+    units, in order.  Each step draws ``rng.randrange(len(alive))`` over
+    the streams still alive, and a draw landing on an exhausted stream
+    retires it without advancing anything, so a ``(seed, unit counts)``
+    pair always yields the same schedule — the determinism whole-drain
+    charge plans rely on.  Runs let the drain advance a stream several
+    units per dispatch.
     """
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
-
-    def pick(self, alive: int) -> int:
-        """Index (``0 <= i < alive``) of the stream to advance next."""
-        return self._rng.randrange(alive)
-
-    def snapshot(self):
-        """Opaque, comparable RNG state token: two schedulers with equal
-        tokens produce the identical remaining pick sequence."""
-        return self._rng.getstate()
-
-    # -- static schedule planning ----------------------------------------
-
-    def plan_schedule(self, unit_counts) -> "Tuple[List[int], List[int]]":
-        """Precompute the full drain schedule as flat (stream, run) arrays.
-
-        Simulates the exact dynamic algorithm the unit-by-unit drain
-        loop uses — one ``randrange(len(alive))`` per step over a
-        shrinking alive list, where a pick landing on an exhausted
-        stream *consumes an RNG draw* and retires the stream without
-        advancing anything (the dynamic loop discovers exhaustion via
-        ``StopIteration`` on that extra pick).  Because the RNG draws
-        happen in the same order with the same bounds, the resulting
-        advance sequence is identical to the dynamic loop's, and the
-        scheduler's RNG ends in the identical state.
-
-        Consecutive picks of the same stream are coalesced into runs:
-        the return value is ``(streams, runs)`` where stream
-        ``streams[i]`` advances ``runs[i]`` units, in order.
-        """
-        remaining = list(unit_counts)
-        alive = list(range(len(remaining)))
-        streams: List[int] = []
-        runs: List[int] = []
-        randrange = self._rng.randrange
-        last = -1
-        while alive:
-            i = randrange(len(alive))
-            s = alive[i]
-            if remaining[s] == 0:
-                # The dynamic loop's StopIteration pick: retire, no work.
-                alive.pop(i)
-                last = -1  # a retirement breaks any coalescable run
-                continue
-            remaining[s] -= 1
-            if s == last:
-                runs[-1] += 1
-            else:
-                streams.append(s)
-                runs.append(1)
-                last = s
-        return streams, runs
+    remaining = list(unit_counts)
+    alive = list(range(len(remaining)))
+    streams: List[int] = []
+    runs: List[int] = []
+    randrange = rng.randrange
+    last = -1
+    while alive:
+        i = randrange(len(alive))
+        s = alive[i]
+        if remaining[s] == 0:
+            alive.pop(i)
+            last = -1  # a retirement breaks any coalescable run
+            continue
+        remaining[s] -= 1
+        if s == last:
+            runs[-1] += 1
+        else:
+            streams.append(s)
+            runs.append(1)
+            last = s
+    return streams, runs
 
 
 @functools.lru_cache(maxsize=64)
@@ -489,7 +491,7 @@ def _drain_schedule(seed: int, unit_counts: tuple):
     # Module scope is the right scope: a schedule depends on nothing but
     # ``(seed, unit_counts)``, and the multi-tenant benchmarks replay the
     # same stream population on a fresh kernel per session.
-    return StreamScheduler(seed).plan_schedule(unit_counts)
+    return plan_schedule(random.Random(seed), unit_counts)
 
 
 class _StreamState:
@@ -650,8 +652,8 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     one directory cache.  Deterministic: the same (streams, seed)
     always produces the same interleaving, virtual costs and Stats.
     The schedule is precomputed as flat (stream, run-length) arrays by
-    :meth:`StreamScheduler.plan_schedule`, so
-    consecutive picks of one stream cost a single dispatch.
+    :func:`plan_schedule`, so consecutive picks of one stream cost a
+    single dispatch.
 
     The charge-plan layer (:func:`_plan_unit`; ``plans=False`` turns it
     off, ``None``, the default, means on) never changes virtual output

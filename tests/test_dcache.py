@@ -112,7 +112,7 @@ class TestNegativityTransitions:
     def test_stub_alloc_and_kind(self, env):
         _c, _s, fs, dcache = env
         root = dcache.root_dentry(fs)
-        stub = dcache.d_alloc_stub(root, "s", 42, "reg")
+        stub = dcache.d_alloc_stubs(root, (("s", 42, "reg"),))
         assert stub.is_stub and not stub.is_negative
         assert stub.stub == (42, "reg")
 
@@ -334,7 +334,7 @@ class TestKindFields:
             if op == "alloc" and child is None:
                 dcache.d_alloc(root, name, inodes.get(args[0]))
             elif op == "stub" and child is None:
-                dcache.d_alloc_stub(root, name, 7, args[0])
+                dcache.d_alloc_stubs(root, ((name, 7, args[0]),))
             elif op == "alias" and child is None:
                 dcache.d_alloc_alias(root, name, root.children.get(args[0])
                                      or root)

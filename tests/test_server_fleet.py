@@ -2,7 +2,7 @@
 
 The engine stack under test: segment and whole-drain charge plans
 (``sim/costs.py`` + ``workloads/traces.py``), vectorized interleaved
-scheduling (``StreamScheduler``, also in ``workloads/traces.py``), and
+scheduling (``plan_schedule``, also in ``workloads/traces.py``), and
 the fleet workload itself (``workloads/server_fleet.py``).  The contract everywhere is the same:
 every wall-clock optimization must leave virtual output — clock,
 per-primitive charges, Stats — bit-identical to the interpreted path,
@@ -20,7 +20,7 @@ from repro.core.kernel import PROFILES
 from repro.testing.dual import fingerprint
 from repro.workloads import server_fleet
 from repro.workloads.compile import build_loop_trace, compile_trace
-from repro.workloads.traces import StreamScheduler, replay_interleaved
+from repro.workloads.traces import plan_schedule, replay_interleaved
 
 
 def _small_fleet(kernel, *, tenants=3, total_requests=15,
@@ -146,19 +146,19 @@ class TestScheduler:
         """The per-unit drain loop ``plan_schedule`` claims to match:
         one RNG draw per step over a shrinking alive list, where a draw
         landing on an exhausted stream retires it without advancing."""
-        sched = StreamScheduler(seed)
+        rng = random.Random(seed)
         remaining = list(unit_counts)
         alive = list(range(len(remaining)))
         picks = []
         while alive:
-            i = sched.pick(len(alive))
+            i = rng.randrange(len(alive))
             s = alive[i]
             if remaining[s] == 0:
                 alive.pop(i)
                 continue
             remaining[s] -= 1
             picks.append(s)
-        return picks, sched.snapshot()
+        return picks, rng.getstate()
 
     def test_plan_schedule_identical_picks(self):
         from hypothesis import given, settings, strategies as st
@@ -169,13 +169,13 @@ class TestScheduler:
         @settings(max_examples=60, deadline=None)
         def check(seed, counts):
             want_picks, want_state = self._dynamic(seed, counts)
-            sched = StreamScheduler(seed)
-            streams, runs = sched.plan_schedule(counts)
+            rng = random.Random(seed)
+            streams, runs = plan_schedule(rng, counts)
             got_picks = [s for s, n in zip(streams, runs) for _ in range(n)]
             assert got_picks == want_picks
             # The planner consumes RNG draws in the same order with the
-            # same bounds, so the scheduler ends in the identical state.
-            assert sched.snapshot() == want_state
+            # same bounds, so the RNG ends in the identical state.
+            assert rng.getstate() == want_state
             # Runs are nonempty and expand to exactly the pick count.
             assert all(n >= 1 for n in runs)
             assert sum(runs) == len(want_picks)

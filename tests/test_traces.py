@@ -222,3 +222,172 @@ class TestReplay:
         before = fresh.costs.now_ns
         replay(fresh, ftask, trace)
         assert fresh.costs.now_ns - before >= 7_000
+
+
+# -- argument kinds: what a trace stores for fds and bytes -----------------
+
+#: Call shapes, each run after ``/e`` is made and opened as ``dfd`` and
+#: ``/e/f`` is created and opened read-write as ``fd``.  The first four
+#: record arguments in forms a trace once lost or mangled; the rest are
+#: the forms every recorder handled, kept as controls.
+_SHAPES = {
+    "write_data_by_keyword": lambda rec, fd, dfd: rec.write(fd, data=b"abc"),
+    "setxattr_value_by_keyword": lambda rec, fd, dfd: rec.setxattr(
+        "/e/f", "user.t", value=b"x"),
+    "setxattr_high_bytes": lambda rec, fd, dfd: rec.setxattr(
+        "/e/f", "user.t", b"\xffx"),
+    "fstatat_dirfd_by_position": lambda rec, fd, dfd: rec.fstatat(
+        "f", dfd, False),
+    "write_data_by_position": lambda rec, fd, dfd: rec.write(fd, b"abc"),
+    "fstatat_dirfd_by_keyword": lambda rec, fd, dfd: rec.fstatat(
+        "f", dirfd=dfd, follow=False),
+    "openat_by_position": lambda rec, fd, dfd: rec.close(
+        rec.openat(dfd, "f", O_RDONLY)),
+    "mkstemp": lambda rec, fd, dfd: rec.close(rec.mkstemp("/e")[0]),
+}
+
+
+def _record_shape(profile, shape):
+    kernel = make_kernel(profile)
+    rec = TraceRecorder(kernel, kernel.spawn_task(uid=0, gid=0))
+    rec.mkdir("/e")
+    dfd = rec.open("/e", O_RDONLY | O_DIRECTORY)
+    fd = rec.open("/e/f", O_CREAT | O_RDWR)
+    _SHAPES[shape](rec, fd, dfd)
+    rec.close(fd)
+    rec.close(dfd)
+    return kernel, rec.trace
+
+
+def _extra_fd_task(kernel):
+    """A task holding one open fd more than the recording task did, so
+    every fd the trace gets is numbered differently at replay."""
+    task = kernel.spawn_task(uid=0, gid=0)
+    kernel.sys.open(task, "/", O_RDONLY | O_DIRECTORY)
+    return task
+
+
+def _three_replays(profile, trace):
+    """``trace`` replayed interpreted, compiled and reloaded from JSON,
+    each on a fresh kernel whose task holds an extra fd."""
+    from repro.workloads.compile import compile_trace
+    from repro.workloads.traces import replay_compiled
+    engines = {
+        "interpreted": lambda k, t: replay(k, t, trace),
+        "compiled": lambda k, t: replay_compiled(k, t, compile_trace(trace)),
+        "reloaded": lambda k, t: replay(k, t, Trace.loads(trace.dumps())),
+    }
+    kernels = {}
+    for name, run in engines.items():
+        kernel = make_kernel(profile)
+        run(kernel, _extra_fd_task(kernel))
+        kernels[name] = kernel
+    return kernels
+
+
+def _file_state(kernel):
+    task = kernel.spawn_task(uid=0, gid=0)
+    try:
+        xattr = kernel.sys.getxattr(task, "/e/f", "user.t")
+    except errors.FsError as exc:
+        xattr = exc.errno
+    return kernel.sys.stat(task, "/e/f").size, xattr
+
+
+class TestArgumentKinds:
+    @pytest.mark.parametrize("profile", ["baseline", "optimized",
+                                         "optimized-lazy"])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_shape_replays_three_ways(self, profile, shape):
+        """Every call shape replays with the recorded outcomes and leaves
+        the file as the recording did, interpreted, compiled and after
+        a JSON round trip, though every fd is numbered differently."""
+        recorded, trace = _record_shape(profile, shape)
+        for kernel in _three_replays(profile, trace).values():
+            assert _file_state(kernel) == _file_state(recorded)
+
+    def test_op_descriptions(self):
+        """The description every trace engine reads: each facade
+        parameter named ``fd`` / ``dirfd`` is an fd, exactly
+        ``write.data`` and ``setxattr.value`` are bytes, and only
+        ``open`` / ``openat`` / ``mkstemp`` return an fd, ``mkstemp``
+        first in a pair."""
+        from repro.vfs.syscalls import Syscalls
+        from repro.workloads.traces import op_spec
+        specs = {op: op_spec(op) for op, method in vars(Syscalls).items()
+                 if not op.startswith("_") and callable(method)}
+        params = {(op, name): kind for op, spec in specs.items()
+                  for name, _default, kind in spec.params}
+        named_fd = {key for key in params if key[1] in ("fd", "dirfd")}
+        assert ("read", "fd") in named_fd and ("open", "dirfd") in named_fd
+        assert {key for key, kind in params.items() if kind == "fd"} \
+            == named_fd
+        assert {key for key, kind in params.items() if kind == "bytes"} \
+            == {("write", "data"), ("setxattr", "value")}
+        assert {op for op, spec in specs.items() if spec.returns_fd} \
+            == {"open", "openat", "mkstemp"}
+        assert {op for op, spec in specs.items() if spec.pair} \
+            == {"mkstemp"}
+
+    def test_mixed_shapes_property(self):
+        """Random runs of fd- and bytes-taking calls, each argument by
+        position or by keyword: the three replays agree with the
+        recording on every outcome and with each other on clock,
+        counts and Stats."""
+        from hypothesis import given, settings, strategies as st
+
+        from repro.testing.dual import fingerprint
+
+        def step(rec, fd, dfd, op, name, by_keyword, payload):
+            flags = O_CREAT | O_RDWR
+            if op == "open":
+                if by_keyword:
+                    return rec.open(name, flags, dirfd=dfd)
+                return rec.open(name, flags, 0o644, dfd)
+            if op == "openat":
+                if by_keyword:
+                    return rec.openat(dirfd=dfd, path=name, flags=flags)
+                return rec.openat(dfd, name, flags)
+            if op == "fstatat":
+                if by_keyword:
+                    return rec.fstatat(name, dirfd=dfd)
+                return rec.fstatat(name, dfd, False)
+            if op == "mkdir":
+                if by_keyword:
+                    return rec.mkdir(name, dirfd=dfd)
+                return rec.mkdir(name, 0o755, dfd)
+            if op == "write":
+                if by_keyword:
+                    return rec.write(fd=fd, data=payload)
+                return rec.write(fd, payload)
+            if op == "setxattr":
+                if by_keyword:
+                    return rec.setxattr(f"/e/{name}", "user.t",
+                                        value=payload)
+                return rec.setxattr(f"/e/{name}", "user.t", payload)
+            return rec.mkstemp("/e")
+
+        @given(steps=st.lists(st.tuples(
+            st.sampled_from(["open", "openat", "fstatat", "mkdir", "write",
+                             "setxattr", "mkstemp"]),
+            st.sampled_from(["a", "b", "f"]), st.booleans(),
+            st.binary(max_size=4)), max_size=10))
+        @settings(max_examples=40, deadline=None)
+        def check(steps):
+            kernel = make_kernel("optimized")
+            rec = TraceRecorder(kernel, kernel.spawn_task(uid=0, gid=0))
+            rec.mkdir("/e")
+            dfd = rec.open("/e", O_RDONLY | O_DIRECTORY)
+            fd = rec.open("/e/f", O_CREAT | O_RDWR)
+            for args in steps:
+                try:
+                    step(rec, fd, dfd, *args)
+                except errors.FsError:
+                    pass
+            prints = {name: fingerprint(kernel)
+                      for name, kernel in _three_replays(
+                          "optimized", rec.trace).items()}
+            assert prints["compiled"] == prints["interpreted"]
+            assert prints["reloaded"] == prints["interpreted"]
+
+        check()
