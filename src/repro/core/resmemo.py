@@ -45,10 +45,12 @@ open re-resolves its path from the memo; the mutation invalidates
 *after* resolution, so the read is legal).
 
 On acceptance the memo *replays* the recording: one
-:meth:`CostModel.apply` of the vector and one bulk merge of the counter
-deltas.  Charging is integer and order-independent, so virtual costs
-and stats are exactly those of running the resolver again, on all three
-kernel profiles, while the Python resolve machinery is skipped entirely.
+:meth:`CostModel.apply` of the vector (a clock advance and a pending
+count, folded into the attribution tables when they are next read) and
+one bulk merge of the counter deltas.  Charging is integer and
+order-independent, so virtual costs and stats are exactly those of
+running the resolver again, on all three kernel profiles, while the
+Python resolve machinery is skipped entirely.
 
 Correctness protocol — confirm on second identical execution
 ------------------------------------------------------------

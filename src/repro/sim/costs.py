@@ -35,6 +35,7 @@ back when it ends.
 The same associativity makes a :class:`ChargeRun` one counter bump:
 :meth:`CostModel.charge_run` advances the clock at once, and the tables
 get the run's members when next read (the clock is never deferred).
+:meth:`CostModel.apply` defers a replayed vector the same way.
 """
 
 from __future__ import annotations
@@ -162,9 +163,17 @@ class ChargeVector:
     every charge plan store one, compare two with ``==`` to confirm a
     recording, and replay through :meth:`CostModel.apply`.  A
     :class:`Recording` charges straight into a fresh vector's tables.
+
+    Hashing is by identity (``==`` stays by content): ``apply`` counts a
+    vector in a pending ``{vector: times}`` table keyed by the object,
+    so two equal vectors may take one key or two — either way they
+    fold to the same tables.  A vector is never changed once its
+    recording has ended.
     """
 
     __slots__ = ("counts", "nbytes", "raw", "by_scope", "ticks")
+
+    __hash__ = object.__hash__
 
     def __init__(self) -> None:
         # ``charge`` adds by ``+=`` to these two: a default spares a
@@ -236,13 +245,16 @@ class Recording:
 
     A context manager: ``with Recording(costs, stats) as rec: run()``
     swaps fresh attribution tables into ``costs`` (``counts``, the
-    byte, raw and scope totals, the pending runs) and ``stats`` for the
-    block, so the run charges and counts straight into ``vector`` and
-    ``stat_deltas`` (a ``{counter: delta}`` dict), and folds both back
-    on exit (its pending runs into ``vector`` first), also when the run
-    raises.  The clock is not swapped: tickers, ``mtime_ns``
-    stamps and plan guards read real time inside the block, and
-    ``vector.ticks`` is the clock's advance over it.  While a recording
+    byte, raw and scope totals, the pending runs and vectors) and
+    ``stats`` for the block, so the run charges and counts straight
+    into ``vector`` and ``stat_deltas`` (a ``{counter: delta}`` dict),
+    and folds both back on exit (its pending runs and vectors into
+    ``vector`` first), also when the run raises.  The add back on exit
+    is eager, not a deferred :meth:`CostModel.apply`: a pending key
+    would keep every fresh recorded vector alive until the next read.
+    The clock is not swapped: tickers, ``mtime_ns`` stamps and plan
+    guards read real time inside the block, and ``vector.ticks`` is
+    the clock's advance over it.  While a recording
     is open, ``costs.counts``, ``by_scope``, ``by_primitive`` and
     ``stats.get`` see only its own tables.  A recording opened inside
     another folds its tables into the outer one on exit; its touch
@@ -277,25 +289,27 @@ class Recording:
         costs, stats, vector = self._costs, self._stats, self.vector
         self._saved = (costs._counts, costs._nbytes, costs._raw,
                        costs._by_scope, costs._pending, costs._pending_bytes,
-                       stats._counters)
+                       costs._pending_vectors, stats._counters)
         (costs._counts, costs._nbytes, costs._raw, costs._by_scope,
-         costs._pending, costs._pending_bytes, stats._counters) = (
+         costs._pending, costs._pending_bytes, costs._pending_vectors,
+         stats._counters) = (
             vector.counts, vector.nbytes, vector.raw, vector.by_scope, {}, {},
-            self.stat_deltas)
+            {}, self.stat_deltas)
         self._outer, costs.recorder = costs.recorder, self
         self._start = costs.clock._ticks
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         costs, stats = self._costs, self._stats
-        costs._fold()  # the runs charged in here, into the vector
+        costs._fold()  # what was charged in here, into the vector
         (costs._counts, costs._nbytes, costs._raw, costs._by_scope,
-         costs._pending, costs._pending_bytes, stats._counters) = self._saved
+         costs._pending, costs._pending_bytes, costs._pending_vectors,
+         stats._counters) = self._saved
         costs.recorder = self._outer
         vector = self.vector
-        # The clock already ran on through the block, and ``ticks`` is
-        # still 0: this adds the tables only.
-        costs.apply(vector)
+        # The clock already ran on through the block: this adds the
+        # tables only, at once.
+        costs._add(vector)
         vector.ticks = costs.clock._ticks - self._start
         stats.bump_many(self.stat_deltas)
 
@@ -466,14 +480,19 @@ class CostModel:
     ``now_ns``; the integer tables behind them are private.  A
     primitive's time is linear in what ``counts`` and the per-primitive
     byte totals hold, so only those are accumulated per charge and
-    ``by_primitive`` is worked out when read.  A :meth:`charge_run` only
-    counts its run as pending; every reader of the tables folds the
-    pending runs in first (:meth:`_fold`).
+    ``by_primitive`` is worked out when read.  A :meth:`charge_run` and
+    an :meth:`apply` only count their run or vector as pending; every
+    reader of the tables folds the pending ones in first (:meth:`_fold`).
     """
 
+    #: Distinct vectors pending at most: a new one past this folds the
+    #: table first, so a run that never reads still holds few vectors.
+    MAX_PENDING_VECTORS = 64
+
     __slots__ = ("charges", "clock", "_scope_stack", "_by_scope", "_nbytes",
-                 "_raw", "_counts", "_pending", "_pending_bytes", "_rates",
-                 "_guards", "recorder", "plans", "memo")
+                 "_raw", "_counts", "_pending", "_pending_bytes",
+                 "_pending_vectors", "_rates", "_guards", "recorder", "plans",
+                 "memo")
 
     def __init__(self, charges: Optional[Dict[str, float]] = None,
                  clock: Optional[Clock] = None):
@@ -485,6 +504,8 @@ class CostModel:
         #: :class:`ChargeRun` -> times charged / bytes given, unfolded.
         self._pending: Dict[ChargeRun, int] = {}
         self._pending_bytes: Dict[ChargeRun, int] = {}
+        #: :class:`ChargeVector` -> times applied, unfolded.
+        self._pending_vectors: Dict[ChargeVector, int] = {}
         #: primitive -> bytes charged at its per-byte rate.
         self._nbytes: Dict[str, int] = {}
         #: ``charge_ns`` hint -> ticks.
@@ -619,19 +640,32 @@ class CostModel:
             pending[run] = 1
 
     def _fold(self) -> None:
-        """Add the pending runs' members to the attribution tables."""
-        counts, by_scope, totals = self._counts, self._by_scope, self._nbytes
-        for run, n in self._pending.items():
-            for primitive in run.primitives:
-                counts[primitive] = counts.get(primitive, 0) + run.times * n
-            for scope, ticks in run.scopes:
-                by_scope[scope] = by_scope.get(scope, 0) + ticks * n
-        for run, nbytes in self._pending_bytes.items():
-            scope, primitive, _ticks = run.members[run.byte_at]
-            by_scope[scope] = by_scope.get(scope, 0) + run.byte_rate * nbytes
-            totals[primitive] = totals.get(primitive, 0) + nbytes
-        self._pending.clear()
-        self._pending_bytes.clear()
+        """Add the pending runs' members and the pending vectors to the
+        attribution tables."""
+        vectors = self._pending_vectors
+        if vectors:
+            for vector, n in vectors.items():
+                self._add(vector, n)
+            vectors.clear()
+        runs = self._pending
+        if runs:
+            counts, by_scope = self._counts, self._by_scope
+            for run, n in runs.items():
+                times = run.times * n
+                for primitive in run.primitives:
+                    counts[primitive] = counts.get(primitive, 0) + times
+                for scope, ticks in run.scopes:
+                    by_scope[scope] = by_scope.get(scope, 0) + ticks * n
+            runs.clear()
+        run_bytes = self._pending_bytes
+        if run_bytes:
+            by_scope, totals = self._by_scope, self._nbytes
+            for run, nbytes in run_bytes.items():
+                scope, primitive, _ticks = run.members[run.byte_at]
+                by_scope[scope] = (by_scope.get(scope, 0)
+                                   + run.byte_rate * nbytes)
+                totals[primitive] = totals.get(primitive, 0) + nbytes
+            run_bytes.clear()
 
     def charge_ns(self, scope_hint: str, ns: float) -> None:
         """Charge raw nanoseconds (used for app 'compute' phases).
@@ -652,19 +686,38 @@ class CostModel:
     def apply(self, vector: ChargeVector) -> None:
         """Charge a recorded :class:`ChargeVector` in one step.
 
-        Leaves the clock, ``by_primitive``, ``by_scope`` and ``counts``
-        exactly as charging the recorded run again would: one addition
-        per distinct key, in any order.
+        Advances the clock by ``vector.ticks`` at once, but only counts
+        the vector as pending, like :meth:`charge_run`: ``counts``,
+        ``by_scope``, ``by_primitive`` and the byte and raw totals get
+        it when next read (:meth:`_fold`), exactly as charging the
+        recorded run again would have left them.  A new vector that
+        would make more than :attr:`MAX_PENDING_VECTORS` pending folds
+        the table first.
         """
+        self.clock._ticks += vector.ticks
+        pending = self._pending_vectors
+        try:
+            pending[vector] += 1
+        except KeyError:
+            if len(pending) >= self.MAX_PENDING_VECTORS:
+                self._fold()
+            pending[vector] = 1
+
+    def _add(self, vector: ChargeVector, times: int = 1) -> None:
+        """Add ``vector``'s tables ``times`` over to the attribution
+        tables (not the clock): one addition per distinct key."""
         for table, delta in ((self._counts, vector.counts),
                              (self._by_scope, vector.by_scope),
                              (self._nbytes, vector.nbytes),
                              (self._raw, vector.raw)):
             if delta:
                 get = table.get
-                for key, value in delta.items():
-                    table[key] = get(key, 0) + value
-        self.clock._ticks += vector.ticks
+                if times == 1:  # every recording's exit: spare the product
+                    for key, value in delta.items():
+                        table[key] = get(key, 0) + value
+                else:
+                    for key, value in delta.items():
+                        table[key] = get(key, 0) + value * times
 
     # -- attribution --------------------------------------------------------
 
@@ -688,6 +741,7 @@ class CostModel:
         self._counts.clear()
         self._pending.clear()
         self._pending_bytes.clear()
+        self._pending_vectors.clear()
 
     # -- reading ------------------------------------------------------------
 

@@ -381,7 +381,8 @@ def _plan_unit(registry, cell, costs, stats, run: Callable[[], None],
     interpreted: the recording around it stands for the whole run (a
     drain's capture covers its segments), and :meth:`CostModel.apply`
     adds a plan to the scopes it was captured under, never to an open
-    one.
+    one: it advances the clock at once and counts the plan's vector as
+    pending, and the tables get it when next read.
 
     ``cell`` (:class:`~repro.sim.costs.PlanCell`) records from its first
     execution, confirms on the second identical capture and applies

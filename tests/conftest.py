@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import make_kernel
 from repro.sim.costs import CostModel, UNIT
 from repro.testing import DualKernel
+
+#: ``pytest --hypothesis-profile=thorough`` runs each property harder; a
+#: plain ``pytest`` keeps the default example count.  Not named ``ci``:
+#: Hypothesis loads its own ``ci`` profile whenever it detects a CI
+#: environment, and re-registering that name would reload it for every
+#: test there.
+settings.register_profile("thorough", max_examples=1000)
 
 
 @pytest.fixture

@@ -288,6 +288,31 @@ class TestFileSystemHostCalls:
             per_blocks[blocks] = sorted(calls)
         assert per_blocks[1] == per_blocks[4] == per_blocks[8], per_blocks
 
+    def test_simext_mutation_host_calls_do_not_grow_with_blocks(
+            self, monkeypatch):
+        """A SimExt ``create``, ``unlink`` and ``rename`` each reach the
+        cost model as often in a directory of 1 (a linear scan), 8 or 64
+        entry blocks (an htree), with room left in the last block."""
+        calls = _count_host_calls(monkeypatch, CostModel)
+        per_blocks = {}
+        for blocks in (1, 8, 64):
+            fs = SimExtFs(CostModel(dict(UNIT)))
+            ino = fs.mkdir(fs.root_ino, "d", 0o755, 0, 0).ino
+            for i in range(16 * blocks - 1):
+                fs.create(ino, f"f{i}", 0o644, 0, 0)
+            missed = fs.pagecache.misses
+            per_op = []
+            for op in (lambda: fs.create(ino, "new", 0o644, 0, 0),
+                       lambda: fs.unlink(ino, "new"),
+                       lambda: fs.rename(ino, "f1", ino, "g1")):
+                del calls[:]
+                op()
+                per_op.append(sorted(calls))
+            assert len(fs._nodes[ino].entry_blocks) == blocks
+            assert fs.pagecache.misses == missed  # every block is cached
+            per_blocks[blocks] = per_op
+        assert per_blocks[1] == per_blocks[8] == per_blocks[64], per_blocks
+
 
 class TestFastpathFallbacks:
     def test_first_lookup_misses_then_hits(self):

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from repro.sim.clock import Clock, Stopwatch
 from repro.sim.concurrency import (ScalingParams, read_latency_curve,
                                    writer_latency_curve)
-from repro.sim.costs import CALIBRATED, UNIT, CostModel, Recording
+from repro.sim.costs import (CALIBRATED, UNIT, ChargeVector, CostModel,
+                              Recording)
 from repro.sim.stats import Stats
 
 
@@ -344,14 +345,59 @@ def _eager_charge_run(self, run, nbytes=0):
             counts[primitive] = times
 
 
+def _eager_apply(self, vector):
+    """``CostModel.apply`` as it was before vectors were counted as
+    pending: one addition per distinct key, at once."""
+    for table, delta in ((self._counts, vector.counts),
+                         (self._by_scope, vector.by_scope),
+                         (self._nbytes, vector.nbytes),
+                         (self._raw, vector.raw)):
+        if delta:
+            get = table.get
+            for key, value in delta.items():
+                table[key] = get(key, 0) + value
+    self.clock._ticks += vector.ticks
+
+
 class _EagerCostModel(CostModel):
     charge_run = _eager_charge_run
+    apply = _eager_apply
 
 
-#: A program: charges, reads, and recordings (nested, some raising)
-#: holding programs of their own.
+#: The vectors an ``apply`` step replays: bytes, raw time, a scope-less
+#: charge, a run, and nothing at all.
+_STORED = (
+    vector_of([("charge_in", "hash", "sig_hash", 2, 5),
+               ("charge_ns", "init", "app_compute", 12.5, 0)]),
+    vector_of([("charge", None, "ht_probe", 3, 0),
+               ("charge_run", "miss", "disk_seek", 1, 0)]),
+    vector_of([("charge_run", "htlookup", "read_write_base", 2, 17),
+               ("charge_ns", None, "net_rpc", 0.37, 0)]),
+    vector_of([]),
+)
+
+
+def _copy(vector: ChargeVector) -> ChargeVector:
+    """An equal vector that is another object (another pending key)."""
+    copy = ChargeVector()
+    copy.counts.update(vector.counts)
+    copy.nbytes.update(vector.nbytes)
+    copy.raw.update(vector.raw)
+    copy.by_scope.update(vector.by_scope)
+    copy.ticks = vector.ticks
+    return copy
+
+
+#: Replay stored vector ``i``, then ``copies`` distinct equal ones: one
+#: or two steps apply more distinct vectors than the pending bound (about
+#: a third of the programs fold a full table).
+_APPLY = st.tuples(st.just("apply"), st.integers(0, len(_STORED) - 1),
+                   st.integers(0, 80))
+
+#: A program: charges, replays, reads, and recordings (nested, some
+#: raising) holding programs of their own.
 _STEP = st.recursive(
-    st.one_of(_EVENT, st.just(("read",))),
+    st.one_of(_EVENT, _APPLY, st.just(("read",))),
     lambda inner: st.tuples(st.just("recording"), st.lists(inner, max_size=8),
                             st.booleans()),
     max_leaves=12)
@@ -395,14 +441,19 @@ def _run_program(costs: CostModel, program, runs, seen, vectors) -> None:
                     ((scope, name), ("miss", "lru_touch")), name)
             costs.charge_run(run if amount == 1 else run.scaled(amount),
                              nbytes)
+        elif step[0] == "apply":
+            _kind, index, copies = step
+            costs.apply(_STORED[index])
+            for _ in range(copies):
+                costs.apply(_copy(_STORED[index]))
         else:
             _charge(costs, [step])
 
 
 class TestDeferredAttribution:
-    """``charge_run`` advances the clock at once and counts its run as
-    pending; every reader folds first, a recording swaps pending tables
-    in and folds its own on exit."""
+    """``charge_run`` and ``apply`` advance the clock at once and count
+    their run or vector as pending; every reader folds first, a
+    recording swaps pending tables in and folds its own on exit."""
 
     @given(_PROGRAM)
     def test_interleaving_equals_the_eager_reference(self, program):
@@ -442,6 +493,30 @@ class TestDeferredAttribution:
         costs.reset_attribution()
         assert costs.counts == {} and costs.by_scope == {}
         assert costs.now_ns == 29
+
+    def test_pending_vectors_stay_bounded_and_exits_stay_eager(self):
+        """Without a reader, the pending table fills to
+        ``MAX_PENDING_VECTORS`` vectors and never past it, and a
+        recording's exit adds its tables at once: its own vector is
+        pending nowhere, inside another recording or at top level."""
+        deferred, eager = CostModel(), _EagerCostModel()
+        sizes = []
+        for i in range(3 * CostModel.MAX_PENDING_VECTORS):
+            vector = _copy(_STORED[i % len(_STORED)])
+            deferred.apply(vector)
+            eager.apply(vector)
+            sizes.append(len(deferred._pending_vectors))
+        assert max(sizes) == CostModel.MAX_PENDING_VECTORS
+        with Recording(deferred, Stats()) as outer:
+            deferred.apply(_STORED[0])
+            with Recording(deferred, Stats()) as inner:
+                deferred.apply(_STORED[1])
+            assert deferred._pending_vectors == {_STORED[0]: 1}
+        assert all(v is not outer.vector and v is not inner.vector
+                   for v in deferred._pending_vectors)
+        eager.apply(_STORED[0])
+        eager.apply(_STORED[1])
+        assert _tables(deferred) == _tables(eager)
 
 
 class TestStats:
