@@ -63,7 +63,7 @@ class DirectLookupHashTable:
     def probe(self, signature: Signature) -> Optional[Dentry]:
         """Look up a signature: bucket fetch + signature compare, charged
         to "htlookup"."""
-        self.costs.charge_run(self._probe)
+        self.costs.apply(self._probe)
         return self.lookup(signature)
 
     def lookup(self, signature: Signature) -> Optional[Dentry]:

@@ -66,6 +66,12 @@ class EpochCoherence(Coherence):
         checks with ``slow``'s LSM; the sweep clock starts here."""
         self.hasher = hasher
         self.slow = slow
+        run = self.costs.run
+        self._hash = run((("hash", hasher.cost_primitive),),
+                         hasher.cost_primitive)
+        self._validate = run((("lazy", "lazy_validate"),))
+        self._dac = run((("perm", "perm_check_dac"),))
+        self._lsm = run((("perm", "perm_check_lsm"),))
         self.sweeper = LazySweeper(
             self, Ticker(self.costs.clock, LazySweeper.INTERVAL_NS))
 
@@ -103,8 +109,7 @@ class EpochCoherence(Coherence):
         hasher = self.hasher
         if names:
             nbytes = sum(len(n) for n in names) + len(names) - 1
-            self.costs.charge_in("hash", hasher.cost_primitive,
-                                 times=len(names), nbytes=nbytes)
+            self.costs.apply(self._hash, len(names), nbytes)
         return hasher.extend_components(hasher.EMPTY, names)
 
     def pos_state(self, task, pos, rebuild=None):
@@ -141,7 +146,7 @@ class EpochCoherence(Coherence):
                 names.append(d.name)
         if mount is not ns.root_mount or d is not mount.root_dentry:
             return None, 0
-        self.costs.charge_in("lazy", "lazy_validate", times=nodes)
+        self.costs.apply(self._validate, nodes)
         fast = fast_of(dentry)
         if fast.hash_state is not None and fast.epoch_snapshot >= high:
             # Still current — only the global epoch moved (mutations
@@ -212,7 +217,7 @@ class EpochCoherence(Coherence):
         return None
 
     def _charge_chain(self, hops: int) -> None:
-        self.costs.charge_in("lazy", "lazy_validate", times=max(1, hops))
+        self.costs.apply(self._validate, max(1, hops))
 
     def _reverse_check(self, ns, dentry: Dentry, anchor: Dentry,
                        anchor_mount, names: List[str]):
@@ -370,11 +375,11 @@ class EpochCoherence(Coherence):
         lsm_active = not isinstance(lsm, NullLsm)
         for node in perm_nodes:
             inode = node.inode
-            self.costs.charge_in("perm", "perm_check_dac")
+            self.costs.apply(self._dac)
             if not perms.may_search(cred, inode):
                 return None  # slowpath re-derives the EACCES with context
             if lsm_active:
-                self.costs.charge_in("perm", "perm_check_lsm")
+                self.costs.apply(self._lsm)
                 if not lsm.inode_permission(cred, inode, perms.MAY_EXEC):
                     return None
         if perm_anchor is not None:
@@ -447,7 +452,7 @@ class EpochCoherence(Coherence):
         dentry = dlht.peek(key)
         if dentry is None:
             return False
-        self.costs.charge_in("lazy", "lazy_validate")
+        self.costs.apply(self._validate)
         fast = dentry.fast
         if dentry.dead or fast is None or fast.dlht is not dlht \
                 or fast.mount is None:

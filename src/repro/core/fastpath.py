@@ -10,13 +10,14 @@ target) falls back to the shared slowpath.
 
 Host cost is constant too (``docs/cost-model.md``): each run of
 components between ``..`` hops is charged as one hash charge, and a
-served lookup as one run per outcome (positive, negative or ENOTDIR,
-position) that also carries the terminal probe and ``pcc_probe`` when
-the policy's O(1) ``admit`` took it.  A fallback walk gets the count of
-components hashed; its first that many hash extensions are free.  When
-the attempt hashed the whole path as one segment it hands over the
-state after each component too, and the walk reads them instead of
-extending while its anchor is the attempt's start state.
+served lookup as one priced vector per outcome (positive, negative or
+ENOTDIR, position) that also carries the terminal probe and
+``pcc_probe`` when the policy's O(1) ``admit`` took it.  A fallback
+walk gets the count of components hashed; its first that many hash
+extensions are free.  When the attempt hashed the whole path as one
+segment it hands over the state after each component too, and the walk
+reads them instead of extending while its anchor is the attempt's start
+state.
 
 On the way *out* it implements :class:`repro.vfs.walk.WalkHooks`: it rides
 along slowpath walks, accumulating the state needed to repopulate the
@@ -143,6 +144,10 @@ class FastLookup(WalkHooks):
         self._on_miss = coherence.on_miss
         self._segment = hasher.extend_segment
         run = costs.run
+        prim = hasher.cost_primitive
+        self._hash = run((("hash", prim),), prim)
+        self._dac = run((("perm", "perm_check_dac"),))
+        self._lsm = run((("perm", "perm_check_lsm"),))
         probed = PROBE_CHARGES + (("perm", "pcc_probe"),)
         self._pair, self._hop = run(PROBE_CHARGES), run(probed)
         # A fallback walk's setup and teardown (``SlowWalk.resolve``): the
@@ -151,7 +156,8 @@ class FastLookup(WalkHooks):
         self._fallback = (run(init + (("final", "lookup_final"),)), run(init))
 
         def outcome(charges, *deltas):
-            """(run, deltas) as charged, then with an O(1) accept's probe."""
+            """(vector, deltas) as charged, then with an O(1) accept's
+            probe."""
             charges = (("init", "fastpath_init"),) + charges \
                 + (("final", "lookup_final"),)
             deltas += (("fastpath_hit", 1),)
@@ -209,8 +215,8 @@ class FastLookup(WalkHooks):
         if ctx is not None and ctx.prehashed:
             ctx.prehashed -= 1  # the failed fastpath attempt charged it
         else:
-            self.costs.charge_in("hash", self.hasher.cost_primitive,
-                                 nbytes=len(name) + (1 if state.length else 0))
+            self.costs.apply(self._hash, 1,
+                             len(name) + (1 if state.length else 0))
         return self.hasher.extend(state, name)
 
     def _try_fastpath(self, task: Task, start: PathPos, comps: List[str],
@@ -263,14 +269,13 @@ class FastLookup(WalkHooks):
                 names = tuple(comps)
             prev_state, seg_state, sig, nbytes, states = \
                 self._segment(state, names)
-            costs.charge_in("hash", self.hasher.cost_primitive,
-                            times=j - i, nbytes=nbytes)
+            costs.apply(self._hash, j - i, nbytes)
             hashed += j - i
             # The probe, in place unless a recording needs its notes.
             found = table.get(sig) if costs.recorder is None \
                 else dlht.lookup(sig)
             if found is None or found.dead or j < total:
-                costs.charge_run(self._pair)  # else in _finish_hit
+                costs.apply(self._pair)  # else in _finish_hit
             whole = i == 0 and j == total
             if found is not None and not found.dead:
                 # How the probed signature was derived: a validated
@@ -295,7 +300,7 @@ class FastLookup(WalkHooks):
                     i = j
                     continue
                 # The policy's O(1) accept leaves the probe and the
-                # prefix check to the served outcome's run (``folded``).
+                # prefix check to the served outcome's vector (``folded``).
                 target = found.alias_target
                 folded = (not target.dead if target is not None
                           else not found.is_stub) \
@@ -307,8 +312,8 @@ class FastLookup(WalkHooks):
                     fast = found.fast
                     if fast is not None and fast.mount is not None:
                         # A plain hit: _finish_hit's end, inline.
-                        run, deltas = self._hit[True]
-                        costs.charge_run(run)
+                        vector, deltas = self._hit[True]
+                        costs.apply(vector)
                         self.stats.bump_many(deltas)
                         return PathPos(fast.mount, found)
                 served = self._finish_hit(
@@ -331,9 +336,9 @@ class FastLookup(WalkHooks):
         return hashed  # unreachable
 
     def _serve(self, outcome, folded: bool, result):
-        """Charge ``outcome``'s run and Stats; hand back ``result``."""
-        run, deltas = outcome[folded]
-        self.costs.charge_run(run)
+        """Charge ``outcome``'s vector and Stats; hand back ``result``."""
+        vector, deltas = outcome[folded]
+        self.costs.apply(vector)
         self.stats.bump_many(deltas)
         return result
 
@@ -359,12 +364,12 @@ class FastLookup(WalkHooks):
         Returns the served PathPos (or raises), None (slowpath), or
         :data:`RETRY` when the policy discarded the probed key.  An O(1)
         accept (``folded``, already taken) leaves the probe and prefix
-        check to the run.
+        check to the vector.
         """
         result = found
         target = found.alias_target
         if not folded:
-            self.costs.charge_run(self._pair)
+            self.costs.apply(self._pair)
             if target.dead if target is not None else found.is_stub:
                 return None  # unusable
             verdict = self._accept(task, ns, pcc, found, sig, anchor)
@@ -397,9 +402,9 @@ class FastLookup(WalkHooks):
         return self._serve(self._hit, folded, PathPos(fast.mount, result))
 
     def _unfold(self, folded: bool) -> None:
-        """A folded hit falls back: pay what it left to the run."""
+        """A folded hit falls back: pay what it left to the vector."""
         if folded:
-            self.costs.charge_run(self._hop)
+            self.costs.apply(self._hop)
             self.stats.bump("pcc_hit")
 
     def _follow_cached_link(self, task: Task, pcc: PrefixCheckCache,
@@ -478,11 +483,11 @@ class FastLookup(WalkHooks):
         # The search check the slowpath would do before the last lookup.
         cred = task.cred
         lsm = self.slow.lsm
-        self.costs.charge_in("perm", "perm_check_dac")
+        self.costs.apply(self._dac)
         if not perms.may_search(cred, parent.inode):
             return None  # slowpath raises EACCES with full context
         if not isinstance(lsm, NullLsm):
-            self.costs.charge_in("perm", "perm_check_lsm")
+            self.costs.apply(self._lsm)
             if not lsm.inode_permission(cred, parent.inode, perms.MAY_EXEC):
                 return None
         child = self.dcache.d_lookup(parent, last)

@@ -29,7 +29,8 @@ DEFAULT_CAPACITY = 64 * 1024 // 16
 class PrefixCheckCache:
     """One credential's memoized prefix checks."""
 
-    __slots__ = ("costs", "stats", "capacity", "_entries", "__weakref__")
+    __slots__ = ("costs", "stats", "capacity", "_entries", "_probe",
+                 "__weakref__")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  capacity: int = DEFAULT_CAPACITY):
@@ -37,6 +38,7 @@ class PrefixCheckCache:
         self.stats = stats
         self.capacity = capacity
         self._entries: "OrderedDict[int, tuple]" = OrderedDict()
+        self._probe = costs.run((("perm", "pcc_probe"),))
 
     def probe(self, dentry: Dentry, min_epoch: int = 0) -> bool:
         """True when a valid (seq-current) prefix check is cached.
@@ -48,7 +50,7 @@ class PrefixCheckCache:
         with real permission checks will overwrite it (eager mode always
         passes 0, so epoch never disqualifies there).  Charged to "perm".
         """
-        self.costs.charge_in("perm", "pcc_probe")
+        self.costs.apply(self._probe)
         entry = self._entries.get(id(dentry))
         if entry is None:
             return self._miss("pcc_miss", dentry)

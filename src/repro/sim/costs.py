@@ -26,16 +26,13 @@ Time is accumulated in integer ticks (see :mod:`repro.sim.clock`): a rate
 table is converted once at construction and every rate must be a whole
 number of ticks.  Integer addition is associative, so the clock and the
 attribution tables depend only on *what* was charged, never on the order
-— which is what lets a recorded run be kept as a :class:`ChargeVector`
-and re-applied with one addition per distinct key
-(:meth:`CostModel.apply`).  A :class:`Recording` gets that vector for
-free: the run charges into fresh tables of its own, which are added
-back when it ends.
-
-The same associativity makes a :class:`ChargeRun` one counter bump:
-:meth:`CostModel.charge_run` advances the clock at once, and the tables
-get the run's members when next read (the clock is never deferred).
-:meth:`CostModel.apply` defers a replayed vector the same way.
+— which is what lets a fixed bundle of charges be kept as a
+:class:`ChargeVector` and charged any number of times with one counter
+bump (:meth:`CostModel.apply`): the clock advances at once, and the
+tables get the vector when next read.  A bundle is either priced once
+from its members (:meth:`CostModel.run`) or recorded: a
+:class:`Recording` charges a run into fresh tables of its own, which
+are added back when it ends.
 """
 
 from __future__ import annotations
@@ -150,28 +147,31 @@ class _ScopeGuard:
 
 
 class ChargeVector:
-    """What a run of charges adds to a :class:`CostModel`, as a sum.
+    """What a bundle of charges adds to a :class:`CostModel`, as a sum.
 
-    The run's own attribution tables — ``counts`` (primitive -> calls),
-    ``nbytes`` (primitive -> bytes at its per-byte rate), ``raw``
+    The bundle's own attribution tables — ``counts`` (primitive ->
+    calls), ``nbytes`` (primitive -> bytes at its per-byte rate), ``raw``
     (``charge_ns`` hint -> ticks) and ``by_scope`` (scope -> ticks) —
     and ``ticks``, the clock advance.  Those are exactly what
     :meth:`CostModel.apply` adds; no joint ``(scope, primitive)`` total
     is observable anywhere, so ``==`` means "leaves every table and the
     clock the same".  Charging is order-independent, so this is
-    everything a recorded run needs to keep: the resolution memo and
-    every charge plan store one, compare two with ``==`` to confirm a
-    recording, and replay through :meth:`CostModel.apply`.  A
-    :class:`Recording` charges straight into a fresh vector's tables.
+    everything a bundle needs to keep.  A vector is priced from its
+    members once (:meth:`CostModel.run`; ``per_byte`` is then the
+    ``(scope, primitive, ticks per byte)`` member that takes the bytes
+    ``apply`` is given, or None) or recorded: a :class:`Recording`
+    charges straight into a fresh vector's tables, and the resolution
+    memo and every charge plan store one, compare two with ``==`` to
+    confirm a recording, and replay it through ``apply``.
 
     Hashing is by identity (``==`` stays by content): ``apply`` counts a
     vector in a pending ``{vector: times}`` table keyed by the object,
     so two equal vectors may take one key or two — either way they
-    fold to the same tables.  A vector is never changed once its
-    recording has ended.
+    fold to the same tables.  A vector is never changed once priced or
+    once its recording has ended.
     """
 
-    __slots__ = ("counts", "nbytes", "raw", "by_scope", "ticks")
+    __slots__ = ("counts", "nbytes", "raw", "by_scope", "ticks", "per_byte")
 
     __hash__ = object.__hash__
 
@@ -183,13 +183,15 @@ class ChargeVector:
         self.raw: Dict[str, int] = {}
         self.by_scope: Dict[str, int] = defaultdict(int)
         self.ticks = 0
+        self.per_byte: Optional[Tuple[str, str, int]] = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChargeVector):
             return NotImplemented
         return (self.ticks == other.ticks and self.counts == other.counts
                 and self.by_scope == other.by_scope
-                and self.nbytes == other.nbytes and self.raw == other.raw)
+                and self.nbytes == other.nbytes and self.raw == other.raw
+                and self.per_byte == other.per_byte)
 
     def __len__(self) -> int:
         """Distinct keys held (the memory a stored vector costs)."""
@@ -197,47 +199,9 @@ class ChargeVector:
                 + len(self.by_scope))
 
     def __repr__(self) -> str:
-        return (f"ChargeVector(counts={dict(self.counts)!r}, "
-                f"nbytes={self.nbytes!r}, raw={self.raw!r}, "
-                f"by_scope={dict(self.by_scope)!r}, ticks={self.ticks})")
-
-
-class ChargeRun:
-    """A fixed bundle of ``(scope, primitive)`` charges, priced once by
-    :meth:`CostModel.run` (the rate table never changes afterwards).
-
-    Every member is charged ``times`` over: ``members`` are ``(scope,
-    primitive, ticks)``, ``scopes`` the ``(scope, ticks)`` totals and
-    ``ticks`` their sum, bytes aside (``byte_rate`` ticks each, on the
-    member at ``byte_at``).
-    """
-
-    __slots__ = ("members", "primitives", "scopes", "ticks", "byte_at",
-                 "byte_rate", "times", "_spec", "_scaled")
-
-    def __init__(self, rates: Dict[str, Tuple[int, int]], charges,
-                 per_byte: Optional[str] = None, times: int = 1) -> None:
-        self.times = times
-        self._spec = (rates, charges, per_byte)
-        self._scaled: Dict[int, ChargeRun] = {}
-        self.members = tuple((scope, primitive, rates[primitive][0] * times)
-                             for scope, primitive in charges)
-        self.primitives = tuple(member[1] for member in self.members)
-        scopes: Dict[str, int] = {}
-        for scope, _primitive, ticks in self.members:
-            scopes[scope] = scopes.get(scope, 0) + ticks
-        self.scopes = tuple(scopes.items())
-        self.ticks = sum(scopes.values())
-        self.byte_at = (None if per_byte is None
-                        else self.primitives.index(per_byte))
-        self.byte_rate = 0 if per_byte is None else rates[per_byte][1]
-
-    def scaled(self, k: int) -> "ChargeRun":
-        """This run charged ``k`` times over, as one run, kept per ``k``."""
-        run = self._scaled.get(k)
-        if run is None:
-            run = self._scaled[k] = ChargeRun(*self._spec, self.times * k)
-        return run
+        return (f"ChargeVector(counts={dict(self.counts)}, by_scope="
+                f"{dict(self.by_scope)}, nbytes={self.nbytes}, raw={self.raw},"
+                f" ticks={self.ticks}, per_byte={self.per_byte})")
 
 
 class Recording:
@@ -245,20 +209,19 @@ class Recording:
 
     A context manager: ``with Recording(costs, stats) as rec: run()``
     swaps fresh attribution tables into ``costs`` (``counts``, the
-    byte, raw and scope totals, the pending runs and vectors) and
-    ``stats`` for the block, so the run charges and counts straight
-    into ``vector`` and ``stat_deltas`` (a ``{counter: delta}`` dict),
-    and folds both back on exit (its pending runs and vectors into
-    ``vector`` first), also when the run raises.  The add back on exit
-    is eager, not a deferred :meth:`CostModel.apply`: a pending key
-    would keep every fresh recorded vector alive until the next read.
-    The clock is not swapped: tickers, ``mtime_ns`` stamps and plan
-    guards read real time inside the block, and ``vector.ticks`` is
-    the clock's advance over it.  While a recording
-    is open, ``costs.counts``, ``by_scope``, ``by_primitive`` and
-    ``stats.get`` see only its own tables.  A recording opened inside
-    another folds its tables into the outer one on exit; its touch
-    lists stay its own.
+    byte, raw and scope totals, the pending vectors) and ``stats`` for
+    the block, so the run charges and counts straight into ``vector``
+    and ``stat_deltas`` (a ``{counter: delta}`` dict), and folds both
+    back on exit (its pending vectors into ``vector`` first), also when
+    the run raises.  The add back on exit is eager, not a deferred
+    :meth:`CostModel.apply`: a pending key would keep every fresh
+    recorded vector alive until the next read.  The clock is not
+    swapped: tickers, ``mtime_ns`` stamps and plan guards read real
+    time inside the block, and ``vector.ticks`` is the clock's advance
+    over it.  While a recording is open, ``costs.counts``,
+    ``by_scope``, ``by_primitive`` and ``stats.get`` see only its own
+    tables.  A recording opened inside another folds its tables into
+    the outer one on exit; its touch lists stay its own.
 
     ``costs.recorder`` is the innermost open recording, for the cache
     structures to note what the run touches: ``lru`` dcache-LRU touches
@@ -288,13 +251,12 @@ class Recording:
     def __enter__(self) -> "Recording":
         costs, stats, vector = self._costs, self._stats, self.vector
         self._saved = (costs._counts, costs._nbytes, costs._raw,
-                       costs._by_scope, costs._pending, costs._pending_bytes,
-                       costs._pending_vectors, stats._counters)
+                       costs._by_scope, costs._pending_vectors,
+                       stats._counters)
         (costs._counts, costs._nbytes, costs._raw, costs._by_scope,
-         costs._pending, costs._pending_bytes, costs._pending_vectors,
-         stats._counters) = (
-            vector.counts, vector.nbytes, vector.raw, vector.by_scope, {}, {},
-            {}, self.stat_deltas)
+         costs._pending_vectors, stats._counters) = (
+            vector.counts, vector.nbytes, vector.raw, vector.by_scope, {},
+            self.stat_deltas)
         self._outer, costs.recorder = costs.recorder, self
         self._start = costs.clock._ticks
         return self
@@ -303,8 +265,7 @@ class Recording:
         costs, stats = self._costs, self._stats
         costs._fold()  # what was charged in here, into the vector
         (costs._counts, costs._nbytes, costs._raw, costs._by_scope,
-         costs._pending, costs._pending_bytes, costs._pending_vectors,
-         stats._counters) = self._saved
+         costs._pending_vectors, stats._counters) = self._saved
         costs.recorder = self._outer
         vector = self.vector
         # The clock already ran on through the block: this adds the
@@ -480,9 +441,9 @@ class CostModel:
     ``now_ns``; the integer tables behind them are private.  A
     primitive's time is linear in what ``counts`` and the per-primitive
     byte totals hold, so only those are accumulated per charge and
-    ``by_primitive`` is worked out when read.  A :meth:`charge_run` and
-    an :meth:`apply` only count their run or vector as pending; every
-    reader of the tables folds the pending ones in first (:meth:`_fold`).
+    ``by_primitive`` is worked out when read.  An :meth:`apply` only
+    counts its vector as pending; every reader of the tables folds the
+    pending ones in first (:meth:`_fold`).
     """
 
     #: Distinct vectors pending at most: a new one past this folds the
@@ -490,9 +451,8 @@ class CostModel:
     MAX_PENDING_VECTORS = 64
 
     __slots__ = ("charges", "clock", "_scope_stack", "_by_scope", "_nbytes",
-                 "_raw", "_counts", "_pending", "_pending_bytes",
-                 "_pending_vectors", "_rates", "_guards", "recorder", "plans",
-                 "memo")
+                 "_raw", "_counts", "_pending_vectors", "_priced", "_rates",
+                 "_guards", "recorder", "plans", "memo")
 
     def __init__(self, charges: Optional[Dict[str, float]] = None,
                  clock: Optional[Clock] = None):
@@ -501,9 +461,6 @@ class CostModel:
         self._scope_stack: list = []
         self._by_scope: Dict[str, int] = {}
         self._counts: Dict[str, int] = {}
-        #: :class:`ChargeRun` -> times charged / bytes given, unfolded.
-        self._pending: Dict[ChargeRun, int] = {}
-        self._pending_bytes: Dict[ChargeRun, int] = {}
         #: :class:`ChargeVector` -> times applied, unfolded.
         self._pending_vectors: Dict[ChargeVector, int] = {}
         #: primitive -> bytes charged at its per-byte rate.
@@ -511,12 +468,16 @@ class CostModel:
         #: ``charge_ns`` hint -> ticks.
         self._raw: Dict[str, int] = {}
         self._guards: Dict[str, _ScopeGuard] = {}
-        #: primitive -> (per-call ticks, per-byte ticks).
+        #: ``(charges, per_byte)`` -> the vector :meth:`run` priced.
+        self._priced: Dict[tuple, ChargeVector] = {}
+        #: primitive -> (per-call ticks, per-byte ticks).  A per-byte
+        #: rate is no primitive of its own: charging it is a typo.
         self._rates: Dict[str, Tuple[int, int]] = {
             name: (_rate_ticks(name, value),
                    _rate_ticks(name + "_per_byte",
                                self.charges.get(name + "_per_byte", 0.0)))
-            for name, value in self.charges.items()}
+            for name, value in self.charges.items()
+            if not name.endswith("_per_byte")}
         #: The innermost open :class:`Recording`, which the cache
         #: structures note their touches in (see
         #: :mod:`repro.core.resmemo`, ``workloads/traces.py``).
@@ -582,90 +543,37 @@ class CostModel:
                 by_scope[stack[-1]] = ticks
         return ticks / TICKS_PER_NS
 
-    def charge_in(self, scope: str, primitive: str, times: int = 1,
-                  nbytes: int = 0) -> float:
-        """Charge ``primitive`` attributed directly to ``scope``.
+    def run(self, charges, per_byte: Optional[str] = None) -> ChargeVector:
+        """``((scope, primitive), ...)`` priced once, as a vector; the
+        first ``per_byte`` member takes the bytes :meth:`apply` is given.
 
-        Equivalent to ``with self.scope(scope): self.charge(...)`` for a
-        single charge, without the stack push/pop — the hot-loop form.
+        Equal arguments return the same vector, so the bundle takes one
+        pending key however many owners price it.
         """
-        try:
-            per_call, per_byte = self._rates[primitive]
-        except KeyError:
-            raise KeyError(f"unknown cost primitive: {primitive!r}") from None
-        ticks = per_call * times
-        if nbytes:
-            ticks += per_byte * nbytes
-            totals = self._nbytes
-            totals[primitive] = totals.get(primitive, 0) + nbytes
-        self.clock._ticks += ticks
-        counts = self._counts
-        try:
-            counts[primitive] += times
-        except KeyError:
-            counts[primitive] = times
-        by_scope = self._by_scope
-        try:
-            by_scope[scope] += ticks
-        except KeyError:
-            by_scope[scope] = ticks
-        return ticks / TICKS_PER_NS
-
-    def run(self, charges, per_byte: Optional[str] = None) -> ChargeRun:
-        """Price ``((scope, primitive), ...)`` once; the ``per_byte``
-        member takes the bytes :meth:`charge_run` is given."""
-        return ChargeRun(self._rates, charges, per_byte)
-
-    def charge_run(self, run: ChargeRun, nbytes: int = 0) -> None:
-        """Charge every member of ``run`` ``run.times`` over, in one call.
-
-        Advances the clock at once, by exactly what ``run.times``
-        :meth:`charge_in` per member (``nbytes`` in all on the byte
-        member) would, but only counts the run as pending: ``counts``,
-        ``by_scope`` and the byte totals get its members when next read
-        (:meth:`_fold`).  Ticks are integers, so the folded tables equal
-        the eager ones; the clock is never deferred, so anything that
-        reads time sees every run charged so far.
-        """
-        if nbytes:
-            self.clock._ticks += run.ticks + run.byte_rate * nbytes
-            totals = self._pending_bytes
-            totals[run] = totals.get(run, 0) + nbytes
-        else:
-            self.clock._ticks += run.ticks
-        pending = self._pending
-        try:
-            pending[run] += 1
-        except KeyError:
-            pending[run] = 1
+        charges = tuple(charges)
+        key = (charges, per_byte)
+        vector = self._priced.get(key)
+        if vector is not None:
+            return vector
+        vector = ChargeVector()
+        for scope, primitive in charges:
+            ticks = self._rates[primitive][0]  # KeyError: not a primitive
+            vector.counts[primitive] += 1
+            vector.by_scope[scope] += ticks
+            vector.ticks += ticks
+        if per_byte is not None:  # ValueError unless a member
+            scope = charges[[p for _s, p in charges].index(per_byte)][0]
+            vector.per_byte = (scope, per_byte, self._rates[per_byte][1])
+        self._priced[key] = vector
+        return vector
 
     def _fold(self) -> None:
-        """Add the pending runs' members and the pending vectors to the
-        attribution tables."""
+        """Add the pending vectors to the attribution tables."""
         vectors = self._pending_vectors
         if vectors:
             for vector, n in vectors.items():
                 self._add(vector, n)
             vectors.clear()
-        runs = self._pending
-        if runs:
-            counts, by_scope = self._counts, self._by_scope
-            for run, n in runs.items():
-                times = run.times * n
-                for primitive in run.primitives:
-                    counts[primitive] = counts.get(primitive, 0) + times
-                for scope, ticks in run.scopes:
-                    by_scope[scope] = by_scope.get(scope, 0) + ticks * n
-            runs.clear()
-        run_bytes = self._pending_bytes
-        if run_bytes:
-            by_scope, totals = self._by_scope, self._nbytes
-            for run, nbytes in run_bytes.items():
-                scope, primitive, _ticks = run.members[run.byte_at]
-                by_scope[scope] = (by_scope.get(scope, 0)
-                                   + run.byte_rate * nbytes)
-                totals[primitive] = totals.get(primitive, 0) + nbytes
-            run_bytes.clear()
 
     def charge_ns(self, scope_hint: str, ns: float) -> None:
         """Charge raw nanoseconds (used for app 'compute' phases).
@@ -683,25 +591,38 @@ class CostModel:
         if scope is not None:
             self._by_scope[scope] = self._by_scope.get(scope, 0) + ticks
 
-    def apply(self, vector: ChargeVector) -> None:
-        """Charge a recorded :class:`ChargeVector` in one step.
+    def apply(self, vector: ChargeVector, times: int = 1,
+              nbytes: int = 0) -> None:
+        """Charge ``vector`` ``times`` over, plus ``nbytes`` on its
+        per-byte member, in one call.
 
-        Advances the clock by ``vector.ticks`` at once, but only counts
-        the vector as pending, like :meth:`charge_run`: ``counts``,
+        Advances the clock at once, and adds the bytes to the byte and
+        scope totals, but only counts the vector as pending: ``counts``,
         ``by_scope``, ``by_primitive`` and the byte and raw totals get
-        it when next read (:meth:`_fold`), exactly as charging the
-        recorded run again would have left them.  A new vector that
-        would make more than :attr:`MAX_PENDING_VECTORS` pending folds
-        the table first.
+        it when next read (:meth:`_fold`), exactly as charging its
+        members again would have left them.  Ticks are integers, so the
+        folded tables equal the eager ones; the clock is never deferred,
+        so anything that reads time sees every vector charged so far.  A
+        new vector that would make more than :attr:`MAX_PENDING_VECTORS`
+        pending folds the table first.
         """
-        self.clock._ticks += vector.ticks
+        ticks = vector.ticks * times
+        if nbytes:
+            if vector.per_byte is None:
+                raise ValueError(f"{vector!r} has no per-byte member")
+            scope, primitive, rate = vector.per_byte
+            extra = rate * nbytes
+            self._nbytes[primitive] = self._nbytes.get(primitive, 0) + nbytes
+            self._by_scope[scope] = self._by_scope.get(scope, 0) + extra
+            ticks += extra
+        self.clock._ticks += ticks
         pending = self._pending_vectors
         try:
-            pending[vector] += 1
+            pending[vector] += times
         except KeyError:
             if len(pending) >= self.MAX_PENDING_VECTORS:
                 self._fold()
-            pending[vector] = 1
+            pending[vector] = times
 
     def _add(self, vector: ChargeVector, times: int = 1) -> None:
         """Add ``vector``'s tables ``times`` over to the attribution
@@ -739,8 +660,6 @@ class CostModel:
         self._nbytes.clear()
         self._raw.clear()
         self._counts.clear()
-        self._pending.clear()
-        self._pending_bytes.clear()
         self._pending_vectors.clear()
 
     # -- reading ------------------------------------------------------------

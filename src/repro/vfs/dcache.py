@@ -29,7 +29,7 @@ from repro.vfs.dentry import Dentry, NEG_ENOENT
 from repro.vfs.inode import Inode, InodeTable
 
 #: What one primary-table probe charges on a hit and on a miss (the walk
-#: folds these into its per-component runs, ``vfs/walk.py``).
+#: folds these into its per-component vectors, ``vfs/walk.py``).
 HIT_CHARGES = (("htlookup", "ht_probe"), ("htlookup", "chain_compare"),
                ("htlookup", "lru_touch"))
 MISS_CHARGES = HIT_CHARGES[:2]
@@ -107,7 +107,7 @@ class Dcache:
         """Primary-table lookup: one bucket probe + chain compare, charged
         to "htlookup"."""
         dentry = self.probe(parent, name)
-        self.costs.charge_run(self._miss if dentry is None else self._hit)
+        self.costs.apply(self._miss if dentry is None else self._hit)
         return dentry
 
     def probe(self, parent: Dentry, name: str) -> Optional[Dentry]:

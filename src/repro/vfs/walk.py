@@ -9,10 +9,10 @@ directory — the prefix check — then (2) hashes the component and probes
 the primary dcache hash table, (3) calls the low-level file system on a
 miss, and (4) handles ``..``, symlinks, and mountpoint crossings.  Costs
 are attributed to the scopes Figure 3 reports ("init", "perm", "hash",
-"htlookup", "final", plus "miss"); the bundle of (1) and (2) is one run
-per outcome — denied, ``..``, dcache hit or miss — charged when the walk
-exits, scaled by how often the outcome occurred (``ChargeRun.scaled``).
-Only a denial, after which the walk raises, is charged on the spot.
+"htlookup", "final", plus "miss"); the bundle of (1) and (2) is one
+priced vector per outcome — denied, ``..``, dcache hit or miss — applied
+when the walk exits, times how often the outcome occurred.  Only a
+denial, after which the walk raises, is charged on the spot.
 
 Host cost per component is two calls, matching the model's search check
 and table probe: ``perms.may_search`` and ``Dcache.probe``.  The
@@ -120,7 +120,7 @@ class SlowWalk:
     """Component-at-a-time resolver over one kernel's caches."""
 
     __slots__ = ("costs", "stats", "dcache", "config", "lsm", "hooks",
-                 "_runs", "_setup")
+                 "_runs", "_setup", "_lsm")
 
     def __init__(self, costs: CostModel, stats: Stats, dcache: Dcache,
                  config, lsm: Optional[Lsm] = None,
@@ -140,6 +140,7 @@ class SlowWalk:
         init = (("init", "lookup_init"),)
         self._setup = (costs.run(init + (("final", "lookup_final"),)),
                        costs.run(init))
+        self._lsm = costs.run((("perm", "perm_check_lsm"),))
 
     # -- public entry -----------------------------------------------------------
 
@@ -154,7 +155,7 @@ class SlowWalk:
         kind) — the caller instantiates it; otherwise a negative final
         raises.  ``create_dir`` additionally allows a trailing slash on
         the created name (mkdir).  ``dirfd_pos`` anchors relative paths
-        (\\*at() syscalls).  Setup and teardown are charged as one run
+        (\\*at() syscalls).  Setup and teardown are applied as one vector
         when the walk ends: ``setup`` is the (returned, raised) pair, by
         default ``lookup_init`` + ``lookup_final`` and ``lookup_init``
         alone.  A failed fastpath attempt's fallback passes its own (the
@@ -181,10 +182,10 @@ class SlowWalk:
                              create_dir=create_dir,
                              must_dir=must_dir, budget=budget, ctx=ctx)
         except BaseException:
-            self.costs.charge_run(raised)
+            self.costs.apply(raised)
             self.hooks.abandon(ctx)
             raise
-        self.costs.charge_run(returned)
+        self.costs.apply(returned)
         self.hooks.finish(ctx, pos)
         return pos
 
@@ -199,7 +200,7 @@ class SlowWalk:
         cred = task.cred
         total = len(comps)
         costs = self.costs
-        charge_run = costs.charge_run
+        apply = costs.apply
         probe = self.dcache.probe
         may_search = perms.may_search
         bump = self.stats.bump
@@ -225,7 +226,7 @@ class SlowWalk:
                     allowed = lsm.inode_permission(cred, inode,
                                                    perms.MAY_EXEC)
                 if not allowed:
-                    charge_run(denied)
+                    apply(denied)
                     raise errors.EACCES(path_hint)
                 if name == "..":
                     ups += 1
@@ -324,17 +325,14 @@ class SlowWalk:
             return PathPos(mount, cur)
         finally:
             if hits:
-                charge_run(hit if hits == 1 else hit.scaled(hits),
-                           hit_bytes)
+                apply(hit, hits, hit_bytes)
                 bump("dcache_hit", hits)
             if misses:
-                charge_run(miss if misses == 1 else miss.scaled(misses),
-                           miss_bytes)
+                apply(miss, misses, miss_bytes)
             if ups:  # two name bytes each
-                charge_run(dotdot if ups == 1 else dotdot.scaled(ups),
-                           2 * ups)
+                apply(dotdot, ups, 2 * ups)
             if lsm_checks:
-                costs.charge_in("perm", "perm_check_lsm", times=lsm_checks)
+                apply(self._lsm, lsm_checks)
             if hits or misses or ups:
                 bump("component_step", hits + misses + ups)
 

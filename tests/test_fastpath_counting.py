@@ -47,7 +47,7 @@ def _counts_for_stat(kernel, task, path):
     return dict(kernel.costs.counts)
 
 
-_HOST_CALLS = ("charge", "charge_in", "charge_run", "bump", "bump_many")
+_HOST_CALLS = ("charge", "apply", "bump", "bump_many")
 
 
 def _count_host_calls(monkeypatch, *classes):
@@ -206,6 +206,23 @@ class TestConstantWorkFastpath:
         for shallow, deep in ((2, 6), (6, 12)):
             assert per_depth[deep] - per_depth[shallow] \
                 <= per_component * (deep - shallow), per_depth
+
+    def test_baseline_warm_stat_python_calls(self):
+        """A warm baseline ``stat`` makes two Python calls per component
+        (the search check and ``Dcache.probe``) plus 17 at any depth:
+        the walk applies each outcome's vector once, times how often it
+        occurred.  Building a scaled copy of the bundle for a repeated
+        outcome made it 18."""
+        for depth in (2, 6, 12):
+            kernel = _kernel("baseline", resolution_memo=False)
+            task = kernel.spawn_task(uid=0, gid=0)
+            leaf = _deep_tree(kernel, task, depth - 1)
+            kernel.sys.stat(task, leaf)
+            kernel.sys.stat(task, leaf)
+            kernel.costs.reset_attribution()
+            calls = _python_calls(lambda: kernel.sys.stat(task, leaf))
+            assert kernel.costs.count("ht_probe") == depth
+            assert len(calls) == 2 * depth + 17, (depth, calls)
 
     @pytest.mark.parametrize("profile", ["optimized", "optimized-lazy"])
     def test_hit_python_calls_do_not_grow_with_depth(self, profile):

@@ -177,7 +177,8 @@ class TestExtendSegment:
         for name in names:
             resumed = kernel.fast._extend(None, resumed, name)
         per_name = _hash_cost(costs, primitive)
-        costs.charge_in("hash", primitive, times=len(names), nbytes=nbytes)
+        costs.apply(costs.run((("hash", primitive),), primitive),
+                    len(names), nbytes)
         at_once = _hash_cost(costs, primitive)
         assert key(resumed) == key(final)
         assert per_name[0] - count == at_once[0] - per_name[0]

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.pcc import PrefixCheckCache
 from repro.sim.clock import Clock, Stopwatch
 from repro.sim.concurrency import (ScalingParams, read_latency_curve,
                                    writer_latency_curve)
 from repro.sim.costs import (CALIBRATED, UNIT, ChargeVector, CostModel,
                               Recording)
 from repro.sim.stats import Stats
+from repro.vfs.dentry import Dentry
 
 
 class TestClock:
@@ -63,6 +65,17 @@ class TestCostModel:
         with pytest.raises(KeyError):
             costs.charge("not_a_primitive")
 
+    def test_per_byte_rate_is_no_primitive(self):
+        """A ``_per_byte`` rate only prices bytes: charging it by name,
+        or pricing it as a member, is a typo like any other."""
+        costs = CostModel()
+        with pytest.raises(KeyError):
+            costs.charge("sig_hash_per_byte", 3)
+        with pytest.raises(KeyError):
+            costs.run((("hash", "component_hash_per_byte"),))
+        assert costs.now_ns == 0 and costs.counts == {}
+        assert costs.by_primitive == {}
+
     def test_scopes_attribute_innermost(self):
         costs = CostModel(dict(UNIT))
         with costs.scope("outer"):
@@ -98,15 +111,18 @@ class TestCostModel:
 _SCOPES = st.sampled_from([None, "init", "hash", "htlookup"])
 _PRIMITIVES = st.sampled_from(["sig_hash", "ht_probe", "lru_touch",
                                "read_write_base", "disk_seek"])
+#: ``apply_one`` / ``apply_two`` apply a vector priced from ``(scope,
+#: name)`` alone or with ``("miss", "lru_touch")``, ``amount`` times over,
+#: ``name`` taking the bytes.
 _EVENT = st.one_of(
     st.tuples(st.just("charge"), _SCOPES, _PRIMITIVES,
               st.integers(1, 5), st.integers(0, 40)),
-    st.tuples(st.just("charge_in"), _SCOPES.filter(bool), _PRIMITIVES,
+    st.tuples(st.just("apply_one"), _SCOPES.filter(bool), _PRIMITIVES,
               st.integers(1, 5), st.integers(0, 40)),
     st.tuples(st.just("charge_ns"), _SCOPES,
               st.sampled_from(["app_compute", "net_rpc"]),
               st.floats(0.01, 1e7, allow_nan=False), st.just(0)),
-    st.tuples(st.just("charge_run"), _SCOPES.filter(bool), _PRIMITIVES,
+    st.tuples(st.just("apply_two"), _SCOPES.filter(bool), _PRIMITIVES,
               st.integers(1, 5), st.integers(0, 40)))
 _EVENTS = st.lists(_EVENT, max_size=30)
 
@@ -114,11 +130,11 @@ _EVENTS = st.lists(_EVENT, max_size=30)
 def _charge(costs: CostModel, events) -> None:
     """Charge ``events`` one by one, each under its own scope."""
     for kind, scope, name, amount, nbytes in events:
-        if kind == "charge_in":
-            costs.charge_in(scope, name, times=amount, nbytes=nbytes)
-        elif kind == "charge_run":  # ``name`` takes the bytes
-            run = costs.run(((scope, name), ("miss", "lru_touch")), name)
-            costs.charge_run(run.scaled(amount), nbytes)
+        if kind.startswith("apply"):
+            members = ((scope, name),)
+            if kind == "apply_two":
+                members += (("miss", "lru_touch"),)
+            costs.apply(costs.run(members, name), amount, nbytes)
         elif scope is None:
             (costs.charge(name, times=amount, nbytes=nbytes)
              if kind == "charge" else costs.charge_ns(name, amount))
@@ -178,43 +194,23 @@ class TestIntegerTime:
         CostModel(dict(UNIT))
 
 
+#: Members of a priced vector: per-call primitives (a ``_per_byte``
+#: rate is none).
 _MEMBERS = st.lists(
     st.tuples(st.sampled_from(["init", "perm", "hash", "htlookup", "miss"]),
-              st.sampled_from(sorted(CALIBRATED))),
+              st.sampled_from(sorted(name for name in CALIBRATED
+                                     if not name.endswith("_per_byte")))),
     min_size=1, max_size=8)
 
 
-class TestChargeRun:
-    @given(st.data())
-    def test_run_equals_one_charge_in_per_member(self, data):
-        members = data.draw(_MEMBERS)
-        per_byte = data.draw(st.one_of(
-            st.none(), st.sampled_from([p for _s, p in members])))
-        nbytes = data.draw(st.integers(0, 60)) if per_byte else 0
-        times = data.draw(st.integers(1, 3))
-        one, other = CostModel(), CostModel()
-        with Recording(one, Stats()) as by_member:
-            for _ in range(times):
-                byte_left = nbytes
-                for scope, primitive in members:
-                    if primitive == per_byte:
-                        one.charge_in(scope, primitive, nbytes=byte_left)
-                        byte_left = 0
-                    else:
-                        one.charge_in(scope, primitive)
-        run = other.run(members, per_byte)
-        with Recording(other, Stats()) as by_run:
-            for _ in range(times):
-                other.charge_run(run, nbytes)
-        assert _state(other) == _state(one)
-        assert by_run.vector == by_member.vector
-        assert by_run.vector.ticks == by_member.vector.ticks
+class TestPricedVector:
+    """``apply(run(members, per_byte), k, nbytes)``: ``k`` charges per
+    member, each in its scope, and the bytes on the byte member."""
 
     @given(st.data())
-    def test_scaled_run_equals_k_charge_ins_per_member(self, data):
-        """``charge_run(run.scaled(k), nbytes)``: ``k`` ``charge_in`` per
-        member, plus the bytes on the byte member — for ``k = 1`` and a
-        drawn ``k``, with or without a per-byte member."""
+    def test_apply_equals_k_charges_per_member(self, data):
+        """For ``k = 1`` and a drawn ``k``, with or without a per-byte
+        member: the clock, every table and a recording's vector."""
         members = data.draw(_MEMBERS)
         per_byte = data.draw(st.one_of(
             st.none(), st.sampled_from([p for _s, p in members])))
@@ -224,18 +220,17 @@ class TestChargeRun:
             with Recording(one, Stats()) as by_member:
                 for _ in range(k):
                     for scope, primitive in members:
-                        one.charge_in(scope, primitive)
+                        with one.scope(scope):
+                            one.charge(primitive)
                 if nbytes:  # on the first member charging ``per_byte``
                     byte_scope = next(s for s, p in members if p == per_byte)
-                    one.charge_in(byte_scope, per_byte, times=0,
-                                  nbytes=nbytes)
-            run = other.run(members, per_byte)
-            with Recording(other, Stats()) as by_run:
-                other.charge_run(run.scaled(k), nbytes)
-            assert run.scaled(k) is run.scaled(k)
+                    with one.scope(byte_scope):
+                        one.charge(per_byte, times=0, nbytes=nbytes)
+            with Recording(other, Stats()) as by_vector:
+                other.apply(other.run(members, per_byte), k, nbytes)
             assert _state(other) == _state(one)
-            assert by_run.vector == by_member.vector
-            assert by_run.vector.ticks == by_member.vector.ticks
+            assert by_vector.vector == by_member.vector
+            assert by_vector.vector.ticks == by_member.vector.ticks
 
     def test_unknown_member_and_foreign_per_byte_are_errors(self):
         costs = CostModel()
@@ -243,6 +238,36 @@ class TestChargeRun:
             costs.run((("hash", "not_a_primitive"),))
         with pytest.raises(ValueError):
             costs.run((("hash", "ht_probe"),), "component_hash")
+
+    def test_equal_arguments_price_one_vector(self):
+        """``run`` keeps one vector per ``(charges, per_byte)``, so a
+        PCC per credential adds one pending key, not one each."""
+        costs = CostModel(dict(UNIT))
+        members = (("hash", "sig_hash"), ("miss", "lru_touch"))
+        vector = costs.run(members, "sig_hash")
+        assert costs.run(list(members), "sig_hash") is vector
+        assert costs.run(members) is not vector
+        pccs = [PrefixCheckCache(costs, Stats()) for _ in range(100)]
+        dentry = Dentry("d", None, None)
+        for pcc in pccs:
+            assert not pcc.probe(dentry)
+        assert len(costs._pending_vectors) == 1
+        assert costs.counts == {"pcc_probe": 100}
+        assert costs.by_scope == {"perm": 100}
+
+    def test_bytes_without_a_per_byte_member_raise_before_anything_moves(
+            self):
+        costs = CostModel()
+        vector = costs.run((("hash", "ht_probe"),))
+        costs.apply(vector, 2)
+        before = (costs.clock._ticks, dict(costs._counts),
+                  dict(costs._by_scope), dict(costs._nbytes),
+                  dict(costs._pending_vectors))
+        with pytest.raises(ValueError):
+            costs.apply(vector, 1, 5)
+        assert (costs.clock._ticks, dict(costs._counts),
+                dict(costs._by_scope), dict(costs._nbytes),
+                dict(costs._pending_vectors)) == before
 
 
 def _charge_and_count(costs: CostModel, stats: Stats, events) -> None:
@@ -307,7 +332,8 @@ class TestRecordingSwap:
         stats.bump("lookup")
         start = costs.clock.capture_state()
         with Recording(costs, stats) as rec:
-            costs.charge_in("hash", "sig_hash", nbytes=3)
+            costs.apply(costs.run((("hash", "sig_hash"),), "sig_hash"),
+                        1, 3)
             stats.bump("lookup")
             assert costs.counts == {"sig_hash": 1}
             assert stats.get("lookup") == 1
@@ -318,36 +344,15 @@ class TestRecordingSwap:
         assert stats.get("lookup") == 2
 
 
-def _eager_charge_run(self, run, nbytes=0):
-    """``CostModel.charge_run`` as it was before runs were counted as
-    pending: every table updated at once (the reference below)."""
-    ticks = run.ticks
-    by_scope = self._by_scope
-    for scope, scope_ticks in run.scopes:
-        try:
-            by_scope[scope] += scope_ticks
-        except KeyError:
-            by_scope[scope] = scope_ticks
-    if nbytes:
-        extra = run.byte_rate * nbytes
-        ticks += extra
-        byte_scope, byte_primitive, _ticks = run.members[run.byte_at]
-        by_scope[byte_scope] += extra
-        totals = self._nbytes
-        totals[byte_primitive] = totals.get(byte_primitive, 0) + nbytes
-    self.clock._ticks += ticks
-    counts = self._counts
-    times = run.times
-    for primitive in run.primitives:
-        try:
-            counts[primitive] += times
-        except KeyError:
-            counts[primitive] = times
-
-
-def _eager_apply(self, vector):
+def _eager_apply(self, vector, times=1, nbytes=0):
     """``CostModel.apply`` as it was before vectors were counted as
-    pending: one addition per distinct key, at once."""
+    pending: every table updated at once (the reference below)."""
+    ticks = vector.ticks * times
+    if nbytes:
+        scope, primitive, rate = vector.per_byte
+        ticks += rate * nbytes
+        self._by_scope[scope] = self._by_scope.get(scope, 0) + rate * nbytes
+        self._nbytes[primitive] = self._nbytes.get(primitive, 0) + nbytes
     for table, delta in ((self._counts, vector.counts),
                          (self._by_scope, vector.by_scope),
                          (self._nbytes, vector.nbytes),
@@ -355,23 +360,22 @@ def _eager_apply(self, vector):
         if delta:
             get = table.get
             for key, value in delta.items():
-                table[key] = get(key, 0) + value
-    self.clock._ticks += vector.ticks
+                table[key] = get(key, 0) + value * times
+    self.clock._ticks += ticks
 
 
 class _EagerCostModel(CostModel):
-    charge_run = _eager_charge_run
     apply = _eager_apply
 
 
-#: The vectors an ``apply`` step replays: bytes, raw time, a scope-less
-#: charge, a run, and nothing at all.
+#: The recorded vectors a ``replay`` step applies: bytes, raw time, a
+#: scope-less charge, a priced vector, and nothing at all.
 _STORED = (
-    vector_of([("charge_in", "hash", "sig_hash", 2, 5),
+    vector_of([("apply_one", "hash", "sig_hash", 2, 5),
                ("charge_ns", "init", "app_compute", 12.5, 0)]),
     vector_of([("charge", None, "ht_probe", 3, 0),
-               ("charge_run", "miss", "disk_seek", 1, 0)]),
-    vector_of([("charge_run", "htlookup", "read_write_base", 2, 17),
+               ("apply_two", "miss", "disk_seek", 1, 0)]),
+    vector_of([("apply_two", "htlookup", "read_write_base", 2, 17),
                ("charge_ns", None, "net_rpc", 0.37, 0)]),
     vector_of([]),
 )
@@ -388,16 +392,17 @@ def _copy(vector: ChargeVector) -> ChargeVector:
     return copy
 
 
-#: Replay stored vector ``i``, then ``copies`` distinct equal ones: one
-#: or two steps apply more distinct vectors than the pending bound (about
-#: a third of the programs fold a full table).
-_APPLY = st.tuples(st.just("apply"), st.integers(0, len(_STORED) - 1),
-                   st.integers(0, 80))
+#: Replay stored vector ``i`` ``times`` over, then ``copies`` distinct
+#: equal ones once each: one or two steps apply more distinct vectors
+#: than the pending bound (about a third of the programs fold a full
+#: table).
+_REPLAY = st.tuples(st.just("replay"), st.integers(0, len(_STORED) - 1),
+                    st.integers(1, 3), st.integers(0, 80))
 
-#: A program: charges, replays, reads, and recordings (nested, some
-#: raising) holding programs of their own.
+#: A program: charges (priced vectors among them), replays, reads, and
+#: recordings (nested, some raising) holding programs of their own.
 _STEP = st.recursive(
-    st.one_of(_EVENT, _APPLY, st.just(("read",))),
+    st.one_of(_EVENT, _REPLAY, st.just(("read",))),
     lambda inner: st.tuples(st.just("recording"), st.lists(inner, max_size=8),
                             st.booleans()),
     max_leaves=12)
@@ -415,10 +420,10 @@ def _tables(costs: CostModel):
             dict(costs._nbytes))
 
 
-def _run_program(costs: CostModel, program, runs, seen, vectors) -> None:
-    """Execute ``program``, sharing one priced run per ``(scope,
-    primitive)`` so the pending table counts repeats; every read goes
-    to ``seen``, every recording's vector to ``vectors``."""
+def _run_program(costs: CostModel, program, seen, vectors) -> None:
+    """Execute ``program``; every read goes to ``seen``, every
+    recording's vector to ``vectors``.  ``run`` prices equal members
+    once, so the pending table counts repeats of one priced vector."""
     for step in program:
         if step[0] == "read":
             seen.append(_tables(costs))
@@ -427,23 +432,15 @@ def _run_program(costs: CostModel, program, runs, seen, vectors) -> None:
             rec = Recording(costs, Stats())
             try:
                 with rec:
-                    _run_program(costs, inner, runs, seen, vectors)
+                    _run_program(costs, inner, seen, vectors)
                     if raises:
                         raise _Raised
             except _Raised:
                 pass
             vectors.append(rec.vector)
-        elif step[0] == "charge_run":
-            _kind, scope, name, amount, nbytes = step
-            run = runs.get((scope, name))
-            if run is None:
-                run = runs[scope, name] = costs.run(
-                    ((scope, name), ("miss", "lru_touch")), name)
-            costs.charge_run(run if amount == 1 else run.scaled(amount),
-                             nbytes)
-        elif step[0] == "apply":
-            _kind, index, copies = step
-            costs.apply(_STORED[index])
+        elif step[0] == "replay":
+            _kind, index, times, copies = step
+            costs.apply(_STORED[index], times)
             for _ in range(copies):
                 costs.apply(_copy(_STORED[index]))
         else:
@@ -451,17 +448,17 @@ def _run_program(costs: CostModel, program, runs, seen, vectors) -> None:
 
 
 class TestDeferredAttribution:
-    """``charge_run`` and ``apply`` advance the clock at once and count
-    their run or vector as pending; every reader folds first, a
-    recording swaps pending tables in and folds its own on exit."""
+    """``apply`` advances the clock and the byte totals at once and
+    counts its vector as pending; every reader folds first, a recording
+    swaps the pending table in and folds its own on exit."""
 
     @given(_PROGRAM)
     def test_interleaving_equals_the_eager_reference(self, program):
         deferred, eager = CostModel(), _EagerCostModel()
         seen, reference = [], []
         vectors, ref_vectors = [], []
-        _run_program(deferred, program, {}, seen, vectors)
-        _run_program(eager, program, {}, reference, ref_vectors)
+        _run_program(deferred, program, seen, vectors)
+        _run_program(eager, program, reference, ref_vectors)
         assert seen == reference
         assert vectors == ref_vectors
         assert [v.ticks for v in vectors] == [v.ticks for v in ref_vectors]
@@ -471,25 +468,25 @@ class TestDeferredAttribution:
         costs = CostModel(dict(UNIT))
         run = costs.run((("hash", "sig_hash"), ("miss", "lru_touch")),
                         "sig_hash")
-        costs.charge_run(run, 2)
+        costs.apply(run, 1, 2)
         assert costs.now_ns == 2 + 2 and costs.count("lru_touch") == 1
-        costs.charge_run(run.scaled(3))
+        costs.apply(run, 3)
         assert costs.counts == {"sig_hash": 4, "lru_touch": 4}
-        costs.charge_run(run)
+        costs.apply(run)
         assert costs.scope_ns("miss") == 5
-        costs.charge_run(run, 1)
+        costs.apply(run, 1, 1)
         assert costs.by_scope == {"hash": 6 + 3, "miss": 6}
-        costs.charge_run(run)
+        costs.apply(run)
         assert costs.by_primitive == {"sig_hash": 7 + 3, "lru_touch": 7}
-        costs.charge_run(run)
+        costs.apply(run)
         with Recording(costs, Stats()) as rec:
-            costs.charge_run(run, 4)
+            costs.apply(run, 1, 4)
             assert costs.counts == {"sig_hash": 1, "lru_touch": 1}
-            costs.charge_run(run)  # read first after the recording
+            costs.apply(run)  # read first after the recording
         assert rec.vector.counts == {"sig_hash": 2, "lru_touch": 2}
         assert rec.vector.nbytes == {"sig_hash": 4}
         assert costs.counts == {"sig_hash": 10, "lru_touch": 10}
-        costs.charge_run(run)
+        costs.apply(run)
         costs.reset_attribution()
         assert costs.counts == {} and costs.by_scope == {}
         assert costs.now_ns == 29
