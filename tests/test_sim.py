@@ -203,14 +203,45 @@ _MEMBERS = st.lists(
     min_size=1, max_size=8)
 
 
-class TestPricedVector:
-    """``apply(run(members, per_byte), k, nbytes)``: ``k`` charges per
-    member, each in its scope, and the bytes on the byte member."""
+class TestChargeRun:
+    """A priced run, ``run(members, per_byte)``, charged by ``apply``:
+    ``k`` charges per member, each in its scope, and the bytes on the
+    byte member."""
 
     @given(st.data())
-    def test_apply_equals_k_charges_per_member(self, data):
-        """For ``k = 1`` and a drawn ``k``, with or without a per-byte
-        member: the clock, every table and a recording's vector."""
+    def test_run_equals_one_charge_in_per_member(self, data):
+        """Each ``apply(vector, 1, nbytes)`` equals one scoped charge per
+        member, the bytes on the first member charging ``per_byte``."""
+        members = data.draw(_MEMBERS)
+        per_byte = data.draw(st.one_of(
+            st.none(), st.sampled_from([p for _s, p in members])))
+        nbytes = data.draw(st.integers(0, 60)) if per_byte else 0
+        times = data.draw(st.integers(1, 3))
+        one, other = CostModel(), CostModel()
+        with Recording(one, Stats()) as by_member:
+            for _ in range(times):
+                byte_left = nbytes
+                for scope, primitive in members:
+                    with one.scope(scope):
+                        if primitive == per_byte:
+                            one.charge(primitive, nbytes=byte_left)
+                            byte_left = 0
+                        else:
+                            one.charge(primitive)
+        vector = other.run(members, per_byte)
+        with Recording(other, Stats()) as by_vector:
+            for _ in range(times):
+                other.apply(vector, 1, nbytes)
+        assert _state(other) == _state(one)
+        assert by_vector.vector == by_member.vector
+        assert by_vector.vector.ticks == by_member.vector.ticks
+
+    @given(st.data())
+    def test_scaled_run_equals_k_charge_ins_per_member(self, data):
+        """``apply(vector, k, nbytes)``: ``k`` scoped charges per member,
+        plus the bytes on the byte member, for ``k = 1`` and a drawn
+        ``k``, with or without a per-byte member: the clock, every table
+        and a recording's vector."""
         members = data.draw(_MEMBERS)
         per_byte = data.draw(st.one_of(
             st.none(), st.sampled_from([p for _s, p in members])))
@@ -231,6 +262,10 @@ class TestPricedVector:
             assert _state(other) == _state(one)
             assert by_vector.vector == by_member.vector
             assert by_vector.vector.ticks == by_member.vector.ticks
+
+
+class TestPricedVector:
+    """How ``run`` prices a vector and what ``apply`` refuses."""
 
     def test_unknown_member_and_foreign_per_byte_are_errors(self):
         costs = CostModel()
