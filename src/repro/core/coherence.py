@@ -21,8 +21,7 @@ narrow interface:
   whether a full-path probe miss may be completed from its cached parent
   instead of re-walking the prefix (``None`` for a policy that never
   completes one);
-* ``epoch`` stamps what population inserts, and ``sweeper`` (or None) is
-  polled from syscall entry.
+* ``epoch`` stamps what population inserts.
 
 :class:`EagerCoherence` is the paper's rule: a mutation bumps the
 sequence counter of every cached descendant (invalidating all PCC
@@ -118,9 +117,6 @@ class Coherence:
     #: Whether DLHTs keep a dentry's old-path keys beside its primary
     #: registration (mutations that do not evict leave them behind).
     multi_key = False
-    #: Background reclamation, polled from syscall entry (None: nothing
-    #: stale is ever left behind to reclaim).
-    sweeper = None
 
     def __init__(self, costs: CostModel, stats: Stats):
         self.costs = costs
@@ -135,8 +131,8 @@ class Coherence:
         #: the global counter bump when nothing is mid-walk.
         self.walks_active = 0
         #: Weak references to every live PCC / DLHT (wraparound flush and
-        #: the lazy sweep must reach them all, but must not keep caches of
-        #: discarded namespaces or dead credentials alive forever).
+        #: memory accounting must reach them all, but must not keep caches
+        #: of discarded namespaces or dead credentials alive forever).
         self._pcc_refs: List = []
         self._dlht_refs: List = []
 

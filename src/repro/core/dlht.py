@@ -18,7 +18,8 @@ legitimately be registered under both its old-path and new-path
 signatures.  The registration recorded on the fast dentry stays the
 *primary* one (matching ``hash_state``); older keys move to
 ``fast.extra_keys`` and are settled — promoted or discarded — by
-touch-time revalidation and the background sweep.
+touch-time revalidation.  Keys nobody touches again leave with their
+dentry, and past :data:`MAX_EXTRA_KEYS` the oldest leaves at once.
 
 A key is the :class:`Signature` itself: a NamedTuple hashes and compares
 as its ``(index, bits)`` tuple, so one object is both what a probe asks
@@ -38,12 +39,19 @@ from repro.vfs.dentry import Dentry
 #: What one probe charges: a bucket fetch and a signature compare.
 PROBE_CHARGES = (("htlookup", "dlht_probe"), ("htlookup", "sig_compare"))
 
+#: Old-path keys a multi-key dentry keeps beside its primary one; a
+#: registration past this drops the oldest (uncharged: the insert's
+#: ``dlht_insert`` covers it).  The fleets, churn and the report never
+#: hold more than one, so only a dentry renamed again and again
+#: without being looked up under its old paths reaches the cap.
+MAX_EXTRA_KEYS = 4
+
 
 class DirectLookupHashTable:
     """One namespace's signature -> dentry index."""
 
-    __slots__ = ("costs", "stats", "multi_key", "owner_ns", "table",
-                 "_probe", "__weakref__")
+    __slots__ = ("costs", "stats", "multi_key", "table", "_probe",
+                 "__weakref__")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  multi_key: bool = False):
@@ -51,9 +59,6 @@ class DirectLookupHashTable:
         self.stats = stats
         #: Lazy mode: keep old-path registrations alongside the primary.
         self.multi_key = multi_key
-        #: Weakref to the owning namespace (set by the kernel); the lazy
-        #: sweep needs it to re-derive canonical paths.
-        self.owner_ns = None
         #: Signature -> dentry.  Outside a recording (``costs.recorder``
         #: None) a reader may probe it in place of :meth:`lookup`, which
         #: only adds the recorder's notes; only this class writes it.
@@ -81,10 +86,6 @@ class DirectLookupHashTable:
                 # (ResolutionMemo.kill_miss, from insert()).
                 rec.misses.append((self, signature))
         return dentry
-
-    def peek(self, key: Signature) -> Optional[Dentry]:
-        """Uncharged raw-key access (sweep / introspection only)."""
-        return self.table.get(key)
 
     def insert(self, dentry: Dentry, signature: Signature) -> bool:
         """Register ``dentry`` under ``signature``.
@@ -137,10 +138,18 @@ class DirectLookupHashTable:
             if fast.dlht is self and self.multi_key:
                 old_key = fast.dlht_key
                 if old_key is not None and self.table.get(old_key) is dentry:
-                    if fast.extra_keys is None:
+                    # A memoized hit on the demoted key would no longer
+                    # repeat: a hit on an extra key is settled on touch.
+                    self.costs.memo.kill(dentry)
+                    extras = fast.extra_keys
+                    if extras is None:
                         fast.extra_keys = [old_key]
                     else:
-                        fast.extra_keys.append(old_key)
+                        extras.append(old_key)
+                        if len(extras) > MAX_EXTRA_KEYS:
+                            oldest = extras.pop(0)
+                            if self.table.get(oldest) is dentry:
+                                del self.table[oldest]
             else:
                 fast.dlht.remove(dentry)
         self.table[signature] = dentry
@@ -226,7 +235,7 @@ class DirectLookupHashTable:
         self.table.clear()
 
     def items(self):
-        """Snapshot of (key, dentry) pairs (sweep / introspection)."""
+        """Snapshot of (key, dentry) pairs (memory accounting)."""
         return list(self.table.items())
 
     def __len__(self) -> int:

@@ -2,19 +2,18 @@
 
 The second implementation of the policy interface documented in
 :mod:`repro.core.coherence` (cf. Stage Lookup, arXiv:2010.08741):
-mutations stamp instead of walking, fastpath hits revalidate on touch,
-and a polled sweeper reclaims what nobody touches again.  See
-``docs/coherence.md`` for the staleness argument.
+mutations stamp instead of walking and fastpath hits revalidate on
+touch; what nobody touches again is reclaimed as under the eager policy,
+with its dentry or by PCC capacity.  See ``docs/coherence.md`` for the
+staleness argument.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import List
 
 from repro.core.coherence import RETRY, SEQ_WRAP, Coherence, rootward
 from repro.core.fastdentry import fast_of
-from repro.sim.clock import Ticker
 from repro.vfs import permissions as perms
 from repro.vfs.dentry import Dentry
 from repro.vfs.lsm import NullLsm
@@ -54,16 +53,18 @@ class EpochCoherence(Coherence):
     prefix is cached and valid, the last component is resolved right
     there (one ``d_lookup`` or one FS lookup) instead of falling back to
     a full slowpath walk — this is what makes rename/create churn cheap
-    end-to-end, not just mutation-side.  :class:`LazySweeper` amortizes
-    the reclamation of never-touched stale entries so memory accounting
-    stays honest.
+    end-to-end, not just mutation-side.  Never-touched stale entries
+    are reclaimed as the eager policy reclaims its own: a DLHT key
+    leaves with its dentry (and an old-path key past
+    :data:`~repro.core.dlht.MAX_EXTRA_KEYS`), a PCC entry by LRU
+    capacity.
     """
 
     multi_key = True
 
     def bind(self, hasher, slow) -> None:
         """Validation rehashes with ``hasher`` and re-proves prefix
-        checks with ``slow``'s LSM; the sweep clock starts here."""
+        checks with ``slow``'s LSM."""
         self.hasher = hasher
         self.slow = slow
         run = self.costs.run
@@ -72,8 +73,6 @@ class EpochCoherence(Coherence):
         self._validate = run((("lazy", "lazy_validate"),))
         self._dac = run((("perm", "perm_check_dac"),))
         self._lsm = run((("perm", "perm_check_lsm"),))
-        self.sweeper = LazySweeper(
-            self, Ticker(self.costs.clock, LazySweeper.INTERVAL_NS))
 
     # -- shootdowns ----------------------------------------------------------------
 
@@ -440,136 +439,3 @@ class EpochCoherence(Coherence):
         if pfast is None or pfast.mount is None:
             return None
         return parent, pfast.mount, True
-
-    def sweep_key(self, dlht, key) -> bool:
-        """Settle one DLHT key for the background sweep; True if discarded.
-
-        Same validation the touch path does, minus permission concerns
-        (the sweep has no credential): broken chain or signature mismatch
-        discards the key; a survivor is refreshed so the next touch is
-        O(1) again.
-        """
-        dentry = dlht.peek(key)
-        if dentry is None:
-            return False
-        self.costs.apply(self._validate)
-        fast = dentry.fast
-        if dentry.dead or fast is None or fast.dlht is not dlht \
-                or fast.mount is None:
-            dlht.discard_key(dentry, key)
-            return True
-        gepoch = self.epoch
-        current = fast.dlht_key == key and fast.hash_state is not None
-        if current and fast.epoch_snapshot >= gepoch:
-            return False
-        ns = dlht.owner_ns() if dlht.owner_ns is not None else None
-        if ns is None:
-            return False
-        chain = self._chain(ns, dentry)
-        if chain is not None:
-            names, _perm_nodes, high, _reverify_ok = chain
-            if (current and fast.epoch_snapshot >= high) \
-                    or self._rehash(dlht, dentry, key, names):
-                fast.epoch_snapshot = gepoch
-                return False
-        dlht.discard_key(dentry, key)
-        return True
-
-
-class LazySweeper:
-    """Amortized reclamation of never-touched stale lazy entries.
-
-    Touch-time revalidation only reaches entries that get probed again;
-    an entry for a path nobody looks up anymore would sit in its DLHT
-    (and its PCC) forever, which both leaks memory and makes
-    ``sim/memory.py`` overstate live cache state.  The sweeper is polled
-    from syscall entry (virtual time has no preemption) and, each time
-    its :class:`~repro.sim.clock.Ticker` fires, examines one small batch
-    of DLHT keys and PCC entries — discarding the stale, at a bounded
-    per-syscall cost.
-    """
-
-    #: Virtual pause between sweep batches (1 ms of simulated time).
-    INTERVAL_NS = 1_000_000.0
-    #: Keys / entries examined per fire.
-    BATCH = 64
-
-    __slots__ = ("coherence", "ticker", "batch",
-                 "_dlht_work", "_pcc_work")
-
-    def __init__(self, coherence: EpochCoherence, ticker,
-                 batch: int = BATCH):
-        #: The policy: owns the registries and the key revalidation.
-        self.coherence = coherence
-        self.ticker = ticker
-        self.batch = batch
-        self._dlht_work: List = []  # (dlht_ref, [(key, dentry)...]) snapshots
-        self._pcc_work: List = []   # (pcc_ref, [entry ids...]) snapshots
-        # A DLHT pass examines exactly the (key, dentry) entries that
-        # existed when the worklist refilled; a key reclaimed mid-pass by
-        # a shootdown and re-registered to a different dentry is *not*
-        # re-scanned (it was never part of this pass — see the identity
-        # guard in ``_sweep_dlhts``).
-
-    def poll(self) -> None:
-        if not self.ticker.due():
-            return
-        self.ticker.fire()
-        self.sweep_once()
-
-    def sweep_once(self) -> None:
-        self._sweep_dlhts()
-        self._sweep_pccs()
-
-    def _sweep_dlhts(self) -> None:
-        if not self._dlht_work:
-            self._dlht_work = [(weakref.ref(dlht), list(dlht.items()))
-                               for dlht in self.coherence.dlhts]
-            if not self._dlht_work:
-                return
-        budget = self.batch
-        while budget > 0 and self._dlht_work:
-            dlht_ref, entries = self._dlht_work[-1]
-            dlht = dlht_ref()
-            if dlht is None or not entries:
-                self._dlht_work.pop()
-                continue
-            while entries and budget > 0:
-                key, dentry = entries.pop()
-                budget -= 1
-                # Identity guard: a shootdown landing mid-pass reclaims
-                # entries whose keys are still in this snapshot; if the
-                # slot was re-registered to a different dentry since the
-                # refill, the snapshotted entry is gone and the fresh one
-                # belongs to the next pass — re-scanning it here would
-                # double-charge its validation.
-                if dlht.peek(key) is not dentry:
-                    continue
-                if self.coherence.sweep_key(dlht, key):
-                    self.coherence.stats.bump("sweep_discard")
-
-    def _sweep_pccs(self) -> None:
-        if not self._pcc_work:
-            self._pcc_work = [(weakref.ref(pcc), list(pcc._entries.keys()))
-                              for pcc in self.coherence.pccs]
-            if not self._pcc_work:
-                return
-        costs = self.coherence.costs
-        budget = self.batch
-        while budget > 0 and self._pcc_work:
-            pcc_ref, ids = self._pcc_work[-1]
-            pcc = pcc_ref()
-            if pcc is None or not ids:
-                self._pcc_work.pop()
-                continue
-            while ids and budget > 0:
-                entry_id = ids.pop()
-                budget -= 1
-                costs.charge("lazy_validate")
-                entry = pcc._entries.get(entry_id)
-                if entry is None:
-                    continue
-                dentry, seq, _epoch = entry
-                if dentry.dead or dentry.seq != seq:
-                    del pcc._entries[entry_id]
-                    self.coherence.stats.bump("sweep_discard")

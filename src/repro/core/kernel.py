@@ -17,7 +17,6 @@ the ablation benchmarks isolate each mechanism's contribution.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -164,8 +163,6 @@ class Kernel:
             self.memo = self.costs.memo = ResolutionMemo(
                 self.costs, self.stats, self.coherence, self.dcache,
                 self.resolver, capacity=config.resolution_memo_capacity)
-        #: Polled from syscall entry (None: the policy leaves no work).
-        self.sweeper = self.coherence.sweeper
         self.readdir_engine = ReaddirEngine(self.costs, self.stats,
                                             self.dcache, config)
         # The syscall facade (late import avoids a module cycle).
@@ -178,7 +175,6 @@ class Kernel:
         """Give ``ns`` its DLHT and anchor its root at the empty path."""
         ns.dlht = DirectLookupHashTable(
             self.costs, self.stats, multi_key=self.coherence.multi_key)
-        ns.dlht.owner_ns = weakref.ref(ns)
         self.coherence.track_dlht(ns.dlht)
         # A cloned root mount reuses the same root dentry; its hash state
         # (the empty path) is valid in the new namespace too.

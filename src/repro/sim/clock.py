@@ -53,50 +53,6 @@ class Clock:
         return self._ticks
 
 
-class Ticker:
-    """Virtual-time deadline poller for amortized background work.
-
-    The simulator has no preemption: virtual time only moves when code
-    charges costs.  Periodic work (such as the lazy-coherence sweep) is
-    therefore *polled* — callers ask :meth:`due` at convenient points
-    (e.g. syscall entry) and run one batch when the interval elapsed.
-    """
-
-    __slots__ = ("clock", "_interval", "_next")
-
-    def __init__(self, clock: Clock, interval_ns: float):
-        if interval_ns <= 0:
-            raise ValueError(f"ticker interval must be > 0 ({interval_ns})")
-        self.clock = clock
-        self._interval = to_ticks(interval_ns)
-        self._next = clock._ticks + self._interval
-
-    def due(self) -> bool:
-        """True when at least one interval elapsed since the last fire."""
-        return self.clock._ticks >= self._next
-
-    def fire(self) -> None:
-        """Consume the deadline: schedule the next fire one interval out.
-
-        Re-arms relative to *now* (not the missed deadline) so a long
-        quiet period does not cause a burst of catch-up fires.
-        """
-        self._next = self.clock._ticks + self._interval
-
-    def fires_within(self, ticks: int) -> bool:
-        """True if advancing the clock by ``ticks`` would reach the deadline.
-
-        ``ticks`` is a :attr:`repro.sim.costs.ChargeVector.ticks` total.
-        Used by the charge-plan applier: a plan that covers a run of
-        syscalls may only be applied when none of the covered sweeper
-        polls would fire, i.e. when the whole covered advance stays
-        strictly short of the deadline.  Conservative by construction:
-        every poll inside the covered run happens at a time strictly
-        below ``now + ticks``.
-        """
-        return self.clock._ticks + ticks >= self._next
-
-
 class Stopwatch:
     """Context manager measuring virtual time spent inside a block."""
 

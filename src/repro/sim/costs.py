@@ -294,7 +294,7 @@ class ChargePlan:
 
 class PlanCell:
     """Capture state of one replay unit (``workloads/traces.py`` runs
-    the protocol; a unit is a plannable segment or a whole drain).
+    the protocol; the unit is a whole drain).
 
     Lifecycle: from its first execution a unit runs recorded until two
     executions in a row produce equal captures (kept in ``pending`` in
@@ -304,9 +304,9 @@ class PlanCell:
     only becomes the pending one, at the cost of one retry.  ``retries`` counts rejected/mismatched captures; too many
     marks the cell ``dead`` (permanently interpreted).  ``fail_streak``
     counts consecutive guard failures at apply time; too many
-    invalidates the plan for re-capture.  ``armed_now`` is used by
-    whole-drain cells only: the clock state the kernel must be in for
-    the plan to apply (any interleaving syscall moves the clock off it).
+    invalidates the plan for re-capture.  ``armed_now`` is the clock
+    state the kernel must be in for the plan to apply (any interleaving
+    syscall moves the clock off it).
     """
 
     __slots__ = ("pending", "plan", "dead", "retries", "fail_streak",
@@ -346,8 +346,7 @@ class ChargePlanRegistry:
     MAX_RETRIES = 3
     #: Consecutive apply-time guard failures before re-capture.  A
     #: whole drain's clock guard, once failed, fails until then, so
-    #: every fallback past the first is wasted; a segment's guards fail
-    #: in passing (a sweep deadline) and build no streak.
+    #: every fallback past the first is wasted.
     MAX_FAIL_STREAK = 2
     #: Cells kept; a full table is cleared whole (dropping a cell costs
     #: a re-capture, never fidelity).
@@ -376,9 +375,8 @@ class ChargePlanRegistry:
         cell, in stream order, keyed by identity: a unit's charges are a
         deterministic function of those plus kernel state, which the
         apply-time guards cover, and no plan crosses tasks.  ``tag``
-        tells the units over one pin sequence apart — the scheduler seed
-        for a whole drain; a segment's is ``"segment"``, with its shape
-        as the last pin.
+        tells the units over one pin sequence apart: a whole drain's is
+        its scheduler seed.
         """
         key = (tag, *map(id, pins))
         entry = self._cells.get(key)
@@ -482,7 +480,7 @@ class CostModel:
         #: structures note their touches in (see
         #: :mod:`repro.core.resmemo`, ``workloads/traces.py``).
         self.recorder: Optional[Recording] = None
-        #: Captured charge plans for compiled-trace segments (see
+        #: Captured charge plans for whole drains (see
         #: :class:`ChargePlanRegistry` and ``workloads/traces.py``).
         self.plans = ChargePlanRegistry()
         #: The one place the cache structures report changes to:

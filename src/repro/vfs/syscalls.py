@@ -114,17 +114,9 @@ class Syscalls:
         self.config = kernel.config
         self.lsm = kernel.lsm
         # Every syscall's prologue, bound once per kernel: the entry
-        # charge, then under lazy coherence a sweeper poll (its batches
-        # piggyback on syscall entry: virtual time has no preemption).
+        # charge.
         charge = self._charge = self.costs.charge
-        sweeper = kernel.sweeper
-        if sweeper is None:
-            self._enter = partial(charge, "syscall_fixed")
-        else:
-            def enter() -> None:
-                charge("syscall_fixed")
-                sweeper.poll()
-            self._enter = enter
+        self._enter = partial(charge, "syscall_fixed")
         # Coherence work after mutations (§3.2); none on the baseline
         # kernel, which caches no prefix checks.
         if kernel.fast is None:

@@ -38,7 +38,7 @@ import inspect
 import sys as _host_sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR, errors, make_kernel
 from repro.core.kernel import Kernel
@@ -104,125 +104,51 @@ def _fold(op: str, args: Tuple[Any, ...],
     return spec, folded
 
 
-# -- charge-plan segmentation ---------------------------------------------
+# -- scheduling units -----------------------------------------------------
 
-#: Ops eligible for charge planning.  The criterion is *static charge
-#: behaviour*: given the apply-time guards (fd open, inode present,
-#: non-directory), these ops charge a fixed event stream independent of
-#: any state the guards cannot see.  ``read``/``write`` are excluded
-#: (pagecache/device charges), as is anything resolving a path.
-_PLAN_OPS = frozenset(["lseek", "fstat"])
+#: Ops whose plain rows group into one scheduling unit.
+_RUN_OPS = frozenset(["lseek", "fstat"])
 
-#: Minimum rows for a segment to be worth a plan: shorter runs pay more
-#: in guard checks and dispatch than the interpreted loop costs.
-_PLAN_MIN_ROWS = 6
+#: Minimum plain rows that group into one unit.
+_RUN_MIN_ROWS = 6
 
 
-class PlanSegment(NamedTuple):
-    """A contiguous run of compiled rows coverable by one charge plan.
-
-    ``guards`` lists, per distinct fd slot the segment touches,
-    ``(slot, need_inode, need_not_dir)`` — the apply-time state checks
-    that make the captured charge stream provably reproducible
-    (``fstat`` needs a live inode, ``lseek`` must not hit the
-    directory-seek branch; both need an open, unclosed fd).  ``seeks``
-    lists ``(slot, offset)`` for the *final* ``lseek`` per slot — the
-    only host-visible state a planned segment mutates, applied in bulk
-    (intermediate offsets are unobservable inside the segment: no row
-    in a plannable segment reads the file offset).
-
-    ``shape`` is the segment's charge-stream identity: a per-row tuple
-    of ``(op_name, compute_ns)``.  Under the apply-time guards, the fast
-    fd entries for ``lseek``/``fstat`` charge fixed primitive streams
-    with no Stats bumps, so segments of one program with equal shapes
-    produce equal charge vectors on any fd binding; they hold the same
-    shape *object*, which their shared plan cell is keyed on (the loop
-    trace's rounds capture one plan between them).
+def _units(op_table: Tuple[str, ...],
+           rows: List[Tuple]) -> Tuple[Tuple[int, int], ...]:
+    """The units the interleaved scheduler picks between: half-open row
+    ranges ``(lo, hi)`` tiling the rows in order — one per run of at
+    least :data:`_RUN_MIN_ROWS` plain ``lseek``/``fstat`` rows (one fd
+    argument, no fd stored, no errno expected, and for ``lseek`` one
+    non-negative int offset), one per other row.  Virtual output
+    depends on this granularity, so it is part of the program.
     """
-
-    start: int
-    end: int
-    guards: Tuple[Tuple[int, bool, bool], ...]
-    seeks: Tuple[Tuple[int, int], ...]
-    shape: Tuple[Tuple[str, float], ...] = ()
-
-
-def _plan_segments(op_table: Tuple[str, ...],
-                   rows: List[Tuple]) -> Tuple[PlanSegment, ...]:
-    """Statically segment compiled rows into charge-plannable runs.
-
-    Segmentation is a pure function of the program, so every replay —
-    plans on or off, single-stream or interleaved — sees identical
-    segment boundaries (the interleaved scheduler uses them as unit
-    boundaries, which is what keeps plan state orthogonal to the
-    schedule).
-    """
-    plannable_idx = {i for i, op in enumerate(op_table) if op in _PLAN_OPS}
-    if not plannable_idx:
-        return ()
+    run_ops = {i for i, op in enumerate(op_table) if op in _RUN_OPS}
     lseek_idx = op_table.index("lseek") if "lseek" in op_table else -1
-    fstat_idx = op_table.index("fstat") if "fstat" in op_table else -1
 
-    def plannable(row) -> bool:
+    def plain(row) -> bool:
         op_idx, args, patches, store, errno_exp, _compute, _pair = row
-        if op_idx not in plannable_idx or store != -1 \
-                or errno_exp is not None:
-            return False
-        # Exactly one fd patch, at argument 0 (the fd slot).
-        if patches is None or len(patches) != 1 or patches[0][0] != 0:
+        if op_idx not in run_ops or store != -1 or errno_exp is not None \
+                or patches is None or len(patches) != 1 \
+                or patches[0][0] != 0:
             return False
         if op_idx == lseek_idx:
             return (len(args) == 2 and isinstance(args[1], int)
                     and args[1] >= 0)
         return len(args) == 1  # fstat
 
-    segments: List[PlanSegment] = []
-    shapes: Dict[tuple, tuple] = {}
+    units: List[Tuple[int, int]] = []
     n = len(rows)
     i = 0
     while i < n:
-        if not plannable(rows[i]):
-            i += 1
-            continue
         j = i
-        while j < n and plannable(rows[j]):
+        while j < n and plain(rows[j]):
             j += 1
-        if j - i >= _PLAN_MIN_ROWS:
-            needs: Dict[int, List[bool]] = {}
-            finals: Dict[int, int] = {}
-            for row in rows[i:j]:
-                op_idx, args, patches, _s, _e, _c, _p = row
-                slot = patches[0][1]
-                need = needs.setdefault(slot, [False, False])
-                if op_idx == fstat_idx:
-                    need[0] = True
-                else:
-                    need[1] = True
-                    finals[slot] = args[1]
-            guards = tuple((slot, need[0], need[1])
-                           for slot, need in sorted(needs.items()))
-            seeks = tuple(sorted(finals.items()))
-            shape = tuple((op_table[row[0]], row[5]) for row in rows[i:j])
-            shape = shapes.setdefault(shape, shape)
-            segments.append(PlanSegment(i, j, guards, seeks, shape))
+        if j - i >= _RUN_MIN_ROWS:
+            units.append((i, j))
+        else:
+            j = max(j, i + 1)
+            units.extend((k, k + 1) for k in range(i, j))
         i = j
-    return tuple(segments)
-
-
-def _plan_units(segments: Tuple[PlanSegment, ...],
-                n_rows: int) -> Tuple[Tuple[int, int, int], ...]:
-    """The units the interleaved scheduler picks between: half-open row
-    ranges ``(lo, hi, segment index)`` tiling ``[0, n_rows)`` in order —
-    one per plan segment, one per other row (segment index -1).  Virtual
-    output depends on this granularity, so it is part of the program.
-    """
-    units: List[Tuple[int, int, int]] = []
-    pos = 0
-    for seg_i, seg in enumerate(segments):
-        units.extend((i, i + 1, -1) for i in range(pos, seg.start))
-        units.append((seg.start, seg.end, seg_i))
-        pos = seg.end
-    units.extend((i, i + 1, -1) for i in range(pos, n_rows))
     return tuple(units)
 
 
@@ -256,11 +182,8 @@ class CompiledTrace:
     #: Host seconds spent compiling, kept apart from replay time so
     #: compilation overhead cannot hide in op/s numbers.
     compile_wall_s: float
-    #: Statically derived charge-plannable runs (see
-    #: :class:`PlanSegment`); empty when nothing qualifies.
-    plan_segments: Tuple[PlanSegment, ...] = ()
-    #: Scheduling units over ``rows`` (see :func:`_plan_units`).
-    units: Tuple[Tuple[int, int, int], ...] = ()
+    #: Scheduling units over ``rows`` (see :func:`_units`).
+    units: Tuple[Tuple[int, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -325,11 +248,9 @@ def compile_trace(trace: Trace) -> CompiledTrace:
             spec.pair,
         ))
     op_table_t = tuple(op_table)
-    segments = _plan_segments(op_table_t, rows)
     return CompiledTrace(op_table=op_table_t, rows=rows,
                          slot_count=trace.slot_count(),
-                         plan_segments=segments,
-                         units=_plan_units(segments, len(rows)),
+                         units=_units(op_table_t, rows),
                          compile_wall_s=time.perf_counter() - t0)
 
 

@@ -86,19 +86,11 @@ class TenantSite:
 
 @dataclass
 class FleetSetup:
-    """A provisioned fleet, ready to drain.
-
-    ``admin`` pins the root task that provisioned ``/srv``: a task's
-    credential owns a PCC registered (weakly) with the coherence
-    engine, and lazy sweep charges scale with the PCCs still alive —
-    letting the task die would make virtual costs depend on garbage
-    collection timing.
-    """
+    """A provisioned fleet, ready to drain."""
 
     tenants: List[TenantSite]
     seed: int
     mutation_rate: float
-    admin: Task
 
     @property
     def streams(self) -> List[Tuple[Task, CompiledTrace]]:
@@ -117,8 +109,7 @@ def provision_tenant(kernel: Kernel, admin: Task, index: int, *,
                                              maildir.MaildirSetup]:
     """Create tenant ``index``'s task and ``/srv/t{index}`` subtree.
 
-    ``admin`` is the long-lived root task that owns ``/srv`` (see
-    :class:`FleetSetup` for why it must outlive provisioning).  The
+    ``admin`` is a root task that creates ``/srv`` if missing.  The
     tenant runs under its own uid/gid (``1000 + index``) and owns
     everything below its base directory; ``/srv`` itself is root-owned
     and sticky, ``/tmp``-style, so tenants cannot touch each other's
@@ -190,7 +181,7 @@ def build_fleet(kernel: Kernel, tenants: int = 8, *,
                                 mail=mail, requests=counts[index],
                                 program=program))
     return FleetSetup(tenants=sites, seed=seed,
-                      mutation_rate=mutation_rate, admin=admin)
+                      mutation_rate=mutation_rate)
 
 
 def drain_fleet(kernel: Kernel, setup: FleetSetup, *,

@@ -106,28 +106,6 @@ def _map_kinds(spec: OpSpec, args: Tuple[Any, ...], kwargs: Dict[str, Any],
              for name, value in kwargs.items()} if kwargs else kwargs)
 
 
-#: Primitives a clean charge-plan capture may contain.  This whitelist
-#: is the soundness boundary: the plannable fd syscalls
-#: (``lseek``/``fstat``, see ``vfs/syscalls.py``) charge only these,
-#: and both are state-independent constants once the apply-time guards
-#: hold.  Any other primitive in a capture — a sweeper batch that fired
-#: mid-segment, a future charge added to those syscalls — rejects the
-#: capture, so plans fail closed.
-_PLAN_SAFE_PRIMITIVES = frozenset(["syscall_fixed", "stat_fill"])
-
-
-def _capture_clean(rec: Recording) -> bool:
-    """May this segment recording become (or confirm) a plan?  Only
-    unscoped whitelisted primitives and app compute, and no
-    resolution-side (LRU/PCC) touches."""
-    if rec.lru or rec.pcc:
-        return False
-    vector = rec.vector
-    return not vector.by_scope \
-        and _PLAN_SAFE_PRIMITIVES.issuperset(vector.counts) \
-        and all(hint == "app_compute" for hint in vector.raw)
-
-
 def _normalize(value: Any) -> Any:
     """Recursively turn JSON sequences back into tuples.
 
@@ -378,11 +356,11 @@ def _plan_unit(registry, cell, costs, stats, run: Callable[[], None],
     """Execute one replay unit through the charge-plan protocol.
 
     A unit inside someone else's recording or attribution scope runs
-    interpreted: the recording around it stands for the whole run (a
-    drain's capture covers its segments), and :meth:`CostModel.apply`
-    adds a plan to the scopes it was captured under, never to an open
-    one: it advances the clock at once and counts the plan's vector as
-    pending, and the tables get it when next read.
+    interpreted: the recording around it stands for the whole run, and
+    :meth:`CostModel.apply` adds a plan to the scopes it was captured
+    under, never to an open one: it advances the clock at once and
+    counts the plan's vector as pending, and the tables get it when
+    next read.
 
     ``cell`` (:class:`~repro.sim.costs.PlanCell`) records from its first
     execution, confirms on the second identical capture and applies
@@ -499,33 +477,22 @@ class _StreamState:
     """One stream's bound replay state, advanced a run of units at a time.
 
     Construction binds everything the drain loop needs — the prebound
-    batch method table, the fd slot table, the program's unit table and
-    this ``(task, program)``'s per-segment plan cells — so advancing is
-    attribute-local work with no per-unit rebinding.
+    batch method table, the fd slot table and the program's unit table
+    — so advancing is attribute-local work with no per-unit rebinding.
     """
 
-    __slots__ = ("methods", "slot_fds", "units", "cursor", "cells",
-                 "segments", "registry", "costs", "stats", "ticker",
-                 "files", "rows", "op_table")
+    __slots__ = ("methods", "slot_fds", "units", "cursor", "costs",
+                 "rows", "op_table")
 
-    def __init__(self, kernel: Kernel, task: Task, program, registry):
+    def __init__(self, kernel: Kernel, task: Task, program):
         batch = kernel.sys.batch(task)
         self.methods = [getattr(batch, name) for name in program.op_table]
         self.slot_fds: List[int] = [-1] * program.slot_count
         self.units = program.units
         self.cursor = 0
         self.costs = kernel.costs
-        self.stats = kernel.stats
-        sweeper = kernel.sweeper
-        self.ticker = sweeper.ticker if sweeper is not None else None
-        self.files = task.fds._files
         self.rows = program.rows
         self.op_table = program.op_table
-        self.segments = program.plan_segments
-        self.registry = registry
-        self.cells = ([registry.cell("segment", task, program, seg.shape)
-                       for seg in self.segments]
-                      if registry is not None and self.segments else None)
 
     def run_rows(self, lo: int, hi: int) -> None:
         """Interpreted execution of rows ``[lo, hi)`` (the slow path)."""
@@ -569,59 +536,11 @@ class _StreamState:
                                    exc.errno) from exc
 
     def advance(self, n: int) -> None:
-        """Execute the next ``n`` units of this stream: each plannable
-        segment through the plan protocol, every run of rows between
-        them as one :meth:`run_rows`.
-        """
-        units = self.units
+        """Execute the next ``n`` units of this stream as one
+        :meth:`run_rows`."""
         cursor = self.cursor
         self.cursor = end = cursor + n
-        lo = units[cursor][0]
-        if self.cells is not None:
-            for u in range(cursor, end):
-                start, stop, seg_i = units[u]
-                if seg_i >= 0:
-                    if lo < start:
-                        self.run_rows(lo, start)
-                    self._segment(seg_i, start, stop)
-                    lo = stop
-        hi = units[end - 1][1]
-        if lo < hi:
-            self.run_rows(lo, hi)
-
-    def _segment(self, seg_i: int, lo: int, hi: int) -> None:
-        """One plannable segment as a plan unit.  Its plan applies with
-        every guarded fd open, a live inode where ``fstat`` needs one and
-        no directory where ``lseek`` must not find one, and no sweeper
-        deadline inside the plan's ticks; the final seeks follow.
-        """
-        seg = self.segments[seg_i]
-        files = self.files
-        slot_fds = self.slot_fds
-        ticker = self.ticker
-
-        def guard(plan: ChargePlan) -> bool:
-            for slot, need_inode, need_not_dir in seg.guards:
-                f = files.get(slot_fds[slot])
-                if f is None or f.closed:
-                    return False
-                inode = f.pos.dentry.inode
-                if inode is None:
-                    if need_inode:
-                        return False
-                elif need_not_dir and inode.is_dir:
-                    return False
-            return ticker is None \
-                or not ticker.fires_within(plan.vector.ticks)
-
-        def settle(applied: bool) -> None:
-            if applied:
-                for slot, offset in seg.seeks:
-                    files[slot_fds[slot]].offset = offset
-
-        _plan_unit(self.registry, self.cells[seg_i], self.costs, self.stats,
-                   lambda: self.run_rows(lo, hi), guard, _capture_clean,
-                   settle)
+        self.run_rows(self.units[cursor][0], self.units[end - 1][1])
 
 
 def replay_compiled(kernel: Kernel, task: Task, program,
@@ -647,11 +566,11 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
 
     ``streams`` is a sequence of ``(task, program)`` pairs.  Each
     program's rows execute in order, but the streams advance in a
-    seeded pseudo-random interleaving at plan-unit granularity (a
-    plannable segment is one unit, every other row is its own unit) —
-    the multi-tenant server shape: per-tenant request streams sharing
-    one directory cache.  Deterministic: the same (streams, seed)
-    always produces the same interleaving, virtual costs and Stats.
+    seeded pseudo-random interleaving at unit granularity
+    (``program.units``) — the multi-tenant server shape: per-tenant
+    request streams sharing one directory cache.  Deterministic: the
+    same (streams, seed) always produces the same interleaving, virtual
+    costs and Stats.
     The schedule is precomputed as flat (stream, run-length) arrays by
     :func:`plan_schedule`, so consecutive picks of one stream cost a
     single dispatch.
@@ -659,23 +578,19 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     The charge-plan layer (:func:`_plan_unit`; ``plans=False`` turns it
     off, ``None``, the default, means on) never changes virtual output
     — ``tests/test_charge_plans.py`` and ``tests/test_server_fleet.py``
-    are the differential gates — and plans two kinds of unit.  The
-    *whole drain*, replayed back to back on a quiescent kernel (the
-    benchmark shape), applies while the clock equals the state its last
-    capture or apply ended on — any interleaving syscall moves it off —
-    and its capture carries :func:`_drain_state`, so two equal captures
-    prove the drain leaves the state it found.  Under a lazy sweeper a
-    drain's charges never repeat (fixed virtual deadlines drift modulo
-    drain length), so this needs a kernel without one.  A *plannable
-    segment* (``program.plan_segments``) applies under per-fd guards
-    inside any drain that runs interpreted.
+    are the differential gates — and plans the *whole drain*.  Replayed
+    back to back on a quiescent kernel (the benchmark shape), it
+    applies while the clock equals the state its last capture or apply
+    ended on — any interleaving syscall moves it off — and its capture
+    carries :func:`_drain_state`, so two equal captures prove the drain
+    leaves the state it found.
     """
     streams = list(streams)
     costs = kernel.costs
     registry = costs.plans if plans is None or plans else None
 
     def drain() -> None:
-        states = [_StreamState(kernel, task, prog, registry)
+        states = [_StreamState(kernel, task, prog)
                   for task, prog in streams]
         order, runs = _drain_schedule(
             seed, tuple(len(prog.units) for _task, prog in streams))
@@ -683,7 +598,7 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
         for i, s in enumerate(order):
             advances[s](runs[i])
 
-    if registry is None or kernel.sweeper is not None:
+    if registry is None:
         drain()
         return
     cell = registry.cell(seed, *chain.from_iterable(streams))

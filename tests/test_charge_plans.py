@@ -12,8 +12,6 @@ through every invalidation path.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import pytest
 
 from repro import O_APPEND, O_CREAT, O_RDONLY, O_WRONLY, make_kernel
@@ -46,12 +44,6 @@ def _append_log(rec):
     fd = rec.open("/log", O_CREAT | O_WRONLY | O_APPEND)
     rec.write(fd, b"x" * 10)
     rec.close(fd)
-
-
-def _kill_drain_cell(kernel, streams, seed=0):
-    """Keep the whole-drain plan out of the way so every drain runs the
-    segment path."""
-    kernel.costs.plans.cell(seed, *chain.from_iterable(streams)).dead = True
 
 
 def _loop_setup(profile):
@@ -111,8 +103,7 @@ class TestWholePassPlans:
         # the cost of one retry.
         for _ in range(3):
             replay_compiled(kernel, task, program)
-        # Only the whole-pass plan compiles: every pass ran under its
-        # recording, inside which the segments run interpreted.
+        # The whole-pass plan is the only one.
         tel = kernel.costs.plans.telemetry()
         assert (tel["compiled"], tel["applied"], cell.retries) == (1, 0, 1)
         for applied in (1, 2):
@@ -209,30 +200,10 @@ class TestInterleaved:
             results[plans] = _fingerprint(kernel)
         assert results[True] == results[False]
 
-    def test_cross_task_mutation_invalidates(self):
-        """One task's metadata churn must invalidate plans captured for
-        *other* tasks' streams (the guards cannot see mode bits), and
-        the fallback must keep virtual costs bit-identical."""
-        results = {}
-        telemetry = None
-        for plans in (False, True):
-            kernel = make_kernel("optimized")
-            streams = _mini_streams(kernel, 4, mutator=True)
-            # The whole drain undoes its own chmods and would plan as
-            # one unit; the segment plans are the ones under test.
-            _kill_drain_cell(kernel, streams, seed=5)
-            for _ in range(6):
-                replay_interleaved(kernel, streams, seed=5, plans=plans)
-            results[plans] = _fingerprint(kernel)
-            if plans:
-                telemetry = kernel.costs.plans.telemetry()
-        assert results[True] == results[False]
-        assert telemetry["invalidated"] > 0
-
     def test_hypothesis_mutation_heavy_schedules(self):
         """Property sweep: arbitrary mixes of stream counts, seeds, and
         mutation cadence never let a stale plan leak a wrong charge or
-        skip a write."""
+        skip a write, under eager and lazy coherence."""
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
@@ -241,24 +212,25 @@ class TestInterleaved:
                mutator=st.booleans(), appender=st.booleans())
         @settings(max_examples=12, deadline=None)
         def sweep(n, seed, drains, mutator, appender):
-            results = {}
-            for plans in (False, True):
-                kernel = make_kernel("optimized")
-                streams = _mini_streams(kernel, n, mutator=mutator,
-                                        appender=appender)
-                for _ in range(drains):
-                    replay_interleaved(kernel, streams, seed=seed,
-                                       plans=plans)
-                results[plans] = _fingerprint(kernel)
-            assert results[True] == results[False]
+            for profile in ("optimized", "optimized-lazy"):
+                results = {}
+                for plans in (False, True):
+                    kernel = make_kernel(profile)
+                    streams = _mini_streams(kernel, n, mutator=mutator,
+                                            appender=appender)
+                    for _ in range(drains):
+                        replay_interleaved(kernel, streams, seed=seed,
+                                           plans=plans)
+                    results[plans] = _fingerprint(kernel)
+                assert results[True] == results[False], profile
 
         sweep()
 
 
-# -- one protocol, two call sites -----------------------------------------
+# -- the plan protocol ----------------------------------------------------
 
 def _seek_file(rec):
-    """One plannable segment over a file the trace opens by path."""
+    """Seeks on a file the trace opens by path."""
     fd = rec.open("/p", O_RDONLY)
     for offset in (0, 8) * 3:
         rec.lseek(fd, offset)
@@ -271,31 +243,21 @@ def _touch(kernel, task, path="/p"):
 
 
 class TestOneProtocol:
-    """A segment cell and a whole-drain cell go through the same
-    lifecycle: :func:`repro.workloads.traces._plan_unit`."""
+    """A whole-drain cell's lifecycle:
+    :func:`repro.workloads.traces._plan_unit`."""
 
     #: site -> (how to fail its guard once, the capture seam it vouches
-    #: through).  A drain's guard is the armed clock; a segment's here
-    #: is "the seeked fd is not a directory".
+    #: through).  A drain's guard is the armed clock.
     SITES = {
         "drain": (lambda kernel, task: kernel.sys.stat(task, "/"),
                   "_drain_state"),
-        "segment": (lambda kernel, task: (kernel.sys.unlink(task, "/p"),
-                                          kernel.sys.mkdir(task, "/p")),
-                    "_capture_clean"),
     }
 
-    def _setup(self, site, program):
+    def _setup(self, program):
         kernel = make_kernel("optimized")
         task = kernel.spawn_task(uid=0, gid=0)
         _touch(kernel, task)
-        registry = kernel.costs.plans
-        drain_cell = registry.cell(0, task, program)
-        if site == "drain":
-            return kernel, task, drain_cell
-        drain_cell.dead = True
-        shape = program.plan_segments[0].shape
-        return kernel, task, registry.cell("segment", task, program, shape)
+        return kernel, task, kernel.costs.plans.cell(0, task, program)
 
     @pytest.mark.parametrize("site", sorted(SITES))
     @pytest.mark.parametrize(
@@ -306,7 +268,7 @@ class TestOneProtocol:
             lambda rec: (_touch(rec._kernel, rec._task), _seek_file(rec))))
         prints = {}
         for plans in (False, True):
-            kernel, task, cell = self._setup(site, program)
+            kernel, task, cell = self._setup(program)
             registry = kernel.costs.plans
 
             def passes(n):
@@ -336,9 +298,6 @@ class TestOneProtocol:
                 if plans:
                     assert registry.fallbacks == 1
                     assert cell.fail_streak == 1 and cell.plan is not None
-                if site == "segment":  # put the file back
-                    kernel.sys.rmdir(task, "/p")
-                    _touch(kernel, task)
             # A drain cell re-arms only by re-capturing.
             passes(registry.MAX_FAIL_STREAK + 3)
             if plans:

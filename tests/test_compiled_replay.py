@@ -140,29 +140,28 @@ class TestCompile:
 
     def test_unit_table_pins_scheduling_granularity(self):
         """Units are what the interleaved scheduler picks between, so
-        virtual output depends on them: one per plan segment, one per
-        other row, tiling the rows in order."""
+        virtual output depends on them: one per run of at least six
+        plain ``lseek``/``fstat`` rows, one per other row, tiling the
+        rows in order."""
         fleet = server_fleet.build_fleet(
             make_kernel("baseline"), 2, total_requests=8,
             mutation_rate=0.3, files_per_site=8, messages_per_box=4)
         tenant = fleet.tenants[0].program
-        assert not tenant.plan_segments
         assert len(tenant.units) == len(tenant.rows) > 0
         small = compile_trace(build_loop_trace(files=8, io_rounds=10))
         default = compile_trace(build_loop_trace())
-        for program, shape in ((small, (345, 10, 105)),
-                               (default, (2170, 40, 250))):
-            assert (len(program.rows), len(program.plan_segments),
-                    len(program.units)) == shape
+        for program, shape in ((small, (345, 105)),
+                               (default, (2170, 250))):
+            assert (len(program.rows), len(program.units)) == shape
         for program in (tenant, small, default):
-            bounds = [(lo, hi) for lo, hi, _seg in program.units]
+            bounds = list(program.units)
             assert bounds[0][0] == 0 and bounds[-1][1] == len(program.rows)
             assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-            assert [(seg.start, seg.end, i) for i, seg
-                    in enumerate(program.plan_segments)] \
-                == [unit for unit in program.units if unit[2] >= 0]
-            assert all(hi == lo + 1 for lo, hi, seg in program.units
-                       if seg < 0)
+            for lo, hi in bounds:
+                if hi > lo + 1:
+                    assert hi - lo >= 6
+                    assert {program.op_table[row[0]] for row
+                            in program.rows[lo:hi]} <= {"lseek", "fstat"}
 
 
 # -- engine differential --------------------------------------------------
@@ -391,24 +390,6 @@ class TestBatchEntries:
             assert batch.task is task
         with pytest.raises(AttributeError):
             batch._private
-
-    def test_sweeper_still_polled_under_batch(self):
-        """optimized-lazy's amortized sweeper must keep running when
-        syscalls are driven through fast entries."""
-        from unittest import mock
-        kernel = make_kernel("optimized-lazy")
-        assert kernel.sweeper is not None
-        task = kernel.spawn_task(uid=0, gid=0)
-        batch = kernel.sys.batch(task)
-        batch.mkdir("/s")
-        fd = batch.open("/s/f", O_CREAT | O_RDWR)
-        with mock.patch.object(type(kernel.sweeper), "poll",
-                               autospec=True) as poll:
-            for _ in range(25):
-                batch.lseek(fd, 0)
-                batch.fstat(fd)
-        assert poll.call_count == 50  # one poll per fast-entry syscall
-        batch.close(fd)
 
 
 # -- wall-clock -----------------------------------------------------------

@@ -9,8 +9,9 @@ down the three claims that design rests on:
   schedules;
 * staleness is actually caught at touch time — renames, permission
   changes (including above a mount boundary), and symlink aliases;
-* stale entries are reclaimed — touch-time eviction for probed paths,
-  the background sweep for abandoned ones.
+* stale entries are reclaimed — touch-time eviction for probed paths;
+  abandoned ones leave with their dentry, and old-path keys past
+  ``MAX_EXTRA_KEYS`` at once.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from hypothesis import strategies as st
 
 from repro import O_CREAT, O_RDWR, OPTIMIZED, OPTIMIZED_LAZY, errors, \
     make_kernel
+from repro.core.dlht import MAX_EXTRA_KEYS
 from repro.fs.tmpfs import TmpFs
 from repro.sim.memory import measure_kernel
 from repro.testing import DualKernel
-from repro.testing.dual import _check_kernel_invariants
+from repro.testing.dual import _check_kernel_invariants, fingerprint
 from repro.testing.races import assert_fastpath_consistent
 from repro.testing.scheduler import ConcurrentRunner
 
@@ -92,30 +94,23 @@ class TestLazyBasics:
         assert lazy.stats.snapshot().get("lazy_evict", 0) >= 1
 
     def test_sweeper_reclaims_untouched_stale_entries(self, lazy):
+        """Old-path keys nobody looks up again do not pile up on a live
+        dentry: renaming its parent 200 times, with a lookup under each
+        new name, leaves it at most ``1 + MAX_EXTRA_KEYS`` keys."""
         task = lazy.spawn_task(uid=0, gid=0)
         sys = lazy.sys
-        sys.mkdir(task, "/big")
-        for i in range(10):
-            _mkfile(lazy, task, f"/big/f{i}")
-            sys.stat(task, f"/big/f{i}")
-        sys.rename(task, "/big", "/gone")
-        sys.rename(task, "/gone", "/gone2")
+        sys.mkdir(task, "/a0")
+        _mkfile(lazy, task, "/a0/f")
+        sys.stat(task, "/a0/f")
+        for i in range(1, 201):
+            sys.rename(task, f"/a{i - 1}", f"/a{i}")
+            sys.stat(task, f"/a{i}/f")
         dlht = lazy.root_ns.dlht
-        stale = {key for key, d in dlht.items()
-                 if d.fast is not None and d.fast.epoch_snapshot
-                 < lazy.coherence.epoch}
-        assert stale, "setup should leave stale registrations behind"
-        assert lazy.sweeper is not None
-        for _ in range(40):  # full table, batched
-            lazy.sweeper.sweep_once()
-        remaining = {key for key, _ in dlht.items()}
-        # Every stale old-path key was discarded without being touched.
-        for key in stale & remaining:
-            dentry = dlht.peek(key)
-            assert not dentry.dead
-            assert key in dlht.keys_of(dentry)
-            assert dentry.fast.epoch_snapshot >= lazy.coherence.epoch, \
-                "sweeper left a stale key unsettled"
+        leaf, = {id(d): d for _key, d in dlht.items()
+                 if d.name == "f"}.values()
+        assert len(dlht.keys_of(leaf)) <= 1 + MAX_EXTRA_KEYS
+        assert sys.stat(task, "/a200/f").filetype == "reg"
+        _check_kernel_invariants(lazy)
 
 
 class TestLazyMountCrossing:
@@ -166,6 +161,27 @@ class TestLazyMountCrossing:
             sys.stat(task, "/m/old")
         sys.umount(task, "/m")
         assert sys.stat(task, "/m/old").filetype == "reg"
+
+    def test_bind_mount_path_keeps_memo_invisible(self):
+        """A lookup through a bind mount registers the shared dentry
+        under a second path, demoting the first path's key; a memoized
+        resolution through that key must not replay a hit the real
+        lookup no longer makes.  Virtual output with the resolution
+        memo on equals its output with the memo off."""
+        prints = []
+        for memo in (True, False):
+            kernel = make_kernel("optimized-lazy", resolution_memo=memo)
+            task = kernel.spawn_task(uid=0, gid=0)
+            sys = kernel.sys
+            for path in ("/x", "/x/d", "/y"):
+                sys.mkdir(task, path)
+            sys.bind_mount(task, "/x", "/y")
+            for path in ("/x/d/new",) * 4 + ("/y/d/new",) * 2 \
+                    + ("/x/d/new",) * 4:
+                with pytest.raises(errors.ENOENT):
+                    sys.stat(task, path)
+            prints.append(fingerprint(kernel))
+        assert prints[0] == prints[1]
 
 
 class TestLazySymlinkAliases:

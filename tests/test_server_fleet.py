@@ -1,6 +1,6 @@
 """Differential tests for the multi-tenant server-fleet engine.
 
-The engine stack under test: segment and whole-drain charge plans
+The engine stack under test: whole-drain charge plans
 (``sim/costs.py`` + ``workloads/traces.py``), vectorized interleaved
 scheduling (``plan_schedule``, also in ``workloads/traces.py``), and
 the fleet workload itself (``workloads/server_fleet.py``).  The contract everywhere is the same:
@@ -9,6 +9,7 @@ per-primitive charges, Stats — bit-identical to the interpreted path,
 on every profile.
 """
 
+import gc
 import random
 from itertools import chain
 
@@ -71,11 +72,8 @@ class TestFleetBitIdentity:
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_drains_are_self_undoing(self, profile):
-        """Drains leave every tenant's fd table as they found it and,
-        without a lazy sweeper, charge identical virtual time each (the
-        sweeper's deadlines drift mod drain length, so successive lazy
-        drains legitimately charge slightly different sweep batches).
-        """
+        """Drains leave every tenant's fd table as they found it and
+        charge identical virtual time each."""
         kernel = make_kernel(profile)
         fleet = _small_fleet(kernel)
         fds_before = [frozenset(site.task.fds._files)
@@ -86,13 +84,13 @@ class TestFleetBitIdentity:
             start = kernel.costs.now_ns
             server_fleet.drain_fleet(kernel, fleet)
             durations.append(kernel.costs.now_ns - start)
-        if kernel.sweeper is None:
-            assert durations[0] == durations[1] == durations[2]
+        assert durations[0] == durations[1] == durations[2]
         assert [frozenset(site.task.fds._files)
                 for site in fleet.tenants] == fds_before
 
     def test_hypothesis_seed_and_mutation_sweep(self):
-        """Plans-on/off identity over random Zipf seeds and mixes."""
+        """Plans-on/off identity over random Zipf seeds and mixes, under
+        eager and lazy coherence."""
         from hypothesis import given, settings, strategies as st
 
         @given(seed=st.integers(min_value=0, max_value=2**16),
@@ -101,21 +99,45 @@ class TestFleetBitIdentity:
         def check(seed, rate):
             kw = dict(tenants=2, total_requests=8, mutation_rate=rate,
                       seed=seed)
-            on = _drained_fingerprint("optimized", plans=True, drains=4,
-                                      **kw)
-            off = _drained_fingerprint("optimized", plans=False, drains=4,
-                                       **kw)
-            assert on == off
+            for profile in ("optimized", "optimized-lazy"):
+                on = _drained_fingerprint(profile, plans=True, drains=4,
+                                          **kw)
+                off = _drained_fingerprint(profile, plans=False, drains=4,
+                                           **kw)
+                assert on == off, profile
 
         check()
+
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_host_lifetimes_do_not_move_virtual_time(self, profile):
+        """Whether a task that touched the caches is still alive on the
+        host, or was collected, leaves the drains' virtual time as it
+        was: nothing charged walks the live caches."""
+        ticks = []
+        for keep in (True, False):
+            kernel = make_kernel(profile)
+            fleet = _small_fleet(kernel)
+            task = kernel.spawn_task(uid=2000, gid=2000)
+            for path in ("/", "/srv", "/srv/t0", "/srv/t1"):
+                kernel.sys.stat(task, path)
+            if not keep:
+                del task
+                gc.collect()
+            for _ in range(5):
+                server_fleet.drain_fleet(kernel, fleet)
+            ticks.append(kernel.costs.clock.capture_state())
+        assert ticks[0] == ticks[1]
 
 
 class TestFleetDrainLifecycle:
     @pytest.mark.parametrize("profile", PROFILES)
     def test_drain_plan_compiles_on_drain_2(self, profile):
         """The whole-drain cell records drains 1 and 2, compiles on the
-        second and applies on drains 3-5; under a lazy sweeper no drain
-        cell exists.  Virtual output equals a plans-off run's."""
+        second and applies on drains 3-5.  On optimized-lazy drain 1
+        re-arms epoch snapshots, so it charges more than the drains
+        after it and the cell confirms on drain 3.  Virtual output
+        equals a plans-off run's."""
         prints = []
         for plans in (False, True):
             kernel = make_kernel(profile)
@@ -129,11 +151,12 @@ class TestFleetDrainLifecycle:
                 entry = registry._cells.get(key)
                 history.append((entry is not None and entry[1].plan
                                 is not None, registry.applied - applied))
-            if plans and kernel.sweeper is None:
-                assert history == [(False, 0), (True, 0), (True, 1),
+            if plans and profile == "optimized-lazy":
+                assert history == [(False, 0), (False, 0), (True, 0),
                                    (True, 1), (True, 1)]
             elif plans:
-                assert key not in registry._cells
+                assert history == [(False, 0), (True, 0), (True, 1),
+                                   (True, 1), (True, 1)]
             prints.append(fingerprint(kernel))
         assert prints[0] == prints[1]
 
@@ -207,8 +230,8 @@ def _loop_streams(kernel, n=4):
 
 
 class TestCrossTaskPlans:
-    """Same-shape segment streams on distinct tasks: each task's plans
-    are its own."""
+    """Same-shape streams on distinct tasks: each task's plans are its
+    own."""
 
     def test_interleaving_matches_any_seed(self):
         """Different seeds interleave differently but plans stay
