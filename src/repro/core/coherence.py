@@ -180,8 +180,8 @@ class Coherence:
         # No ``costs.forget()`` here: memoized resolutions snapshot the
         # counter (so non-steady entries lapse on their own), steady
         # entries are covered by the dcache's scoped kills plus their
-        # per-dentry seq / inode / signature pins, and plan guards
-        # re-validate fd-table state at apply time.
+        # per-dentry seq / inode / signature pins, and the charge
+        # above moves the clock off every armed drain plan.
 
     # -- wraparound ------------------------------------------------------------------
 

@@ -212,7 +212,12 @@ class Kernel:
             new.gid = gid
         if security is not None:
             new.security = security
-        task.set_cred(commit_creds(task.cred, new))
+        cred = commit_creds(task.cred, new)
+        if cred is not task.cred:
+            # Nothing is charged, so an armed drain plan's clock guard
+            # cannot see the new identity.
+            self.costs.forget()
+        task.set_cred(cred)
 
     # -- time/statistics convenience -------------------------------------------------
 

@@ -216,12 +216,12 @@ class Recording:
     the run raises.  The add back on exit is eager, not a deferred
     :meth:`CostModel.apply`: a pending key would keep every fresh
     recorded vector alive until the next read.  The clock is not
-    swapped: tickers, ``mtime_ns`` stamps and plan guards read real
-    time inside the block, and ``vector.ticks`` is the clock's advance
-    over it.  While a recording is open, ``costs.counts``,
-    ``by_scope``, ``by_primitive`` and ``stats.get`` see only its own
-    tables.  A recording opened inside another folds its tables into
-    the outer one on exit; its touch lists stay its own.
+    swapped: ``mtime_ns`` stamps and plan guards read real time inside
+    the block, and ``vector.ticks`` is the clock's advance over it.
+    While a recording is open, ``costs.counts``, ``by_scope``,
+    ``by_primitive`` and ``stats.get`` see only its own tables.  A
+    recording opened inside another folds its tables into the outer one
+    on exit; its touch lists stay its own.
 
     ``costs.recorder`` is the innermost open recording, for the cache
     structures to note what the run touches: ``lru`` dcache-LRU touches
@@ -231,8 +231,9 @@ class Recording:
     negativity checks), ``misses`` the ``(container, key)`` pairs whose
     *absence* the run observed (``Dcache.probe``, DLHT and PCC probe
     misses).  The resolution memo mirrors ``lru``/``pcc`` on replay and
-    pins ``deps``/``misses``; a charge-plan capture that touched ``lru``
-    or ``pcc`` is rejected (plans cover only fd-table syscalls).
+    pins ``deps``/``misses``; a charge-plan capture reads none of them
+    (a drain vouches for itself through
+    :func:`~repro.workloads.traces._drain_state`).
     """
 
     __slots__ = ("vector", "stat_deltas", "lru", "pcc", "deps", "misses",
@@ -275,57 +276,27 @@ class Recording:
         stats.bump_many(self.stat_deltas)
 
 
-class ChargePlan:
-    """A confirmed capture of one replay unit, applied as vector adds.
-
-    ``vector`` is everything the unit charges and ``stat_deltas`` its
-    Stats counter deltas; ``gen`` snapshots the registry generation the
-    plan was captured under.
-    """
-
-    __slots__ = ("vector", "stat_deltas", "gen")
-
-    def __init__(self, vector: ChargeVector, stat_deltas: tuple,
-                 gen: int) -> None:
-        self.vector = vector
-        self.stat_deltas = stat_deltas
-        self.gen = gen
-
-
 class PlanCell:
-    """Capture state of one replay unit (``workloads/traces.py`` runs
-    the protocol; the unit is a whole drain).
+    """Capture state of one whole drain, whose protocol
+    :func:`~repro.workloads.traces.replay_interleaved` runs.
 
-    Lifecycle: from its first execution a unit runs recorded until two
-    executions in a row produce equal captures (kept in ``pending`` in
-    between); then a :class:`ChargePlan` is stored and applies from the
-    next execution on — the memo's confirm-on-second-identical-run
-    protocol, with no warm-up: a first capture that populated caches
-    only becomes the pending one, at the cost of one retry.  ``retries`` counts rejected/mismatched captures; too many
-    marks the cell ``dead`` (permanently interpreted).  ``fail_streak``
-    counts consecutive guard failures at apply time; too many
-    invalidates the plan for re-capture.  ``armed_now`` is the clock
-    state the kernel must be in for the plan to apply (any interleaving
-    syscall moves the clock off it).
+    ``pending`` holds the last vouched capture ``(vector, stat_deltas,
+    state)`` until an equal one confirms it as ``plan``, ``(vector,
+    stat_deltas)``: the memo's confirm-on-second-identical-run protocol,
+    with no warm-up.  ``armed`` is the ``(clock state, registry
+    generation)`` the last capture or apply ended on; the plan applies
+    only while both still hold.  ``retries`` counts rejected or
+    mismatched captures; too many mark the cell ``dead``.
     """
 
-    __slots__ = ("pending", "plan", "dead", "retries", "fail_streak",
-                 "armed_now")
+    __slots__ = ("pending", "plan", "armed", "retries", "dead")
 
     def __init__(self) -> None:
         self.pending = None
         self.plan = None
-        self.dead = False
+        self.armed = None
         self.retries = 0
-        self.fail_streak = 0
-        self.armed_now = None
-
-    def reset(self) -> None:
-        """Drop any captured state and restart the capture protocol."""
-        self.pending = None
-        self.plan = None
-        self.fail_streak = 0
-        self.armed_now = None
+        self.dead = False
 
 
 class ChargePlanRegistry:
@@ -334,7 +305,7 @@ class ChargePlanRegistry:
     The replay engine (:func:`repro.workloads.traces.replay_interleaved`)
     owns the capture/apply protocol; this registry owns the state: one
     table of :class:`PlanCell`, a generation counter bumped by
-    :meth:`CostModel.forget` (every live plan dies on a bump), and
+    :meth:`CostModel.forget` (every armed plan disarms on a bump), and
     host-side telemetry
     (``compiled``/``applied``/``invalidated``/``fallbacks`` — like the
     resolution memo's counters these live outside
@@ -344,10 +315,6 @@ class ChargePlanRegistry:
 
     #: Rejected/mismatched captures before a cell goes dead.
     MAX_RETRIES = 3
-    #: Consecutive apply-time guard failures before re-capture.  A
-    #: whole drain's clock guard, once failed, fails until then, so
-    #: every fallback past the first is wasted.
-    MAX_FAIL_STREAK = 2
     #: Cells kept; a full table is cleared whole (dropping a cell costs
     #: a re-capture, never fidelity).
     MAX_CELLS = 256
@@ -372,9 +339,9 @@ class ChargePlanRegistry:
         """The cell of unit ``tag`` over ``pins`` (created lazily).
 
         ``pins`` are the tasks and programs whose executions feed the
-        cell, in stream order, keyed by identity: a unit's charges are a
-        deterministic function of those plus kernel state, which the
-        apply-time guards cover, and no plan crosses tasks.  ``tag``
+        cell, in stream order, keyed by identity: a drain's charges are
+        a deterministic function of those plus kernel state, which the
+        armed guard covers, and no plan crosses tasks.  ``tag``
         tells the units over one pin sequence apart: a whole drain's is
         its scheduler seed.
         """
@@ -498,10 +465,11 @@ class CostModel:
         (the eager profile elides the invalidation-counter bump when no
         fast-side state was hit and no walk is active, the baseline
         profile has no counter at all, and chmod of a regular file
-        mutates no dentry), mount-table edits, ``drop_caches`` and
-        seqcount wraparound.  Plan guards cannot see mode, label or
-        mount-table state either.  Forgetting too often costs
-        wall-clock only.
+        mutates no dentry), mount-table edits, credential changes
+        (:meth:`~repro.core.kernel.Kernel.change_identity` charges
+        nothing), ``drop_caches`` and seqcount wraparound.  Plan guards
+        cannot see mode, label, mount-table or credential state either.
+        Forgetting too often costs wall-clock only.
         """
         self.memo.flush()
         self.plans.bump_gen()

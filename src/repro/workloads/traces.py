@@ -26,11 +26,11 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import errors
 from repro.core.kernel import Kernel
-from repro.sim.costs import ChargePlan, Recording
+from repro.sim.costs import Recording
 from repro.vfs.syscalls import SyscallBatch, Syscalls
 from repro.vfs.task import Task
 
@@ -349,73 +349,6 @@ def replay(kernel: Kernel, task: Task, trace: Trace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _plan_unit(registry, cell, costs, stats, run: Callable[[], None],
-               guard: Callable[[ChargePlan], bool],
-               vouch: Callable[[Recording], Any],
-               settle: Callable[[bool], None]) -> None:
-    """Execute one replay unit through the charge-plan protocol.
-
-    A unit inside someone else's recording or attribution scope runs
-    interpreted: the recording around it stands for the whole run, and
-    :meth:`CostModel.apply` adds a plan to the scopes it was captured
-    under, never to an open one: it advances the clock at once and
-    counts the plan's vector as pending, and the tables get it when
-    next read.
-
-    ``cell`` (:class:`~repro.sim.costs.PlanCell`) records from its first
-    execution, confirms on the second identical capture and applies
-    from the third while ``guard(plan)`` holds; a generation bump or
-    ``MAX_FAIL_STREAK`` guard failures in a row run that execution
-    interpreted and send the cell back to record, ``MAX_RETRIES`` bad
-    captures kill it.  ``run`` executes the unit interpreted.
-    ``vouch(rec)`` is what a recorded run joins to its ``(vector,
-    stat_deltas)`` capture, falsy when the recording may not become a
-    plan.  ``settle(applied)`` follows an apply and a vouched capture —
-    never a fallback run, which leaves the kernel in a state no capture
-    has seen.
-    """
-    if costs.recorder is not None or costs._scope_stack or cell.dead:
-        run()
-        return
-    plan = cell.plan
-    if plan is not None:
-        if plan.gen != registry.gen:
-            registry.invalidated += 1
-            cell.reset()
-        elif guard(plan):
-            costs.apply(plan.vector)
-            if plan.stat_deltas:
-                stats.bump_many(plan.stat_deltas)
-            cell.fail_streak = 0
-            registry.applied += 1
-            settle(True)
-            return
-        else:
-            registry.fallbacks += 1
-            cell.fail_streak += 1
-            if cell.fail_streak >= registry.MAX_FAIL_STREAK:
-                registry.invalidated += 1
-                cell.reset()
-        run()
-        return
-    with Recording(costs, stats) as rec:
-        run()
-    state = vouch(rec)
-    capture = (rec.vector, rec.stat_deltas, state)
-    if state and cell.pending == capture:
-        cell.pending = None
-        cell.plan = ChargePlan(rec.vector, rec.stat_deltas, registry.gen)
-        registry.compiled += 1
-    else:
-        # An unvouched or mismatched capture burns a retry.
-        if not state or cell.pending is not None:
-            cell.retries += 1
-            cell.dead = cell.retries > registry.MAX_RETRIES
-        cell.pending = capture if state and not cell.dead else None
-    if state:
-        settle(False)
-
-
 def _drain_state(streams) -> Optional[tuple]:
     """What a whole drain must leave as it found it for its plan to be
     sound: every task's fd table and the contents of every file system
@@ -575,15 +508,21 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     :func:`plan_schedule`, so consecutive picks of one stream cost a
     single dispatch.
 
-    The charge-plan layer (:func:`_plan_unit`; ``plans=False`` turns it
-    off, ``None``, the default, means on) never changes virtual output
-    — ``tests/test_charge_plans.py`` and ``tests/test_server_fleet.py``
-    are the differential gates — and plans the *whole drain*.  Replayed
-    back to back on a quiescent kernel (the benchmark shape), it
-    applies while the clock equals the state its last capture or apply
-    ended on — any interleaving syscall moves it off — and its capture
-    carries :func:`_drain_state`, so two equal captures prove the drain
-    leaves the state it found.
+    The charge-plan layer (``plans=False`` turns it off, ``None``, the
+    default, means on) plans the *whole drain* and never changes virtual
+    output (``tests/test_charge_plans.py`` and
+    ``tests/test_server_fleet.py`` are the differential gates).  Inside
+    someone else's recording or attribution scope (an apply adds only
+    the scopes a plan was captured under), or on a dead
+    :class:`~repro.sim.costs.PlanCell`, the drain just runs.  An armed
+    plan applies and re-arms: it is armed while the clock and the
+    registry generation equal what the last capture or apply ended on
+    (any interleaving syscall moves the clock, :meth:`CostModel.forget`
+    the generation).  An unarmed plan is dropped, and its drain runs
+    recorded like any other: two equal captures in a row, each carrying
+    :func:`_drain_state`, prove the drain leaves the state it found, and
+    the second becomes the plan.  ``MAX_RETRIES`` unvouched or
+    mismatched captures kill the cell.
     """
     streams = list(streams)
     costs = kernel.costs
@@ -598,15 +537,40 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
         for i, s in enumerate(order):
             advances[s](runs[i])
 
-    if registry is None:
+    if registry is None or costs.recorder is not None or costs._scope_stack:
         drain()
         return
     cell = registry.cell(seed, *chain.from_iterable(streams))
-    clock = costs.clock
-
-    def settle(_applied: bool) -> None:
-        cell.armed_now = clock.capture_state()
-
-    _plan_unit(registry, cell, costs, kernel.stats, drain,
-               lambda _plan: clock.capture_state() == cell.armed_now,
-               lambda _rec: _drain_state(streams), settle)
+    if cell.dead:
+        drain()
+        return
+    clock, stats = costs.clock, kernel.stats
+    if cell.plan is not None:
+        if cell.armed == (clock.capture_state(), registry.gen):
+            vector, stat_deltas = cell.plan
+            costs.apply(vector)
+            if stat_deltas:
+                stats.bump_many(stat_deltas)
+            registry.applied += 1
+            cell.armed = (clock.capture_state(), registry.gen)
+            return
+        if cell.armed[1] != registry.gen:
+            registry.invalidated += 1
+        else:
+            registry.fallbacks += 1
+        cell.plan = None
+    with Recording(costs, stats) as rec:
+        drain()
+    state = _drain_state(streams)
+    capture = (rec.vector, rec.stat_deltas, state)
+    if state and cell.pending == capture:
+        cell.pending = None
+        cell.plan = (rec.vector, rec.stat_deltas)
+        registry.compiled += 1
+    else:
+        if not state or cell.pending is not None:
+            cell.retries += 1
+            cell.dead = cell.retries > registry.MAX_RETRIES
+        cell.pending = capture if state and not cell.dead else None
+    if state:
+        cell.armed = (clock.capture_state(), registry.gen)

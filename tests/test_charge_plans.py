@@ -1,7 +1,8 @@
 """Charge-plan layer: bit-identity, guards, invalidation.
 
 The charge-plan compiler (:class:`repro.sim.costs.ChargePlanRegistry` +
-the capture/apply protocol in :mod:`repro.workloads.traces`) is a pure
+the capture/apply protocol in
+:func:`repro.workloads.traces.replay_interleaved`) is a pure
 wall-clock optimization: after a compiled replay unit has executed with
 a stable charge stream, later executions apply one clock advance and one
 bulk counter merge instead of hundreds of interpreted charges.  Every
@@ -19,8 +20,8 @@ from repro.core.kernel import PROFILES
 from repro.testing.dual import fingerprint
 from repro.workloads import traces
 from repro.workloads.compile import build_loop_trace, compile_trace
-from repro.workloads.traces import (Trace, TraceEvent, TraceRecorder,
-                                    replay, replay_compiled,
+from repro.workloads.traces import (ReplayDivergence, Trace, TraceEvent,
+                                    TraceRecorder, replay, replay_compiled,
                                     replay_interleaved)
 
 
@@ -149,6 +150,32 @@ class TestWholePassPlans:
         assert telemetry["applied"] >= 2
 
 
+class TestCredentialChange:
+    """A credential change charges nothing, so only the generation bump
+    of :meth:`CostModel.forget` keeps an armed drain plan from replaying
+    the old identity's charges."""
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("ident", [dict(uid=1000, gid=1000),
+                                       dict(gid=5)], ids=["uid", "gid"])
+    def test_identity_change_disarms_the_drain_plan(self, profile, ident):
+        outcomes = {}
+        for plans in (False, True):
+            kernel, task, program = _loop_setup(profile)
+            for _ in range(4):
+                replay_compiled(kernel, task, program, plans=plans)
+            kernel.change_identity(task, **ident)
+            raised = None
+            try:
+                for _ in range(3):
+                    replay_compiled(kernel, task, program, plans=plans)
+            except ReplayDivergence as exc:
+                raised = (exc.index, exc.op, exc.expected_errno,
+                          exc.actual_errno)
+            outcomes[plans] = (raised, _fingerprint(kernel))
+        assert outcomes[True] == outcomes[False]
+
+
 # -- interleaved multi-task replay ----------------------------------------
 
 def _mini_streams(kernel, n, mutator=False, appender=False):
@@ -201,24 +228,34 @@ class TestInterleaved:
         assert results[True] == results[False]
 
     def test_hypothesis_mutation_heavy_schedules(self):
-        """Property sweep: arbitrary mixes of stream counts, seeds, and
-        mutation cadence never let a stale plan leak a wrong charge or
-        skip a write, under eager and lazy coherence."""
-        from hypothesis import given, settings
+        """Property sweep: arbitrary mixes of stream counts, seeds,
+        mutation cadence and a gid switch of one stream's task between
+        two drains never let a stale plan leak a wrong charge or skip a
+        write, under eager and lazy coherence."""
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
 
         @given(n=st.integers(2, 5), seed=st.integers(0, 2**16),
                drains=st.integers(3, 6),
-               mutator=st.booleans(), appender=st.booleans())
+               mutator=st.booleans(), appender=st.booleans(),
+               switch=st.none() | st.tuples(st.integers(0, 4),
+                                            st.integers(1, 5)))
+        # The plan is armed when the identity changes.
+        @example(n=2, seed=0, drains=6, mutator=False, appender=False,
+                 switch=(0, 5))
         @settings(max_examples=12, deadline=None)
-        def sweep(n, seed, drains, mutator, appender):
+        def sweep(n, seed, drains, mutator, appender, switch):
+            """``switch`` is ``(stream, drains before it)``."""
             for profile in ("optimized", "optimized-lazy"):
                 results = {}
                 for plans in (False, True):
                     kernel = make_kernel(profile)
                     streams = _mini_streams(kernel, n, mutator=mutator,
                                             appender=appender)
-                    for _ in range(drains):
+                    for drain in range(drains):
+                        if switch is not None and drain == switch[1]:
+                            kernel.change_identity(
+                                streams[switch[0] % n][0], gid=5)
                         replay_interleaved(kernel, streams, seed=seed,
                                            plans=plans)
                     results[plans] = _fingerprint(kernel)
@@ -244,14 +281,7 @@ def _touch(kernel, task, path="/p"):
 
 class TestOneProtocol:
     """A whole-drain cell's lifecycle:
-    :func:`repro.workloads.traces._plan_unit`."""
-
-    #: site -> (how to fail its guard once, the capture seam it vouches
-    #: through).  A drain's guard is the armed clock.
-    SITES = {
-        "drain": (lambda kernel, task: kernel.sys.stat(task, "/"),
-                  "_drain_state"),
-    }
+    :func:`repro.workloads.traces.replay_interleaved`."""
 
     def _setup(self, program):
         kernel = make_kernel("optimized")
@@ -259,11 +289,9 @@ class TestOneProtocol:
         _touch(kernel, task)
         return kernel, task, kernel.costs.plans.cell(0, task, program)
 
-    @pytest.mark.parametrize("site", sorted(SITES))
     @pytest.mark.parametrize(
         "event", ["gen_bump", "guard_failure", "rejected_capture"])
-    def test_lifecycle(self, site, event, monkeypatch):
-        fail_guard, vouch = self.SITES[site]
+    def test_lifecycle(self, event, monkeypatch):
         program = compile_trace(_record(
             lambda rec: (_touch(rec._kernel, rec._task), _seek_file(rec))))
         prints = {}
@@ -278,7 +306,8 @@ class TestOneProtocol:
             if event == "rejected_capture":
                 passes(1)  # record
                 with monkeypatch.context() as patch:
-                    patch.setattr(traces, vouch, lambda *_args: None)
+                    patch.setattr(traces, "_drain_state",
+                                  lambda *_args: None)
                     passes(1)
                 if plans:
                     assert (cell.retries, cell.pending) == (1, None)
@@ -288,21 +317,25 @@ class TestOneProtocol:
                 assert cell.plan is not None and applied > 0
             if event == "gen_bump":
                 kernel.drop_caches(dentries=False)
-                passes(1)
-                if plans:
-                    assert registry.invalidated == 1
-                    assert (cell.plan, cell.pending) == (None, None)
             elif event == "guard_failure":
-                fail_guard(kernel, task)
+                kernel.sys.stat(task, "/")
+            if event != "rejected_capture":
+                # The failed guard drops the plan and records this drain.
                 passes(1)
                 if plans:
-                    assert registry.fallbacks == 1
-                    assert cell.fail_streak == 1 and cell.plan is not None
-            # A drain cell re-arms only by re-capturing.
-            passes(registry.MAX_FAIL_STREAK + 3)
+                    tel = registry.telemetry()
+                    assert (tel["invalidated"], tel["fallbacks"]) == (
+                        (1, 0) if event == "gen_bump" else (0, 1))
+                    assert cell.plan is None and cell.pending is not None
+                    assert registry.applied == applied
+                passes(1)  # confirm
+                if plans:
+                    assert cell.plan is not None and cell.pending is None
+                    assert registry.applied == applied
+            passes(1)  # apply
             if plans:
-                assert registry.applied > applied
-                assert cell.fail_streak == 0 and not cell.dead
+                assert registry.applied == applied + 1
+                assert not cell.dead
             prints[plans] = _fingerprint(kernel)
         assert prints[True] == prints[False]
 
