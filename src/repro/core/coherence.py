@@ -179,8 +179,8 @@ class Coherence:
         self.counter += 1
         # No ``costs.forget()`` here: memoized resolutions snapshot the
         # counter (so non-steady entries lapse on their own), steady
-        # entries are covered by the dcache's scoped kills plus their
-        # per-dentry seq / inode / signature pins, and the charge
+        # entries are covered by their per-dentry seq / inode /
+        # signature and absence pins, checked on read, and the charge
         # above moves the clock off every armed drain plan.
 
     # -- wraparound ------------------------------------------------------------------
@@ -193,8 +193,8 @@ class Coherence:
         for dlht in self.dlhts:
             dlht.flush()
         # A wrap breaks every memo entry's seqcount pins at once and
-        # renumbers the world under every captured plan; no scoped kill
-        # sees it.
+        # renumbers the world under every captured plan; no per-entry
+        # pin sees it.
         self.costs.forget()
 
 

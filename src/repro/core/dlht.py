@@ -81,10 +81,9 @@ class DirectLookupHashTable:
                 # resolution memo pins them (seq + inode identity).
                 rec.deps.append(dentry)
             else:
-                # ... and on its probe misses: registering this
-                # signature later must invalidate the recording
-                # (ResolutionMemo.kill_miss, from insert()).
-                rec.misses.append((self, signature))
+                # ... and on its probe misses, which hold only while
+                # this signature's slot stays as it is.
+                rec.misses.append((self, self.table, signature))
         return dentry
 
     def insert(self, dentry: Dentry, signature: Signature) -> bool:
@@ -104,20 +103,17 @@ class DirectLookupHashTable:
         placed = self._place(dentry, signature)
         if placed:
             self.costs.charge("dlht_insert")
-            # A recorded probe miss is a conclusion too.
-            self.costs.memo.kill_miss(self, signature)
         return placed is not None
 
     def insert_all(self, pairs) -> None:
         """:meth:`insert` each ``(dentry, signature)`` of ``pairs``, in
         order, with one ``dlht_insert`` charge for all that entered."""
-        placed = []
+        placed = 0
         for dentry, signature in pairs:
             if self._place(dentry, signature):
-                placed.append(signature)
+                placed += 1
         if placed:
-            self.costs.charge("dlht_insert", times=len(placed))
-            self.costs.memo.kill_misses(self, placed)
+            self.costs.charge("dlht_insert", times=placed)
 
     def _place(self, dentry: Dentry, signature: Signature):
         """:meth:`insert`'s table change, uncharged: True when the entry
@@ -138,9 +134,6 @@ class DirectLookupHashTable:
             if fast.dlht is self and self.multi_key:
                 old_key = fast.dlht_key
                 if old_key is not None and self.table.get(old_key) is dentry:
-                    # A memoized hit on the demoted key would no longer
-                    # repeat: a hit on an extra key is settled on touch.
-                    self.costs.memo.kill(dentry)
                     extras = fast.extra_keys
                     if extras is None:
                         fast.extra_keys = [old_key]

@@ -60,7 +60,18 @@ class DcacheConfig:
         force_fastpath_miss: always fall from fastpath to slowpath after
             doing the fastpath work (Figure 6's worst case).
         pcc_capacity: PCC entries per credential (paper: 64 KB / 16 B).
+        pcc_adaptive: each credential's PCC doubles its capacity, up to
+            16 x the default, while a full cache keeps missing (the
+            paper's future work, §6.1; see
+            :class:`~repro.core.pcc.AdaptivePrefixCheckCache`).
+        signature_scheme: path signature hash, ``"universal"`` (the
+            paper's keyed 2-universal hash) or ``"prf"`` (keyed BLAKE2b,
+            §3.3's cautious variant); see
+            :func:`~repro.core.signatures.make_hasher`.
         signature_bits: stored signature width (paper: 240).
+        index_bits: DLHT bucket index width taken from the hash (paper:
+            16); tests shrink it with ``signature_bits`` to force bucket
+            collisions.
         dcache_capacity: dentry count before LRU shrink.
         boot_seed: signature hash key seed ("random key at boot").
         resolution_memo: host-side memoization of whole path
@@ -153,14 +164,7 @@ class Kernel:
         self.resolver = self.fast if self.fast is not None else self.slow_walk
         if config.resolution_memo:
             from repro.core.resmemo import ResolutionMemo
-            if isinstance(self.costs.memo, ResolutionMemo):
-                raise ValueError(
-                    "this CostModel already carries another kernel's "
-                    "resolution memo; pass resolution_memo=False to a "
-                    "kernel that borrows a cost model")
-            # The one attach point: every cache structure reports its
-            # changes through ``costs.memo`` (see ``CostModel.memo``).
-            self.memo = self.costs.memo = ResolutionMemo(
+            self.memo = ResolutionMemo(
                 self.costs, self.stats, self.coherence, self.dcache,
                 self.resolver, capacity=config.resolution_memo_capacity)
         self.readdir_engine = ReaddirEngine(self.costs, self.stats,

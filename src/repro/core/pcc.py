@@ -77,12 +77,12 @@ class PrefixCheckCache:
 
     def _miss(self, counter: str, dentry: Dentry) -> bool:
         """Count a failed probe.  A recorded resolution rests on it as
-        much as on a hit: a later :meth:`insert` of ``dentry`` must kill
-        the recording (``ResolutionMemo.kill_miss``)."""
+        much as on a hit: the miss holds only while ``dentry``'s slot
+        stays as it is."""
         self.stats.bump(counter)
         rec = self.costs.recorder
         if rec is not None:
-            rec.misses.append((self, dentry))
+            rec.misses.append((self, self._entries, id(dentry)))
         return False
 
     def insert(self, dentry: Dentry, epoch: int = 0) -> None:
@@ -102,28 +102,24 @@ class PrefixCheckCache:
         """The state change of :meth:`insert`, uncharged.
 
         The resolution memo calls it to repeat a recorded insert: the
-        entry goes to MRU, recordings that rest on its absence die, and
-        so do those that rest on an entry pushed out past capacity.
+        entry goes to MRU, and one past capacity is pushed out, as the
+        insert would.
         """
         self._store_all((dentry,), epoch)
 
     def _store_all(self, dentries, epoch: int) -> None:
         entries = self._entries
         capacity = self.capacity
-        memo = self.costs.memo
         for dentry in dentries:
             key = id(dentry)
             entries[key] = (dentry, dentry.seq, epoch)
             entries.move_to_end(key)
             while len(entries) > capacity:
-                memo.kill(entries.popitem(last=False)[1][0])
-        memo.kill_misses(self, dentries)
+                entries.popitem(last=False)
 
     def invalidate_all(self) -> None:
-        """Flush (sequence-counter wraparound handling, §3.1).
-
-        Memo entries rest on PCC contents: the caller ``costs.forget()``s.
-        """
+        """Flush (sequence-counter wraparound handling, §3.1); the
+        caller ``costs.forget()``s, as a wrap breaks every seq pin."""
         self._entries.clear()
 
     def __len__(self) -> int:

@@ -19,6 +19,7 @@ tables the resolution charged and counted into — its
 the dcache-LRU / PCC touches it performed.  A hit is accepted only
 after a validity check over the entry's recorded *dependencies*:
 
+* the generation ``CostModel.forget()`` bumps is unchanged, and
 * the lazy epoch high-water mark is unchanged (the lazy profile stamps
   epochs instead of shooting down; touch-time revalidation charges
   depend on it, so lazy recordings never survive an epoch bump), and
@@ -26,11 +27,13 @@ after a validity check over the entry's recorded *dependencies*:
   seqcount, and
 * every dentry the walk's conclusion rested on — dcache-LRU hits, DLHT
   probe hits, PCC probe hits, fastpath negativity checks — is alive
-  with its recorded seqcount and the *same inode object* (identity
-  pins negativity flips and re-instantiations that do not bump seqs),
-  and
+  with its recorded seqcount, the *same inode object* (identity pins
+  negativity flips and re-instantiations that do not bump seqs) and
+  the same fast state under the same DLHT key, and
 * the terminal dentry's state signature (inode kind, negativity kind,
   stub/alias state, DLHT registration) matches the recorded one, and
+* every name, signature or prefix check the walk found absent is still
+  what its table held at the snapshot, and
 * every recorded PCC probe hit would hit again right now, and
 * for entries whose recordings contain mutation-adjacent charges (see
   ``_STEADY_UNSAFE_PRIMITIVES``), the global invalidation counter is
@@ -77,29 +80,28 @@ protocol: within one quiescent phase, consecutive identical runs prove
 the absence of population; across a mutation cycle, the recording's
 own charge vector proves it (population charges ``dentry_alloc`` /
 ``dlht_insert`` / ``pcc_insert`` / ... — any of which forces the
-strict counter comparison, under which today's flush semantics are
-preserved).
+strict counter comparison, so such an entry lapses at the next
+mutation).
 
 Admission — record only while recordings pay
 --------------------------------------------
 
 Recording costs wall-clock (the touch lists, the swapped-in tables,
-the snapshot and its reverse-index registration, all of it twice before
-the first replay), so two host-side rules decide *when to try*.  Neither
-can move virtual output: every check above still guards every replay.
-A *doorkeeper* — one set of ``hash(key)`` ints, cleared whole at
-``_DOOR_MAX`` — has a key resolved plainly on first sight and recorded
-on its second.  A *governor* counts resolves in windows of ``_WINDOW``
-(integers, never wall-clock) and compares what a window *earned*
-(replays) with what it *wasted*: recordings ``_memoizable`` refused or
-a confirming run contradicted, and entries lost to ``kill`` /
-``kill_miss`` / ``flush``, staleness or capacity.  ``wasted > earned``
-shuts recording for 1, 2, 4 ... ``_MAX_SHUT`` windows, then one probe
-window reopens it; a window that pays resets the backoff.  A warm-up
-records much and loses nothing, so it never shuts.  While shut,
-confirmed entries still validate and replay, provisional ones wait, and
-an empty memo costs a resolve one countdown step (``kill`` and
-``kill_miss`` return at their empty index).
+the snapshot, all of it twice before the first replay), so two
+host-side rules decide *when to try*.  Neither can move virtual output:
+every check above still guards every replay.  A *doorkeeper* — one set
+of ``hash(key)`` ints, cleared whole at ``_DOOR_MAX`` — has a key
+resolved plainly on first sight and recorded on its second.  A
+*governor* counts resolves in windows of ``_WINDOW`` (integers, never
+wall-clock) and compares what a window *earned* (replays) with what it
+*wasted*: recordings ``_memoizable`` refused or a confirming run
+contradicted, and entries found stale or pushed out past capacity.
+``wasted > earned`` shuts recording for 1, 2, 4 ... ``_MAX_SHUT``
+windows, then one probe window reopens it; a window that pays resets
+the backoff.  A warm-up records much and loses nothing, so it never
+shuts.  While shut, confirmed entries still validate and replay,
+provisional ones wait, and an empty memo costs a resolve one countdown
+step.
 
 Resolutions that call into the low-level file system (buffer-cache or
 device charges, pseudo-file generation, network RPCs) are never
@@ -108,20 +110,22 @@ cheaply.  The same applies to terminals on ``requires_revalidation``
 file systems (§4.3 network file systems) and to resolutions that missed
 a probe of an adaptive PCC (the miss moves its resize counter).
 
-Invalidation is *scoped*, and reaches the memo through one seam: the
-kernel attaches it as ``costs.memo``, and every cache structure reports
-there.  ``Dcache.d_drop``/``d_move``/``evict`` and a PCC's capacity
-eviction call :meth:`ResolutionMemo.kill` (drop every entry that depends
-on the dentry); ``Dcache.d_alloc``/``d_move``,
-``DirectLookupHashTable.insert`` and ``PrefixCheckCache.store`` call
-:meth:`ResolutionMemo.kill_miss` (drop every entry that concluded from
-the *absence* of the name, signature or prefix check now appearing);
-both are O(affected) through one reverse index.  Bulk :meth:`flush` is
-called only by ``CostModel.forget()``, for the coarse hazards —
-chmod/chown/label changes (permission bits feed memoized prefix checks),
-mount table edits, ``drop_caches`` and seqcount wraparound (which breaks
-every seq pin at once).  Flushing or killing too often costs only
-wall-clock, never fidelity.
+Invalidation is *checked on read*, as the paper's PCC checks its
+seqcounts at probe time (§3.1-3.2): nothing outside this module knows
+the memo's rule.  Every pin above is re-read by :meth:`_valid` before a
+replay, and an entry that fails it is dropped then and counted
+``stale``.  A dependency pin is its dentry's liveness, seqcount
+(``Dcache.d_move`` bumps it, as ``__d_move`` writes ``d_seq``), inode
+identity, fast state and DLHT key (a lazy re-registration demotes a
+key without bumping seqs).  An absence pin is ``(table, key, value at
+snapshot)`` for every name, signature or prefix check the walk found
+missing — in a parent's ``children``, a DLHT's table or a PCC — and
+holds while ``table.get(key)`` is still that value.  The generation
+that ``CostModel.forget()`` bumps covers the coarse hazards no pin sees:
+chmod/chown/label changes (permission bits feed memoized prefix
+checks), mount table edits, credential changes, ``drop_caches`` and
+seqcount wraparound (which breaks every seq pin at once).  A stale
+entry costs only wall-clock, never fidelity.
 """
 
 from __future__ import annotations
@@ -192,10 +196,10 @@ def _dentry_sig(dentry) -> tuple:
     fresh inode each round, and a file's own inode attributes are
     never read during resolution (permission checks on the terminal
     happen in the syscall layer, after resolve).  Directories are also
-    kind-only: their permission bits are covered by the chmod/chown
-    bulk flush, and walks *into* them pin the inode identity through
-    their dependency list instead.  Symlink inodes are pinned by
-    identity — a retarget must not revalidate.
+    kind-only: their permission bits are covered by the generation
+    ``costs.forget()`` bumps on chmod/chown, and walks *into* them pin
+    the inode identity through their dependency list instead.  Symlink
+    inodes are pinned by identity — a retarget must not revalidate.
     """
     inode = dentry.inode
     if inode is None:
@@ -232,11 +236,12 @@ class _Entry:
         "term_dentry",      # terminal dentry (None for raised outcomes)
         "term_seq",
         "term_sig",         # _dentry_sig of the terminal at record time
-        "deps",             # tuple of (dentry, seq, inode) pins
-        "index_keys",       # where ResolutionMemo._index lists the entry
+        "deps",             # tuple of (dentry, seq, inode, fast,
+                            # dlht_key) pins
+        "absent",           # tuple of (table, key, value at snapshot)
+        "gen",              # CostModel.plans.gen, bumped by forget()
         "steady",           # no mutation-adjacent charges: skip counter
         "refs",             # strong refs pinning every id() in the key
-                            # and in the absence keys of index_keys
         "confirmed",        # replayable only after a second identical run
     )
 
@@ -248,18 +253,16 @@ class ResolutionMemo:
     ``DcacheConfig.resolution_memo`` is on, and consulted by
     ``Syscalls._resolve`` for every resolve-bearing entry point.
 
-    ``hits``/``misses``/``stale``/``flushes`` are host-side telemetry;
-    they deliberately live outside :class:`~repro.sim.stats.Stats` so
-    the memo never perturbs golden counters.  ``flushes`` counts
-    invalidation events — bulk flushes and scoped kills that removed at
-    least one entry.
+    ``hits``/``misses``/``stale`` are host-side telemetry; they
+    deliberately live outside :class:`~repro.sim.stats.Stats` so the
+    memo never perturbs golden counters.
     """
 
     __slots__ = (
         "costs", "stats", "coherence", "dcache", "resolver", "capacity",
-        "_entries", "_index", "_door", "_interned",
+        "_entries", "_door", "_interned",
         "_open", "_left", "_shut_for", "_mark", "_wasted",
-        "hits", "misses", "stale", "flushes",
+        "hits", "misses", "stale",
     )
 
     #: Resolves per governor window (see *Admission* in the module
@@ -282,13 +285,6 @@ class ResolutionMemo:
         self.resolver = resolver
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        #: Reverse index -> {key: entry}.  ``id(dentry)`` lists every
-        #: entry that depends on the dentry (term or deps) and drives
-        #: :meth:`kill`; ``(id(container), key)`` lists every entry
-        #: whose walk observed ``key`` absent from ``container`` —
-        #: (parent dentry, name), (DLHT, signature) or (PCC, dentry) —
-        #: and drives :meth:`kill_miss`.  Both in O(affected entries).
-        self._index: dict = {}
         #: Doorkeeper: ``hash(key)`` of every key resolved while open.
         self._door: set = set()
         #: Content -> the one stored ``ChargeVector`` / ``stat_deltas``
@@ -305,7 +301,6 @@ class ResolutionMemo:
         self.hits = 0
         self.misses = 0
         self.stale = 0
-        self.flushes = 0
 
     # ------------------------------------------------------------------
     # hot path
@@ -313,7 +308,7 @@ class ResolutionMemo:
     def _valid(self, entry: _Entry, start) -> bool:
         """Does ``entry``'s validity snapshot still hold?"""
         coh = self.coherence
-        if entry.epoch != coh.epoch:
+        if entry.gen != self.costs.plans.gen or entry.epoch != coh.epoch:
             return False
         if not entry.steady and entry.counter != coh.counter:
             return False
@@ -325,8 +320,13 @@ class ResolutionMemo:
             if (term.dead or term.seq != entry.term_seq
                     or _dentry_sig(term) != entry.term_sig):
                 return False
-        for d, seq, inode in entry.deps:
-            if d.dead or d.seq != seq or d.inode is not inode:
+        for d, seq, inode, fast, key in entry.deps:
+            if (d.dead or d.seq != seq or d.inode is not inode
+                    or d.fast is not fast
+                    or fast is not None and fast.dlht_key != key):
+                return False
+        for table, key, seen in entry.absent:
+            if table.get(key) is not seen:
                 return False
         for pcc, d, epoch in entry.pcc_touches:
             if epoch is not None:  # an insert rests on nothing
@@ -368,7 +368,6 @@ class ResolutionMemo:
                     self.stale += 1
                     self._wasted += 1
                     del entries[key]
-                    self._unregister(key, entry)
                 elif entry.confirmed:
                     self.hits += 1
                     entries.move_to_end(key)
@@ -460,18 +459,17 @@ class ResolutionMemo:
             return False
         # A missed probe of an adaptive PCC advanced its resize counter,
         # which no replay repeats and no validity check can see.
-        if any(isinstance(container, AdaptivePrefixCheckCache)
-               for container, _key in rec.misses):
+        if any(isinstance(owner, AdaptivePrefixCheckCache)
+               for owner, _table, _key in rec.misses):
             return False
         if pos is not None and pos.dentry.inode is not None:
             if pos.dentry.inode.fs.requires_revalidation:
                 return False
         return True
 
-    def _snapshot(self, key, entry: _Entry, task, path,
-                  rec: Recording) -> None:
-        """(Re)capture ``entry``'s validity snapshot from ``rec`` and
-        register it in the reverse index."""
+    def _snapshot(self, entry: _Entry, task, path, rec: Recording) -> None:
+        """(Re)capture ``entry``'s validity snapshot from ``rec``."""
+        entry.gen = self.costs.plans.gen
         coh = self.coherence
         entry.counter = coh.counter
         entry.epoch = coh.epoch
@@ -497,35 +495,24 @@ class ResolutionMemo:
         for d in chain(rec.lru, rec.deps,
                        [d for _pcc, d, _epoch in rec.pcc]):
             if d is not term and id(d) not in deps:
-                deps[id(d)] = (d, d.seq, d.inode)
+                fast = d.fast
+                deps[id(d)] = (d, d.seq, d.inode, fast,
+                               None if fast is None else fast.dlht_key)
         entry.deps = tuple(deps.values())
-        absent = {(id(container), name): container
-                  for container, name in rec.misses}
-        # Strong refs keep every object behind an id() in the key and in
-        # the absence keys alive (``deps`` and the touch lists hold the
-        # dentries), so no id can be recycled while the entry can match.
-        entry.refs = (task.ns, task.root, task.cwd, task.cred,
-                      *absent.values())
+        # Absence pins hold the table itself, so no id() of theirs can
+        # be recycled.  A PCC's table is keyed by id(dentry), and an
+        # ``is`` check cannot be fooled by a recycled one either: a
+        # present value holds its dentry, and an absent one turning
+        # present fails the check whoever owns the id.
+        absent = {(id(table), key): (table, key, table.get(key))
+                  for _owner, table, key in rec.misses}
+        entry.absent = tuple(absent.values())
+        # Strong refs keep every object behind an id() in the key alive
+        # (``deps`` and the touch lists hold the dentries), so no id can
+        # be recycled while the entry can match.
+        entry.refs = (task.ns, task.root, task.cwd, task.cred)
         entry.steady = not _charges_any(entry.vector,
                                         _STEADY_UNSAFE_PRIMITIVES)
-        entry.index_keys = (*deps, *absent) if term is None \
-            else (*deps, id(term), *absent)
-        index = self._index
-        for ikey in entry.index_keys:
-            bucket = index.get(ikey)
-            if bucket is None:
-                index[ikey] = bucket = {}
-            bucket[key] = entry
-
-    def _unregister(self, key, entry: _Entry) -> None:
-        """Remove ``entry``'s reverse-index registrations."""
-        index = self._index
-        for ikey in entry.index_keys:
-            bucket = index.get(ikey)
-            if bucket is not None:
-                bucket.pop(key, None)
-                if not bucket:
-                    del index[ikey]
 
     def _store(self, key, task, path, pos, exc, rec, deltas) -> None:
         if not self._memoizable(rec, pos):
@@ -552,13 +539,12 @@ class ResolutionMemo:
         entry.lru_touches = rec.lru
         entry.pcc_touches = rec.pcc
         entry.confirmed = False
-        self._snapshot(key, entry, task, path, rec)
+        self._snapshot(entry, task, path, rec)
         entries = self._entries
         entries[key] = entry
         entries.move_to_end(key)
         if len(entries) > self.capacity:
-            old_key, old_entry = entries.popitem(last=False)
-            self._unregister(old_key, old_entry)
+            entries.popitem(last=False)
             self._wasted += 1
 
     def _record(self, key, task, path, follow_last, intent_create,
@@ -576,23 +562,19 @@ class ResolutionMemo:
         execution is indistinguishable from the recorded one."""
         pos, exc, rec, deltas = self._run_recorded(
             task, path, follow_last, intent_create, create_dir)
-        # The resolve itself may have invalidated the entry (e.g. a
-        # dcache eviction while populating); only touch the entry if it
-        # is still the one we validated.
-        if self._entries.get(key) is entry and self._matches(
-                entry, pos, exc, rec, deltas):
+        # Nothing but this memo's own resolve path removes an entry, and
+        # a resolve inside a recording runs plainly: the entry is still
+        # there.
+        if self._matches(entry, pos, exc, rec, deltas):
             entry.confirmed = True
             # Refresh the validity snapshot from this (newest) run: the
             # two executions were observably identical, but the second
             # one's dependencies describe the current cache state.
-            self._unregister(key, entry)
-            self._snapshot(key, entry, task, path, rec)
+            self._snapshot(entry, task, path, rec)
             self._entries.move_to_end(key)
         else:
             self._wasted += 1
-            if self._entries.get(key) is entry:
-                del self._entries[key]
-                self._unregister(key, entry)
+            del self._entries[key]
             self._store(key, task, path, pos, exc, rec, deltas)
         if exc is not None:
             raise exc
@@ -631,62 +613,7 @@ class ResolutionMemo:
         return True
 
     # ------------------------------------------------------------------
-    # invalidation / accounting
-
-    def flush(self) -> None:
-        """Bulk-invalidate every entry (coarse hazards only: permission
-        or label changes, mount table edits, seqcount wraparound)."""
-        self._interned.clear()
-        if self._entries:
-            self._wasted += len(self._entries)
-            self._entries.clear()
-            self._index.clear()
-            self.flushes += 1
-
-    def kill(self, dentry) -> None:
-        """Scoped invalidation: drop every entry depending on ``dentry``.
-
-        Called by the dcache on ``d_drop``/``d_move``/``evict`` (and,
-        via eviction, for the parent whose ``dir_complete`` flag the
-        eviction broke) and by a PCC evicting past capacity.  O(affected
-        entries) through the reverse index; a dentry no entry depends
-        on costs one dict probe, an empty index not even the key.
-        """
-        if self._index:
-            self._drop(id(dentry))
-
-    def kill_miss(self, parent, name) -> None:
-        """Scoped invalidation for a name being instantiated: drop every
-        entry whose walk concluded from ``name`` being absent under
-        ``parent`` (``d_alloc`` and the destination of ``d_move``; for a
-        DLHT ``insert``, the table and the signature; for a PCC
-        ``insert``, the cache and the dentry)."""
-        if self._index:
-            self._drop((id(parent), name))
-
-    def kill_misses(self, container, keys) -> None:
-        """:meth:`kill_miss` for each of ``keys`` under ``container`` (a
-        batch of DLHT signatures or PCC dentries), in one call."""
-        if self._index:
-            ident = id(container)
-            for key in keys:
-                self._drop((ident, key))
-
-    def _drop(self, ikey) -> None:
-        """Pop one reverse-index bucket and drop its entries."""
-        bucket = self._index.pop(ikey, None)
-        if not bucket:
-            return
-        entries = self._entries
-        removed = 0
-        for key, entry in bucket.items():
-            if entries.get(key) is entry:
-                del entries[key]
-                removed += 1
-            self._unregister(key, entry)
-        if removed:
-            self._wasted += removed
-            self.flushes += 1
+    # accounting
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -228,10 +228,13 @@ class Recording:
     (``Dcache.probe`` hits), ``pcc`` PCC probe hits ``(pcc, dentry,
     None)`` and inserts ``(pcc, dentry, epoch)`` in order, ``deps`` the
     dentries a fastpath conclusion rested on (DLHT probe hits,
-    negativity checks), ``misses`` the ``(container, key)`` pairs whose
-    *absence* the run observed (``Dcache.probe``, DLHT and PCC probe
-    misses).  The resolution memo mirrors ``lru``/``pcc`` on replay and
-    pins ``deps``/``misses``; a charge-plan capture reads none of them
+    negativity checks), ``misses`` an ``(owner, table, key)`` triple for
+    each probe that found ``key`` absent from the dict ``table``
+    (``Dcache.probe``: the parent and its ``children``; a DLHT and its
+    signature table; a PCC and its entries by ``id(dentry)``).  The
+    resolution memo mirrors ``lru``/``pcc`` on replay and pins
+    ``deps``/``misses``, re-reading them before each replay; a
+    charge-plan capture reads none of them
     (a drain vouches for itself through
     :func:`~repro.workloads.traces._drain_state`).
     """
@@ -305,7 +308,8 @@ class ChargePlanRegistry:
     The replay engine (:func:`repro.workloads.traces.replay_interleaved`)
     owns the capture/apply protocol; this registry owns the state: one
     table of :class:`PlanCell`, a generation counter bumped by
-    :meth:`CostModel.forget` (every armed plan disarms on a bump), and
+    :meth:`CostModel.forget` (every armed plan disarms on a bump, and
+    every resolution memo entry lapses), and
     host-side telemetry
     (``compiled``/``applied``/``invalidated``/``fallbacks`` — like the
     resolution memo's counters these live outside
@@ -361,27 +365,6 @@ class ChargePlanRegistry:
                 "fallbacks": self.fallbacks}
 
 
-class _NoMemo:
-    """What ``CostModel.memo`` is until a kernel attaches its resolution
-    memo (``DcacheConfig.resolution_memo`` off, or no kernel at all):
-    there is nothing to invalidate, so every report is dropped.
-    """
-
-    __slots__ = ()
-
-    def kill(self, dentry) -> None:
-        """No entry can depend on ``dentry``."""
-
-    def kill_miss(self, container, key) -> None:
-        """No entry can rest on ``key``'s absence from ``container``."""
-
-    def kill_misses(self, container, keys) -> None:
-        """No entry can rest on the absence of any of ``keys``."""
-
-    def flush(self) -> None:
-        """Nothing to flush."""
-
-
 def _rate_ticks(name: str, ns: float) -> int:
     """``ns`` as ticks; a rate between two ticks is a table error."""
     ticks = ns * TICKS_PER_NS
@@ -417,7 +400,7 @@ class CostModel:
 
     __slots__ = ("charges", "clock", "_scope_stack", "_by_scope", "_nbytes",
                  "_raw", "_counts", "_pending_vectors", "_priced", "_rates",
-                 "_guards", "recorder", "plans", "memo")
+                 "_guards", "recorder", "plans")
 
     def __init__(self, charges: Optional[Dict[str, float]] = None,
                  clock: Optional[Clock] = None):
@@ -450,18 +433,13 @@ class CostModel:
         #: Captured charge plans for whole drains (see
         #: :class:`ChargePlanRegistry` and ``workloads/traces.py``).
         self.plans = ChargePlanRegistry()
-        #: The one place the cache structures report changes to:
-        #: ``Dcache.d_alloc/d_drop/d_move/evict``, ``DLHT.insert`` and
-        #: ``PCC.store`` call ``memo.kill`` / ``memo.kill_miss``.  A
-        #: :class:`~repro.core.resmemo.ResolutionMemo` once a kernel
-        #: attaches one (at most one per cost model), else a no-op.
-        self.memo = _NoMemo()
 
     def forget(self) -> None:
-        """Bulk-invalidate every host-side layer: flush the resolution
-        memo and kill every captured charge plan.
+        """Bulk-invalidate every host-side layer: bump the generation
+        that every captured charge plan and every resolution memo entry
+        pins, so each lapses when it is next read.
 
-        For the changes no scoped report covers: chmod/chown/relabel
+        For the changes no per-entry pin sees: chmod/chown/relabel
         (the eager profile elides the invalidation-counter bump when no
         fast-side state was hit and no walk is active, the baseline
         profile has no counter at all, and chmod of a regular file
@@ -471,7 +449,6 @@ class CostModel:
         cannot see mode, label, mount-table or credential state either.
         Forgetting too often costs wall-clock only.
         """
-        self.memo.flush()
         self.plans.bump_gen()
 
     # -- charging ---------------------------------------------------------

@@ -25,16 +25,15 @@ INODE_BYTES = 592               # struct inode, for context
 #: bits, rounded) + dentry back pointer (8).
 DLHT_EXTRA_KEY_BYTES = 56
 #: Host-side resolution memo (repro.core.resmemo), in bytes of *host*
-#: heap, measured on CPython 3.11 / x86-64 as the ``sys.getsizeof`` sum
-#: over the objects an entry owns alone: its key tuple, the ``_Entry``,
-#: both touch lists, the dependency and index-key tuples with their
-#: elements, the terminal signature, the outcome, and its share of the
-#: reverse index (a one-entry bucket dict per dependency).  1.2-1.4 KB on
-#: three-component paths, 1.3 (fastpath: one pin per lookup) to 1.9 KB
-#: (baseline: one pin per component) on the benchmark's ``warm_lookup``
-#: paths; ``tracemalloc`` reads 1.6-1.9 KB for the former, the difference
-#: being allocator rounding and the doorkeeper's ``int``.
-RESMEMO_ENTRY_BYTES = 1500
+#: heap per entry, as ``tracemalloc`` reads it on CPython 3.11 / x86-64
+#: over 1 000 entries of three-component paths (the memo-bytes test's
+#: recipe, which includes the doorkeeper's ``int`` and allocator
+#: rounding): 1.08 KB on baseline (one pin per component), 0.99 KB on
+#: the fastpath profiles.  The ``sys.getsizeof`` sum over what an entry
+#: owns alone — its key tuple, the ``_Entry``, both touch lists, the
+#: dependency and absence pins, the terminal signature and the outcome
+#: — is 0.78-0.90 KB of that.
+RESMEMO_ENTRY_BYTES = 1000
 #: One key of a stored charge vector: its slot in one of the vector's
 #: four tables and its value (an ``int`` object once past the small-int
 #: cache, as tick totals are), with the vector's fixed part — the object

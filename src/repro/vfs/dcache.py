@@ -127,9 +127,8 @@ class Dcache:
                 rec.lru.append(dentry)
         elif rec is not None:
             # The walk is about to conclude something from this name's
-            # *absence*; instantiating it later must invalidate the
-            # recording (ResolutionMemo.kill_miss).
-            rec.misses.append((parent, name))
+            # *absence*, which holds only while the name stays unlinked.
+            rec.misses.append((parent, parent.children, name))
         return dentry
 
     def d_alloc(self, parent: Dentry, name: str,
@@ -177,8 +176,6 @@ class Dcache:
         shrinking if that puts the LRU over its limit; uncharged (each
         allocator charges its own tally)."""
         parent.children[name] = dentry
-        # Only walks that concluded from this name's absence care.
-        self.costs.memo.kill_miss(parent, name)
         lru = self._lru
         lru[id(dentry)] = dentry
         if len(lru) > self.capacity - len(self._roots):
@@ -208,7 +205,6 @@ class Dcache:
         self._lru.pop(id(dentry), None)
         dentry.dead = True
         dentry.seq += 1
-        self.costs.memo.kill(dentry)
         self.hooks.on_unhash(dentry)
         self.costs.charge("dentry_free")
 
@@ -221,9 +217,9 @@ class Dcache:
         dentry.set_kind()
         dentry.neg_kind = kind
         dentry.dir_complete = False
-        # No memo invalidation needed: entries depending on this dentry
-        # pin its inode by identity, and entries terminating on it match
-        # a state signature — both see the transition.
+        # The seq stays: a resolution memo pins this dentry's inode by
+        # identity, or its state signature if it ended there, and both
+        # see the transition.
         self.hooks.on_make_negative(dentry)
 
     def make_positive(self, dentry: Dentry, inode: Inode) -> None:
@@ -232,8 +228,7 @@ class Dcache:
         dentry.stub = None
         dentry.set_kind()
         dentry.neg_kind = None
-        # Covered by memo inode-identity pins / terminal signatures,
-        # exactly as in make_negative above.
+        # The seq stays, as in make_negative above.
         self.hooks.on_make_positive(dentry)
 
     # -- rename support ----------------------------------------------------------------
@@ -253,13 +248,9 @@ class Dcache:
         dentry.parent = new_parent
         dentry.name = new_name
         new_parent.children[new_name] = dentry
-        # A move does not bump the dentry's seqcount (only its name and
-        # parent change), so memo entries that resolved through it must
-        # be killed explicitly; and the destination name just came into
-        # existence for absence-based walks.
-        memo = self.costs.memo
-        memo.kill(dentry)
-        memo.kill_miss(new_parent, new_name)
+        # As Linux's __d_move writes d_seq: a reader that pinned the
+        # dentry's seq sees it moved.
+        dentry.seq += 1
 
     # -- LRU / shrinking ------------------------------------------------------------
 
@@ -304,12 +295,6 @@ class Dcache:
         self._lru.pop(id(dentry), None)
         dentry.dead = True
         dentry.seq += 1
-        memo = self.costs.memo
-        memo.kill(dentry)
-        # The parent's broken dir_complete flag is invisible to the
-        # memo's validity check (no seq/epoch/counter changes), so
-        # entries that walked through the parent go too.
-        memo.kill(parent)
         self.hooks.on_unhash(dentry)
         self.costs.charge("dentry_free")
 

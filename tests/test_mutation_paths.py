@@ -10,7 +10,7 @@ implementation, on every profile.  This module pins each:
   inline re-implementation of the old per-dentry recursive walk —
   fixed-tree golden check plus a hypothesis sweep over random subtree
   shapes including bind mounts, symlinks, and negative dentries;
-* the scoped-invalidation resolution memo on mutation-heavy
+* the check-on-read resolution memo on mutation-heavy
   create/stat/rename/unlink churn, memo on vs. off.
 """
 
@@ -246,9 +246,9 @@ class TestMemoMutationChurn:
     @pytest.mark.parametrize("profile", PROFILES)
     def test_memo_off_on_byte_identity(self, profile):
         """create/stat/rename/unlink churn: bit-identical memo on/off,
-        and the memo actually replays across mutation cycles (the
-        scoped-kill payoff — a bulk flush per mutation would leave zero
-        hits on this workload).  Lazy coherence stamps the global epoch
+        and the memo actually replays across mutation cycles (each entry
+        checks only its own pins — a bulk flush per mutation would leave
+        zero hits on this workload).  Lazy coherence stamps the global epoch
         on every mutation and recordings never survive an epoch bump,
         so there the check is only that the memo engaged (misses
         recorded) without perturbing costs."""

@@ -17,17 +17,19 @@ Coverage:
   and the full ``Stats`` snapshot;
 * 20 seeded mutation-heavy schedules through
   :class:`repro.testing.scheduler.ConcurrentRunner`, with post-run
-  agreement between memoized answers and memo-flushed re-resolution;
-* a hypothesis sweep over stat/rename/create/unlink/chmod
+  agreement between memoized answers and re-resolution after
+  ``costs.forget()``;
+* a hypothesis sweep over stat/listdir/rename/create/unlink/chmod
   interleavings (two credentials, a symlinked directory, a ``..``
-  spelling, a PCC of 2, 4 or 4 096 entries, fixed or adaptive),
-  differential against a memo-off twin down to PCC and dcache-LRU order;
+  spelling, a PCC of 2, 4 or 4 096 entries, fixed or adaptive, a dcache
+  of 12 entries or a million), differential against a memo-off twin
+  down to PCC and dcache-LRU order;
 * a recorded DLHT or PCC probe *miss* as a dependency, each in a
   minimal case and on the benchmark's own ``warm_lookup`` inputs (all
   ramp passes; respelled with ``..`` for the PCC);
-* a full PCC: replay repeats recorded re-inserts, an eviction kills the
-  entries resting on its victim and no others, minimal cases and the
-  ``warm_lookup`` inputs against a 128-entry PCC;
+* a full PCC: replay repeats recorded re-inserts, an entry resting on an
+  eviction victim is found stale when next resolved, minimal cases and
+  the ``warm_lookup`` inputs against a 128-entry PCC;
 * admission: the doorkeeper and the governor (deterministic, never shut
   by a read-only loop, shut by a mutating one and reopened by quiet,
   free while shut and empty), and the benchmark's ``churn`` inputs run
@@ -63,7 +65,7 @@ from repro.testing.races import assert_fastpath_consistent
 from repro.testing.scheduler import ConcurrentRunner, normalize_stat
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - hypothesis is in the image
     HAVE_HYPOTHESIS = False
@@ -152,11 +154,12 @@ class TestGoldenDifferential:
         assert fingerprint(on) == fingerprint(off)
         # The equality above is vacuous unless replays actually ran.
         assert on.memo.hits > 0
-        assert on.memo.flushes > 0
+        assert on.memo.stale > 0
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_flush_midstream_changes_nothing_virtual(self, profile):
-        """An explicit flush at an arbitrary point is virtually invisible."""
+        """``costs.forget()`` at an arbitrary point is virtually
+        invisible."""
         plain = make_kernel(profile)
         flushed = make_kernel(profile)
         t_plain = plain.spawn_task(uid=0, gid=0)
@@ -166,7 +169,7 @@ class TestGoldenDifferential:
             _mkfile(kernel, task, "/d/f")
             for _ in range(4):
                 kernel.sys.stat(task, "/d/f")
-        flushed.memo.flush()
+        flushed.costs.forget()
         for kernel, task in ((plain, t_plain), (flushed, t_flushed)):
             for _ in range(4):
                 kernel.sys.stat(task, "/d/f")
@@ -189,7 +192,7 @@ class TestConcurrentSchedules:
         The memo is warmed before the schedule so live entries exist for
         the rename/chmod/create/unlink storm to invalidate mid-walk;
         afterwards, every probe must answer identically through the memo
-        and through a memo-flushed real resolution.
+        and through a real resolution after ``costs.forget()``.
         """
         kernel = make_kernel("optimized")
         task = kernel.spawn_task(uid=0, gid=0)
@@ -219,7 +222,7 @@ class TestConcurrentSchedules:
         probes = ["/s/d0/a", "/s/d0/b", "/s/d0/new", "/s/d0/gone",
                   "/s/d1/a", "/s/d1/b", "/s/d0", "/s/d1"]
         memoized = [_try_stat(kernel, task, p) for p in probes]
-        kernel.memo.flush()
+        kernel.costs.forget()
         resolved = [_try_stat(kernel, task, p) for p in probes]
         assert memoized == resolved
         assert_fastpath_consistent(kernel, task, probes)
@@ -235,7 +238,8 @@ _H_TOKENS = (
     + [("rename", "/h/d", "/h/e"), ("rename", "/h/e", "/h/d"),
        ("create", "/h/d/a"), ("create", "/h/e/c"),
        ("unlink", "/h/d/a"), ("unlink", "/h/e/c"),
-       ("chmod", "/h/d", 0o700), ("chmod", "/h/d", 0o755)]
+       ("chmod", "/h/d", 0o700), ("chmod", "/h/d", 0o755),
+       ("listdir", "/h/d")]
 )
 
 
@@ -244,6 +248,8 @@ def _h_apply(kernel, task, op):
     try:
         if op[0] == "stat":
             return normalize_stat(sys.stat(task, op[1]))
+        if op[0] == "listdir":
+            return sorted(sys.listdir(task, op[1]))
         if op[0] == "rename":
             sys.rename(task, op[1], op[2])
         elif op[0] == "create":
@@ -258,16 +264,37 @@ def _h_apply(kernel, task, op):
 
 
 if HAVE_HYPOTHESIS:
+    #: Examples in the sweep below: 25, or the loaded profile's count
+    #: when it asks for more than Hypothesis's default
+    #: (``--hypothesis-profile=thorough``).
+    _H_EXAMPLES = (settings.default.max_examples
+                   if settings.default.max_examples
+                   > settings.get_profile("default").max_examples else 25)
+
     @given(ops=st.lists(st.tuples(st.booleans(),
                                   st.sampled_from(_H_TOKENS)),
                         min_size=1, max_size=30),
            profile=st.sampled_from(list(PROFILES)),
            pcc_capacity=st.sampled_from((2, 4, 4096)),
-           pcc_adaptive=st.booleans())
-    @settings(max_examples=25, deadline=None)
+           pcc_adaptive=st.booleans(),
+           dcache_capacity=st.sampled_from((12, 10 ** 6)))
+    # A listing makes /h/d complete, and a full dcache evicting a child
+    # of it breaks that while four memo entries are live.
+    @example(ops=[(False, ("create", "/h/e/c")),
+                  (False, ("listdir", "/h/d")),
+                  (False, ("stat", "/h/l/nope")),
+                  (True, ("stat", "/h/l/nope")),
+                  (False, ("stat", "/h/d")), (False, ("stat", "/h/d/a")),
+                  (False, ("rename", "/h/d", "/h/e")),
+                  (True, ("stat", "/h/d/../d/a")),
+                  (False, ("stat", "/h/l/nope"))],
+             profile="optimized", pcc_capacity=4096, pcc_adaptive=False,
+             dcache_capacity=12)
+    @settings(max_examples=_H_EXAMPLES, deadline=None)
     def test_hypothesis_interleavings(ops, profile, pcc_capacity,
-                                      pcc_adaptive):
-        """Random stat/mutation interleavings: memo-on == memo-off.
+                                      pcc_adaptive, dcache_capacity):
+        """Random stat/listdir/mutation interleavings: memo-on ==
+        memo-off.
 
         Each generated sequence runs three times back to back so memo
         entries recorded in pass one are confirmed in pass two and
@@ -276,13 +303,15 @@ if HAVE_HYPOTHESIS:
         root or as an unprivileged user (whose mutations fail), through
         a symlinked directory and a ``..`` spelling too, against a PCC
         that holds two entries, four, or everything, fixed or growing
-        from there; the caches must end in the same eviction order as
-        well as the same counters.
+        from there, and a dcache of 12 entries (a listing's completeness
+        is broken by evictions) or of a million; the caches must end in
+        the same eviction order as well as the same counters.
         """
         results = []
         for memo_on in (True, False):
             kernel = make_kernel(profile, pcc_capacity=pcc_capacity,
                                  pcc_adaptive=pcc_adaptive,
+                                 dcache_capacity=dcache_capacity,
                                  resolution_memo=memo_on)
             task = kernel.spawn_task(uid=0, gid=0)
             user = kernel.spawn_task(uid=1000, gid=1000)
@@ -440,7 +469,7 @@ class TestPccProbeMiss:
         assert prints["default"] == prints["memo_off"]
 
 
-# -- a full PCC: evictions kill by dentry, replay repeats re-inserts --------
+# -- a full PCC: evicted victims go stale on read, replay repeats re-inserts -
 
 #: Most memo hits the bulk-flushing parent commit reached on the
 #: ``test_benchmark_inputs_under_eviction`` inputs (seeds 1-3).
@@ -448,11 +477,25 @@ _FLUSHING_HITS = {"optimized": 321, "optimized-lazy": 448}
 
 
 def _resting_on_evicted(kernel):
-    """Live memo entries with a PCC touch whose target that PCC no
-    longer holds: what an eviction that did not kill leaves behind."""
+    """Keys of memo entries with a PCC touch whose target that PCC no
+    longer holds: what an eviction leaves behind, nothing being killed."""
     return [key for key, entry in kernel.memo._entries.items()
             if any(id(dentry) not in pcc._entries
                    for pcc, dentry, _epoch in entry.pcc_touches)]
+
+
+def _stale_on_next_resolve(kernel, tasks, keys):
+    """Resolve each memo key in ``keys`` once more, as the one of
+    ``tasks`` holding its credential; how many were found stale."""
+    memo = kernel.memo
+    by_cred = {id(task.cred): task for task in tasks}
+    stale = memo.stale
+    for key in keys:
+        try:
+            memo.resolve(by_cred[key[3]], *key[4:])
+        except errors.FsError:
+            pass
+    return memo.stale - stale
 
 
 class TestPccPressure:
@@ -491,19 +534,20 @@ class TestPccPressure:
             for i in range(8):
                 sys.stat(user, f"/x/f{i}")
             absent(1)
+            results[memo_on] = (fingerprint(kernel), _cache_orders(kernel))
             if memo_on:
                 assert kernel.memo.hits > 0
-                assert not _resting_on_evicted(kernel)
-            results[memo_on] = (fingerprint(kernel), _cache_orders(kernel))
+                resting = _resting_on_evicted(kernel)
+                assert _stale_on_next_resolve(
+                    kernel, (root, user), resting) == len(resting)
         assert results[True] == results[False]
 
     @pytest.mark.parametrize("profile", FAST_PROFILES)
     def test_confirming_run_reinserts_an_evicted_entry(self, profile):
         """Record -> evict -> confirm: ``/x/t`` is recorded with its PCC
         entry pushed out (probe miss, slow walk, insert), pushed out
-        again, and re-run.  The eviction kills the recording; had it
-        survived, the confirming run's own insert would have to kill
-        what recorded the miss."""
+        again, and re-run.  The confirming run finds the recording stale:
+        the PCC entry it recorded as inserted after its miss is gone."""
         prints = {}
         for memo_on in (True, False):
             kernel = make_kernel(profile, pcc_capacity=16,
@@ -525,8 +569,13 @@ class TestPccPressure:
             sys.stat(user, "/x/t")  # recorded
             push_out()
             if memo_on:
-                assert not _resting_on_evicted(kernel)
-            for _ in range(4):      # confirming run, then three more
+                assert "/x/t" in [key[4] for key in
+                                  _resting_on_evicted(kernel)]
+                stale = kernel.memo.stale
+            sys.stat(user, "/x/t")  # would confirm: stale instead
+            if memo_on:
+                assert kernel.memo.stale == stale + 1
+            for _ in range(3):
                 sys.stat(user, "/x/t")
             prints[memo_on] = (fingerprint(kernel), _cache_orders(kernel))
         assert prints[True] == prints[False]
@@ -607,7 +656,7 @@ def _flips(kernel, task, ops):
 
 def _mutating_loop(rounds):
     """Two stats, then a rename of their directory, over and over: every
-    recording is killed before it can confirm."""
+    recording goes stale before it can confirm."""
     ops, here, there = [], "/g/d", "/g/e"
     for i in range(rounds):
         ops += [("stat", f"{here}/f{i % 8}"), ("stat", f"{there}/f{i % 8}"),
@@ -629,7 +678,7 @@ class TestAdmission:
         assert "perf_counter" not in source
 
     def test_read_only_zipf_loop_never_shuts(self):
-        """Nothing is killed, so nothing is wasted: every key is resolved
+        """Nothing goes stale, so nothing is wasted: every key is resolved
         plainly once, recorded, confirmed, and replayed from then on."""
         rng = random.Random(7)
         kernel, task = _governed_kernel(files=64)
@@ -668,7 +717,7 @@ class TestAdmission:
     def test_shut_and_empty_touches_no_table(self):
         kernel, task = _governed_kernel()
         memo = kernel.memo
-        memo.flush()
+        kernel.costs.forget()
         memo._door.clear()
         memo._open, memo._left = False, 10 ** 6
         misses = memo.misses
@@ -677,7 +726,6 @@ class TestAdmission:
             kernel.sys.rename(task, f"/g/d/f{i % 8}", "/g/d/moved")
             kernel.sys.rename(task, "/g/d/moved", f"/g/d/f{i % 8}")
         assert len(memo._door) == len(memo._entries) == 0
-        assert not memo._index
         assert memo._left == 10 ** 6 - (memo.misses - misses)
         assert memo.misses - misses >= 1000 and memo.hits == 0
 
@@ -859,8 +907,6 @@ class TestSharedVectors:
                 is not self._entry(kernel, "/g/d/f0").vector)
         assert kernel.memo.event_count() < sum(  # a shared one counts once
             len(entry.vector) for entry in kernel.memo._entries.values())
-        kernel.memo.flush()
-        assert not kernel.memo._interned
 
     def test_intern_table_is_bounded(self, monkeypatch):
         monkeypatch.setattr(ResolutionMemo, "_INTERN_MAX", 6)
@@ -882,11 +928,9 @@ class TestSwitchAndBounds:
     @pytest.mark.parametrize("profile", PROFILES)
     def test_switch_wiring(self, profile):
         on = make_kernel(profile)
-        assert on.memo is not None
-        assert on.costs.memo is on.memo
+        assert isinstance(on.memo, ResolutionMemo)
         off = make_kernel(profile, resolution_memo=False)
         assert off.memo is None
-        assert not isinstance(off.costs.memo, ResolutionMemo)
 
     def test_capacity_bound(self):
         kernel = make_kernel("optimized", resolution_memo_capacity=2)
@@ -907,7 +951,8 @@ class TestSwitchAndBounds:
         for _ in range(5):
             kernel.sys.stat(task, "/t/f")
         assert kernel.memo.hits > 0
-        flushes = kernel.memo.flushes
+        stale = kernel.memo.stale
         kernel.sys.rename(task, "/t/f", "/t/g")
-        assert kernel.memo.flushes > flushes
-        assert len(kernel.memo) == 0
+        with pytest.raises(errors.ENOENT):
+            kernel.sys.stat(task, "/t/f")
+        assert kernel.memo.stale == stale + 1
