@@ -12,10 +12,10 @@ narrow interface:
 * ``pos_state(task, pos, rebuild=None) -> (state, floor)`` — the hash
   state of a *trusted* position (start directory, ``..`` hop, walk
   anchor) and the epoch floor a PCC entry for it must carry;
-* ``accept(task, ns, pcc, dentry, sig=None, anchor=None)`` — whether a
-  DLHT probe hit may be served: its epoch floor, ``None`` (take the
-  slowpath) or :data:`RETRY` (the probed key was discarded);
-* ``admit(ns, pcc, dentry, sig=None)`` — ``accept``'s O(1) case alone,
+* ``accept(task, ns, pcc, dentry, anchor=None)`` — whether a DLHT probe
+  hit (the dentry's one key) may be served: its epoch floor, ``None``
+  (take the slowpath) or :data:`RETRY` (the probed key was discarded);
+* ``admit(ns, pcc, dentry)`` — ``accept``'s O(1) case alone,
   uncharged: the floor, or ``None`` with nothing touched;
 * ``on_miss(task, ns, pcc, start, comps, parent_state, floor)`` —
   whether a full-path probe miss may be completed from its cached parent
@@ -113,10 +113,6 @@ def _subtree(dentry: Dentry) -> List[Dentry]:
 class Coherence:
     """What both policies share: the cache registry, the invalidation
     counter, and seqcount wraparound."""
-
-    #: Whether DLHTs keep a dentry's old-path keys beside its primary
-    #: registration (mutations that do not evict leave them behind).
-    multi_key = False
 
     def __init__(self, costs: CostModel, stats: Stats):
         self.costs = costs
@@ -280,11 +276,11 @@ class EagerCoherence(Coherence):
             state = rebuild(task, pos)
         return state, 0
 
-    def accept(self, task, ns, pcc, dentry, sig=None, anchor=None):
+    def accept(self, task, ns, pcc, dentry, anchor=None):
         """A hit is current by construction; it needs its prefix check."""
         return 0 if pcc.probe(dentry) else None
 
-    def admit(self, ns, pcc, dentry, sig=None):
+    def admit(self, ns, pcc, dentry):
         """:meth:`accept` on a cached prefix check, uncharged (else None)."""
         return 0 if pcc.check(dentry) else None
 

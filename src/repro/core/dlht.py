@@ -12,14 +12,12 @@ lookups keep taking the slowpath) — and with very small signatures (test
 configurations) a probe can return the colliding dentry, which is exactly
 the failure mode §3.3's PCC-containment argument is about.
 
-The lazy-coherence kernel (``optimized-lazy``) runs the table in
-*multi-key* mode: mutations do not evict, so after a rename a dentry may
-legitimately be registered under both its old-path and new-path
-signatures.  The registration recorded on the fast dentry stays the
-*primary* one (matching ``hash_state``); older keys move to
-``fast.extra_keys`` and are settled — promoted or discarded — by
-touch-time revalidation.  Keys nobody touches again leave with their
-dentry, and past :data:`MAX_EXTRA_KEYS` the oldest leaves at once.
+A dentry is in at most one DLHT under one key, the signature of the
+path it was last registered under (§4.3): every table key is its
+dentry's ``fast.dlht_key``.  Registering it under a new path drops the
+old key, under both coherence policies; a lazy mutation leaves the key
+in place until a probe of it fails revalidation, a walk registers the
+new path, or the dentry leaves.
 
 A key is the :class:`Signature` itself: a NamedTuple hashes and compares
 as its ``(index, bits)`` tuple, so one object is both what a probe asks
@@ -39,26 +37,15 @@ from repro.vfs.dentry import Dentry
 #: What one probe charges: a bucket fetch and a signature compare.
 PROBE_CHARGES = (("htlookup", "dlht_probe"), ("htlookup", "sig_compare"))
 
-#: Old-path keys a multi-key dentry keeps beside its primary one; a
-#: registration past this drops the oldest (uncharged: the insert's
-#: ``dlht_insert`` covers it).  The fleets, churn and the report never
-#: hold more than one, so only a dentry renamed again and again
-#: without being looked up under its old paths reaches the cap.
-MAX_EXTRA_KEYS = 4
-
 
 class DirectLookupHashTable:
     """One namespace's signature -> dentry index."""
 
-    __slots__ = ("costs", "stats", "multi_key", "table", "_probe",
-                 "__weakref__")
+    __slots__ = ("costs", "stats", "table", "_probe", "__weakref__")
 
-    def __init__(self, costs: CostModel, stats: Stats,
-                 multi_key: bool = False):
+    def __init__(self, costs: CostModel, stats: Stats):
         self.costs = costs
         self.stats = stats
-        #: Lazy mode: keep old-path registrations alongside the primary.
-        self.multi_key = multi_key
         #: Signature -> dentry.  Outside a recording (``costs.recorder``
         #: None) a reader may probe it in place of :meth:`lookup`, which
         #: only adds the recorder's notes; only this class writes it.
@@ -91,14 +78,10 @@ class DirectLookupHashTable:
 
         Returns False (leaving the table unchanged) when a *different*
         dentry already owns the signature — first-wins, as in a chained
-        bucket where lookup stops at the first signature match.
-
-        Single-key mode (eager): if the dentry is already registered
-        elsewhere (other path or other namespace's table), that
-        registration is dropped first — a dentry is in at most one DLHT
-        under one signature (§4.3).  Multi-key mode (lazy): a prior
-        registration in *this* table becomes an extra key instead; a
-        registration in another namespace's table is still dropped.
+        bucket where lookup stops at the first signature match.  If the
+        dentry is registered elsewhere (other path or other namespace's
+        table), that registration is dropped first — a dentry is in at
+        most one DLHT under one signature (§4.3).
         """
         placed = self._place(dentry, signature)
         if placed:
@@ -120,106 +103,29 @@ class DirectLookupHashTable:
         is new, False when the dentry already held the key, None when a
         live dentry owns it."""
         current = self.table.get(signature)
-        fast = dentry.fast
-        if fast is None:
-            fast = fast_of(dentry)
         if current is dentry:
-            if fast.dlht is self and fast.dlht_key != signature:
-                # Re-registering under an extra key: promote it.
-                self._promote(fast, signature)
             return False
         if current is not None and not current.dead:
             return None
+        fast = dentry.fast
+        if fast is None:
+            fast = fast_of(dentry)
         if fast.dlht is not None:
-            if fast.dlht is self and self.multi_key:
-                old_key = fast.dlht_key
-                if old_key is not None and self.table.get(old_key) is dentry:
-                    extras = fast.extra_keys
-                    if extras is None:
-                        fast.extra_keys = [old_key]
-                    else:
-                        extras.append(old_key)
-                        if len(extras) > MAX_EXTRA_KEYS:
-                            oldest = extras.pop(0)
-                            if self.table.get(oldest) is dentry:
-                                del self.table[oldest]
-            else:
-                fast.dlht.remove(dentry)
+            fast.dlht.remove(dentry)
         self.table[signature] = dentry
         fast.dlht = self
         fast.dlht_key = signature
         return True
 
-    def _promote(self, fast, key: Signature) -> None:
-        """Make an existing extra key the dentry's primary registration."""
-        old_key = fast.dlht_key
-        extras = fast.extra_keys
-        if extras is not None and key in extras:
-            extras.remove(key)
-            if not extras:
-                # Normalize: an emptied shadow list is dead weight for
-                # every later check.
-                fast.extra_keys = None
-        if old_key is not None and old_key != key \
-                and self.table.get(old_key) is self.table.get(key):
-            if fast.extra_keys is None:
-                fast.extra_keys = [old_key]
-            else:
-                fast.extra_keys.append(old_key)
-        fast.dlht_key = key
-
     def remove(self, dentry: Dentry) -> None:
-        """Drop a dentry's registration — all of its keys (no-op if absent)."""
+        """Drop a dentry's registration (no-op if absent)."""
         fast = dentry.fast
         if fast is None or fast.dlht is not self:
             return
-        if fast.dlht_key is not None \
-                and self.table.get(fast.dlht_key) is dentry:
+        if self.table.get(fast.dlht_key) is dentry:
             del self.table[fast.dlht_key]
-        if fast.extra_keys:
-            for key in fast.extra_keys:
-                if self.table.get(key) is dentry:
-                    del self.table[key]
-            fast.extra_keys = None
         fast.dlht = None
         fast.dlht_key = None
-
-    def discard_key(self, dentry: Dentry, key: Signature) -> None:
-        """Drop one stale key of a dentry (lazy touch-time eviction).
-
-        Discarding the primary key leaves the dentry registered only
-        under its extra keys (its ``hash_state`` no longer names a live
-        path, so the primary slot is cleared until a revalidation
-        promotes one of the survivors).
-        """
-        if self.table.get(key) is dentry:
-            del self.table[key]
-        fast = dentry.fast
-        if fast is None or fast.dlht is not self:
-            return  # orphaned mapping: the table slot above was the leak
-        extras = fast.extra_keys
-        if extras is not None and key in extras:
-            extras.remove(key)
-            if not extras:
-                fast.extra_keys = None
-            return
-        if fast.dlht_key == key:
-            fast.dlht_key = None
-            fast.hash_state = None
-            if not fast.extra_keys:
-                fast.dlht = None
-
-    def keys_of(self, dentry: Dentry) -> list:
-        """Every key the dentry is registered under in this table."""
-        fast = dentry.fast
-        if fast is None or fast.dlht is not self:
-            return []
-        keys = []
-        if fast.dlht_key is not None:
-            keys.append(fast.dlht_key)
-        if fast.extra_keys:
-            keys.extend(fast.extra_keys)
-        return keys
 
     def flush(self) -> None:
         """Drop every entry (version-counter wraparound handling)."""

@@ -34,9 +34,9 @@ class EpochCoherence(Coherence):
     it — O(1), no subtree walk — so a DLHT/PCC hit may be stale and must
     earn its answer (:meth:`accept`):
 
-    * A probe hit is accepted in O(1) when it is the dentry's *primary*
-      registration and the dentry's ``epoch_snapshot`` is current (no
-      mutation anywhere since the entry was last validated).
+    * A probe hit is accepted in O(1) when the dentry's
+      ``epoch_snapshot`` is current (no mutation anywhere since the entry
+      was last validated).
     * Otherwise the hit walks the dentry's ancestor chain (crossing mount
       boundaries), collecting the canonical component names and the
       highest epoch stamp.  A snapshot older than that high-water mark
@@ -55,12 +55,10 @@ class EpochCoherence(Coherence):
     a full slowpath walk — this is what makes rename/create churn cheap
     end-to-end, not just mutation-side.  Never-touched stale entries
     are reclaimed as the eager policy reclaims its own: a DLHT key
-    leaves with its dentry (and an old-path key past
-    :data:`~repro.core.dlht.MAX_EXTRA_KEYS`), a PCC entry by LRU
-    capacity.
+    leaves with its dentry, a PCC entry by LRU capacity.  A dentry keeps
+    one DLHT key, as under the eager policy: a walk that registers it
+    under its new path drops the old one.
     """
-
-    multi_key = True
 
     def bind(self, hasher, slow) -> None:
         """Validation rehashes with ``hasher`` and re-proves prefix
@@ -266,37 +264,33 @@ class EpochCoherence(Coherence):
         self._charge_chain(len(names))
         return high, perm_nodes, reverify_ok
 
-    def _evict(self, dlht, dentry: Dentry, key):
+    def _evict(self, dlht, dentry: Dentry):
         """Touch-time eviction of a stale key; the verdict is RETRY."""
-        dlht.discard_key(dentry, key)
+        dlht.remove(dentry)
+        dentry.fast.hash_state = None
         self.stats.bump("lazy_evict")
         return RETRY
 
-    def _rehash(self, dlht, dentry: Dentry, key, names: List[str]) -> bool:
-        """Recompute the canonical hash and compare ``key`` against it.
-
-        False on a mismatch (the dentry no longer lives at that path:
-        the caller discards the key); a match refreshes ``hash_state``
-        and promotes the key to the dentry's primary registration.
-        """
+    def _rehash(self, fast, names: List[str]) -> bool:
+        """Recompute the canonical hash and compare the dentry's key
+        against it: False on a mismatch (the dentry no longer lives at
+        that path: the caller evicts the key); a match refreshes
+        ``hash_state``."""
         state = self._hash_names(names)
         self.costs.charge("sig_compare")
-        fsig = self.hasher.finish(state)
-        if fsig != key:
+        if self.hasher.finish(state) != fast.dlht_key:
             return False
-        dentry.fast.hash_state = state
-        dlht.insert(dentry, fsig)
+        fast.hash_state = state
         return True
 
-    def accept(self, task, ns, pcc, dentry: Dentry, sig=None, anchor=None):
+    def accept(self, task, ns, pcc, dentry: Dentry, anchor=None):
         """Earn a probe hit: path validity, then prefix checks.
 
-        ``sig`` is the probed signature (default: the dentry's primary
-        registration).  ``anchor``, when given, is ``(anchor_dentry,
-        anchor_mount, names, seg_state, floor)`` describing how the
-        probed signature was derived (a validated position extended by
-        ``names``); it enables the cheap reverse identity check in place
-        of the full chain walk plus hash recompute.
+        The probed signature is the dentry's one key.  ``anchor``, when
+        given, is ``(anchor_dentry, anchor_mount, names, seg_state,
+        floor)`` describing how it was derived (a validated position
+        extended by ``names``); it enables the cheap reverse identity
+        check in place of the full chain walk plus hash recompute.
 
         Returns the chain's epoch floor (an int) on success, None for a
         plain fallback, or :data:`RETRY` when the probed key was
@@ -307,20 +301,10 @@ class EpochCoherence(Coherence):
         dlht = ns.dlht
         if fast is None or fast.dlht is not dlht or fast.mount is None:
             return None
-        if sig is None:
-            sig = fast.dlht_key
-            if sig is None:
-                return None
-        primary = fast.dlht_key == sig
         gepoch = self.epoch
-        # The O(1) accept/reject is one integer compare on state the
-        # probe already loaded; only chain nodes get charged below.
+        # The O(1) accept is one integer compare on state the probe
+        # already loaded; only chain nodes get charged below.
         if fast.hash_state is not None and fast.epoch_snapshot >= gepoch:
-            if not primary:
-                # The primary registration is provably current, so any
-                # other key names a path this dentry no longer lives at:
-                # discard it without walking the chain.
-                return self._evict(dlht, dentry, sig)
             if pcc.probe(dentry, fast.epoch_snapshot):
                 return fast.epoch_snapshot
             # Prefix check missing or epoch-stale: fall through to the
@@ -333,38 +317,35 @@ class EpochCoherence(Coherence):
             if rev is False:
                 # The hit's tree position provably diverges from the
                 # probed components: the key is stale, no rehash needed.
-                return self._evict(dlht, dentry, sig)
+                return self._evict(dlht, dentry)
         if rev is not None:
             # The probed components are exactly the hit's canonical tail
             # below the validated anchor: adopt the probe's hash state
             # (already charged) instead of recomputing.
             suffix_high, perm_nodes, reverify_ok = rev
             high = floor if floor > suffix_high else suffix_high
-            if not primary or fast.hash_state is None \
-                    or fast.epoch_snapshot < high:
+            if fast.hash_state is None or fast.epoch_snapshot < high:
                 fast.hash_state = seg_state
                 fast.mount = a_mount
-                dlht.insert(dentry, sig)  # promotes the key to primary
                 self.stats.bump("lazy_refresh")
             perm_anchor = (a_dentry, floor)
         else:
             chain = self._chain(ns, dentry)
             if chain is None:
-                return self._evict(dlht, dentry, sig)
+                return self._evict(dlht, dentry)
             names, perm_nodes, high, reverify_ok = chain
-            if not primary or fast.hash_state is None \
-                    or fast.epoch_snapshot < high:
+            if fast.hash_state is None or fast.epoch_snapshot < high:
                 # The registration under this key predates a mutation on
                 # the chain: recompute the canonical hash and compare.
-                if not self._rehash(dlht, dentry, sig, names):
-                    return self._evict(dlht, dentry, sig)
+                if not self._rehash(fast, names):
+                    return self._evict(dlht, dentry)
                 self.stats.bump("lazy_refresh")
         fast.epoch_snapshot = gepoch
         if dentry.mounted_roots \
                 and ns.mount_at(fast.mount, dentry) is not None:
             # The path is right but now resolves into a mounted fs; the
             # slowpath will repopulate the key with the mounted root.
-            return self._evict(dlht, dentry, sig)
+            return self._evict(dlht, dentry)
         if pcc.probe(dentry, high):
             return high
         if not reverify_ok:
@@ -393,13 +374,12 @@ class EpochCoherence(Coherence):
         self.stats.bump("lazy_pcc_reprove")
         return high
 
-    def admit(self, ns, pcc, dentry, sig=None):
+    def admit(self, ns, pcc, dentry):
         """:meth:`accept`'s O(1) accept, uncharged; else None, untouched."""
         fast = dentry.fast
         if fast is None or fast.dlht is not ns.dlht or fast.mount is None \
-                or fast.hash_state is None or fast.dlht_key is None \
-                or fast.epoch_snapshot < self.epoch \
-                or (sig is not None and fast.dlht_key != sig):
+                or fast.hash_state is None \
+                or fast.epoch_snapshot < self.epoch:
             return None
         floor = fast.epoch_snapshot
         return floor if pcc.check(dentry, floor) else None
@@ -432,7 +412,7 @@ class EpochCoherence(Coherence):
                 or parent.is_symlink or not parent.is_dir):
             return None
         anchor = (start.dentry, start.mount, comps[:-1], parent_state, floor)
-        verdict = self.accept(task, ns, pcc, parent, psig, anchor)
+        verdict = self.accept(task, ns, pcc, parent, anchor)
         if verdict is None or verdict is RETRY:
             return None
         pfast = parent.fast

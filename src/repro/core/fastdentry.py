@@ -7,7 +7,7 @@ populated on a fastpath structure.  It records:
   lookups can resume hashing from here),
 * the finished signature (its DLHT key) and which DLHT (namespace) the
   dentry is registered in — a dentry lives in at most one DLHT under one
-  path at a time (§4.3),
+  path at a time (§4.3), under either coherence policy,
 * the mount the path was resolved under, so a fastpath hit can perform
   mount-flag checks without a tree walk.
 
@@ -29,15 +29,15 @@ class FastDentry:
     """Optimized-kernel state attached to a dentry."""
 
     __slots__ = ("hash_state", "dlht", "dlht_key", "mount",
-                 "link_target_state", "epoch_snapshot", "extra_keys")
+                 "link_target_state", "epoch_snapshot")
 
     def __init__(self) -> None:
         #: Resumable hash state of the canonical path, or None when stale.
         self.hash_state: Optional[SigState] = None
         #: The DLHT instance the dentry is registered in (at most one).
         self.dlht = None
-        #: The finished signature it is registered under there: the
-        #: primary key (so removal is O(1)).
+        #: The finished signature it is registered under there: its one
+        #: key (so removal is O(1)).
         self.dlht_key: Optional[Signature] = None
         #: Mount the cached path resolves under (mount-flag checks, §4.3).
         self.mount: Optional[Mount] = None
@@ -47,17 +47,11 @@ class FastDentry:
         #: represent the target path", §4.2).
         self.link_target_state: Optional[SigState] = None
         #: Lazy coherence: the global epoch as of which ``hash_state``
-        #: (and the primary registration) was last known current.  A
+        #: (and the registration) was last known current.  A
         #: fastpath hit whose chain carries a higher per-dentry epoch
         #: stamp must revalidate before it may be served (always 0 in
         #: eager mode, where shootdowns clear the state instead).
         self.epoch_snapshot = 0
-        #: Lazy coherence: additional DLHT keys (old-path signatures)
-        #: this dentry is still registered under.  Lazy mutations do not
-        #: evict, so after a rename the dentry answers probes for both
-        #: its old and new path until validation settles ownership.
-        #: None in eager mode (a dentry has exactly one registration).
-        self.extra_keys: Optional[list] = None
 
     def invalidate(self) -> None:
         """Drop path-derived state (the key stays until DLHT removal)."""

@@ -288,7 +288,7 @@ class FastLookup(WalkHooks):
                     if (found.is_alias or found.is_negative or found.is_stub
                             or found.is_symlink or not found.is_dir):
                         return hashed
-                    verdict = self._accept(task, ns, pcc, found, sig, anchor)
+                    verdict = self._accept(task, ns, pcc, found, anchor)
                     if verdict is None or verdict is RETRY:
                         return hashed
                     fast = found.fast
@@ -304,7 +304,7 @@ class FastLookup(WalkHooks):
                 target = found.alias_target
                 folded = (not target.dead if target is not None
                           else not found.is_stub) \
-                    and self._admit(ns, pcc, found, sig) is not None
+                    and self._admit(ns, pcc, found) is not None
                 if folded and target is None and not (
                         found.is_symlink or found.is_negative
                         or must_dir and not found.is_dir
@@ -317,7 +317,7 @@ class FastLookup(WalkHooks):
                         self.stats.bump_many(deltas)
                         return PathPos(fast.mount, found)
                 served = self._finish_hit(
-                    task, ns, pcc, found, sig, anchor, path_hint, folded,
+                    task, ns, pcc, found, anchor, path_hint, folded,
                     must_dir=must_dir, follow_last=follow_last,
                     intent_create=intent_create, create_dir=create_dir)
                 if served is not RETRY:
@@ -356,7 +356,7 @@ class FastLookup(WalkHooks):
         return self._serve(self._pos, False, pos)
 
     def _finish_hit(self, task: Task, ns, pcc: PrefixCheckCache,
-                    found: Dentry, sig, anchor, path_hint: str,
+                    found: Dentry, anchor, path_hint: str,
                     folded: bool, *, must_dir: bool, follow_last: bool,
                     intent_create: bool, create_dir: bool):
         """Serve a terminal probe hit, once the policy accepts it.
@@ -372,7 +372,7 @@ class FastLookup(WalkHooks):
             self.costs.apply(self._pair)
             if target.dead if target is not None else found.is_stub:
                 return None  # unusable
-            verdict = self._accept(task, ns, pcc, found, sig, anchor)
+            verdict = self._accept(task, ns, pcc, found, anchor)
             if verdict is None or verdict is RETRY:
                 return verdict
         if target is not None:
@@ -419,7 +419,7 @@ class FastLookup(WalkHooks):
         if target is None or target.dead or target.is_alias \
                 or target.is_stub or target.is_symlink:
             return None
-        verdict = self._accept(task, task.ns, pcc, target, tsig)
+        verdict = self._accept(task, task.ns, pcc, target)
         if verdict is None or verdict is RETRY:
             return None
         return target

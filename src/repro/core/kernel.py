@@ -79,7 +79,6 @@ class DcacheConfig:
             wall-clock optimization of the simulator itself; virtual
             costs and stats are bit-identical either way (see
             :mod:`repro.core.resmemo`).
-        resolution_memo_capacity: memo entries before LRU eviction.
     """
 
     name: str = "custom"
@@ -98,7 +97,6 @@ class DcacheConfig:
     dcache_capacity: int = 1_000_000
     boot_seed: int = 0x5EED
     resolution_memo: bool = True
-    resolution_memo_capacity: int = 4096
 
     def variant(self, **changes) -> "DcacheConfig":
         return replace(self, **changes)
@@ -166,7 +164,7 @@ class Kernel:
             from repro.core.resmemo import ResolutionMemo
             self.memo = ResolutionMemo(
                 self.costs, self.stats, self.coherence, self.dcache,
-                self.resolver, capacity=config.resolution_memo_capacity)
+                self.resolver)
         self.readdir_engine = ReaddirEngine(self.costs, self.stats,
                                             self.dcache, config)
         # The syscall facade (late import avoids a module cycle).
@@ -177,8 +175,7 @@ class Kernel:
 
     def _install_dlht(self, ns: MountNamespace) -> None:
         """Give ``ns`` its DLHT and anchor its root at the empty path."""
-        ns.dlht = DirectLookupHashTable(
-            self.costs, self.stats, multi_key=self.coherence.multi_key)
+        ns.dlht = DirectLookupHashTable(self.costs, self.stats)
         self.coherence.track_dlht(ns.dlht)
         # A cloned root mount reuses the same root dentry; its hash state
         # (the empty path) is valid in the new namespace too.

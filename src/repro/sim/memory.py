@@ -3,8 +3,11 @@
 The paper reports the optimized design's space costs: the dentry grows
 from 192 to 280 bytes (the 88-byte ``fast_dentry`` of Figure 5), each
 credential carries a 64 KB PCC, and the DLHT adds a second, 2^16-bucket
-hash table.  This module prices a kernel's cache state with the paper's
-structure sizes so benchmarks can report the same overhead numbers.
+hash table.  A dentry has at most one DLHT key under either coherence
+policy, and its chain link and signature live in the ``fast_dentry``,
+so the table itself costs only its buckets.  This module prices a
+kernel's cache state with the paper's structure sizes so benchmarks can
+report the same overhead numbers.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ DLHT_BUCKETS = 1 << 16
 PRIMARY_BUCKETS = 262_144       # Linux's default (§6.5)
 PRIMARY_BUCKET_BYTES = 8
 INODE_BYTES = 592               # struct inode, for context
-#: Lazy coherence only: a non-primary (old-path) DLHT registration needs
-#: its own chain node — hlist link (16) + stored signature (32 for 240
-#: bits, rounded) + dentry back pointer (8).
-DLHT_EXTRA_KEY_BYTES = 56
 #: Host-side resolution memo (repro.core.resmemo), in bytes of *host*
 #: heap per entry, as ``tracemalloc`` reads it on CPython 3.11 / x86-64
 #: over 1 000 entries of three-component paths (the memo-bytes test's
@@ -54,9 +53,6 @@ class MemoryReport:
     dlht_count: int
     dlht_table_bytes: int
     primary_table_bytes: int
-    #: Non-primary registrations (lazy multi-key mode); zero for eager.
-    dlht_extra_keys: int = 0
-    dlht_extra_key_bytes: int = 0
     #: Resolution memo (host-side wall-clock cache, repro.core.resmemo).
     #: Reported for visibility but *excluded* from ``total_bytes``: the
     #: memo is simulator machinery, not part of the paper's §6.1 kernel
@@ -74,7 +70,7 @@ class MemoryReport:
     def total_bytes(self) -> int:
         return (self.dentry_bytes + self.fast_dentry_bytes
                 + self.pcc_bytes + self.dlht_table_bytes
-                + self.dlht_extra_key_bytes + self.primary_table_bytes)
+                + self.primary_table_bytes)
 
     @property
     def overhead_fraction(self) -> float:
@@ -104,10 +100,6 @@ def measure_kernel(kernel) -> MemoryReport:
     pccs = kernel.coherence.pccs
     pcc_bytes = sum(pcc.capacity * PCC_ENTRY_BYTES for pcc in pccs)
     dlhts = kernel.coherence.dlhts
-    # A table key that is not its dentry's primary registration is an
-    # old-path key the lazy policy has not settled yet.
-    extra_keys = sum(1 for dlht in dlhts for key, dentry in dlht.items()
-                     if dentry.fast.dlht_key != key)
     memo = kernel.memo
     resmemo_entries = len(memo) if memo is not None else 0
     resmemo_bytes = 0
@@ -123,8 +115,6 @@ def measure_kernel(kernel) -> MemoryReport:
         dlht_count=len(dlhts),
         dlht_table_bytes=len(dlhts) * DLHT_BUCKETS * DLHT_BUCKET_BYTES,
         primary_table_bytes=PRIMARY_BUCKETS * PRIMARY_BUCKET_BYTES,
-        dlht_extra_keys=extra_keys,
-        dlht_extra_key_bytes=extra_keys * DLHT_EXTRA_KEY_BYTES,
         resmemo_entries=resmemo_entries,
         resmemo_bytes=resmemo_bytes,
     )

@@ -157,8 +157,8 @@ def _check_kernel_invariants(kernel: Kernel) -> None:
       ``alias_target`` (``Dentry.derive_kind``);
     * every mount of the root namespace is listed in its mountpoint's
       ``mounted_roots``;
-    * DLHT entries point at live dentries registered back to the table,
-      each key being the dentry's primary key or one of its extra keys;
+    * DLHT entries point at dentries registered back to the table,
+      under the one key each dentry records (``fast.dlht_key``);
     * a DIR_COMPLETE directory's positive children exactly match the
       low-level file system's listing.
     """
@@ -202,6 +202,4 @@ def _check_kernel_invariants(kernel: Kernel) -> None:
             fast = dentry.fast
             assert fast is not None and fast.dlht is ns.dlht, \
                 "DLHT entry not registered back"
-            # Multi-key mode (lazy coherence) legitimately registers a
-            # dentry under extra old-path keys besides its primary.
-            assert key in ns.dlht.keys_of(dentry), "DLHT key mismatch"
+            assert fast.dlht_key == key, "DLHT key mismatch"

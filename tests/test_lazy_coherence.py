@@ -10,8 +10,9 @@ down the three claims that design rests on:
 * staleness is actually caught at touch time — renames, permission
   changes (including above a mount boundary), and symlink aliases;
 * stale entries are reclaimed — touch-time eviction for probed paths;
-  abandoned ones leave with their dentry, and old-path keys past
-  ``MAX_EXTRA_KEYS`` at once.
+  abandoned ones leave with their dentry, and a dentry registered under
+  a new path drops its old key: one DLHT key per dentry, as under the
+  eager policy.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from hypothesis import strategies as st
 
 from repro import O_CREAT, O_RDWR, OPTIMIZED, OPTIMIZED_LAZY, errors, \
     make_kernel
-from repro.core.dlht import MAX_EXTRA_KEYS
 from repro.fs.tmpfs import TmpFs
-from repro.sim.memory import measure_kernel
 from repro.testing import DualKernel
 from repro.testing.dual import _check_kernel_invariants, fingerprint
 from repro.testing.races import assert_fastpath_consistent
@@ -93,10 +92,10 @@ class TestLazyBasics:
             sys.stat(task, "/big/f0")
         assert lazy.stats.snapshot().get("lazy_evict", 0) >= 1
 
-    def test_sweeper_reclaims_untouched_stale_entries(self, lazy):
+    def test_renamed_dentry_keeps_one_dlht_key(self, lazy):
         """Old-path keys nobody looks up again do not pile up on a live
         dentry: renaming its parent 200 times, with a lookup under each
-        new name, leaves it at most ``1 + MAX_EXTRA_KEYS`` keys."""
+        new name, leaves it one key, the one it records."""
         task = lazy.spawn_task(uid=0, gid=0)
         sys = lazy.sys
         sys.mkdir(task, "/a0")
@@ -106,9 +105,9 @@ class TestLazyBasics:
             sys.rename(task, f"/a{i - 1}", f"/a{i}")
             sys.stat(task, f"/a{i}/f")
         dlht = lazy.root_ns.dlht
-        leaf, = {id(d): d for _key, d in dlht.items()
-                 if d.name == "f"}.values()
-        assert len(dlht.keys_of(leaf)) <= 1 + MAX_EXTRA_KEYS
+        keys = [key for key, d in dlht.items() if d.name == "f"]
+        leaf = dlht.table[keys[0]]
+        assert keys == [leaf.fast.dlht_key]
         assert sys.stat(task, "/a200/f").filetype == "reg"
         _check_kernel_invariants(lazy)
 
@@ -332,13 +331,12 @@ _CACHED_TREE = [("mkdir", "/a"), ("mkdir", "/a/x"), ("create", "/a/f"),
                 ("create", "/a/x/f"), ("stat", "/a/f"), ("stat", "/a/x/f")]
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program=st.lists(OPS, min_size=1, max_size=30))
 @example(program=[("rename", "/a", "/b"), ("stat", "/b")])
-def test_extra_key_total_is_counted_from_the_table(program):
-    """The memory report's old-path key total, derived from the DLHT's
-    keys, equals the extra keys the dentries record, after every step."""
+def test_every_dlht_key_is_its_dentrys_one_key(program):
+    """After every step, each DLHT key is the key its dentry records:
+    a lazy mutation may leave a key stale, never a second one."""
     kernel = make_kernel("optimized-lazy")
     task = kernel.spawn_task(uid=0, gid=0)
     dlht = kernel.root_ns.dlht
@@ -350,13 +348,8 @@ def test_extra_key_total_is_counted_from_the_table(program):
                 getattr(kernel.sys, op)(task, *args)
         except errors.FsError:
             pass
-        recorded = 0
-        for root in kernel.dcache._roots.values():
-            for dentry in (root, *root.descendants()):
-                fast = dentry.fast
-                if fast is not None and fast.dlht is dlht:
-                    recorded += len(fast.extra_keys or ())
-        assert measure_kernel(kernel).dlht_extra_keys == recorded
+        for key, dentry in dlht.items():
+            assert dentry.fast.dlht is dlht and dentry.fast.dlht_key == key
 
 
 class TestLazySchedules:

@@ -262,7 +262,7 @@ class TestCoherenceSeam:
             assert dentry.epoch == 0
             fast = dentry.fast
             if fast is not None:
-                assert fast.epoch_snapshot == 0 and fast.extra_keys is None
+                assert fast.epoch_snapshot == 0
 
 
 class TestHostSeam:

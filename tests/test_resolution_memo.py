@@ -271,16 +271,11 @@ if HAVE_HYPOTHESIS:
                    if settings.default.max_examples
                    > settings.get_profile("default").max_examples else 25)
 
-    @given(ops=st.lists(st.tuples(st.booleans(),
-                                  st.sampled_from(_H_TOKENS)),
-                        min_size=1, max_size=30),
-           profile=st.sampled_from(list(PROFILES)),
-           pcc_capacity=st.sampled_from((2, 4, 4096)),
-           pcc_adaptive=st.booleans(),
-           dcache_capacity=st.sampled_from((12, 10 ** 6)))
-    # A listing makes /h/d complete, and a full dcache evicting a child
-    # of it breaks that while four memo entries are live.
-    @example(ops=[(False, ("create", "/h/e/c")),
+    #: Pinned cases, each of which must replay memo entries.
+    _H_PINNED = (
+        # A listing makes /h/d complete, and a full dcache evicting a
+        # child of it breaks that while four memo entries are live.
+        dict(ops=[(False, ("create", "/h/e/c")),
                   (False, ("listdir", "/h/d")),
                   (False, ("stat", "/h/l/nope")),
                   (True, ("stat", "/h/l/nope")),
@@ -289,23 +284,40 @@ if HAVE_HYPOTHESIS:
                   (True, ("stat", "/h/d/../d/a")),
                   (False, ("stat", "/h/l/nope"))],
              profile="optimized", pcc_capacity=4096, pcc_adaptive=False,
-             dcache_capacity=12)
+             dcache_capacity=12),
+        # An op drawn once replays on the fourth pass alone.
+        dict(ops=[(False, ("stat", "/h/d/a"))], profile="optimized-lazy",
+             pcc_capacity=4096, pcc_adaptive=False,
+             dcache_capacity=10 ** 6),
+    )
+
+    @given(ops=st.lists(st.tuples(st.booleans(),
+                                  st.sampled_from(_H_TOKENS)),
+                        min_size=1, max_size=30),
+           profile=st.sampled_from(list(PROFILES)),
+           pcc_capacity=st.sampled_from((2, 4, 4096)),
+           pcc_adaptive=st.booleans(),
+           dcache_capacity=st.sampled_from((12, 10 ** 6)))
+    @example(**_H_PINNED[0])
+    @example(**_H_PINNED[1])
     @settings(max_examples=_H_EXAMPLES, deadline=None)
     def test_hypothesis_interleavings(ops, profile, pcc_capacity,
                                       pcc_adaptive, dcache_capacity):
         """Random stat/listdir/mutation interleavings: memo-on ==
         memo-off.
 
-        Each generated sequence runs three times back to back so memo
-        entries recorded in pass one are confirmed in pass two and
-        replayed in pass three — the differential covers every stage of
-        the entry lifecycle, not just cold recording.  Each op runs as
-        root or as an unprivileged user (whose mutations fail), through
-        a symlinked directory and a ``..`` spelling too, against a PCC
-        that holds two entries, four, or everything, fixed or growing
-        from there, and a dcache of 12 entries (a listing's completeness
-        is broken by evictions) or of a million; the caches must end in
-        the same eviction order as well as the same counters.
+        Each generated sequence runs four times back to back: the memo
+        sees an op drawn once on pass one, records it on pass two,
+        confirms it on pass three and replays it on pass four, so the
+        differential covers every stage of the entry lifecycle, not
+        just cold recording, and the pinned cases must replay.  Each op
+        runs as root or as an unprivileged user (whose mutations fail),
+        through a symlinked directory and a ``..`` spelling too, against
+        a PCC that holds two entries, four, or everything, fixed or
+        growing from there, and a dcache of 12 entries (a listing's
+        completeness is broken by evictions) or of a million; the caches
+        must end in the same eviction order as well as the same
+        counters.
         """
         results = []
         for memo_on in (True, False):
@@ -321,13 +333,19 @@ if HAVE_HYPOTHESIS:
             _mkfile(kernel, task, "/h/d/b", b"2")
             kernel.sys.symlink(task, "/h/d", "/h/l")
             out = []
-            for _rep in range(3):
+            for _rep in range(4):
                 for as_user, op in ops:
                     out.append(_h_apply(kernel, user if as_user else task,
                                         op))
             results.append((out, fingerprint(kernel),
                             _cache_orders(kernel)))
+            if memo_on:
+                hits = kernel.memo.hits
         assert results[0] == results[1]
+        case = dict(ops=ops, profile=profile, pcc_capacity=pcc_capacity,
+                    pcc_adaptive=pcc_adaptive,
+                    dcache_capacity=dcache_capacity)
+        assert hits > 0 or case not in _H_PINNED
 else:  # pragma: no cover - hypothesis is in the image
     @pytest.mark.skip(reason="hypothesis not installed")
     def test_hypothesis_interleavings():
@@ -348,11 +366,12 @@ def e2e(monkeypatch):
 
 
 def _memo_on_off_prints(e2e, inputs, profile, kernel_options=None,
-                        min_hits=0):
+                        min_hits=0, memo_capacity=None):
     """Fingerprints after every ramp pass and window of ``inputs``, on
     a default and on a memo-off kernel (each built with
-    ``kernel_options`` on top of the adapter's own); the default
-    kernel's memo must have hit more than ``min_hits`` times."""
+    ``kernel_options`` on top of the adapter's own, the default one's
+    memo then bounded to ``memo_capacity`` entries if given); the
+    default kernel's memo must have hit more than ``min_hits`` times."""
     adapters, null = e2e.adapters, e2e.spans.NULL
     prints = {}
     for config in ("default", "memo_off"):
@@ -360,6 +379,10 @@ def _memo_on_off_prints(e2e, inputs, profile, kernel_options=None,
                                        adapters.CONFIGS[config])
         adapter.kernel_options.update(kernel_options or {})
         adapter.build(null)
+        memo = adapter.kernel.memo
+        if memo_capacity is not None and memo is not None:
+            assert len(memo) <= memo_capacity
+            memo.capacity = memo_capacity
         for index in range(len(inputs["ramp"])):
             adapter.ramp(index)
         for index in range(len(inputs["windows"])):
@@ -738,7 +761,9 @@ class TestAdmission:
         (each six times running, so even a one-entry memo replays), then
         the pass again, under a 32-resolve governor window: recording
         shuts, probes, stays open through the quiet phase and shuts
-        again, and memo on and off end exactly equal."""
+        again, and memo on and off end exactly equal.  A
+        ``resolution_memo_capacity`` option bounds the built kernel's
+        memo."""
         gen = e2e.gen
         inputs = gen.make_inputs("churn", 1, gen.CHECK_SCALE, windows=1)
         churn = inputs["windows"][0]
@@ -757,7 +782,10 @@ class TestAdmission:
             verdicts.append("O" if memo._open else "S")
 
         monkeypatch.setattr(ResolutionMemo, "_turn", logged_turn)
-        prints = _memo_on_off_prints(e2e, inputs, profile, options)
+        options = dict(options)
+        capacity = options.pop("resolution_memo_capacity", None)
+        prints = _memo_on_off_prints(e2e, inputs, profile, options,
+                                     memo_capacity=capacity)
         assert prints["default"] == prints["memo_off"]
         assert re.search("SOO+S", "".join(verdicts))
 
@@ -933,7 +961,8 @@ class TestSwitchAndBounds:
         assert off.memo is None
 
     def test_capacity_bound(self):
-        kernel = make_kernel("optimized", resolution_memo_capacity=2)
+        kernel = make_kernel("optimized")
+        kernel.memo.capacity = 2
         task = kernel.spawn_task(uid=0, gid=0)
         kernel.sys.mkdir(task, "/c")
         for i in range(6):
