@@ -111,11 +111,13 @@ def run_containment() -> Report:
         sys.write(fresh_root, fd, f"SECRET{i}".encode())
         sys.close(fresh_root, fd)
         sys.stat(fresh_root, f"/secret/s{i}")  # populate the DLHT
+        kernel.exit_task(fresh_root)
     for i in range(count):
         user_setup = kernel.spawn_task(uid=1000, gid=1000)
         fd = sys.open(user_setup, f"/pub/u{i}", O_CREAT | O_RDWR, 0o644)
         sys.write(user_setup, fd, f"public{i}".encode())
         sys.close(user_setup, fd)
+        kernel.exit_task(user_setup)
     leaked = 0
     wrong = 0
     for i in range(count):
@@ -125,6 +127,7 @@ def run_containment() -> Report:
         fd = sys.open(reader, f"/pub/u{i}", O_RDONLY)
         data = sys.read(reader, fd, 64)
         sys.close(reader, fd)
+        kernel.exit_task(reader)
         if data.startswith(b"SECRET"):
             leaked += 1
         elif data != f"public{i}".encode():

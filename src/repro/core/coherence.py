@@ -39,8 +39,7 @@ argument.
 
 from __future__ import annotations
 
-import weakref
-from typing import List
+from typing import Callable, List, Tuple
 
 from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
@@ -111,12 +110,14 @@ def _subtree(dentry: Dentry) -> List[Dentry]:
 
 
 class Coherence:
-    """What both policies share: the cache registry, the invalidation
-    counter, and seqcount wraparound."""
+    """What both policies share: the invalidation counter and seqcount
+    wraparound, which flushes the kernel's ``live_caches()``."""
 
-    def __init__(self, costs: CostModel, stats: Stats):
+    def __init__(self, costs: CostModel, stats: Stats,
+                 live_caches: Callable[[], Tuple[List, List]]):
         self.costs = costs
         self.stats = stats
+        self.live_caches = live_caches
         #: Global invalidation counter guarding slowpath repopulation.
         self.counter = 0
         #: Global epoch: what population stamps on the entries it
@@ -126,47 +127,10 @@ class Coherence:
         #: hook and its ``_apply``/``abandon``).  Mutations may only skip
         #: the global counter bump when nothing is mid-walk.
         self.walks_active = 0
-        #: Weak references to every live PCC / DLHT (wraparound flush and
-        #: memory accounting must reach them all, but must not keep caches
-        #: of discarded namespaces or dead credentials alive forever).
-        self._pcc_refs: List = []
-        self._dlht_refs: List = []
 
     def bind(self, hasher, slow) -> None:
         """Meet the lookup engine's path hasher and slowpath walker
         (called once, by ``FastLookup.__init__``)."""
-
-    # -- cache registry --------------------------------------------------------
-
-    def track_pcc(self, pcc) -> None:
-        self._pcc_refs.append(weakref.ref(pcc))
-
-    def track_dlht(self, dlht) -> None:
-        self._dlht_refs.append(weakref.ref(dlht))
-
-    @staticmethod
-    def _live(refs: List) -> List:
-        alive = []
-        dead = False
-        for ref in refs:
-            obj = ref()
-            if obj is None:
-                dead = True
-            else:
-                alive.append(obj)
-        if dead:
-            refs[:] = [ref for ref in refs if ref() is not None]
-        return alive
-
-    @property
-    def pccs(self) -> List:
-        """Every live PCC (dead ones are pruned as a side effect)."""
-        return self._live(self._pcc_refs)
-
-    @property
-    def dlhts(self) -> List:
-        """Every live DLHT (dead ones are pruned as a side effect)."""
-        return self._live(self._dlht_refs)
 
     # -- counter ---------------------------------------------------------------
 
@@ -182,11 +146,12 @@ class Coherence:
     # -- wraparound ------------------------------------------------------------------
 
     def wraparound_flush(self) -> None:
-        """Version wraparound: invalidate every active PCC and DLHT."""
+        """Version wraparound: invalidate every live PCC and DLHT."""
         self.stats.bump("seq_wraparound_flush")
-        for pcc in self.pccs:
+        pccs, dlhts = self.live_caches()
+        for pcc in pccs:
             pcc.invalidate_all()
-        for dlht in self.dlhts:
+        for dlht in dlhts:
             dlht.flush()
         # A wrap breaks every memo entry's seqcount pins at once and
         # renumbers the world under every captured plan; no per-entry

@@ -41,7 +41,7 @@ PROBE_CHARGES = (("htlookup", "dlht_probe"), ("htlookup", "sig_compare"))
 class DirectLookupHashTable:
     """One namespace's signature -> dentry index."""
 
-    __slots__ = ("costs", "stats", "table", "_probe", "__weakref__")
+    __slots__ = ("costs", "stats", "table", "_probe")
 
     def __init__(self, costs: CostModel, stats: Stats):
         self.costs = costs

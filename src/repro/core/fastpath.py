@@ -198,7 +198,7 @@ class FastLookup(WalkHooks):
                                  parsed=(absolute, comps, must_dir))
 
     def pcc_for(self, cred) -> PrefixCheckCache:
-        """The cred's PCC (created and registered on first use)."""
+        """The cred's PCC (created on first use)."""
         if cred.pcc is None:
             if self.config.pcc_adaptive:
                 from repro.core.pcc import AdaptivePrefixCheckCache
@@ -207,7 +207,6 @@ class FastLookup(WalkHooks):
             else:
                 cred.pcc = PrefixCheckCache(self.costs, self.stats,
                                             self.config.pcc_capacity)
-            self.coherence.track_pcc(cred.pcc)
         return cred.pcc
 
     def _extend(self, ctx: Optional[_WalkCtx], state: SigState,

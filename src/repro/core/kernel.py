@@ -18,7 +18,7 @@ the ablation benchmarks isolate each mechanism's contribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.coherence import EagerCoherence, FastDcacheHooks
 from repro.core.completeness import ReaddirEngine
@@ -132,11 +132,13 @@ class Kernel:
         self.stats = Stats()
         self.lsm = lsm or NullLsm()
         self.root_fs = root_fs or SimExtFs(self.costs)
+        #: Live tasks by pid, in spawn order (see :meth:`live_caches`).
+        self.tasks: Dict[int, Task] = {}
         # The coherence policy (§3.2), chosen here and nowhere else.
         policy = (EpochCoherence
                   if config.fastpath and config.lazy_invalidation
                   else EagerCoherence)
-        self.coherence = policy(self.costs, self.stats)
+        self.coherence = policy(self.costs, self.stats, self.live_caches)
         hooks = FastDcacheHooks() if config.fastpath else None
         self.dcache = Dcache(self.costs, self.stats,
                              capacity=config.dcache_capacity, hooks=hooks)
@@ -176,7 +178,6 @@ class Kernel:
     def _install_dlht(self, ns: MountNamespace) -> None:
         """Give ``ns`` its DLHT and anchor its root at the empty path."""
         ns.dlht = DirectLookupHashTable(self.costs, self.stats)
-        self.coherence.track_dlht(ns.dlht)
         # A cloned root mount reuses the same root dentry; its hash state
         # (the empty path) is valid in the new namespace too.
         fast = fast_of(ns.root_mount.root_dentry)
@@ -200,7 +201,37 @@ class Kernel:
         cred = Cred(uid, gid, frozenset(groups), security)
         namespace = ns or self.root_ns
         root = PathPos(namespace.root_mount, namespace.root_mount.root_dentry)
-        return Task(cred, root, None, namespace)
+        return self._add(Task(cred, root, None, namespace))
+
+    def fork_task(self, parent: Task) -> Task:
+        """A child sharing the parent's cred, namespace, root and cwd."""
+        return self._add(Task(parent.cred, parent.root, parent.cwd,
+                              parent.ns, parent.umask))
+
+    def _add(self, task: Task) -> Task:
+        self.tasks[task.pid] = task
+        return task
+
+    def exit_task(self, task: Task) -> None:
+        """Close the task's fds, unpin its root and cwd, and forget it.
+        It keeps no cred: a later syscall on it raises instead of probing
+        a PCC that wraparound no longer flushes."""
+        del self.tasks[task.pid]
+        task.exit()
+        task.cred = None
+
+    def live_caches(self) -> Tuple[List, List]:
+        """The PCCs and DLHTs a live task can reach, each once, in spawn
+        order (``root_ns.dlht`` first): what wraparound flushes and memory
+        accounting prices.  A cred or namespace with no task left has
+        released its cache, as ``put_cred`` would."""
+        tasks = self.tasks.values()
+        pccs = dict.fromkeys(task.cred.pcc for task in tasks)
+        dlhts = dict.fromkeys([self.root_ns.dlht]
+                              + [task.ns.dlht for task in tasks])
+        pccs.pop(None, None)
+        dlhts.pop(None, None)
+        return list(pccs), list(dlhts)
 
     def change_identity(self, task: Task, uid: Optional[int] = None,
                         gid: Optional[int] = None,
@@ -218,7 +249,7 @@ class Kernel:
             # Nothing is charged, so an armed drain plan's clock guard
             # cannot see the new identity.
             self.costs.forget()
-        task.set_cred(cred)
+        task.cred = cred
 
     # -- time/statistics convenience -------------------------------------------------
 

@@ -1,7 +1,8 @@
 """The Prefix Check Cache (§3.1, §4.1).
 
-Each committed credential owns a PCC: a bounded LRU memo of dentries whose
-prefix check (search permission from the task's root to the dentry,
+Each committed credential owns a PCC (``cred.pcc``, alive while a task
+holds the cred, as ``put_cred`` frees it): a bounded LRU memo of dentries
+whose prefix check (search permission from the task's root to the dentry,
 including any LSM decision) this credential has recently passed.  Entries
 record the dentry's sequence number at check time; any permission or
 topology change along the path bumps the sequence (see
@@ -29,8 +30,7 @@ DEFAULT_CAPACITY = 64 * 1024 // 16
 class PrefixCheckCache:
     """One credential's memoized prefix checks."""
 
-    __slots__ = ("costs", "stats", "capacity", "_entries", "_probe",
-                 "__weakref__")
+    __slots__ = ("costs", "stats", "capacity", "_entries", "_probe")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  capacity: int = DEFAULT_CAPACITY):

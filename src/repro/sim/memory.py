@@ -97,9 +97,8 @@ def measure_kernel(kernel) -> MemoryReport:
         for dentry in root.descendants():
             if dentry.fast is not None:
                 fast_count += 1
-    pccs = kernel.coherence.pccs
+    pccs, dlhts = kernel.live_caches()
     pcc_bytes = sum(pcc.capacity * PCC_ENTRY_BYTES for pcc in pccs)
-    dlhts = kernel.coherence.dlhts
     memo = kernel.memo
     resmemo_entries = len(memo) if memo is not None else 0
     resmemo_bytes = 0

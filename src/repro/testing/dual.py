@@ -81,6 +81,11 @@ class DualKernel:
         self.tasks.append(row)
         return len(self.tasks) - 1
 
+    def exit_task(self, task: int) -> None:
+        """Exit the task on every kernel."""
+        for kernel, t in zip(self.kernels, self.tasks[task]):
+            kernel.exit_task(t)
+
     def change_identity(self, task: int, **kw) -> None:
         for kernel, t in zip(self.kernels, self.tasks[task]):
             kernel.change_identity(t, **kw)

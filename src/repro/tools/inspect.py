@@ -72,7 +72,7 @@ def dlht_summary(kernel) -> str:
     if kernel.fast is None:
         return "DLHT: (baseline kernel, not present)"
     lines = []
-    for i, dlht in enumerate(kernel.coherence.dlhts):
+    for i, dlht in enumerate(kernel.live_caches()[1]):
         kinds = {"positive": 0, "negative": 0, "alias": 0, "symlink": 0}
         for dentry in dlht.table.values():
             if dentry.is_alias:
@@ -90,13 +90,14 @@ def dlht_summary(kernel) -> str:
 
 
 def pcc_summary(kernel) -> str:
-    """Fill level of every credential's prefix check cache."""
+    """Fill level of every live credential's prefix check cache."""
     if kernel.fast is None:
         return "PCC: (baseline kernel, not present)"
-    if not kernel.coherence.pccs:
+    pccs = kernel.live_caches()[0]
+    if not pccs:
         return "PCC: none allocated yet"
     lines = []
-    for i, pcc in enumerate(kernel.coherence.pccs):
+    for i, pcc in enumerate(pccs):
         lines.append(f"PCC[{i}]: {len(pcc)}/{pcc.capacity} entries")
     return "\n".join(lines)
 

@@ -2,8 +2,8 @@
 
 A task carries the state path resolution depends on: credentials, current
 working directory, root (chroot), umask, and the mount namespace.  Tasks
-are created by :meth:`repro.core.kernel.Kernel.spawn_task` and passed as
-the first argument to every syscall.
+are created by :meth:`repro.core.kernel.Kernel.spawn_task` / ``fork_task``,
+ended by ``exit_task``, and passed as the first argument to every syscall.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ class Task:
         pos.dentry.pin()
         self.root.dentry.unpin()
         self.root = pos
-
-    def set_cred(self, cred: Cred) -> None:
-        self.cred = cred
-
-    def fork(self) -> "Task":
-        """Child task sharing cred (COW) and namespace, copying cwd/root."""
-        child = Task(self.cred, self.root, self.cwd, self.ns, self.umask)
-        return child
 
     def exit(self) -> None:
         self.fds.close_all()

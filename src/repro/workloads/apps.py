@@ -152,6 +152,7 @@ def run_app(kernel: Kernel, app: AppWorkload, *,
     start = kernel.now_ns
     app.run(kernel, sys, task, tree)
     total_ns = kernel.now_ns - start
+    kernel.exit_task(task)
     stats = kernel.stats
     hits = stats.get("dcache_hit") - hit0
     misses = stats.get("dcache_miss")

@@ -180,6 +180,7 @@ def build_fleet(kernel: Kernel, tenants: int = 8, *,
         sites.append(TenantSite(index=index, task=task, listing=listing,
                                 mail=mail, requests=counts[index],
                                 program=program))
+    kernel.exit_task(admin)
     return FleetSetup(tenants=sites, seed=seed,
                       mutation_rate=mutation_rate)
 

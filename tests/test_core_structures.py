@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import O_CREAT, O_RDWR, errors, make_kernel
@@ -11,6 +13,7 @@ from repro.core.kernel import PROFILES
 from repro.core.pcc import PrefixCheckCache
 from repro.core.signatures import PathHasher
 from repro.sim.costs import CostModel, UNIT
+from repro.sim.memory import measure_kernel
 from repro.sim.stats import Stats
 from repro.vfs.dentry import Dentry
 
@@ -323,3 +326,58 @@ class TestCoherence:
             sys.close(task, fd)
         sys.chmod(task, "/d", 0o700)
         assert kernel.stats.get("inval_dentry") == 0
+
+
+class TestTaskLifetimes:
+    """The kernel's task table is the one source of the caches'
+    lifetimes: a cred's PCC and a namespace's DLHT live while a task
+    holds them, whatever the host's collector does."""
+
+    @pytest.mark.parametrize("profile", ("optimized", "optimized-lazy"))
+    def test_wraparound_reaches_a_child_that_outlives_its_parent(
+            self, profile):
+        kernel = make_kernel(profile)
+        parent = kernel.spawn_task(uid=0, gid=0)
+        child = kernel.fork_task(parent)
+        assert child.cred is parent.cred
+        kernel.sys.mkdir(parent, "/d")
+        kernel.sys.stat(child, "/d")
+        kernel.exit_task(parent)
+        del parent
+        gc.collect()
+        pcc = child.cred.pcc
+        assert len(pcc) > 0
+        assert kernel.live_caches()[0] == [pcc]
+        dentry = kernel.dcache.root_dentry(kernel.root_fs).children["d"]
+        dentry.seq = SEQ_WRAP - 1
+        kernel.coherence.shootdown_single(dentry)
+        assert kernel.stats.get("seq_wraparound_flush") == 1
+        assert len(pcc) == 0
+
+    @pytest.mark.parametrize("profile", ("optimized", "optimized-lazy"))
+    def test_namespace_releases_its_dlht_with_its_last_task(self, profile):
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        kernel.sys.unshare_mountns(task)
+        child = kernel.fork_task(task)
+        before = measure_kernel(kernel).dlht_count
+        assert before == 2
+        kernel.exit_task(task)
+        assert measure_kernel(kernel).dlht_count == before
+        kernel.exit_task(child)
+        assert measure_kernel(kernel).dlht_count == before - 1
+        assert kernel.live_caches()[1] == [kernel.root_ns.dlht]
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_syscall_on_an_exited_task_raises(self, profile):
+        """An exited task keeps no cred, so even a path the memo and the
+        PCC know raises instead of being served."""
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        kernel.sys.mkdir(task, "/d")
+        for _ in range(3):
+            kernel.sys.stat(task, "/d")
+        kernel.exit_task(task)
+        assert task.pid not in kernel.tasks
+        with pytest.raises(AttributeError):
+            kernel.sys.stat(task, "/d")

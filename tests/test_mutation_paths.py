@@ -143,7 +143,7 @@ def _shootdown_differential(spec, root_pick):
                 continue
             stale = d.fast is None or d.fast.hash_state is None
             digest.append((path, d.seq, stale))
-        dlht_sizes = sorted(len(t) for t in kernel.coherence.dlhts)
+        dlht_sizes = sorted(len(t) for t in kernel.live_caches()[1])
         state.append((fingerprint(kernel), digest, dlht_sizes,
                       kernel.coherence.counter))
     assert state[0] == state[1]

@@ -246,9 +246,10 @@ class TestCoherenceSeam:
         assert kernel.coherence.epoch == 0
         dentries = {}
         stack = [mount.root_dentry for mount in kernel.root_ns.mounts]
-        for dlht in kernel.coherence.dlhts:
+        pccs, dlhts = kernel.live_caches()
+        for dlht in dlhts:
             stack.extend(dentry for _key, dentry in dlht.items())
-        for pcc in kernel.coherence.pccs:
+        for pcc in pccs:
             for dentry, _seq, epoch in pcc._entries.values():
                 assert epoch == 0
                 stack.append(dentry)
@@ -263,6 +264,25 @@ class TestCoherenceSeam:
             fast = dentry.fast
             if fast is not None:
                 assert fast.epoch_snapshot == 0
+
+
+class TestLifetimes:
+    def test_no_module_keeps_collector_timed_references(self):
+        """Cache lifetimes follow the kernel's task table
+        (``Kernel.live_caches``), never the host's garbage collector: no
+        module imports ``weakref`` or declares a ``__weakref__`` slot."""
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            source = path.read_text()
+            nodes = list(ast.walk(ast.parse(source)))
+            modules = [alias.name for node in nodes
+                       if isinstance(node, ast.Import)
+                       for alias in node.names]
+            modules += [node.module for node in nodes
+                        if isinstance(node, ast.ImportFrom)]
+            if "weakref" in modules or "__weakref__" in source:
+                offenders.append(str(path.relative_to(SRC)))
+        assert offenders == []
 
 
 class TestHostSeam:

@@ -79,7 +79,7 @@ def _cache_orders(kernel):
     first, as dentry paths: what the next eviction victims are picked
     from, which no counter shows until they are."""
     return ([[entry[0].path_from_root() for entry in pcc._entries.values()]
-             for pcc in kernel.coherence.pccs],
+             for pcc in kernel.live_caches()[0]],
             [dentry.path_from_root()
              for dentry in kernel.dcache._lru.values()])
 
@@ -630,7 +630,7 @@ class TestPccPressure:
             assert kernel.stats.get("pcc_grow") > 0
             results[memo_on] = (fingerprint(kernel),
                                 [pcc.capacity
-                                 for pcc in kernel.coherence.pccs])
+                                 for pcc in kernel.live_caches()[0]])
         assert results[True] == results[False]
 
     @pytest.mark.parametrize("adaptive", (False, True))

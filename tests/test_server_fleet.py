@@ -18,6 +18,7 @@ import pytest
 from repro import make_kernel
 from repro.bench import exp_tenant_crossover
 from repro.core.kernel import PROFILES
+from repro.sim.memory import measure_kernel
 from repro.testing.dual import fingerprint
 from repro.workloads import server_fleet
 from repro.workloads.compile import build_loop_trace, compile_trace
@@ -111,23 +112,31 @@ class TestFleetBitIdentity:
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_host_lifetimes_do_not_move_virtual_time(self, profile):
-        """Whether a task that touched the caches is still alive on the
-        host, or was collected, leaves the drains' virtual time as it
-        was: nothing charged walks the live caches."""
-        ticks = []
+        """Whether an exited task that touched the caches is still alive
+        on the host, or was collected, leaves the drains' virtual time
+        and the memory report as they were: the live caches are the
+        kernel's tasks', not the collector's."""
+        ticks, reports = [], []
         for keep in (True, False):
             kernel = make_kernel(profile)
             fleet = _small_fleet(kernel)
+            caches = measure_kernel(kernel)
             task = kernel.spawn_task(uid=2000, gid=2000)
             for path in ("/", "/srv", "/srv/t0", "/srv/t1"):
                 kernel.sys.stat(task, path)
+            kernel.exit_task(task)
             if not keep:
                 del task
                 gc.collect()
+            report = measure_kernel(kernel)
+            assert (report.pcc_count, report.dlht_count) \
+                == (caches.pcc_count, caches.dlht_count)
             for _ in range(5):
                 server_fleet.drain_fleet(kernel, fleet)
             ticks.append(kernel.costs.clock.capture_state())
+            reports.append(measure_kernel(kernel))
         assert ticks[0] == ticks[1]
+        assert reports[0] == reports[1]
 
 
 class TestFleetDrainLifecycle:

@@ -285,11 +285,12 @@ class TestMiscSyscalls:
         fd = kernel.sys.open(task, "/f", O_CREAT | O_RDWR)
         dentry = kernel.dcache.root_dentry(kernel.root_fs).children["f"]
         pins = dentry.pin_count
-        task.exit()
+        kernel.exit_task(task)
         assert dentry.pin_count == pins - 1
+        assert task.pid not in kernel.tasks
 
     def test_fork_shares_cred(self, kernel):
         parent = kernel.spawn_task(uid=1000, gid=1000)
-        child = parent.fork()
+        child = kernel.fork_task(parent)
         assert child.cred is parent.cred
         assert child.pid != parent.pid
