@@ -17,6 +17,7 @@ the ablation benchmarks isolate each mechanism's contribution.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -132,8 +133,10 @@ class Kernel:
         self.stats = Stats()
         self.lsm = lsm or NullLsm()
         self.root_fs = root_fs or SimExtFs(self.costs)
-        #: Live tasks by pid, in spawn order (see :meth:`live_caches`).
+        #: Live tasks by pid (counted per kernel from 1), in spawn order
+        #: (see :meth:`live_caches`).
         self.tasks: Dict[int, Task] = {}
+        self._pids = itertools.count(1)
         # The coherence policy (§3.2), chosen here and nowhere else.
         policy = (EpochCoherence
                   if config.fastpath and config.lazy_invalidation
@@ -201,12 +204,13 @@ class Kernel:
         cred = Cred(uid, gid, frozenset(groups), security)
         namespace = ns or self.root_ns
         root = PathPos(namespace.root_mount, namespace.root_mount.root_dentry)
-        return self._add(Task(cred, root, None, namespace))
+        return self._add(Task(next(self._pids), cred, root, None,
+                              namespace))
 
     def fork_task(self, parent: Task) -> Task:
         """A child sharing the parent's cred, namespace, root and cwd."""
-        return self._add(Task(parent.cred, parent.root, parent.cwd,
-                              parent.ns, parent.umask))
+        return self._add(Task(next(self._pids), parent.cred, parent.root,
+                              parent.cwd, parent.ns, parent.umask))
 
     def _add(self, task: Task) -> Task:
         self.tasks[task.pid] = task

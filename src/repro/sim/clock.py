@@ -43,29 +43,8 @@ class Clock:
             raise ValueError(f"clock cannot run backwards ({ns} ns)")
         self._ticks += to_ticks(ns)
 
-    def elapsed_since(self, start_ns: float) -> float:
-        """Nanoseconds elapsed since ``start_ns`` (a prior ``now_ns``)."""
-        return (self._ticks - to_ticks(start_ns)) / TICKS_PER_NS
-
     def capture_state(self) -> int:
         """Opaque, exactly comparable token for the current time (charge
         plans arm on it: same token, same clock)."""
         return self._ticks
 
-
-class Stopwatch:
-    """Context manager measuring virtual time spent inside a block."""
-
-    __slots__ = ("_clock", "_start", "elapsed_ns")
-
-    def __init__(self, clock: Clock):
-        self._clock = clock
-        self._start = 0
-        self.elapsed_ns = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = self._clock._ticks
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed_ns = (self._clock._ticks - self._start) / TICKS_PER_NS

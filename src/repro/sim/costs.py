@@ -340,14 +340,14 @@ class ChargePlanRegistry:
         self.gen += 1
 
     def cell(self, tag, *pins) -> "PlanCell":
-        """The cell of unit ``tag`` over ``pins`` (created lazily).
+        """The cell of drain ``tag`` over ``pins`` (created lazily).
 
         ``pins`` are the tasks and programs whose executions feed the
         cell, in stream order, keyed by identity: a drain's charges are
         a deterministic function of those plus kernel state, which the
-        armed guard covers, and no plan crosses tasks.  ``tag``
-        tells the units over one pin sequence apart: a whole drain's is
-        its scheduler seed.
+        armed guard covers, and no plan crosses tasks.  ``tag``, the
+        drain's scheduler seed, tells the drains over one pin sequence
+        apart.
         """
         key = (tag, *map(id, pins))
         entry = self._cells.get(key)
@@ -468,9 +468,9 @@ class CostModel:
             ticks += per_byte * nbytes
             totals = self._nbytes
             totals[primitive] = totals.get(primitive, 0) + nbytes
-        # Charge rates are nonnegative, so the clock's monotonicity check
-        # is skipped on this fast path (Clock.advance validates for
-        # everyone else).
+        # Charge rates are nonnegative, so the ticks are added directly,
+        # without the monotonicity check of Clock.advance (which only
+        # tests call).
         self.clock._ticks += ticks
         counts = self._counts
         try:

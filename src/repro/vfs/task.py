@@ -8,7 +8,6 @@ ended by ``exit_task``, and passed as the first argument to every syscall.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.vfs.cred import Cred
@@ -16,17 +15,16 @@ from repro.vfs.file import FdTable
 from repro.vfs.mount import PathPos
 from repro.vfs.namespace import MountNamespace
 
-_pids = itertools.count(1)
-
 
 class Task:
     """One simulated process."""
 
     __slots__ = ("pid", "cred", "cwd", "root", "umask", "ns", "fds")
 
-    def __init__(self, cred: Cred, root: PathPos, cwd: Optional[PathPos],
-                 ns: MountNamespace, umask: int = 0o022):
-        self.pid = next(_pids)
+    def __init__(self, pid: int, cred: Cred, root: PathPos,
+                 cwd: Optional[PathPos], ns: MountNamespace,
+                 umask: int = 0o022):
+        self.pid = pid
         self.cred = cred
         self.root = root
         self.cwd = cwd or root

@@ -104,54 +104,6 @@ def _fold(op: str, args: Tuple[Any, ...],
     return spec, folded
 
 
-# -- scheduling units -----------------------------------------------------
-
-#: Ops whose plain rows group into one scheduling unit.
-_RUN_OPS = frozenset(["lseek", "fstat"])
-
-#: Minimum plain rows that group into one unit.
-_RUN_MIN_ROWS = 6
-
-
-def _units(op_table: Tuple[str, ...],
-           rows: List[Tuple]) -> Tuple[Tuple[int, int], ...]:
-    """The units the interleaved scheduler picks between: half-open row
-    ranges ``(lo, hi)`` tiling the rows in order — one per run of at
-    least :data:`_RUN_MIN_ROWS` plain ``lseek``/``fstat`` rows (one fd
-    argument, no fd stored, no errno expected, and for ``lseek`` one
-    non-negative int offset), one per other row.  Virtual output
-    depends on this granularity, so it is part of the program.
-    """
-    run_ops = {i for i, op in enumerate(op_table) if op in _RUN_OPS}
-    lseek_idx = op_table.index("lseek") if "lseek" in op_table else -1
-
-    def plain(row) -> bool:
-        op_idx, args, patches, store, errno_exp, _compute, _pair = row
-        if op_idx not in run_ops or store != -1 or errno_exp is not None \
-                or patches is None or len(patches) != 1 \
-                or patches[0][0] != 0:
-            return False
-        if op_idx == lseek_idx:
-            return (len(args) == 2 and isinstance(args[1], int)
-                    and args[1] >= 0)
-        return len(args) == 1  # fstat
-
-    units: List[Tuple[int, int]] = []
-    n = len(rows)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and plain(rows[j]):
-            j += 1
-        if j - i >= _RUN_MIN_ROWS:
-            units.append((i, j))
-        else:
-            j = max(j, i + 1)
-            units.extend((k, k + 1) for k in range(i, j))
-        i = j
-    return tuple(units)
-
-
 # -- the compiled program -------------------------------------------------
 
 @dataclass
@@ -182,8 +134,6 @@ class CompiledTrace:
     #: Host seconds spent compiling, kept apart from replay time so
     #: compilation overhead cannot hide in op/s numbers.
     compile_wall_s: float
-    #: Scheduling units over ``rows`` (see :func:`_units`).
-    units: Tuple[Tuple[int, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -247,10 +197,8 @@ def compile_trace(trace: Trace) -> CompiledTrace:
             event.compute_ns,
             spec.pair,
         ))
-    op_table_t = tuple(op_table)
-    return CompiledTrace(op_table=op_table_t, rows=rows,
+    return CompiledTrace(op_table=tuple(op_table), rows=rows,
                          slot_count=trace.slot_count(),
-                         units=_units(op_table_t, rows),
                          compile_wall_s=time.perf_counter() - t0)
 
 

@@ -38,7 +38,8 @@ POSITIVE_PATTERNS = {"default", "1-comp", "2-comp", "4-comp", "8-comp",
 
 
 def prepare_lookup_tree(kernel: Kernel) -> Task:
-    """Build every path Figure 6 exercises; returns a root task at /."""
+    """Build every path Figure 6 exercises; returns a root task at /,
+    which the caller exits."""
     task = kernel.spawn_task(uid=0, gid=0)
     sys = kernel.sys
 
@@ -143,6 +144,7 @@ def measure_mutation_latency(kernel: Kernel,
     start = kernel.now_ns
     kernel.sys.rename(task, base, base + "_moved")
     rename_ns = kernel.now_ns - start
+    kernel.exit_task(task)
     return chmod_ns, rename_ns, descendants
 
 
@@ -160,7 +162,9 @@ def measure_readdir_latency(kernel: Kernel, nfiles: int,
         kernel.sys.listdir(task, path)
     start = kernel.now_ns
     kernel.sys.listdir(task, path)
-    return kernel.now_ns - start
+    elapsed = kernel.now_ns - start
+    kernel.exit_task(task)
+    return elapsed
 
 
 def measure_mkstemp_latency(kernel: Kernel, nfiles: int,
@@ -175,6 +179,7 @@ def measure_mkstemp_latency(kernel: Kernel, nfiles: int,
     fd, _name = kernel.sys.mkstemp(task, path, rng=rng)
     elapsed = kernel.now_ns - start
     kernel.sys.close(task, fd)
+    kernel.exit_task(task)
     return elapsed
 
 
@@ -198,4 +203,6 @@ FIG2_PAPER_HISTORY = [
 def measure_long_path_stat(kernel: Kernel) -> float:
     """Warm stat latency of the 8-component Figure 2 path (ns)."""
     task = prepare_lookup_tree(kernel)
-    return measure_stat(kernel, task, LONG_PATH)
+    elapsed = measure_stat(kernel, task, LONG_PATH)
+    kernel.exit_task(task)
+    return elapsed

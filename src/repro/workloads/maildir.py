@@ -169,4 +169,5 @@ def run_benchmark(kernel: Kernel, mailbox_size: int, *,
         else:
             mark_operation(kernel, task, setup, rng)
     elapsed_s = (kernel.now_ns - start) / 1e9
+    kernel.exit_task(task)
     return operations / elapsed_s

@@ -365,17 +365,17 @@ def _drain_state(streams) -> Optional[tuple]:
 
 
 def plan_schedule(rng: random.Random,
-                  unit_counts) -> Tuple[List[int], List[int]]:
+                  row_counts) -> Tuple[List[int], List[int]]:
     """The seeded interleaving, between syscalls, of streams of
-    ``unit_counts`` units: stream ``streams[i]`` advances ``runs[i]``
-    units, in order.  Each step draws ``rng.randrange(len(alive))`` over
+    ``row_counts`` rows: stream ``streams[i]`` runs its next ``runs[i]``
+    rows, in order.  Each step draws ``rng.randrange(len(alive))`` over
     the streams still alive, and a draw landing on an exhausted stream
-    retires it without advancing anything, so a ``(seed, unit counts)``
+    retires it without advancing anything, so a ``(seed, row counts)``
     pair always yields the same schedule — the determinism whole-drain
     charge plans rely on.  Runs let the drain advance a stream several
-    units per dispatch.
+    rows per dispatch.
     """
-    remaining = list(unit_counts)
+    remaining = list(row_counts)
     alive = list(range(len(remaining)))
     streams: List[int] = []
     runs: List[int] = []
@@ -399,36 +399,37 @@ def plan_schedule(rng: random.Random,
 
 
 @functools.lru_cache(maxsize=64)
-def _drain_schedule(seed: int, unit_counts: tuple):
+def _drain_schedule(seed: int, row_counts: tuple):
     # Module scope is the right scope: a schedule depends on nothing but
-    # ``(seed, unit_counts)``, and the multi-tenant benchmarks replay the
+    # ``(seed, row_counts)``, and the multi-tenant benchmarks replay the
     # same stream population on a fresh kernel per session.
-    return plan_schedule(random.Random(seed), unit_counts)
+    return plan_schedule(random.Random(seed), row_counts)
 
 
 class _StreamState:
-    """One stream's bound replay state, advanced a run of units at a time.
+    """One stream's bound replay state, advanced a run of rows at a time.
 
     Construction binds everything the drain loop needs — the prebound
-    batch method table, the fd slot table and the program's unit table
-    — so advancing is attribute-local work with no per-unit rebinding.
+    batch method table, the fd slot table and the program's rows — so
+    advancing is attribute-local work with no per-run rebinding.
     """
 
-    __slots__ = ("methods", "slot_fds", "units", "cursor", "costs",
-                 "rows", "op_table")
+    __slots__ = ("methods", "slot_fds", "cursor", "costs", "rows",
+                 "op_table")
 
     def __init__(self, kernel: Kernel, task: Task, program):
         batch = kernel.sys.batch(task)
         self.methods = [getattr(batch, name) for name in program.op_table]
         self.slot_fds: List[int] = [-1] * program.slot_count
-        self.units = program.units
         self.cursor = 0
         self.costs = kernel.costs
         self.rows = program.rows
         self.op_table = program.op_table
 
-    def run_rows(self, lo: int, hi: int) -> None:
-        """Interpreted execution of rows ``[lo, hi)`` (the slow path)."""
+    def advance(self, n: int) -> None:
+        """Execute the next ``n`` rows of this stream."""
+        lo = self.cursor
+        hi = self.cursor = lo + n
         rows = self.rows
         methods = self.methods
         slot_fds = self.slot_fds
@@ -468,13 +469,6 @@ class _StreamState:
             raise ReplayDivergence(index, op_table[rows[index][0]], None,
                                    exc.errno) from exc
 
-    def advance(self, n: int) -> None:
-        """Execute the next ``n`` units of this stream as one
-        :meth:`run_rows`."""
-        cursor = self.cursor
-        self.cursor = end = cursor + n
-        self.run_rows(self.units[cursor][0], self.units[end - 1][1])
-
 
 def replay_compiled(kernel: Kernel, task: Task, program,
                     plans: Optional[bool] = None) -> None:
@@ -499,8 +493,8 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
 
     ``streams`` is a sequence of ``(task, program)`` pairs.  Each
     program's rows execute in order, but the streams advance in a
-    seeded pseudo-random interleaving at unit granularity
-    (``program.units``) — the multi-tenant server shape: per-tenant
+    seeded pseudo-random interleaving, one syscall (row) per scheduling
+    step — the multi-tenant server shape: per-tenant
     request streams sharing one directory cache.  Deterministic: the
     same (streams, seed) always produces the same interleaving, virtual
     costs and Stats.
@@ -532,7 +526,7 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
         states = [_StreamState(kernel, task, prog)
                   for task, prog in streams]
         order, runs = _drain_schedule(
-            seed, tuple(len(prog.units) for _task, prog in streams))
+            seed, tuple(len(prog.rows) for _task, prog in streams))
         advances = [state.advance for state in states]
         for i, s in enumerate(order):
             advances[s](runs[i])

@@ -97,4 +97,5 @@ def run_benchmark(kernel: Kernel, nfiles: int, *,
     for _ in range(requests):
         handle_request(kernel, task, listing)
     elapsed_s = (kernel.now_ns - start) / 1e9
+    kernel.exit_task(task)
     return requests / elapsed_s

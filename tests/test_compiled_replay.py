@@ -22,11 +22,11 @@ from repro import (O_APPEND, O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR,
 from repro.bench import exp_replay
 from repro.core.kernel import PROFILES
 from repro.testing.dual import fingerprint
-from repro.workloads import server_fleet
 from repro.workloads.compile import (CompiledTrace, TraceCompileError,
                                      build_loop_trace, compile_trace)
 from repro.workloads.traces import (ReplayDivergence, Trace, TraceEvent,
-                                    TraceRecorder, replay, replay_compiled)
+                                    TraceRecorder, plan_schedule, replay,
+                                    replay_compiled, replay_interleaved)
 
 
 def _assert_differential(trace, profiles=PROFILES, reps=1):
@@ -138,30 +138,35 @@ class TestCompile:
         with pytest.raises(TraceCompileError):
             compile_trace(bogus)
 
-    def test_unit_table_pins_scheduling_granularity(self):
-        """Units are what the interleaved scheduler picks between, so
-        virtual output depends on them: one per run of at least six
-        plain ``lseek``/``fstat`` rows, one per other row, tiling the
-        rows in order."""
-        fleet = server_fleet.build_fleet(
-            make_kernel("baseline"), 2, total_requests=8,
-            mutation_rate=0.3, files_per_site=8, messages_per_box=4)
-        tenant = fleet.tenants[0].program
-        assert len(tenant.units) == len(tenant.rows) > 0
-        small = compile_trace(build_loop_trace(files=8, io_rounds=10))
-        default = compile_trace(build_loop_trace())
-        for program, shape in ((small, (345, 105)),
-                               (default, (2170, 250))):
-            assert (len(program.rows), len(program.units)) == shape
-        for program in (tenant, small, default):
-            bounds = list(program.units)
-            assert bounds[0][0] == 0 and bounds[-1][1] == len(program.rows)
-            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-            for lo, hi in bounds:
-                if hi > lo + 1:
-                    assert hi - lo >= 6
-                    assert {program.op_table[row[0]] for row
-                            in program.rows[lo:hi]} <= {"lseek", "fstat"}
+    def test_drain_interleaves_rows(self):
+        """A drain schedules rows: the tasks of its outermost syscalls,
+        in order, are ``plan_schedule``'s picks over the streams' row
+        counts, one syscall per pick."""
+        kernel = make_kernel("baseline")
+        streams = [(kernel.spawn_task(uid=0, gid=0),
+                    compile_trace(build_loop_trace(
+                        files=2, io_rounds=2, subdirs=1, root=f"/x{i}")))
+                   for i in range(3)]
+        sys, tasks, depth = kernel.sys, [], [0]
+
+        def wrap(method):
+            def call(task, *args, **kwargs):
+                if not depth[0]:
+                    tasks.append(task)
+                depth[0] += 1
+                try:
+                    return method(task, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        for op in {op for _task, prog in streams for op in prog.op_table}:
+            setattr(sys, op, wrap(getattr(sys, op)))
+        replay_interleaved(kernel, streams, seed=5, plans=False)
+        order, runs = plan_schedule(
+            random.Random(5), [len(prog.rows) for _task, prog in streams])
+        assert tasks == [streams[s][0]
+                         for s, n in zip(order, runs) for _ in range(n)]
 
 
 # -- engine differential --------------------------------------------------

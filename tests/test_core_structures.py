@@ -381,3 +381,14 @@ class TestTaskLifetimes:
         assert task.pid not in kernel.tasks
         with pytest.raises(AttributeError):
             kernel.sys.stat(task, "/d")
+
+    def test_each_kernel_numbers_its_own_pids(self):
+        """A pid, the key of ``Kernel.tasks``, depends only on its own
+        kernel's spawns."""
+        a, b = make_kernel("baseline"), make_kernel("baseline")
+        parent = a.spawn_task(uid=0, gid=0)
+        b.spawn_task(uid=0, gid=0)
+        a.spawn_task(uid=0, gid=0)
+        a.fork_task(parent)
+        assert list(a.tasks) == [1, 2, 3]
+        assert list(b.tasks) == [1]

@@ -12,6 +12,7 @@ import pytest
 
 from repro import O_CREAT, O_DIRECTORY, O_EXCL, O_RDONLY, O_RDWR
 from repro import errors
+from repro.core.kernel import PROFILES
 from repro.testing import DualKernel
 
 
@@ -428,3 +429,43 @@ class TestMkstemp:
         dual.listdir(root, "/tmp")  # make it complete on optimized
         fd, name = dual.mkstemp(root, "/tmp", rng_seed=3)
         assert dual.stat(root, f"/tmp/{name}").filetype == "reg"
+
+
+class TestTaskExit:
+    def test_exit_mid_script(self):
+        """Exit a task on every kernel while it holds an fd, a cwd and a
+        warm PCC entry: its handle then fails alike everywhere, and the
+        task left behind still agrees on every operation."""
+        dual = DualKernel(tuple(PROFILES.values()))
+        root = dual.spawn_task(uid=0, gid=0)
+        user = dual.spawn_task(uid=1000, gid=1000)
+        dual.mkdir(root, "/home")
+        dual.chmod(root, "/home", 0o777)
+        dual.mkdir(user, "/home/u")
+        _mkfile(dual, user, "/home/u/f", b"data")
+        fd = dual.open(user, "/home/u/f", O_RDONLY)
+        dual.chdir(user, "/home/u")
+        for _ in range(3):
+            assert dual.stat(user, "/home/u/f").size == 4
+        dual.exit_task(user)
+        assert all(len(kernel.tasks) == 1 for kernel in dual.kernels)
+        with pytest.raises(errors.EBADF):
+            dual.read(user, fd, 4)
+        for kernel, task in zip(dual.kernels, dual.tasks[user]):
+            with pytest.raises(AttributeError):
+                kernel.sys.stat(task, "/home/u/f")
+        # The survivor sees the exited task's files, cwd included, and
+        # can move and remove them; dropped caches refill alike.
+        fd = dual.open(root, "/home/u/f", O_RDONLY)
+        assert dual.read(root, fd, 4) == b"data"
+        dual.close(root, fd)
+        dual.rename(root, "/home/u", "/home/v")
+        for kernel in dual.kernels:
+            kernel.drop_caches()
+        assert dual.stat(root, "/home/v/f").size == 4
+        with pytest.raises(errors.ENOENT):
+            dual.stat(root, "/home/u/f")
+        dual.unlink(root, "/home/v/f")
+        dual.rmdir(root, "/home/v")
+        assert dual.listdir(root, "/home") == []
+        dual.check_invariants()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.pcc import PrefixCheckCache
-from repro.sim.clock import Clock, Stopwatch
+from repro.sim.clock import Clock
 from repro.sim.concurrency import (ScalingParams, read_latency_curve,
                                    writer_latency_curve)
 from repro.sim.costs import (CALIBRATED, UNIT, ChargeVector, CostModel,
@@ -28,19 +28,6 @@ class TestClock:
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             Clock().advance(-1)
-
-    def test_elapsed_since(self):
-        clock = Clock()
-        clock.advance(5)
-        mark = clock.now_ns
-        clock.advance(7)
-        assert clock.elapsed_since(mark) == 7
-
-    def test_stopwatch(self):
-        clock = Clock()
-        with Stopwatch(clock) as watch:
-            clock.advance(42)
-        assert watch.elapsed_ns == 42
 
 
 class TestCostModel:

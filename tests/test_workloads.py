@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import make_kernel
+from repro.sim.memory import measure_kernel
 from repro.workloads import apps, lmbench, maildir, webserver
 from repro.workloads.tree import (TreeSpec, build_fanout_tree,
                                   build_flat_dir, build_linux_like_tree,
@@ -193,3 +194,33 @@ class TestWebserver:
                                  ("baseline", "optimized") else "baseline")
         big = webserver.run_benchmark(big_kernel, 500, requests=5)
         assert small > big
+
+
+class TestDriverTasks:
+    """A driver that returns only a number exits the task it spawned, so
+    its PCC leaves the kernel's live caches with it."""
+
+    @staticmethod
+    def _live(kernel):
+        return len(kernel.tasks), measure_kernel(kernel).pcc_count
+
+    def test_webserver_runs_leave_the_task_table_as_found(self):
+        kernel = make_kernel("optimized")
+        kernel.spawn_task(uid=0, gid=0)
+        before = self._live(kernel)
+        for nfiles in (10, 12):
+            webserver.run_benchmark(kernel, nfiles, requests=2)
+        assert self._live(kernel) == before
+
+    @pytest.mark.parametrize("drive", [
+        lambda k: maildir.run_benchmark(k, 10, mailboxes=2, operations=5),
+        lambda k: lmbench.measure_mutation_latency(k, 1),
+        lambda k: lmbench.measure_readdir_latency(k, 10),
+        lambda k: lmbench.measure_mkstemp_latency(k, 10),
+        lmbench.measure_long_path_stat,
+    ], ids=["maildir", "mutation", "readdir", "mkstemp", "long_path"])
+    def test_other_drivers_exit_their_task(self, drive):
+        kernel = make_kernel("optimized")
+        before = self._live(kernel)
+        drive(kernel)
+        assert self._live(kernel) == before
