@@ -90,8 +90,12 @@ Recording costs wall-clock (the touch lists, the swapped-in tables,
 the snapshot, all of it twice before the first replay), so two
 host-side rules decide *when to try*.  Neither can move virtual output:
 every check above still guards every replay.  A *doorkeeper* — one set
-of ``hash(key)`` ints, cleared whole at ``_DOOR_MAX`` — has a key
-resolved plainly on first sight and recorded on its second.  A
+of ``hash(key)`` ints — has a key resolved plainly on first sight and
+recorded on its second.  It is cleared whole at ``CAPACITY`` keys, the
+default LRU size: a key whose second sight comes only after more new
+keys than the LRU holds cannot be replayed before it is pushed out, so
+recording it would be pure cost (a recorded resolve costs about four
+plain ones, and repays itself only after about ten replays).  A
 *governor* counts resolves in windows of ``_WINDOW`` (integers, never
 wall-clock) and compares what a window *earned* (replays) with what it
 *wasted*: recordings ``_memoizable`` refused or a confirming run
@@ -139,7 +143,12 @@ from repro.core.pcc import AdaptivePrefixCheckCache
 from repro.sim.costs import Recording
 from repro.vfs.mount import PathPos
 
-__all__ = ["ResolutionMemo"]
+__all__ = ["CAPACITY", "ResolutionMemo"]
+
+#: Default LRU size in entries, and the doorkeeper's size in keys (see
+#: *Admission* above): one number, so a key that comes back more rarely
+#: than the default LRU could keep it is never recorded.
+CAPACITY = 4096
 
 #: Charge primitives whose presence makes a recording non-memoizable.
 #: They are emitted by the low-level file systems and the simulated
@@ -253,16 +262,18 @@ class ResolutionMemo:
     ``DcacheConfig.resolution_memo`` is on, and consulted by
     ``Syscalls._resolve`` for every resolve-bearing entry point.
 
-    ``hits``/``misses``/``stale`` are host-side telemetry; they
-    deliberately live outside :class:`~repro.sim.stats.Stats` so the
-    memo never perturbs golden counters.
+    ``hits``/``misses``/``stale``/``recorded`` are host-side telemetry;
+    they deliberately live outside :class:`~repro.sim.stats.Stats` so
+    the memo never perturbs golden counters.  ``recorded`` counts the
+    resolver runs made under a :class:`Recording`, first recordings and
+    confirming runs alike.
     """
 
     __slots__ = (
         "costs", "stats", "coherence", "dcache", "resolver", "capacity",
         "_entries", "_door", "_interned",
         "_open", "_left", "_shut_for", "_mark", "_wasted",
-        "hits", "misses", "stale",
+        "hits", "misses", "stale", "recorded",
     )
 
     #: Resolves per governor window (see *Admission* in the module
@@ -270,14 +281,11 @@ class ResolutionMemo:
     _WINDOW = 512
     _MAX_SHUT = 64
 
-    #: Doorkeeper size at which it is cleared whole.
-    _DOOR_MAX = 1 << 14
-
     #: Intern table size at which it is cleared whole.
     _INTERN_MAX = 1 << 10
 
     def __init__(self, costs, stats, coherence, dcache, resolver,
-                 capacity: int = 4096) -> None:
+                 capacity: int = CAPACITY) -> None:
         self.costs = costs
         self.stats = stats
         self.coherence = coherence
@@ -301,6 +309,7 @@ class ResolutionMemo:
         self.hits = 0
         self.misses = 0
         self.stale = 0
+        self.recorded = 0
 
     # ------------------------------------------------------------------
     # hot path
@@ -384,7 +393,7 @@ class ResolutionMemo:
                     self.misses += 1
                     return self._record(key, task, path, follow_last,
                                         intent_create, create_dir)
-                if len(door) >= self._DOOR_MAX:
+                if len(door) >= CAPACITY:
                     door.clear()
                 door.add(seen)
         self.misses += 1
@@ -443,6 +452,7 @@ class ResolutionMemo:
     def _run_recorded(self, task, path, follow_last, intent_create,
                       create_dir):
         """Run the real resolver under a :class:`Recording`."""
+        self.recorded += 1
         pos = None
         exc = None
         with Recording(self.costs, self.stats) as rec:

@@ -37,12 +37,6 @@ class Clock:
         """Current virtual time in nanoseconds."""
         return self._ticks / TICKS_PER_NS
 
-    def advance(self, ns: float) -> None:
-        """Advance the clock by ``ns`` nanoseconds (must be >= 0)."""
-        if ns < 0:
-            raise ValueError(f"clock cannot run backwards ({ns} ns)")
-        self._ticks += to_ticks(ns)
-
     def capture_state(self) -> int:
         """Opaque, exactly comparable token for the current time (charge
         plans arm on it: same token, same clock)."""

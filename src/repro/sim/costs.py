@@ -468,9 +468,9 @@ class CostModel:
             ticks += per_byte * nbytes
             totals = self._nbytes
             totals[primitive] = totals.get(primitive, 0) + nbytes
-        # Charge rates are nonnegative, so the ticks are added directly,
-        # without the monotonicity check of Clock.advance (which only
-        # tests call).
+        # Charge rates are nonnegative, so the ticks are added directly:
+        # only ``charge_ns``, whose nanoseconds come from the caller,
+        # checks that the clock does not run backwards.
         self.clock._ticks += ticks
         counts = self._counts
         try:

@@ -103,7 +103,8 @@ def pcc_summary(kernel) -> str:
 
 
 def kernel_summary(kernel) -> str:
-    """One-screen overview: caches, counters, memory, virtual time."""
+    """One-screen overview: caches, resolution memo, counters, memory,
+    virtual time."""
     stats = kernel.stats.snapshot()
     memory = measure_kernel(kernel)
     interesting = ["lookup", "fastpath_hit", "fastpath_miss",
@@ -112,6 +113,12 @@ def kernel_summary(kernel) -> str:
                    "inval_dentry", "dir_complete_set"]
     counter_text = "\n".join(f"  {name:18s} {stats.get(name, 0):>10}"
                              for name in interesting if name in stats)
+    memo_text = "off"
+    if kernel.config.resolution_memo:
+        memo = kernel.memo
+        memo_text = (f"{len(memo)} entries, {memo.hits} hits, "
+                     f"{memo.misses} misses, {memo.stale} stale, "
+                     f"{memo.recorded} recorded")
     return "\n".join([
         f"kernel profile: {kernel.config.name}",
         f"virtual time:   {kernel.now_ns / 1e6:.3f} ms",
@@ -119,6 +126,7 @@ def kernel_summary(kernel) -> str:
         f"({memory.total_bytes / 1024:.0f} KiB cache footprint)",
         dlht_summary(kernel),
         pcc_summary(kernel),
+        f"memo:           {memo_text}",
         "counters:",
         counter_text or "  (none)",
     ])

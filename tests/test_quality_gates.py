@@ -306,13 +306,14 @@ class TestHostSeam:
                    for node in ast.walk(tree)))
         assert importers == ["core/kernel.py"]
         # The kernel builds it; the syscall facade resolves through it;
-        # the memory report counts it.  Nothing else reaches a memo.
+        # the memory report counts it; the inspect tool prints its
+        # counters.  Nothing else reaches a memo.
         reachers = sorted(
             name for name, tree in trees.items()
             if any(isinstance(node, ast.Attribute) and node.attr == "memo"
                    for node in ast.walk(tree)))
         assert reachers == ["core/kernel.py", "sim/memory.py",
-                            "vfs/syscalls.py"]
+                            "tools/inspect.py", "vfs/syscalls.py"]
         for gone in ("_by_dep", "_by_miss", "_FAST_ENTRIES", "_fast_close",
                      "_fast_lseek", "_fast_fstat", "_fast_read",
                      "_fast_write", "_flush_memo", "_SCHEDULE_CACHE",

@@ -30,9 +30,10 @@ Coverage:
 * a full PCC: replay repeats recorded re-inserts, an entry resting on an
   eviction victim is found stale when next resolved, minimal cases and
   the ``warm_lookup`` inputs against a 128-entry PCC;
-* admission: the doorkeeper and the governor (deterministic, never shut
-  by a read-only loop, shut by a mutating one and reopened by quiet,
-  free while shut and empty), and the benchmark's ``churn`` inputs run
+* admission: the doorkeeper (a cycle longer than the LRU is never
+  recorded) and the governor (deterministic, never shut by a read-only
+  loop, shut by a mutating one and reopened by quiet, free while shut
+  and empty), and the benchmark's ``churn`` inputs run
   memo on and off while the governor cycles shut -> probe -> open -> shut;
 * the whole quick experiment report, byte for byte, with every kernel
   built memo-off;
@@ -736,6 +737,30 @@ class TestAdmission:
         for i in range(4 * 8):
             kernel.sys.stat(task, f"{here}/f{i % 8}")
         assert memo.hits > hits
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_cycle_longer_than_the_lru_is_never_recorded(self, profile):
+        """Three passes over 5 000 paths in a cycle: each key's second
+        sight comes 4 999 new keys after its first, more than the LRU
+        holds, so the doorkeeper has forgotten it and nothing is
+        recorded.  A door four times the LRU's size recorded every
+        key of the second and third passes, to replay none."""
+        kernel = make_kernel(profile)
+        memo = kernel.memo
+        assert memo.capacity == resmemo.CAPACITY < 5000
+        task = kernel.spawn_task(uid=0, gid=0)
+        kernel.sys.mkdir(task, "/s")
+        paths = []
+        for d in range(50):
+            kernel.sys.mkdir(task, f"/s/d{d}")
+            for i in range(100):
+                paths.append(f"/s/d{d}/f{i}")
+                _mkfile(kernel, task, paths[-1])
+        for _ in range(3):
+            for path in paths:
+                kernel.sys.stat(task, path)
+        assert len(memo) == 0
+        assert memo.recorded == 0 and memo.hits == 0
 
     def test_shut_and_empty_touches_no_table(self):
         kernel, task = _governed_kernel()

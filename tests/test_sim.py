@@ -19,22 +19,24 @@ class TestClock:
     def test_starts_at_zero(self):
         assert Clock().now_ns == 0
 
-    def test_advance_accumulates(self):
-        clock = Clock()
-        clock.advance(10)
-        clock.advance(2.5)
-        assert clock.now_ns == 12.5
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            Clock().advance(-1)
-
 
 class TestCostModel:
     def test_charge_advances_clock(self):
         costs = CostModel(dict(UNIT))
         costs.charge("ht_probe")
         assert costs.now_ns == 1
+
+    def test_negative_charge_ns_rejected(self):
+        """The clock cannot run backwards: a negative raw charge raises
+        and leaves the clock and the tables as they were."""
+        costs = CostModel(dict(UNIT))
+        costs.charge("ht_probe")
+        costs.charge_ns("app_compute", 2.5)
+        now, by_primitive = costs.now_ns, costs.by_primitive
+        with pytest.raises(ValueError):
+            costs.charge_ns("app_compute", -1)
+        assert costs.now_ns == now == 3.5
+        assert costs.by_primitive == by_primitive
 
     def test_charge_times(self):
         costs = CostModel(dict(UNIT))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import tracemalloc
 
 import pytest
@@ -54,6 +55,11 @@ class TestInspect:
         assert "kernel profile: optimized" in text
         assert "virtual time:" in text
         assert "counters:" in text
+        memo = re.search(r"^memo: +(\d+) entries, (\d+) hits, (\d+) misses, "
+                         r"(\d+) stale, (\d+) recorded$", text, re.M)
+        assert memo and int(memo[3]) > 0
+        off = make_kernel("optimized", resolution_memo=False)
+        assert re.search(r"^memo: +off$", kernel_summary(off), re.M)
 
     def test_tree_truncates_wide_dirs(self):
         kernel = make_kernel("optimized")
