@@ -38,10 +38,11 @@ INDEX_BITS = 16
 #: back to pow(r, k, p).
 _POW_TABLE_SIZE = 258
 
-#: Per-hasher component-contribution cache bound.  Path components repeat
-#: heavily (a file tree has far fewer distinct names than lookups), so a
-#: flat clear on overflow keeps memory bounded without LRU bookkeeping on
-#: the hit path.
+#: Bound of each hasher's transition memo (``_ext_cache``) and finished-
+#: signature memo (``signed``).  Path walks repeat the same transitions
+#: and states heavily (a file tree has far fewer distinct prefixes than
+#: lookups), so a flat clear on overflow keeps memory bounded without LRU
+#: bookkeeping on the hit path.
 _COMPONENT_CACHE_CAP = 1 << 16
 
 #: Segment memo bound (:meth:`PathHasher.extend_segment`).  An entry
@@ -50,12 +51,6 @@ _COMPONENT_CACHE_CAP = 1 << 16
 #: hundred entries cover a steady workload's hot set.
 _SEGMENT_CACHE_CAP = 1 << 13
 
-#: A segment enters that memo on its second miss within this many
-#: misses.  A scan of a tree larger than the memo sees each path once a
-#: pass; storing those would only churn it, and each stored entry is
-#: four tuples the garbage collector has to carry into its oldest
-#: generation.
-_SEGMENT_SEEN_CAP = 1 << 10
 
 def encode_component(component: str) -> bytes:
     """UTF-8 (surrogateescape) encoding of one component."""
@@ -112,29 +107,22 @@ class PathHasher:
             pow2[k] = (pow2[k - 1] * self.r2) % _P2
         self._pow1 = pow1
         self._pow2 = pow2
-        # component -> (c1, c2, s1, s2, nbytes, nchars): the component's
-        # polynomial contribution per field, the same with a leading '/'
-        # folded in, its encoded byte length, and its character length
-        # (SigState.length counts characters, matching the original
-        # per-byte loop's ``len(text)`` bookkeeping).
-        self._contrib: Dict[str, Tuple[int, int, int, int, int, int]] = {}
         # (state, component) -> state: transition memo.  Path walks
         # repeat the same prefix transitions constantly (every lookup
         # under a hot directory resumes the same state with the same
-        # names), and each uncached transition costs two ~128-bit
-        # modular multiplies.  The function is pure over exact integers,
-        # so caching cannot change any produced value.  Bounded with the
-        # same flat-clear policy as ``_contrib``.
+        # names), and each uncached transition sums the component over
+        # the power tables and costs two ~128-bit modular multiplies.
+        # The function is pure over exact integers, so caching cannot
+        # change any produced value.  Bounded by a flat clear
+        # (``_COMPONENT_CACHE_CAP``).
         self._ext_cache: Dict[Tuple[SigState, str], SigState] = {}
         #: state -> finished signature (same rationale: ``finish`` splits
         #: a 216-bit combined value with shifts/masks on every DLHT probe
         #: and insert; hot states repeat).  Callers may read it to skip
         #: a :meth:`finish` call for a state finished before.
         self.signed: Dict[SigState, Signature] = {}
-        # (state, names) -> extend_segment's result, and the hashes of
-        # the keys missed once lately (admission to the former).
+        # (state, names) -> extend_segment's result.
         self._seg_cache: Dict[Tuple[SigState, tuple], tuple] = {}
-        self._seg_seen: set = set()
 
     #: The state of the empty path (the namespace root).
     EMPTY = SigState(0, 0, 0)
@@ -145,19 +133,21 @@ class PathHasher:
         return pow(r, k, p)
 
     def _contribution(self, component: str):
-        """Intern one component's per-field hash contribution.
+        """One component's per-field hash contribution.
+
+        Returns ``(c1, c2, s1, s2, nbytes, nchars)``: the component's
+        polynomial contribution per field, the same with a leading '/'
+        folded in, its encoded byte length, and its character length
+        (SigState.length counts characters, matching the per-byte loop's
+        ``len(text)`` bookkeeping).
 
         For bytes ``b_0 .. b_{m-1}`` with values ``v_i = b_i + 1`` the
         Horner loop computes ``h * r^m + sum(v_i * r^(m-1-i))``; the sum
-        is independent of ``h``, so it is computed once per distinct
-        component and replayed with one multiply and one add per field.
-        The sum is taken over the power tables with one reduction per
-        field (``pow`` prices the powers of a component longer than the
-        tables).
+        is independent of ``h``, so a transition adds it after one
+        multiply per field.  The sum is taken over the power tables with one
+        reduction per field (``pow`` prices the powers of a component
+        longer than the tables).
         """
-        entry = self._contrib.get(component)
-        if entry is not None:
-            return entry
         encoded = encode_component(component)
         m = len(encoded)
         r1, r2 = self.r1, self.r2
@@ -174,11 +164,7 @@ class PathHasher:
         # slash's value (ord('/') + 1 = 48) is scaled past the component.
         s1 = (48 * self._pow(self._pow1, r1, _P1, m) + c1) % _P1
         s2 = (48 * self._pow(self._pow2, r2, _P2, m) + c2) % _P2
-        entry = (c1, c2, s1, s2, m, len(component))
-        if len(self._contrib) >= _COMPONENT_CACHE_CAP:
-            self._contrib.clear()
-        self._contrib[component] = entry
-        return entry
+        return c1, c2, s1, s2, m, len(component)
 
     def extend(self, state: SigState, component: str) -> SigState:
         """Resume ``state`` with one more path component."""
@@ -220,7 +206,7 @@ class PathHasher:
         bytes one extension per name charges (the name, plus a separator
         after a non-empty state) and the state after each name.  Equal
         to folding :meth:`extend` and then :meth:`finish`; memoized by
-        ``(state, names)`` from a pair's second miss on.
+        ``(state, names)`` from a pair's first miss on.
         """
         cache = self._seg_cache
         key = (state, names)
@@ -228,16 +214,9 @@ class PathHasher:
         if cached is not None:
             return cached
         result = _fold_segment(self, state, names)
-        seen = self._seg_seen
-        digest = hash(key)  # a collision only admits a key early
-        if digest in seen:
-            if len(cache) >= _SEGMENT_CACHE_CAP:
-                cache.clear()
-            cache[key] = result
-        else:
-            if len(seen) >= _SEGMENT_SEEN_CAP:
-                seen.clear()
-            seen.add(digest)
+        if len(cache) >= _SEGMENT_CACHE_CAP:
+            cache.clear()
+        cache[key] = result
         return result
 
     def finish(self, state: SigState) -> Signature:

@@ -1,6 +1,1 @@
 """Operator tooling: cache inspection and reporting utilities."""
-
-from repro.tools.inspect import (dcache_tree, dlht_summary, kernel_summary,
-                                 pcc_summary)
-
-__all__ = ["dcache_tree", "dlht_summary", "pcc_summary", "kernel_summary"]

@@ -17,24 +17,16 @@ from repro import errors
 PATH_MAX = 4096
 NAME_MAX = 255
 
-#: Bounded memo caps for the parse caches below.  Real workloads resolve
-#: the same path strings over and over (every warm lookup re-parses its
-#: path), so memoizing the pure parse removes a per-lookup string scan
-#: from the simulator's hot path.  Entries are immutable tuples; hits
-#: return fresh lists so callers may mutate their copy freely.
+#: Bound of the parse memo below.  Real workloads resolve the same path
+#: strings over and over (every warm lookup re-parses its path), so
+#: memoizing the pure parse removes a per-lookup string scan from the
+#: simulator's hot path.  Entries are immutable tuples; hits return fresh
+#: lists so callers may mutate their copy freely.  A full memo is cleared
+#: whole (evicting the oldest key would scan the dict's dead slots on
+#: every insert).
 _SPLIT_CACHE_CAP = 8192
-_LEXNORM_CACHE_CAP = 4096
 
 _split_cache: Dict[str, Tuple[bool, Tuple[str, ...], bool]] = {}
-_lexnorm_cache: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-
-
-def _cache_insert(cache: dict, cap: int, key, value) -> None:
-    """Insert into a bounded memo, clearing it whole when full (evicting
-    the oldest key would scan the dict's dead slots on every insert)."""
-    if len(cache) >= cap:
-        cache.clear()
-    cache[key] = value
 
 
 def validate(path: str) -> None:
@@ -80,8 +72,9 @@ def split(path: str) -> Tuple[bool, List[str], bool]:
     must_be_dir = path.endswith(("/", "/.", "/..")) or path in (".", "..")
     if components and components[-1] == "..":
         must_be_dir = True
-    _cache_insert(_split_cache, _SPLIT_CACHE_CAP, path,
-                  (is_absolute, tuple(components), must_be_dir))
+    if len(_split_cache) >= _SPLIT_CACHE_CAP:
+        _split_cache.clear()
+    _split_cache[path] = (is_absolute, tuple(components), must_be_dir)
     return is_absolute, components, must_be_dir
 
 
@@ -90,19 +83,14 @@ def lexical_normalize(components: List[str]) -> List[str]:
 
     ``a/b/../c`` becomes ``a/c`` without consulting the file system.
     Leading ``..`` components (above the start) are preserved; the walk
-    clamps them at the root.  Results are memoized like :func:`split`.
+    clamps them at the root.
     """
-    key = tuple(components)
-    cached = _lexnorm_cache.get(key)
-    if cached is not None:
-        return list(cached)
     out: List[str] = []
     for part in components:
         if part == ".." and out and out[-1] != "..":
             out.pop()
         else:
             out.append(part)
-    _cache_insert(_lexnorm_cache, _LEXNORM_CACHE_CAP, key, tuple(out))
     return out
 
 

@@ -4,13 +4,15 @@ These tests keep the library honest as it grows: every cost primitive is
 actually charged by some code path, every public item carries a
 docstring, the substrate does not import the optimized design, the
 coherence policy is chosen in one place, the host-side layers hang off
-one seam, and the packaging metadata stays importable.
+one seam, every host cache has a row in the rent table, and the
+packaging metadata stays importable.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.kernel import PROFILES
 from repro.sim.costs import CALIBRATED
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
 
 def _exercise_everything():
@@ -283,6 +286,73 @@ class TestLifetimes:
             if "weakref" in modules or "__weakref__" in source:
                 offenders.append(str(path.relative_to(SRC)))
         assert offenders == []
+
+
+def _empty_bindings(nodes):
+    """The targets of the assignments in ``nodes`` that bind an empty
+    container: ``{}``, ``[]``, ``dict()``, ``set()`` or ``OrderedDict()``."""
+    for node in nodes:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and not value.args \
+                and not value.keywords:
+            empty = ast.unparse(value.func).split(".")[-1] in (
+                "dict", "set", "OrderedDict")
+        elif isinstance(value, ast.Dict):
+            empty = not value.keys
+        else:
+            empty = isinstance(value, ast.List) and not value.elts
+        if empty:
+            yield from (node.targets if isinstance(node, ast.Assign)
+                        else [node.target])
+
+
+def _host_caches(tree: ast.Module):
+    """The names a module keeps host-side memos under: module-level
+    names bound to an empty container, ``functools`` cache decorators,
+    and ``self.*`` attributes named like a cache bound to one."""
+    names = [target.id for target in _empty_bindings(tree.body)
+             if isinstance(target, ast.Name)]
+    names += [target.attr for target in _empty_bindings(ast.walk(tree))
+              if isinstance(target, ast.Attribute)
+              and ast.unparse(target.value) == "self"
+              and any(word in target.attr
+                      for word in ("cache", "_seen", "door", "intern"))]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names += [node.name for decorator in node.decorator_list
+                      if ast.unparse(decorator).split("(")[0] in (
+                          "functools.lru_cache", "lru_cache",
+                          "functools.cache")]
+    return names
+
+
+def _rent_table_names():
+    """Every identifier inside a backquoted span of benchmarking.md's
+    *Host cache rent* section."""
+    text = (DOCS / "benchmarking.md").read_text()
+    section = text.split("\n## Host cache rent\n", 1)[1].split("\n## ", 1)[0]
+    return {word for span in re.findall(r"`([^`]+)`", section)
+            for word in re.findall(r"\w+", span)}
+
+
+class TestHostCacheRent:
+    def test_every_host_cache_has_a_rent_row(self):
+        """A host-side memo is invisible in virtual time, so it has to
+        pay its way in wall-clock: each one found under ``src/repro``
+        is named in docs/benchmarking.md's rent table."""
+        found = {}
+        for path in sorted(SRC.rglob("*.py")):
+            for name in _host_caches(ast.parse(path.read_text())):
+                found.setdefault(name, str(path.relative_to(SRC)))
+        # The walk sees each kind: a module-level memo, a cache
+        # decorator and a per-instance memo.
+        assert {"_split_cache", "op_spec", "_ext_cache"} <= set(found)
+        priced = _rent_table_names()
+        unpriced = sorted(f"{where}: {name}" for name, where in found.items()
+                          if name not in priced)
+        assert unpriced == [], unpriced
 
 
 class TestHostSeam:

@@ -162,13 +162,17 @@ class TestExtendSegment:
         folded = [state]
         for name in names:
             folded.append(hasher.extend(folded[-1], name))
-        for _ in range(3):  # missed twice, then (universal) memoized
-            prefix, final, sig, nbytes, states = hasher.extend_segment(
-                state, tuple(names))
+        results = []
+        for _ in range(3):  # missed once, then (universal) memoized
+            result = hasher.extend_segment(state, tuple(names))
+            results.append(result)
+            prefix, final, sig, nbytes, states = result
             assert [key(s) for s in states] == [key(s) for s in folded[1:]]
             assert key(prefix) == key(folded[-2])
             assert key(final) == key(folded[-1])
             assert sig == hasher.finish(folded[-1])
+        if scheme == "universal":  # the first miss is stored
+            assert results[1] is results[0]
 
         costs = kernel.costs
         primitive = hasher.cost_primitive

@@ -12,8 +12,8 @@ from repro import O_CREAT, O_RDWR, errors, make_kernel
 from repro.core.kernel import BASELINE, OPTIMIZED, PROFILES
 from repro.sim.memory import measure_kernel
 from repro.testing import DualKernel
-from repro.tools import (dcache_tree, dlht_summary, kernel_summary,
-                         pcc_summary)
+from repro.tools.inspect import (dcache_tree, dlht_summary, kernel_summary,
+                                 pcc_summary)
 
 
 class TestInspect:
