@@ -24,8 +24,7 @@ def empirical_collision_rate(signature_bits: int, samples: int,
     seen = {}
     collisions = 0
     for i in range(samples):
-        sig = hasher.sign_components([f"dir{i % 97}", f"file{i}"])
-        key = (sig.index, sig.bits)
+        key = hasher.sign_components([f"dir{i % 97}", f"file{i}"])
         if key in seen:
             collisions += 1
         seen[key] = i

@@ -19,8 +19,9 @@ old key, under both coherence policies; a lazy mutation leaves the key
 in place until a probe of it fails revalidation, a walk registers the
 new path, or the dentry leaves.
 
-A key is the :class:`Signature` itself: a NamedTuple hashes and compares
-as its ``(index, bits)`` tuple, so one object is both what a probe asks
+A key is the int a hasher's ``finish`` returns: its low ``index_bits``
+are the bucket index and the bits above them the stored signature
+(:mod:`repro.core.signatures`), so one int is both what a probe asks
 for and what a registration stores.
 """
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.fastdentry import fast_of
-from repro.core.signatures import Signature
 from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
 from repro.vfs.dentry import Dentry
@@ -46,19 +46,19 @@ class DirectLookupHashTable:
     def __init__(self, costs: CostModel, stats: Stats):
         self.costs = costs
         self.stats = stats
-        #: Signature -> dentry.  Outside a recording (``costs.recorder``
+        #: Key -> dentry.  Outside a recording (``costs.recorder``
         #: None) a reader may probe it in place of :meth:`lookup`, which
         #: only adds the recorder's notes; only this class writes it.
-        self.table: Dict[Signature, Dentry] = {}
+        self.table: Dict[int, Dentry] = {}
         self._probe = costs.run(PROBE_CHARGES)
 
-    def probe(self, signature: Signature) -> Optional[Dentry]:
+    def probe(self, signature: int) -> Optional[Dentry]:
         """Look up a signature: bucket fetch + signature compare, charged
         to "htlookup"."""
         self.costs.apply(self._probe)
         return self.lookup(signature)
 
-    def lookup(self, signature: Signature) -> Optional[Dentry]:
+    def lookup(self, signature: int) -> Optional[Dentry]:
         """:meth:`probe` uncharged (the caller charges ``PROBE_CHARGES``)."""
         dentry = self.table.get(signature)
         rec = self.costs.recorder
@@ -73,7 +73,7 @@ class DirectLookupHashTable:
                 rec.misses.append((self, self.table, signature))
         return dentry
 
-    def insert(self, dentry: Dentry, signature: Signature) -> bool:
+    def insert(self, dentry: Dentry, signature: int) -> bool:
         """Register ``dentry`` under ``signature``.
 
         Returns False (leaving the table unchanged) when a *different*
@@ -98,7 +98,7 @@ class DirectLookupHashTable:
         if placed:
             self.costs.charge("dlht_insert", times=placed)
 
-    def _place(self, dentry: Dentry, signature: Signature):
+    def _place(self, dentry: Dentry, signature: int):
         """:meth:`insert`'s table change, uncharged: True when the entry
         is new, False when the dentry already held the key, None when a
         live dentry owns it."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.signatures import Signature, SigState
+from repro.core.signatures import HashState
 from repro.vfs.dentry import Dentry
 from repro.vfs.mount import Mount
 
@@ -33,19 +33,19 @@ class FastDentry:
 
     def __init__(self) -> None:
         #: Resumable hash state of the canonical path, or None when stale.
-        self.hash_state: Optional[SigState] = None
+        self.hash_state: Optional[HashState] = None
         #: The DLHT instance the dentry is registered in (at most one).
         self.dlht = None
         #: The finished signature it is registered under there: its one
         #: key (so removal is O(1)).
-        self.dlht_key: Optional[Signature] = None
+        self.dlht_key: Optional[int] = None
         #: Mount the cached path resolves under (mount-flag checks, §4.3).
         self.mount: Optional[Mount] = None
         #: For symlink dentries: hash state of the resolved target path,
         #: so a follow-intent fastpath hit can re-probe the DLHT for the
         #: target ("symbolic link dentries store the signatures that
         #: represent the target path", §4.2).
-        self.link_target_state: Optional[SigState] = None
+        self.link_target_state: Optional[HashState] = None
         #: Lazy coherence: the global epoch as of which ``hash_state``
         #: (and the registration) was last known current.  A
         #: fastpath hit whose chain carries a higher per-dentry epoch

@@ -61,7 +61,7 @@ set.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import errors
 from repro.core.coherence import RETRY, Coherence, rootward
@@ -69,7 +69,7 @@ from repro.core.dlht import PROBE_CHARGES
 from repro.core.fastdentry import FastDentry, fast_of
 from repro.core.negative import extend_negative_chain
 from repro.core.pcc import PrefixCheckCache
-from repro.core.signatures import PathHasher, SigState
+from repro.core.signatures import HashState, PathHasher
 from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
 from repro.vfs import path as vfspath
@@ -92,7 +92,7 @@ class _WalkCtx:
                  "prehashed", "states")
 
     def __init__(self, task: Task, counter: int, pcc_ok: bool,
-                 anchor_state: Optional[SigState], cur_mount, prehashed: int,
+                 anchor_state: Optional[HashState], cur_mount, prehashed: int,
                  states: Optional[tuple]):
         self.task = task
         self.counter_at_start = counter
@@ -100,14 +100,14 @@ class _WalkCtx:
         self.anchor_state = anchor_state
         self.cur_mount = cur_mount
         self.alias_head: Optional[Dentry] = None
-        self.alias_state: Optional[SigState] = None
+        self.alias_state: Optional[HashState] = None
         self.alias_done = False
-        self.saved_link: Optional[Tuple[Dentry, SigState]] = None
+        self.saved_link: Optional[Tuple[Dentry, HashState]] = None
         #: Every dentry walked, in order, for the PCC; with its hash
         #: state and mount for the DLHT, or ``None, None`` (a ``..``).
-        self.pending: List[Tuple[Dentry, Optional[SigState], object]] = []
-        self.pending_alias: List[Tuple[str, Dentry, SigState, object]] = []
-        self.pending_linktarget: List[Tuple[Dentry, SigState]] = []
+        self.pending: List[Tuple[Dentry, Optional[HashState], object]] = []
+        self.pending_alias: List[Tuple[str, Dentry, HashState, object]] = []
+        self.pending_linktarget: List[Tuple[Dentry, HashState]] = []
         self.pending_deepneg = None
         self.applied = False
         #: Hash extensions still free: the failed attempt charged them.
@@ -143,6 +143,7 @@ class FastLookup(WalkHooks):
         self._accept = coherence.accept
         self._on_miss = coherence.on_miss
         self._segment = hasher.extend_segment
+        self._length = hasher.length
         run = costs.run
         prim = hasher.cost_primitive
         self._hash = run((("hash", prim),), prim)
@@ -209,16 +210,16 @@ class FastLookup(WalkHooks):
                                             self.config.pcc_capacity)
         return cred.pcc
 
-    def _extend(self, ctx: Optional[_WalkCtx], state: SigState,
-                name: str) -> SigState:
+    def _extend(self, ctx: Optional[_WalkCtx], state: HashState,
+                name: str) -> HashState:
         if ctx is not None and ctx.prehashed:
             ctx.prehashed -= 1  # the failed fastpath attempt charged it
         else:
             self.costs.apply(self._hash, 1,
-                             len(name) + (1 if state.length else 0))
+                             len(name) + (1 if self._length(state) else 0))
         return self.hasher.extend(state, name)
 
-    def _try_fastpath(self, task: Task, start: PathPos, comps: List[str],
+    def _try_fastpath(self, task: Task, start: PathPos, comps: Sequence[str],
                       path_hint: str, *, must_dir: bool, follow_last: bool,
                       intent_create: bool, create_dir: bool):
         """Returns the served PathPos or raises its error (both charged);
@@ -450,8 +451,9 @@ class FastLookup(WalkHooks):
         raise self._serve(self._neg, folded, errors.ENOENT(path_hint))
 
     def _complete(self, task: Task, ns, pcc: PrefixCheckCache,
-                  start: PathPos, comps: List[str], parent_state: SigState,
-                  seg_state: SigState, sig, floor: int, path_hint: str, *,
+                  start: PathPos, comps: Sequence[str],
+                  parent_state: HashState, seg_state: HashState, sig,
+                  floor: int, path_hint: str, *,
                   must_dir: bool, intent_create: bool, create_dir: bool):
         """Resolve just the trailing component of a full-path probe miss.
 
@@ -710,7 +712,7 @@ class FastLookup(WalkHooks):
             if live:
                 pcc.insert_all(live, epoch)
 
-    def _populate(self, dlht, pcc, dentry: Dentry, state: SigState, mount,
+    def _populate(self, dlht, pcc, dentry: Dentry, state: HashState, mount,
                   epoch: int, sig=None) -> None:
         """Register one resolved dentry: its hash state, its DLHT key,
         and — with a ``pcc`` (the directory-reference rule held) — its
@@ -755,7 +757,7 @@ class FastLookup(WalkHooks):
     # -- canonical-path state recomputation -----------------------------------
 
     def _recompute_state(self, task: Task,
-                         pos: PathPos) -> Optional[SigState]:
+                         pos: PathPos) -> Optional[HashState]:
         """Rebuild a dentry's canonical-path hash state from the tree."""
         names: List[str] = []
         for dentry, mount in rootward(task.ns, pos.mount, pos.dentry):

@@ -10,7 +10,7 @@ revalidation.  This module memoizes the whole resolution instead.
 A memo entry is keyed per namespace by
 
     ``(ns id, root dentry id, cwd dentry id, cred id,
-       interned path, follow_last, intent_create, create_dir)``
+       path, follow_last, intent_create, create_dir)``
 
 and stores the terminal :class:`~repro.vfs.dentry.PathPos` (or a replica
 of the raised :class:`~repro.errors.FsError`: data, no traceback), the

@@ -12,23 +12,34 @@ state of its canonical path, and a relative lookup under it only hashes
 the relative suffix (§3.1, "we store the intermediate state of the hash
 function in each dentry so that hashing can resume from any prefix").
 
-The two 127-bit field elements give 254 output bits: the low 16 bits index
-the hash table and the next ``signature_bits`` (default 240) are the
-stored signature, mirroring the paper's 16-bit index + 240-bit signature
-split.  The key is drawn from a per-kernel boot seed, so the same path
-hashes differently across "boots" — the paper's defence against offline
-collision search.
+A state is one int, packed like the paper's fixed-width dentry fields:
+the 127-bit field element ``h1`` above the 89-bit ``h2`` fill the low
+216 bits, and the number of characters consumed sits above them, so the
+empty path's state is 0.  A finished signature — the key — is one int
+too: the low ``index_bits + signature_bits`` bits of the two fields
+(all 216 at the default 16 + 240).  Its low ``index_bits`` index the
+hash table and the bits above them are the stored signature, mirroring
+the paper's 16-bit index + 240-bit signature split; the key is both
+what a probe asks for and what a registration stores.  The hash key is
+drawn from a per-kernel boot seed, so the same path hashes differently
+across "boots" — the paper's defence against offline collision search.
 """
 
 from __future__ import annotations
 
 import random
-from operator import mul
-from typing import Dict, NamedTuple, Tuple
+from operator import attrgetter, mul
+from typing import Dict, NamedTuple, Tuple, Union
 
 #: Two Mersenne primes; hashing is polynomial evaluation over each field.
+#: Each is also the mask of its field's bits in a packed state.
 _P1 = (1 << 127) - 1
 _P2 = (1 << 89) - 1
+
+#: Where ``h1`` starts in a packed state (above ``h2``), and where the
+#: length starts (above both fields).
+_H1_SHIFT = 89
+_FIELD_BITS = 127 + 89
 
 #: Bits taken from the combined output for the DLHT bucket index.
 INDEX_BITS = 16
@@ -45,11 +56,13 @@ _POW_TABLE_SIZE = 258
 #: bookkeeping on the hit path.
 _COMPONENT_CACHE_CAP = 1 << 16
 
-#: Segment memo bound (:meth:`PathHasher.extend_segment`).  An entry
-#: holds a tuple of states, so it is kept well below the component
-#: caches: a hot lookup repeats its (start state, names) pair, and a few
-#: hundred entries cover a steady workload's hot set.
-_SEGMENT_CACHE_CAP = 1 << 13
+#: Segment memo bound (:meth:`PathHasher.extend_segment`), the split
+#: memo's (``vfs/path.py``): a lookup's key shares the parsed path's
+#: tuple of names, so the two memos hold the same paths.  A steady
+#: workload's hot set fits in a few hundred entries; a recorded seed-1
+#: run of ``cold_scan`` hits as often at 4 096 as at 8 192, and
+#: ``warm_lookup``'s 10 000-file tail fits no cap below 16 384.
+_SEGMENT_CACHE_CAP = 1 << 12
 
 
 def encode_component(component: str) -> bytes:
@@ -57,47 +70,59 @@ def encode_component(component: str) -> bytes:
     return component.encode("utf-8", "surrogateescape")
 
 
-class SigState(NamedTuple):
-    """Resumable hash state for one canonical-path prefix.
-
-    ``h1``/``h2`` are the running polynomial evaluations, ``length`` the
-    number of bytes consumed (used to know whether a separating '/' is
-    needed when resuming).
-    """
-
-    h1: int
-    h2: int
-    length: int
-
-
-class Signature(NamedTuple):
-    """A finished signature: DLHT bucket index + stored signature bits."""
-
-    index: int
-    bits: int
-
-
-class PathHasher:
-    """Keyed, resumable polynomial hasher for canonical paths.
+class _KeyedHasher:
+    """What both hashers share: the key's layout and the folds over
+    ``extend``.
 
     Args:
-        boot_seed: kernel boot entropy; determines the hash key.
         signature_bits: stored signature width (the paper evaluates 240;
             tests shrink this to force collisions).
         index_bits: hash-table index width (16 in the paper; tests shrink
             it together with signature_bits to force bucket collisions).
     """
 
+    def __init__(self, signature_bits: int, index_bits: int):
+        self.signature_bits = signature_bits
+        self.index_bits = index_bits
+        self._key_mask = (1 << (index_bits + signature_bits)) - 1
+
+    def index(self, key: int) -> int:
+        """The DLHT bucket index of a finished ``key``."""
+        return key & ((1 << self.index_bits) - 1)
+
+    def bits(self, key: int) -> int:
+        """The stored signature bits of a finished ``key``."""
+        return key >> self.index_bits
+
+    def extend_components(self, state, components):
+        """Resume ``state`` over many components, one ``extend`` each."""
+        for component in components:
+            state = self.extend(state, component)
+        return state
+
+    def sign_components(self, components) -> int:
+        """Convenience: hash a whole component list from the root."""
+        return self.finish(self.extend_components(self.EMPTY, components))
+
+
+class PathHasher(_KeyedHasher):
+    """Keyed, resumable polynomial hasher for canonical paths.
+
+    Args:
+        boot_seed: kernel boot entropy; determines the hash key.
+        signature_bits, index_bits: the key's widths (:class:`_KeyedHasher`).
+    """
+
     cost_primitive = "sig_hash"
 
     def __init__(self, boot_seed: int, signature_bits: int = 240,
                  index_bits: int = INDEX_BITS):
+        super().__init__(signature_bits, index_bits)
         rng = random.Random(boot_seed)
         self.r1 = rng.randrange(256, _P1 - 1)
         self.r2 = rng.randrange(256, _P2 - 1)
-        self.signature_bits = signature_bits
-        self.index_bits = index_bits
-        self._sig_mask = (1 << signature_bits) - 1
+        # The key never reaches the length above the fields.
+        self._key_mask &= (1 << _FIELD_BITS) - 1
         # r^k mod p tables so absorbing an m-byte component is one
         # multiply per field instead of m Horner steps.
         pow1 = [1] * _POW_TABLE_SIZE
@@ -115,17 +140,19 @@ class PathHasher:
         # The function is pure over exact integers, so caching cannot
         # change any produced value.  Bounded by a flat clear
         # (``_COMPONENT_CACHE_CAP``).
-        self._ext_cache: Dict[Tuple[SigState, str], SigState] = {}
-        #: state -> finished signature (same rationale: ``finish`` splits
-        #: a 216-bit combined value with shifts/masks on every DLHT probe
-        #: and insert; hot states repeat).  Callers may read it to skip
-        #: a :meth:`finish` call for a state finished before.
-        self.signed: Dict[SigState, Signature] = {}
+        self._ext_cache: Dict[Tuple[int, str], int] = {}
+        #: state -> finished key, bounded the same way.  Callers may read
+        #: it to skip a :meth:`finish` call for a state finished before.
+        self.signed: Dict[int, int] = {}
         # (state, names) -> extend_segment's result.
-        self._seg_cache: Dict[Tuple[SigState, tuple], tuple] = {}
+        self._seg_cache: Dict[Tuple[int, tuple], tuple] = {}
 
     #: The state of the empty path (the namespace root).
-    EMPTY = SigState(0, 0, 0)
+    EMPTY = 0
+
+    #: The characters a state has consumed: its bits above the fields.
+    #: A C-level callable, so asking costs no Python frame.
+    length = _FIELD_BITS.__rrshift__
 
     def _pow(self, table, r: int, p: int, k: int) -> int:
         if k < _POW_TABLE_SIZE:
@@ -138,8 +165,8 @@ class PathHasher:
         Returns ``(c1, c2, s1, s2, nbytes, nchars)``: the component's
         polynomial contribution per field, the same with a leading '/'
         folded in, its encoded byte length, and its character length
-        (SigState.length counts characters, matching the per-byte loop's
-        ``len(text)`` bookkeeping).
+        (a state's length counts characters, matching the per-byte
+        loop's ``len(text)`` bookkeeping).
 
         For bytes ``b_0 .. b_{m-1}`` with values ``v_i = b_i + 1`` the
         Horner loop computes ``h * r^m + sum(v_i * r^(m-1-i))``; the sum
@@ -166,7 +193,7 @@ class PathHasher:
         s2 = (48 * self._pow(self._pow2, r2, _P2, m) + c2) % _P2
         return c1, c2, s1, s2, m, len(component)
 
-    def extend(self, state: SigState, component: str) -> SigState:
+    def extend(self, state: int, component: str) -> int:
         """Resume ``state`` with one more path component."""
         cache = self._ext_cache
         key = (state, component)
@@ -179,9 +206,9 @@ class PathHasher:
         cache[key] = result
         return result
 
-    def _extend_uncached(self, state: SigState, component: str) -> SigState:
+    def _extend_uncached(self, state: int, component: str) -> int:
         c1, c2, s1, s2, m, nchars = self._contribution(component)
-        h1, h2, length = state
+        length = state >> _FIELD_BITS
         if length == 0:
             k, a1, a2, length = m, c1, c2, nchars
         else:
@@ -190,22 +217,18 @@ class PathHasher:
             p1, p2 = self._pow1[k], self._pow2[k]
         else:
             p1, p2 = pow(self.r1, k, _P1), pow(self.r2, k, _P2)
-        return SigState((h1 * p1 + a1) % _P1, (h2 * p2 + a2) % _P2, length)
+        h1 = ((state >> _H1_SHIFT & _P1) * p1 + a1) % _P1
+        h2 = ((state & _P2) * p2 + a2) % _P2
+        return length << _FIELD_BITS | h1 << _H1_SHIFT | h2
 
-    def extend_components(self, state: SigState, components) -> SigState:
-        """Resume ``state`` over many components, one :meth:`extend` each."""
-        for component in components:
-            state = self.extend(state, component)
-        return state
-
-    def extend_segment(self, state: SigState, names: tuple):
+    def extend_segment(self, state: int, names: tuple):
         """Resume ``state`` over the tuple ``names`` and finish, in one call.
 
-        Returns ``(prefix, final, signature, nbytes, states)``: the state
-        before the last name, the state after it, its signature, the
-        bytes one extension per name charges (the name, plus a separator
-        after a non-empty state) and the state after each name.  Equal
-        to folding :meth:`extend` and then :meth:`finish`; memoized by
+        Returns ``(prefix, final, key, nbytes, states)``: the state
+        before the last name, the state after it, its key, the bytes one
+        extension per name charges (the name, plus a separator after a
+        non-empty state) and the state after each name.  Equal to
+        folding :meth:`extend` and then :meth:`finish`; memoized by
         ``(state, names)`` from a pair's first miss on.
         """
         cache = self._seg_cache
@@ -219,34 +242,28 @@ class PathHasher:
         cache[key] = result
         return result
 
-    def finish(self, state: SigState) -> Signature:
-        """Produce the (index, signature) pair for a finished path."""
+    def finish(self, state: int) -> int:
+        """The key of a finished path: the low bits of its two fields."""
         cache = self.signed
         cached = cache.get(state)
         if cached is not None:
             return cached
-        combined = (state.h1 << 89) | state.h2
-        index = combined & ((1 << self.index_bits) - 1)
-        bits = (combined >> self.index_bits) & self._sig_mask
-        result = Signature(index, bits)
+        result = state & self._key_mask
         if len(cache) >= _COMPONENT_CACHE_CAP:
             cache.clear()
         cache[state] = result
         return result
 
-    def sign_components(self, components) -> Signature:
-        """Convenience: hash a whole component list from the root."""
-        return self.finish(self.extend_components(self.EMPTY, components))
-
 
 def _fold_segment(hasher, state, names):
     """:meth:`PathHasher.extend_segment`'s result, computed one
     :meth:`~PathHasher.extend` per name."""
+    length = hasher.length
     prefix = state
     nbytes = 0
     states = []
     for name in names:
-        nbytes += len(name) + (1 if state.length else 0)
+        nbytes += len(name) + (1 if length(state) else 0)
         prefix = state
         state = hasher.extend(state, name)
         states.append(state)
@@ -259,12 +276,13 @@ class PrfSigState(NamedTuple):
     digest: object  # an updating hashlib.blake2b instance
     length: int
 
-    @property
-    def h1(self) -> int:  # interface parity with SigState (debug only)
-        return int.from_bytes(self.digest.copy().digest()[:8], "big")
+
+#: A hasher's resumable state: a packed int (:class:`PathHasher`) or a
+#: :class:`PrfSigState`.
+HashState = Union[int, PrfSigState]
 
 
-class PrfPathHasher:
+class PrfPathHasher(_KeyedHasher):
     """Keyed-PRF path hasher (§3.3's "more cautious implementation").
 
     The paper discusses replacing the 2-universal hash with a
@@ -272,8 +290,8 @@ class PrfPathHasher:
     the cost of slower hashing ("we could not find a function that was
     fast enough to improve over baseline Linux" below four components).
     We use keyed BLAKE2b — resumable via digest-state copies, 256-bit
-    output split into the same index+signature layout — and charge it
-    under the separate ``sig_hash_prf`` cost primitive so the latency
+    output whose low bits make the same index+signature key — and charge
+    it under the separate ``sig_hash_prf`` cost primitive so the latency
     trade is measurable.
     """
 
@@ -283,15 +301,16 @@ class PrfPathHasher:
                  index_bits: int = INDEX_BITS):
         import hashlib
 
+        super().__init__(signature_bits, index_bits)
         self._hashlib = hashlib
         self.key = random.Random(boot_seed).getrandbits(256) \
             .to_bytes(32, "big")
-        self.signature_bits = signature_bits
-        self.index_bits = index_bits
-        self._sig_mask = (1 << signature_bits) - 1
         #: Interface parity with :attr:`PathHasher.signed`: nothing is
         #: memoized here, so it stays empty.
-        self.signed: Dict[PrfSigState, Signature] = {}
+        self.signed: Dict[PrfSigState, int] = {}
+
+    #: :attr:`PathHasher.length`'s counterpart, C-level too.
+    length = attrgetter("length")
 
     @property
     def EMPTY(self) -> PrfSigState:  # noqa: N802 - interface parity
@@ -308,24 +327,14 @@ class PrfPathHasher:
         digest.update(encoded)
         return PrfSigState(digest, state.length + len(component) + 1)
 
-    def extend_components(self, state, components):
-        for component in components:
-            state = self.extend(state, component)
-        return state
-
     def extend_segment(self, state: PrfSigState, names):
         """:meth:`PathHasher.extend_segment`, uncached (a digest state
         is hashed by identity, so a memo would never hit)."""
         return _fold_segment(self, state, names)
 
-    def finish(self, state: PrfSigState) -> Signature:
+    def finish(self, state: PrfSigState) -> int:
         combined = int.from_bytes(state.digest.copy().digest(), "big")
-        index = combined & ((1 << self.index_bits) - 1)
-        bits = (combined >> self.index_bits) & self._sig_mask
-        return Signature(index, bits)
-
-    def sign_components(self, components) -> Signature:
-        return self.finish(self.extend_components(self.EMPTY, components))
+        return combined & self._key_mask
 
 
 def make_hasher(scheme: str, boot_seed: int, signature_bits: int = 240,

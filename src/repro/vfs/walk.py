@@ -34,7 +34,7 @@ needs no recording hooks.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro import errors
 from repro.sim.costs import CostModel
@@ -191,7 +191,7 @@ class SlowWalk:
 
     # -- the component loop ------------------------------------------------------
 
-    def _walk(self, task: Task, start: PathPos, comps: List[str],
+    def _walk(self, task: Task, start: PathPos, comps: Sequence[str],
               path_hint: str, *, follow_last: bool, intent_create: bool,
               must_dir: bool, budget: _LinkBudget, ctx,
               create_dir: bool = False) -> PathPos:

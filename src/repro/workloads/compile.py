@@ -9,10 +9,10 @@ chasing, fd-slot dict remaps), all of which is knowable ahead of time.
 — parallel row tuples of ``(op_index, args, patches, store_slot,
 expected_errno, compute_ns, unpack_pair)`` with kwargs folded into
 positional tuples, fd slots turned into patch sites and text back into
-bytes (both as :func:`~repro.workloads.traces.op_spec` says), and path
-strings interned — which :func:`~repro.workloads.traces.replay_compiled`
-executes in a tight loop over a prebound
-:meth:`~repro.vfs.syscalls.Syscalls.batch` method table.
+bytes (both as :func:`~repro.workloads.traces.op_spec` says), and equal
+strings shared as one object — which
+:func:`~repro.workloads.traces.replay_compiled` executes in a tight loop
+over a prebound :meth:`~repro.vfs.syscalls.Syscalls.batch` method table.
 
 Compiled execution is a pure wall-clock optimization: it charges
 bit-identical virtual costs (clock, cost counts, Stats) to interpreted
@@ -35,7 +35,6 @@ attribution label coarsens (the virtual clock and Stats are unaffected).
 from __future__ import annotations
 
 import inspect
-import sys as _host_sys
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -145,15 +144,18 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     Raises :class:`TraceCompileError` when any event cannot be proven to
     fold exactly.
 
-    Every string argument is interned, so compiled rows carry the
-    resolution-memo key preinterned: all replay passes present the same
-    path *object* and the memo's key tuples hash and compare by pointer
-    (see :mod:`repro.core.resmemo`).  Path-like arguments additionally
-    pre-warm the ``vfspath.split`` parse cache here, outside the timed
-    replay loop.
+    Equal string arguments share one object across the trace's rows (a
+    table local to this call), so compiled rows carry the resolution-memo
+    key preshared: all replay passes present the same path *object* and
+    the memo's key tuples compare by pointer (see
+    :mod:`repro.core.resmemo`).  The table dies with the call, so unlike
+    the interpreter's intern table (immortal strings on CPython 3.12) it
+    keeps no path resident once the trace is gone.  Path-like arguments
+    additionally pre-warm the ``vfspath.split`` parse cache here, outside
+    the timed replay loop.
     """
     t0 = time.perf_counter()
-    intern = _host_sys.intern
+    shared = {}.setdefault  # one object per distinct string
     op_indices: Dict[str, int] = {}
     op_table: List[str] = []
     rows: List[Tuple] = []
@@ -163,7 +165,7 @@ def compile_trace(trace: Trace) -> CompiledTrace:
         op_idx = op_indices.get(op)
         if op_idx is None:
             op_idx = op_indices[op] = len(op_table)
-            op_table.append(intern(op))
+            op_table.append(shared(op, op))
         patches: List[Tuple[int, int]] = []
         for i, ((name, _default, kind), value) in enumerate(
                 zip(spec.params, folded)):
@@ -180,7 +182,7 @@ def compile_trace(trace: Trace) -> CompiledTrace:
                 patches.append((i, value[1]))
                 folded[i] = None
             elif isinstance(value, str):
-                folded[i] = intern(value)
+                folded[i] = shared(value, value)
                 if folded[i].startswith("/"):
                     try:
                         vfspath.split(folded[i])

@@ -398,14 +398,6 @@ def plan_schedule(rng: random.Random,
     return streams, runs
 
 
-@functools.lru_cache(maxsize=64)
-def _drain_schedule(seed: int, row_counts: tuple):
-    # Module scope is the right scope: a schedule depends on nothing but
-    # ``(seed, row_counts)``, and the multi-tenant benchmarks replay the
-    # same stream population on a fresh kernel per session.
-    return plan_schedule(random.Random(seed), row_counts)
-
-
 class _StreamState:
     """One stream's bound replay state, advanced a run of rows at a time.
 
@@ -525,8 +517,8 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     def drain() -> None:
         states = [_StreamState(kernel, task, prog)
                   for task, prog in streams]
-        order, runs = _drain_schedule(
-            seed, tuple(len(prog.rows) for _task, prog in streams))
+        order, runs = plan_schedule(
+            random.Random(seed), [len(prog.rows) for _task, prog in streams])
         advances = [state.advance for state in states]
         for i, s in enumerate(order):
             advances[s](runs[i])

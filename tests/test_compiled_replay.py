@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import statistics
+import sys
 import time
 
 import pytest
@@ -115,6 +116,17 @@ class TestCompile:
         # the dirfd patch site at index 1 and follow at index 2.
         assert args[0] == "a" and args[2] is False
         assert patches == ((1, 0),)
+
+    def test_rows_share_strings_without_interning_them(self):
+        """Equal string arguments of one trace are one object, the
+        trace's own: the interpreter's intern table (immortal strings on
+        CPython 3.12) never holds a compiled path."""
+        fresh = f"/fresh-{random.getrandbits(64)}"
+        trace = Trace([TraceEvent(op="stat", args=(fresh,)),
+                       TraceEvent(op="stat", args=(fresh[:3] + fresh[3:],))])
+        first, second = (row[1][0] for row in compile_trace(trace).rows)
+        assert first == fresh and first is second
+        assert sys.intern(fresh[:2] + fresh[2:]) is not first
 
     def test_compute_gap_and_errno_lowered(self):
         trace = _record_mixed(make_kernel("baseline"))

@@ -13,20 +13,20 @@ from repro.vfs import path as vfspath
 class TestSplit:
     def test_absolute(self):
         absolute, comps, must_dir = vfspath.split("/a/b/c")
-        assert absolute and comps == ["a", "b", "c"] and not must_dir
+        assert absolute and comps == ("a", "b", "c") and not must_dir
 
     def test_relative(self):
         absolute, comps, _ = vfspath.split("a/b")
-        assert not absolute and comps == ["a", "b"]
+        assert not absolute and comps == ("a", "b")
 
     def test_collapses_slashes(self):
-        assert vfspath.split("//a///b")[1] == ["a", "b"]
+        assert vfspath.split("//a///b")[1] == ("a", "b")
 
     def test_drops_single_dots(self):
-        assert vfspath.split("/a/./b/.")[1] == ["a", "b"]
+        assert vfspath.split("/a/./b/.")[1] == ("a", "b")
 
     def test_keeps_dotdot(self):
-        assert vfspath.split("/a/../b")[1] == ["a", "..", "b"]
+        assert vfspath.split("/a/../b")[1] == ("a", "..", "b")
 
     def test_trailing_slash_requires_dir(self):
         assert vfspath.split("/a/b/")[2] is True
@@ -39,7 +39,7 @@ class TestSplit:
 
     def test_root(self):
         absolute, comps, _ = vfspath.split("/")
-        assert absolute and comps == []
+        assert absolute and comps == ()
 
     def test_empty_path_rejected(self):
         with pytest.raises(errors.EINVAL):
@@ -82,6 +82,48 @@ class TestSplit:
         memoized = [vfspath.split(path) for path in sample]
         monkeypatch.setattr(vfspath, "_split_cache", {})
         assert [vfspath.split(path) for path in sample] == memoized
+
+
+def _reference_split(path):
+    """The parse with no memo and no name table: drop ``""`` and ``.``,
+    keep ``..``; a path whose last segment is empty, ``.`` or ``..``
+    must name a directory."""
+    segments = path.split("/")
+    comps = tuple(seg for seg in segments if seg not in ("", "."))
+    return path.startswith("/"), comps, segments[-1] in ("", ".", "..")
+
+
+SEGMENTS = st.one_of(st.sampled_from(["", ".", "..", "dir", "f.txt"]),
+                     st.text(alphabet="xyz.", min_size=1, max_size=3))
+
+
+class TestSplitSharing:
+    """``split`` hands every caller the memo's own parse: immutable,
+    shared, and with equal names one string."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(vfspath, "_split_cache", {})
+
+    def test_hit_returns_the_identical_tuple(self):
+        first = vfspath.split("/usr/share/doc")
+        again = vfspath.split("/usr/share/doc")
+        assert again is first and type(first[1]) is tuple
+
+    def test_equal_names_of_two_paths_are_one_object(self):
+        one = vfspath.split("/srv/www/index.html")[1]
+        two = vfspath.split("/home/index.html")[1]
+        assert one[-1] == two[-1] and one[-1] is two[-1]
+
+    @given(absolute=st.booleans(),
+           segments=st.lists(SEGMENTS, min_size=1, max_size=8))
+    def test_split_equals_reference_parse(self, absolute, segments):
+        path = ("/" if absolute else "") + "/".join(segments)
+        if not path:
+            return  # EINVAL, covered by TestSplit
+        first = vfspath.split(path)
+        assert first == _reference_split(path)
+        assert vfspath.split(path) is first
 
 
 class TestLexicalNormalize:

@@ -39,8 +39,8 @@ class TestPrfHasher:
     def test_widths(self):
         hasher = PrfPathHasher(9, signature_bits=240, index_bits=16)
         sig = hasher.sign_components(["x"])
-        assert 0 <= sig.index < (1 << 16)
-        assert 0 <= sig.bits < (1 << 240)
+        assert 0 <= hasher.index(sig) < (1 << 16)
+        assert 0 <= hasher.bits(sig) < (1 << 240)
 
     def test_separator_disambiguation(self):
         hasher = PrfPathHasher(5)

@@ -4,15 +4,18 @@ These tests keep the library honest as it grows: every cost primitive is
 actually charged by some code path, every public item carries a
 docstring, the substrate does not import the optimized design, the
 coherence policy is chosen in one place, the host-side layers hang off
-one seam, every host cache has a row in the rent table, and the
-packaging metadata stays importable.
+one seam, every host cache has a row in the rent table, the optimized
+kernel's host footprint stays within its bound, and the packaging
+metadata stays importable.
 """
 
 from __future__ import annotations
 
 import ast
+import gc
 import pathlib
 import re
+import tracemalloc
 
 import pytest
 
@@ -353,6 +356,66 @@ class TestHostCacheRent:
         unpriced = sorted(f"{where}: {name}" for name, where in found.items()
                           if name not in priced)
         assert unpriced == [], unpriced
+
+
+def _traced_peak(profile: str) -> int:
+    """``tracemalloc`` peak of a fresh ``profile`` kernel building a
+    fixed 2 000-file tree (four levels: 5 x 5 x 8 directories, 10 files
+    in each leaf) and stat-ing every file twice.  A first kernel, not
+    traced, imports what the profile imports lazily, and the collector
+    waits, so the peak does not depend on what ran before."""
+    warm = make_kernel(profile)
+    warm.sys.stat(warm.spawn_task(uid=0, gid=0), "/")
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        sys = kernel.sys
+        files = []
+        for i in range(5):
+            sys.mkdir(task, f"/top-{i}")
+            for j in range(5):
+                sys.mkdir(task, f"/top-{i}/mid-{j}")
+                for k in range(8):
+                    leaf = f"/top-{i}/mid-{j}/leaf-{k}"
+                    sys.mkdir(task, leaf)
+                    for n in range(10):
+                        files.append(f"{leaf}/file-{n}")
+                        sys.close(task, sys.open(task, files[-1],
+                                                 O_CREAT | O_RDWR))
+        for _ in range(2):
+            for path in files:
+                sys.stat(task, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+class TestHostFootprint:
+    #: The optimized kernel's peak over the baseline's: 1.42 once the
+    #: path hasher's states and keys became one int each and a parsed
+    #: path one shared tuple of shared names (1.50 before; CPython
+    #: 3.11-3.13 alike), plus a 10 % margin on the 0.42 the optimized
+    #: kernel adds.
+    BOUND = 1.46
+
+    def test_optimized_host_state_stays_small(self, monkeypatch):
+        """The optimized kernel's extra host bytes (fast dentries, the
+        DLHT, the PCCs, the hasher's memos) over the baseline's stay
+        within the bound.  Each kernel starts from an empty parse memo,
+        which every kernel in a process shares."""
+        from repro.vfs import path as vfspath
+
+        peaks = {}
+        for profile in ("baseline", "optimized"):
+            monkeypatch.setattr(vfspath, "_split_cache", {})
+            monkeypatch.setattr(vfspath, "_split_names", {})
+            peaks[profile] = _traced_peak(profile)
+        ratio = peaks["optimized"] / peaks["baseline"]
+        assert ratio < self.BOUND, (ratio, peaks)
 
 
 class TestHostSeam:
