@@ -9,9 +9,11 @@ narrow interface:
 * ``shootdown_single(dentry)`` / ``shootdown_subtree(dentry)`` — what a
   mutation does before a dentry's (or a directory subtree's)
   permissions or position change;
-* ``pos_state(task, pos, rebuild=None) -> (state, floor)`` — the hash
+* ``pos_state(task, pos, rebuild=False) -> (state, floor)`` — the hash
   state of a *trusted* position (start directory, ``..`` hop, walk
-  anchor) and the epoch floor a PCC entry for it must carry;
+  anchor) and the epoch floor a PCC entry for it must carry; a slowpath
+  walk about to anchor there passes ``rebuild=True``, and a position
+  with no state is then rehashed from the tree (``rehash``);
 * ``accept(task, ns, pcc, dentry, anchor=None)`` — whether a DLHT probe
   hit (the dentry's one key) may be served: its epoch floor, ``None``
   (take the slowpath) or :data:`RETRY` (the probed key was discarded);
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Tuple
 
+from repro.core.fastdentry import fast_of
 from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
 from repro.vfs import path as vfspath
@@ -110,8 +113,9 @@ def _subtree(dentry: Dentry) -> List[Dentry]:
 
 
 class Coherence:
-    """What both policies share: the invalidation counter and seqcount
-    wraparound, which flushes the kernel's ``live_caches()``."""
+    """What both policies share: the invalidation counter, seqcount
+    wraparound, which flushes the kernel's ``live_caches()``, and the
+    charged rehash of a position's canonical path."""
 
     def __init__(self, costs: CostModel, stats: Stats,
                  live_caches: Callable[[], Tuple[List, List]]):
@@ -130,7 +134,27 @@ class Coherence:
 
     def bind(self, hasher, slow) -> None:
         """Meet the lookup engine's path hasher and slowpath walker
-        (called once, by ``FastLookup.__init__``)."""
+        (called once, by ``FastLookup.__init__``): a rehash charges
+        ``hasher``'s primitive, a re-proved prefix check ``slow.search``."""
+        self.hasher = hasher
+        self.slow = slow
+        prim = hasher.cost_primitive
+        self._hash = self.costs.run((("hash", prim),), prim)
+
+    def rehash(self, pos, names: List[str]):
+        """Hash ``pos``'s canonical path from its root-first ``names``
+        (one charge for all of them) and store the state, the mount and
+        the current epoch on the position's dentry.  Returns the state."""
+        hasher = self.hasher
+        if names:
+            nbytes = sum(map(len, names)) + len(names) - 1
+            self.costs.apply(self._hash, len(names), nbytes)
+        state = hasher.extend_components(hasher.EMPTY, names)
+        fast = fast_of(pos.dentry)
+        fast.hash_state = state
+        fast.mount = pos.mount
+        fast.epoch_snapshot = self.epoch
+        return state
 
     # -- counter ---------------------------------------------------------------
 
@@ -228,17 +252,24 @@ class EagerCoherence(Coherence):
 
     # -- the lookup side -----------------------------------------------------------
 
-    def pos_state(self, task, pos, rebuild=None):
+    def pos_state(self, task, pos, rebuild=False):
         """The position's stored hash state (floor 0: epochs never move).
 
-        A shot-down position has none; ``rebuild`` — the engine's
-        from-the-tree recompute, passed by a slowpath walk about to
-        anchor its population here — restores it.
+        A shot-down position has none; with ``rebuild`` — a slowpath walk
+        about to anchor its population here — it is rehashed from the
+        tree (None when the position has no canonical path).
         """
         fast = pos.dentry.fast
         state = fast.hash_state if fast is not None else None
-        if state is None and rebuild is not None:
-            state = rebuild(task, pos)
+        if state is None and rebuild:
+            names: List[str] = []
+            for dentry, mount in rootward(task.ns, pos.mount, pos.dentry):
+                if dentry is not mount.root_dentry:
+                    if dentry.parent is None:
+                        return None, 0
+                    names.append(dentry.name)
+            names.reverse()
+            state = self.rehash(pos, names)
         return state, 0
 
     def accept(self, task, ns, pcc, dentry, anchor=None):

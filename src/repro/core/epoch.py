@@ -14,17 +14,8 @@ from typing import List
 
 from repro.core.coherence import RETRY, SEQ_WRAP, Coherence, rootward
 from repro.core.fastdentry import fast_of
-from repro.vfs import permissions as perms
 from repro.vfs.dentry import Dentry
-from repro.vfs.lsm import NullLsm
-
-
-def _plain_dir(dentry: Dentry) -> bool:
-    """A plain cached directory: a dir inode with no alias/stub overlay
-    (negatives have no inode) — what a slowpath walk search-checks."""
-    ino = dentry.inode
-    return (ino is not None and ino.is_dir
-            and dentry.alias_target is None and dentry.stub is None)
+from repro.vfs.mount import PathPos
 
 
 class EpochCoherence(Coherence):
@@ -61,16 +52,8 @@ class EpochCoherence(Coherence):
     """
 
     def bind(self, hasher, slow) -> None:
-        """Validation rehashes with ``hasher`` and re-proves prefix
-        checks with ``slow``'s LSM."""
-        self.hasher = hasher
-        self.slow = slow
-        run = self.costs.run
-        self._hash = run((("hash", hasher.cost_primitive),),
-                         hasher.cost_primitive)
-        self._validate = run((("lazy", "lazy_validate"),))
-        self._dac = run((("perm", "perm_check_dac"),))
-        self._lsm = run((("perm", "perm_check_lsm"),))
+        super().bind(hasher, slow)
+        self._validate = self.costs.run((("lazy", "lazy_validate"),))
 
     # -- shootdowns ----------------------------------------------------------------
 
@@ -101,15 +84,7 @@ class EpochCoherence(Coherence):
 
     # -- touch-time validation -----------------------------------------------------
 
-    def _hash_names(self, names: List[str]):
-        """Charged canonical-path hash state of root-first ``names``."""
-        hasher = self.hasher
-        if names:
-            nbytes = sum(len(n) for n in names) + len(names) - 1
-            self.costs.apply(self._hash, len(names), nbytes)
-        return hasher.extend_components(hasher.EMPTY, names)
-
-    def pos_state(self, task, pos, rebuild=None):
+    def pos_state(self, task, pos, rebuild=False):
         """Validated hash state of a trusted position.
 
         POSIX resolves relative lookups from an open directory handle or
@@ -118,8 +93,8 @@ class EpochCoherence(Coherence):
         concerns (the caller stands *at* the position).  ``floor`` is the
         chain's epoch high-water mark (the minimum epoch a PCC entry for
         this dentry must carry); ``(None, 0)`` when the position's
-        canonical path is gone (``rebuild`` is never needed: the chain
-        walk below has already decided).
+        canonical path is gone (``rebuild`` changes nothing: the chain walk
+        below rehashes whatever it finds stale).
         """
         dentry = pos.dentry
         fast = dentry.fast
@@ -151,11 +126,7 @@ class EpochCoherence(Coherence):
             fast.epoch_snapshot = gepoch
             return fast.hash_state, high
         names.reverse()
-        state = self._hash_names(names)
-        fast.hash_state = state
-        fast.mount = pos.mount
-        fast.epoch_snapshot = gepoch
-        return state, high
+        return self.rehash(pos, names), high
 
     def _chain(self, ns, dentry: Dentry):
         """Walk a probed dentry's ancestor chain (crossing mounts).
@@ -205,8 +176,8 @@ class EpochCoherence(Coherence):
                 elif cur.mounted_roots \
                         and mount_at(cur_mount, cur) is not None:
                     return None  # a mount now shadows this prefix
-                elif _plain_dir(cur):
-                    perm_nodes.append(cur)
+                elif cur.is_dir and not (cur.is_alias or cur.is_stub):
+                    perm_nodes.append(cur)  # a plain cached directory
                 else:
                     reverify_ok = False
             names.append(cur.name)
@@ -245,7 +216,7 @@ class EpochCoherence(Coherence):
                 if cur.mounted_roots \
                         and mount_at(anchor_mount, cur) is not None:
                     return False  # a mount now shadows this prefix
-                if _plain_dir(cur):
+                if cur.is_dir and not (cur.is_alias or cur.is_stub):
                     perm_nodes.append(cur)
                 else:
                     reverify_ok = False
@@ -257,7 +228,7 @@ class EpochCoherence(Coherence):
         if cur.epoch > high:
             high = cur.epoch
         # The walk search-checks the anchor (start directory) too.
-        if _plain_dir(cur):
+        if cur.is_dir and not (cur.is_alias or cur.is_stub):
             perm_nodes.append(cur)
         else:
             reverify_ok = False
@@ -270,18 +241,6 @@ class EpochCoherence(Coherence):
         dentry.fast.hash_state = None
         self.stats.bump("lazy_evict")
         return RETRY
-
-    def _rehash(self, fast, names: List[str]) -> bool:
-        """Recompute the canonical hash and compare the dentry's key
-        against it: False on a mismatch (the dentry no longer lives at
-        that path: the caller evicts the key); a match refreshes
-        ``hash_state``."""
-        state = self._hash_names(names)
-        self.costs.charge("sig_compare")
-        if self.hasher.finish(state) != fast.dlht_key:
-            return False
-        fast.hash_state = state
-        return True
 
     def accept(self, task, ns, pcc, dentry: Dentry, anchor=None):
         """Earn a probe hit: path validity, then prefix checks.
@@ -336,8 +295,11 @@ class EpochCoherence(Coherence):
             names, perm_nodes, high, reverify_ok = chain
             if fast.hash_state is None or fast.epoch_snapshot < high:
                 # The registration under this key predates a mutation on
-                # the chain: recompute the canonical hash and compare.
-                if not self._rehash(fast, names):
+                # the chain: recompute the canonical hash and compare (a
+                # mismatch: the dentry no longer lives at that path).
+                state = self.rehash(PathPos(fast.mount, dentry), names)
+                self.costs.charge("sig_compare")
+                if self.hasher.finish(state) != fast.dlht_key:
                     return self._evict(dlht, dentry)
                 self.stats.bump("lazy_refresh")
         fast.epoch_snapshot = gepoch
@@ -351,17 +313,10 @@ class EpochCoherence(Coherence):
         if not reverify_ok:
             return None
         cred = task.cred
-        lsm = self.slow.lsm
-        lsm_active = not isinstance(lsm, NullLsm)
+        search = self.slow.search
         for node in perm_nodes:
-            inode = node.inode
-            self.costs.apply(self._dac)
-            if not perms.may_search(cred, inode):
+            if not search(cred, node.inode):
                 return None  # slowpath re-derives the EACCES with context
-            if lsm_active:
-                self.costs.apply(self._lsm)
-                if not lsm.inode_permission(cred, inode, perms.MAY_EXEC):
-                    return None
         if perm_anchor is not None:
             # Anchored reprove covers the anchor and below — memoizing
             # the full-root prefix additionally needs the anchor's own

@@ -64,7 +64,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro import errors
-from repro.core.coherence import RETRY, Coherence, rootward
+from repro.core.coherence import RETRY, Coherence
 from repro.core.dlht import PROBE_CHARGES
 from repro.core.fastdentry import FastDentry, fast_of
 from repro.core.negative import extend_negative_chain
@@ -73,10 +73,8 @@ from repro.core.signatures import HashState, PathHasher
 from repro.sim.costs import CostModel
 from repro.sim.stats import Stats
 from repro.vfs import path as vfspath
-from repro.vfs import permissions as perms
 from repro.vfs.dcache import Dcache
 from repro.vfs.dentry import NEG_ENOTDIR, Dentry
-from repro.vfs.lsm import NullLsm
 from repro.vfs.mount import PathPos
 from repro.vfs.task import Task
 from repro.vfs.walk import SlowWalk, WalkHooks
@@ -147,8 +145,6 @@ class FastLookup(WalkHooks):
         run = costs.run
         prim = hasher.cost_primitive
         self._hash = run((("hash", prim),), prim)
-        self._dac = run((("perm", "perm_check_dac"),))
-        self._lsm = run((("perm", "perm_check_lsm"),))
         probed = PROBE_CHARGES + (("perm", "pcc_probe"),)
         self._pair, self._hop = run(PROBE_CHARGES), run(probed)
         # A fallback walk's setup and teardown (``SlowWalk.resolve``): the
@@ -210,9 +206,9 @@ class FastLookup(WalkHooks):
                                             self.config.pcc_capacity)
         return cred.pcc
 
-    def _extend(self, ctx: Optional[_WalkCtx], state: HashState,
+    def _extend(self, ctx: _WalkCtx, state: HashState,
                 name: str) -> HashState:
-        if ctx is not None and ctx.prehashed:
+        if ctx.prehashed:
             ctx.prehashed -= 1  # the failed fastpath attempt charged it
         else:
             self.costs.apply(self._hash, 1,
@@ -329,7 +325,7 @@ class FastLookup(WalkHooks):
             if whole and self._on_miss is not None:
                 served = self._complete(
                     task, ns, pcc, cur_pos, comps, prev_state, seg_state,
-                    sig, floor, path_hint, must_dir=must_dir,
+                    floor, path_hint, must_dir=must_dir,
                     intent_create=intent_create, create_dir=create_dir)
                 return (state, states) if served is None else served
             return hashed
@@ -452,7 +448,7 @@ class FastLookup(WalkHooks):
 
     def _complete(self, task: Task, ns, pcc: PrefixCheckCache,
                   start: PathPos, comps: Sequence[str],
-                  parent_state: HashState, seg_state: HashState, sig,
+                  parent_state: HashState, seg_state: HashState,
                   floor: int, path_hint: str, *,
                   must_dir: bool, intent_create: bool, create_dir: bool):
         """Resolve just the trailing component of a full-path probe miss.
@@ -482,15 +478,8 @@ class FastLookup(WalkHooks):
         if fs.requires_revalidation:
             return None  # §4.3: never serve or cache such paths here
         # The search check the slowpath would do before the last lookup.
-        cred = task.cred
-        lsm = self.slow.lsm
-        self.costs.apply(self._dac)
-        if not perms.may_search(cred, parent.inode):
+        if not self.slow.search(task.cred, parent.inode):
             return None  # slowpath raises EACCES with full context
-        if not isinstance(lsm, NullLsm):
-            self.costs.apply(self._lsm)
-            if not lsm.inode_permission(cred, parent.inode, perms.MAY_EXEC):
-                return None
         child = self.dcache.d_lookup(parent, last)
         if child is not None:
             if child.dead or child.is_stub or child.is_alias \
@@ -515,7 +504,7 @@ class FastLookup(WalkHooks):
             if child.is_symlink:
                 return None  # symlink tails need the slowpath
         self._populate(ns.dlht, pcc if pcc_ok else None, child, seg_state,
-                       parent_mount, self.coherence.epoch, sig)
+                       parent_mount, self.coherence.epoch)
         self.stats.bump("fastpath_complete")
         if child.is_negative:
             return self._negative_hit(child, path_hint, False,
@@ -535,7 +524,7 @@ class FastLookup(WalkHooks):
         if ns.dlht is None:
             return None
         self.coherence.walks_active += 1
-        anchor, floor = self._pos_state(task, start, self._recompute_state)
+        anchor, floor = self._pos_state(task, start, rebuild=True)
         pcc = task.cred.pcc
         if pcc is None:
             pcc = self.pcc_for(task.cred)
@@ -666,7 +655,6 @@ class FastLookup(WalkHooks):
         epoch = self.coherence.epoch
         dlht = ctx.task.ns.dlht
         on_revalidating_sb = self._on_revalidating_sb
-        signed = self.hasher.signed
         finish = self.hasher.finish
         direct = []
         inserts = []
@@ -678,7 +666,7 @@ class FastLookup(WalkHooks):
             direct.append(dentry)
             if state is None or dentry.dead:
                 continue
-            sig = signed.get(state) or finish(state)
+            sig = finish(state)
             fast = dentry.fast
             if fast is None:
                 fast = dentry.fast = FastDentry()
@@ -713,7 +701,7 @@ class FastLookup(WalkHooks):
                 pcc.insert_all(live, epoch)
 
     def _populate(self, dlht, pcc, dentry: Dentry, state: HashState, mount,
-                  epoch: int, sig=None) -> None:
+                  epoch: int) -> None:
         """Register one resolved dentry: its hash state, its DLHT key,
         and — with a ``pcc`` (the directory-reference rule held) — its
         prefix check, all stamped with the policy's ``epoch``."""
@@ -721,8 +709,7 @@ class FastLookup(WalkHooks):
         fast.hash_state = state
         fast.mount = mount
         fast.epoch_snapshot = epoch
-        dlht.insert(dentry,
-                    self.hasher.finish(state) if sig is None else sig)
+        dlht.insert(dentry, self.hasher.finish(state))
         if pcc is not None:
             pcc.insert(dentry, epoch)
 
@@ -753,23 +740,3 @@ class FastLookup(WalkHooks):
             state = self._extend(ctx, state, child.name)
             self._populate(dlht, pcc, child, state, ctx.cur_mount, epoch)
         self.stats.bump("deep_negative_chain")
-
-    # -- canonical-path state recomputation -----------------------------------
-
-    def _recompute_state(self, task: Task,
-                         pos: PathPos) -> Optional[HashState]:
-        """Rebuild a dentry's canonical-path hash state from the tree."""
-        names: List[str] = []
-        for dentry, mount in rootward(task.ns, pos.mount, pos.dentry):
-            if dentry is not mount.root_dentry:
-                if dentry.parent is None:
-                    return None
-                names.append(dentry.name)
-        state = self.hasher.EMPTY
-        for name in reversed(names):
-            state = self._extend(None, state, name)
-        fast = fast_of(pos.dentry)
-        fast.hash_state = state
-        fast.mount = pos.mount
-        fast.epoch_snapshot = self.coherence.epoch
-        return state

@@ -49,11 +49,10 @@ INDEX_BITS = 16
 #: back to pow(r, k, p).
 _POW_TABLE_SIZE = 258
 
-#: Bound of each hasher's transition memo (``_ext_cache``) and finished-
-#: signature memo (``signed``).  Path walks repeat the same transitions
-#: and states heavily (a file tree has far fewer distinct prefixes than
-#: lookups), so a flat clear on overflow keeps memory bounded without LRU
-#: bookkeeping on the hit path.
+#: Bound of the transition memo (``_ext_cache``).  Path walks repeat the
+#: same transitions heavily (a file tree has far fewer distinct prefixes
+#: than lookups), so a flat clear on overflow keeps memory bounded
+#: without LRU bookkeeping on the hit path.
 _COMPONENT_CACHE_CAP = 1 << 16
 
 #: Segment memo bound (:meth:`PathHasher.extend_segment`), the split
@@ -123,6 +122,9 @@ class PathHasher(_KeyedHasher):
         self.r2 = rng.randrange(256, _P2 - 1)
         # The key never reaches the length above the fields.
         self._key_mask &= (1 << _FIELD_BITS) - 1
+        #: The key of a finished path: the low bits of its two fields.
+        #: C-level, like :attr:`length`.
+        self.finish = self._key_mask.__and__
         # r^k mod p tables so absorbing an m-byte component is one
         # multiply per field instead of m Horner steps.
         pow1 = [1] * _POW_TABLE_SIZE
@@ -141,9 +143,6 @@ class PathHasher(_KeyedHasher):
         # change any produced value.  Bounded by a flat clear
         # (``_COMPONENT_CACHE_CAP``).
         self._ext_cache: Dict[Tuple[int, str], int] = {}
-        #: state -> finished key, bounded the same way.  Callers may read
-        #: it to skip a :meth:`finish` call for a state finished before.
-        self.signed: Dict[int, int] = {}
         # (state, names) -> extend_segment's result.
         self._seg_cache: Dict[Tuple[int, tuple], tuple] = {}
 
@@ -242,18 +241,6 @@ class PathHasher(_KeyedHasher):
         cache[key] = result
         return result
 
-    def finish(self, state: int) -> int:
-        """The key of a finished path: the low bits of its two fields."""
-        cache = self.signed
-        cached = cache.get(state)
-        if cached is not None:
-            return cached
-        result = state & self._key_mask
-        if len(cache) >= _COMPONENT_CACHE_CAP:
-            cache.clear()
-        cache[state] = result
-        return result
-
 
 def _fold_segment(hasher, state, names):
     """:meth:`PathHasher.extend_segment`'s result, computed one
@@ -305,9 +292,6 @@ class PrfPathHasher(_KeyedHasher):
         self._hashlib = hashlib
         self.key = random.Random(boot_seed).getrandbits(256) \
             .to_bytes(32, "big")
-        #: Interface parity with :attr:`PathHasher.signed`: nothing is
-        #: memoized here, so it stays empty.
-        self.signed: Dict[PrfSigState, int] = {}
 
     #: :attr:`PathHasher.length`'s counterpart, C-level too.
     length = attrgetter("length")

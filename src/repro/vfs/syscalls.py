@@ -311,16 +311,7 @@ class Syscalls:
 
     def fstat(self, task: Task, fd: int) -> StatResult:
         self._enter()
-        file = task.fds._files.get(fd)
-        if file is None or file.closed:
-            raise errors.EBADF(message=f"fd {fd}")
-        inode = file.pos.dentry.inode
-        if inode is None:
-            raise errors.ENOENT(message="file removed during stat")
-        self._charge("stat_fill")
-        return StatResult(inode.ino, inode.mode, inode.uid, inode.gid,
-                          inode.nlink, inode.size, inode.filetype,
-                          inode.fs.fstype, inode.mtime_ns)
+        return self._stat_of(task.fds.get(fd).pos)
 
     def access(self, task: Task, path: str, mask: int) -> None:
         """access(2): raise EACCES unless ``mask`` permissions hold."""
@@ -394,26 +385,18 @@ class Syscalls:
                flags: int = O_RDONLY, mode: int = 0o644) -> Fd:
         return self.open(task, path, flags, mode, dirfd=dirfd)
 
-    # ``close``/``read``/``write``/``lseek`` (and ``fstat`` above) are
-    # the most replayed trace opcodes: each inlines ``FdTable.get`` /
-    # ``close`` (same charges in the same order, same errors) instead of
-    # paying its frame.
-
     def close(self, task: Task, fd: int) -> None:
         self._enter()
         self._charge("close_fd")
-        file = task.fds._files.pop(fd, None)
-        if file is None:
-            raise errors.EBADF(message=f"fd {fd}")
-        file.release()
+        task.fds.close(fd)
 
     def read(self, task: Task, fd: int, length: int) -> bytes:
         self._enter()
-        file = task.fds._files.get(fd)
-        if file is None or file.closed:
-            raise errors.EBADF(message=f"fd {fd}")
-        if file.flags & O_ACCMODE not in (O_RDONLY, O_RDWR):
+        file = task.fds.get(fd)
+        if not file.readable:
             raise errors.EBADF(message=f"fd {fd} not readable")
+        if length < 0:
+            raise errors.EINVAL(message=f"read length {length}")
         inode = file.pos.dentry.inode
         if inode.is_dir:
             raise errors.EISDIR(message="read on a directory fd")
@@ -423,10 +406,8 @@ class Syscalls:
 
     def write(self, task: Task, fd: int, data: bytes) -> int:
         self._enter()
-        file = task.fds._files.get(fd)
-        if file is None or file.closed:
-            raise errors.EBADF(message=f"fd {fd}")
-        if file.flags & O_ACCMODE not in (O_WRONLY, O_RDWR):
+        file = task.fds.get(fd)
+        if not file.writable:
             raise errors.EBADF(message=f"fd {fd} not writable")
         inode = file.pos.dentry.inode
         if file.flags & O_APPEND:
@@ -438,9 +419,9 @@ class Syscalls:
 
     def lseek(self, task: Task, fd: int, offset: int) -> int:
         self._enter()
-        file = task.fds._files.get(fd)
-        if file is None or file.closed:
-            raise errors.EBADF(message=f"fd {fd}")
+        file = task.fds.get(fd)
+        if offset < 0:
+            raise errors.EINVAL(message=f"lseek offset {offset}")
         # Open files are positive, so dir-ness is the inode's cached
         # flag (Dentry.is_dir's stub arm can't apply).
         inode = file.pos.dentry.inode
@@ -451,6 +432,8 @@ class Syscalls:
 
     def ftruncate(self, task: Task, fd: int, size: int) -> None:
         self._enter()
+        if size < 0:  # checked before the fd, as Linux does
+            raise errors.EINVAL(message=f"ftruncate size {size}")
         file = task.fds.get(fd)
         if not file.writable:
             raise errors.EBADF(message=f"fd {fd} not writable")
@@ -458,6 +441,8 @@ class Syscalls:
 
     def truncate(self, task: Task, path: str, size: int) -> None:
         self._enter()
+        if size < 0:  # checked before the path, as Linux does
+            raise errors.EINVAL(path, f"truncate size {size}")
         pos = self._resolve(task, path, follow_last=True)
         dentry = pos.dentry
         if dentry.is_dir:

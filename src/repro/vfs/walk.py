@@ -13,6 +13,9 @@ are attributed to the scopes Figure 3 reports ("init", "perm", "hash",
 priced vector per outcome — denied, ``..``, dcache hit or miss — applied
 when the walk exits, times how often the outcome occurred.  Only a
 denial, after which the walk raises, is charged on the spot.
+:meth:`SlowWalk.search` is the same search check for one directory,
+charged on the spot: what the fastpath runs where it proves a prefix
+itself instead of walking.
 
 Host cost per component is two calls, matching the model's search check
 and table probe: ``perms.may_search`` and ``Dcache.probe``.  The
@@ -337,6 +340,18 @@ class SlowWalk:
                 bump("component_step", hits + misses + ups)
 
     # -- helpers ---------------------------------------------------------------------
+
+    def search(self, cred, inode) -> bool:
+        """The charged search check of one directory: DAC, then the LSM
+        when one is set."""
+        self.costs.apply(self._runs[0])
+        if not perms.may_search(cred, inode):
+            return False
+        lsm = self.lsm
+        if isinstance(lsm, NullLsm):
+            return True
+        self.costs.apply(self._lsm)
+        return lsm.inode_permission(cred, inode, perms.MAY_EXEC)
 
     def miss(self, cur: Dentry, name: str) -> Optional[Dentry]:
         """The FS lookup of ``name`` in ``cur`` after a dcache miss, its

@@ -222,7 +222,10 @@ class TraceRecorder(SyscallBatch):
     form, for workload code written against ``kernel.sys``; the
     recorder is their batch (``rec.stat(path)``).  Either way each call runs under
     the recorder's task, is executed *and* recorded.  Compute gaps are
-    recorded with :meth:`compute`.
+    recorded with :meth:`compute`.  A call passing an argument a trace
+    cannot store (anything but a str, int, float, bool or None, outside
+    an fd or bytes parameter: an rng, say) raises ``ValueError`` before
+    it runs, since a replay could not repeat it.
     """
 
     def __init__(self, kernel: Kernel, task: Task):
@@ -240,6 +243,10 @@ class TraceRecorder(SyscallBatch):
         self._pending_compute += ns
 
 
+#: The argument types a trace stores as they are.
+_STORABLE = (str, int, float, bool, type(None))
+
+
 class _RecordedSyscalls:
     """:attr:`TraceRecorder.sys`: recording entries that take (and
     ignore) a task first."""
@@ -254,18 +261,17 @@ class _RecordedSyscalls:
         rec = self._recorder
         method = getattr(rec._kernel.sys, op)
         spec = op_spec(op)
+        names = [name for name, _default, _kind in spec.params]
         fd_slots = rec._fd_slots
 
         def entry(_task, *args, **kwargs):
+            for name, value in chain(zip(names, args), kwargs.items()):
+                if name not in spec.kinds \
+                        and not isinstance(value, _STORABLE):
+                    raise ValueError(f"{op}: a trace cannot store "
+                                     f"{name}={value!r}")
             stored, stored_kw = _map_kinds(spec, args, kwargs, encode_arg,
                                            fd_slots)
-            if stored_kw:
-                # A keyword a trace cannot store (an rng) is dropped;
-                # replay uses the callee's deterministic default.
-                stored_kw = {name: value
-                             for name, value in stored_kw.items()
-                             if name in spec.kinds or isinstance(
-                                 value, (str, int, float, bool, type(None)))}
             event = TraceEvent(op, stored, stored_kw,
                                compute_ns=rec._pending_compute)
             rec._pending_compute = 0.0

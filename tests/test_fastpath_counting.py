@@ -247,6 +247,16 @@ class TestConstantWorkFastpath:
         assert per_depth[2] == per_depth[6] == per_depth[12], per_depth
         assert per_depth[12] <= 17, per_depth
 
+    def test_universal_finish_enters_no_python_frame(self):
+        """The universal hasher's key is its state's low bits, one
+        C-level mask, so finishing a state costs no Python frame (as
+        ``length`` does not).  A memo of finished keys cost one."""
+        hasher = make_kernel("optimized").hasher
+        state = hasher.extend_components(hasher.EMPTY, ["a", "b", "c"])
+        assert _python_calls(lambda: hasher.finish(state)) == []
+        assert _python_calls(lambda: hasher.length(state)) == []
+        assert hasher.finish(state) == hasher.finish(state)
+
 
 class TestFileSystemHostCalls:
     """ROADMAP item 3's bar on the file-system side: an FS call charges

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -178,8 +179,9 @@ class TestExtendSegment:
         primitive = hasher.cost_primitive
         count, ns = _hash_cost(costs, primitive)
         resumed = state
+        walk = SimpleNamespace(prehashed=0)  # a walk with nothing prehashed
         for name in names:
-            resumed = kernel.fast._extend(None, resumed, name)
+            resumed = kernel.fast._extend(walk, resumed, name)
         per_name = _hash_cost(costs, primitive)
         costs.apply(costs.run((("hash", primitive),), primitive),
                     len(names), nbytes)

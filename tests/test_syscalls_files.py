@@ -189,6 +189,59 @@ class TestFdIo:
             kernel.sys.truncate(task, "/d", 0)
 
 
+@pytest.mark.parametrize("profile", PROFILES)
+class TestNegativeOffsetsAndSizes:
+    """A negative offset, length or size is EINVAL, checked where Linux
+    checks it: ``truncate`` / ``ftruncate`` before the path or fd,
+    ``lseek`` / ``read`` after the fd check."""
+
+    @staticmethod
+    def _hello(profile):
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        fd = kernel.sys.open(task, "/f", O_CREAT | O_RDWR)
+        kernel.sys.write(task, fd, b"hello")
+        return kernel.sys, task, fd
+
+    def test_lseek_negative_offset_keeps_the_offset(self, profile):
+        sys, task, fd = self._hello(profile)
+        with pytest.raises(errors.EINVAL):
+            sys.lseek(task, fd, -2)
+        sys.write(task, fd, b"XY")
+        sys.lseek(task, fd, 0)
+        assert sys.read(task, fd, 100) == b"helloXY"
+        with pytest.raises(errors.EBADF):
+            sys.lseek(task, 999, -2)
+
+    def test_read_negative_length(self, profile):
+        sys, task, fd = self._hello(profile)
+        sys.lseek(task, fd, 0)
+        with pytest.raises(errors.EINVAL):
+            sys.read(task, fd, -1)
+        assert sys.read(task, fd, 100) == b"hello"
+        wfd = sys.open(task, "/f", O_WRONLY)
+        with pytest.raises(errors.EBADF):
+            sys.read(task, wfd, -1)
+        with pytest.raises(errors.EBADF):
+            sys.read(task, 999, -1)
+
+    def test_ftruncate_negative_size_before_the_fd(self, profile):
+        sys, task, fd = self._hello(profile)
+        with pytest.raises(errors.EINVAL):
+            sys.ftruncate(task, fd, -2)
+        assert sys.fstat(task, fd).size == 5
+        with pytest.raises(errors.EINVAL):
+            sys.ftruncate(task, 999, -2)
+
+    def test_truncate_negative_size_before_the_path(self, profile):
+        sys, task, fd = self._hello(profile)
+        with pytest.raises(errors.EINVAL):
+            sys.truncate(task, "/f", -3)
+        assert sys.stat(task, "/f").size == 5
+        with pytest.raises(errors.EINVAL):
+            sys.truncate(task, "/missing", -3)
+
+
 class TestAccess:
     def test_access_modes(self, kernel, task):
         _mkfile(kernel, task, "/f")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import O_CREAT, O_DIRECTORY, O_RDONLY, O_RDWR, errors, make_kernel
@@ -53,6 +55,30 @@ class TestRecording:
         trace = _record_sample(make_kernel("baseline"))
         close_event = [e for e in trace.events if e.op == "close"][0]
         assert close_event.compute_ns == 5_000
+
+    @pytest.mark.parametrize("by_keyword", [False, True])
+    def test_refuses_an_argument_it_cannot_store(self, by_keyword):
+        """A trace cannot store an rng: the recorder refuses the call
+        before it runs, rather than record a call that replays with a
+        different rng and so creates a different file."""
+        kernel = make_kernel("baseline")
+        task = kernel.spawn_task(uid=0, gid=0)
+        rec = TraceRecorder(kernel, task)
+        rec.mkdir("/e")
+        rec.compute(1_000)
+        rng = random.Random(7)
+        before = (kernel.now_ns, kernel.stats.snapshot(),
+                  dict(kernel.costs.counts), len(rec.trace))
+        with pytest.raises(ValueError, match="mkstemp.*rng"):
+            if by_keyword:
+                rec.mkstemp("/e", rng=rng)
+            else:
+                rec.mkstemp("/e", "tmp", rng)
+        assert (kernel.now_ns, kernel.stats.snapshot(),
+                dict(kernel.costs.counts), len(rec.trace)) == before
+        assert kernel.sys.listdir(task, "/e") == []
+        rec.stat("/e")  # the compute gap waits for the next call
+        assert rec.trace.events[-1].compute_ns == 1_000
 
     def test_stats(self):
         trace = _record_sample(make_kernel("baseline"))
