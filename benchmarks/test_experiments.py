@@ -20,6 +20,7 @@ EXTRA_CLAIMS = {
                                for row in report.rows) == 2,
     "fig3": lambda report: len(report.rows) == 8,  # 4 paths x 2 kernels
     "fig6": lambda report: len(report.rows) == 11,  # all path patterns
+    "fig7": lambda report: len(report.rows) == 4,  # 1 to 1110 descendants
     "fig8": lambda report: len(report.rows) == 13,  # 1..12 threads + writer
     "table1": lambda report: len(report.rows) == 9,
     # The library is a real system, not a stub.

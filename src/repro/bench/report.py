@@ -26,7 +26,7 @@ from repro.bench import (exp_ablation, exp_buckets, exp_collisions,
                          exp_fig7, exp_fig8, exp_fig9, exp_fig10,
                          exp_netfs, exp_pcc, exp_replay, exp_sigscheme,
                          exp_space, exp_table1, exp_table2, exp_table3,
-                         exp_table4, exp_tenant_crossover)
+                         exp_table4)
 from repro.bench import parallel
 from repro.bench.harness import Report
 
@@ -55,7 +55,6 @@ EXPERIMENTS: List[Tuple[str, Callable[..., Report]]] = [
     ("netfs", exp_netfs.run),
     ("dlfs", exp_dlfs.run),
     ("replay", exp_replay.run),
-    ("tenant_crossover", exp_tenant_crossover.run),
 ]
 
 _HEADER = """\

@@ -29,12 +29,16 @@ O_NOFOLLOW = 0o400000
 class File:
     """One open file description."""
 
-    __slots__ = ("pos", "flags", "offset", "dir_snapshot", "dir_offset",
-                 "dir_seeked", "dir_evictions_at_start", "closed")
+    __slots__ = ("pos", "flags", "readable", "writable", "offset",
+                 "dir_snapshot", "dir_offset", "dir_seeked",
+                 "dir_evictions_at_start", "closed")
 
     def __init__(self, pos: PathPos, flags: int):
         self.pos = pos
         self.flags = flags
+        # Fixed at open: nothing changes ``flags`` afterwards.
+        self.readable = flags & O_ACCMODE in (O_RDONLY, O_RDWR)
+        self.writable = flags & O_ACCMODE in (O_WRONLY, O_RDWR)
         self.offset = 0
         # Directory iteration state (getdents paging).
         self.dir_snapshot: Optional[List[Tuple[str, int, str]]] = None
@@ -48,14 +52,6 @@ class File:
         inode = pos.dentry.inode
         if inode is not None:
             inode.fs.iget(inode.ino)
-
-    @property
-    def readable(self) -> bool:
-        return (self.flags & O_ACCMODE) in (O_RDONLY, O_RDWR)
-
-    @property
-    def writable(self) -> bool:
-        return (self.flags & O_ACCMODE) in (O_WRONLY, O_RDWR)
 
     def release(self) -> None:
         if not self.closed:

@@ -10,12 +10,13 @@ an exact latency — no averaging needed.
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple
 
 from repro import O_CREAT, O_RDONLY, O_RDWR
 from repro.core.kernel import Kernel
 from repro.vfs.task import Task
-from repro.workloads.tree import build_fanout_tree, build_flat_dir
+from repro.workloads.tree import (build_fanout_tree, build_flat_dir,
+                                  fanout_paths)
 
 #: Figure 6's path patterns (name -> path to stat/open, cwd is "/").
 PATH_PATTERNS = [
@@ -128,12 +129,29 @@ def lookup_breakdown(kernel: Kernel, task: Task,
 # Figure 7: chmod / rename of populated directories
 # ----------------------------------------------------------------------
 
-def measure_mutation_latency(kernel: Kernel,
-                             depth: int) -> Tuple[float, float, int]:
+class MutationLatency(NamedTuple):
+    """One Figure 7 measurement, in virtual ns."""
+
+    chmod_ns: float
+    rename_ns: float
+    descendants: int
+    first_pass_ns: float
+    second_pass_ns: float
+
+    @property
+    def retouch_ns(self) -> float:
+        """The mutations plus one ``stat`` of every moved path."""
+        return self.chmod_ns + self.rename_ns + self.first_pass_ns
+
+
+def measure_mutation_latency(kernel: Kernel, depth: int) -> MutationLatency:
     """chmod and rename latency on a fanout tree of the given depth.
 
-    Returns (chmod_ns, rename_ns, descendants).  The whole subtree is in
-    the dcache (it was just created), which is the paper's worst case.
+    The whole subtree is in the dcache (it was just created), which is
+    the paper's worst case.  After the rename every moved path is
+    ``stat``ed once, then once more: the first pass pays what the
+    mutation deferred (eager coherence shot the subtree down, lazy
+    coherence revalidates it), the second is warm.
     """
     task = kernel.spawn_task(uid=0, gid=0)
     base = f"/mutate{depth}"
@@ -141,11 +159,19 @@ def measure_mutation_latency(kernel: Kernel,
     start = kernel.now_ns
     kernel.sys.chmod(task, base, 0o700)
     chmod_ns = kernel.now_ns - start
+    moved = base + "_moved"
     start = kernel.now_ns
-    kernel.sys.rename(task, base, base + "_moved")
+    kernel.sys.rename(task, base, moved)
     rename_ns = kernel.now_ns - start
+    paths = [moved, *(path for path, _is_dir in fanout_paths(moved, depth))]
+    passes = []
+    for _ in range(2):
+        start = kernel.now_ns
+        for path in paths:
+            kernel.sys.stat(task, path)
+        passes.append(kernel.now_ns - start)
     kernel.exit_task(task)
-    return chmod_ns, rename_ns, descendants
+    return MutationLatency(chmod_ns, rename_ns, descendants, *passes)
 
 
 # ----------------------------------------------------------------------

@@ -125,9 +125,9 @@ def folder_rename_operation(kernel: Kernel, task: Task,
     Dovecot rewrites its index and checks ``new/`` for races, so the
     syncs here list the (normally empty) ``new/`` directory.  The cost
     of the operation is therefore dominated by the *coherence* work the
-    rename triggers, not by per-message compute — which is exactly what
-    makes it the probe for the eager/lazy crossover
-    (``bench/exp_tenant_crossover.py``).
+    rename triggers, not by per-message compute: the fleet's
+    (:mod:`~repro.workloads.server_fleet`) eager/lazy probe, the shape
+    Figure 7 (``bench/exp_fig7.py``) prices on one subtree.
     """
     box = setup.mailboxes[rng.randrange(len(setup.mailboxes))]
     aside = f"{box}.tmp-rename"

@@ -17,8 +17,9 @@ the tail's churn.  Each tenant's stream mixes read-only autoindex
 requests with *mutating* requests — atomic docroot rotations, maildir
 flag-flip pairs and, rarest, whole-mailbox rename pairs — at a
 configurable ``mutation_rate``; the mutating operations are the lever
-that separates eager from lazy coherence (see
-``bench/exp_tenant_crossover.py``).
+that separates eager from lazy coherence, which Figure 7
+(``bench/exp_fig7.py``) prices on one subtree.  The fleet drives the
+``fleet_replay`` benchmark workload.
 
 Every recorded stream is **self-undoing**: autoindex requests are
 read-only, and every mutating operation restores the exact names it
@@ -73,33 +74,13 @@ def zipf_counts(tenants: int, total_requests: int,
 
 
 @dataclass
-class TenantSite:
-    """One provisioned tenant: its task, content, and compiled stream."""
-
-    index: int
-    task: Task
-    listing: str
-    mail: maildir.MaildirSetup
-    requests: int
-    program: CompiledTrace
-
-
-@dataclass
 class FleetSetup:
     """A provisioned fleet, ready to drain."""
 
-    tenants: List[TenantSite]
+    #: Each tenant's ``(task, program)``, in tenant order: the pairs
+    #: ``replay_interleaved`` takes.
+    streams: List[Tuple[Task, CompiledTrace]]
     seed: int
-    mutation_rate: float
-
-    @property
-    def streams(self) -> List[Tuple[Task, CompiledTrace]]:
-        """The ``(task, program)`` pairs ``replay_interleaved`` takes."""
-        return [(site.task, site.program) for site in self.tenants]
-
-    @property
-    def total_requests(self) -> int:
-        return sum(site.requests for site in self.tenants)
 
 
 def provision_tenant(kernel: Kernel, admin: Task, index: int, *,
@@ -169,7 +150,7 @@ def build_fleet(kernel: Kernel, tenants: int = 8, *,
     rng = random.Random(seed)
     counts = zipf_counts(tenants, total_requests)
     admin = kernel.spawn_task(uid=0, gid=0)
-    sites: List[TenantSite] = []
+    streams: List[Tuple[Task, CompiledTrace]] = []
     for index in range(tenants):
         task, listing, mail = provision_tenant(
             kernel, admin, index, files_per_site=files_per_site,
@@ -177,12 +158,9 @@ def build_fleet(kernel: Kernel, tenants: int = 8, *,
             seed=seed)
         program = record_tenant_stream(kernel, task, listing, mail,
                                        counts[index], mutation_rate, rng)
-        sites.append(TenantSite(index=index, task=task, listing=listing,
-                                mail=mail, requests=counts[index],
-                                program=program))
+        streams.append((task, program))
     kernel.exit_task(admin)
-    return FleetSetup(tenants=sites, seed=seed,
-                      mutation_rate=mutation_rate)
+    return FleetSetup(streams=streams, seed=seed)
 
 
 def drain_fleet(kernel: Kernel, setup: FleetSetup, *,
@@ -191,20 +169,3 @@ def drain_fleet(kernel: Kernel, setup: FleetSetup, *,
     replay_interleaved(kernel, setup.streams, seed=setup.seed,
                        plans=plans)
 
-
-def run_benchmark(kernel: Kernel, tenants: int = 8, *,
-                  total_requests: int = 120, mutation_rate: float = 0.1,
-                  drains: int = 4, seed: int = 0, plans=None,
-                  files_per_site: int = 48, mailboxes: int = 1,
-                  messages_per_box: int = 12) -> float:
-    """Fleet driver: requests per virtual second over ``drains`` drains."""
-    setup = build_fleet(kernel, tenants, total_requests=total_requests,
-                        mutation_rate=mutation_rate, seed=seed,
-                        files_per_site=files_per_site, mailboxes=mailboxes,
-                        messages_per_box=messages_per_box)
-    drain_fleet(kernel, setup, plans=plans)  # warm, as a running box is
-    start = kernel.now_ns
-    for _ in range(drains):
-        drain_fleet(kernel, setup, plans=plans)
-    elapsed_s = (kernel.now_ns - start) / 1e9
-    return drains * setup.total_requests / elapsed_s

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro import O_CREAT, O_RDWR
 from repro.core.kernel import Kernel
@@ -138,6 +138,22 @@ def build_flat_dir(kernel: Kernel, task: Task, path: str,
     return names
 
 
+def fanout_paths(base: str, depth: int,
+                 fanout: int = 10) -> Iterator[Tuple[str, bool]]:
+    """The descendants of a :func:`build_fanout_tree` subtree as
+    ``(path, is_dir)``, in creation order: each directory before its
+    children.  ``depth=0`` has none."""
+    if depth == 0:
+        return
+    for i in range(fanout):
+        if depth == 1:
+            yield f"{base}/file{i}", False
+        else:
+            sub = f"{base}/dir{i}"
+            yield sub, True
+            yield from fanout_paths(sub, depth - 1, fanout)
+
+
 def build_fanout_tree(kernel: Kernel, task: Task, base: str, depth: int,
                       fanout: int = 10) -> Tuple[str, int]:
     """The Figure 7 subtree shape: fanout^depth files under ``base``.
@@ -154,20 +170,10 @@ def build_fanout_tree(kernel: Kernel, task: Task, base: str, depth: int,
         return base, 0
     sys.mkdir(task, base)
     total = 0
-
-    def recurse(path: str, level: int) -> None:
-        nonlocal total
-        if level == depth:
-            for i in range(fanout):
-                fd = sys.open(task, f"{path}/file{i}", O_CREAT | O_RDWR)
-                sys.close(task, fd)
-                total += 1
-            return
-        for i in range(fanout):
-            sub = f"{path}/dir{i}"
-            sys.mkdir(task, sub)
-            total += 1
-            recurse(sub, level + 1)
-
-    recurse(base, 1)
+    for path, is_dir in fanout_paths(base, depth, fanout):
+        if is_dir:
+            sys.mkdir(task, path)
+        else:
+            sys.close(task, sys.open(task, path, O_CREAT | O_RDWR))
+        total += 1
     return base, total

@@ -257,6 +257,22 @@ class TestConstantWorkFastpath:
         assert _python_calls(lambda: hasher.length(state)) == []
         assert hasher.finish(state) == hasher.finish(state)
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_warm_fd_read_write_python_calls(self, profile):
+        """A warm-fd ``read`` and ``write`` of four bytes make 14 and 22
+        Python calls on every profile: whether the fd may read or write
+        is a slot of the open file, fixed at ``open``.  As properties
+        over ``flags`` they cost one frame each, 15 and 23."""
+        kernel = _kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        fd = kernel.sys.open(task, "/f", O_CREAT | O_RDWR)
+        for _ in range(2):
+            kernel.sys.lseek(task, fd, 0)
+            reads = _python_calls(lambda: kernel.sys.read(task, fd, 4))
+            writes = _python_calls(
+                lambda: kernel.sys.write(task, fd, b"abcd"))
+        assert (len(reads), len(writes)) == (14, 22), (reads, writes)
+
 
 class TestFileSystemHostCalls:
     """ROADMAP item 3's bar on the file-system side: an FS call charges

@@ -16,7 +16,6 @@ from itertools import chain
 import pytest
 
 from repro import make_kernel
-from repro.bench import exp_tenant_crossover
 from repro.core.kernel import PROFILES
 from repro.sim.memory import measure_kernel
 from repro.testing.dual import fingerprint
@@ -42,13 +41,15 @@ def _drained_fingerprint(profile, *, plans, memo=True, drains=5,
     return fingerprint(kernel)
 
 
-def _crossover_fingerprint(profile, mutation_rate, *, plans, memo=True):
-    """One quick cell of the ``tenant_crossover`` experiment."""
-    (tenants, total_requests), = exp_tenant_crossover.FLEETS_QUICK
+def _busy_fleet_fingerprint(profile, mutation_rate, *, plans, memo=True):
+    """4 tenants, 24 requests: one warm drain and three more, as a
+    running box would serve them."""
     kernel = make_kernel(profile, resolution_memo=memo)
-    server_fleet.run_benchmark(
-        kernel, tenants, total_requests=total_requests,
-        mutation_rate=mutation_rate, drains=3, seed=11, plans=plans)
+    fleet = server_fleet.build_fleet(
+        kernel, 4, total_requests=24, mutation_rate=mutation_rate,
+        seed=11)
+    for _ in range(4):
+        server_fleet.drain_fleet(kernel, fleet, plans=plans)
     if memo:  # else the memo axis is vacuous
         assert kernel.memo.hits > 0
     return fingerprint(kernel)
@@ -62,14 +63,13 @@ class TestFleetBitIdentity:
     def test_plans_on_off_identical(self, profile, memo_off):
         """A default kernel against the reference path — charge plans
         off and, with ``memo_off``, the resolution memo off too — on a
-        small fleet and on the ``tenant_crossover`` experiment's quick
-        cells."""
+        small fleet and on a busier one, read-only and mutation-heavy."""
         reference = dict(plans=False, memo=not memo_off)
         assert _drained_fingerprint(profile, plans=True) \
             == _drained_fingerprint(profile, **reference)
-        for rate in exp_tenant_crossover.MUTATION_RATES_QUICK:
-            assert _crossover_fingerprint(profile, rate, plans=True) \
-                == _crossover_fingerprint(profile, rate, **reference), rate
+        for rate in (0.0, 0.6):
+            assert _busy_fleet_fingerprint(profile, rate, plans=True) \
+                == _busy_fleet_fingerprint(profile, rate, **reference), rate
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_drains_are_self_undoing(self, profile):
@@ -77,8 +77,8 @@ class TestFleetBitIdentity:
         charge identical virtual time each."""
         kernel = make_kernel(profile)
         fleet = _small_fleet(kernel)
-        fds_before = [frozenset(site.task.fds._files)
-                      for site in fleet.tenants]
+        fds_before = [frozenset(task.fds._files)
+                      for task, _program in fleet.streams]
         server_fleet.drain_fleet(kernel, fleet)
         durations = []
         for _ in range(3):
@@ -86,8 +86,8 @@ class TestFleetBitIdentity:
             server_fleet.drain_fleet(kernel, fleet)
             durations.append(kernel.costs.now_ns - start)
         assert durations[0] == durations[1] == durations[2]
-        assert [frozenset(site.task.fds._files)
-                for site in fleet.tenants] == fds_before
+        assert [frozenset(task.fds._files)
+                for task, _program in fleet.streams] == fds_before
 
     def test_hypothesis_seed_and_mutation_sweep(self):
         """Plans-on/off identity over random Zipf seeds and mixes, under

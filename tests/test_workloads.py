@@ -87,10 +87,11 @@ class TestLmbenchDrivers:
         assert {"init", "hash", "htlookup", "final"} <= set(phases)
 
     def test_mutation_latency_positive(self, kernel):
-        chmod_ns, rename_ns, descendants = \
+        chmod_ns, rename_ns, descendants, first_pass_ns, second_pass_ns = \
             lmbench.measure_mutation_latency(kernel, depth=1)
         assert chmod_ns > 0 and rename_ns > 0
         assert descendants == 10
+        assert first_pass_ns >= second_pass_ns > 0
 
 
 class TestAppRunner:
