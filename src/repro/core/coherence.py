@@ -13,10 +13,17 @@ narrow interface:
   state of a *trusted* position (start directory, ``..`` hop, walk
   anchor) and the epoch floor a PCC entry for it must carry; a slowpath
   walk about to anchor there passes ``rebuild=True``, and a position
-  with no state is then rehashed from the tree (``rehash``);
-* ``accept(task, ns, pcc, dentry, anchor=None)`` — whether a DLHT probe
-  hit (the dentry's one key) may be served: its epoch floor, ``None``
-  (take the slowpath) or :data:`RETRY` (the probed key was discarded);
+  with no state is then rehashed from the tree (``rehash``).  Asked
+  again before anything changes, it answers the same state with the
+  floor ``epoch`` (the lazy policy's first answer re-arms the
+  position), which is how a failed fastpath attempt hands its start to
+  the fallback walk;
+* ``accept(task, ns, pcc, dentry, anchor=None, refused=False)`` —
+  whether a DLHT probe hit (the dentry's one key) may be served: its
+  epoch floor, ``None`` (take the slowpath) or :data:`RETRY` (the probed
+  key was discarded); ``refused`` when ``admit`` just refused the
+  dentry, so the O(1) case's prefix check is known to miss and its
+  probe is charged from ``admit``'s lookup (``PrefixCheckCache.refuse``);
 * ``admit(ns, pcc, dentry)`` — ``accept``'s O(1) case alone,
   uncharged: the floor, or ``None`` with nothing touched;
 * ``on_miss(task, ns, pcc, start, comps, parent_state, floor)`` —
@@ -272,8 +279,12 @@ class EagerCoherence(Coherence):
             state = self.rehash(pos, names)
         return state, 0
 
-    def accept(self, task, ns, pcc, dentry, anchor=None):
-        """A hit is current by construction; it needs its prefix check."""
+    def accept(self, task, ns, pcc, dentry, anchor=None, refused=False):
+        """A hit is current by construction; it needs its prefix check,
+        which ``refused`` says ``admit`` just found missing."""
+        if refused:
+            pcc.refuse(dentry)
+            return None
         return 0 if pcc.probe(dentry) else None
 
     def admit(self, ns, pcc, dentry):
@@ -324,8 +335,9 @@ class FastDcacheHooks(DcacheHooks):
 
     def on_make_positive(self, dentry: Dentry) -> None:
         # §5.2: creating a file over a negative dentry evicts any deep
-        # negative children cached below it.
-        self._drop_children(dentry)
+        # negative children cached below it (a filled stub has none).
+        if dentry.children:
+            self._drop_children(dentry)
         # The negative dentry may have been a symlink before (unlink
         # keeps it registered for fast ENOENT); the stored target
         # signature described the *old* inode's target and must not

@@ -83,26 +83,18 @@ class DirectLookupHashTable:
         table), that registration is dropped first — a dentry is in at
         most one DLHT under one signature (§4.3).
         """
-        placed = self._place(dentry, signature)
+        placed = self.place(dentry, signature)
         if placed:
             self.costs.charge("dlht_insert")
         return placed is not None
 
-    def insert_all(self, pairs) -> None:
-        """:meth:`insert` each ``(dentry, signature)`` of ``pairs``, in
-        order, with one ``dlht_insert`` charge for all that entered."""
-        placed = 0
-        for dentry, signature in pairs:
-            if self._place(dentry, signature):
-                placed += 1
-        if placed:
-            self.costs.charge("dlht_insert", times=placed)
-
-    def _place(self, dentry: Dentry, signature: int):
+    def place(self, dentry: Dentry, signature: int):
         """:meth:`insert`'s table change, uncharged: True when the entry
         is new, False when the dentry already held the key, None when a
-        live dentry owns it."""
-        current = self.table.get(signature)
+        live dentry owns it.  A population that places several charges
+        ``dlht_insert`` once for all that were new."""
+        table = self.table
+        current = table.get(signature)
         if current is dentry:
             return False
         if current is not None and not current.dead:
@@ -112,7 +104,7 @@ class DirectLookupHashTable:
             fast = fast_of(dentry)
         if fast.dlht is not None:
             fast.dlht.remove(dentry)
-        self.table[signature] = dentry
+        table[signature] = dentry
         fast.dlht = self
         fast.dlht_key = signature
         return True

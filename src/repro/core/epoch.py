@@ -242,7 +242,8 @@ class EpochCoherence(Coherence):
         self.stats.bump("lazy_evict")
         return RETRY
 
-    def accept(self, task, ns, pcc, dentry: Dentry, anchor=None):
+    def accept(self, task, ns, pcc, dentry: Dentry, anchor=None,
+               refused=False):
         """Earn a probe hit: path validity, then prefix checks.
 
         The probed signature is the dentry's one key.  ``anchor``, when
@@ -255,6 +256,7 @@ class EpochCoherence(Coherence):
         plain fallback, or :data:`RETRY` when the probed key was
         discarded (stale registration) and the caller may retry
         trailing-component completion against the now-free slot.
+        ``refused``: :meth:`admit` just refused the dentry.
         """
         fast = dentry.fast
         dlht = ns.dlht
@@ -264,7 +266,9 @@ class EpochCoherence(Coherence):
         # The O(1) accept is one integer compare on state the probe
         # already loaded; only chain nodes get charged below.
         if fast.hash_state is not None and fast.epoch_snapshot >= gepoch:
-            if pcc.probe(dentry, fast.epoch_snapshot):
+            if refused:
+                pcc.refuse(dentry)  # admit checked exactly this: a miss
+            elif pcc.probe(dentry, fast.epoch_snapshot):
                 return fast.epoch_snapshot
             # Prefix check missing or epoch-stale: fall through to the
             # chain validation, which can re-prove it with DAC checks.

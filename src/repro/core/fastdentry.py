@@ -31,16 +31,17 @@ class FastDentry:
     __slots__ = ("hash_state", "dlht", "dlht_key", "mount",
                  "link_target_state", "epoch_snapshot")
 
-    def __init__(self) -> None:
+    def __init__(self, hash_state: Optional[HashState] = None,
+                 mount: Optional[Mount] = None, epoch: int = 0) -> None:
         #: Resumable hash state of the canonical path, or None when stale.
-        self.hash_state: Optional[HashState] = None
+        self.hash_state = hash_state
         #: The DLHT instance the dentry is registered in (at most one).
         self.dlht = None
         #: The finished signature it is registered under there: its one
         #: key (so removal is O(1)).
         self.dlht_key: Optional[int] = None
         #: Mount the cached path resolves under (mount-flag checks, §4.3).
-        self.mount: Optional[Mount] = None
+        self.mount = mount
         #: For symlink dentries: hash state of the resolved target path,
         #: so a follow-intent fastpath hit can re-probe the DLHT for the
         #: target ("symbolic link dentries store the signatures that
@@ -51,7 +52,7 @@ class FastDentry:
         #: fastpath hit whose chain carries a higher per-dentry epoch
         #: stamp must revalidate before it may be served (always 0 in
         #: eager mode, where shootdowns clear the state instead).
-        self.epoch_snapshot = 0
+        self.epoch_snapshot = epoch
 
     def invalidate(self) -> None:
         """Drop path-derived state (the key stays until DLHT removal)."""

@@ -9,21 +9,32 @@ wrinkle (miss, stale sequence, stub, followed symlink without a cached
 target) falls back to the shared slowpath.
 
 Host cost is constant too (``docs/cost-model.md``): each run of
-components between ``..`` hops is charged as one hash charge, and a
+components between ``..`` hops is charged as one hash charge (with the
+probe's pair in the same vector when the probe does not serve), and a
 served lookup as one priced vector per outcome (positive, negative or
 ENOTDIR, position) that also carries the terminal probe and
-``pcc_probe`` when the policy's O(1) ``admit`` took it.  A fallback
-walk gets the count of components hashed; its first that many hash
-extensions are free.  When the attempt hashed the whole path as one
-segment it hands over the state after each component too, and the walk
-reads them instead of extending while its anchor is the attempt's start
-state.
+``pcc_probe`` when the policy's O(1) ``admit`` took it.
+
+A miss pays once: the failed attempt hands the fallback walk what it
+computed.  The count of components hashed makes the walk's first that
+many hash extensions free; when the whole path was one segment, the
+state after each component is handed too, and the walk reads them
+instead of extending while its anchor is the attempt's start state.
+The start's state, floor and PCC are handed as well, and ``begin`` takes
+them as they are while the epoch is the one handed and the start still
+holds that state (a mutation at that hook changes one or the other);
+the fallback's setup vector then carries the start's ``pcc_probe``.
 
 On the way *out* it implements :class:`repro.vfs.walk.WalkHooks`: it rides
 along slowpath walks, accumulating the state needed to repopulate the
 DLHT, the PCC, symlink aliases, and deep negative dentries — and applies
 it only if the global invalidation counter did not move during the walk
-(§3.2's "stale slowpath results are never re-cached" rule).
+(§3.2's "stale slowpath results are never re-cached" rule).  Population
+touches only what changed, in one pass over the walked dentries: one
+whose registration is already current (its DLHT, key, mount and epoch)
+costs one check and no DLHT work, and the PCC takes the walk in one
+``insert_all`` that only re-touches an entry present and current; each
+table takes one charge for all its new entries.
 
 Population follows the directory-reference rule (§3.2): a relative walk's
 results enter the *PCC* only when the start directory itself has a valid
@@ -79,33 +90,45 @@ from repro.vfs.mount import PathPos
 from repro.vfs.task import Task
 from repro.vfs.walk import SlowWalk, WalkHooks
 
+#: Component counts below this charge a missed probe with its hashing,
+#: as one vector.
+_FUSED = 16
+
 
 class _WalkCtx:
     """Per-walk population state (the opaque ctx of WalkHooks)."""
 
-    __slots__ = ("task", "counter_at_start", "pcc_ok", "anchor_state",
+    __slots__ = ("task", "counter_at_start", "pcc", "anchor_state",
                  "cur_mount", "alias_head", "alias_state", "alias_done",
-                 "saved_link", "pending", "pending_alias",
-                 "pending_linktarget", "pending_deepneg", "applied",
-                 "prehashed", "states")
+                 "saved_link", "walked", "pending", "pending_alias",
+                 "link_target", "pending_deepneg", "applied", "prehashed",
+                 "states")
 
-    def __init__(self, task: Task, counter: int, pcc_ok: bool,
+    def __init__(self, task: Task, counter: int,
+                 pcc: Optional[PrefixCheckCache],
                  anchor_state: Optional[HashState], cur_mount, prehashed: int,
                  states: Optional[tuple]):
         self.task = task
         self.counter_at_start = counter
-        self.pcc_ok = pcc_ok
+        #: The cred's PCC when the directory-reference rule lets the
+        #: walk's prefix checks in, else None.
+        self.pcc = pcc
         self.anchor_state = anchor_state
         self.cur_mount = cur_mount
         self.alias_head: Optional[Dentry] = None
         self.alias_state: Optional[HashState] = None
         self.alias_done = False
         self.saved_link: Optional[Tuple[Dentry, HashState]] = None
-        #: Every dentry walked, in order, for the PCC; with its hash
-        #: state and mount for the DLHT, or ``None, None`` (a ``..``).
+        #: Every dentry walked, in order, for the PCC ...
+        self.walked: List[Dentry] = []
+        #: ... and with its hash state and mount for the DLHT, or
+        #: ``None, None`` (a ``..``).
         self.pending: List[Tuple[Dentry, Optional[HashState], object]] = []
-        self.pending_alias: List[Tuple[str, Dentry, HashState, object]] = []
-        self.pending_linktarget: List[Tuple[Dentry, HashState]] = []
+        #: The alias chain's ``(name, dentry, state, mount)``, once the
+        #: first symlink heads one.
+        self.pending_alias: Optional[List[tuple]] = None
+        #: That symlink and its target's state.
+        self.link_target: Optional[Tuple[Dentry, HashState]] = None
         self.pending_deepneg = None
         self.applied = False
         #: Hash extensions still free: the failed attempt charged them.
@@ -147,10 +170,19 @@ class FastLookup(WalkHooks):
         self._hash = run((("hash", prim),), prim)
         probed = PROBE_CHARGES + (("perm", "pcc_probe"),)
         self._pair, self._hop = run(PROBE_CHARGES), run(probed)
+        self._hashed_pair = (None,) + tuple(
+            run((("hash", prim),) * n + PROBE_CHARGES, prim)
+            for n in range(1, _FUSED))
         # A fallback walk's setup and teardown (``SlowWalk.resolve``): the
         # fastpath's lighter setup and the rest of a nameidata.
         init = (("init", "fastpath_init"),) * 2
-        self._fallback = (run(init + (("final", "lookup_final"),)), run(init))
+        final = (("final", "lookup_final"),)
+        self._fallback = (run(init + final), run(init))
+        # ... and with the start's prefix-check probe, which ``begin``
+        # takes uncharged from an attempt's hand-off (no clock reader
+        # runs inside a walk, so the charge may wait for its end).
+        init += (("perm", "pcc_probe"),)
+        self._fallback_probed = (run(init + final), run(init))
 
         def outcome(charges, *deltas):
             """(vector, deltas) as charged, then with an O(1) accept's
@@ -178,19 +210,21 @@ class FastLookup(WalkHooks):
         if self.config.lexical_dotdot:
             comps = vfspath.lexical_normalize(comps)
         start = task.root if absolute else (dirfd_pos or task.cwd)
-        served = self._try_fastpath(task, start, comps, path,
-                                    must_dir=must_dir,
-                                    follow_last=follow_last,
-                                    intent_create=intent_create,
-                                    create_dir=create_dir)
+        served = self._try_fastpath(task, start, comps, path, must_dir,
+                                    follow_last, intent_create, create_dir)
         kind = type(served)
-        if kind is not int and kind is not tuple:
+        if kind is tuple \
+                and start.dentry is not task.ns.root_mount.root_dentry:
+            setup = self._fallback_probed  # begin probes the start
+        elif kind is tuple or kind is int:
+            setup = self._fallback
+        else:
             return served
         self.stats.bump("fastpath_miss")
         return self.slow.resolve(task, path, follow_last=follow_last,
                                  intent_create=intent_create,
                                  create_dir=create_dir, dirfd_pos=dirfd_pos,
-                                 count_stats=False, setup=self._fallback,
+                                 count_stats=False, setup=setup,
                                  prehashed=served,
                                  parsed=(absolute, comps, must_dir))
 
@@ -216,12 +250,15 @@ class FastLookup(WalkHooks):
         return self.hasher.extend(state, name)
 
     def _try_fastpath(self, task: Task, start: PathPos, comps: Sequence[str],
-                      path_hint: str, *, must_dir: bool, follow_last: bool,
+                      path_hint: str, must_dir: bool, follow_last: bool,
                       intent_create: bool, create_dir: bool):
         """Returns the served PathPos or raises its error (both charged);
-        else what the fallback walk is handed: the number of components
-        hashed or, when the whole path was one segment, ``(start state,
-        state after each component)``."""
+        else what the fallback walk is handed: 0 when the start has no
+        state, or ``(components hashed, state after each component or
+        None, start state, epoch, PCC)``.  The states are handed when the
+        whole path was one segment; the start's state, floor and PCC are
+        what ``begin`` would derive again, as long as the epoch is the
+        one handed (a second ``pos_state`` answers the floor ``epoch``)."""
         ns = task.ns
         dlht = ns.dlht
         if dlht is None:
@@ -231,105 +268,125 @@ class FastLookup(WalkHooks):
         pcc = task.cred.pcc
         if pcc is None:
             pcc = self.pcc_for(task.cred)
-        pos_state = self._pos_state
-        cur_pos = start
-        state, floor = pos_state(task, start)
+        state, floor = self._pos_state(task, start)
         if state is None:
             return 0
         costs = self.costs
         table = dlht.table
-        i = 0
-        hashed = 0
-        total = len(comps)
-        dotdots = ".." in comps
-        while i < total:
-            if comps[i] == "..":
-                # Linux dot-dot semantics: one extra fastpath-validated
-                # hop per parent reference (§4.2).
-                costs.charge("dotdot_extra_lookup")
-                cur_pos = ns.cross_down(ns.parent_pos(cur_pos, task.root))
-                state, floor = pos_state(task, cur_pos)
-                if state is None:
-                    return hashed
-                i += 1
-                if i == total:
-                    return self._position_hit(cur_pos, path_hint)
-                continue
-            if dotdots:
+        start_state = state
+        cur_pos = start
+        i = hashed = 0
+        if ".." in comps:
+            # The segments before the last: each ends at a ".." and must
+            # probe to a plain cached directory with a valid prefix check.
+            total = len(comps)
+            while True:
+                if comps[i] == "..":
+                    # Linux dot-dot semantics: one extra fastpath-validated
+                    # hop per parent reference (§4.2).
+                    costs.charge("dotdot_extra_lookup")
+                    cur_pos = ns.cross_down(ns.parent_pos(cur_pos, task.root))
+                    state, floor = self._pos_state(task, cur_pos)
+                    if state is None:
+                        return hashed, None, start_state, \
+                            self.coherence.epoch, pcc
+                    i += 1
+                    if i == total:
+                        return self._position_hit(cur_pos, path_hint)
+                    continue
                 j = i
                 while j < total and comps[j] != "..":
                     j += 1
+                if j == total:
+                    break
                 names = tuple(comps[i:j])
-            else:
-                j = total
-                names = tuple(comps)
-            prev_state, seg_state, sig, nbytes, states = \
-                self._segment(state, names)
-            costs.apply(self._hash, j - i, nbytes)
-            hashed += j - i
-            # The probe, in place unless a recording needs its notes.
-            found = table.get(sig) if costs.recorder is None \
-                else dlht.lookup(sig)
-            if found is None or found.dead or j < total:
-                costs.apply(self._pair)  # else in _finish_hit
-            whole = i == 0 and j == total
-            if found is not None and not found.dead:
-                # How the probed signature was derived: a validated
-                # position extended by these components.
-                anchor = (cur_pos.dentry, cur_pos.mount, names, seg_state,
-                          floor)
-                if j < total:
-                    # Interior prefix (a ".." follows): must be a plain
-                    # cached directory with a valid prefix check.
-                    if (found.is_alias or found.is_negative or found.is_stub
-                            or found.is_symlink or not found.is_dir):
-                        return hashed
-                    verdict = self._accept(task, ns, pcc, found, anchor)
-                    if verdict is None or verdict is RETRY:
-                        return hashed
-                    fast = found.fast
-                    if fast is None or fast.mount is None:
-                        return hashed
-                    floor = verdict
-                    cur_pos = PathPos(fast.mount, found)
-                    state = seg_state
-                    i = j
-                    continue
-                # The policy's O(1) accept leaves the probe and the
-                # prefix check to the served outcome's vector (``folded``).
-                target = found.alias_target
-                folded = (not target.dead if target is not None
-                          else not found.is_stub) \
-                    and self._admit(ns, pcc, found) is not None
-                if folded and target is None and not (
-                        found.is_symlink or found.is_negative
-                        or must_dir and not found.is_dir
-                        or self.config.force_fastpath_miss):
-                    fast = found.fast
-                    if fast is not None and fast.mount is not None:
-                        # A plain hit: _finish_hit's end, inline.
-                        vector, deltas = self._hit[True]
-                        costs.apply(vector)
-                        self.stats.bump_many(deltas)
-                        return PathPos(fast.mount, found)
-                served = self._finish_hit(
-                    task, ns, pcc, found, anchor, path_hint, folded,
-                    must_dir=must_dir, follow_last=follow_last,
-                    intent_create=intent_create, create_dir=create_dir)
-                if served is not RETRY:
-                    if served is not None:
-                        return served
-                    return (state, states) if whole else hashed
-            # The path is not registered (or the policy just discarded
-            # its key): a whole-path probe may complete from the parent.
-            if whole and self._on_miss is not None:
-                served = self._complete(
-                    task, ns, pcc, cur_pos, comps, prev_state, seg_state,
-                    floor, path_hint, must_dir=must_dir,
-                    intent_create=intent_create, create_dir=create_dir)
-                return (state, states) if served is None else served
-            return hashed
-        return hashed  # unreachable
+                _prev, seg_state, sig, nbytes, _states = \
+                    self._segment(state, names)
+                self._charge_miss(j - i, nbytes)
+                hashed += j - i
+                found = table.get(sig) if costs.recorder is None \
+                    else dlht.lookup(sig)
+                verdict = None
+                if not (found is None or found.dead or found.is_alias
+                        or found.is_negative or found.is_stub
+                        or found.is_symlink or not found.is_dir):
+                    verdict = self._accept(
+                        task, ns, pcc, found,
+                        (cur_pos.dentry, cur_pos.mount, names, seg_state,
+                         floor))
+                if verdict is None or verdict is RETRY \
+                        or found.fast is None or found.fast.mount is None:
+                    return hashed, None, start_state, self.coherence.epoch, pcc
+                fast = found.fast
+                floor = verdict
+                cur_pos = PathPos(fast.mount, found)
+                state = seg_state
+                i = j
+            names = tuple(comps[i:])
+        else:
+            names = tuple(comps)
+        # The last segment: its probe may serve the lookup.
+        prev_state, seg_state, sig, nbytes, states = \
+            self._segment(state, names)
+        if i:
+            states = None  # they extend the segment's start, not the walk's
+        n = len(names)
+        hashed += n
+        # The probe, in place unless a recording needs its notes.
+        found = table.get(sig) if costs.recorder is None \
+            else dlht.lookup(sig)
+        if found is not None and not found.dead:
+            costs.apply(self._hash, n, nbytes)  # the pair: the outcome's
+            # The policy's O(1) accept leaves the probe and the
+            # prefix check to the served outcome's vector (``folded``).
+            target = found.alias_target
+            folded = (not target.dead if target is not None
+                      else not found.is_stub) \
+                and self._admit(ns, pcc, found) is not None
+            if folded and target is None and not (
+                    found.is_symlink or found.is_negative
+                    or must_dir and not found.is_dir
+                    or self.config.force_fastpath_miss):
+                fast = found.fast
+                if fast is not None and fast.mount is not None:
+                    # A plain hit: _finish_hit's end, inline.
+                    vector, deltas = self._hit[True]
+                    costs.apply(vector)
+                    self.stats.bump_many(deltas)
+                    return PathPos(fast.mount, found)
+            served = self._finish_hit(
+                task, ns, pcc, found,
+                (cur_pos.dentry, cur_pos.mount, names, seg_state, floor),
+                path_hint, folded, must_dir=must_dir,
+                follow_last=follow_last, intent_create=intent_create,
+                create_dir=create_dir)
+            if served is None:
+                return hashed, states, start_state, self.coherence.epoch, pcc
+            if served is not RETRY:
+                return served
+        elif n < _FUSED:
+            costs.apply(self._hashed_pair[n], 1, nbytes)
+        else:
+            self._charge_miss(n, nbytes)
+        # The path is not registered (or the policy just discarded its
+        # key): a whole-path probe may complete from the parent.
+        if not i and self._on_miss is not None:
+            served = self._complete(
+                task, ns, pcc, cur_pos, comps, prev_state, seg_state,
+                floor, path_hint, must_dir=must_dir,
+                intent_create=intent_create, create_dir=create_dir)
+            if served is not None:
+                return served
+        return hashed, states, start_state, self.coherence.epoch, pcc
+
+    def _charge_miss(self, n: int, nbytes: int) -> None:
+        """Charge the hashing of ``n`` components with a probe that does
+        not serve (a miss, or an interior prefix)."""
+        if n < _FUSED:
+            self.costs.apply(self._hashed_pair[n], 1, nbytes)
+        else:
+            self.costs.apply(self._hash, n, nbytes)
+            self.costs.apply(self._pair)
 
     def _serve(self, outcome, folded: bool, result):
         """Charge ``outcome``'s vector and Stats; hand back ``result``."""
@@ -360,7 +417,7 @@ class FastLookup(WalkHooks):
         Returns the served PathPos (or raises), None (slowpath), or
         :data:`RETRY` when the policy discarded the probed key.  An O(1)
         accept (``folded``, already taken) leaves the probe and prefix
-        check to the vector.
+        check to the vector; else ``admit`` refused the hit.
         """
         result = found
         target = found.alias_target
@@ -368,7 +425,8 @@ class FastLookup(WalkHooks):
             self.costs.apply(self._pair)
             if target.dead if target is not None else found.is_stub:
                 return None  # unusable
-            verdict = self._accept(task, ns, pcc, found, anchor)
+            # ``admit`` refused it: its check's lookup serves the probe.
+            verdict = self._accept(task, ns, pcc, found, anchor, True)
             if verdict is None or verdict is RETRY:
                 return verdict
         if target is not None:
@@ -523,21 +581,27 @@ class FastLookup(WalkHooks):
         ns = task.ns
         if ns.dlht is None:
             return None
-        self.coherence.walks_active += 1
-        anchor, floor = self._pos_state(task, start, rebuild=True)
-        pcc = task.cred.pcc
-        if pcc is None:
-            pcc = self.pcc_for(task.cred)
-        pcc_ok = start.dentry is ns.root_mount.root_dentry \
-            or pcc.probe(start.dentry, floor)
-        states = None
-        if type(prehashed) is tuple:
-            attempt_state, states = prehashed
-            prehashed = len(states)
-            if anchor != attempt_state:
-                states = None  # a mutation moved the anchor since
-        return _WalkCtx(task, self.coherence.counter, pcc_ok, anchor,
-                        start.mount, prehashed, states)
+        coherence = self.coherence
+        coherence.walks_active += 1
+        # A hand-off's setup charges the start's probe.
+        handed = current = type(prehashed) is tuple
+        if current:
+            prehashed, states, anchor, floor, pcc = prehashed
+            # The attempt's start state, floor and PCC, unless something
+            # ran since: a mutation moves the epoch or drops the state.
+            current = floor == coherence.epoch and pcc is task.cred.pcc \
+                and start.dentry.fast.hash_state is anchor
+        if not current:
+            states = None
+            anchor, floor = self._pos_state(task, start, rebuild=True)
+            pcc = task.cred.pcc
+            if pcc is None:
+                pcc = self.pcc_for(task.cred)
+        if start.dentry is not ns.root_mount.root_dentry \
+                and not pcc.probe(start.dentry, floor, not handed):
+            pcc = None
+        return _WalkCtx(task, coherence.counter, pcc, anchor, start.mount,
+                        prehashed, states)
 
     def step(self, ctx, name: str, dentry: Dentry, mount) -> None:
         state = ctx.anchor_state
@@ -551,8 +615,9 @@ class FastLookup(WalkHooks):
             else:
                 state = self._extend(ctx, state, name)
             ctx.anchor_state = state
+        ctx.walked.append(dentry)
         ctx.pending.append((dentry, state, mount))
-        if ctx.alias_head is not None and ctx.alias_state is not None:
+        if ctx.alias_head is not None:  # with its alias_state
             ctx.alias_state = self._extend(ctx, ctx.alias_state, name)
             ctx.pending_alias.append((name, dentry, ctx.alias_state, mount))
         ctx.cur_mount = mount
@@ -565,6 +630,7 @@ class FastLookup(WalkHooks):
         ctx.alias_head = None
         ctx.alias_state = None
         ctx.cur_mount = result.mount
+        ctx.walked.append(result.dentry)
         ctx.pending.append((result.dentry, None, None))
 
     def symlink_begin(self, ctx, link: Dentry, absolute_target: bool) -> None:
@@ -574,6 +640,7 @@ class FastLookup(WalkHooks):
         ctx.saved_link = None
         if not ctx.alias_done and ctx.anchor_state is not None:
             link_state = self._extend(ctx, ctx.anchor_state, link.name)
+            ctx.walked.append(link)
             ctx.pending.append((link, link_state, ctx.cur_mount))
             ctx.saved_link = (link, link_state)
         ctx.alias_done = True
@@ -591,8 +658,9 @@ class FastLookup(WalkHooks):
         if ctx.saved_link is not None and ctx.saved_link[0] is link:
             ctx.alias_head = link
             ctx.alias_state = ctx.saved_link[1]
+            ctx.pending_alias = []
             if ctx.anchor_state is not None:
-                ctx.pending_linktarget.append((link, ctx.anchor_state))
+                ctx.link_target = (link, ctx.anchor_state)
             ctx.saved_link = None
         ctx.cur_mount = target.mount
         if ctx.anchor_state is None:
@@ -604,14 +672,10 @@ class FastLookup(WalkHooks):
             return
         if ctx.anchor_state is not None and not neg.dead:
             state = self._extend(ctx, ctx.anchor_state, neg.name)
+            ctx.walked.append(neg)
             ctx.pending.append((neg, state, ctx.cur_mount))
             if self.config.deep_negative and remaining:
                 ctx.pending_deepneg = (neg, list(remaining), kind, state)
-        self._apply(ctx)
-
-    def finish(self, ctx, final: PathPos) -> None:
-        if ctx is None:
-            return
         self._apply(ctx)
 
     def abandon(self, ctx) -> None:
@@ -642,63 +706,74 @@ class FastLookup(WalkHooks):
             node = node.parent
         return False
 
-    def _apply(self, ctx: "_WalkCtx") -> None:
-        if ctx.applied:
+    def _apply(self, ctx: Optional[_WalkCtx], final=None) -> None:
+        """Populate from the walk (``finish``, or a negative tail): one
+        pass registers the walked dentries (one already registered as
+        current costs one check), then the PCC takes them all; each
+        table takes one charge."""
+        if ctx is None or ctx.applied:
             return
         ctx.applied = True
-        self.coherence.walks_active -= 1
-        if self.coherence.counter != ctx.counter_at_start:
+        coherence = self.coherence
+        coherence.walks_active -= 1
+        if coherence.counter != ctx.counter_at_start:
             self.stats.bump("populate_abort")
             return
         # Counter unchanged means no mutation ran during the walk, so the
         # walk's observations are current as of the present epoch.
-        epoch = self.coherence.epoch
+        epoch = coherence.epoch
         dlht = ctx.task.ns.dlht
         on_revalidating_sb = self._on_revalidating_sb
-        finish = self.hasher.finish
-        direct = []
-        inserts = []
+        place = dlht.place
+        key_of = self.hasher.finish
+        placed = 0
+        sift = False  # whether the PCC must skip some walked dentries
         for dentry, state, mount in ctx.pending:
             inode = dentry.inode
-            if inode.fs.requires_revalidation if inode is not None \
-                    else on_revalidating_sb(dentry):
+            if (inode.fs.requires_revalidation if inode is not None
+                    else on_revalidating_sb(dentry)) or dentry.dead:
+                sift = True
                 continue
-            direct.append(dentry)
-            if state is None or dentry.dead:
+            if state is None:
                 continue
-            sig = finish(state)
+            sig = key_of(state)
             fast = dentry.fast
             if fast is None:
-                fast = dentry.fast = FastDentry()
-            elif fast.dlht is dlht and fast.mount is mount \
-                    and fast.epoch_snapshot == epoch \
-                    and fast.hash_state == state and fast.dlht_key == sig:
-                continue  # _populate would change nothing
-            # What _populate does, with the DLHT inserts batched below.
-            fast.hash_state = state
-            fast.mount = mount
-            fast.epoch_snapshot = epoch
-            inserts.append((dentry, sig))
-        if inserts:
-            dlht.insert_all(inserts)
-        for link, tstate in ctx.pending_linktarget:
+                dentry.fast = FastDentry(state, mount, epoch)
+            elif fast.dlht is dlht and fast.dlht_key == sig \
+                    and fast.mount is mount and fast.epoch_snapshot == epoch:
+                fast.hash_state = state
+                continue
+            else:
+                fast.hash_state = state
+                fast.mount = mount
+                fast.epoch_snapshot = epoch
+            if place(dentry, sig):
+                placed += 1
+        if placed:
+            self.costs.charge("dlht_insert", placed)
+        if ctx.link_target is not None:
+            link, tstate = ctx.link_target
             if not link.dead and not on_revalidating_sb(link):
                 fast_of(link).link_target_state = tstate
-        pcc = None
-        if ctx.pcc_ok:
-            pcc = ctx.task.cred.pcc
-            if pcc is None:
-                pcc = self.pcc_for(ctx.task.cred)
+        pcc = ctx.pcc
+        walked = ctx.walked
+        # Aliases and deep negatives enter the PCC ahead of the walked
+        # dentries, and may evict some of them.
         if ctx.alias_head is not None:
             self._apply_aliases(ctx, dlht, pcc, epoch)
+            sift = True
         if ctx.pending_deepneg is not None:
             self._apply_deep_negatives(ctx, dlht, pcc, epoch)
+            sift = True
         if pcc is not None:
-            # The aliases and deep negatives above may evict: liveness
-            # is read here.  One charge, then the inserts in walk order.
-            live = [dentry for dentry in direct if not dentry.dead]
-            if live:
-                pcc.insert_all(live, epoch)
+            if sift:  # liveness is read here
+                walked = [dentry for dentry in walked if not dentry.dead
+                          and not on_revalidating_sb(dentry)]
+            if walked:
+                pcc.insert_all(walked, epoch)
+
+    finish = _apply
 
     def _populate(self, dlht, pcc, dentry: Dentry, state: HashState, mount,
                   epoch: int) -> None:

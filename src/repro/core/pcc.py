@@ -30,7 +30,8 @@ DEFAULT_CAPACITY = 64 * 1024 // 16
 class PrefixCheckCache:
     """One credential's memoized prefix checks."""
 
-    __slots__ = ("costs", "stats", "capacity", "_entries", "_probe")
+    __slots__ = ("costs", "stats", "capacity", "_entries", "_probe",
+                 "_refused")
 
     def __init__(self, costs: CostModel, stats: Stats,
                  capacity: int = DEFAULT_CAPACITY):
@@ -39,8 +40,12 @@ class PrefixCheckCache:
         self.capacity = capacity
         self._entries: "OrderedDict[int, tuple]" = OrderedDict()
         self._probe = costs.run((("perm", "pcc_probe"),))
+        #: The entry (or None) of the dentry :meth:`check` last refused,
+        #: for :meth:`refuse`.
+        self._refused = None
 
-    def probe(self, dentry: Dentry, min_epoch: int = 0) -> bool:
+    def probe(self, dentry: Dentry, min_epoch: int = 0,
+              charged: bool = True) -> bool:
         """True when a valid (seq-current) prefix check is cached.
 
         ``min_epoch`` is the lazy kernel's validity floor: the entry must
@@ -48,26 +53,32 @@ class PrefixCheckCache:
         dentry's ancestor chain.  An epoch-stale entry is *kept* — the
         caller may pass a conservative floor, and a later revalidation
         with real permission checks will overwrite it (eager mode always
-        passes 0, so epoch never disqualifies there).  Charged to "perm".
+        passes 0, so epoch never disqualifies there).  Charged to "perm",
+        unless the caller's own vector carries the charge (``charged``
+        False).
         """
-        self.costs.apply(self._probe)
-        entry = self._entries.get(id(dentry))
-        if entry is None:
-            return self._miss("pcc_miss", dentry)
-        if entry[0] is not dentry or dentry.dead or entry[1] != dentry.seq:
-            del self._entries[id(dentry)]
-            return self._miss("pcc_stale", dentry)
-        if not self.check(dentry, min_epoch):
-            return self._miss("pcc_epoch_stale", dentry)
+        if charged:
+            self.costs.apply(self._probe)
+        key = id(dentry)
+        entries = self._entries
+        entry = entries.get(key)
+        if entry is None or entry[0] is not dentry or dentry.dead \
+                or entry[1] != dentry.seq or entry[2] < min_epoch:
+            return self._refuse(dentry, entry)
+        entries.move_to_end(key)
+        rec = self.costs.recorder
+        if rec is not None:
+            rec.pcc.append((self, dentry, None))
         self.stats.bump("pcc_hit")
         return True
 
     def check(self, dentry: Dentry, min_epoch: int = 0) -> bool:
         """:meth:`probe`'s hit, uncharged and uncounted (the caller counts
-        it); a miss touches nothing."""
+        it); a miss touches no entry, and :meth:`refuse` may follow."""
         entry = self._entries.get(id(dentry))
         if entry is None or entry[0] is not dentry or dentry.dead \
                 or entry[1] != dentry.seq or entry[2] < min_epoch:
+            self._refused = entry
             return False
         self._entries.move_to_end(id(dentry))
         rec = self.costs.recorder
@@ -75,10 +86,24 @@ class PrefixCheckCache:
             rec.pcc.append((self, dentry, None))
         return True
 
-    def _miss(self, counter: str, dentry: Dentry) -> bool:
-        """Count a failed probe.  A recorded resolution rests on it as
-        much as on a hit: the miss holds only while ``dentry``'s slot
-        stays as it is."""
+    def refuse(self, dentry: Dentry) -> bool:
+        """:meth:`probe` of the dentry :meth:`check` just refused, at the
+        same floor and with nothing in between: charged and counted as
+        that miss, from the entry the check read (no second lookup)."""
+        self.costs.apply(self._probe)
+        return self._refuse(dentry, self._refused)
+
+    def _refuse(self, dentry: Dentry, entry) -> bool:
+        """Count a failed probe, dropping a seq-stale ``entry``.  A
+        recorded resolution rests on the miss as much as on a hit: it
+        holds only while ``dentry``'s slot stays as it is."""
+        if entry is None:
+            counter = "pcc_miss"
+        elif entry[0] is not dentry or dentry.dead or entry[1] != dentry.seq:
+            del self._entries[id(dentry)]
+            counter = "pcc_stale"
+        else:
+            counter = "pcc_epoch_stale"
         self.stats.bump(counter)
         rec = self.costs.recorder
         if rec is not None:
@@ -108,14 +133,21 @@ class PrefixCheckCache:
         self._store_all((dentry,), epoch)
 
     def _store_all(self, dentries, epoch: int) -> None:
+        """Each entry to MRU, in order: an entry present and current is
+        only moved, a new one may push the LRU one out."""
         entries = self._entries
-        capacity = self.capacity
+        capacity = self.capacity  # never shrinks: one over at most
         for dentry in dentries:
             key = id(dentry)
-            entries[key] = (dentry, dentry.seq, epoch)
-            entries.move_to_end(key)
-            while len(entries) > capacity:
-                entries.popitem(last=False)
+            entry = (dentry, dentry.seq, epoch)
+            present = entries.setdefault(key, entry)
+            if present is entry:
+                if len(entries) > capacity:
+                    entries.popitem(last=False)
+            else:
+                entries.move_to_end(key)
+                if present != entry:
+                    entries[key] = entry
 
     def invalidate_all(self) -> None:
         """Flush (sequence-counter wraparound handling, §3.1); the
@@ -147,12 +179,11 @@ class AdaptivePrefixCheckCache(PrefixCheckCache):
         self.max_capacity = max_capacity
         self._misses_since_resize = 0
 
-    def probe(self, dentry: Dentry, min_epoch: int = 0) -> bool:
-        hit = super().probe(dentry, min_epoch)
-        if not hit:
-            self._misses_since_resize += 1
-            self._maybe_grow()
-        return hit
+    def _refuse(self, dentry: Dentry, entry) -> bool:
+        super()._refuse(dentry, entry)
+        self._misses_since_resize += 1
+        self._maybe_grow()
+        return False
 
     def _maybe_grow(self) -> None:
         if (len(self._entries) >= self.capacity

@@ -283,13 +283,14 @@ class PlanCell:
     """Capture state of one whole drain, whose protocol
     :func:`~repro.workloads.traces.replay_interleaved` runs.
 
-    ``pending`` holds the last vouched capture ``(vector, stat_deltas,
-    state)`` until an equal one confirms it as ``plan``, ``(vector,
-    stat_deltas)``: the memo's confirm-on-second-identical-run protocol,
-    with no warm-up.  ``armed`` is the ``(clock state, registry
-    generation)`` the last capture or apply ended on; the plan applies
-    only while both still hold.  ``retries`` counts rejected or
-    mismatched captures; too many mark the cell ``dead``.
+    ``pending`` holds the last capture ``(vector, stat_deltas)`` until
+    an equal one, whose drain is vouched to leave the state it found,
+    confirms it as ``plan``: the memo's confirm-on-second-identical-run
+    protocol, with no warm-up.  ``armed`` is the ``(clock state,
+    registry generation)`` the confirming capture or the last apply
+    ended on; the plan applies only while both still hold.  ``retries``
+    counts rejected or mismatched captures; too many mark the cell
+    ``dead``.
     """
 
     __slots__ = ("pending", "plan", "armed", "retries", "dead")

@@ -161,9 +161,7 @@ class Dcache:
             # Checked per entry: a shrink may have evicted a later name.
             if name in children:
                 continue
-            dentry = Dentry(name, parent, None)
-            dentry.stub = (ino, dtype)
-            dentry.set_kind()
+            dentry = Dentry(name, parent, None, (ino, dtype))
             self._link(parent, name, dentry)
             made += 1
         if made:

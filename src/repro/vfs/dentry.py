@@ -35,14 +35,15 @@ class Dentry:
     )
 
     def __init__(self, name: str, parent: Optional["Dentry"],
-                 inode: Optional[Inode]):
+                 inode: Optional[Inode],
+                 stub: Optional[Tuple[int, str]] = None):
         self.name = name
         self.parent = parent
         self.inode = inode
         #: NEG_ENOENT / NEG_ENOTDIR when this dentry is negative.
         self.neg_kind: Optional[str] = None
         #: (ino, dtype) when created from readdir without an inode (§5.1).
-        self.stub: Optional[Tuple[int, str]] = None
+        self.stub = stub
         self.children: Dict[str, "Dentry"] = {}
         #: References that forbid eviction (open files, cwd, mounts).
         self.pin_count = 0

@@ -511,10 +511,11 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     registry generation equal what the last capture or apply ended on
     (any interleaving syscall moves the clock, :meth:`CostModel.forget`
     the generation).  An unarmed plan is dropped, and its drain runs
-    recorded like any other: two equal captures in a row, each carrying
-    :func:`_drain_state`, prove the drain leaves the state it found, and
-    the second becomes the plan.  ``MAX_RETRIES`` unvouched or
-    mismatched captures kill the cell.
+    recorded like any other: two equal captures in a row make the second
+    the plan when :func:`_drain_state`, taken before and after the
+    second, proves the drain leaves the state it found.  A first capture
+    takes no digest, so a replay that runs once pays for none.
+    ``MAX_RETRIES`` unvouched or mismatched captures kill the cell.
     """
     streams = list(streams)
     costs = kernel.costs
@@ -551,18 +552,22 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
         else:
             registry.fallbacks += 1
         cell.plan = None
+    if cell.pending is None:
+        # A first capture only records: one-shot replays pay no digest.
+        with Recording(costs, stats) as rec:
+            drain()
+        cell.pending = (rec.vector, rec.stat_deltas)
+        return
+    state = _drain_state(streams)
     with Recording(costs, stats) as rec:
         drain()
-    state = _drain_state(streams)
-    capture = (rec.vector, rec.stat_deltas, state)
-    if state and cell.pending == capture:
+    capture = (rec.vector, rec.stat_deltas)
+    if state and cell.pending == capture and state == _drain_state(streams):
         cell.pending = None
-        cell.plan = (rec.vector, rec.stat_deltas)
+        cell.plan = capture
         registry.compiled += 1
-    else:
-        if not state or cell.pending is not None:
-            cell.retries += 1
-            cell.dead = cell.retries > registry.MAX_RETRIES
-        cell.pending = capture if state and not cell.dead else None
-    if state:
         cell.armed = (clock.capture_state(), registry.gen)
+    else:
+        cell.retries += 1
+        cell.dead = cell.retries > registry.MAX_RETRIES
+        cell.pending = capture if state and not cell.dead else None

@@ -13,7 +13,7 @@ from repro.fs.tmpfs import TmpFs
 from repro.sim.costs import CostModel, UNIT
 from repro.sim.stats import Stats
 from repro.vfs.dcache import Dcache
-from repro.vfs.dentry import NEG_ENOENT, NEG_ENOTDIR
+from repro.vfs.dentry import NEG_ENOENT, NEG_ENOTDIR, Dentry
 
 
 @pytest.fixture
@@ -115,6 +115,26 @@ class TestNegativityTransitions:
         stub = dcache.d_alloc_stubs(root, (("s", 42, "reg"),))
         assert stub.is_stub and not stub.is_negative
         assert stub.stub == (42, "reg")
+
+    def test_stub_kind_derived_once(self, env, monkeypatch):
+        """A readdir stub is built with its ``(ino, dtype)``, so its kind
+        is derived once; setting the stub after construction derived it
+        twice."""
+        _c, _s, fs, dcache = env
+        root = dcache.root_dentry(fs)
+        derived = []
+        real = Dentry.derive_kind
+
+        def counted(self):
+            derived.append(self.name)
+            return real(self)
+        monkeypatch.setattr(Dentry, "derive_kind", counted)
+        entries = [(f"s{i}", 40 + i, DT_DIR if i % 2 else DT_REG)
+                   for i in range(5)]
+        dcache.d_alloc_stubs(root, entries)
+        assert derived == [name for name, _ino, _dtype in entries]
+        assert [root.children[name].is_dir for name, _i, _t in entries] \
+            == [dtype == DT_DIR for _n, _i, dtype in entries]
 
     def test_enotdir_kind(self, env):
         _c, _s, fs, dcache = env

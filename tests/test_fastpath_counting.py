@@ -274,6 +274,56 @@ class TestConstantWorkFastpath:
         assert (len(reads), len(writes)) == (14, 22), (reads, writes)
 
 
+class TestMissPathHostCalls:
+    """A fastpath miss pays once: the failed attempt hands the fallback
+    walk its start and its hash states, and population touches only what
+    changed."""
+
+    @pytest.mark.parametrize("profile, pinned",
+                             [("baseline", 53), ("optimized", 59),
+                              ("optimized-lazy", 70)])
+    def test_cold_stub_fstatat_python_calls(self, profile, pinned):
+        """``fstatat(dirfd, name)`` of a readdir stub in a 200-dentry
+        cache after ``drop_caches``: a probe miss, a fallback walk that
+        fills the stub, and its population (a plain FS lookup on
+        baseline).  It read 53 / 68 / 79 before the attempt handed over
+        its start and its states and population became one pass."""
+        kernel = _kernel(profile, dcache_capacity=200,
+                         resolution_memo=False)
+        task = kernel.spawn_task(uid=0, gid=0)
+        kernel.sys.mkdir(task, "/d")
+        for i in range(20):
+            kernel.sys.close(task, kernel.sys.open(task, f"/d/f{i}",
+                                                   O_CREAT | O_RDWR))
+        kernel.drop_caches()
+        fd = kernel.sys.open(task, "/d", O_RDONLY | O_DIRECTORY)
+        kernel.sys.readdir(task, fd)
+        kernel.sys.fstatat(task, "f1", fd)
+        fills = kernel.stats.get("stub_fill")
+        calls = _python_calls(lambda: kernel.sys.fstatat(task, "f3", fd))
+        if profile != "baseline":
+            assert kernel.stats.get("stub_fill") == fills + 1
+        assert len(calls) == pinned, calls
+
+    def test_eager_create_extends_no_state_after_the_attempt(self):
+        """An eager create of an absent name six components deep: the
+        whole-path probe misses, and the attempt hands the walk its six
+        states, so the walk extends none (it extended six)."""
+        kernel = _kernel("optimized", resolution_memo=False)
+        task = kernel.spawn_task(uid=0, gid=0)
+        path = ""
+        for i in range(5):
+            path += f"/x{i}"
+            kernel.sys.mkdir(task, path)
+        kernel.sys.stat(task, path)
+        misses = kernel.stats.get("fastpath_miss")
+        calls = _python_calls(lambda: kernel.sys.close(
+            task, kernel.sys.open(task, f"{path}/new", O_CREAT | O_RDWR)))
+        assert kernel.stats.get("fastpath_miss") == misses + 1
+        walk = calls[calls.index("begin"):]
+        assert "step" in walk and "extend" not in walk, calls
+
+
 class TestFileSystemHostCalls:
     """ROADMAP item 3's bar on the file-system side: an FS call charges
     its block touches, and a listing its entries, as one tally each."""
