@@ -22,8 +22,8 @@ narrow interface:
   whether a DLHT probe hit (the dentry's one key) may be served: its
   epoch floor, ``None`` (take the slowpath) or :data:`RETRY` (the probed
   key was discarded); ``refused`` when ``admit`` just refused the
-  dentry, so the O(1) case's prefix check is known to miss and its
-  probe is charged from ``admit``'s lookup (``PrefixCheckCache.refuse``);
+  dentry, so the O(1) case's probe reuses ``admit``'s lookup
+  (``PrefixCheckCache.refuse``);
 * ``admit(ns, pcc, dentry)`` — ``accept``'s O(1) case alone,
   uncharged: the floor, or ``None`` with nothing touched;
 * ``on_miss(task, ns, pcc, start, comps, parent_state, floor)`` —
@@ -282,10 +282,8 @@ class EagerCoherence(Coherence):
     def accept(self, task, ns, pcc, dentry, anchor=None, refused=False):
         """A hit is current by construction; it needs its prefix check,
         which ``refused`` says ``admit`` just found missing."""
-        if refused:
-            pcc.refuse(dentry)
-            return None
-        return 0 if pcc.probe(dentry) else None
+        return 0 if (pcc.refuse(dentry) if refused else pcc.probe(dentry)) \
+            else None
 
     def admit(self, ns, pcc, dentry):
         """:meth:`accept` on a cached prefix check, uncharged (else None)."""

@@ -266,10 +266,10 @@ class EpochCoherence(Coherence):
         # The O(1) accept is one integer compare on state the probe
         # already loaded; only chain nodes get charged below.
         if fast.hash_state is not None and fast.epoch_snapshot >= gepoch:
-            if refused:
-                pcc.refuse(dentry)  # admit checked exactly this: a miss
-            elif pcc.probe(dentry, fast.epoch_snapshot):
-                return fast.epoch_snapshot
+            snap = fast.epoch_snapshot
+            if pcc.refuse(dentry, snap) if refused \
+                    else pcc.probe(dentry, snap):
+                return snap
             # Prefix check missing or epoch-stale: fall through to the
             # chain validation, which can re-prove it with DAC checks.
         perm_anchor = None

@@ -9,8 +9,7 @@ wrinkle (miss, stale sequence, stub, followed symlink without a cached
 target) falls back to the shared slowpath.
 
 Host cost is constant too (``docs/cost-model.md``): each run of
-components between ``..`` hops is charged as one hash charge (with the
-probe's pair in the same vector when the probe does not serve), and a
+components between ``..`` hops is charged as one hash charge, and a
 served lookup as one priced vector per outcome (positive, negative or
 ENOTDIR, position) that also carries the terminal probe and
 ``pcc_probe`` when the policy's O(1) ``admit`` took it.
@@ -22,8 +21,7 @@ state after each component is handed too, and the walk reads them
 instead of extending while its anchor is the attempt's start state.
 The start's state, floor and PCC are handed as well, and ``begin`` takes
 them as they are while the epoch is the one handed and the start still
-holds that state (a mutation at that hook changes one or the other);
-the fallback's setup vector then carries the start's ``pcc_probe``.
+holds that state (a mutation at that hook changes one or the other).
 
 On the way *out* it implements :class:`repro.vfs.walk.WalkHooks`: it rides
 along slowpath walks, accumulating the state needed to repopulate the
@@ -89,10 +87,6 @@ from repro.vfs.dentry import NEG_ENOTDIR, Dentry
 from repro.vfs.mount import PathPos
 from repro.vfs.task import Task
 from repro.vfs.walk import SlowWalk, WalkHooks
-
-#: Component counts below this charge a missed probe with its hashing,
-#: as one vector.
-_FUSED = 16
 
 
 class _WalkCtx:
@@ -170,19 +164,10 @@ class FastLookup(WalkHooks):
         self._hash = run((("hash", prim),), prim)
         probed = PROBE_CHARGES + (("perm", "pcc_probe"),)
         self._pair, self._hop = run(PROBE_CHARGES), run(probed)
-        self._hashed_pair = (None,) + tuple(
-            run((("hash", prim),) * n + PROBE_CHARGES, prim)
-            for n in range(1, _FUSED))
         # A fallback walk's setup and teardown (``SlowWalk.resolve``): the
         # fastpath's lighter setup and the rest of a nameidata.
         init = (("init", "fastpath_init"),) * 2
-        final = (("final", "lookup_final"),)
-        self._fallback = (run(init + final), run(init))
-        # ... and with the start's prefix-check probe, which ``begin``
-        # takes uncharged from an attempt's hand-off (no clock reader
-        # runs inside a walk, so the charge may wait for its end).
-        init += (("perm", "pcc_probe"),)
-        self._fallback_probed = (run(init + final), run(init))
+        self._fallback = (run(init + (("final", "lookup_final"),)), run(init))
 
         def outcome(charges, *deltas):
             """(vector, deltas) as charged, then with an O(1) accept's
@@ -213,18 +198,13 @@ class FastLookup(WalkHooks):
         served = self._try_fastpath(task, start, comps, path, must_dir,
                                     follow_last, intent_create, create_dir)
         kind = type(served)
-        if kind is tuple \
-                and start.dentry is not task.ns.root_mount.root_dentry:
-            setup = self._fallback_probed  # begin probes the start
-        elif kind is tuple or kind is int:
-            setup = self._fallback
-        else:
+        if kind is not int and kind is not tuple:
             return served
         self.stats.bump("fastpath_miss")
         return self.slow.resolve(task, path, follow_last=follow_last,
                                  intent_create=intent_create,
                                  create_dir=create_dir, dirfd_pos=dirfd_pos,
-                                 count_stats=False, setup=setup,
+                                 count_stats=False, setup=self._fallback,
                                  prehashed=served,
                                  parsed=(absolute, comps, must_dir))
 
@@ -302,7 +282,8 @@ class FastLookup(WalkHooks):
                 names = tuple(comps[i:j])
                 _prev, seg_state, sig, nbytes, _states = \
                     self._segment(state, names)
-                self._charge_miss(j - i, nbytes)
+                costs.apply(self._hash, j - i, nbytes)
+                costs.apply(self._pair)
                 hashed += j - i
                 found = table.get(sig) if costs.recorder is None \
                     else dlht.lookup(sig)
@@ -364,10 +345,9 @@ class FastLookup(WalkHooks):
                 return hashed, states, start_state, self.coherence.epoch, pcc
             if served is not RETRY:
                 return served
-        elif n < _FUSED:
-            costs.apply(self._hashed_pair[n], 1, nbytes)
         else:
-            self._charge_miss(n, nbytes)
+            costs.apply(self._hash, n, nbytes)
+            costs.apply(self._pair)
         # The path is not registered (or the policy just discarded its
         # key): a whole-path probe may complete from the parent.
         if not i and self._on_miss is not None:
@@ -378,15 +358,6 @@ class FastLookup(WalkHooks):
             if served is not None:
                 return served
         return hashed, states, start_state, self.coherence.epoch, pcc
-
-    def _charge_miss(self, n: int, nbytes: int) -> None:
-        """Charge the hashing of ``n`` components with a probe that does
-        not serve (a miss, or an interior prefix)."""
-        if n < _FUSED:
-            self.costs.apply(self._hashed_pair[n], 1, nbytes)
-        else:
-            self.costs.apply(self._hash, n, nbytes)
-            self.costs.apply(self._pair)
 
     def _serve(self, outcome, folded: bool, result):
         """Charge ``outcome``'s vector and Stats; hand back ``result``."""
@@ -583,8 +554,7 @@ class FastLookup(WalkHooks):
             return None
         coherence = self.coherence
         coherence.walks_active += 1
-        # A hand-off's setup charges the start's probe.
-        handed = current = type(prehashed) is tuple
+        current = type(prehashed) is tuple
         if current:
             prehashed, states, anchor, floor, pcc = prehashed
             # The attempt's start state, floor and PCC, unless something
@@ -598,7 +568,7 @@ class FastLookup(WalkHooks):
             if pcc is None:
                 pcc = self.pcc_for(task.cred)
         if start.dentry is not ns.root_mount.root_dentry \
-                and not pcc.probe(start.dentry, floor, not handed):
+                and not pcc.probe(start.dentry, floor):
             pcc = None
         return _WalkCtx(task, coherence.counter, pcc, anchor, start.mount,
                         prehashed, states)

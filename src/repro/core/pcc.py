@@ -40,12 +40,11 @@ class PrefixCheckCache:
         self.capacity = capacity
         self._entries: "OrderedDict[int, tuple]" = OrderedDict()
         self._probe = costs.run((("perm", "pcc_probe"),))
-        #: The entry (or None) of the dentry :meth:`check` last refused,
-        #: for :meth:`refuse`.
+        #: ``(dentry, min_epoch, entry or None)`` of the last refusal of
+        #: :meth:`check`, until :meth:`refuse` takes it.
         self._refused = None
 
-    def probe(self, dentry: Dentry, min_epoch: int = 0,
-              charged: bool = True) -> bool:
+    def probe(self, dentry: Dentry, min_epoch: int = 0) -> bool:
         """True when a valid (seq-current) prefix check is cached.
 
         ``min_epoch`` is the lazy kernel's validity floor: the entry must
@@ -53,12 +52,9 @@ class PrefixCheckCache:
         dentry's ancestor chain.  An epoch-stale entry is *kept* — the
         caller may pass a conservative floor, and a later revalidation
         with real permission checks will overwrite it (eager mode always
-        passes 0, so epoch never disqualifies there).  Charged to "perm",
-        unless the caller's own vector carries the charge (``charged``
-        False).
+        passes 0, so epoch never disqualifies there).  Charged to "perm".
         """
-        if charged:
-            self.costs.apply(self._probe)
+        self.costs.apply(self._probe)
         key = id(dentry)
         entries = self._entries
         entry = entries.get(key)
@@ -78,7 +74,7 @@ class PrefixCheckCache:
         entry = self._entries.get(id(dentry))
         if entry is None or entry[0] is not dentry or dentry.dead \
                 or entry[1] != dentry.seq or entry[2] < min_epoch:
-            self._refused = entry
+            self._refused = (dentry, min_epoch, entry)
             return False
         self._entries.move_to_end(id(dentry))
         rec = self.costs.recorder
@@ -86,12 +82,17 @@ class PrefixCheckCache:
             rec.pcc.append((self, dentry, None))
         return True
 
-    def refuse(self, dentry: Dentry) -> bool:
-        """:meth:`probe` of the dentry :meth:`check` just refused, at the
-        same floor and with nothing in between: charged and counted as
-        that miss, from the entry the check read (no second lookup)."""
+    def refuse(self, dentry: Dentry, min_epoch: int = 0) -> bool:
+        """:meth:`probe` right after :meth:`check` refused ``dentry`` at
+        ``min_epoch``: charged and counted as that miss from the entry the
+        check read, with no second lookup.  Any other last refusal (of
+        another dentry or floor, or none) makes it a plain probe."""
+        refused, self._refused = self._refused, None
+        if refused is None or refused[0] is not dentry \
+                or refused[1] != min_epoch:
+            return self.probe(dentry, min_epoch)
         self.costs.apply(self._probe)
-        return self._refuse(dentry, self._refused)
+        return self._refuse(dentry, refused[2])
 
     def _refuse(self, dentry: Dentry, entry) -> bool:
         """Count a failed probe, dropping a seq-stale ``entry``.  A

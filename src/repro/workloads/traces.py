@@ -514,8 +514,11 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
     recorded like any other: two equal captures in a row make the second
     the plan when :func:`_drain_state`, taken before and after the
     second, proves the drain leaves the state it found.  A first capture
-    takes no digest, so a replay that runs once pays for none.
-    ``MAX_RETRIES`` unvouched or mismatched captures kill the cell.
+    takes no digest, so a replay that runs once pays for none; once a
+    cell has a retry behind it, every capture is digested.  An unvouched
+    or mismatched capture is a retry, and ``MAX_RETRIES`` + 1 of them
+    kill the cell: one that never confirms dies on its ``MAX_RETRIES`` +
+    2nd recorded drain.
     """
     streams = list(streams)
     costs = kernel.costs
@@ -552,7 +555,7 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
         else:
             registry.fallbacks += 1
         cell.plan = None
-    if cell.pending is None:
+    if cell.pending is None and not cell.retries:
         # A first capture only records: one-shot replays pay no digest.
         with Recording(costs, stats) as rec:
             drain()
@@ -568,6 +571,7 @@ def replay_interleaved(kernel: Kernel, streams, seed: int = 0,
         registry.compiled += 1
         cell.armed = (clock.capture_state(), registry.gen)
     else:
-        cell.retries += 1
-        cell.dead = cell.retries > registry.MAX_RETRIES
+        if not state or cell.pending is not None:
+            cell.retries += 1
+            cell.dead = cell.retries > registry.MAX_RETRIES
         cell.pending = capture if state and not cell.dead else None

@@ -17,6 +17,7 @@ import pytest
 
 from repro import O_APPEND, O_CREAT, O_RDONLY, O_WRONLY, make_kernel
 from repro.core.kernel import PROFILES
+from repro.fs.pseudofs import PseudoFs
 from repro.testing.dual import fingerprint
 from repro.workloads import traces
 from repro.workloads.compile import build_loop_trace, compile_trace
@@ -349,6 +350,28 @@ class TestOneProtocol:
         cell = registry.cell(0, task, program)
         assert cell.dead and cell.plan is None and cell.pending is None
         assert registry.telemetry()["compiled"] == 0
+
+    @pytest.mark.parametrize("vouched", (True, False))
+    def test_an_unvouched_cell_dies_as_a_mismatched_one(self, vouched):
+        """A mounted file system that cannot vouch for its contents makes
+        every capture after the first a retry: the cell dies on its
+        ``MAX_RETRIES`` + 2nd drain, where a vouched one compiles."""
+        kernel = make_kernel("optimized")
+        task = kernel.spawn_task(uid=0, gid=0)
+        if not vouched:
+            kernel.sys.mkdir(task, "/proc")
+            kernel.sys.mount_fs(task, PseudoFs(kernel.costs), "/proc")
+        program = compile_trace(Trace([TraceEvent(
+            op="exists", args=("/missing",))]))
+        registry = kernel.costs.plans
+        last = registry.MAX_RETRIES + 2
+        for drain in range(1, last + 1):
+            replay_compiled(kernel, task, program)
+            cell = registry.cell(0, task, program)
+            if not vouched:
+                assert cell.retries == drain - 1
+                assert cell.dead == (drain == last)
+        assert registry.telemetry()["compiled"] == (1 if vouched else 0)
 
     def test_plan_table_is_bounded(self):
         """More distinct programs than the table holds: cells are

@@ -280,8 +280,8 @@ class TestMissPathHostCalls:
     changed."""
 
     @pytest.mark.parametrize("profile, pinned",
-                             [("baseline", 53), ("optimized", 59),
-                              ("optimized-lazy", 70)])
+                             [("baseline", 53), ("optimized", 61),
+                              ("optimized-lazy", 72)])
     def test_cold_stub_fstatat_python_calls(self, profile, pinned):
         """``fstatat(dirfd, name)`` of a readdir stub in a 200-dentry
         cache after ``drop_caches``: a probe miss, a fallback walk that
